@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak soak-tree bench-fanout
+.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak soak-tree bench-fanout bench-smoke
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -71,6 +71,15 @@ fuzz:
 bench-fanout:
 	$(GO) run ./cmd/dmpfanout -tier $(FANOUT_TIER) -v \
 		-o BENCH_fanout.json -check bench/BENCH_fanout_baseline.json
+
+# bench-smoke runs one short workload of the repository benchmark
+# (BENCHMARK.json, benchmark/) end to end — build from source, set up,
+# measure, check — and fails unless its result line says the run was
+# correct. The benchmark is a nested module, so `go test ./...` at the
+# root never enters it; CI runs this and `go test -C benchmark ./...`.
+bench-smoke:
+	@out=$$(bash benchmark/run.sh --workload fanout_steady --seconds 5); status=$$?; \
+	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
 
 # soak runs the randomized chaos harness against a live hub under the
 # race detector: seeded churn of joins, leaves, overload bursts, flaps

@@ -92,3 +92,18 @@ func TestAllocMeasurementSensitivity(t *testing.T) {
 		t.Fatalf("seeded allocation measured as %.2f allocs/run; the alloc budget harness is blind", allocs)
 	}
 }
+
+// TestTokenStringOneAlloc: a stats snapshot renders every subscriber's
+// token, so String is held to the string's own allocation — and to the
+// lower-case hex form logs and clients already match on.
+func TestTokenStringOneAlloc(t *testing.T) {
+	tok := Token{0x00, 0x9f, 0xa0, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	if got, want := tok.String(), "009fa0ff0102030405060708090a0b0c"; got != want {
+		t.Fatalf("Token.String() = %q, want %q", got, want)
+	}
+	var s string
+	if allocs := testing.AllocsPerRun(100, func() { s = tok.String() }); allocs > 1 {
+		t.Errorf("Token.String allocates %.0f times, want 1", allocs)
+	}
+	_ = s
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -240,8 +241,14 @@ func NewToken() (Token, error) {
 	return tok, nil
 }
 
-// String renders the token in hex (for logs and stats).
-func (t Token) String() string { return fmt.Sprintf("%x", t[:]) }
+// String renders the token in hex (for logs and stats). It allocates the
+// string and nothing else: a stats snapshot renders every subscriber's
+// token on every scrape.
+func (t Token) String() string {
+	var buf [2 * len(t)]byte
+	hex.Encode(buf[:], t[:])
+	return string(buf[:])
+}
 
 // JoinFlagAbsolute asks the hub to skip the per-subscriber packet-number
 // rebase: frames carry origin-absolute sequence numbers and the cursor

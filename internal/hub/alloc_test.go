@@ -13,7 +13,12 @@
 package hub
 
 import (
+	"encoding/binary"
+	"flag"
 	"net"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -90,10 +95,12 @@ func (sinkConn) SetReadDeadline(time.Time) error  { return nil }
 func (sinkConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestZeroCopyHotPathAllocFree drives the zero-copy steady state —
-// ring.publish (pool acquire + fill), shard.wake, shard.popBatch (pin),
-// Hub.writeBatch (header patch + vectored write) and releaseBatch (pool
-// return) — and requires zero allocations per frame once the pool and
-// freelist have warmed through one ring lap.
+// ring.publish (pool acquire + fill), shard.wake, shard.popBatch (hand
+// the previous lease back, lease again, pin), Hub.writeBatch (header
+// patch + vectored write) and releaseBatch (pool return) — and requires
+// zero allocations per frame once the pool, its freelist and the shard's
+// batch free list have warmed through one ring lap. The cycle crosses
+// the shard's free-list trim (every freeTrimWakes wakes) on the way.
 func TestZeroCopyHotPathAllocFree(t *testing.T) {
 	h := quietHub(t)
 	sd := h.shards[0]
@@ -106,12 +113,12 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 	h.subCount.Add(1)
 
 	var conn net.Conn = sinkConn{}
-	b := newBatch(h.cfg.WriteBatch)
+	var b *batch
 	cycle := func() {
 		head := h.ring.publish(h.cfg.Stream.Fill)
 		sd.wake(head)
-		if !sd.popBatch(sub, b) {
-			t.Fatal("popBatch returned !ok in steady state")
+		if b = sd.popBatch(sub, b); b == nil {
+			t.Fatal("popBatch returned no batch in steady state")
 		}
 		if err := h.writeBatch(conn, sub, b); err != nil {
 			t.Fatal(err)
@@ -121,7 +128,95 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 	for i := 0; i < h.cfg.LagWindow+1; i++ {
 		cycle()
 	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+	if allocs := testing.AllocsPerRun(2*freeTrimWakes, cycle); allocs != 0 {
 		t.Errorf("zero-copy hot path allocates %.2f times per frame, want 0", allocs)
+	}
+}
+
+// TestParkedPathFootprint pins what an attached, caught-up zero-copy path
+// costs the heap: its subscriber, its resend ring and its goroutine's
+// closure — not a batch workspace (leased per write from the shard) and
+// not a frame buffer (allocated at stream end). 2000 parked paths must
+// stay under 1.5 KB of live heap each; with a 32-frame workspace and a
+// frame buffer owned per path the same measurement read 4.7 KB.
+// Goroutine stacks are not heap: logged, not budgeted.
+func TestParkedPathFootprint(t *testing.T) {
+	const paths, perPathBudget = 2000, 1536
+	h, err := New(Config{
+		Stream:         core.Config{Mu: 250, PayloadSize: 256},
+		StreamID:       "live",
+		ExternalSource: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	payload := make([]byte, 256)
+	// Fill the pool and every ring slot first, so the measured delta is
+	// the paths' own.
+	var seq int64
+	for ; seq < h.ring.size()+1; seq++ {
+		h.PublishAt(seq, seq, payload)
+	}
+	live := func() (heap, stacks uint64) {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc, ms.StackInuse
+	}
+	heap0, stacks0 := live()
+
+	var tok core.Token
+	for i := 0; i < paths; i++ {
+		binary.BigEndian.PutUint32(tok[:], uint32(i)+1)
+		if err := h.AttachJoined(sinkConn{}, core.Join{StreamID: "live", Token: tok}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Run every path through a few leased writes, then let them park.
+	for end := seq + 8; seq < end; seq++ {
+		h.PublishAt(seq, seq, payload)
+	}
+	for deadline := time.Now().Add(5 * time.Second); h.Stats().Sent < 8*paths; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("paths did not drain: sent %d of %d", h.Stats().Sent, 8*paths)
+		}
+	}
+	// Waking 2000 senders at once can catch many of them mid-write, each
+	// holding a lease; that stock is transient. Let the idle trim run as a
+	// few seconds of generator wakes would, and measure the steady state.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		idle := 0
+		for _, sd := range h.shards {
+			sd.mu.Lock()
+			sd.trimFreeLocked()
+			idle += sd.nfree
+			sd.mu.Unlock()
+		}
+		if idle <= len(h.shards) {
+			break
+		}
+	}
+	heap, stacks := live()
+	perPath := (heap - heap0) / paths
+	t.Logf("per parked path: %d B of live heap, %d B of goroutine stack", perPath, (stacks-stacks0)/paths)
+	// Under -memprofile, snapshot the live heap here as well, while the
+	// paths are parked (the flag's own profile is written at exit, after
+	// Close): the source of EXPERIMENTS.md's per-path footprint table.
+	if name := flag.Lookup("test.memprofile").Value.String(); name != "" {
+		f, err := os.Create(name + ".parked")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if perPath > perPathBudget {
+		t.Errorf("a parked path holds %d B of heap, budget %d B", perPath, perPathBudget)
 	}
 }

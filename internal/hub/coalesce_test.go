@@ -37,15 +37,8 @@ func TestTickCoalescesWakeups(t *testing.T) {
 	h.subCount.Add(1)
 
 	// Park a zero-copy sender on the shard's cond (cur == head == 1).
-	b := newBatch(32)
-	got := make(chan int, 1)
-	go func() {
-		if !sd.popBatch(sub, b) {
-			got <- -1
-			return
-		}
-		got <- b.n
-	}()
+	got := make(chan *batch, 1)
+	go func() { got <- sd.popBatch(sub, nil) }()
 	time.Sleep(20 * time.Millisecond)
 
 	// One tick with ~8 packets of scheduling debt: base is 8ms in the past
@@ -55,12 +48,12 @@ func TestTickCoalescesWakeups(t *testing.T) {
 		t.Fatalf("backlogged tick published %d packets, want a burst > 1", k)
 	}
 
-	n := <-got
-	if n < 0 {
-		t.Fatal("popBatch returned !ok")
+	b := <-got
+	if b == nil {
+		t.Fatal("popBatch returned no batch")
 	}
-	if int64(n) != k {
-		t.Fatalf("one wakeup drained %d frames, want the full %d-packet burst", n, k)
+	if int64(b.n) != k {
+		t.Fatalf("one wakeup drained %d frames, want the full %d-packet burst", b.n, k)
 	}
 	sd.mu.Lock()
 	wakes := sd.wakes - wakes0

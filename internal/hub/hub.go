@@ -25,6 +25,14 @@
 // single-lock hub, which the fan-out benchmark uses as its comparison
 // baseline.
 //
+// A shard also owns the zero-copy senders' working memory. The batch
+// workspace a vectored write is assembled in is leased from the shard's
+// free list for the span of one write — taken in popBatch once there are
+// frames to pin, handed back at the sender's next popBatch under the same
+// lock hold — so sender state scales with writes in flight, not with
+// attached paths: a path parked on a caught-up subscriber holds its
+// subscription, its resend ring and its goroutine, nothing else.
+//
 // A subscriber that cannot keep up falls behind the ring. The hub then
 // applies the configured slow-subscriber policy at generation time:
 // DropOldest advances the laggard's cursor to the oldest live packet and
@@ -665,10 +673,16 @@ func (h *Hub) governLocked(head int64) {
 	}
 }
 
-// batch is one zero-copy sender's per-wakeup workspace: up to WriteBatch
-// pinned shared payload buffers plus the per-subscriber patched headers
-// and the vectored write assembled over them. All storage is preallocated
-// once per path; the hot loop only writes indexed slots, never appends.
+// batch is the workspace of one zero-copy write in flight: up to
+// WriteBatch pinned shared payload buffers plus the per-subscriber patched
+// headers and the vectored write assembled over them. Batches belong to
+// the shard, not to a path: a sender leases one inside popBatch once it
+// has frames to pin, keeps it across writeBatch and releaseBatch, and
+// hands it back at the top of its next popBatch call (or through
+// shard.returnBatch when its write failed). A parked path therefore holds
+// none, and a shard's stock follows its writes in flight rather than its
+// attached paths. All storage is allocated once per batch; the hot loop
+// only writes indexed slots, never appends.
 type batch struct {
 	n    int           // filled entries
 	bufs []*payloadBuf // pinned shared payloads; len is the batch capacity
@@ -677,6 +691,7 @@ type batch struct {
 	hdrs []byte        // capacity × FrameHeaderSize patched header bytes
 	wb   [][]byte      // 2 × capacity vectored-write slots: header, payload, ...
 	vec  net.Buffers   // reusable view of wb[:2n] — a field so WriteTo's pointer receiver never forces a per-call heap escape
+	next *batch        // guarded by mu (the shard's); free-list link, nil while leased
 }
 
 func newBatch(size int) *batch {
@@ -731,8 +746,11 @@ func (h *Hub) writeBatch(conn net.Conn, sub *subscriber, b *batch) error {
 }
 
 // releaseBatch drops the batch's pins, returning buffers whose refcount
-// reached zero to the pool. Entries are nil'd as they release, so a
-// second call over the same batch is a no-op.
+// reached zero to the pool, and clears the vectored-write slots that
+// aliased them — a released batch holds no borrow, which is what lets the
+// sender hand it back to the shard for another subscriber's frames.
+// Entries are nil'd as they release, so a second call over the same batch
+// is a no-op.
 func (h *Hub) releaseBatch(b *batch) {
 	for i := 0; i < b.n; i++ {
 		pb := b.bufs[i]
@@ -740,6 +758,7 @@ func (h *Hub) releaseBatch(b *batch) {
 			continue
 		}
 		b.bufs[i] = nil
+		b.wb[2*i+1] = nil
 		if pb.refs.Add(-1) == 0 {
 			h.pool.put(pb)
 		}
@@ -748,12 +767,14 @@ func (h *Hub) releaseBatch(b *batch) {
 
 // sendLoop is one subscriber path's sender: stream header, frames popped
 // from the subscriber's shard, end marker. Under DeliveryZeroCopy each
-// wakeup drains a batch of pinned shared buffers into one vectored write;
-// under DeliveryCopy each frame is rendered through the ring.frame copy
-// point into the per-path buffer. On failure it returns the absolute
-// sequences this path wrote most recently (oldest first, the in-hand
-// packets last) — TCP may have buffered but never delivered them, so
-// finishPath queues them for retransmission on the subscriber's other paths.
+// wakeup leases a batch from the shard, drains pinned shared buffers
+// through it into one vectored write, and hands it back on its way to the
+// next wait, so a parked path owns no workspace; under DeliveryCopy each
+// frame is rendered through the ring.frame copy point into the per-path
+// buffer. On failure it returns the absolute sequences this path wrote
+// most recently (oldest first, the in-hand packets last) — TCP may have
+// buffered but never delivered them, so finishPath queues them for
+// retransmission on the subscriber's other paths.
 //
 // hotpath — the per-subscriber sender root; the loop body runs once per
 // delivered frame (copy) or once per delivered batch (zero-copy).
@@ -761,7 +782,6 @@ func (h *Hub) sendLoop(sub *subscriber, pathIdx, numPaths int, conn net.Conn) (r
 	if err := core.WriteStreamHeader(conn, pathIdx, numPaths, h.cfg.Stream.PayloadSize, h.cfg.Stream.Mu); err != nil {
 		return nil, fmt.Errorf("hub: path %d header: %w", pathIdx, err)
 	}
-	frame := make([]byte, core.FrameHeaderSize+h.cfg.Stream.PayloadSize) // nolint:hotalloc per-path frame buffer (copy mode and end marker), allocated once
 	win := h.cfg.ResendWindow
 	if win < 0 {
 		win = 0 // negative disables resends; make would panic on it
@@ -770,7 +790,9 @@ func (h *Hub) sendLoop(sub *subscriber, pathIdx, numPaths int, conn net.Conn) (r
 	// pre-sized so the per-frame append below never grows mid-stream.
 	ring := make([]int64, 0, win) // nolint:hotalloc per-path resend ring, allocated once
 	next := 0
+	var frame []byte
 	if h.cfg.Delivery == DeliveryCopy {
+		frame = make([]byte, core.FrameHeaderSize+h.cfg.Stream.PayloadSize) // nolint:hotalloc per-path copy-mode frame buffer, allocated once
 		for {
 			seq, ok := sub.shard.pop(sub, frame)
 			if !ok {
@@ -789,17 +811,21 @@ func (h *Hub) sendLoop(sub *subscriber, pathIdx, numPaths int, conn net.Conn) (r
 			}
 		}
 	} else {
-		b := newBatch(h.cfg.WriteBatch) // nolint:hotalloc per-path batch workspace, allocated once before the loop
+		var b *batch // the lease; popBatch takes the previous one back
 		for {
-			if !sub.shard.popBatch(sub, b) {
+			if b = sub.shard.popBatch(sub, b); b == nil {
 				break
 			}
 			werr := h.writeBatch(conn, sub, b)
 			h.releaseBatch(b)
 			if werr != nil {
 				// The kernel may have taken any prefix of the batch; resend
-				// all of it — duplicates are deduplicated client-side.
-				return append(unrollSeqs(ring, next), b.seqs[:b.n]...), fmt.Errorf("hub: path %d write: %w", pathIdx, werr)
+				// all of it — duplicates are deduplicated client-side. The
+				// append copies the sequences out before the batch goes
+				// back to the shard, where another sender overwrites them.
+				recent = append(unrollSeqs(ring, next), b.seqs[:b.n]...)
+				sub.shard.returnBatch(b)
+				return recent, fmt.Errorf("hub: path %d write: %w", pathIdx, werr)
 			}
 			if win > 0 {
 				for i := 0; i < b.n; i++ {
@@ -812,6 +838,7 @@ func (h *Hub) sendLoop(sub *subscriber, pathIdx, numPaths int, conn net.Conn) (r
 				}
 			}
 		}
+		frame = make([]byte, core.FrameHeaderSize+h.cfg.Stream.PayloadSize) // nolint:hotalloc end-marker frame, allocated once at stream end
 	}
 	// End marker: carries the number of packets generated since this
 	// subscriber joined, matching its rebased numbering.

@@ -122,6 +122,7 @@ func ownershipHub(t *testing.T, count int64, payloadSize, lagWindow int) *Hub {
 func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 	const payloadSize = 8
 	h := ownershipHub(t, 8, payloadSize, 4)
+	h.cfg.WriteBatch = 2 // lease capacity: the slow sibling's writev carries two frames
 	sd := h.shards[0]
 
 	mkSub := func(cur int64) *subscriber {
@@ -141,23 +142,30 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 	fast := mkSub(4)
 
 	// The slow sibling pins seqs 4 and 5 (a writev in flight).
-	slowBatch := newBatch(2)
-	if !sd.popBatch(slow, slowBatch) {
+	slowBatch := sd.popBatch(slow, nil)
+	if slowBatch == nil {
 		t.Fatal("slow popBatch returned no frames")
 	}
 	if slowBatch.n != 2 || slowBatch.seqs[0] != 4 || slowBatch.seqs[1] != 5 {
 		t.Fatalf("slow batch pinned seqs %v (n=%d), want [4 5]", slowBatch.seqs[:slowBatch.n], slowBatch.n)
 	}
 
-	// The fast subscriber takes full delivery and is then evicted.
-	fastBatch := newBatch(8)
-	if !sd.popBatch(fast, fastBatch) {
-		t.Fatal("fast popBatch returned no frames")
+	// The fast subscriber takes full delivery — two leases, the second
+	// handing the first back — and is then evicted.
+	var fastBatch *batch
+	for want := int64(4); want < 8; want += 2 {
+		if fastBatch = sd.popBatch(fast, fastBatch); fastBatch == nil {
+			t.Fatal("fast popBatch returned no frames")
+		}
+		if fastBatch == slowBatch {
+			t.Fatal("fast subscriber was leased the batch its sibling still holds")
+		}
+		if fastBatch.n != 2 || fastBatch.seqs[0] != want {
+			t.Fatalf("fast batch pinned seqs %v, want [%d %d]", fastBatch.seqs[:fastBatch.n], want, want+1)
+		}
+		h.releaseBatch(fastBatch)
 	}
-	if fastBatch.n != 4 {
-		t.Fatalf("fast batch pinned %d frames, want 4", fastBatch.n)
-	}
-	h.releaseBatch(fastBatch)
+	sd.returnBatch(fastBatch)
 	sd.mu.Lock()
 	sd.evictLocked(fast)
 	sd.mu.Unlock()
@@ -176,6 +184,7 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 		}
 	}
 	h.releaseBatch(slowBatch)
+	sd.returnBatch(slowBatch)
 
 	ps := h.PoolCheck()
 	if ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
@@ -226,8 +235,8 @@ func TestReattachResendReplayFromPool(t *testing.T) {
 	sd.mu.Unlock()
 	h.subCount.Add(1)
 
-	b := newBatch(4)
-	if !sd.popBatch(sub, b) {
+	b := sd.popBatch(sub, nil)
+	if b == nil {
 		t.Fatal("popBatch returned no resend frames")
 	}
 	if b.n != 2 || b.seqs[0] != 9 || b.seqs[1] != 10 {

@@ -213,3 +213,41 @@ func TestHubReattachRacesStop(t *testing.T) {
 		t.Fatalf("%d subscribers left after Stop+Wait+Close", st.Subscribers)
 	}
 }
+
+// TestFinishPathDropsClosedConn: when one of a subscriber's two paths
+// dies, the subscriber lives on — and must not keep the dead connection
+// reachable through the tail of its conns slice's backing array.
+func TestFinishPathDropsClosedConn(t *testing.T) {
+	h := leaseHub(t, Config{})
+	sd := h.shards[0]
+	dying, staying := newLeaseConn(), newLeaseConn()
+	tok := newToken(t)
+	// The dying path is the later attach: the slice's last element, the one
+	// a shrink-by-append leaves behind in the vacated tail slot.
+	for _, c := range []net.Conn{staying, dying} {
+		if err := h.AttachJoined(c, core.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dying.Close()
+	// The dead path notices on its next write; the sibling may win the
+	// race for any one packet, so keep publishing until it has.
+	var seq int64
+	waitFor(t, "the closed path to retire", func() bool {
+		publish(t, h, seq, seq+1)
+		seq++
+		return h.ConnCount() == 1
+	})
+
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	sub := sd.subs[tok]
+	if sub == nil || len(sub.conns) != 1 || sub.conns[0] != net.Conn(staying) {
+		t.Fatalf("surviving subscriber's conns: %+v", sub)
+	}
+	for i, c := range sub.conns[:cap(sub.conns)] {
+		if c == net.Conn(dying) {
+			t.Fatalf("closed conn still reachable from conns' backing array at index %d (len %d)", i, len(sub.conns))
+		}
+	}
+}

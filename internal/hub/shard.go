@@ -2,6 +2,7 @@ package hub
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,7 +54,22 @@ type shard struct {
 	cond  *sync.Cond
 	subs  map[core.Token]*subscriber // guarded by mu
 	wakes int64                      // guarded by mu; generator wake broadcasts (the coalescing tests' counter hook)
+
+	// The shard's stock of idle batch workspaces, leased to zero-copy
+	// senders for the span of one write (see batch). It grows on a miss,
+	// so it reaches the shard's high-water mark of concurrent writes and
+	// from then on leasing allocates nothing; freeLow lets wake give the
+	// surplus of a passed peak back to the collector.
+	free    *batch // guarded by mu; LIFO list through batch.next
+	nfree   int    // guarded by mu; length of the free list
+	freeLow int    // guarded by mu; smallest nfree since the last trim — batches nothing needed
 }
+
+// freeTrimWakes is how many generator wakes pass between trims of a
+// shard's batch free list: about a second of a 250 packets/s stream, long
+// enough that one interval's low-water mark spans many bursts of
+// concurrent writes.
+const freeTrimWakes = 256
 
 func newShard(h *Hub) *shard {
 	sd := &shard{h: h, subs: make(map[core.Token]*subscriber)}
@@ -70,8 +86,64 @@ func (sd *shard) wake(head int64) {
 	sd.mu.Lock()
 	sd.enforceLagLocked(head)
 	sd.wakes++
+	if sd.wakes%freeTrimWakes == 0 {
+		sd.trimFreeLocked()
+	}
 	sd.cond.Broadcast()
 	sd.mu.Unlock()
+}
+
+// leaseLocked takes a batch workspace off the shard's free list,
+// allocating one only when every batch the shard has is out on lease.
+// Caller holds sd.mu.
+func (sd *shard) leaseLocked() *batch {
+	b := sd.free
+	if b == nil {
+		// Miss: more writes in flight than ever before on this shard (or
+		// since the last trim). The stock grows by one and keeps it.
+		return newBatch(sd.h.cfg.WriteBatch)
+	}
+	sd.free, b.next = b.next, nil
+	sd.nfree--
+	if sd.nfree < sd.freeLow {
+		sd.freeLow = sd.nfree
+	}
+	return b
+}
+
+// returnLocked puts a leased batch back on the free list. Caller holds
+// sd.mu.
+//
+// bufown owned b — the lease ends at this call: the batch is the shard's
+// again and the next lessee overwrites every slot, so it must come back
+// holding no borrow (releaseBatch has dropped its pins and their aliases).
+func (sd *shard) returnLocked(b *batch) {
+	b.next = sd.free
+	sd.free = b
+	sd.nfree++
+}
+
+// returnBatch hands back the lease of a sender that is leaving without
+// another popBatch call — its write failed mid-batch.
+//
+// bufown owned b — as returnLocked: released first, the shard's after.
+func (sd *shard) returnBatch(b *batch) {
+	sd.mu.Lock()
+	sd.returnLocked(b)
+	sd.mu.Unlock()
+}
+
+// trimFreeLocked drops half of the batches that sat idle through the whole
+// interval since the last trim. A stall that backlogged every path at once
+// leaves one batch per path behind; halving returns that to the steady
+// stock within a few intervals without dropping a batch the next burst of
+// the same size would have to allocate again. Caller holds sd.mu.
+func (sd *shard) trimFreeLocked() {
+	for drop := sd.freeLow / 2; drop > 0; drop-- {
+		sd.free = sd.free.next // unlinked, the batch is the collector's
+		sd.nfree--
+	}
+	sd.freeLow = sd.nfree
 }
 
 // enforceLagLocked applies the slow-subscriber policy to every subscriber
@@ -241,60 +313,85 @@ func (sd *shard) pop(sub *subscriber, frame []byte) (seq int64, ok bool) {
 	}
 }
 
-// popBatch is pop's zero-copy sibling: it fills b with the subscriber's
-// next ready frames — resend-queue packets first, then up to the batch
-// capacity of consecutive cursor packets — pinning each shared ring
-// buffer instead of copying it, and blocking while the subscriber is
-// caught up and generation continues. One wakeup therefore drains one
-// vectored write's worth of frames. Lifecycle contract matches pop:
-// ok=false means the stream is over for this subscriber (drained after
-// Stop/Count, evicted, or force-closed). The caller owns the pins in b
-// and must drop them with releaseBatch after its write.
-func (sd *shard) popBatch(sub *subscriber, b *batch) bool {
+// popBatch is pop's zero-copy sibling: it returns a leased batch filled
+// with the subscriber's next ready frames — resend-queue packets first,
+// then up to the batch capacity of consecutive cursor packets — pinning
+// each shared ring buffer instead of copying it, and blocking while the
+// subscriber is caught up and generation continues. One wakeup therefore
+// drains one vectored write's worth of frames. prev is the caller's lease
+// from its previous call (nil on the first), already released; it goes
+// back on the shard's free list under the same lock hold, and a batch is
+// leased again only once there are frames to pin, so a sender parked in
+// cond.Wait holds none. Lifecycle contract matches pop: nil means the
+// stream is over for this subscriber (drained after Stop/Count, evicted,
+// or force-closed) and the caller holds no lease. The caller owns the
+// pins in the returned batch and must drop them with releaseBatch after
+// its write.
+//
+// bufown owned prev — the previous lease ends here, as in returnLocked.
+func (sd *shard) popBatch(sub *subscriber, prev *batch) *batch {
 	h := sd.h
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
+	if prev != nil {
+		sd.returnLocked(prev)
+	}
 	for {
 		if sub.evicted || h.closed.Load() {
-			return false
+			return nil
 		}
-		b.n = 0
-		for len(sub.resend) > 0 && b.n < len(b.bufs) {
-			seq := sub.resend[0]
-			sub.resend = sub.resend[1:]
-			pb, gen, ok := h.ring.pin(seq)
-			if !ok {
-				// Fell out of the ring while the path was down: the
-				// subscriber will see a gap, same as a DropOldest skip.
-				sub.dropped++
-				h.totalDropped.Add(1)
-				continue
+		if len(sub.resend) == 0 && sub.cur >= h.ring.headSeq() {
+			if h.stopped.Load() || h.genDone.Load() {
+				return nil
 			}
-			b.bufs[b.n], b.gens[b.n], b.seqs[b.n] = pb, gen, seq
-			b.n++
-			sub.sent++
-			h.totalSent.Add(1)
-			h.totalResent.Add(1)
+			sd.cond.Wait()
+			continue
 		}
-		if sub.cur < h.ring.headSeq() && b.n < len(b.bufs) {
-			pinned, skipped := h.ring.pinBatch(sub.cur, len(b.bufs)-b.n, b)
-			if skipped > 0 {
-				// Lapped between the lag check and the pin — an extreme
-				// laggard racing the generator. Same accounting as a skip.
-				sub.dropped += skipped
-				h.totalDropped.Add(skipped)
-			}
-			sub.cur += skipped + int64(pinned)
-			sub.sent += int64(pinned)
-			h.totalSent.Add(int64(pinned))
-		}
+		b := sd.leaseLocked()
+		sd.fillLocked(sub, b)
 		if b.n > 0 {
-			return true
+			return b
 		}
-		if h.stopped.Load() || h.genDone.Load() {
-			return false
+		// Everything ready had already left the ring: the drops are
+		// counted, and the next pass finds the subscriber caught up.
+		sd.returnLocked(b)
+	}
+}
+
+// fillLocked pins the subscriber's ready frames into b: the resend queue
+// oldest first, then consecutive cursor packets, up to the batch capacity.
+// Packets that left the ring are counted as drops. Caller holds sd.mu.
+func (sd *shard) fillLocked(sub *subscriber, b *batch) {
+	h := sd.h
+	b.n = 0
+	for len(sub.resend) > 0 && b.n < len(b.bufs) {
+		seq := sub.resend[0]
+		sub.resend = sub.resend[1:]
+		pb, gen, ok := h.ring.pin(seq)
+		if !ok {
+			// Fell out of the ring while the path was down: the
+			// subscriber will see a gap, same as a DropOldest skip.
+			sub.dropped++
+			h.totalDropped.Add(1)
+			continue
 		}
-		sd.cond.Wait()
+		b.bufs[b.n], b.gens[b.n], b.seqs[b.n] = pb, gen, seq
+		b.n++
+		sub.sent++
+		h.totalSent.Add(1)
+		h.totalResent.Add(1)
+	}
+	if sub.cur < h.ring.headSeq() && b.n < len(b.bufs) {
+		pinned, skipped := h.ring.pinBatch(sub.cur, len(b.bufs)-b.n, b)
+		if skipped > 0 {
+			// Lapped between the lag check and the pin — an extreme
+			// laggard racing the generator. Same accounting as a skip.
+			sub.dropped += skipped
+			h.totalDropped.Add(skipped)
+		}
+		sub.cur += skipped + int64(pinned)
+		sub.sent += int64(pinned)
+		h.totalSent.Add(int64(pinned))
 	}
 }
 
@@ -323,7 +420,10 @@ func (sd *shard) finishPath(sub *subscriber, conn net.Conn, recent []int64, err 
 	h.pathConns.Add(-1)
 	for i, c := range sub.conns {
 		if c == conn {
-			sub.conns = append(sub.conns[:i], sub.conns[i+1:]...)
+			// slices.Delete zeroes the vacated tail slot; a plain append
+			// would leave the closed conn reachable from the backing
+			// array for as long as the subscriber lives.
+			sub.conns = slices.Delete(sub.conns, i, i+1)
 			break
 		}
 	}

@@ -30,6 +30,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -178,7 +179,18 @@ func (c *countedConn) WriteBuffers(bufs net.Buffers) (int64, error) {
 	if bw, ok := c.Conn.(hub.BuffersWriter); ok {
 		return bw.WriteBuffers(bufs)
 	}
-	return bufs.WriteTo(c.Conn)
+	return writeBuffersTo(c.Conn, bufs)
+}
+
+// writeBuffersTo is the net.Buffers fallback for conns without a native
+// vectored write. It is a function of its own because WriteTo's pointer
+// receiver makes bufs escape: here only this path pays the 24-byte heap
+// copy; written inside WriteBuffers, the parameter moves to the heap on
+// entry and every call pays it, fast path included.
+//
+//go:noinline
+func writeBuffersTo(w io.Writer, bufs net.Buffers) (int64, error) {
+	return bufs.WriteTo(w)
 }
 
 // Create starts a new live stream under id using the Hub template and
