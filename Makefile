@@ -3,11 +3,10 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak soak-tree bench-fanout bench-smoke
+.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak soak-tree bench-smoke
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
-FANOUT_TIER ?= quick
 
 all: build lint test
 
@@ -60,17 +59,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFrameHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
-
-# bench-fanout runs the massive-fanout benchmark (registry + sharded
-# hubs, tens of thousands of in-process subscribers) in -compare mode —
-# copy vs zero-copy delivery on the same workload — and gates against
-# the committed baseline: the zero-copy/copy throughput ratio,
-# allocs_per_frame and bytes_copied_per_frame (header-patch only on the
-# zero-copy path). Tiers: quick (push CI) and full (nightly) — see
-# EXPERIMENTS.md for the BENCH_fanout.json schema.
-bench-fanout:
-	$(GO) run ./cmd/dmpfanout -tier $(FANOUT_TIER) -v \
-		-o BENCH_fanout.json -check bench/BENCH_fanout_baseline.json
 
 # bench-smoke runs one short workload of the repository benchmark
 # (BENCHMARK.json, benchmark/) end to end — build from source, set up,

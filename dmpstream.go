@@ -260,7 +260,7 @@ type HubConfig struct {
 	JoinTimeout time.Duration
 	// Shards spreads the subscriber set across independent worker groups so
 	// fan-out, lag enforcement and stats stop serializing on one lock.
-	// 0 picks GOMAXPROCS; 1 restores the historical single-lock hub.
+	// 0 picks GOMAXPROCS; 1 puts every subscriber under one shard lock.
 	Shards int
 }
 

@@ -56,8 +56,7 @@ type ChurnEvent struct {
 // ChurnSchedule derives a deterministic multi-stream churn schedule from a
 // seed: exponentially spaced events across duration d, each targeting one
 // of streams stream indices. Same arguments, same schedule — the property
-// both the chaos soak and the fanout benchmark lean on to make runs
-// reproducible.
+// the chaos soak leans on to make runs reproducible.
 func ChurnSchedule(seed int64, d time.Duration, streams int, meanGap time.Duration) []ChurnEvent {
 	if streams < 1 {
 		streams = 1

@@ -61,9 +61,8 @@ func TestChaosMultiStream(t *testing.T) {
 	}
 }
 
-// TestChurnScheduleReproduces pins the exported schedule contract both the
-// multi-stream soak and the fanout benchmark rely on: same seed, same
-// event-for-event schedule.
+// TestChurnScheduleReproduces pins the schedule contract the multi-stream
+// soak relies on: same seed, same event-for-event schedule.
 func TestChurnScheduleReproduces(t *testing.T) {
 	a := ChurnSchedule(42, 2*time.Second, 4, 100*time.Millisecond)
 	b := ChurnSchedule(42, 2*time.Second, 4, 100*time.Millisecond)

@@ -17,15 +17,16 @@
 // its own subscribers' cursors, resend queues and send loops. The generator
 // publishes each packet into a shared ring (exclusive lock, one writer) and
 // then wakes the shards, which enforce the lag policy for their own
-// laggards; send loops copy frames out of the ring under a shared read
-// lock. Ring advance, lag enforcement and fan-out therefore never
-// serialize on a single hub-wide mutex — the only cross-shard points are
-// admission (control plane), the byte-budget governor, and Stats, none of
-// which sit on the frame hot path. Shards=1 degenerates to the historical
-// single-lock hub, which the fan-out benchmark uses as its comparison
-// baseline.
+// laggards; send loops pin the shared payload buffers under a shared read
+// lock and hand [patched per-subscriber header, shared payload] pairs to
+// the connection as one vectored write per wakeup, so the payload bytes
+// are never copied in user space. Ring advance, lag enforcement and
+// fan-out therefore never serialize on a single hub-wide mutex — the only
+// cross-shard points are admission (control plane), the byte-budget
+// governor, and Stats, none of which sit on the frame hot path. Shards=1
+// puts the whole population under one shard lock.
 //
-// A shard also owns the zero-copy senders' working memory. The batch
+// A shard also owns the senders' working memory. The batch
 // workspace a vectored write is assembled in is leased from the shard's
 // free list for the span of one write — taken in popBatch once there are
 // frames to pin, handed back at the sender's next popBatch under the same
@@ -98,37 +99,9 @@ func (p Policy) String() string {
 	}
 }
 
-// Delivery selects how frames travel from the shared ring to a path
-// connection.
-type Delivery int
-
-const (
-	// DeliveryZeroCopy (the default) pins the shared ring buffer under the
-	// read lock and hands [patched per-subscriber header, shared payload]
-	// to the connection as one vectored write per sender wakeup, batching
-	// consecutive ready frames. The payload bytes are never copied in user
-	// space; only the FrameHeaderSize header patch is rendered per frame.
-	DeliveryZeroCopy Delivery = iota
-	// DeliveryCopy renders every frame through the ring.frame copy point
-	// into a per-path buffer — the historical delivery path, kept as the
-	// benchmark's copying baseline and the simplest ownership story.
-	DeliveryCopy
-)
-
-func (d Delivery) String() string {
-	switch d {
-	case DeliveryZeroCopy:
-		return "zero-copy"
-	case DeliveryCopy:
-		return "copy"
-	default:
-		return fmt.Sprintf("delivery(%d)", int(d))
-	}
-}
-
-// DefaultWriteBatch caps how many ready frames a zero-copy sender drains
-// into one vectored write per wakeup (see Config.WriteBatch).
-const DefaultWriteBatch = 32
+// writeBatchFrames caps how many ready frames a sender drains into one
+// vectored write per wakeup.
+const writeBatchFrames = 32
 
 // maxTickBurst bounds how many overdue packets one generator tick
 // publishes before waking the shards: a generator catching up after a
@@ -191,17 +164,6 @@ type Config struct {
 	LagWindow int
 	// Policy is the slow-subscriber policy (default DropOldest).
 	Policy Policy
-	// Delivery selects the fan-out delivery path: DeliveryZeroCopy (the
-	// default) pins shared ring buffers and issues one vectored write of
-	// [patched header, shared payload] pairs per sender wakeup;
-	// DeliveryCopy renders each frame through the ring.frame copy point
-	// into a per-path buffer (the historical path, kept as the benchmark
-	// baseline).
-	Delivery Delivery
-	// WriteBatch caps how many ready frames a zero-copy sender drains into
-	// one vectored write when it wakes. 0 selects DefaultWriteBatch;
-	// ignored under DeliveryCopy.
-	WriteBatch int
 	// PoisonPool turns on the payload pool's poison-on-put debug mode:
 	// released buffers are filled with a poison byte and verified intact on
 	// reuse, so a use-after-release write trips a counter (Stats.Pool)
@@ -211,7 +173,7 @@ type Config struct {
 	// Shards is how many per-core worker groups the subscriber population
 	// is hashed across; each shard's lock covers only its own subscribers'
 	// cursors and send loops. 0 selects GOMAXPROCS (capped at MaxShards);
-	// 1 reproduces the historical single-lock hub.
+	// 1 puts every subscriber under one shard lock.
 	Shards int
 	// PathWriteBuffer, when positive, caps each path's kernel send buffer
 	// (SetWriteBuffer) so backpressure from a slow subscriber reaches the
@@ -281,15 +243,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Policy != DropOldest && c.Policy != Evict {
 		return c, fmt.Errorf("hub: unknown policy %d", int(c.Policy))
 	}
-	if c.Delivery != DeliveryZeroCopy && c.Delivery != DeliveryCopy {
-		return c, fmt.Errorf("hub: unknown delivery %d", int(c.Delivery))
-	}
-	if c.WriteBatch < 0 {
-		return c, fmt.Errorf("hub: write batch %d < 0", c.WriteBatch)
-	}
-	if c.WriteBatch == 0 {
-		c.WriteBatch = DefaultWriteBatch
-	}
 	if c.Shards < 0 {
 		return c, fmt.Errorf("hub: shards %d < 0", c.Shards)
 	}
@@ -350,10 +303,15 @@ var ErrStreamEnded = errors.New("hub: stream ended")
 // spread over per-core shards.
 //
 // Lock hierarchy (see DESIGN.md): registry.Registry.mu ≺ Hub.mu ≺
-// Hub.govMu ≺ shard.mu ≺ ring.mu. The frame hot path (shard.pop →
-// ring.frame) takes only the last two, and ring.mu only shared.
+// Hub.govMu ≺ shard.mu ≺ ring.mu. The frame hot path (shard.popBatch →
+// ring.pinBatch) takes only the last two, and ring.mu only shared.
 type Hub struct {
 	cfg Config
+
+	// batchFrames is the capacity of a leased batch workspace:
+	// writeBatchFrames, except in tests, which shrink it after New to force
+	// multi-write drains.
+	batchFrames int
 
 	pool   *bufPool
 	ring   *ring
@@ -405,8 +363,8 @@ type Hub struct {
 	acceptRetries atomic.Int64 // temporary Accept errors retried with backoff
 
 	// Delivery-path instrumentation: how many user-space bytes were
-	// memcpy'd to deliver frames (zero-copy: header patches only), and how
-	// many vectored writes carried how many frames (batch-size telemetry).
+	// memcpy'd to deliver frames (header patches only), and how many
+	// vectored writes carried how many frames (batch-size telemetry).
 	bytesCopied   atomic.Int64
 	writevs       atomic.Int64
 	framesBatched atomic.Int64
@@ -422,12 +380,13 @@ func New(cfg Config) (*Hub, error) {
 	}
 	pool := newBufPool(cfg.Stream.PayloadSize, cfg.PoisonPool)
 	h := &Hub{
-		cfg:     cfg,
-		pool:    pool,
-		ring:    newRing(cfg.LagWindow, pool),
-		pending: make(map[net.Conn]struct{}),
-		start:   time.Now(),
-		stopCh:  make(chan struct{}),
+		cfg:         cfg,
+		batchFrames: writeBatchFrames,
+		pool:        pool,
+		ring:        newRing(cfg.LagWindow, pool),
+		pending:     make(map[net.Conn]struct{}),
+		start:       time.Now(),
+		stopCh:      make(chan struct{}),
 	}
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
@@ -673,8 +632,8 @@ func (h *Hub) governLocked(head int64) {
 	}
 }
 
-// batch is the workspace of one zero-copy write in flight: up to
-// WriteBatch pinned shared payload buffers plus the per-subscriber patched
+// batch is the workspace of one vectored write in flight: up to
+// batchFrames pinned shared payload buffers plus the per-subscriber patched
 // headers and the vectored write assembled over them. Batches belong to
 // the shard, not to a path: a sender leases one inside popBatch once it
 // has frames to pin, keeps it across writeBatch and releaseBatch, and
@@ -705,7 +664,7 @@ func newBatch(size int) *batch {
 }
 
 // BuffersWriter is implemented by connections that consume a vectored
-// write natively in one call. The zero-copy sender prefers it over
+// write natively in one call. The sender prefers it over
 // net.Buffers' fallback so wrappers (a registry's counted conns, the
 // benchmark's in-process pipes) keep the single-call batch handoff that a
 // raw *net.TCPConn gets from writev.
@@ -766,82 +725,55 @@ func (h *Hub) releaseBatch(b *batch) {
 }
 
 // sendLoop is one subscriber path's sender: stream header, frames popped
-// from the subscriber's shard, end marker. Under DeliveryZeroCopy each
-// wakeup leases a batch from the shard, drains pinned shared buffers
-// through it into one vectored write, and hands it back on its way to the
-// next wait, so a parked path owns no workspace; under DeliveryCopy each
-// frame is rendered through the ring.frame copy point into the per-path
-// buffer. On failure it returns the absolute sequences this path wrote
-// most recently (oldest first, the in-hand packets last) — TCP may have
-// buffered but never delivered them, so finishPath queues them for
-// retransmission on the subscriber's other paths.
+// from the subscriber's shard, end marker. Each wakeup leases a batch from
+// the shard, drains pinned shared buffers through it into one vectored
+// write, and hands it back on its way to the next wait, so a parked path
+// owns no workspace. On failure it returns the absolute sequences this
+// path wrote most recently (oldest first, the in-hand packets last) — TCP
+// may have buffered but never delivered them, so finishPath queues them
+// for retransmission on the subscriber's other paths.
 //
 // hotpath — the per-subscriber sender root; the loop body runs once per
-// delivered frame (copy) or once per delivered batch (zero-copy).
+// delivered batch.
 func (h *Hub) sendLoop(sub *subscriber, pathIdx, numPaths int, conn net.Conn) (recent []int64, err error) {
 	if err := core.WriteStreamHeader(conn, pathIdx, numPaths, h.cfg.Stream.PayloadSize, h.cfg.Stream.Mu); err != nil {
 		return nil, fmt.Errorf("hub: path %d header: %w", pathIdx, err)
 	}
 	win := h.cfg.ResendWindow
-	if win < 0 {
-		win = 0 // negative disables resends; make would panic on it
-	}
 	// last win sequences written, ring[next%win] next to overwrite;
 	// pre-sized so the per-frame append below never grows mid-stream.
 	ring := make([]int64, 0, win) // nolint:hotalloc per-path resend ring, allocated once
 	next := 0
-	var frame []byte
-	if h.cfg.Delivery == DeliveryCopy {
-		frame = make([]byte, core.FrameHeaderSize+h.cfg.Stream.PayloadSize) // nolint:hotalloc per-path copy-mode frame buffer, allocated once
-		for {
-			seq, ok := sub.shard.pop(sub, frame)
-			if !ok {
-				break
-			}
-			if err := h.writeFrame(conn, frame); err != nil {
-				return append(unrollSeqs(ring, next), seq), fmt.Errorf("hub: path %d write: %w", pathIdx, err)
-			}
-			if win > 0 {
+	var b *batch // the lease; popBatch takes the previous one back
+	for {
+		if b = sub.shard.popBatch(sub, b); b == nil {
+			break
+		}
+		werr := h.writeBatch(conn, sub, b)
+		h.releaseBatch(b)
+		if werr != nil {
+			// The kernel may have taken any prefix of the batch; resend
+			// all of it — duplicates are deduplicated client-side. The
+			// append copies the sequences out before the batch goes
+			// back to the shard, where another sender overwrites them.
+			recent = append(unrollSeqs(ring, next), b.seqs[:b.n]...)
+			sub.shard.returnBatch(b)
+			return recent, fmt.Errorf("hub: path %d write: %w", pathIdx, werr)
+		}
+		if win > 0 {
+			for i := 0; i < b.n; i++ {
 				if len(ring) < win {
-					ring = append(ring, seq)
+					ring = append(ring, b.seqs[i])
 				} else {
-					ring[next%win] = seq
+					ring[next%win] = b.seqs[i]
 				}
 				next++
 			}
 		}
-	} else {
-		var b *batch // the lease; popBatch takes the previous one back
-		for {
-			if b = sub.shard.popBatch(sub, b); b == nil {
-				break
-			}
-			werr := h.writeBatch(conn, sub, b)
-			h.releaseBatch(b)
-			if werr != nil {
-				// The kernel may have taken any prefix of the batch; resend
-				// all of it — duplicates are deduplicated client-side. The
-				// append copies the sequences out before the batch goes
-				// back to the shard, where another sender overwrites them.
-				recent = append(unrollSeqs(ring, next), b.seqs[:b.n]...)
-				sub.shard.returnBatch(b)
-				return recent, fmt.Errorf("hub: path %d write: %w", pathIdx, werr)
-			}
-			if win > 0 {
-				for i := 0; i < b.n; i++ {
-					if len(ring) < win {
-						ring = append(ring, b.seqs[i])
-					} else {
-						ring[next%win] = b.seqs[i]
-					}
-					next++
-				}
-			}
-		}
-		frame = make([]byte, core.FrameHeaderSize+h.cfg.Stream.PayloadSize) // nolint:hotalloc end-marker frame, allocated once at stream end
 	}
 	// End marker: carries the number of packets generated since this
 	// subscriber joined, matching its rebased numbering.
+	frame := make([]byte, core.FrameHeaderSize+h.cfg.Stream.PayloadSize) // nolint:hotalloc end-marker frame, allocated once at stream end
 	n := h.ring.headSeq() - sub.first
 	core.PutFrameHeader(frame, core.EndMarker, n)
 	if err := h.writeFrame(conn, frame); err != nil {
@@ -1244,7 +1176,7 @@ func (h *Hub) TotalDropped() int64 {
 
 // BytesHeld returns the buffered bytes currently attributed to subscribers
 // without building the full Stats snapshot — the cheap sampling hook for
-// dashboards and the fanout benchmark. Like Stats, it aggregates under the
+// dashboards and the benchmark. Like Stats, it aggregates under the
 // governor lock so it never observes the budget mid-settlement.
 func (h *Hub) BytesHeld() int64 {
 	h.govMu.Lock()
@@ -1254,11 +1186,10 @@ func (h *Hub) BytesHeld() int64 {
 }
 
 // DeliveryCounters returns the delivery-path instrumentation: user-space
-// bytes memcpy'd to deliver frames (zero-copy delivery pays only the
-// FrameHeaderSize header patch per frame; copy delivery pays the full
-// frame), vectored writes issued, and the frames those writes carried.
-// Lock-free; the fan-out benchmark samples it around its measurement
-// window.
+// bytes memcpy'd to deliver frames (the FrameHeaderSize header patch per
+// frame, nothing else), vectored writes issued, and the frames those
+// writes carried. Lock-free; the benchmark samples it around its
+// measurement window.
 func (h *Hub) DeliveryCounters() (bytesCopied, writevs, framesBatched int64) {
 	return h.bytesCopied.Load(), h.writevs.Load(), h.framesBatched.Load()
 }
@@ -1300,8 +1231,8 @@ type Stats struct {
 	Rejected      int64         // joins refused with a reject frame (full, draining, ...)
 	Shed          int64         // degradation-ladder steps taken by the resource governor
 	BytesHeld     int64         // buffered bytes held (shared payload span once + per-subscriber headers)
-	BytesCopied   int64         // user-space bytes memcpy'd for delivery (zero-copy: header patches only)
-	Writevs       int64         // vectored writes issued by zero-copy senders
+	BytesCopied   int64         // user-space bytes memcpy'd for delivery (header patches only)
+	Writevs       int64         // vectored writes issued by path senders
 	FramesBatched int64         // frames carried by those vectored writes
 	Pool          PoolStats     // payload-pool integrity counters
 	AcceptRetries int64         // temporary accept errors retried with backoff

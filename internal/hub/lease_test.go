@@ -438,13 +438,13 @@ func TestLeaseChurnRace(t *testing.T) {
 		Stream:     core.Config{Mu: 4000, PayloadSize: leasePayload, Fill: ownFill},
 		LagWindow:  64,
 		Shards:     1,
-		WriteBatch: 4,
 		PoisonPool: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
+	h.batchFrames = 4 // small leases: a backlogged path takes several writes to drain
 
 	var (
 		mu    sync.Mutex

@@ -10,13 +10,10 @@ import (
 	"dmpstream/internal/core"
 )
 
-// TestRingCopyAtIngest pins the buffer-ownership contract the bufown
-// analyzer annotates: publish fills a pool buffer while it is still
-// private (copy at ingest), and frame copies the slot into the caller's
-// buffer (the sanctioned copy point). Mutating the generator's source
-// after publish — or scribbling over a delivered frame — must never
-// change what later readers receive, because laps and re-attach resends
-// re-render from the same slot.
+// TestRingCopyAtIngest pins the ingest half of the buffer-ownership
+// contract the bufown analyzer annotates: publish fills a pool buffer
+// while it is still private (copy at ingest), so mutating the generator's
+// source after publish must never change what a later pin returns.
 func TestRingCopyAtIngest(t *testing.T) {
 	const payloadSize = 8
 	r := newRing(4, newBufPool(payloadSize, false))
@@ -32,37 +29,22 @@ func TestRingCopyAtIngest(t *testing.T) {
 	for i := range source {
 		source[i] = 0xEE
 	}
-	frame := make([]byte, core.FrameHeaderSize+payloadSize)
-	if !r.frame(seq, 0, frame) {
+	pb, _, ok := r.pin(seq)
+	if !ok {
 		t.Fatal("published packet already lapped")
 	}
-	if got := frame[core.FrameHeaderSize:]; !bytes.Equal(got, want) {
-		t.Fatalf("delivered payload aliases the generator source: got %v, want %v", got, want)
-	}
-
-	// A delivered frame is the reader's to destroy — a resend of the
-	// same sequence (re-attach replays through ring.frame) still sees
-	// the original bytes.
-	for i := range frame {
-		frame[i] = 0xAA
-	}
-	resend := make([]byte, core.FrameHeaderSize+payloadSize)
-	if !r.frame(seq, 0, resend) {
-		t.Fatal("published packet already lapped")
-	}
-	if got := resend[core.FrameHeaderSize:]; !bytes.Equal(got, want) {
-		t.Fatalf("resent payload shares bytes with the delivered frame: got %v, want %v", got, want)
+	if !bytes.Equal(pb.data, want) {
+		t.Fatalf("pinned payload aliases the generator source: got %v, want %v", pb.data, want)
 	}
 }
 
 // TestResendRingRetainsNoPayloadAliases locks in why pin-at-fetch is
 // sufficient on the hub side: the per-path resend ring holds bare
-// sequence numbers, re-rendered (or re-pinned) through the shared ring
-// on re-attach, so there is no retained payload to go stale. Adding a
-// payload alias to the ring would reintroduce the exact use-after-lap
-// bug the bufown analyzer exists to prevent, so the element type is
-// pinned reference-free here. (internal/core has the matching pin for
-// its queued metadata ring.)
+// sequence numbers, re-pinned through the shared ring on re-attach, so
+// there is no retained payload to go stale. Adding a payload alias to the
+// ring would reintroduce the exact use-after-lap bug the bufown analyzer
+// exists to prevent, so the element type is pinned reference-free here.
+// (internal/core has the matching pin for its queued metadata ring.)
 func TestResendRingRetainsNoPayloadAliases(t *testing.T) {
 	rt := reflect.TypeOf(unrollSeqs).In(0).Elem()
 	if k := rt.Kind(); k != reflect.Int64 {
@@ -122,7 +104,7 @@ func ownershipHub(t *testing.T, count int64, payloadSize, lagWindow int) *Hub {
 func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 	const payloadSize = 8
 	h := ownershipHub(t, 8, payloadSize, 4)
-	h.cfg.WriteBatch = 2 // lease capacity: the slow sibling's writev carries two frames
+	h.batchFrames = 2 // lease capacity: the slow sibling's writev carries two frames
 	sd := h.shards[0]
 
 	mkSub := func(cur int64) *subscriber {

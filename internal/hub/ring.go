@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dmpstream/internal/core"
 )
 
 // slot is one generated packet in the shared ring.
@@ -32,18 +30,17 @@ type slot struct {
 // ring is the shared packet store every shard fans out from: a fixed
 // window of the most recent LagWindow packets, written only by the
 // generator and read by every subscriber path. The generator publishes
-// under the exclusive lock; send loops either copy frames out under the
-// shared lock (ring.frame, the sanctioned copy point) or pin the shared
-// buffer's refcount under the same shared lock (ring.pin/pinBatch, the
-// zero-copy path), so fan-out readers never serialize against each other
-// — only against the (brief, µ-paced) publish of a new packet. A slot's
-// content is immutable from publish until every reference is dropped, and
-// both read paths revalidate the sequence under the lock hold, so a
-// reader can never observe a torn overwrite or pin a recycled buffer.
+// under the exclusive lock; send loops pin the shared buffer's refcount
+// under the shared lock (ring.pin/pinBatch), so fan-out readers never
+// serialize against each other — only against the (brief, µ-paced)
+// publish of a new packet. A slot's content is immutable from publish
+// until every reference is dropped, and both pin calls revalidate the
+// sequence under the lock hold, so a reader can never observe a torn
+// overwrite or pin a recycled buffer.
 //
 // head is mirrored into an atomic so shards compute lag and cursor math
-// (sub.cur < head) without touching the ring lock at all; only the
-// actual frame copy or pin takes the read lock.
+// (sub.cur < head) without touching the ring lock at all; only the pin
+// itself takes the read lock.
 type ring struct {
 	n    int64 // capacity in packets; immutable after newRing
 	pool *bufPool
@@ -110,7 +107,7 @@ func (r *ring) publish(fill func(pkt uint32, buf []byte)) int64 {
 // current head: the forwarder publishes in ascending order, so anything
 // below head is a late duplicate and is refused (ok=false) rather than
 // backfilled. Skipped positions between the old head and seq keep their
-// stale occupants; the seq-validity check in frame/pin/pinBatch makes
+// stale occupants; the seq-validity check in pin/pinBatch makes
 // those gaps read as drops, never as another packet's bytes.
 //
 // bufown sink — slot ingest: the borrowed payload is copied into a pool
@@ -138,37 +135,6 @@ func (r *ring) publishAt(seq, gen int64, payload []byte) (head int64, ok bool) {
 		r.pool.put(old)
 	}
 	return seq + 1, true
-}
-
-// frame renders ring packet seq into frame with numbering rebased to
-// first (each subscriber sees a standalone 0-based v1 stream). It
-// returns false when seq has already been lapped by the head — the
-// caller counts a drop — and revalidates under the read lock, so a
-// concurrent publish can never hand out a half-overwritten slot. This is
-// the DeliveryCopy path; zero-copy senders use pin/pinBatch instead.
-//
-// hotpath copy-point — the one sanctioned payload copy per delivered
-// frame; copycheck flags frame-payload copies anywhere else on the path.
-//
-// bufown sink — the copy point: the slot borrow dies inside this call,
-// and the caller's frame buffer leaves owning independent bytes.
-func (r *ring) frame(seq, first int64, frame []byte) bool {
-	r.mu.RLock()
-	if seq < r.head-int64(len(r.slots)) || seq >= r.head {
-		r.mu.RUnlock()
-		return false
-	}
-	s := &r.slots[seq%int64(len(r.slots))]
-	if s.seq != seq || s.payload == nil {
-		// An external-source gap: the head advanced past seq without a
-		// publish. The caller counts a drop, same as a lapped slot.
-		r.mu.RUnlock()
-		return false
-	}
-	core.PutFrameHeader(frame, uint32(seq-first), s.gen)
-	copy(frame[core.FrameHeaderSize:], s.payload.data)
-	r.mu.RUnlock()
-	return true
 }
 
 // pin acquires a reference on ring packet seq for zero-copy delivery,

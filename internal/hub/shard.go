@@ -55,7 +55,7 @@ type shard struct {
 	subs  map[core.Token]*subscriber // guarded by mu
 	wakes int64                      // guarded by mu; generator wake broadcasts (the coalescing tests' counter hook)
 
-	// The shard's stock of idle batch workspaces, leased to zero-copy
+	// The shard's stock of idle batch workspaces, leased to path
 	// senders for the span of one write (see batch). It grows on a miss,
 	// so it reaches the shard's high-water mark of concurrent writes and
 	// from then on leasing allocates nothing; freeLow lets wake give the
@@ -101,7 +101,7 @@ func (sd *shard) leaseLocked() *batch {
 	if b == nil {
 		// Miss: more writes in flight than ever before on this shard (or
 		// since the last trim). The stock grows by one and keeps it.
-		return newBatch(sd.h.cfg.WriteBatch)
+		return newBatch(sd.h.batchFrames)
 	}
 	sd.free, b.next = b.next, nil
 	sd.nfree--
@@ -257,76 +257,19 @@ func (sd *shard) evictLocked(sub *subscriber) {
 	}
 }
 
-// pop copies the subscriber's next frame (header + payload) into frame and
-// returns its absolute sequence, blocking while the subscriber is caught up
-// and generation continues. A dead path's resend queue is served before the
-// cursor, so retransmissions jump ahead of new content; resends whose packet
-// has already left the ring are dropped and counted. ok=false means the
-// stream is over for this subscriber: drained after Stop/Count, evicted, or
-// the hub force-closed.
-//
-// bufown owned frame — the caller's per-path buffer; pop rewrites it
-// through the ring.frame copy point and never keeps a reference.
-func (sd *shard) pop(sub *subscriber, frame []byte) (seq int64, ok bool) {
-	h := sd.h
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	for {
-		if sub.evicted || h.closed.Load() {
-			return 0, false
-		}
-		for len(sub.resend) > 0 {
-			seq := sub.resend[0]
-			sub.resend = sub.resend[1:]
-			if !h.ring.frame(seq, sub.first, frame) {
-				// Fell out of the ring while the path was down: the
-				// subscriber will see a gap, same as a DropOldest skip.
-				sub.dropped++
-				h.totalDropped.Add(1)
-				continue
-			}
-			sub.sent++
-			h.totalSent.Add(1)
-			h.totalResent.Add(1)
-			h.bytesCopied.Add(int64(core.FrameHeaderSize + h.cfg.Stream.PayloadSize))
-			return seq, true
-		}
-		if sub.cur < h.ring.headSeq() {
-			seq := sub.cur
-			sub.cur++
-			if !h.ring.frame(seq, sub.first, frame) {
-				// Lapped between the lag check and the copy — an extreme
-				// laggard racing the generator. Same accounting as a skip.
-				sub.dropped++
-				h.totalDropped.Add(1)
-				continue
-			}
-			sub.sent++
-			h.totalSent.Add(1)
-			h.bytesCopied.Add(int64(core.FrameHeaderSize + h.cfg.Stream.PayloadSize))
-			return seq, true
-		}
-		if h.stopped.Load() || h.genDone.Load() {
-			return 0, false
-		}
-		sd.cond.Wait()
-	}
-}
-
-// popBatch is pop's zero-copy sibling: it returns a leased batch filled
-// with the subscriber's next ready frames — resend-queue packets first,
-// then up to the batch capacity of consecutive cursor packets — pinning
-// each shared ring buffer instead of copying it, and blocking while the
-// subscriber is caught up and generation continues. One wakeup therefore
-// drains one vectored write's worth of frames. prev is the caller's lease
-// from its previous call (nil on the first), already released; it goes
-// back on the shard's free list under the same lock hold, and a batch is
-// leased again only once there are frames to pin, so a sender parked in
-// cond.Wait holds none. Lifecycle contract matches pop: nil means the
-// stream is over for this subscriber (drained after Stop/Count, evicted,
-// or force-closed) and the caller holds no lease. The caller owns the
-// pins in the returned batch and must drop them with releaseBatch after
-// its write.
+// popBatch returns a leased batch filled with the subscriber's next ready
+// frames — resend-queue packets first, so retransmissions jump ahead of
+// new content, then up to the batch capacity of consecutive cursor
+// packets — pinning each shared ring buffer instead of copying it, and
+// blocking while the subscriber is caught up and generation continues.
+// One wakeup therefore drains one vectored write's worth of frames. prev
+// is the caller's lease from its previous call (nil on the first), already
+// released; it goes back on the shard's free list under the same lock
+// hold, and a batch is leased again only once there are frames to pin, so
+// a sender parked in cond.Wait holds none. nil means the stream is over
+// for this subscriber (drained after Stop/Count, evicted, or force-closed)
+// and the caller holds no lease. The caller owns the pins in the returned
+// batch and must drop them with releaseBatch after its write.
 //
 // bufown owned prev — the previous lease ends here, as in returnLocked.
 func (sd *shard) popBatch(sub *subscriber, prev *batch) *batch {

@@ -3,11 +3,11 @@
 // safe to attempt.
 //
 // The hub's ring slots are reused every ring lap, so any []byte that
-// aliases a slot payload is a loan with frame-scoped lifetime: the
-// moment `hub.ring.frame` stops copying, a retained or mutated alias is
-// a cross-lap data race. PR 7 built the enforcement floor for
-// allocations (hotalloc/copycheck over the hotpath closure); bufown is
-// the matching floor for aliasing and lifetime.
+// aliases a slot payload is a loan with frame-scoped lifetime: the hub
+// delivers pinned slot buffers without copying them, so a retained or
+// mutated alias is a cross-lap data race. PR 7 built the enforcement
+// floor for allocations (hotalloc/copycheck over the hotpath closure);
+// bufown is the matching floor for aliasing and lifetime.
 //
 // Annotation grammar — doc-comment lines whose first word is "bufown":
 //

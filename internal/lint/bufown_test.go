@@ -9,10 +9,11 @@ import (
 )
 
 // TestRepoBorrowChain is the acceptance pin: over the real module, the
-// borrow graph must cover the ring-slot → frame → conn.Write chain —
-// the slot payload is borrowed exactly at the ring.frame copy point,
-// and the rendered frame leaves the process only through the
-// conn.Write sink, on both the hub and the core send paths.
+// borrow graph must cover the ring-slot → pin → writev chain — the slot
+// payload is borrowed at publish and at the ring.pin/pinBatch calls, the
+// pinned buffers reach the connection through Hub.writeBatch, and a
+// rendered frame leaves the process only through the conn.Write sink, on
+// both the hub and the core send paths.
 func TestRepoBorrowChain(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {
@@ -28,7 +29,9 @@ func TestRepoBorrowChain(t *testing.T) {
 		edges[e.From+" -"+e.Kind+"-> "+e.To] = true
 	}
 	for _, want := range []string{
-		"dmpstream/internal/hub.slot.payload -borrow-> dmpstream/internal/hub.ring.frame",
+		"dmpstream/internal/hub.slot.payload -borrow-> dmpstream/internal/hub.ring.pin",
+		"dmpstream/internal/hub.slot.payload -borrow-> dmpstream/internal/hub.ring.pinBatch",
+		"dmpstream/internal/hub.payloadBuf.data -borrow-> dmpstream/internal/hub.Hub.writeBatch",
 		"dmpstream/internal/hub.slot.payload -borrow-> dmpstream/internal/hub.ring.publish",
 		"dmpstream/internal/hub.Hub.writeFrame -sink-> net.Conn.Write",
 		"dmpstream/internal/core.Session.writeFrame -sink-> net.Conn.Write",
@@ -43,7 +46,7 @@ func TestRepoBorrowChain(t *testing.T) {
 		t.Fatalf("unexpected dot prologue:\n%s", dot)
 	}
 	for _, want := range []string{
-		`"internal/hub.slot.payload" -> "internal/hub.ring.frame" [label="borrow"]`,
+		`"internal/hub.slot.payload" -> "internal/hub.ring.pinBatch" [label="borrow"]`,
 		`"internal/hub.Hub.writeFrame" -> "net.Conn.Write" [label="sink"`,
 	} {
 		if !strings.Contains(dot, want) {

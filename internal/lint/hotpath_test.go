@@ -99,7 +99,6 @@ func TestRepoHotpathChain(t *testing.T) {
 		"dmpstream/internal/core.Server.generate",
 		"dmpstream/internal/core.Session.sendLoop",
 		"dmpstream/internal/registry.Registry.Route",
-		"dmpstream/internal/fanout.reader.run",
 	} {
 		if !roots[want] {
 			t.Errorf("expected hotpath root %s (have %v)", want, d.Roots)
@@ -111,11 +110,13 @@ func TestRepoHotpathChain(t *testing.T) {
 	for key, wantRoot := range map[string]bool{
 		"dmpstream/internal/hub.ring.publish":    false, // generate → ring advance
 		"dmpstream/internal/hub.shard.wake":      false, // generate → shard wakeup
-		"dmpstream/internal/hub.shard.pop":       false, // sendLoop → pop
-		"dmpstream/internal/hub.ring.frame":      true,  // copy-point marker makes it a root too
-		"dmpstream/internal/core.PutFrameHeader": false, // sendLoop → frame encode
+		"dmpstream/internal/hub.shard.popBatch":  false, // sendLoop → lease + fill
+		"dmpstream/internal/hub.ring.pinBatch":   false, // popBatch → fillLocked → pin
+		"dmpstream/internal/hub.Hub.writeBatch":  false, // sendLoop → header patch + writev
+		"dmpstream/internal/core.PutFrameHeader": false, // writeBatch → frame encode
 		"dmpstream/internal/core.Server.pop":     false,
-		"dmpstream/internal/fanout.hist.record":  false,
+
+		"dmpstream/internal/hub.payloadBuf.fillFrom": true, // copy-point marker makes it a root too
 	} {
 		e, ok := m[key]
 		if !ok {
@@ -126,7 +127,7 @@ func TestRepoHotpathChain(t *testing.T) {
 			t.Errorf("%s: root = %v, want %v", key, e.Root, wantRoot)
 		}
 	}
-	if !m["dmpstream/internal/hub.ring.frame"].CopyPoint {
-		t.Errorf("hub.ring.frame must be the designated copy point")
+	if !m["dmpstream/internal/hub.payloadBuf.fillFrom"].CopyPoint {
+		t.Errorf("hub.payloadBuf.fillFrom must be the designated copy point")
 	}
 }

@@ -374,14 +374,26 @@ func TestRegistryAbsoluteJoin(t *testing.T) {
 		if a.Pkt < minPkt {
 			minPkt = a.Pkt
 		}
+		if seen[a.Pkt] {
+			t.Fatalf("packet %d delivered twice", a.Pkt)
+		}
 		seen[a.Pkt] = true
 	}
 	if minPkt < 50 {
 		t.Fatalf("first absolute packet = %d, want the moved ring tail (>= 50)", minPkt)
 	}
-	// Everything from the tail onward arrives exactly once.
-	if got, want := int64(len(seen)), count-int64(minPkt); got != want {
-		t.Fatalf("delivered %d distinct packets, want %d (tail %d to %d)",
+	// Everything from the tail onward arrives at most once, and whatever
+	// is missing the hub counted as dropped: the ring holds 20 ms of
+	// stream, so a longer scheduler stall makes drop-oldest skip this
+	// subscriber ahead. Drops before the first delivered packet raise
+	// minPkt instead of the shortfall, hence <= and not ==.
+	got, want := int64(len(seen)), count-int64(minPkt)
+	if got > want {
+		t.Fatalf("delivered %d distinct packets, more than the %d from tail %d to %d",
 			got, want, minPkt, count)
+	}
+	if dropped := h.TotalDropped(); want-got > dropped {
+		t.Fatalf("delivered %d of %d packets (tail %d to %d) but the hub counted only %d drops",
+			got, want, minPkt, count, dropped)
 	}
 }
