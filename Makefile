@@ -60,13 +60,18 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFrameHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 
-# bench-smoke runs one short workload of the repository benchmark
+# bench-smoke runs two short workloads of the repository benchmark
 # (BENCHMARK.json, benchmark/) end to end — build from source, set up,
-# measure, check — and fails unless its result line says the run was
-# correct. The benchmark is a nested module, so `go test ./...` at the
-# root never enters it; CI runs this and `go test -C benchmark ./...`.
+# measure, check — and fails unless each result line says the run was
+# correct: fanout_steady for the at-pace path, fanout_overload because
+# nothing else here exercises workers blocked in Write, eviction, churn
+# and the budget governor together. The benchmark is a nested module, so
+# `go test ./...` at the root never enters it; CI runs this and
+# `go test -C benchmark ./...`.
 bench-smoke:
 	@out=$$(bash benchmark/run.sh --workload fanout_steady --seconds 5); status=$$?; \
+	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
+	@out=$$(bash benchmark/run.sh --workload fanout_overload --seconds 5 --trace 0); status=$$?; \
 	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
 
 # soak runs the randomized chaos harness against a live hub under the

@@ -80,3 +80,52 @@ func TestBytesHeldSharedAccounting(t *testing.T) {
 	sd.mu.Unlock()
 	check("after evicting A", 0, 0)
 }
+
+// TestShedSkipsDrainedSubscriber pins the governor's rank-then-shed race:
+// accountLocked picks the worst holder under one hold of the shard lock
+// and shedLocked runs under the next, so a worker can drain the subscriber
+// in between. Walking the ladder over a backlog that is gone finds nothing
+// to clip at any window, shrinks the window to the floor and evicts a
+// subscriber that has caught up. The shed must instead notice that the
+// subscriber no longer holds what it was ranked on, take no step, count
+// none, and leave the verdict to the governor's next accounting pass.
+func TestShedSkipsDrainedSubscriber(t *testing.T) {
+	const payload = 100
+	h := ownershipHub(t, 64, payload, 64) // head 64, ring holds 0..63
+	sd := h.shards[0]
+	sub := &subscriber{token: newToken(t), shard: sd, cur: 4, window: 64}
+	sd.mu.Lock()
+	sd.subs[sub.token] = sub
+	sd.mu.Unlock()
+	h.subCount.Add(1)
+	head := h.ring.headSeq()
+
+	// Rank: the subscriber holds 60 frames and is the worst (the only) one.
+	h.govMu.Lock()
+	defer h.govMu.Unlock()
+	_, ranked, worst, worstShard := h.accountLocked(head)
+	if worst != sub || worstShard != sd || ranked != 60*(payload+core.FrameHeaderSize) {
+		t.Fatalf("ranked %p (shard %p) at %d bytes", worst, worstShard, ranked)
+	}
+
+	// Between rank and shed a worker delivers the whole backlog.
+	sd.mu.Lock()
+	sub.cur = head
+	sd.shedLocked(sub, head, ranked)
+	evicted, window, sheds := sub.evicted, sub.window, sub.sheds
+	sd.mu.Unlock()
+	if evicted || window != 64 || sheds != 0 || h.shedCount.Load() != 0 || h.evictedCount.Load() != 0 {
+		t.Fatalf("drained subscriber was shed: evicted %v, window %d, sheds %d (hub: %d shed, %d evicted)",
+			evicted, window, sheds, h.shedCount.Load(), h.evictedCount.Load())
+	}
+
+	// A subscriber that still holds what it was ranked on is shed as before.
+	sd.mu.Lock()
+	sub.cur = 4
+	sd.shedLocked(sub, head, ranked)
+	evicted, window, sheds, cur := sub.evicted, sub.window, sub.sheds, sub.cur
+	sd.mu.Unlock()
+	if evicted || sheds != 1 || window != 32 || cur != head-32 {
+		t.Fatalf("ranked holder not clipped one rung: evicted %v, sheds %d, window %d, cur %d", evicted, sheds, window, cur)
+	}
+}

@@ -1,5 +1,5 @@
 // Alloc-budget guard for the hub frame hot path: publish → wake →
-// popBatch → writeBatch must not allocate in steady state, or fan-out
+// popBatchLocked → writeBatch must not allocate in steady state, or fan-out
 // throughput decays into GC pressure exactly when the subscriber count
 // makes it matter. The static side of the same contract is enforced by
 // dmplint's hotalloc analyzer over the `// hotpath` closure; this is the
@@ -60,10 +60,11 @@ func (sinkConn) SetDeadline(time.Time) error      { return nil }
 func (sinkConn) SetReadDeadline(time.Time) error  { return nil }
 func (sinkConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestZeroCopyHotPathAllocFree drives the zero-copy steady state —
-// ring.publish (pool acquire + fill), shard.wake, shard.popBatch (hand
-// the previous lease back, lease again, pin), Hub.writeBatch (header
-// patch + vectored write) and releaseBatch (pool return) — and requires
+// TestZeroCopyHotPathAllocFree drives the zero-copy steady state by hand,
+// as one worker would — ring.publish (pool acquire + fill), shard.wake,
+// the lease step (hand the previous lease back, popBatchLocked: lease
+// again, pin), Hub.writeBatch (header patch + vectored write) and
+// releaseBatch (pool return) — and requires
 // zero allocations per frame once the pool, its freelist and the shard's
 // batch free list have warmed through one ring lap. The cycle crosses
 // the shard's free-list trim (every freeTrimWakes wakes) on the way.
@@ -83,8 +84,8 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 	cycle := func() {
 		head := h.ring.publish(h.cfg.Stream.Fill)
 		sd.wake(head)
-		if b = sd.popBatch(sub, b); b == nil {
-			t.Fatal("popBatch returned no batch in steady state")
+		if b = popBatch(sd, sub, b); b == nil {
+			t.Fatal("no batch to lease in steady state")
 		}
 		if err := h.writeBatch(conn, sub, b); err != nil {
 			t.Fatal(err)
@@ -99,13 +100,14 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestParkedPathFootprint pins what an attached, caught-up zero-copy path
-// costs the heap: its subscriber, its resend ring and its goroutine's
-// closure — not a batch workspace (leased per write from the shard) and
-// not a frame buffer (allocated at stream end). 2000 parked paths must
-// stay under 1.5 KB of live heap each; with a 32-frame workspace and a
-// frame buffer owned per path the same measurement read 4.7 KB.
-// Goroutine stacks are not heap: logged, not budgeted.
+// TestParkedPathFootprint pins what an attached, caught-up path costs:
+// its subscriber, its path entry and its resend ring — not a batch
+// workspace (leased per write from the shard), not a frame buffer
+// (allocated at stream end) and not a goroutine (a parked path is an entry;
+// the shard's workers follow the writes in flight). 2000 parked paths must
+// stay under 1.5 KB of live heap plus goroutine stack each, on no more
+// than a worker or two per shard; with a goroutine per path the same
+// measurement read 1.3 KB of heap plus 2.4–4.1 KB of stack.
 func TestParkedPathFootprint(t *testing.T) {
 	const paths, perPathBudget = 2000, 1536
 	h, err := New(Config{
@@ -132,6 +134,7 @@ func TestParkedPathFootprint(t *testing.T) {
 		return ms.HeapAlloc, ms.StackInuse
 	}
 	heap0, stacks0 := live()
+	goroutines0 := runtime.NumGoroutine()
 
 	var tok core.Token
 	for i := 0; i < paths; i++ {
@@ -149,8 +152,8 @@ func TestParkedPathFootprint(t *testing.T) {
 			t.Fatalf("paths did not drain: sent %d of %d", h.Stats().Sent, 8*paths)
 		}
 	}
-	// Waking 2000 senders at once can catch many of them mid-write, each
-	// holding a lease; that stock is transient. Let the idle trim run as a
+	// A burst can catch several workers mid-write, each holding a lease;
+	// that stock is transient. Let the idle trim run as a
 	// few seconds of generator wakes would, and measure the steady state.
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		idle := 0
@@ -165,8 +168,12 @@ func TestParkedPathFootprint(t *testing.T) {
 		}
 	}
 	heap, stacks := live()
-	perPath := (heap - heap0) / paths
-	t.Logf("per parked path: %d B of live heap, %d B of goroutine stack", perPath, (stacks-stacks0)/paths)
+	perPath := (int64(heap-heap0) + int64(stacks-stacks0)) / paths
+	t.Logf("per parked path: %d B of live heap, %d B of goroutine stack",
+		int64(heap-heap0)/paths, int64(stacks-stacks0)/paths)
+	if g := runtime.NumGoroutine() - goroutines0; g > 2*len(h.shards) {
+		t.Errorf("%d parked paths keep %d goroutines on %d shards, want at most two per shard", paths, g, len(h.shards))
+	}
 	// Under -memprofile, snapshot the live heap here as well, while the
 	// paths are parked (the flag's own profile is written at exit, after
 	// Close): the source of EXPERIMENTS.md's per-path footprint table.
@@ -183,6 +190,6 @@ func TestParkedPathFootprint(t *testing.T) {
 		}
 	}
 	if perPath > perPathBudget {
-		t.Errorf("a parked path holds %d B of heap, budget %d B", perPath, perPathBudget)
+		t.Errorf("a parked path holds %d B of heap and stack, budget %d B", perPath, perPathBudget)
 	}
 }

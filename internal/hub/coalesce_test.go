@@ -4,42 +4,31 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"dmpstream/internal/core"
 )
 
 // TestTickCoalescesWakeups pins the wakeup-coalescing contract: however
 // many packets one generator tick publishes (a burst after scheduling
-// debt), each shard's subscribers are woken exactly once, and a waiting
-// zero-copy sender drains the whole burst as one pinned batch. Without
-// coalescing, a k-packet tick costs k broadcasts and up to k context
-// switches per subscriber; with it, wakes advances by one per tick no
-// matter what k is.
+// debt), each shard is visited exactly once, a parked path is readied
+// once, and it drains the whole burst as one pinned batch in one vectored
+// write. Without coalescing, a k-packet tick costs k passes over the
+// shard and up to k writes per subscriber; with it, wakes advances by one
+// per tick no matter what k is.
 func TestTickCoalescesWakeups(t *testing.T) {
 	h := ownershipHub(t, 1, 8, 16)
 	// The quiesced generator published its single packet and exited; lift
 	// the generation cap and the done flag so the tick under test replays
-	// a backlog by hand against a parked (not drained) sender.
+	// a backlog by hand against a parked (not drained) path.
 	h.cfg.Stream.Count = 0
 	h.genDone.Store(false)
 	defer h.genDone.Store(true)
 	sd := h.shards[0]
 
-	tok, err := core.NewToken()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := &subscriber{token: tok, shard: sd, first: 0, cur: 1, window: 16}
+	conn := newLeaseConn()
+	attach(t, h, conn) // joins at the live edge: cur == head == 1
+	waitFor(t, "the path to park", func() bool { return placed(sd).parked == 1 })
 	sd.mu.Lock()
-	sd.subs[tok] = sub
 	wakes0 := sd.wakes
 	sd.mu.Unlock()
-	h.subCount.Add(1)
-
-	// Park a zero-copy sender on the shard's cond (cur == head == 1).
-	got := make(chan *batch, 1)
-	go func() { got <- sd.popBatch(sub, nil) }()
-	time.Sleep(20 * time.Millisecond)
 
 	// One tick with ~8 packets of scheduling debt: base is 8ms in the past
 	// at a 1ms period, so everything due publishes in this single call.
@@ -47,21 +36,20 @@ func TestTickCoalescesWakeups(t *testing.T) {
 	if k < 2 {
 		t.Fatalf("backlogged tick published %d packets, want a burst > 1", k)
 	}
-
-	b := <-got
-	if b == nil {
-		t.Fatal("popBatch returned no batch")
-	}
-	if int64(b.n) != k {
-		t.Fatalf("one wakeup drained %d frames, want the full %d-packet burst", b.n, k)
+	waitFor(t, "the burst to be delivered", func() bool { return conn.frames.Load() == k })
+	if w := conn.writes.Load(); w != 1 {
+		t.Fatalf("the %d-packet burst took %d vectored writes, want one batch", k, w)
 	}
 	sd.mu.Lock()
 	wakes := sd.wakes - wakes0
 	sd.mu.Unlock()
 	if wakes != 1 {
-		t.Fatalf("%d-packet tick broadcast %d wakeups per shard, want exactly 1", k, wakes)
+		t.Fatalf("%d-packet tick visited the shard %d times, want exactly 1", k, wakes)
 	}
-	h.releaseBatch(b)
+	waitFor(t, "the path to park again", func() bool { return placed(sd).parked == 1 })
+	if conn.torn.Load() != 0 {
+		t.Fatalf("%d torn payloads", conn.torn.Load())
+	}
 	if ps := h.PoolCheck(); ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
 		t.Fatalf("pool integrity violated: %+v", ps)
 	}

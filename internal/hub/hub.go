@@ -7,32 +7,37 @@
 // LagWindow packets; every subscriber owns a cursor into that ring, so one
 // generation goroutine serves all subscribers without per-subscriber copies
 // of the queue. Each subscriber is its own DMP multipath session: its path
-// connections pop from the subscriber's cursor and block in Write, so
-// send-buffer backpressure allocates packets across that subscriber's paths
-// exactly as in the single-client scheme — and independently of every other
-// subscriber.
+// connections take packets from the subscriber's cursor one blocking Write
+// at a time, so send-buffer backpressure allocates packets across that
+// subscriber's paths exactly as in the single-client scheme — and
+// independently of every other subscriber.
 //
 // The subscriber population is sharded: each token hashes to one of
 // Config.Shards per-core worker groups, and a shard's mutex covers exactly
-// its own subscribers' cursors, resend queues and send loops. The generator
-// publishes each packet into a shared ring (exclusive lock, one writer) and
-// then wakes the shards, which enforce the lag policy for their own
-// laggards; send loops pin the shared payload buffers under a shared read
-// lock and hand [patched per-subscriber header, shared payload] pairs to
-// the connection as one vectored write per wakeup, so the payload bytes
-// are never copied in user space. Ring advance, lag enforcement and
-// fan-out therefore never serialize on a single hub-wide mutex — the only
+// its own subscribers' cursors, resend queues, paths and workers. The
+// generator publishes each packet into a shared ring (exclusive lock, one
+// writer) and then wakes the shards, which enforce the lag policy for
+// their own laggards and queue the paths that now have frames; a shard
+// worker pins the shared payload buffers under a shared read lock and
+// hands [patched per-subscriber header, shared payload] pairs to the
+// connection as one vectored write per wakeup, so the payload bytes are
+// never copied in user space. Ring advance, lag enforcement and fan-out
+// therefore never serialize on a single hub-wide mutex — the only
 // cross-shard points are admission (control plane), the byte-budget
 // governor, and Stats, none of which sit on the frame hot path. Shards=1
 // puts the whole population under one shard lock.
 //
-// A shard also owns the senders' working memory. The batch
-// workspace a vectored write is assembled in is leased from the shard's
-// free list for the span of one write — taken in popBatch once there are
-// frames to pin, handed back at the sender's next popBatch under the same
-// lock hold — so sender state scales with writes in flight, not with
-// attached paths: a path parked on a caught-up subscriber holds its
-// subscription, its resend ring and its goroutine, nothing else.
+// An attached path is an entry, not a goroutine: parked on its subscriber
+// while it has nothing to send, on its shard's ready list once it has, or
+// held by the one worker that is writing it (see shard). The workers are a
+// small self-sizing stock per shard — whoever grows the ready list signals
+// the idle worker or, with every worker out on a write, starts one; a
+// worker that finds the list empty while another is idle exits — so
+// goroutines, like the batch workspaces the workers lease from the shard's
+// free list for the span of one write, scale with writes in flight, not
+// with attached paths: a path parked on a caught-up subscriber holds its
+// subscription, its entry and its resend ring, nothing else, and a
+// subscriber blocked in Write holds exactly one worker.
 //
 // A subscriber that cannot keep up falls behind the ring. The hub then
 // applies the configured slow-subscriber policy at generation time:
@@ -99,8 +104,8 @@ func (p Policy) String() string {
 	}
 }
 
-// writeBatchFrames caps how many ready frames a sender drains into one
-// vectored write per wakeup.
+// writeBatchFrames caps how many ready frames a worker drains into one
+// vectored write per step.
 const writeBatchFrames = 32
 
 // maxTickBurst bounds how many overdue packets one generator tick
@@ -172,7 +177,7 @@ type Config struct {
 	PoisonPool bool
 	// Shards is how many per-core worker groups the subscriber population
 	// is hashed across; each shard's lock covers only its own subscribers'
-	// cursors and send loops. 0 selects GOMAXPROCS (capped at MaxShards);
+	// cursors, paths and workers. 0 selects GOMAXPROCS (capped at MaxShards);
 	// 1 puts every subscriber under one shard lock.
 	Shards int
 	// PathWriteBuffer, when positive, caps each path's kernel send buffer
@@ -303,8 +308,10 @@ var ErrStreamEnded = errors.New("hub: stream ended")
 // spread over per-core shards.
 //
 // Lock hierarchy (see DESIGN.md): registry.Registry.mu ≺ Hub.mu ≺
-// Hub.govMu ≺ shard.mu ≺ ring.mu. The frame hot path (shard.popBatch →
-// ring.pinBatch) takes only the last two, and ring.mu only shared.
+// Hub.govMu ≺ shard.mu ≺ ring.mu. The frame hot path (shard.work →
+// stepLocked → ring.pinBatch) takes only the last two, and ring.mu only
+// shared; a worker holds no lock across a write, and retires a path
+// (finishPath, which may take govMu) only after releasing shard.mu.
 type Hub struct {
 	cfg Config
 
@@ -458,7 +465,7 @@ func (h *Hub) generate() {
 	h.genDone.Store(true)
 	h.signalStopLocked()
 	h.mu.Unlock()
-	h.broadcast()
+	h.readyAll()
 }
 
 // publishTick publishes every packet due by now — at least one, at most
@@ -510,7 +517,7 @@ func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 // bytes. It returns whether the packet was accepted.
 //
 // The call mirrors publishTick's cycle — publish, wake the shards (lag
-// policy + send-loop broadcast), one governor pass — so every downstream
+// policy + ready list), one governor pass — so every downstream
 // guarantee (lag window, byte budget, degradation ladder) holds at every
 // tier of a relay tree.
 //
@@ -545,12 +552,12 @@ func (h *Hub) PublishAt(seq, gen int64, payload []byte) bool {
 	return true
 }
 
-// broadcast wakes every shard's send loops so they re-check the lifecycle
-// flags.
-func (h *Hub) broadcast() {
+// readyAll queues every parked path of every shard, so each re-checks the
+// lifecycle flags that have just changed.
+func (h *Hub) readyAll() {
 	for _, sd := range h.shards {
 		sd.mu.Lock()
-		sd.cond.Broadcast()
+		sd.readyAllLocked()
 		sd.mu.Unlock()
 	}
 }
@@ -627,7 +634,7 @@ func (h *Hub) governLocked(head int64) {
 			return
 		}
 		worstShard.mu.Lock()
-		worstShard.shedLocked(worst, head)
+		worstShard.shedLocked(worst, head, worstHeld)
 		worstShard.mu.Unlock()
 	}
 }
@@ -635,12 +642,12 @@ func (h *Hub) governLocked(head int64) {
 // batch is the workspace of one vectored write in flight: up to
 // batchFrames pinned shared payload buffers plus the per-subscriber patched
 // headers and the vectored write assembled over them. Batches belong to
-// the shard, not to a path: a sender leases one inside popBatch once it
-// has frames to pin, keeps it across writeBatch and releaseBatch, and
-// hands it back at the top of its next popBatch call (or through
-// shard.returnBatch when its write failed). A parked path therefore holds
-// none, and a shard's stock follows its writes in flight rather than its
-// attached paths. All storage is allocated once per batch; the hot loop
+// the shard, not to a path: a worker leases one (popBatchLocked) once the
+// path it holds has frames to pin, keeps it across writeBatch and
+// releaseBatch, and hands it back under its next hold of the shard lock,
+// whatever became of the write. A parked path therefore holds none, and a
+// shard's stock follows its writes in flight rather than its attached
+// paths. All storage is allocated once per batch; the hot loop
 // only writes indexed slots, never appends.
 type batch struct {
 	n    int           // filled entries
@@ -664,7 +671,7 @@ func newBatch(size int) *batch {
 }
 
 // BuffersWriter is implemented by connections that consume a vectored
-// write natively in one call. The sender prefers it over
+// write natively in one call. The worker prefers it over
 // net.Buffers' fallback so wrappers (a registry's counted conns, the
 // benchmark's in-process pipes) keep the single-call batch handoff that a
 // raw *net.TCPConn gets from writev.
@@ -707,7 +714,7 @@ func (h *Hub) writeBatch(conn net.Conn, sub *subscriber, b *batch) error {
 // releaseBatch drops the batch's pins, returning buffers whose refcount
 // reached zero to the pool, and clears the vectored-write slots that
 // aliased them — a released batch holds no borrow, which is what lets the
-// sender hand it back to the shard for another subscriber's frames.
+// worker hand it back to the shard for another subscriber's frames.
 // Entries are nil'd as they release, so a second call over the same batch
 // is a no-op.
 func (h *Hub) releaseBatch(b *batch) {
@@ -724,76 +731,16 @@ func (h *Hub) releaseBatch(b *batch) {
 	}
 }
 
-// sendLoop is one subscriber path's sender: stream header, frames popped
-// from the subscriber's shard, end marker. Each wakeup leases a batch from
-// the shard, drains pinned shared buffers through it into one vectored
-// write, and hands it back on its way to the next wait, so a parked path
-// owns no workspace. On failure it returns the absolute sequences this
-// path wrote most recently (oldest first, the in-hand packets last) — TCP
-// may have buffered but never delivered them, so finishPath queues them
-// for retransmission on the subscriber's other paths.
-//
-// hotpath — the per-subscriber sender root; the loop body runs once per
-// delivered batch.
-func (h *Hub) sendLoop(sub *subscriber, pathIdx, numPaths int, conn net.Conn) (recent []int64, err error) {
-	if err := core.WriteStreamHeader(conn, pathIdx, numPaths, h.cfg.Stream.PayloadSize, h.cfg.Stream.Mu); err != nil {
-		return nil, fmt.Errorf("hub: path %d header: %w", pathIdx, err)
+// writeEndMarker ends p's stream: the marker carries the number of
+// packets generated since the subscriber joined, matching its rebased
+// numbering.
+func (h *Hub) writeEndMarker(p *path) error {
+	frame := make([]byte, core.FrameHeaderSize+h.cfg.Stream.PayloadSize)
+	core.PutFrameHeader(frame, core.EndMarker, h.ring.headSeq()-p.sub.first)
+	if err := h.writeFrame(p.conn, frame); err != nil {
+		return fmt.Errorf("hub: path %d end marker: %w", p.idx, err)
 	}
-	win := h.cfg.ResendWindow
-	// last win sequences written, ring[next%win] next to overwrite;
-	// pre-sized so the per-frame append below never grows mid-stream.
-	ring := make([]int64, 0, win) // nolint:hotalloc per-path resend ring, allocated once
-	next := 0
-	var b *batch // the lease; popBatch takes the previous one back
-	for {
-		if b = sub.shard.popBatch(sub, b); b == nil {
-			break
-		}
-		werr := h.writeBatch(conn, sub, b)
-		h.releaseBatch(b)
-		if werr != nil {
-			// The kernel may have taken any prefix of the batch; resend
-			// all of it — duplicates are deduplicated client-side. The
-			// append copies the sequences out before the batch goes
-			// back to the shard, where another sender overwrites them.
-			recent = append(unrollSeqs(ring, next), b.seqs[:b.n]...)
-			sub.shard.returnBatch(b)
-			return recent, fmt.Errorf("hub: path %d write: %w", pathIdx, werr)
-		}
-		if win > 0 {
-			for i := 0; i < b.n; i++ {
-				if len(ring) < win {
-					ring = append(ring, b.seqs[i])
-				} else {
-					ring[next%win] = b.seqs[i]
-				}
-				next++
-			}
-		}
-	}
-	// End marker: carries the number of packets generated since this
-	// subscriber joined, matching its rebased numbering.
-	frame := make([]byte, core.FrameHeaderSize+h.cfg.Stream.PayloadSize) // nolint:hotalloc end-marker frame, allocated once at stream end
-	n := h.ring.headSeq() - sub.first
-	core.PutFrameHeader(frame, core.EndMarker, n)
-	if err := h.writeFrame(conn, frame); err != nil {
-		return unrollSeqs(ring, next), fmt.Errorf("hub: path %d end marker: %w", pathIdx, err)
-	}
-	return nil, nil
-}
-
-// unrollSeqs returns the ring's contents oldest first.
-func unrollSeqs(ring []int64, next int) []int64 {
-	if len(ring) == 0 {
-		return nil
-	}
-	out := make([]int64, 0, len(ring)+1)
-	if next <= len(ring) {
-		return append(out, ring...)
-	}
-	i := next % len(ring)
-	out = append(out, ring[i:]...)
-	return append(out, ring[:i]...)
+	return nil
 }
 
 // writeFrame writes one rendered frame, arming the optional stall
@@ -820,8 +767,8 @@ func (h *Hub) rejectConn(conn net.Conn, code core.RejectCode) {
 	_ = conn.Close()
 }
 
-// Attach performs the server side of the join handshake on conn and starts
-// a path sender for the joined subscription. It closes conn on any error;
+// Attach performs the server side of the join handshake on conn and queues
+// a path for the joined subscription. It closes conn on any error;
 // admission refusals additionally answer with the typed reject frame, and
 // the returned error unwraps to the matching core sentinel
 // (core.ErrServerFull, core.ErrDraining, ...).
@@ -841,7 +788,8 @@ func (h *Hub) Attach(conn net.Conn) error {
 // read — the entry point a stream registry routes to after demultiplexing
 // the stream id. It behaves exactly like Attach past the handshake read:
 // conn is closed on any error, refusals answer with the typed reject
-// frame, and on success a path sender runs until the stream ends.
+// frame, and on success the path is on its shard's ready list, stream
+// header first, and is served until the stream ends.
 func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 	if j.StreamID != h.cfg.StreamID {
 		h.rejectConn(conn, core.RejectUnknownStream)
@@ -919,27 +867,25 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 		return fmt.Errorf("hub: subscriber %s: %w",
 			j.Token, &core.RejectError{Code: core.RejectEvicted})
 	}
-	pathIdx := sub.nextPath
-	sub.nextPath++
-	sub.paths++
 	h.pathConns.Add(1)
-	numPaths := sub.paths
-	sub.conns = append(sub.conns, conn)
+	p := &path{sub: sub, conn: conn, idx: sub.nextPath, numPaths: len(sub.links) + 1}
+	sub.nextPath++
+	sub.links = append(sub.links, p)
 	if sub.deadPaths > 0 {
 		// This join revives a slot an abnormal death left open: the token
 		// survived the flap and the subscription resumes where it was.
 		sub.deadPaths--
 		h.reattached.Add(1)
 	}
+	// The path holds one wg count from here until a worker has taken it
+	// through finishPath; it starts on the ready list, with its stream
+	// header to write.
 	h.wg.Add(1)
+	sd.live++
+	sd.pushLocked(p)
+	sd.kickLocked(false)
 	sd.mu.Unlock()
 	h.mu.Unlock()
-
-	go func() {
-		defer h.wg.Done()
-		recent, err := h.sendLoop(sub, pathIdx, numPaths, conn)
-		sd.finishPath(sub, conn, recent, err)
-	}()
 	return nil
 }
 
@@ -1117,27 +1063,28 @@ func (h *Hub) endCode() core.RejectCode {
 	return core.RejectStreamEnded
 }
 
-// Stop ends generation. Path senders drain the remaining ring contents and
-// emit end markers; follow with Wait for a graceful shutdown.
+// Stop ends generation. Every path drains the remaining ring contents and
+// is sent its end marker; follow with Wait for a graceful shutdown.
 func (h *Hub) Stop() {
 	h.mu.Lock()
 	h.stopped.Store(true)
 	h.signalStopLocked()
 	h.mu.Unlock()
-	h.broadcast()
+	h.readyAll()
 }
 
-// Wait blocks until generation has ended (Stop or Count) and every path
-// sender has drained or failed. A subscriber that has stopped reading can
-// hold Wait up indefinitely unless Config.Stream.WriteStallTimeout is set
-// or Close is used.
+// Wait blocks until generation has ended (Stop or Count), every path has
+// drained or failed and the shard workers have exited. A subscriber that
+// has stopped reading can hold Wait up indefinitely unless
+// Config.Stream.WriteStallTimeout is set or Close is used.
 func (h *Hub) Wait() {
 	h.wg.Wait()
 }
 
 // Close force-stops the hub: generation ends, all listeners and subscriber
-// connections are closed, and new attaches are refused. It waits for the
-// sender goroutines to exit. Unlike Stop+Wait, paths are NOT drained.
+// connections are closed, and new attaches are refused. It waits for every
+// path to retire and the shard workers to exit. Unlike Stop+Wait, paths are
+// NOT drained.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	h.closed.Store(true)
@@ -1153,11 +1100,11 @@ func (h *Hub) Close() {
 	for _, sd := range h.shards {
 		sd.mu.Lock()
 		for _, sub := range sd.subs {
-			for _, c := range sub.conns {
-				_ = c.Close()
+			for _, p := range sub.links {
+				_ = p.conn.Close()
 			}
 		}
-		sd.cond.Broadcast()
+		sd.readyAllLocked()
 		sd.mu.Unlock()
 	}
 	h.wg.Wait()
@@ -1232,7 +1179,7 @@ type Stats struct {
 	Shed          int64         // degradation-ladder steps taken by the resource governor
 	BytesHeld     int64         // buffered bytes held (shared payload span once + per-subscriber headers)
 	BytesCopied   int64         // user-space bytes memcpy'd for delivery (header patches only)
-	Writevs       int64         // vectored writes issued by path senders
+	Writevs       int64         // vectored writes issued by the shard workers
 	FramesBatched int64         // frames carried by those vectored writes
 	Pool          PoolStats     // payload-pool integrity counters
 	AcceptRetries int64         // temporary accept errors retried with backoff
@@ -1291,7 +1238,7 @@ func (h *Hub) Stats() Stats {
 			}
 			st.Subs = append(st.Subs, SubscriberStats{
 				Token:    sub.token.String(),
-				Paths:    sub.paths,
+				Paths:    len(sub.links),
 				FirstSeq: sub.first,
 				Lag:      head - sub.cur,
 				Sent:     sub.sent,

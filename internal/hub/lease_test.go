@@ -151,6 +151,26 @@ func waitFor(t *testing.T, what string, pred func() bool) {
 	}
 }
 
+// popBatch is a worker's lease step done by hand, for tests that drive a
+// subscriber without attaching a path: prev (already released) goes back
+// to the shard and the subscriber's next ready frames come back pinned in
+// a lease — nil when it has none.
+func popBatch(sd *shard, sub *subscriber, prev *batch) *batch {
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	if prev != nil {
+		sd.returnLocked(prev)
+	}
+	return sd.popBatchLocked(sub)
+}
+
+// returnBatch ends a by-hand lease.
+func returnBatch(sd *shard, b *batch) {
+	sd.mu.Lock()
+	sd.returnLocked(b)
+	sd.mu.Unlock()
+}
+
 // stock walks the shard's free list and returns its length, failing the
 // test if the list disagrees with nfree or an idle batch still holds a
 // pin or a payload alias.
@@ -173,12 +193,14 @@ func stock(t *testing.T, sd *shard) int {
 	return n
 }
 
-// checkQuiesced is the end-of-scenario verdict once every sender has
-// exited: all leases are back (at most one per path that ever ran), no
-// pin is outstanding — every pool buffer is on the freelist or in a ring
-// slot — and the poisoning pool saw no double put and no write under it.
+// checkQuiesced is the end-of-scenario verdict once every path has
+// retired: the workers are gone, all leases are back (at most one per path
+// that ever ran), no pin is outstanding — every pool buffer is on the
+// freelist or in a ring slot — and the poisoning pool saw no double put
+// and no write under it.
 func checkQuiesced(t *testing.T, h *Hub, paths int) {
 	t.Helper()
+	checkWorkersGone(t, h.shards[0])
 	if n := stock(t, h.shards[0]); n > paths {
 		t.Fatalf("shard stocks %d batches for %d paths", n, paths)
 	}
@@ -277,60 +299,54 @@ func TestLeaseCloseMidWrite(t *testing.T) {
 }
 
 // TestLeaseWriteErrorRecentIsCopy fails a path's second vectored write and
-// checks the sequences handed to finishPath for retransmission — the
-// resend ring plus the in-hand batch — are the path's own copy: the batch
-// they were read from goes straight back to the shard, and the next
-// lessee's sequences must not show through.
+// checks the sequences queued for retransmission — the resend ring plus
+// the in-hand batch — are the subscriber's own copy: the batch they were
+// read from goes straight back to the shard, and the next lessee's
+// sequences must not show through.
 func TestLeaseWriteErrorRecentIsCopy(t *testing.T) {
 	h := leaseHub(t, Config{})
 	sd := h.shards[0]
-	mkSub := func(cur int64) *subscriber {
-		sub := &subscriber{token: newToken(t), shard: sd, cur: cur, window: h.cfg.LagWindow}
-		sd.mu.Lock()
-		sd.subs[sub.token] = sub
-		sd.mu.Unlock()
-		h.subCount.Add(1)
-		return sub
-	}
 	publish(t, h, 0, 3)
-	sub := mkSub(0)
 	conn := newLeaseConn()
 	conn.failAt = 2
-
-	type result struct {
-		recent []int64
-		err    error
+	tok := newToken(t)
+	// An absolute join starts at the ring tail, so the first batch carries
+	// packets 0..2 in one write.
+	if err := h.AttachJoined(conn, core.Join{StreamID: h.cfg.StreamID, Token: tok, Flags: core.JoinFlagAbsolute}); err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan result, 1)
-	go func() {
-		recent, err := h.sendLoop(sub, 0, 1, conn)
-		done <- result{recent, err}
-	}()
 	waitFor(t, "first batch", func() bool { return conn.frames.Load() == 3 })
 	publish(t, h, 3, 4)
-	res := <-done
-	if !errors.Is(res.err, errLeaseConnWrite) {
-		t.Fatalf("sendLoop error %v, want the injected write failure", res.err)
+	waitFor(t, "the failed path to retire", func() bool { return h.ConnCount() == 0 })
+	if st := h.Stats(); st.PathErrors != 1 {
+		t.Fatalf("path errors %d, want the one injected write failure", st.PathErrors)
+	}
+	resend := func() []int64 {
+		sd.mu.Lock()
+		defer sd.mu.Unlock()
+		return sd.subs[tok].resend
 	}
 	want := []int64{0, 1, 2, 3}
-	if !reflect.DeepEqual(res.recent, want) {
-		t.Fatalf("recent %v, want %v (resend ring, then the failed batch)", res.recent, want)
+	if got := resend(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("queued for resend %v, want %v (resend ring, then the failed batch)", got, want)
 	}
-	if n := stock(t, sd); n != 1 {
-		t.Fatalf("stock %d after the failed sender returned its lease, want 1", n)
-	}
+	waitFor(t, "the failed write's lease to come back", func() bool { return stock(t, sd) == 1 })
 
 	// The next lessee gets the same batch and rewrites its sequences.
-	other := mkSub(1)
-	b := sd.popBatch(other, nil)
+	other := &subscriber{token: newToken(t), shard: sd, cur: 1, window: h.cfg.LagWindow}
+	sd.mu.Lock()
+	sd.subs[other.token] = other
+	sd.mu.Unlock()
+	h.subCount.Add(1)
+	b := popBatch(sd, other, nil)
 	if b == nil || b.n != 3 || b.seqs[0] != 1 {
 		t.Fatalf("next lessee's batch: %+v", b)
 	}
-	if !reflect.DeepEqual(res.recent, want) {
-		t.Fatalf("recent became %v once the batch was leased again: it aliases the recycled b.seqs", res.recent)
+	if got := resend(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resend queue became %v once the batch was leased again: it aliases the recycled b.seqs", got)
 	}
 	h.releaseBatch(b)
-	sd.returnBatch(b)
+	returnBatch(sd, b)
 	checkQuiesced(t, h, 2)
 }
 
@@ -348,7 +364,7 @@ func TestLeaseResendOnly(t *testing.T) {
 	sd.mu.Unlock()
 	h.subCount.Add(1)
 
-	b := sd.popBatch(sub, nil)
+	b := popBatch(sd, sub, nil)
 	if b == nil || b.n != 2 || b.seqs[0] != 5 || b.seqs[1] != 6 {
 		t.Fatalf("resend-only batch: %+v", b)
 	}
@@ -370,7 +386,7 @@ func TestLeaseResendOnly(t *testing.T) {
 	sub.resend = []int64{0, 1}
 	sd.mu.Unlock()
 	h.Stop()
-	if got := sd.popBatch(sub, b); got != nil {
+	if got := popBatch(sd, sub, b); got != nil {
 		t.Fatalf("popBatch pinned %d frames from a lapped resend queue", got.n)
 	}
 	if sub.dropped != 2 {

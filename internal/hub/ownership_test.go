@@ -46,13 +46,19 @@ func TestRingCopyAtIngest(t *testing.T) {
 // exists to prevent, so the element type is pinned reference-free here.
 // (internal/core has the matching pin for its queued metadata ring.)
 func TestResendRingRetainsNoPayloadAliases(t *testing.T) {
-	rt := reflect.TypeOf(unrollSeqs).In(0).Elem()
+	rt := reflect.TypeOf(path{}.recent).Elem()
 	if k := rt.Kind(); k != reflect.Int64 {
 		t.Fatalf("hub resend ring element is %v, want int64 (metadata only)", k)
 	}
-	ring := []int64{3, 4, 5}
-	if got := unrollSeqs(ring, 7); len(got) != 3 {
-		t.Fatalf("unrollSeqs returned %d seqs, want 3", len(got))
+	p := &path{recent: make([]int64, 3)}
+	p.remember([]int64{1, 2, 3, 4, 5, 6, 7})
+	if got, want := p.lastWritten(), []int64{5, 6, 7}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("a 3-slot ring after 7 writes unrolls to %v, want %v", got, want)
+	}
+	q := &path{recent: make([]int64, 3)}
+	q.remember([]int64{8, 9})
+	if got, want := q.lastWritten(), []int64{8, 9}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("a 3-slot ring after 2 writes unrolls to %v, want %v", got, want)
 	}
 }
 
@@ -124,7 +130,7 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 	fast := mkSub(4)
 
 	// The slow sibling pins seqs 4 and 5 (a writev in flight).
-	slowBatch := sd.popBatch(slow, nil)
+	slowBatch := popBatch(sd, slow, nil)
 	if slowBatch == nil {
 		t.Fatal("slow popBatch returned no frames")
 	}
@@ -136,7 +142,7 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 	// handing the first back — and is then evicted.
 	var fastBatch *batch
 	for want := int64(4); want < 8; want += 2 {
-		if fastBatch = sd.popBatch(fast, fastBatch); fastBatch == nil {
+		if fastBatch = popBatch(sd, fast, fastBatch); fastBatch == nil {
 			t.Fatal("fast popBatch returned no frames")
 		}
 		if fastBatch == slowBatch {
@@ -147,7 +153,7 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 		}
 		h.releaseBatch(fastBatch)
 	}
-	sd.returnBatch(fastBatch)
+	returnBatch(sd, fastBatch)
 	sd.mu.Lock()
 	sd.evictLocked(fast)
 	sd.mu.Unlock()
@@ -166,7 +172,7 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 		}
 	}
 	h.releaseBatch(slowBatch)
-	sd.returnBatch(slowBatch)
+	returnBatch(sd, slowBatch)
 
 	ps := h.PoolCheck()
 	if ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
@@ -217,7 +223,7 @@ func TestReattachResendReplayFromPool(t *testing.T) {
 	sd.mu.Unlock()
 	h.subCount.Add(1)
 
-	b := sd.popBatch(sub, nil)
+	b := popBatch(sd, sub, nil)
 	if b == nil {
 		t.Fatal("popBatch returned no resend frames")
 	}

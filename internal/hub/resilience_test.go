@@ -215,8 +215,9 @@ func TestHubReattachRacesStop(t *testing.T) {
 }
 
 // TestFinishPathDropsClosedConn: when one of a subscriber's two paths
-// dies, the subscriber lives on — and must not keep the dead connection
-// reachable through the tail of its conns slice's backing array.
+// dies, the subscriber lives on — and must not keep the dead path (and
+// through it the closed connection) reachable through the tail of its
+// links slice's backing array.
 func TestFinishPathDropsClosedConn(t *testing.T) {
 	h := leaseHub(t, Config{})
 	sd := h.shards[0]
@@ -242,12 +243,12 @@ func TestFinishPathDropsClosedConn(t *testing.T) {
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
 	sub := sd.subs[tok]
-	if sub == nil || len(sub.conns) != 1 || sub.conns[0] != net.Conn(staying) {
-		t.Fatalf("surviving subscriber's conns: %+v", sub)
+	if sub == nil || len(sub.links) != 1 || sub.links[0].conn != net.Conn(staying) {
+		t.Fatalf("surviving subscriber's paths: %+v", sub)
 	}
-	for i, c := range sub.conns[:cap(sub.conns)] {
-		if c == net.Conn(dying) {
-			t.Fatalf("closed conn still reachable from conns' backing array at index %d (len %d)", i, len(sub.conns))
+	for i, p := range sub.links[:cap(sub.links)] {
+		if p != nil && p.conn == net.Conn(dying) {
+			t.Fatalf("closed conn still reachable from links' backing array at index %d (len %d)", i, len(sub.links))
 		}
 	}
 }

@@ -30,7 +30,7 @@ type slot struct {
 // ring is the shared packet store every shard fans out from: a fixed
 // window of the most recent LagWindow packets, written only by the
 // generator and read by every subscriber path. The generator publishes
-// under the exclusive lock; send loops pin the shared buffer's refcount
+// under the exclusive lock; shard workers pin the shared buffer's refcount
 // under the shared lock (ring.pin/pinBatch), so fan-out readers never
 // serialize against each other — only against the (brief, µ-paced)
 // publish of a new packet. A slot's content is immutable from publish

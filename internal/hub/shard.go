@@ -1,7 +1,9 @@
 package hub
 
 import (
+	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -10,23 +12,22 @@ import (
 )
 
 // subscriber is one multipath subscription: a cursor into the ring plus the
-// path connections attached under its token. All mutable fields are guarded
-// by the owning shard's mutex; token, first and shard are immutable after
+// paths attached under its token. All mutable fields are guarded by the
+// owning shard's mutex; token, first and shard are immutable after
 // creation.
 type subscriber struct {
 	token core.Token
 	shard *shard // owning shard, fixed by the token hash
 	first int64  // absolute sequence at join; frames are rebased to it
 
-	cur      int64      // guarded by mu (the shard's); absolute next sequence to fetch
-	paths    int        // guarded by mu; live path senders
-	nextPath int        // guarded by mu; next path index to hand out
-	sent     int64      // guarded by mu
-	dropped  int64      // guarded by mu
-	evicted  bool       // guarded by mu
-	conns    []net.Conn // guarded by mu
-	window   int        // guarded by mu; effective lag window, shrunk by the governor
-	sheds    int64      // guarded by mu; degradation-ladder steps applied
+	cur      int64   // guarded by mu (the shard's); absolute next sequence to fetch
+	nextPath int     // guarded by mu; next path index to hand out
+	sent     int64   // guarded by mu
+	dropped  int64   // guarded by mu
+	evicted  bool    // guarded by mu
+	links    []*path // guarded by mu; attached paths, in attach order
+	window   int     // guarded by mu; effective lag window, shrunk by the governor
+	sheds    int64   // guarded by mu; degradation-ladder steps applied
 
 	// Path-death bookkeeping. resend holds absolute sequences a dead path
 	// may not have delivered, served (oldest first) before the cursor by any
@@ -40,23 +41,95 @@ type subscriber struct {
 	graceGen  int64   // guarded by mu
 }
 
+// path is one attached path connection: what a worker needs to resume it —
+// the subscriber it serves, the connection, its place among the
+// subscriber's paths and the sequences it wrote last. It is an entry, not
+// a goroutine. At any moment it is in exactly one of three places: parked
+// on its subscriber with nothing to send, on its shard's ready list, or
+// held by the one shard worker that is writing it — which is what keeps a
+// path's writes one at a time and in order.
+type path struct {
+	sub      *subscriber
+	conn     net.Conn
+	idx      int // path index announced in the stream header
+	numPaths int // the subscriber's path count when this one attached
+
+	parked bool  // guarded by mu (the shard's); on neither the ready list nor a worker
+	next   *path // guarded by mu; ready-list link
+
+	// Owned by whichever worker holds the path; the shard mutex orders one
+	// holder's accesses before the next one's.
+	started bool    // stream header written (or being written)
+	recent  []int64 // resend ring: the last ResendWindow sequences written
+	wrote   int     // sequences ever recorded; recent[wrote%len] is next to overwrite
+}
+
+// remember records a written batch's sequences in the path's resend ring.
+func (p *path) remember(seqs []int64) {
+	win := len(p.recent)
+	if win == 0 {
+		return
+	}
+	for _, seq := range seqs {
+		p.recent[p.wrote%win] = seq
+		p.wrote++
+	}
+}
+
+// lastWritten returns a copy of the resend ring's contents, oldest first,
+// with room for a batch to be appended; nil if the path never wrote.
+func (p *path) lastWritten() []int64 {
+	n := min(p.wrote, len(p.recent))
+	if n == 0 {
+		return nil
+	}
+	out := make([]int64, 0, n+writeBatchFrames)
+	i := p.wrote % n // the oldest entry once the ring has wrapped, 0 before
+	out = append(out, p.recent[i:n]...)
+	return append(out, p.recent[:i]...)
+}
+
 // shard owns one slice of the subscriber population. Each subscriber is
 // pinned to a shard by a hash of its token, so a shard's mutex covers
-// exactly its own subscribers' cursors, resend queues and send loops —
+// exactly its own subscribers' cursors, resend queues, paths and workers —
 // ring advance, lag enforcement and fan-out for one shard never contend
 // with another shard's. The generator wakes each shard once per packet;
 // everything else on the frame hot path is shard-local plus a shared
 // (read) lock on the ring.
+//
+// Sending is done by a small set of worker goroutines per shard, not one
+// per path. Whoever gives a parked path something to do — wake (frames),
+// AttachJoined (stream header), evictLocked and Hub.Close (teardown),
+// Hub.Stop (end marker) — moves it to the FIFO ready list under the mutex
+// it already holds; a worker pops it, does its blocking write, and keeps
+// it while it has more to send or parks it again. The worker stock sizes
+// itself on one invariant: while the ready list is non-empty, some worker
+// is not busy. Whoever grows the list signals the idle worker or, if every
+// worker is out on a write, starts one; a worker about to leave on a write
+// does the same; and a worker that finds the list empty while another is
+// already idle exits. Healthy sinks therefore share a handful of workers,
+// while each sink blocked in Write holds exactly one — the write in flight
+// that it is.
 type shard struct {
 	h *Hub
 
 	mu    sync.Mutex
-	cond  *sync.Cond
 	subs  map[core.Token]*subscriber // guarded by mu
-	wakes int64                      // guarded by mu; generator wake broadcasts (the coalescing tests' counter hook)
+	wakes int64                      // guarded by mu; generator wakes (the coalescing tests' counter hook; rotates multipath turn order)
 
-	// The shard's stock of idle batch workspaces, leased to path
-	// senders for the span of one write (see batch). It grows on a miss,
+	ready     *path // guarded by mu; head of the FIFO of paths with something to do
+	readyTail *path // guarded by mu; its last entry
+	live      int   // guarded by mu; attached paths not yet through finishPath — each holds one h.wg count
+	workers   int   // guarded by mu; worker goroutines alive — each holds one h.wg count
+	busy      int   // guarded by mu; workers outside the lock with a path: in a write, or retiring it
+	idle      bool  // guarded by mu; one worker is waiting on kick for the ready list to grow
+	// kick wakes the idle worker. One token is enough: at most one worker
+	// idles, and a token sent while the idler was already waking only costs
+	// the next idler one empty pass over the list.
+	kick chan struct{}
+
+	// The shard's stock of idle batch workspaces, leased to workers for
+	// the span of one write (see batch). It grows on a miss,
 	// so it reaches the shard's high-water mark of concurrent writes and
 	// from then on leasing allocates nothing; freeLow lets wake give the
 	// surplus of a passed peak back to the collector.
@@ -72,25 +145,281 @@ type shard struct {
 const freeTrimWakes = 256
 
 func newShard(h *Hub) *shard {
-	sd := &shard{h: h, subs: make(map[core.Token]*subscriber)}
-	sd.cond = sync.NewCond(&sd.mu)
-	return sd
+	return &shard{h: h, subs: make(map[core.Token]*subscriber), kick: make(chan struct{}, 1)}
 }
 
 // wake is the generator's per-tick visit: apply the slow-subscriber
-// policy to this shard's laggards at the new live edge and wake its send
-// loops. The generator coalesces: however many packets one tick
-// published, each shard is visited — and each subscriber woken — at most
-// once per tick (wakes counts the broadcasts so tests can pin that).
+// policy to this shard's laggards at the new live edge and put the parked
+// paths of every subscriber that now has frames on the ready list. The
+// generator coalesces: however many packets one tick published, each shard
+// is visited — and each parked path readied — at most once per tick (wakes
+// counts the visits so tests can pin that).
 func (sd *shard) wake(head int64) {
 	sd.mu.Lock()
-	sd.enforceLagLocked(head)
+	backlog := sd.ready != nil
 	sd.wakes++
 	if sd.wakes%freeTrimWakes == 0 {
 		sd.trimFreeLocked()
 	}
-	sd.cond.Broadcast()
+	for _, sub := range sd.subs {
+		if sub.evicted {
+			continue
+		}
+		sd.enforceLagLocked(sub, head)
+		if !sub.evicted && (sub.cur < head || len(sub.resend) > 0) {
+			sd.readyLocked(sub)
+		}
+	}
+	sd.kickLocked(backlog)
 	sd.mu.Unlock()
+}
+
+// readyLocked moves sub's parked paths to the ready list. A multipath
+// subscriber's paths take turns at the front — the start index rotates
+// with the wake count — because at pace there is one frame per wake and
+// the first path to reach it takes it: in a fixed order path 0 would
+// carry every frame, the others would never write, and neither the
+// backpressure split nor the detection of a peer-closed idle path (it
+// shows only as a write error) would work. Caller holds sd.mu.
+func (sd *shard) readyLocked(sub *subscriber) {
+	n := len(sub.links)
+	at := 0
+	if n > 1 {
+		at = int(sd.wakes % int64(n))
+	}
+	for i := 0; i < n; i++ {
+		p := sub.links[at]
+		if at++; at == n {
+			at = 0
+		}
+		if !p.parked {
+			continue // already queued, or a worker has it and will look again
+		}
+		p.parked = false
+		sd.pushLocked(p)
+	}
+}
+
+// pushLocked appends p to the ready list. The caller follows its pushes
+// with one kickLocked. Caller holds sd.mu.
+func (sd *shard) pushLocked(p *path) {
+	if sd.readyTail == nil {
+		sd.ready = p
+	} else {
+		sd.readyTail.next = p
+	}
+	sd.readyTail = p
+}
+
+// popLocked takes the oldest path off the ready list, nil when it is
+// empty. Caller holds sd.mu.
+func (sd *shard) popLocked() *path {
+	p := sd.ready
+	if p == nil {
+		return nil
+	}
+	if sd.ready = p.next; sd.ready == nil {
+		sd.readyTail = nil
+	}
+	p.next = nil
+	return p
+}
+
+// readyAllLocked queues every parked path of the shard, whether or not its
+// subscriber has frames: the lifecycle flags changed (Stop, Close, the
+// generator finishing) and each path has an end marker to write or a
+// teardown to go through. Caller holds sd.mu.
+func (sd *shard) readyAllLocked() {
+	for _, sub := range sd.subs {
+		sd.readyLocked(sub)
+	}
+	sd.kickLocked(false)
+}
+
+// kickLocked keeps the worker invariant after the ready list may have grown
+// (or as a worker leaves on a write): if paths are queued, some worker must
+// be on its way to them. Usually one is — running, or idle and
+// signalled here. Only when every worker is out with a path does the stock
+// grow by one, as the batch stock does on a lease miss; it shrinks again
+// as workers find the list empty with another already idle. backlog says
+// the list was non-empty before the caller's pushes — a whole tick went by
+// without the workers draining it — and adds one worker as a hedge, while
+// fewer than GOMAXPROCS are free to run. Caller holds sd.mu.
+func (sd *shard) kickLocked(backlog bool) {
+	if sd.ready == nil {
+		return
+	}
+	free := sd.workers - sd.busy
+	if free == 0 || (backlog && free < runtime.GOMAXPROCS(0)) {
+		sd.startWorkerLocked()
+		return
+	}
+	if sd.idle {
+		sd.signalLocked()
+	}
+}
+
+// signalLocked wakes the idle worker. Caller holds sd.mu and has seen
+// sd.idle set.
+func (sd *shard) signalLocked() {
+	select {
+	case sd.kick <- struct{}{}:
+	default: // signalled already; the token is still in the channel
+	}
+}
+
+// startWorkerLocked adds one worker to the shard. It is only reached with
+// a path on the ready list: that path is unfinished and holds an h.wg
+// count, so this Add never starts from zero under a concurrent Wait.
+// Caller holds sd.mu.
+func (sd *shard) startWorkerLocked() {
+	sd.workers++
+	sd.h.wg.Add(1)
+	go sd.work()
+}
+
+// pathStep is what stepLocked tells the worker holding a path to do next.
+type pathStep int
+
+const (
+	stepPark   pathStep = iota // nothing to send: the path is parked again
+	stepHeader                 // write the stream header
+	stepWrite                  // write the leased batch
+	stepEnd                    // stream over and drained: write the end marker, then retire
+	stepRetire                 // evicted or force-closed: retire without writing
+)
+
+// stepLocked decides what the worker holding p does next, in the order a
+// sender always has: teardown first, then the stream header, then frames —
+// resends before new content — and the end marker once the stream is over
+// and drained. A path with none of these is parked: it holds its
+// subscription and its resend ring, no workspace and no goroutine. The
+// batch is non-nil for stepWrite only; the worker owns its pins and drops
+// them with releaseBatch after the write. Caller holds sd.mu.
+func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
+	h := sd.h
+	if p.sub.evicted || h.closed.Load() {
+		return stepRetire, nil
+	}
+	if !p.started {
+		p.started = true
+		return stepHeader, nil
+	}
+	if b := sd.popBatchLocked(p.sub); b != nil {
+		return stepWrite, b
+	}
+	if h.stopped.Load() || h.genDone.Load() {
+		return stepEnd, nil
+	}
+	p.parked = true
+	return stepPark, nil
+}
+
+// work is one shard worker: take a path off the ready list, do what
+// stepLocked says outside the lock — each step is one blocking write, so a
+// throttled or stalled subscriber occupies this worker for as long as its
+// write takes, exactly the in-flight write it is — and come back for the
+// same path's next step until it parks or retires. The lease of a batch
+// write goes back to the shard under the next lock hold, so neither a
+// parked path nor an idle worker holds a workspace. On a failed write the
+// path retires with the absolute sequences it wrote most recently (oldest
+// first, the in-hand batch last): TCP may have buffered but never
+// delivered them, so finishPath queues them for the subscriber's other
+// paths.
+//
+// hotpath — the sender root; the loop body runs once per delivered batch.
+func (sd *shard) work() {
+	h := sd.h
+	defer h.wg.Done()
+	var (
+		p      *path  // the path this worker holds, nil between paths
+		b      *batch // the lease of the write just done
+		out    bool   // counted in sd.busy
+		idling bool   // set sd.idle before the last unlock
+	)
+	for {
+		sd.mu.Lock()
+		if b != nil {
+			sd.returnLocked(b)
+			b = nil
+		}
+		if out {
+			sd.busy--
+			out = false
+		}
+		if idling {
+			sd.idle, idling = false, false
+		}
+		step := stepPark
+		for step == stepPark {
+			if p == nil {
+				if p = sd.popLocked(); p == nil {
+					break
+				}
+			}
+			if step, b = sd.stepLocked(p); step == stepPark {
+				p = nil
+			}
+		}
+		if p == nil {
+			if sd.idle || sd.live == 0 {
+				// Another worker is already waiting for the list to grow, or
+				// no path is left that could make it grow.
+				sd.workers--
+				sd.mu.Unlock()
+				return
+			}
+			sd.idle, idling = true, true
+			sd.mu.Unlock()
+			<-sd.kick
+			continue
+		}
+		sd.busy++
+		out = true
+		sd.kickLocked(false)
+		sd.mu.Unlock()
+
+		switch step {
+		case stepHeader:
+			p.recent = make([]int64, h.cfg.ResendWindow) // per-path setup, once
+			if err := core.WriteStreamHeader(p.conn, p.idx, p.numPaths, h.cfg.Stream.PayloadSize, h.cfg.Stream.Mu); err != nil {
+				sd.retire(p, nil, fmt.Errorf("hub: path %d header: %w", p.idx, err))
+				p = nil
+			}
+			continue
+		case stepEnd:
+			sd.retire(p, nil, h.writeEndMarker(p))
+			p = nil
+			continue
+		case stepRetire:
+			sd.retire(p, nil, nil)
+			p = nil
+			continue
+		default:
+			// stepWrite, the steady state, follows; stepPark never leaves
+			// the lock with a path in hand.
+		}
+		werr := h.writeBatch(p.conn, p.sub, b)
+		h.releaseBatch(b)
+		if werr != nil {
+			// The kernel may have taken any prefix of the batch; resend
+			// all of it — duplicates are deduplicated client-side. The
+			// append copies the sequences out before the batch goes back
+			// to the shard, where another path's frames overwrite them.
+			recent := append(p.lastWritten(), b.seqs[:b.n]...)
+			sd.retire(p, recent, fmt.Errorf("hub: path %d write: %w", p.idx, werr))
+			p = nil
+			continue
+		}
+		p.remember(b.seqs[:b.n])
+	}
+}
+
+// retire ends p's life on the worker that holds it: finishPath's
+// bookkeeping, then the h.wg count the path has held since it attached.
+func (sd *shard) retire(p *path, recent []int64, err error) {
+	sd.finishPath(p, recent, err)
+	sd.h.wg.Done()
 }
 
 // leaseLocked takes a batch workspace off the shard's free list,
@@ -123,16 +452,6 @@ func (sd *shard) returnLocked(b *batch) {
 	sd.nfree++
 }
 
-// returnBatch hands back the lease of a sender that is leaving without
-// another popBatch call — its write failed mid-batch.
-//
-// bufown owned b — as returnLocked: released first, the shard's after.
-func (sd *shard) returnBatch(b *batch) {
-	sd.mu.Lock()
-	sd.returnLocked(b)
-	sd.mu.Unlock()
-}
-
 // trimFreeLocked drops half of the batches that sat idle through the whole
 // interval since the last trim. A stall that backlogged every path at once
 // leaves one batch per path behind; halving returns that to the steady
@@ -146,33 +465,27 @@ func (sd *shard) trimFreeLocked() {
 	sd.freeLow = sd.nfree
 }
 
-// enforceLagLocked applies the slow-subscriber policy to every subscriber
-// whose cursor has fallen behind its effective window — the configured
+// enforceLagLocked applies the slow-subscriber policy to sub if its
+// cursor has fallen behind its effective window — the configured
 // LagWindow, or less once the resource governor has shrunk it. Caller
 // holds sd.mu.
-func (sd *shard) enforceLagLocked(head int64) {
-	ringSize := sd.h.ring.size()
-	for _, sub := range sd.subs {
-		if sub.evicted {
-			continue
-		}
-		win := int64(sub.window)
-		if win > ringSize {
-			win = ringSize
-		}
-		oldest := head - win
-		if oldest <= 0 || sub.cur >= oldest {
-			continue
-		}
-		switch sd.h.cfg.Policy {
-		case DropOldest:
-			skipped := oldest - sub.cur
-			sub.dropped += skipped
-			sd.h.totalDropped.Add(skipped)
-			sub.cur = oldest
-		case Evict:
-			sd.evictLocked(sub)
-		}
+func (sd *shard) enforceLagLocked(sub *subscriber, head int64) {
+	win := int64(sub.window)
+	if ringSize := sd.h.ring.size(); win > ringSize {
+		win = ringSize
+	}
+	oldest := head - win
+	if oldest <= 0 || sub.cur >= oldest {
+		return
+	}
+	switch sd.h.cfg.Policy {
+	case DropOldest:
+		skipped := oldest - sub.cur
+		sub.dropped += skipped
+		sd.h.totalDropped.Add(skipped)
+		sub.cur = oldest
+	case Evict:
+		sd.evictLocked(sub)
 	}
 }
 
@@ -191,9 +504,15 @@ func (sd *shard) heldLocked(sub *subscriber, head int64) int64 {
 // shedLocked applies one degradation-ladder step to sub: drop its backlog
 // to the current window; if that frees nothing, shrink the window (halving,
 // floored at minShedWindow) and drop again; once even the floor holds
-// nothing clippable, evict. Caller holds sd.mu.
-func (sd *shard) shedLocked(sub *subscriber, head int64) {
-	if sub.evicted {
+// nothing clippable, evict. ranked is the holding (heldLocked) the governor
+// chose sub for, read under an earlier hold of sd.mu: a worker may have
+// drained the subscriber since, and walking the ladder over a backlog that
+// is no longer there finds nothing to clip at any window and ends in
+// evicting a caught-up subscriber. So a subscriber that holds less than it
+// was ranked on is left alone — no step taken or counted — and the
+// governor re-accounts. Caller holds sd.mu.
+func (sd *shard) shedLocked(sub *subscriber, head, ranked int64) {
+	if sub.evicted || sd.heldLocked(sub, head) < ranked {
 		return
 	}
 	sub.sheds++
@@ -243,62 +562,43 @@ func (sd *shard) clipLocked(sub *subscriber, win, head int64) int64 {
 	return freed
 }
 
-// evictLocked disconnects sub and marks it evicted; its paths see closed
-// connections and a later re-attach of its token is refused with a typed
-// reject. Caller holds sd.mu.
+// evictLocked disconnects sub and marks it evicted: its connections are
+// closed, its parked paths queued for teardown (a path out on a write sees
+// the closed connection), and a later re-attach of its token is refused
+// with a typed reject. Caller holds sd.mu.
 func (sd *shard) evictLocked(sub *subscriber) {
 	if sub.evicted {
 		return
 	}
 	sub.evicted = true
 	sd.h.evictedCount.Add(1)
-	for _, c := range sub.conns {
-		_ = c.Close()
+	for _, p := range sub.links {
+		_ = p.conn.Close()
 	}
+	sd.readyLocked(sub)
+	sd.kickLocked(false)
 }
 
-// popBatch returns a leased batch filled with the subscriber's next ready
-// frames — resend-queue packets first, so retransmissions jump ahead of
-// new content, then up to the batch capacity of consecutive cursor
-// packets — pinning each shared ring buffer instead of copying it, and
-// blocking while the subscriber is caught up and generation continues.
-// One wakeup therefore drains one vectored write's worth of frames. prev
-// is the caller's lease from its previous call (nil on the first), already
-// released; it goes back on the shard's free list under the same lock
-// hold, and a batch is leased again only once there are frames to pin, so
-// a sender parked in cond.Wait holds none. nil means the stream is over
-// for this subscriber (drained after Stop/Count, evicted, or force-closed)
-// and the caller holds no lease. The caller owns the pins in the returned
-// batch and must drop them with releaseBatch after its write.
-//
-// bufown owned prev — the previous lease ends here, as in returnLocked.
-func (sd *shard) popBatch(sub *subscriber, prev *batch) *batch {
-	h := sd.h
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	if prev != nil {
-		sd.returnLocked(prev)
-	}
-	for {
-		if sub.evicted || h.closed.Load() {
-			return nil
-		}
-		if len(sub.resend) == 0 && sub.cur >= h.ring.headSeq() {
-			if h.stopped.Load() || h.genDone.Load() {
-				return nil
-			}
-			sd.cond.Wait()
-			continue
-		}
+// popBatchLocked returns a leased batch filled with the subscriber's next
+// ready frames — resend-queue packets first, so retransmissions jump ahead
+// of new content, then up to the batch capacity of consecutive cursor
+// packets — pinning each shared ring buffer instead of copying it. One
+// step therefore drains one vectored write's worth of frames. A batch is
+// leased only once there are frames to pin; nil means the subscriber has
+// none (caught up, or everything ready had already left the ring and is
+// now counted as dropped) and the caller holds no lease. The caller owns
+// the pins in the returned batch and must drop them with releaseBatch
+// after its write. Caller holds sd.mu.
+func (sd *shard) popBatchLocked(sub *subscriber) *batch {
+	for len(sub.resend) > 0 || sub.cur < sd.h.ring.headSeq() {
 		b := sd.leaseLocked()
 		sd.fillLocked(sub, b)
 		if b.n > 0 {
 			return b
 		}
-		// Everything ready had already left the ring: the drops are
-		// counted, and the next pass finds the subscriber caught up.
 		sd.returnLocked(b)
 	}
+	return nil
 }
 
 // fillLocked pins the subscriber's ready frames into b: the resend queue
@@ -338,16 +638,16 @@ func (sd *shard) fillLocked(sub *subscriber, b *batch) {
 	}
 }
 
-// finishPath retires one path sender. A path that drained normally (or died
-// after the stream ended) just goes away, and the subscriber disappears with
-// its last path. A path that died abnormally mid-stream instead queues its
+// finishPath retires one path, called by the worker that holds it with no
+// lock held. A path that drained normally (or died after the stream ended)
+// just goes away, and the subscriber disappears with its last path. A path that died abnormally mid-stream instead queues its
 // recent writes for retransmission and, if it was the subscriber's last
 // path, starts the re-attach grace countdown: the subscription stays in the
 // shard so a redialing client's token still resolves, and is reaped only if
 // the window expires (or the stream ends) with no path back.
-func (sd *shard) finishPath(sub *subscriber, conn net.Conn, recent []int64, err error) {
-	_ = conn.Close()
-	h := sd.h
+func (sd *shard) finishPath(p *path, recent []int64, err error) {
+	_ = p.conn.Close()
+	h, sub := sd.h, p.sub
 	// A resend queue is held memory like any backlog: when this death adds
 	// one, the global budget is re-checked before anyone can observe the
 	// overshoot. The governor lock is taken before the shard lock (the
@@ -359,16 +659,15 @@ func (sd *shard) finishPath(sub *subscriber, conn net.Conn, recent []int64, err 
 		defer h.govMu.Unlock()
 	}
 	sd.mu.Lock()
-	sub.paths--
 	h.pathConns.Add(-1)
-	for i, c := range sub.conns {
-		if c == conn {
-			// slices.Delete zeroes the vacated tail slot; a plain append
-			// would leave the closed conn reachable from the backing
-			// array for as long as the subscriber lives.
-			sub.conns = slices.Delete(sub.conns, i, i+1)
-			break
-		}
+	if i := slices.Index(sub.links, p); i >= 0 {
+		// slices.Delete zeroes the vacated tail slot; a plain append would
+		// leave the closed conn reachable from the backing array for as
+		// long as the subscriber lives.
+		sub.links = slices.Delete(sub.links, i, i+1)
+	}
+	if sd.live--; sd.live == 0 && sd.idle {
+		sd.signalLocked() // nothing left that could grow the list: let the idle worker go
 	}
 	abnormal := err != nil && !sub.evicted && !h.closed.Load()
 	if abnormal {
@@ -381,7 +680,7 @@ func (sd *shard) finishPath(sub *subscriber, conn net.Conn, recent []int64, err 
 			sub.resend = mergeSeqs(sub.resend, recent)
 		}
 		switch {
-		case sub.paths > 0:
+		case len(sub.links) > 0:
 			// Surviving paths serve the resends.
 		case h.cfg.ReattachGrace > 0:
 			sub.graceGen++
@@ -396,9 +695,9 @@ func (sd *shard) finishPath(sub *subscriber, conn net.Conn, recent []int64, err 
 					t.Stop()
 				}
 				sd.mu.Lock()
-				// A re-attach (paths > 0) or a newer death's timer
+				// A re-attach (a path is back) or a newer death's timer
 				// (graceGen moved on) supersedes this countdown.
-				if sub.paths == 0 && sub.graceGen == gen {
+				if len(sub.links) == 0 && sub.graceGen == gen {
 					sd.removeLocked(sub)
 				}
 				sd.mu.Unlock()
@@ -412,7 +711,7 @@ func (sd *shard) finishPath(sub *subscriber, conn net.Conn, recent []int64, err 
 		}
 		return
 	}
-	if sub.paths == 0 {
+	if len(sub.links) == 0 {
 		sd.removeLocked(sub)
 	}
 	sd.mu.Unlock()

@@ -95,7 +95,7 @@ func TestRepoHotpathChain(t *testing.T) {
 	}
 	for _, want := range []string{
 		"dmpstream/internal/hub.Hub.generate",
-		"dmpstream/internal/hub.Hub.sendLoop",
+		"dmpstream/internal/hub.shard.work",
 		"dmpstream/internal/core.Server.generate",
 		"dmpstream/internal/core.Session.sendLoop",
 		"dmpstream/internal/registry.Registry.Route",
@@ -108,13 +108,15 @@ func TestRepoHotpathChain(t *testing.T) {
 	// Transitive coverage: none of these carry their own marker; they
 	// must be reached through the call graph.
 	for key, wantRoot := range map[string]bool{
-		"dmpstream/internal/hub.ring.publish":    false, // generate → ring advance
-		"dmpstream/internal/hub.shard.wake":      false, // generate → shard wakeup
-		"dmpstream/internal/hub.shard.popBatch":  false, // sendLoop → lease + fill
-		"dmpstream/internal/hub.ring.pinBatch":   false, // popBatch → fillLocked → pin
-		"dmpstream/internal/hub.Hub.writeBatch":  false, // sendLoop → header patch + writev
-		"dmpstream/internal/core.PutFrameHeader": false, // writeBatch → frame encode
-		"dmpstream/internal/core.Server.pop":     false,
+		"dmpstream/internal/hub.ring.publish":         false, // generate → ring advance
+		"dmpstream/internal/hub.shard.wake":           false, // generate → shard wakeup
+		"dmpstream/internal/hub.shard.readyLocked":    false, // wake → parked paths onto the ready list
+		"dmpstream/internal/hub.shard.kickLocked":     false, // wake / work → signal the idle worker
+		"dmpstream/internal/hub.shard.popBatchLocked": false, // work → stepLocked → lease + fill
+		"dmpstream/internal/hub.ring.pinBatch":        false, // popBatchLocked → fillLocked → pin
+		"dmpstream/internal/hub.Hub.writeBatch":       false, // work → header patch + writev
+		"dmpstream/internal/core.PutFrameHeader":      false, // writeBatch → frame encode
+		"dmpstream/internal/core.Server.pop":          false,
 
 		"dmpstream/internal/hub.payloadBuf.fillFrom": true, // copy-point marker makes it a root too
 	} {
