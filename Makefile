@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak soak-tree bench-smoke
+.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak soak-tree bench-smoke bench-tick
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -73,6 +73,16 @@ bench-smoke:
 	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
 	@out=$$(bash benchmark/run.sh --workload fanout_overload --seconds 5 --trace 0); status=$$?; \
 	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
+
+# bench-tick times the generator tick's critical section (PublishAt: ring
+# publish, every shard's wake, the governor pass) over 1k, 4k and 16k
+# parked subscribers, with and without a byte budget — the root-module
+# reproducer of "a tick over a population at pace costs O(shards)": the
+# tick-ns/op column must not grow with the population. ns/op also counts the
+# wait for the previous tick to be served; read tick-ns/op.
+TICKS ?= 300
+bench-tick:
+	$(GO) test -run '^$$' -bench BenchmarkPublishTick -benchtime $(TICKS)x ./internal/hub
 
 # soak runs the randomized chaos harness against a live hub under the
 # race detector: seeded churn of joins, leaves, overload bursts, flaps

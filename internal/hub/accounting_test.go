@@ -31,10 +31,7 @@ func TestBytesHeldSharedAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		sub := &subscriber{token: tok, shard: sd, cur: cur, window: 8, resend: resend}
-		sd.mu.Lock()
-		sd.subs[tok] = sub
-		sd.mu.Unlock()
-		h.subCount.Add(1)
+		addSub(sd, sub)
 		return sub
 	}
 	// A needs 2..7; B's cursor is at 5 but its resend queue reaches back
@@ -94,23 +91,20 @@ func TestShedSkipsDrainedSubscriber(t *testing.T) {
 	h := ownershipHub(t, 64, payload, 64) // head 64, ring holds 0..63
 	sd := h.shards[0]
 	sub := &subscriber{token: newToken(t), shard: sd, cur: 4, window: 64}
-	sd.mu.Lock()
-	sd.subs[sub.token] = sub
-	sd.mu.Unlock()
-	h.subCount.Add(1)
+	addSub(sd, sub)
 	head := h.ring.headSeq()
 
 	// Rank: the subscriber holds 60 frames and is the worst (the only) one.
 	h.govMu.Lock()
 	defer h.govMu.Unlock()
-	_, ranked, worst, worstShard := h.accountLocked(head)
+	_, ranked, worst, worstShard := h.accountLocked(head, true)
 	if worst != sub || worstShard != sd || ranked != 60*(payload+core.FrameHeaderSize) {
 		t.Fatalf("ranked %p (shard %p) at %d bytes", worst, worstShard, ranked)
 	}
 
 	// Between rank and shed a worker delivers the whole backlog.
 	sd.mu.Lock()
-	sub.cur = head
+	sd.advanceLocked(sub, head)
 	sd.shedLocked(sub, head, ranked)
 	evicted, window, sheds := sub.evicted, sub.window, sub.sheds
 	sd.mu.Unlock()
@@ -121,7 +115,7 @@ func TestShedSkipsDrainedSubscriber(t *testing.T) {
 
 	// A subscriber that still holds what it was ranked on is shed as before.
 	sd.mu.Lock()
-	sub.cur = 4
+	sd.advanceLocked(sub, 4) // back where it was ranked
 	sd.shedLocked(sub, head, ranked)
 	evicted, window, sheds, cur := sub.evicted, sub.window, sub.sheds, sub.cur
 	sd.mu.Unlock()

@@ -48,18 +48,6 @@ func quietHub(t *testing.T) *Hub {
 	return h
 }
 
-// sinkConn is a net.Conn that discards writes without allocating.
-type sinkConn struct{}
-
-func (sinkConn) Read(p []byte) (int, error)       { return 0, net.ErrClosed }
-func (sinkConn) Write(p []byte) (int, error)      { return len(p), nil }
-func (sinkConn) Close() error                     { return nil }
-func (sinkConn) LocalAddr() net.Addr              { return nil }
-func (sinkConn) RemoteAddr() net.Addr             { return nil }
-func (sinkConn) SetDeadline(time.Time) error      { return nil }
-func (sinkConn) SetReadDeadline(time.Time) error  { return nil }
-func (sinkConn) SetWriteDeadline(time.Time) error { return nil }
-
 // TestZeroCopyHotPathAllocFree drives the zero-copy steady state by hand,
 // as one worker would — ring.publish (pool acquire + fill), shard.wake,
 // the lease step (hand the previous lease back, popBatchLocked: lease
@@ -74,10 +62,7 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 
 	var tok core.Token
 	sub := &subscriber{token: tok, shard: sd, window: h.cfg.LagWindow}
-	sd.mu.Lock()
-	sd.subs[tok] = sub
-	sd.mu.Unlock()
-	h.subCount.Add(1)
+	addSub(sd, sub)
 
 	var conn net.Conn = sinkConn{}
 	var b *batch
@@ -105,11 +90,12 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 // workspace (leased per write from the shard), not a frame buffer
 // (allocated at stream end) and not a goroutine (a parked path is an entry;
 // the shard's workers follow the writes in flight). 2000 parked paths must
-// stay under 1.5 KB of live heap plus goroutine stack each, on no more
+// stay under 0.75 KB of live heap plus goroutine stack each, on no more
 // than a worker or two per shard; with a goroutine per path the same
-// measurement read 1.3 KB of heap plus 2.4–4.1 KB of stack.
+// measurement read 1.3 KB of heap plus 2.4–4.1 KB of stack, and with
+// absolute 64-bit sequences in the resend ring 0.85 KB of heap.
 func TestParkedPathFootprint(t *testing.T) {
-	const paths, perPathBudget = 2000, 1536
+	const paths, perPathBudget = 2000, 768
 	h, err := New(Config{
 		Stream:         core.Config{Mu: 250, PayloadSize: 256},
 		StreamID:       "live",

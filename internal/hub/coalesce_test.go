@@ -25,7 +25,7 @@ func TestTickCoalescesWakeups(t *testing.T) {
 
 	conn := newLeaseConn()
 	attach(t, h, conn) // joins at the live edge: cur == head == 1
-	waitFor(t, "the path to park", func() bool { return placed(sd).parked == 1 })
+	waitFor(t, "the path to park", func() bool { return placed(t, sd).parked == 1 })
 	sd.mu.Lock()
 	wakes0 := sd.wakes
 	sd.mu.Unlock()
@@ -46,7 +46,7 @@ func TestTickCoalescesWakeups(t *testing.T) {
 	if wakes != 1 {
 		t.Fatalf("%d-packet tick visited the shard %d times, want exactly 1", k, wakes)
 	}
-	waitFor(t, "the path to park again", func() bool { return placed(sd).parked == 1 })
+	waitFor(t, "the path to park again", func() bool { return placed(t, sd).parked == 1 })
 	if conn.torn.Load() != 0 {
 		t.Fatalf("%d torn payloads", conn.torn.Load())
 	}

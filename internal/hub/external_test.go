@@ -10,7 +10,7 @@ import (
 )
 
 // newExternalHub builds an ExternalSource hub for direct PublishAt tests.
-func newExternalHub(t *testing.T, cfg Config) *Hub {
+func newExternalHub(t testing.TB, cfg Config) *Hub {
 	t.Helper()
 	cfg.ExternalSource = true
 	if cfg.Stream.Mu == 0 {

@@ -16,31 +16,32 @@
 // Config.Shards per-core worker groups, and a shard's mutex covers exactly
 // its own subscribers' cursors, resend queues, paths and workers. The
 // generator publishes each packet into a shared ring (exclusive lock, one
-// writer) and then wakes the shards, which enforce the lag policy for
-// their own laggards and queue the paths that now have frames; a shard
-// worker pins the shared payload buffers under a shared read lock and
-// hands [patched per-subscriber header, shared payload] pairs to the
-// connection as one vectored write per wakeup, so the payload bytes are
-// never copied in user space. Ring advance, lag enforcement and fan-out
+// writer) and then wakes the shards, which enforce the lag policy for the
+// subscribers that can be behind and wake every caught-up path in one
+// splice, visiting none of them; a shard worker pins the shared payload
+// buffers under a shared read lock and hands [patched per-subscriber
+// header, shared payload] pairs to the connection as one vectored write
+// per wakeup, so the payload bytes are never copied in user space. Ring advance, lag enforcement and fan-out
 // therefore never serialize on a single hub-wide mutex — the only
 // cross-shard points are admission (control plane), the byte-budget
 // governor, and Stats, none of which sit on the frame hot path. Shards=1
 // puts the whole population under one shard lock.
 //
-// An attached path is an entry, not a goroutine: parked on its subscriber
-// while it has nothing to send, on its shard's ready list once it has, or
-// held by the one worker that is writing it (see shard). The workers are a
-// small self-sizing stock per shard — whoever grows the ready list signals
-// the idle worker or, with every worker out on a write, starts one; a
-// worker that finds the list empty while another is idle exits — so
-// goroutines, like the batch workspaces the workers lease from the shard's
+// An attached path is an entry, not a goroutine: on its shard's parked
+// list while it has nothing to send, woken or ready once it has, or held by
+// the one worker that is writing it (see shard). The workers are a small
+// self-sizing stock per shard — whoever queues a path signals the idle
+// worker or, with every worker out on a write, starts one; a worker that
+// finds nothing queued while another is idle exits — so goroutines, like the batch workspaces the workers lease from the shard's
 // free list for the span of one write, scale with writes in flight, not
 // with attached paths: a path parked on a caught-up subscriber holds its
 // subscription, its entry and its resend ring, nothing else, and a
 // subscriber blocked in Write holds exactly one worker.
 //
 // A subscriber that cannot keep up falls behind the ring. The hub then
-// applies the configured slow-subscriber policy at generation time:
+// applies the configured slow-subscriber policy — each tick to the
+// subscribers that can be behind (a write in flight, still queued, or no
+// path at all), and to anyone else at the moment a worker fetches for it:
 // DropOldest advances the laggard's cursor to the oldest live packet and
 // counts the skipped packets as drops (the client sees a sequence gap);
 // Evict disconnects the subscriber outright. Either way, one stalled
@@ -581,40 +582,34 @@ func (h *Hub) signalStopLocked() {
 // patch for every frame it has yet to take. The worst laggard is still
 // ranked by heldLocked's full-frame attribution: for choosing whom to
 // shed, a laggard pinning the whole ring span is exactly as expensive as
-// the payload bytes it alone keeps alive. Caller holds h.govMu; shard
-// locks are taken one at a time underneath it.
-func (h *Hub) accountLocked(head int64) (total, worstHeld int64, worst *subscriber, worstShard *shard) {
-	tail := head - h.ring.size()
-	if tail < 0 {
-		tail = 0
-	}
+// the payload bytes it alone keeps alive.
+//
+// Nothing here visits a parked subscriber. The header frames are
+// Σ (head − cur + len(resend)) = nsubs·head − curSum + resendSum from each
+// shard's running totals, and the oldest needed packet and the worst
+// holder come from the shard's walk over the subscribers that can be
+// behind (behindLocked), so the cost is O(shards + subscribers behind).
+// exact says whether that walk includes the paths the last tick woke and no
+// worker has reached yet. With it set the result is what a scan over every
+// subscriber returns; without it the woken subscribers are accounted by the
+// bound they share, total is an upper bound on the exact figure (equal to it
+// on a tick that found everybody at pace) and worst is not to be used.
+// Caller holds h.govMu; shard locks are taken one at a time underneath it.
+func (h *Hub) accountLocked(head int64, exact bool) (total, worstHeld int64, worst *subscriber, worstShard *shard) {
+	tail := max(head-h.ring.size(), 0)
 	minNeed := head
-	var hdrBytes int64
+	var hdrFrames int64
 	for _, sd := range h.shards {
 		sd.mu.Lock()
-		for _, sub := range sd.subs {
-			if sub.evicted {
-				continue
-			}
-			need := sub.cur
-			if len(sub.resend) > 0 && sub.resend[0] < need {
-				need = sub.resend[0]
-			}
-			if need < tail {
-				need = tail
-			}
-			if need < minNeed {
-				minNeed = need
-			}
-			hdrBytes += (head - sub.cur + int64(len(sub.resend))) * core.FrameHeaderSize
-			held := sd.heldLocked(sub, head)
-			if held > worstHeld {
-				worst, worstHeld, worstShard = sub, held, sd
-			}
-		}
+		hdrFrames += sd.nsubs*head - sd.curSum + sd.resendSum
+		bh := sd.behindLocked(head, tail, exact)
 		sd.mu.Unlock()
+		minNeed = min(minNeed, bh.need)
+		if bh.worstHeld > worstHeld {
+			worst, worstHeld, worstShard = bh.worst, bh.worstHeld, sd
+		}
 	}
-	total = (head-minNeed)*int64(h.cfg.Stream.PayloadSize) + hdrBytes
+	total = (head-minNeed)*int64(h.cfg.Stream.PayloadSize) + hdrFrames*core.FrameHeaderSize
 	return total, worstHeld, worst, worstShard
 }
 
@@ -622,14 +617,21 @@ func (h *Hub) accountLocked(head int64) (total, worstHeld int64, worst *subscrib
 // holdings at live edge head. While the sum exceeds the budget it sheds
 // the laggiest subscriber with one degradation-ladder step at a time, so
 // overload degrades the worst laggard's quality instead of the whole
-// hub's. Caller holds h.govMu; shard locks are taken one at a time
-// underneath it.
+// hub's. The pass every tick makes is the bounded account, which visits
+// none of the paths the tick has just woken; only when that cannot show the
+// hub within its budget does the governor pay for the exact one — then for
+// every step, because whom to shed and when to stop must be what a scan
+// over every subscriber would say. Caller holds h.govMu; shard locks are
+// taken one at a time underneath it.
 func (h *Hub) governLocked(head int64) {
 	if h.cfg.MaxBytes <= 0 {
 		return
 	}
+	if total, _, _, _ := h.accountLocked(head, false); total <= h.cfg.MaxBytes {
+		return
+	}
 	for {
-		total, worstHeld, worst, worstShard := h.accountLocked(head)
+		total, worstHeld, worst, worstShard := h.accountLocked(head, true)
 		if total <= h.cfg.MaxBytes || worst == nil || worstHeld == 0 {
 			return
 		}
@@ -857,8 +859,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 			}
 		}
 		sub = &subscriber{token: j.Token, shard: sd, first: first, cur: cur, window: h.cfg.LagWindow}
-		sd.subs[j.Token] = sub
-		h.subCount.Add(1)
+		sd.registerLocked(sub)
 	}
 	if sub.evicted {
 		sd.mu.Unlock()
@@ -868,8 +869,12 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 			j.Token, &core.RejectError{Code: core.RejectEvicted})
 	}
 	h.pathConns.Add(1)
-	p := &path{sub: sub, conn: conn, idx: sub.nextPath, numPaths: len(sub.links) + 1}
+	p := &path{sub: sub, conn: conn, idx: int(sub.nextPath), numPaths: len(sub.links) + 1}
 	sub.nextPath++
+	if len(sub.links) == 0 {
+		// No orphan any more, if it was one: a path is back within the grace.
+		sd.unorphanLocked(sub)
+	}
 	sub.links = append(sub.links, p)
 	if sub.deadPaths > 0 {
 		// This join revives a slot an abnormal death left open: the token
@@ -882,7 +887,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 	// header to write.
 	h.wg.Add(1)
 	sd.live++
-	sd.pushLocked(p)
+	sd.ready.push(p)
 	sd.kickLocked(false)
 	sd.mu.Unlock()
 	h.mu.Unlock()
@@ -1123,12 +1128,14 @@ func (h *Hub) TotalDropped() int64 {
 
 // BytesHeld returns the buffered bytes currently attributed to subscribers
 // without building the full Stats snapshot — the cheap sampling hook for
-// dashboards and the benchmark. Like Stats, it aggregates under the
-// governor lock so it never observes the budget mid-settlement.
+// dashboards and the benchmark: it visits the shards and the subscribers
+// that can be behind — paths a tick woke and no worker has reached yet
+// among them — not the parked population. It reads under the governor lock,
+// so it never observes the budget mid-settlement.
 func (h *Hub) BytesHeld() int64 {
 	h.govMu.Lock()
 	defer h.govMu.Unlock()
-	total, _, _, _ := h.accountLocked(h.ring.headSeq())
+	total, _, _, _ := h.accountLocked(h.ring.headSeq(), true)
 	return total
 }
 
@@ -1192,10 +1199,12 @@ type Stats struct {
 	Subs          []SubscriberStats
 }
 
-// Stats returns a snapshot of the hub and its current subscribers. The
-// per-subscriber walk takes the governor lock and then each shard's lock
-// in turn, so BytesHeld is always observed after a governor pass — never
-// between a publish and the shed that settles the budget.
+// Stats returns a snapshot of the hub and its current subscribers.
+// BytesHeld is read under the governor lock, so it is always observed after
+// a governor pass — never between a publish and the shed that settles the
+// budget. The per-subscriber walk then takes only each shard's lock in
+// turn, and the generator keeps ticking through it: each shard's rows are
+// exact for the live edge at the moment that shard was read.
 func (h *Hub) Stats() Stats {
 	st := Stats{
 		StreamID:      h.cfg.StreamID,
@@ -1222,11 +1231,13 @@ func (h *Hub) Stats() Stats {
 	st.Handshaking = len(h.pending)
 	st.Draining = h.draining
 	h.mu.Unlock()
-	h.govMu.Lock()
-	head := h.ring.headSeq()
-	st.BytesHeld, _, _, _ = h.accountLocked(head)
+	st.BytesHeld = h.BytesHeld()
+	st.Subs = make([]SubscriberStats, 0, h.SubscriberCount())
 	for _, sd := range h.shards {
 		sd.mu.Lock()
+		// Read under the shard lock, the live edge is at or past every
+		// cursor of the shard.
+		head := h.ring.headSeq()
 		for _, sub := range sd.subs {
 			held := int64(0)
 			if !sub.evicted {
@@ -1253,7 +1264,6 @@ func (h *Hub) Stats() Stats {
 		}
 		sd.mu.Unlock()
 	}
-	h.govMu.Unlock()
 	st.Subscribers = len(st.Subs)
 	if s := st.Elapsed.Seconds(); s > 0 {
 		st.GoodputPkts = float64(st.Sent) / s

@@ -140,7 +140,7 @@ func attach(t *testing.T, h *Hub, conn net.Conn) core.Token {
 	return tok
 }
 
-func waitFor(t *testing.T, what string, pred func() bool) {
+func waitFor(t testing.TB, what string, pred func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !pred() {
@@ -334,10 +334,7 @@ func TestLeaseWriteErrorRecentIsCopy(t *testing.T) {
 
 	// The next lessee gets the same batch and rewrites its sequences.
 	other := &subscriber{token: newToken(t), shard: sd, cur: 1, window: h.cfg.LagWindow}
-	sd.mu.Lock()
-	sd.subs[other.token] = other
-	sd.mu.Unlock()
-	h.subCount.Add(1)
+	addSub(sd, other)
 	b := popBatch(sd, other, nil)
 	if b == nil || b.n != 3 || b.seqs[0] != 1 {
 		t.Fatalf("next lessee's batch: %+v", b)
@@ -359,10 +356,7 @@ func TestLeaseResendOnly(t *testing.T) {
 	sd := h.shards[0]
 	publish(t, h, 0, 8) // ring holds 4..7
 	sub := &subscriber{token: newToken(t), shard: sd, cur: 8, window: 4, resend: []int64{5, 6}}
-	sd.mu.Lock()
-	sd.subs[sub.token] = sub
-	sd.mu.Unlock()
-	h.subCount.Add(1)
+	addSub(sd, sub)
 
 	b := popBatch(sd, sub, nil)
 	if b == nil || b.n != 2 || b.seqs[0] != 5 || b.seqs[1] != 6 {
@@ -382,9 +376,7 @@ func TestLeaseResendOnly(t *testing.T) {
 
 	// Packets 0 and 1 are long gone: the lease finds nothing to pin, goes
 	// back, and the stopped stream ends the sender with no lease in hand.
-	sd.mu.Lock()
-	sub.resend = []int64{0, 1}
-	sd.mu.Unlock()
+	setResend(sd, sub, []int64{0, 1})
 	h.Stop()
 	if got := popBatch(sd, sub, b); got != nil {
 		t.Fatalf("popBatch pinned %d frames from a lapped resend queue", got.n)

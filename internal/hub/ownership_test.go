@@ -43,22 +43,49 @@ func TestRingCopyAtIngest(t *testing.T) {
 // sequence numbers, re-pinned through the shared ring on re-attach, so
 // there is no retained payload to go stale. Adding a payload alias to the
 // ring would reintroduce the exact use-after-lap bug the bufown analyzer
-// exists to prevent, so the element type is pinned reference-free here.
-// (internal/core has the matching pin for its queued metadata ring.)
+// exists to prevent, so the element type is pinned reference-free here:
+// a fixed-size integer, whatever its width. (internal/core has the
+// matching pin for its queued metadata ring.) The ring stores the number
+// that went on the wire, so what it unrolls to is checked in absolute
+// sequences for a rebased subscriber, for an absolute one, and across the
+// ring's wrap-around.
 func TestResendRingRetainsNoPayloadAliases(t *testing.T) {
-	rt := reflect.TypeOf(path{}.recent).Elem()
-	if k := rt.Kind(); k != reflect.Int64 {
-		t.Fatalf("hub resend ring element is %v, want int64 (metadata only)", k)
+	switch k := reflect.TypeOf(path{}.recent).Elem().Kind(); k {
+	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+	default:
+		t.Fatalf("hub resend ring element is %v, want a plain integer (metadata only, nothing that can hold a reference)", k)
 	}
-	p := &path{recent: make([]int64, 3)}
-	p.remember([]int64{1, 2, 3, 4, 5, 6, 7})
-	if got, want := p.lastWritten(), []int64{5, 6, 7}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("a 3-slot ring after 7 writes unrolls to %v, want %v", got, want)
+	for _, tc := range []struct {
+		name  string
+		first int64 // the subscriber's join point: 0 for a JoinFlagAbsolute subscriber
+		slots int
+		write [][]int64 // batches remembered, in order
+		want  []int64
+	}{
+		{"absolute, wrapped", 0, 3, [][]int64{{1, 2, 3, 4, 5, 6, 7}}, []int64{5, 6, 7}},
+		{"absolute, not full", 0, 3, [][]int64{{8, 9}}, []int64{8, 9}},
+		{"rebased, not full", 1000, 4, [][]int64{{1000, 1001}, {1002}}, []int64{1000, 1001, 1002}},
+		{"rebased, exactly full", 1000, 3, [][]int64{{1000, 1001, 1002}}, []int64{1000, 1001, 1002}},
+		{"rebased, wrapped mid-batch", 1 << 40, 4, [][]int64{{1<<40 + 5, 1<<40 + 6, 1<<40 + 7}, {1<<40 + 8, 1<<40 + 9, 1<<40 + 10}},
+			[]int64{1<<40 + 7, 1<<40 + 8, 1<<40 + 9, 1<<40 + 10}},
+		{"rebased, resends out of order", 500, 3, [][]int64{{510, 511}, {503, 504}}, []int64{511, 503, 504}},
+		{"rebased, wrapped many times", 7, 2, [][]int64{{7, 8, 9}, {10, 11, 12}, {13}}, []int64{12, 13}},
+	} {
+		p := &path{sub: &subscriber{first: tc.first}, recent: make([]uint32, tc.slots)}
+		for _, batch := range tc.write {
+			p.remember(batch)
+		}
+		got := p.lastWritten()
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: a %d-slot ring unrolls to %v, want %v", tc.name, tc.slots, got, tc.want)
+		}
+		if cap(got)-len(got) < writeBatchFrames {
+			t.Errorf("%s: no room left to append the batch in hand", tc.name)
+		}
 	}
-	q := &path{recent: make([]int64, 3)}
-	q.remember([]int64{8, 9})
-	if got, want := q.lastWritten(), []int64{8, 9}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("a 3-slot ring after 2 writes unrolls to %v, want %v", got, want)
+	if got := (&path{sub: &subscriber{}, recent: make([]uint32, 3)}).lastWritten(); got != nil {
+		t.Errorf("a path that never wrote unrolls to %v, want nil", got)
 	}
 }
 
@@ -119,10 +146,7 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 			t.Fatal(err)
 		}
 		sub := &subscriber{token: tok, shard: sd, first: 0, cur: cur, window: 4}
-		sd.mu.Lock()
-		sd.subs[tok] = sub
-		sd.mu.Unlock()
-		h.subCount.Add(1)
+		addSub(sd, sub)
 		return sub
 	}
 	// head is 8, ring holds seqs 4..7.
@@ -218,10 +242,7 @@ func TestReattachResendReplayFromPool(t *testing.T) {
 	// left seqs 9 and 10 queued for retransmission.
 	sub := &subscriber{token: tok, shard: sd, first: 6, cur: 12, window: 4,
 		resend: []int64{9, 10}}
-	sd.mu.Lock()
-	sd.subs[tok] = sub
-	sd.mu.Unlock()
-	h.subCount.Add(1)
+	addSub(sd, sub)
 
 	b := popBatch(sd, sub, nil)
 	if b == nil {

@@ -14,39 +14,47 @@ import (
 // subscriber is one multipath subscription: a cursor into the ring plus the
 // paths attached under its token. All mutable fields are guarded by the
 // owning shard's mutex; token, first and shard are immutable after
-// creation.
+// creation. The shard keeps running totals over its subscribers' cursors
+// and resend queues (see shard), so cur and resend change only through
+// advanceLocked and the resend helpers.
 type subscriber struct {
 	token core.Token
 	shard *shard // owning shard, fixed by the token hash
 	first int64  // absolute sequence at join; frames are rebased to it
 
-	cur      int64   // guarded by mu (the shard's); absolute next sequence to fetch
-	nextPath int     // guarded by mu; next path index to hand out
-	sent     int64   // guarded by mu
-	dropped  int64   // guarded by mu
-	evicted  bool    // guarded by mu
-	links    []*path // guarded by mu; attached paths, in attach order
-	window   int     // guarded by mu; effective lag window, shrunk by the governor
-	sheds    int64   // guarded by mu; degradation-ladder steps applied
+	cur       int64   // guarded by mu (the shard's); absolute next sequence to fetch
+	nextPath  int32   // guarded by mu; next path index to hand out
+	deadPaths int32   // guarded by mu; abnormal deaths not yet matched by a re-attach
+	sent      int64   // guarded by mu
+	dropped   int64   // guarded by mu
+	evicted   bool    // guarded by mu
+	links     []*path // guarded by mu; attached paths, in attach order
+	window    int     // guarded by mu; effective lag window, shrunk by the governor
+	sheds     int64   // guarded by mu; degradation-ladder steps applied
+
+	// writer is the path that took a multipath subscriber's most recent
+	// frames (nil for a single path). It parks behind its siblings, so at
+	// pace — one frame per tick, the first path reached takes it — the
+	// subscriber's paths take turns.
+	writer *path // guarded by mu
 
 	// Path-death bookkeeping. resend holds absolute sequences a dead path
 	// may not have delivered, served (oldest first) before the cursor by any
-	// of the subscriber's paths. deaths counts abnormal path deaths;
-	// deadPaths counts deaths not yet matched by a re-attach. graceGen
+	// of the subscriber's paths. deaths counts abnormal path deaths. graceGen
 	// versions the pending grace timer so a timer from an earlier death
 	// cannot delete a subscriber that re-attached and died again.
-	resend    []int64 // guarded by mu; sorted ascending, deduplicated
-	deaths    int64   // guarded by mu
-	deadPaths int     // guarded by mu
-	graceGen  int64   // guarded by mu
+	resend   []int64 // guarded by mu; sorted ascending, deduplicated
+	deaths   int64   // guarded by mu
+	graceGen int64   // guarded by mu
+	orphan   int     // guarded by mu; place in the shard's orphans plus one, 0 while not an orphan
 }
 
 // path is one attached path connection: what a worker needs to resume it —
 // the subscriber it serves, the connection, its place among the
 // subscriber's paths and the sequences it wrote last. It is an entry, not
-// a goroutine. At any moment it is in exactly one of three places: parked
-// on its subscriber with nothing to send, on its shard's ready list, or
-// held by the one shard worker that is writing it — which is what keeps a
+// a goroutine. At any moment it is on exactly one of its shard's lists:
+// parked with nothing to send, woken or ready with something to do, or held
+// by the one shard worker that is writing it — which is what keeps a
 // path's writes one at a time and in order.
 type path struct {
 	sub      *subscriber
@@ -54,14 +62,18 @@ type path struct {
 	idx      int // path index announced in the stream header
 	numPaths int // the subscriber's path count when this one attached
 
-	parked bool  // guarded by mu (the shard's); on neither the ready list nor a worker
-	next   *path // guarded by mu; ready-list link
+	next, prev *path // guarded by mu (the shard's); links of the list the path is on
+	held       bool  // guarded by mu; on the shard's held list: a worker has it
 
 	// Owned by whichever worker holds the path; the shard mutex orders one
 	// holder's accesses before the next one's.
-	started bool    // stream header written (or being written)
-	recent  []int64 // resend ring: the last ResendWindow sequences written
-	wrote   int     // sequences ever recorded; recent[wrote%len] is next to overwrite
+	started bool // stream header written (or being written)
+	// recent is the resend ring: the last ResendWindow sequences written, each
+	// as the number that went on the wire — uint32(seq − sub.first) — which is
+	// half the bytes of the absolute sequence and loses nothing the wire
+	// format had kept.
+	recent []uint32
+	wrote  int // sequences ever recorded; recent[wrote%len] is next to overwrite
 }
 
 // remember records a written batch's sequences in the path's resend ring.
@@ -71,61 +83,97 @@ func (p *path) remember(seqs []int64) {
 		return
 	}
 	for _, seq := range seqs {
-		p.recent[p.wrote%win] = seq
+		p.recent[p.wrote%win] = uint32(seq - p.sub.first)
 		p.wrote++
 	}
 }
 
-// lastWritten returns a copy of the resend ring's contents, oldest first,
-// with room for a batch to be appended; nil if the path never wrote.
+// lastWritten returns the absolute sequences in the resend ring, oldest
+// first, with room for a batch to be appended; nil if the path never wrote.
 func (p *path) lastWritten() []int64 {
 	n := min(p.wrote, len(p.recent))
 	if n == 0 {
 		return nil
 	}
 	out := make([]int64, 0, n+writeBatchFrames)
-	i := p.wrote % n // the oldest entry once the ring has wrapped, 0 before
-	out = append(out, p.recent[i:n]...)
-	return append(out, p.recent[:i]...)
+	at := p.wrote % n // the oldest entry once the ring has wrapped, 0 before
+	for i := 0; i < n; i++ {
+		out = append(out, p.sub.first+int64(p.recent[at]))
+		if at++; at == n {
+			at = 0
+		}
+	}
+	return out
 }
 
 // shard owns one slice of the subscriber population. Each subscriber is
 // pinned to a shard by a hash of its token, so a shard's mutex covers
 // exactly its own subscribers' cursors, resend queues, paths and workers —
 // ring advance, lag enforcement and fan-out for one shard never contend
-// with another shard's. The generator wakes each shard once per packet;
+// with another shard's. The generator wakes each shard once per tick;
 // everything else on the frame hot path is shard-local plus a shared
 // (read) lock on the ring.
 //
+// Every attached path is on one of four lists. parked: its subscriber had
+// nothing to fetch when a worker last looked, and nothing has been
+// published to this shard since. woken: the paths the last tick found
+// parked, moved over in one splice — their subscribers were caught up to
+// wokeAt, so they are at most that tick behind. ready: paths given
+// something to do one at a time — a fresh attach (stream header), a
+// teardown, a resend queue to serve — and whatever an earlier tick woke
+// that the workers have not reached yet. held: a worker has the path, out
+// on a write or deciding its next step. The invariant the tick's cost
+// rests on: a subscriber that can be behind has no parked path — it is
+// reachable from held or ready, or has no path at all and is in orphans —
+// so a tick applies the lag policy by walking those three and moves the
+// caught-up rest without visiting it.
+//
+// The same split keeps the byte accounting cheap: nsubs, curSum and
+// resendSum are maintained wherever a subscriber registers, moves or
+// leaves, which gives the per-subscriber header bytes in O(1), and the
+// oldest needed packet and the worst holder can only be found among the
+// subscribers the walk reaches (behindLocked).
+//
 // Sending is done by a small set of worker goroutines per shard, not one
-// per path. Whoever gives a parked path something to do — wake (frames),
-// AttachJoined (stream header), evictLocked and Hub.Close (teardown),
-// Hub.Stop (end marker) — moves it to the FIFO ready list under the mutex
-// it already holds; a worker pops it, does its blocking write, and keeps
-// it while it has more to send or parks it again. The worker stock sizes
-// itself on one invariant: while the ready list is non-empty, some worker
-// is not busy. Whoever grows the list signals the idle worker or, if every
-// worker is out on a write, starts one; a worker about to leave on a write
-// does the same; and a worker that finds the list empty while another is
-// already idle exits. Healthy sinks therefore share a handful of workers,
-// while each sink blocked in Write holds exactly one — the write in flight
-// that it is.
+// per path. A worker takes the oldest ready path — woken ones once ready is
+// empty — does its blocking write, and keeps it while it has more to send
+// or parks it again. The worker stock sizes itself on one invariant: while
+// a path is queued, some worker is not busy. Whoever queues a path signals
+// the idle worker or, if every worker is out on a write, starts one; a
+// worker about to leave on a write does the same; and a worker that finds
+// nothing queued while another is already idle exits. Healthy sinks
+// therefore share a handful of workers, while each sink blocked in Write
+// holds exactly one — the write in flight that it is.
 type shard struct {
 	h *Hub
 
 	mu    sync.Mutex
 	subs  map[core.Token]*subscriber // guarded by mu
-	wakes int64                      // guarded by mu; generator wakes (the coalescing tests' counter hook; rotates multipath turn order)
+	wakes int64                      // guarded by mu; generator wakes (the coalescing tests' counter hook)
+	// walked counts the subscribers wake's lag walk has visited, once per
+	// path that led to one (the tick-cost tests' counter hook).
+	walked int64 // guarded by mu
 
-	ready     *path // guarded by mu; head of the FIFO of paths with something to do
-	readyTail *path // guarded by mu; its last entry
-	live      int   // guarded by mu; attached paths not yet through finishPath — each holds one h.wg count
-	workers   int   // guarded by mu; worker goroutines alive — each holds one h.wg count
-	busy      int   // guarded by mu; workers outside the lock with a path: in a write, or retiring it
-	idle      bool  // guarded by mu; one worker is waiting on kick for the ready list to grow
+	parked  pathList      // guarded by mu
+	woken   pathList      // guarded by mu
+	ready   pathList      // guarded by mu
+	held    pathList      // guarded by mu
+	orphans []*subscriber // guarded by mu; registered, not evicted, no path: inside a re-attach grace
+	head    int64         // guarded by mu; live edge at the last wake
+	wokeAt  int64         // guarded by mu; live edge the woken paths' subscribers had caught up to
+
+	// Running totals over the shard's registered, not evicted subscribers.
+	nsubs     int64 // guarded by mu; how many
+	curSum    int64 // guarded by mu; Σ cur
+	resendSum int64 // guarded by mu; Σ len(resend)
+
+	live    int  // guarded by mu; attached paths not yet through finishPath — each holds one h.wg count
+	workers int  // guarded by mu; worker goroutines alive — each holds one h.wg count
+	busy    int  // guarded by mu; workers outside the lock with a path: in a write, or retiring it
+	idle    bool // guarded by mu; one worker is waiting on kick for a path to be queued
 	// kick wakes the idle worker. One token is enough: at most one worker
 	// idles, and a token sent while the idler was already waking only costs
-	// the next idler one empty pass over the list.
+	// the next idler one empty pass over the lists.
 	kick chan struct{}
 
 	// The shard's stock of idle batch workspaces, leased to workers for
@@ -144,85 +192,112 @@ type shard struct {
 // concurrent writes.
 const freeTrimWakes = 256
 
+// nolint:lockguard constructor — the shard has not been shared yet
 func newShard(h *Hub) *shard {
-	return &shard{h: h, subs: make(map[core.Token]*subscriber), kick: make(chan struct{}, 1)}
+	sd := &shard{h: h, subs: make(map[core.Token]*subscriber), kick: make(chan struct{}, 1)}
+	sd.parked.init()
+	sd.woken.init()
+	sd.ready.init()
+	sd.held.init()
+	return sd
 }
 
-// wake is the generator's per-tick visit: apply the slow-subscriber
-// policy to this shard's laggards at the new live edge and put the parked
-// paths of every subscriber that now has frames on the ready list. The
-// generator coalesces: however many packets one tick published, each shard
-// is visited — and each parked path readied — at most once per tick (wakes
-// counts the visits so tests can pin that).
+// wake is the generator's per-tick visit. It applies the slow-subscriber
+// policy at the new live edge to the subscribers that can be behind — those
+// with a path out on a write, those still queued from an earlier tick, and
+// the orphans — and wakes every parked path in one splice: their
+// subscribers were caught up, so one tick cannot have put them past a
+// window (and if a burst did, the policy is applied again where a worker
+// fetches for them, popBatchLocked). The generator coalesces: however many
+// packets one tick published, each shard is visited — and each parked path
+// woken — at most once per tick (wakes counts the visits so tests can pin
+// that).
 func (sd *shard) wake(head int64) {
 	sd.mu.Lock()
-	backlog := sd.ready != nil
+	sd.kickLocked(sd.wakeLocked(head))
+	sd.mu.Unlock()
+}
+
+// wakeLocked is wake's bookkeeping, everything but putting a worker on the
+// woken paths (a test leaves that out to look at a tick nobody has served
+// yet). It reports whether paths were queued before this tick added its
+// own. Caller holds sd.mu.
+func (sd *shard) wakeLocked(head int64) (backlog bool) {
+	backlog = sd.queuedLocked()
 	sd.wakes++
 	if sd.wakes%freeTrimWakes == 0 {
 		sd.trimFreeLocked()
 	}
-	for _, sub := range sd.subs {
-		if sub.evicted {
-			continue
-		}
-		sd.enforceLagLocked(sub, head)
-		if !sub.evicted && (sub.cur < head || len(sub.resend) > 0) {
-			sd.readyLocked(sub)
-		}
+	// What the workers left of the last tick's wakeups may be behind now.
+	sd.ready.take(&sd.woken)
+	for p := sd.held.front(); p != nil; p = sd.held.after(p) {
+		sd.walked++
+		sd.enforceLagLocked(p.sub, head)
 	}
-	sd.kickLocked(backlog)
-	sd.mu.Unlock()
+	for p := sd.ready.front(); p != nil; p = sd.ready.after(p) {
+		sd.walked++
+		sd.enforceLagLocked(p.sub, head)
+	}
+	// Backwards: an eviction drops the orphan by moving the last one into
+	// its place.
+	for i := len(sd.orphans) - 1; i >= 0; i-- {
+		sd.walked++
+		sd.enforceLagLocked(sd.orphans[i], head)
+	}
+	sd.woken.take(&sd.parked)
+	sd.wokeAt, sd.head = sd.head, head
+	return backlog
 }
 
-// readyLocked moves sub's parked paths to the ready list. A multipath
-// subscriber's paths take turns at the front — the start index rotates
-// with the wake count — because at pace there is one frame per wake and
-// the first path to reach it takes it: in a fixed order path 0 would
-// carry every frame, the others would never write, and neither the
-// backpressure split nor the detection of a peer-closed idle path (it
-// shows only as a write error) would work. Caller holds sd.mu.
+// queuedLocked reports whether any path is waiting for a worker. Caller
+// holds sd.mu.
+func (sd *shard) queuedLocked() bool {
+	return !sd.ready.empty() || !sd.woken.empty()
+}
+
+// readyLocked queues sub's paths for a worker — its parked ones, because
+// there is a resend queue to serve or a teardown to go through — by moving
+// every path no worker holds to the back of the ready list (one that was
+// queued already only loses its place). The caller follows with one
+// kickLocked. Caller holds sd.mu.
 func (sd *shard) readyLocked(sub *subscriber) {
-	n := len(sub.links)
-	at := 0
-	if n > 1 {
-		at = int(sd.wakes % int64(n))
-	}
-	for i := 0; i < n; i++ {
-		p := sub.links[at]
-		if at++; at == n {
-			at = 0
+	for _, p := range sub.links {
+		if !p.held {
+			p.unlink()
+			sd.ready.push(p)
 		}
-		if !p.parked {
-			continue // already queued, or a worker has it and will look again
-		}
-		p.parked = false
-		sd.pushLocked(p)
 	}
 }
 
-// pushLocked appends p to the ready list. The caller follows its pushes
-// with one kickLocked. Caller holds sd.mu.
-func (sd *shard) pushLocked(p *path) {
-	if sd.readyTail == nil {
-		sd.ready = p
-	} else {
-		sd.readyTail.next = p
-	}
-	sd.readyTail = p
-}
-
-// popLocked takes the oldest path off the ready list, nil when it is
-// empty. Caller holds sd.mu.
+// popLocked takes the next path to serve — the oldest ready one, then the
+// oldest woken one — onto the held list; nil when none is queued. Caller
+// holds sd.mu.
 func (sd *shard) popLocked() *path {
-	p := sd.ready
+	p := sd.ready.pop()
 	if p == nil {
-		return nil
+		if p = sd.woken.pop(); p == nil {
+			return nil
+		}
 	}
-	if sd.ready = p.next; sd.ready == nil {
-		sd.readyTail = nil
-	}
-	p.next = nil
+	p.held = true
+	sd.held.push(p)
 	return p
+}
+
+// parkLocked moves p, which its worker holds and has nothing to send, to
+// the parked list. The path that took a multipath subscriber's last frames
+// goes behind the sibling parking now, whichever reached the list first —
+// if it is still queued it has as little to send as p, and parks here
+// instead of through a worker — so the siblings are woken in the order of
+// their last frames, oldest first. Caller holds sd.mu.
+func (sd *shard) parkLocked(p *path) {
+	p.unlink()
+	p.held = false
+	sd.parked.push(p)
+	if w := p.sub.writer; w != nil && w != p && !w.held {
+		w.unlink()
+		sd.parked.push(w)
+	}
 }
 
 // readyAllLocked queues every parked path of the shard, whether or not its
@@ -230,23 +305,21 @@ func (sd *shard) popLocked() *path {
 // generator finishing) and each path has an end marker to write or a
 // teardown to go through. Caller holds sd.mu.
 func (sd *shard) readyAllLocked() {
-	for _, sub := range sd.subs {
-		sd.readyLocked(sub)
-	}
+	sd.woken.take(&sd.parked)
 	sd.kickLocked(false)
 }
 
-// kickLocked keeps the worker invariant after the ready list may have grown
+// kickLocked keeps the worker invariant after a path may have been queued
 // (or as a worker leaves on a write): if paths are queued, some worker must
 // be on its way to them. Usually one is — running, or idle and
 // signalled here. Only when every worker is out with a path does the stock
 // grow by one, as the batch stock does on a lease miss; it shrinks again
-// as workers find the list empty with another already idle. backlog says
-// the list was non-empty before the caller's pushes — a whole tick went by
-// without the workers draining it — and adds one worker as a hedge, while
+// as workers find nothing queued with another already idle. backlog says
+// paths were queued before the caller added its own — a whole tick went by
+// without the workers reaching them — and adds one worker as a hedge, while
 // fewer than GOMAXPROCS are free to run. Caller holds sd.mu.
 func (sd *shard) kickLocked(backlog bool) {
-	if sd.ready == nil {
+	if !sd.queuedLocked() {
 		return
 	}
 	free := sd.workers - sd.busy
@@ -269,7 +342,7 @@ func (sd *shard) signalLocked() {
 }
 
 // startWorkerLocked adds one worker to the shard. It is only reached with
-// a path on the ready list: that path is unfinished and holds an h.wg
+// a path queued: that path is unfinished and holds an h.wg
 // count, so this Add never starts from zero under a concurrent Wait.
 // Caller holds sd.mu.
 func (sd *shard) startWorkerLocked() {
@@ -305,17 +378,24 @@ func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
 		p.started = true
 		return stepHeader, nil
 	}
-	if b := sd.popBatchLocked(p.sub); b != nil {
+	sub := p.sub
+	if b := sd.popBatchLocked(sub); b != nil {
+		if len(sub.links) > 1 {
+			sub.writer = p
+		}
 		return stepWrite, b
+	}
+	if sub.evicted {
+		return stepRetire, nil // the lag policy, applied at this fetch
 	}
 	if h.stopped.Load() || h.genDone.Load() {
 		return stepEnd, nil
 	}
-	p.parked = true
+	sd.parkLocked(p)
 	return stepPark, nil
 }
 
-// work is one shard worker: take a path off the ready list, do what
+// work is one shard worker: take the next queued path, do what
 // stepLocked says outside the lock — each step is one blocking write, so a
 // throttled or stalled subscriber occupies this worker for as long as its
 // write takes, exactly the in-flight write it is — and come back for the
@@ -363,8 +443,8 @@ func (sd *shard) work() {
 		}
 		if p == nil {
 			if sd.idle || sd.live == 0 {
-				// Another worker is already waiting for the list to grow, or
-				// no path is left that could make it grow.
+				// Another worker is already waiting for a path to be queued,
+				// or no path is left that could be.
 				sd.workers--
 				sd.mu.Unlock()
 				return
@@ -381,7 +461,7 @@ func (sd *shard) work() {
 
 		switch step {
 		case stepHeader:
-			p.recent = make([]int64, h.cfg.ResendWindow) // per-path setup, once
+			p.recent = make([]uint32, h.cfg.ResendWindow) // per-path setup, once
 			if err := core.WriteStreamHeader(p.conn, p.idx, p.numPaths, h.cfg.Stream.PayloadSize, h.cfg.Stream.Mu); err != nil {
 				sd.retire(p, nil, fmt.Errorf("hub: path %d header: %w", p.idx, err))
 				p = nil
@@ -465,17 +545,73 @@ func (sd *shard) trimFreeLocked() {
 	sd.freeLow = sd.nfree
 }
 
+// registerLocked adds sub to the shard and to its running totals, taking
+// its admission slot. Caller holds sd.mu.
+func (sd *shard) registerLocked(sub *subscriber) {
+	sd.subs[sub.token] = sub
+	sd.h.subCount.Add(1)
+	sd.nsubs++
+	sd.curSum += sub.cur
+	sd.resendSum += int64(len(sub.resend))
+}
+
+// uncountLocked takes sub out of the running totals (and the orphans): it
+// is being evicted or removed and holds nothing from here on. Caller holds
+// sd.mu.
+func (sd *shard) uncountLocked(sub *subscriber) {
+	sd.nsubs--
+	sd.curSum -= sub.cur
+	sd.resendSum -= int64(len(sub.resend))
+	sd.unorphanLocked(sub)
+}
+
+// orphanLocked lists sub, whose last path is gone, among the orphans.
+// Caller holds sd.mu.
+func (sd *shard) orphanLocked(sub *subscriber) {
+	sd.orphans = append(sd.orphans, sub)
+	sub.orphan = len(sd.orphans)
+}
+
+// unorphanLocked drops sub from the orphans, if it is one, by moving the
+// last orphan into its place. Caller holds sd.mu.
+func (sd *shard) unorphanLocked(sub *subscriber) {
+	if sub.orphan == 0 {
+		return
+	}
+	i, last := sub.orphan-1, len(sd.orphans)-1
+	sd.orphans[i] = sd.orphans[last]
+	sd.orphans[i].orphan = i + 1
+	sd.orphans[last] = nil
+	sd.orphans = sd.orphans[:last]
+	sub.orphan = 0
+}
+
+// advanceLocked moves sub's cursor forward to cur. Caller holds sd.mu.
+func (sd *shard) advanceLocked(sub *subscriber, cur int64) {
+	sd.curSum += cur - sub.cur
+	sub.cur = cur
+}
+
+// shiftResendLocked drops the oldest entry of sub's resend queue. Caller
+// holds sd.mu.
+func (sd *shard) shiftResendLocked(sub *subscriber) {
+	sub.resend = sub.resend[1:]
+	sd.resendSum--
+}
+
 // enforceLagLocked applies the slow-subscriber policy to sub if its
 // cursor has fallen behind its effective window — the configured
-// LagWindow, or less once the resource governor has shrunk it. Caller
-// holds sd.mu.
+// LagWindow, or less once the resource governor has shrunk it. Under Evict
+// the subscriber is condemned: queueing the paths it has parked for their
+// teardown is left to the caller, which knows where they are. Caller holds
+// sd.mu.
 func (sd *shard) enforceLagLocked(sub *subscriber, head int64) {
 	win := int64(sub.window)
 	if ringSize := sd.h.ring.size(); win > ringSize {
 		win = ringSize
 	}
 	oldest := head - win
-	if oldest <= 0 || sub.cur >= oldest {
+	if sub.evicted || oldest <= 0 || sub.cur >= oldest {
 		return
 	}
 	switch sd.h.cfg.Policy {
@@ -483,10 +619,70 @@ func (sd *shard) enforceLagLocked(sub *subscriber, head int64) {
 		skipped := oldest - sub.cur
 		sub.dropped += skipped
 		sd.h.totalDropped.Add(skipped)
-		sub.cur = oldest
+		sd.advanceLocked(sub, oldest)
 	case Evict:
-		sd.evictLocked(sub)
+		sd.condemnLocked(sub)
 	}
+}
+
+// behind is what one walk over a shard's can-be-behind subscribers finds
+// for the byte accounting: the oldest sequence any of them still needs and
+// the one holding the most.
+type behind struct {
+	need      int64       // oldest sequence needed, clamped to the ring's tail; head if none is behind
+	worst     *subscriber // largest heldLocked holder, nil if nothing is held
+	worstHeld int64
+}
+
+// seeLocked folds sub, as it stands at live edge head, into the walk's
+// findings. Caller holds sd.mu.
+func (sd *shard) seeLocked(bh *behind, sub *subscriber, head, tail int64) {
+	if sub.evicted {
+		return
+	}
+	need := sub.cur
+	if len(sub.resend) > 0 && sub.resend[0] < need {
+		need = sub.resend[0]
+	}
+	bh.need = min(bh.need, max(need, tail))
+	if held := sd.heldLocked(sub, head); held > bh.worstHeld {
+		bh.worst, bh.worstHeld = sub, held
+	}
+}
+
+// behindLocked walks the subscribers that can hold anything at live edge
+// head — the ones wake walks: a path held by a worker, a path on the ready
+// list, or no path at all. A subscriber with a parked path holds nothing:
+// it had fetched everything when it parked, and the parked list is emptied
+// by every wake. That leaves the woken paths, the tick's caught-up
+// population until the workers have been round. Their subscribers had
+// fetched everything up to wokeAt, which bounds from below what any of them
+// needs without a visit: with exact unset that bound stands in for them —
+// need is then at or below the true oldest needed sequence, so an account
+// built on it is at or above the true one, and worst names none of them.
+// That is enough to find the hub within its budget, the answer on all but
+// an overloaded tick; with exact set the woken paths are walked like the
+// rest and the findings are those of a scan over every subscriber. tail is
+// the oldest sequence the ring retains. Caller holds sd.mu.
+func (sd *shard) behindLocked(head, tail int64, exact bool) behind {
+	bh := behind{need: head}
+	for p := sd.held.front(); p != nil; p = sd.held.after(p) {
+		sd.seeLocked(&bh, p.sub, head, tail)
+	}
+	for p := sd.ready.front(); p != nil; p = sd.ready.after(p) {
+		sd.seeLocked(&bh, p.sub, head, tail)
+	}
+	for _, sub := range sd.orphans {
+		sd.seeLocked(&bh, sub, head, tail)
+	}
+	if exact {
+		for p := sd.woken.front(); p != nil; p = sd.woken.after(p) {
+			sd.seeLocked(&bh, p.sub, head, tail)
+		}
+	} else if !sd.woken.empty() {
+		bh.need = min(bh.need, max(sd.wokeAt, tail))
+	}
+	return bh
 }
 
 // heldLocked is the full-frame buffered-byte attribution of one
@@ -550,11 +746,11 @@ func (sd *shard) clipLocked(sub *subscriber, win, head int64) int64 {
 		skipped := oldest - sub.cur
 		sub.dropped += skipped
 		sd.h.totalDropped.Add(skipped)
-		sub.cur = oldest
+		sd.advanceLocked(sub, oldest)
 		freed += skipped
 	}
 	for len(sub.resend) > 0 && sub.resend[0] < oldest {
-		sub.resend = sub.resend[1:]
+		sd.shiftResendLocked(sub)
 		sub.dropped++
 		sd.h.totalDropped.Add(1)
 		freed++
@@ -562,35 +758,59 @@ func (sd *shard) clipLocked(sub *subscriber, win, head int64) int64 {
 	return freed
 }
 
-// evictLocked disconnects sub and marks it evicted: its connections are
-// closed, its parked paths queued for teardown (a path out on a write sees
-// the closed connection), and a later re-attach of its token is refused
-// with a typed reject. Caller holds sd.mu.
-func (sd *shard) evictLocked(sub *subscriber) {
+// condemnLocked disconnects sub and marks it evicted: its connections
+// are closed (a path out on a write sees that), it stops counting towards
+// the byte accounting, and a later re-attach of its token is refused with a
+// typed reject. It reports whether this call did the evicting. Caller holds
+// sd.mu.
+func (sd *shard) condemnLocked(sub *subscriber) bool {
 	if sub.evicted {
-		return
+		return false
 	}
+	sd.uncountLocked(sub)
 	sub.evicted = true
 	sd.h.evictedCount.Add(1)
 	for _, p := range sub.links {
 		_ = p.conn.Close()
 	}
-	sd.readyLocked(sub)
-	sd.kickLocked(false)
+	return true
+}
+
+// evictLocked condemns sub and queues its parked paths for teardown.
+// Caller holds sd.mu.
+func (sd *shard) evictLocked(sub *subscriber) {
+	if sd.condemnLocked(sub) {
+		sd.readyLocked(sub)
+		sd.kickLocked(false)
+	}
 }
 
 // popBatchLocked returns a leased batch filled with the subscriber's next
-// ready frames — resend-queue packets first, so retransmissions jump ahead
-// of new content, then up to the batch capacity of consecutive cursor
-// packets — pinning each shared ring buffer instead of copying it. One
-// step therefore drains one vectored write's worth of frames. A batch is
-// leased only once there are frames to pin; nil means the subscriber has
-// none (caught up, or everything ready had already left the ring and is
-// now counted as dropped) and the caller holds no lease. The caller owns
-// the pins in the returned batch and must drop them with releaseBatch
-// after its write. Caller holds sd.mu.
+// ready frames, after the lag policy has had its say: resend-queue packets
+// first, so retransmissions jump ahead of new content, then up to the batch
+// capacity of consecutive cursor packets — pinning each shared ring buffer
+// instead of copying it. One step therefore drains one vectored write's
+// worth of frames. A batch is leased only once there are frames to pin; nil
+// means the subscriber has none (caught up, evicted by the lag policy, or
+// everything ready had already left the ring and is now counted as dropped)
+// and the caller holds no lease. The caller owns the pins in the returned
+// batch and must drop them with releaseBatch after its write. Caller holds
+// sd.mu.
 func (sd *shard) popBatchLocked(sub *subscriber) *batch {
-	for len(sub.resend) > 0 || sub.cur < sd.h.ring.headSeq() {
+	for {
+		head := sd.h.ring.headSeq()
+		if len(sub.resend) == 0 && sub.cur >= head {
+			return nil
+		}
+		// The lag policy is applied where the cursor moves: whatever put
+		// the subscriber behind — a blocked write, a burst, a gap in an
+		// external source — what it is sent starts inside its window.
+		sd.enforceLagLocked(sub, head)
+		if sub.evicted {
+			sd.readyLocked(sub)
+			sd.kickLocked(false)
+			return nil
+		}
 		b := sd.leaseLocked()
 		sd.fillLocked(sub, b)
 		if b.n > 0 {
@@ -598,7 +818,6 @@ func (sd *shard) popBatchLocked(sub *subscriber) *batch {
 		}
 		sd.returnLocked(b)
 	}
-	return nil
 }
 
 // fillLocked pins the subscriber's ready frames into b: the resend queue
@@ -609,7 +828,7 @@ func (sd *shard) fillLocked(sub *subscriber, b *batch) {
 	b.n = 0
 	for len(sub.resend) > 0 && b.n < len(b.bufs) {
 		seq := sub.resend[0]
-		sub.resend = sub.resend[1:]
+		sd.shiftResendLocked(sub)
 		pb, gen, ok := h.ring.pin(seq)
 		if !ok {
 			// Fell out of the ring while the path was down: the
@@ -632,7 +851,7 @@ func (sd *shard) fillLocked(sub *subscriber, b *batch) {
 			sub.dropped += skipped
 			h.totalDropped.Add(skipped)
 		}
-		sub.cur += skipped + int64(pinned)
+		sd.advanceLocked(sub, sub.cur+skipped+int64(pinned))
 		sub.sent += int64(pinned)
 		h.totalSent.Add(int64(pinned))
 	}
@@ -660,6 +879,11 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	}
 	sd.mu.Lock()
 	h.pathConns.Add(-1)
+	p.unlink()
+	p.held = false
+	if sub.writer == p {
+		sub.writer = nil
+	}
 	if i := slices.Index(sub.links, p); i >= 0 {
 		// slices.Delete zeroes the vacated tail slot; a plain append would
 		// leave the closed conn reachable from the backing array for as
@@ -667,7 +891,7 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 		sub.links = slices.Delete(sub.links, i, i+1)
 	}
 	if sd.live--; sd.live == 0 && sd.idle {
-		sd.signalLocked() // nothing left that could grow the list: let the idle worker go
+		sd.signalLocked() // nothing left that could be queued: let the idle worker go
 	}
 	abnormal := err != nil && !sub.evicted && !h.closed.Load()
 	if abnormal {
@@ -677,12 +901,19 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 		sub.deaths++
 		sub.deadPaths++
 		if len(recent) > 0 {
+			sd.resendSum -= int64(len(sub.resend))
 			sub.resend = mergeSeqs(sub.resend, recent)
+			sd.resendSum += int64(len(sub.resend))
 		}
 		switch {
 		case len(sub.links) > 0:
-			// Surviving paths serve the resends.
+			if len(sub.resend) > 0 {
+				// Surviving paths serve the resends, the parked ones from now.
+				sd.readyLocked(sub)
+				sd.kickLocked(false)
+			}
 		case h.cfg.ReattachGrace > 0:
+			sd.orphanLocked(sub)
 			sub.graceGen++
 			gen := sub.graceGen
 			h.wg.Add(1)
@@ -727,5 +958,8 @@ func (sd *shard) removeLocked(sub *subscriber) {
 	if sd.subs[sub.token] == sub {
 		delete(sd.subs, sub.token)
 		sd.h.subCount.Add(-1)
+		if !sub.evicted {
+			sd.uncountLocked(sub)
+		}
 	}
 }

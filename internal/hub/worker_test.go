@@ -17,28 +17,6 @@ import (
 // writers; lease_test.go's scenarios check the same routes from the
 // workspace side, and checkQuiesced there ends with checkWorkersGone.
 
-// placement says where a shard's attached paths are: parked on their
-// subscriber, queued on the ready list, or held by a worker.
-type placement struct{ parked, queued, held int }
-
-func placed(sd *shard) placement {
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	var pl placement
-	for _, sub := range sd.subs {
-		for _, p := range sub.links {
-			if p.parked {
-				pl.parked++
-			}
-		}
-	}
-	for p := sd.ready; p != nil; p = p.next {
-		pl.queued++
-	}
-	pl.held = sd.live - pl.parked - pl.queued
-	return pl
-}
-
 // workerCount returns the shard's worker goroutines and how many of them
 // are out with a path.
 func workerCount(sd *shard) (workers, busy int) {
@@ -58,9 +36,9 @@ func checkWorkersGone(t *testing.T, sd *shard) {
 	})
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
-	if sd.live != 0 || sd.ready != nil || sd.readyTail != nil || sd.busy != 0 || sd.idle {
-		t.Fatalf("shard not quiesced: live %d, ready %v/%v, busy %d, idle %v",
-			sd.live, sd.ready, sd.readyTail, sd.busy, sd.idle)
+	if sd.live != 0 || sd.queuedLocked() || !sd.parked.empty() || !sd.held.empty() || sd.busy != 0 || sd.idle {
+		t.Fatalf("shard not quiesced: live %d, queued %v, parked %v, held %v, busy %d, idle %v",
+			sd.live, sd.queuedLocked(), !sd.parked.empty(), !sd.held.empty(), sd.busy, sd.idle)
 	}
 	for _, sub := range sd.subs {
 		if len(sub.links) != 0 {
@@ -79,14 +57,14 @@ func TestPathParkedQueuedHeld(t *testing.T) {
 	conn := newLeaseConn()
 	conn.gate = make(chan struct{})
 	attach(t, h, conn)
-	waitFor(t, "the attached path to park", func() bool { return placed(sd) == placement{parked: 1} })
+	waitFor(t, "the attached path to park", func() bool { return placed(t, sd) == placement{parked: 1} })
 	if workers, busy := workerCount(sd); workers != 1 || busy != 0 {
 		t.Fatalf("%d workers (%d busy) with one parked path, want the one idle worker", workers, busy)
 	}
 
 	publish(t, h, 0, 4)
 	<-conn.entered
-	waitFor(t, "the blocked write to hold the path", func() bool { return placed(sd) == placement{held: 1} })
+	waitFor(t, "the blocked write to hold the path", func() bool { return placed(t, sd) == placement{held: 1} })
 	if _, busy := workerCount(sd); busy != 1 {
 		t.Fatalf("%d busy workers with one write in flight", busy)
 	}
@@ -95,7 +73,7 @@ func TestPathParkedQueuedHeld(t *testing.T) {
 	}
 
 	close(conn.gate)
-	waitFor(t, "the path to park again", func() bool { return placed(sd) == placement{parked: 1} && stock(t, sd) == 1 })
+	waitFor(t, "the path to park again", func() bool { return placed(t, sd) == placement{parked: 1} && stock(t, sd) == 1 })
 	if got := conn.frames.Load(); got != 4 {
 		t.Fatalf("delivered %d frames, want 4", got)
 	}
@@ -121,7 +99,7 @@ func TestPathExitRoutes(t *testing.T) {
 		tok := attach(t, h, conn)
 		attach(t, h, keep)
 		publish(t, h, 0, 3)
-		waitFor(t, "both paths to park", func() bool { return placed(sd) == placement{parked: 2} })
+		waitFor(t, "both paths to park", func() bool { return placed(t, sd) == placement{parked: 2} })
 		sd.mu.Lock()
 		sd.evictLocked(sd.subs[tok])
 		sd.mu.Unlock()
@@ -219,7 +197,7 @@ func TestTwoPathsTakeTurns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	parkedAll := func() bool { return placed(sd).parked == h.ConnCount() }
+	parkedAll := func() bool { return placed(t, sd).parked == h.ConnCount() }
 	waitFor(t, "both paths to park", parkedAll)
 	const frames = 200
 	var seq int64
@@ -308,7 +286,7 @@ func TestBlockedWritersHoldOneWorkerEach(t *testing.T) {
 	if median := took[len(took)/2]; median > 20*time.Millisecond {
 		t.Fatalf("healthy paths waited %v (median; worst %v) for a packet behind %d blocked writers", median, took[len(took)-1], blocked)
 	}
-	waitFor(t, "the healthy paths to park", func() bool { return placed(sd) == placement{parked: healthy, held: blocked} })
+	waitFor(t, "the healthy paths to park", func() bool { return placed(t, sd) == placement{parked: healthy, held: blocked} })
 	if workers, busy := workerCount(sd); busy != blocked || workers < blocked || workers > blocked+spare {
 		t.Fatalf("%d workers, %d busy; want %d busy and at most %d spare", workers, busy, blocked, spare)
 	}

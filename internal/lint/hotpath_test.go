@@ -108,15 +108,18 @@ func TestRepoHotpathChain(t *testing.T) {
 	// Transitive coverage: none of these carry their own marker; they
 	// must be reached through the call graph.
 	for key, wantRoot := range map[string]bool{
-		"dmpstream/internal/hub.ring.publish":         false, // generate → ring advance
-		"dmpstream/internal/hub.shard.wake":           false, // generate → shard wakeup
-		"dmpstream/internal/hub.shard.readyLocked":    false, // wake → parked paths onto the ready list
-		"dmpstream/internal/hub.shard.kickLocked":     false, // wake / work → signal the idle worker
-		"dmpstream/internal/hub.shard.popBatchLocked": false, // work → stepLocked → lease + fill
-		"dmpstream/internal/hub.ring.pinBatch":        false, // popBatchLocked → fillLocked → pin
-		"dmpstream/internal/hub.Hub.writeBatch":       false, // work → header patch + writev
-		"dmpstream/internal/core.PutFrameHeader":      false, // writeBatch → frame encode
-		"dmpstream/internal/core.Server.pop":          false,
+		"dmpstream/internal/hub.ring.publish":           false, // generate → ring advance
+		"dmpstream/internal/hub.shard.wake":             false, // generate → shard wakeup
+		"dmpstream/internal/hub.pathList.take":          false, // wake → parked paths woken in one splice
+		"dmpstream/internal/hub.shard.enforceLagLocked": false, // wake / popBatchLocked → lag policy on the subscribers behind
+		"dmpstream/internal/hub.shard.behindLocked":     false, // generate → governLocked → accountLocked → walk of the subscribers behind
+		"dmpstream/internal/hub.shard.kickLocked":       false, // wake / work → signal the idle worker
+		"dmpstream/internal/hub.shard.parkLocked":       false, // work → stepLocked → nothing to send
+		"dmpstream/internal/hub.shard.popBatchLocked":   false, // work → stepLocked → lag policy + lease + fill
+		"dmpstream/internal/hub.ring.pinBatch":          false, // popBatchLocked → fillLocked → pin
+		"dmpstream/internal/hub.Hub.writeBatch":         false, // work → header patch + writev
+		"dmpstream/internal/core.PutFrameHeader":        false, // writeBatch → frame encode
+		"dmpstream/internal/core.Server.pop":            false,
 
 		"dmpstream/internal/hub.payloadBuf.fillFrom": true, // copy-point marker makes it a root too
 	} {
