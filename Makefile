@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak soak-tree bench-smoke bench-tick
+.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak soak-tree bench-smoke bench-tick bench-receiver
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -60,18 +60,21 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFrameHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 
-# bench-smoke runs two short workloads of the repository benchmark
+# bench-smoke runs three short workloads of the repository benchmark
 # (BENCHMARK.json, benchmark/) end to end — build from source, set up,
 # measure, check — and fails unless each result line says the run was
 # correct: fanout_steady for the at-pace path, fanout_overload because
 # nothing else here exercises workers blocked in Write, eviction, churn
-# and the budget governor together. The benchmark is a nested module, so
-# `go test ./...` at the root never enters it; CI runs this and
-# `go test -C benchmark ./...`.
+# and the budget governor together, multipath_emu because it is the only
+# one of the three that runs the paper's own sender and receiver. The
+# benchmark is a nested module, so `go test ./...` at the root never
+# enters it; CI runs this and `go test -C benchmark ./...`.
 bench-smoke:
 	@out=$$(bash benchmark/run.sh --workload fanout_steady --seconds 5); status=$$?; \
 	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
 	@out=$$(bash benchmark/run.sh --workload fanout_overload --seconds 5 --trace 0); status=$$?; \
+	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
+	@out=$$(bash benchmark/run.sh --workload multipath_emu --seconds 5 --trace 0); status=$$?; \
 	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
 
 # bench-tick times the generator tick's critical section (PublishAt: ring
@@ -83,6 +86,14 @@ bench-smoke:
 TICKS ?= 300
 bench-tick:
 	$(GO) test -run '^$$' -bench BenchmarkPublishTick -benchtime $(TICKS)x ./internal/hub
+
+# bench-receiver replays a 200 000-packet stream from memory over two paths
+# into a core.Receiver: ns/frame is what recording a packet costs with both
+# readers on the receiver's lock, B/op divided by 200 000 what the receiver
+# allocates per packet over the stream (its 24-byte arrival plus change).
+REPLAYS ?= 5
+bench-receiver:
+	$(GO) test -run '^$$' -bench BenchmarkReceiverIngest -benchtime $(REPLAYS)x ./internal/core
 
 # soak runs the randomized chaos harness against a live hub under the
 # race detector: seeded churn of joins, leaves, overload bursts, flaps

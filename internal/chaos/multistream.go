@@ -503,24 +503,23 @@ func (r *multiRunner) checkStayerTrace(id string, tr *core.Trace, err error) Sta
 	}
 	res.Expected = tr.Expected
 	res.Received = int64(len(tr.Arrivals))
-	seen := make(map[uint32]bool, len(tr.Arrivals))
+	var seen core.PacketSet
 	for _, a := range tr.Arrivals {
 		if int64(a.Pkt) >= tr.Expected {
 			r.violatef("stayer on %s: packet %d outside announced range %d", id, a.Pkt, tr.Expected)
 			return res
 		}
-		if seen[a.Pkt] {
+		if !seen.Add(a.Pkt) {
 			r.violatef("stayer on %s: packet %d delivered twice", id, a.Pkt)
 			return res
 		}
-		seen[a.Pkt] = true
 	}
 	if err != nil {
 		r.violatef("stayer on %s: stream not conserved: %v", id, err)
 		return res
 	}
-	if int64(len(seen)) != res.Expected {
-		r.violatef("stayer on %s: %d distinct packets of %d expected", id, len(seen), res.Expected)
+	if int64(seen.Len()) != res.Expected {
+		r.violatef("stayer on %s: %d distinct packets of %d expected", id, seen.Len(), res.Expected)
 	}
 	return res
 }

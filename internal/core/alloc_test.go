@@ -78,6 +78,34 @@ func TestWriteFrameAllocFree(t *testing.T) {
 	}
 }
 
+// TestPlayBufferAllocFreeAtPace: a player at pace holds a steady τ·µ packets,
+// so every arrival can take the buffer the last playout handed back. The
+// arrive/play/recycle cycle must not allocate — and neither must an arrival
+// that is not kept (a resend of a packet already waiting for its slot).
+func TestPlayBufferAllocFreeAtPace(t *testing.T) {
+	const depth = 100
+	b := playBuffer{slots: make(map[uint32][]byte)}
+	payload := make([]byte, 1024)
+	next := uint32(0)
+	for ; next < depth; next++ {
+		b.put(next, payload)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		slot := next - depth
+		data, ok := b.take(slot)
+		if !ok {
+			t.Fatalf("slot %d empty", slot)
+		}
+		b.recycle(data)
+		b.put(next, payload)
+		b.put(next, payload) // resent: the first copy stands
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("playout at pace allocates %.2f times per packet, want 0", allocs)
+	}
+}
+
 var allocSink []byte
 
 // TestAllocMeasurementSensitivity proves the harness would catch a

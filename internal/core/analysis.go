@@ -13,13 +13,12 @@ import (
 // Packets that never arrived get +Inf. The slack of packet i is exactly the
 // startup delay that would make it arrive on time.
 func (t *Trace) Slacks() []float64 {
-	seen := make(map[uint32]bool, len(t.Arrivals))
+	var seen PacketSet
 	out := make([]float64, 0, t.Expected)
 	for _, a := range t.Arrivals {
-		if seen[a.Pkt] {
+		if !seen.Add(a.Pkt) {
 			continue
 		}
-		seen[a.Pkt] = true
 		out = append(out, float64(a.At-a.Gen)/1e9)
 	}
 	for int64(len(out)) < t.Expected {
@@ -32,13 +31,13 @@ func (t *Trace) Slacks() []float64 {
 // never received, in ascending order — the packets a path failure actually
 // lost. Empty means the stream was conserved end to end.
 func (t *Trace) Missing() []uint32 {
-	seen := make(map[uint32]bool, len(t.Arrivals))
+	var seen PacketSet
 	for _, a := range t.Arrivals {
-		seen[a.Pkt] = true
+		seen.Add(a.Pkt)
 	}
 	var out []uint32
 	for pkt := uint32(0); int64(pkt) < t.Expected; pkt++ {
-		if !seen[pkt] {
+		if !seen.Has(pkt) {
 			out = append(out, pkt)
 		}
 	}
@@ -88,7 +87,7 @@ func (t *Trace) PathGoodput(numPaths int) []float64 {
 		first[i] = math.MaxInt64
 	}
 	for _, a := range t.Arrivals {
-		if a.Path < 0 || a.Path >= numPaths {
+		if a.Path < 0 || int(a.Path) >= numPaths {
 			continue
 		}
 		if a.At < first[a.Path] {
@@ -131,7 +130,7 @@ func (t *Trace) GoodputSeries(numPaths int, bucket time.Duration) [][]float64 {
 		out[i] = make([]float64, nb)
 	}
 	for _, a := range t.Arrivals {
-		if a.Path < 0 || a.Path >= numPaths {
+		if a.Path < 0 || int(a.Path) >= numPaths {
 			continue
 		}
 		b := int((a.At - start) / int64(bucket))

@@ -17,7 +17,7 @@ func mkTrace(mu float64, slacks []float64) *Trace {
 		}
 		gen := int64(i) * period
 		tr.Arrivals = append(tr.Arrivals, Arrival{
-			Pkt: uint32(i), Gen: gen, At: gen + int64(s*1e9), Path: i % 2,
+			Pkt: uint32(i), Gen: gen, At: gen + int64(s*1e9), Path: int32(i % 2),
 		})
 	}
 	return tr

@@ -605,12 +605,13 @@ func (s *Server) writeHeader(k int, conn net.Conn) error {
 	return WriteStreamHeader(conn, k, numPaths, s.cfg.PayloadSize, s.cfg.Mu)
 }
 
-// Arrival is one received packet observation.
+// Arrival is one received packet observation: 24 bytes, the unit the
+// receiver's memory is counted in (Pkt and Path share a word).
 type Arrival struct {
 	Pkt  uint32
+	Path int32
 	Gen  int64 // server generation timestamp, UnixNano
 	At   int64 // client arrival timestamp, UnixNano
-	Path int
 }
 
 // Trace is the client-side record of a streaming session. Arrivals holds
@@ -635,7 +636,7 @@ func (t *Trace) LateFraction(tau float64) (playback, arrivalOrder float64) {
 	}
 	tauN := int64(tau * 1e9)
 	var latePB int64
-	seen := make(map[uint32]bool, len(t.Arrivals))
+	var seen PacketSet
 	var t0 int64 = 1<<63 - 1
 	for _, a := range t.Arrivals {
 		if a.Gen < t0 {
@@ -643,15 +644,14 @@ func (t *Trace) LateFraction(tau float64) (playback, arrivalOrder float64) {
 		}
 	}
 	for _, a := range t.Arrivals {
-		if seen[a.Pkt] {
+		if !seen.Add(a.Pkt) {
 			continue
 		}
-		seen[a.Pkt] = true
 		if a.At > a.Gen+tauN {
 			latePB++
 		}
 	}
-	missing := t.Expected - int64(len(seen))
+	missing := t.Expected - int64(seen.Len())
 	latePB += missing
 
 	var lateAO int64
@@ -672,7 +672,7 @@ func (t *Trace) LateFraction(tau float64) (playback, arrivalOrder float64) {
 func (t *Trace) PathCounts(numPaths int) []int64 {
 	out := make([]int64, numPaths)
 	for _, a := range t.Arrivals {
-		if a.Path >= 0 && a.Path < numPaths {
+		if a.Path >= 0 && int(a.Path) < numPaths {
 			out[a.Path]++
 		}
 	}

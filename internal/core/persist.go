@@ -27,7 +27,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		row[0] = strconv.FormatUint(uint64(a.Pkt), 10)
 		row[1] = strconv.FormatInt(a.Gen, 10)
 		row[2] = strconv.FormatInt(a.At, 10)
-		row[3] = strconv.Itoa(a.Path)
+		row[3] = strconv.Itoa(int(a.Path))
 		if err := cw.Write(row); err != nil {
 			return err
 		}
@@ -94,13 +94,13 @@ func ReadTraceCSV(r io.Reader) (*Trace, error) {
 		pkt, err1 := strconv.ParseUint(rec[0], 10, 32)
 		gen, err2 := strconv.ParseInt(rec[1], 10, 64)
 		at, err3 := strconv.ParseInt(rec[2], 10, 64)
-		path, err4 := strconv.Atoi(rec[3])
+		path, err4 := strconv.ParseInt(rec[3], 10, 32)
 		for _, e := range []error{err1, err2, err3, err4} {
 			if e != nil {
 				return nil, fmt.Errorf("core: trace row %v: %w", rec, e)
 			}
 		}
-		tr.Arrivals = append(tr.Arrivals, Arrival{Pkt: uint32(pkt), Gen: gen, At: at, Path: path})
+		tr.Arrivals = append(tr.Arrivals, Arrival{Pkt: uint32(pkt), Path: int32(path), Gen: gen, At: at})
 	}
 	return tr, nil
 }

@@ -89,7 +89,7 @@ func TestPropertyTraceRoundTrip(t *testing.T) {
 		tr := &Trace{Mu: 1 + rng.Float64()*100, PayloadSize: rng.Intn(2000), Expected: int64(n)}
 		for i := 0; i < int(n); i++ {
 			tr.Arrivals = append(tr.Arrivals, Arrival{
-				Pkt: uint32(rng.Intn(1 << 20)), Gen: rng.Int63(), At: rng.Int63(), Path: rng.Intn(8),
+				Pkt: uint32(rng.Intn(1 << 20)), Gen: rng.Int63(), At: rng.Int63(), Path: int32(rng.Intn(8)),
 			})
 		}
 		var buf bytes.Buffer

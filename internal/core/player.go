@@ -45,6 +45,52 @@ func (ps PlayerStats) GlitchFraction() float64 {
 	return float64(ps.Glitches) / float64(total)
 }
 
+// playFreeMax caps the playout buffer's free list. A sender writes up to
+// sendBatch frames at once, so at pace that many slots play out between two
+// bursts of arrivals and their buffers must wait for the next burst; more
+// than that is the residue of a catch-up burst and goes back to the collector.
+const playFreeMax = sendBatch
+
+// playBuffer holds arrived payloads until their playback slot and recycles
+// the buffers of played-out slots, so a stream at pace allocates nothing per
+// packet. Not safe for concurrent use; Play guards it with its mutex.
+type playBuffer struct {
+	slots map[uint32][]byte
+	free  [][]byte
+}
+
+// put copies payload into the slot for pkt unless the slot is already
+// filled (a resend overlapping delivered content); the first copy stands.
+func (b *playBuffer) put(pkt uint32, payload []byte) {
+	if _, dup := b.slots[pkt]; dup {
+		return
+	}
+	var data []byte
+	if n := len(b.free); n > 0 {
+		data, b.free = b.free[n-1], b.free[:n-1]
+	}
+	if cap(data) < len(payload) { // nothing to reuse, or a path with larger payloads
+		data = make([]byte, len(payload))
+	}
+	data = data[:len(payload)]
+	copy(data, payload)
+	b.slots[pkt] = data
+}
+
+// take removes and returns the payload waiting in slot, if any.
+func (b *playBuffer) take(slot uint32) ([]byte, bool) {
+	data, ok := b.slots[slot]
+	delete(b.slots, slot)
+	return data, ok
+}
+
+// recycle hands a played-out buffer back for the next arrival.
+func (b *playBuffer) recycle(data []byte) {
+	if len(b.free) < playFreeMax {
+		b.free = append(b.free, data)
+	}
+}
+
 // Play consumes a DMP-streaming session from the given path connections and
 // plays it back in real time with the configured startup delay. It blocks
 // until the stream ends and every slot up to the last generated packet has
@@ -69,7 +115,7 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 	}
 
 	var mu sync.Mutex
-	buffer := make(map[uint32][]byte)
+	buffer := playBuffer{slots: make(map[uint32][]byte)}
 	var expected int64 = -1 // unknown until an end marker
 	var lateArrivals int64
 	played := uint32(0) // next slot to play (read under mu)
@@ -132,13 +178,11 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 					mu.Unlock()
 					return
 				}
-				data := make([]byte, payload)
-				copy(data, frame[frameHdr:])
 				mu.Lock()
 				if pkt < played {
 					lateArrivals++ // slot already passed; discard
 				} else {
-					buffer[pkt] = data
+					buffer.put(pkt, frame[frameHdr:])
 				}
 				mu.Unlock()
 			}
@@ -184,8 +228,7 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 			}
 		}
 		mu.Lock()
-		data, ok := buffer[slot]
-		delete(buffer, slot)
+		data, ok := buffer.take(slot)
 		played = slot + 1
 		mu.Unlock()
 		if ok {
@@ -193,6 +236,9 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 			if cfg.OnPacket != nil {
 				cfg.OnPacket(slot, data)
 			}
+			mu.Lock()
+			buffer.recycle(data)
+			mu.Unlock()
 		} else {
 			stats.Glitches++
 			if cfg.OnGlitch != nil {
@@ -205,7 +251,7 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 			select {
 			case <-done:
 				mu.Lock()
-				empty := len(buffer) == 0
+				empty := len(buffer.slots) == 0
 				mu.Unlock()
 				if empty {
 					readers.Wait()

@@ -119,6 +119,39 @@ func TestPlayerCountsGlitchesWithManualFrames(t *testing.T) {
 	}
 }
 
+// TestPlayBufferRecycles: a played-out buffer is the next arrival's storage,
+// a resend of a waiting packet neither replaces it nor takes a buffer, and
+// the free list stops growing at its cap however far occupancy falls.
+func TestPlayBufferRecycles(t *testing.T) {
+	b := playBuffer{slots: make(map[uint32][]byte)}
+	b.put(0, []byte("first"))
+	b.put(0, []byte("again"))
+	first, ok := b.take(0)
+	if !ok || string(first) != "first" {
+		t.Fatalf("slot 0 holds %q, want the first copy", first)
+	}
+	if _, ok := b.take(0); ok {
+		t.Fatal("slot 0 played twice")
+	}
+	b.recycle(first)
+	b.put(1, []byte("next!"))
+	if next, _ := b.take(1); string(next) != "next!" || &next[0] != &first[0] {
+		t.Fatalf("slot 1 holds %q in fresh storage, want the recycled buffer", next)
+	}
+	// A buffer too small for the payload is dropped, not sliced past its end.
+	b.recycle(make([]byte, 2))
+	b.put(2, []byte("longer"))
+	if got, _ := b.take(2); string(got) != "longer" {
+		t.Fatalf("slot 2 holds %q", got)
+	}
+	for i := 0; i < 3*playFreeMax; i++ {
+		b.recycle(make([]byte, 8))
+	}
+	if len(b.free) != playFreeMax {
+		t.Fatalf("free list holds %d buffers, cap %d", len(b.free), playFreeMax)
+	}
+}
+
 func TestPlayerRejectsBadConfig(t *testing.T) {
 	if _, err := Play(nil, PlayerConfig{StartupDelay: time.Second}); err == nil {
 		t.Error("no conns accepted")

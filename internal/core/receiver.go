@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -15,6 +16,14 @@ import (
 // blackholed link never surfaces a read error) would otherwise block
 // reassembly forever even though the surviving paths finished the stream.
 const DefaultEndGrace = 10 * time.Second
+
+// arrivalBlockLen is how many arrivals one block of the receiver's log holds.
+// The log grows a block at a time, so recording a packet never copies the
+// record so far under the lock every path's reader shares, and the slack is
+// at most one block (12 KB) rather than up to the whole log again.
+const arrivalBlockLen = 512
+
+type arrivalBlock [arrivalBlockLen]Arrival
 
 // ReceiverOptions tunes a Receiver.
 type ReceiverOptions struct {
@@ -42,8 +51,9 @@ type Receiver struct {
 	onPacket func(pkt uint32, genNanos int64, payload []byte)
 
 	mu       sync.Mutex
-	arrivals []Arrival             // guarded by mu
-	seen     map[uint32]bool       // guarded by mu
+	log      []*arrivalBlock       // guarded by mu; every block but the last is full
+	n        int                   // guarded by mu; arrivals in log
+	seen     PacketSet             // guarded by mu
 	dups     int64                 // guarded by mu
 	muRate   float64               // guarded by mu
 	payload  int                   // guarded by mu
@@ -62,7 +72,6 @@ func NewReceiver(opts ReceiverOptions) *Receiver {
 	return &Receiver{
 		grace:    grace,
 		onPacket: opts.OnPacket,
-		seen:     make(map[uint32]bool),
 		active:   make(map[net.Conn]struct{}),
 		expected: -1,
 		done:     make(chan struct{}),
@@ -90,13 +99,19 @@ func (r *Receiver) Run(path int, conn net.Conn) error {
 		return fmt.Errorf("core: path %d: %w", path, err)
 	}
 	r.mu.Lock()
-	if r.muRate != 0 && r.muRate != mu {
-		have := r.muRate
-		r.mu.Unlock()
-		return fmt.Errorf("core: path %d announces µ=%v, another path %v", path, mu, have)
+	var mismatch error
+	switch {
+	case r.muRate == 0: // first header: it sets what the siblings must match
+		r.muRate, r.payload = mu, payload
+	case r.muRate != mu:
+		mismatch = fmt.Errorf("core: path %d announces µ=%v, another path %v", path, mu, r.muRate)
+	case r.payload != payload:
+		mismatch = fmt.Errorf("core: path %d announces %d-byte payloads, another path %d", path, payload, r.payload)
 	}
-	r.muRate, r.payload = mu, payload
 	r.mu.Unlock()
+	if mismatch != nil {
+		return mismatch
+	}
 
 	frame := make([]byte, frameHdr+payload)
 	for {
@@ -114,19 +129,26 @@ func (r *Receiver) Run(path int, conn net.Conn) error {
 			return nil
 		}
 		r.mu.Lock()
-		if r.seen[pkt] {
+		if !r.seen.Add(pkt) {
 			r.dups++
 		} else {
-			r.seen[pkt] = true
-			r.arrivals = append(r.arrivals, Arrival{
-				Pkt: pkt, Gen: v, At: time.Now().UnixNano(), Path: path,
-			})
+			r.recordLocked(Arrival{Pkt: pkt, Path: int32(path), Gen: v, At: time.Now().UnixNano()})
 			if r.onPacket != nil {
 				r.onPacket(pkt, v, frame[frameHdr:])
 			}
 		}
 		r.mu.Unlock()
 	}
+}
+
+// recordLocked appends one arrival to the log. Caller holds r.mu.
+func (r *Receiver) recordLocked(a Arrival) {
+	i := r.n % arrivalBlockLen
+	if i == 0 {
+		r.log = append(r.log, new(arrivalBlock))
+	}
+	r.log[len(r.log)-1][i] = a
+	r.n++
 }
 
 // finish records an end marker: the expected count is the max announced by
@@ -158,21 +180,29 @@ func (r *Receiver) finish(expected int64, self net.Conn) {
 // that the stream is over and redialing is pointless.
 func (r *Receiver) Done() <-chan struct{} { return r.done }
 
-// Trace snapshots the merged arrival record, sorted by arrival time.
+// Trace snapshots the merged arrival record, ordered by arrival time.
+// Arrivals are stamped under r.mu, so the log is already in that order
+// unless the wall clock stepped back; only then is it sorted, stably, so
+// arrivals with equal stamps keep the order they were recorded in.
 func (r *Receiver) Trace() *Trace {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	tr := &Trace{
 		Mu:          r.muRate,
 		PayloadSize: r.payload,
-		Arrivals:    make([]Arrival, len(r.arrivals)),
+		Arrivals:    make([]Arrival, 0, r.n),
 		Duplicates:  r.dups,
 	}
-	copy(tr.Arrivals, r.arrivals)
+	for _, b := range r.log {
+		tr.Arrivals = append(tr.Arrivals, b[:min(arrivalBlockLen, r.n-len(tr.Arrivals))]...)
+	}
 	if r.expected > 0 {
 		tr.Expected = r.expected
 	}
-	sort.Slice(tr.Arrivals, func(i, j int) bool { return tr.Arrivals[i].At < tr.Arrivals[j].At })
+	r.mu.Unlock()
+	byArrival := func(a, b Arrival) int { return cmp.Compare(a.At, b.At) }
+	if !slices.IsSortedFunc(tr.Arrivals, byArrival) {
+		slices.SortStableFunc(tr.Arrivals, byArrival)
+	}
 	return tr
 }
 
