@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak soak-tree bench-smoke bench-tick bench-receiver
+.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak bench-smoke bench-tick bench-receiver
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -24,8 +24,7 @@ race:
 # goleak, atomicmix, hotalloc, copycheck, bufown, exhaustenum — see
 # DESIGN.md "Enforced invariants"). Findings not recorded in the
 # burn-down baseline (dmplint_baseline.json, currently empty) exit
-# non-zero. Analyzers run in parallel; pass -cpuprofile to dmplint
-# directly when triaging suite latency.
+# non-zero.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dmplint -baseline dmplint_baseline.json ./...
@@ -95,20 +94,14 @@ REPLAYS ?= 5
 bench-receiver:
 	$(GO) test -run '^$$' -bench BenchmarkReceiverIngest -benchtime $(REPLAYS)x ./internal/core
 
-# soak runs the randomized chaos harness against a live hub under the
-# race detector: seeded churn of joins, leaves, overload bursts, flaps
-# and stalls, with robustness invariants checked after every event. CI
-# runs this nightly; a failure reproduces from the printed seed
-# (make soak SOAKSEED=<seed>). SOAKSEED=0 derives a fresh seed.
+# soak runs the randomized chaos harness under the race detector in each
+# of its three topologies in turn — one hub, a four-stream registry, a
+# two-tier relay tree — with robustness invariants checked after every
+# event of the seeded schedule; soak-<topology>.json records each run's
+# report. CI runs the same matrix nightly; a failure reproduces from the
+# printed command (make soak SOAKSEED=<seed>). SOAKSEED=0 derives a fresh
+# seed.
 soak:
-	$(GO) run -race ./cmd/dmpchaos -seed $(SOAKSEED) -duration $(SOAKTIME)
-
-# soak-tree runs tree-wide chaos under the race detector: an origin hub
-# feeding tiers of edge relays with dual-homed leaves underneath, while
-# the schedule severs origin paths and kills/restarts relays mid-tier.
-# Every leaf must conserve the stream exactly; TREE_REPORT.json records
-# the per-tier conservation outcome (CI uploads it as an artifact). A
-# failure reproduces from the printed seed (make soak-tree SOAKSEED=<seed>).
-soak-tree:
-	$(GO) run -race ./cmd/dmpchaos -tree -relays 2 -depth 2 \
-		-seed $(SOAKSEED) -duration $(SOAKTIME) -report TREE_REPORT.json
+	$(GO) run -race ./cmd/dmpchaos -seed $(SOAKSEED) -duration $(SOAKTIME) -report soak-hub.json
+	$(GO) run -race ./cmd/dmpchaos -streams 4 -seed $(SOAKSEED) -duration $(SOAKTIME) -report soak-registry.json
+	$(GO) run -race ./cmd/dmpchaos -depth 2 -seed $(SOAKSEED) -duration $(SOAKTIME) -report soak-tree.json

@@ -1,29 +1,19 @@
-// Command dmpchaos soaks a broadcast hub under a seeded random schedule
-// of joins, abrupt leaves, overload bursts, path flaps and stalls, and
-// fails loudly if any robustness invariant breaks: untyped join
-// failures, byte-budget overruns, lost packets for surviving
+// Command dmpchaos soaks the broadcast stack under a seeded schedule of
+// joins, abrupt leaves, overload bursts, path faults and relay kills, and
+// fails loudly if any robustness invariant breaks: untyped join failures,
+// byte-budget overruns, lost or corrupted packets for conserving
 // subscribers, drain misses, or leaked goroutines.
 //
-// A failing run reproduces from its seed:
+// The topology is -streams live streams on an origin registry with -depth
+// relay tiers under stream 0; every flag means the same in every topology:
 //
-//	dmpchaos -seed 1 -duration 30s
+//	dmpchaos -seed 1 -duration 30s              # one hub
+//	dmpchaos -streams 4 -seed 1 -duration 30s   # a registry, the last stream ended mid-run
+//	dmpchaos -depth 2 -seed 1 -duration 30s     # a two-tier relay tree, relay kills
 //
-// With -multi the same engine soaks a stream registry instead: several
-// concurrent live streams behind one accept loop, churn spread across
-// the stream ids, one stream ended mid-run, with per-stream conservation
-// and registry-wide invariants checked throughout:
-//
-//	dmpchaos -multi -streams 4 -seed 1 -duration 30s
-//
-// With -tree it soaks a whole distribution tree: an origin hub feeding
-// -depth tiers of -relays edge relays with dual-homed leaves underneath,
-// while the schedule severs origin paths and kills/restarts relays
-// mid-tier. Every leaf must conserve the stream exactly; -report writes
-// the per-tier conservation record as JSON (the CI artifact):
-//
-//	dmpchaos -tree -relays 2 -depth 2 -seed 1 -duration 30s -report tree.json
-//
-// The nightly CI soak runs all three under the race detector.
+// A failing run reproduces from the command it prints. -report writes the
+// whole report as JSON (the CI artifact). The nightly CI soak runs all
+// three under the race detector.
 package main
 
 import (
@@ -31,196 +21,75 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"dmpstream/internal/chaos"
 )
 
 func main() {
-	var (
-		seed     = flag.Int64("seed", 1, "random seed driving the whole schedule (0 = derive from time)")
-		duration = flag.Duration("duration", 30*time.Second, "length of the churn schedule")
-		rate     = flag.Float64("rate", 300, "stream rate µ in packets/second")
-		payload  = flag.Int("payload", 64, "packet payload bytes")
-		stayers  = flag.Int("stayers", 2, "full-run multipath subscribers that must conserve the stream")
-		burst    = flag.Int("burst", 6, "joiners per overload burst")
-		maxSubs  = flag.Int("max-subs", 0, "subscriber cap (0 = default, -1 = unlimited)")
-		maxBytes = flag.Int64("max-bytes", 96<<10, "per-hub resource-governor budget in bytes (-1 = unlimited)")
-		meanGap  = flag.Duration("mean-gap", 120*time.Millisecond, "mean pause between churn events")
-		multi    = flag.Bool("multi", false, "soak a multi-stream registry instead of a single hub")
-		streams  = flag.Int("streams", 4, "concurrent live streams (-multi only)")
-		tree     = flag.Bool("tree", false, "soak a relay distribution tree instead of a single hub")
-		relays   = flag.Int("relays", 2, "relays per tier (-tree only)")
-		depth    = flag.Int("depth", 2, "relay tiers between origin and leaves (-tree only)")
-		leaves   = flag.Int("leaves", 4, "leaf subscribers under the deepest tier (-tree only)")
-		kills    = flag.Int("kills", 2, "max relay kill/restart events (-tree only)")
-		report   = flag.String("report", "", "write the JSON conservation report to this file (-tree only)")
-		verbose  = flag.Bool("v", false, "log every event and violation as it happens")
-	)
+	cfg := chaos.Config{}
+	flag.Int64Var(&cfg.Seed, "seed", 1, "random seed driving the whole schedule (0 = derive from time)")
+	flag.DurationVar(&cfg.Duration, "duration", 30*time.Second, "length of the schedule")
+	flag.IntVar(&cfg.Streams, "streams", 1, "live streams on the origin registry (more than 1: the last ends mid-run)")
+	flag.IntVar(&cfg.Depth, "depth", 0, "relay tiers under stream 0")
+	flag.Int64Var(&cfg.MaxBytes, "max-bytes", 96<<10, "each origin stream's resource-governor budget in bytes (-1 = unlimited)")
+	report := flag.String("report", "", "write the JSON report to this file")
+	verbose := flag.Bool("v", false, "log every event and violation as it happens")
 	flag.Parse()
-	if *seed == 0 {
-		*seed = time.Now().UnixNano()
+	if cfg.Seed == 0 {
+		cfg.Seed = time.Now().UnixNano()
 	}
-	var logf func(format string, args ...any)
 	if *verbose {
-		logf = func(format string, args ...any) {
-			fmt.Printf("  "+format+"\n", args...)
-		}
+		cfg.Logf = func(format string, args ...any) { fmt.Printf("  "+format+"\n", args...) }
 	}
-
-	if *tree {
-		runTree(*seed, *duration, *rate, *payload, *relays, *depth, *leaves, *kills, *report, logf)
-		return
-	}
-	if *multi {
-		runMulti(*seed, *duration, *rate, *payload, *streams, *maxSubs, *maxBytes, *meanGap, logf)
-		return
-	}
-
-	fmt.Printf("dmpchaos: seed=%d duration=%v rate=%g stayers=%d burst=%d\n",
-		*seed, *duration, *rate, *stayers, *burst)
-	rep, err := chaos.Run(chaos.Config{
-		Seed:           *seed,
-		Duration:       *duration,
-		Mu:             *rate,
-		Payload:        *payload,
-		Stayers:        *stayers,
-		Burst:          *burst,
-		MaxSubscribers: *maxSubs,
-		MaxBytes:       *maxBytes,
-		MeanGap:        *meanGap,
-		Logf:           logf,
-	})
+	fmt.Printf("dmpchaos: seed=%d duration=%v streams=%d depth=%d max-bytes=%d\n",
+		cfg.Seed, cfg.Duration, cfg.Streams, cfg.Depth, cfg.MaxBytes)
+	rep, err := chaos.Run(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmpchaos: setup failed (seed %d): %v\n", *seed, err)
+		fmt.Fprintf(os.Stderr, "dmpchaos: setup failed (seed %d): %v\n", cfg.Seed, err)
 		os.Exit(2)
 	}
 
-	fmt.Printf("events=%d flaps=%d stalls=%d joins=%d leaves=%d rejected=%d drained=%v\n",
-		rep.Events, rep.Flaps, rep.Stalls, rep.Joins, rep.Leaves, rep.Rejected, rep.Drained)
-	fmt.Printf("hub: generated=%d sent=%d dropped=%d shed=%d evicted=%d bytesHeld=%d pathErrors=%d\n",
-		rep.Final.Generated, rep.Final.Sent, rep.Final.Dropped, rep.Final.Shed,
-		rep.Final.Evicted, rep.Final.BytesHeld, rep.Final.PathErrors)
-	for i, s := range rep.Stayers {
-		status := "ok"
-		if s.Err != "" {
-			status = s.Err
-		}
-		fmt.Printf("stayer %d: %d/%d packets (%s)\n", i, s.Received, s.Expected, status)
-	}
-	fmt.Printf("goroutines: %d -> %d\n", rep.GoroutinesStart, rep.GoroutinesEnd)
-
-	exitReport(rep.Seed, *duration, "", rep.Violations)
-}
-
-func runMulti(seed int64, duration time.Duration, rate float64, payload, streams, maxSubs int,
-	maxBytes int64, meanGap time.Duration, logf func(string, ...any)) {
-	fmt.Printf("dmpchaos: multi seed=%d duration=%v rate=%g streams=%d\n",
-		seed, duration, rate, streams)
-	rep, err := chaos.RunMulti(chaos.MultiConfig{
-		Seed:           seed,
-		Duration:       duration,
-		Streams:        streams,
-		Mu:             rate,
-		Payload:        payload,
-		MaxSubscribers: maxSubs,
-		MaxBytes:       maxBytes,
-		MeanGap:        meanGap,
-		Logf:           logf,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmpchaos: setup failed (seed %d): %v\n", seed, err)
-		os.Exit(2)
-	}
-
-	fmt.Printf("events=%d joins=%d leaves=%d rejected=%d endedMid=%s drained=%v\n",
-		rep.Events, rep.Joins, rep.Leaves, rep.Rejected, rep.EndedMid, rep.Drained)
+	fmt.Printf("events=%d faults=%d kills=%d joins=%d leaves=%d rejected=%d drained=%v\n",
+		rep.Events, rep.Faults, rep.Kills, rep.Joins, rep.Leaves, rep.Rejected, rep.Drained)
 	for _, ss := range rep.Final.Streams {
-		fmt.Printf("stream %s: generated=%d sent=%d dropped=%d shed=%d evicted=%d bytesHeld=%d\n",
-			ss.ID, ss.Hub.Generated, ss.Hub.Sent, ss.Hub.Dropped, ss.Hub.Shed,
-			ss.Hub.Evicted, ss.Hub.BytesHeld)
+		fmt.Printf("stream %s: generated=%d sent=%d dropped=%d shed=%d evicted=%d resent=%d reattached=%d bytesHeld=%d\n",
+			ss.ID, ss.Hub.Generated, ss.Hub.Sent, ss.Hub.Dropped, ss.Hub.Shed, ss.Hub.Evicted,
+			ss.Hub.Resent, ss.Hub.Reattached, ss.Hub.BytesHeld)
 	}
-	ids := make([]string, 0, len(rep.Stayers))
-	for id := range rep.Stayers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		s := rep.Stayers[id]
-		status := "ok"
-		if s.Err != "" {
-			status = s.Err
-		}
-		fmt.Printf("stayer %s: %d/%d packets (%s)\n", id, s.Received, s.Expected, status)
-	}
-	fmt.Printf("goroutines: %d -> %d\n", rep.GoroutinesStart, rep.GoroutinesEnd)
-
-	exitReport(rep.Seed, duration, " -multi", rep.Violations)
-}
-
-func runTree(seed int64, duration time.Duration, rate float64, payload, relays, depth, leaves, kills int,
-	reportPath string, logf func(string, ...any)) {
-	fmt.Printf("dmpchaos: tree seed=%d duration=%v rate=%g relays=%d depth=%d leaves=%d\n",
-		seed, duration, rate, relays, depth, leaves)
-	rep, err := chaos.RunTree(chaos.TreeConfig{
-		Seed:          seed,
-		Duration:      duration,
-		Mu:            rate,
-		Payload:       payload,
-		RelaysPerTier: relays,
-		Depth:         depth,
-		Leaves:        leaves,
-		Kills:         kills,
-		Logf:          logf,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmpchaos: setup failed (seed %d): %v\n", seed, err)
-		os.Exit(2)
-	}
-
-	fmt.Printf("events=%d severs=%d drops=%d kills=%d drained=%v\n",
-		rep.Events, rep.Severs, rep.Drops, rep.Kills, rep.Drained)
-	fmt.Printf("origin: generated=%d sent=%d dropped=%d resent=%d reattached=%d\n",
-		rep.Origin.Generated, rep.Origin.Sent, rep.Origin.Dropped,
-		rep.Origin.Resent, rep.Origin.Reattached)
 	for _, rr := range rep.Relays {
-		fmt.Printf("relay t%d/%d: state=%s restarts=%d failovers=%d forwarded=%d lateDrops=%d gapSkips=%d sourceGaps=%d\n",
-			rr.Tier, rr.Index, rr.State, rr.Restarts, rr.Failovers,
-			rr.Forwarded, rr.LateDrops, rr.GapSkips, rr.SourceGaps)
+		st := rr.Final
+		fmt.Printf("%s: state=%v restarts=%d failovers=%d forwarded=%d lateDrops=%d gapSkips=%d sourceGaps=%d\n",
+			rr.Name, st.State, rr.Restarts, st.Failovers, st.Forwarded, st.LateDrops, st.GapSkips, st.Hub.SourceGaps)
 	}
-	for i, lf := range rep.LeafReports {
+	for _, v := range rep.Subscribers {
 		status := "ok"
-		if lf.Err != "" {
-			status = lf.Err
+		if v.Err != "" {
+			status = v.Err
 		}
-		fmt.Printf("leaf %d: %d packets from #%d of %d expected (%s)\n",
-			i, lf.Received, lf.MinPkt, lf.Expected, status)
+		fmt.Printf("%s: %d packets from #%d of %d (%s)\n", v.Name, v.Received, v.MinPkt, v.Expected, status)
 	}
 	fmt.Printf("goroutines: %d -> %d\n", rep.GoroutinesStart, rep.GoroutinesEnd)
 
-	if reportPath != "" {
-		blob, jerr := json.MarshalIndent(rep, "", "  ")
-		if jerr == nil {
-			jerr = os.WriteFile(reportPath, blob, 0o644)
+	if *report != "" {
+		blob, err := json.MarshalIndent(rep, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*report, blob, 0o644)
 		}
-		if jerr != nil {
-			fmt.Fprintf(os.Stderr, "dmpchaos: report: %v\n", jerr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dmpchaos: report: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Printf("conservation report written to %s\n", reportPath)
+		fmt.Printf("report written to %s\n", *report)
 	}
 
-	exitReport(rep.Seed, duration, " -tree", rep.Violations)
-}
-
-func exitReport(seed int64, duration time.Duration, mode string, violations []string) {
-	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "dmpchaos: %d violation(s) at seed %d:\n", len(violations), seed)
-		for _, v := range violations {
+	if len(rep.Violations) > 0 {
+		fmt.Fprintf(os.Stderr, "dmpchaos: %d violation(s) at seed %d:\n", len(rep.Violations), cfg.Seed)
+		for _, v := range rep.Violations {
 			fmt.Fprintf(os.Stderr, "  - %s\n", v)
 		}
-		fmt.Fprintf(os.Stderr, "reproduce: dmpchaos%s -seed %d -duration %v\n", mode, seed, duration)
+		fmt.Fprintf(os.Stderr, "reproduce: dmpchaos -seed %d -duration %v -streams %d -depth %d -max-bytes %d\n",
+			cfg.Seed, cfg.Duration, cfg.Streams, cfg.Depth, cfg.MaxBytes)
 		os.Exit(1)
 	}
 	fmt.Println("dmpchaos: all invariants held")

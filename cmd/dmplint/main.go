@@ -29,11 +29,6 @@
 //	                      (default 128)
 //	-enable a,b / -disable a,b
 //	                      restrict which analyzers run
-//	-cpuprofile file      write a CPU profile of the run for lint-suite
-//	                      latency triage
-//
-// Analyzers run in parallel, bounded by GOMAXPROCS; output order is
-// deterministic regardless of scheduling.
 //
 // Findings are suppressed with an inline `// nolint:<analyzer> <reason>`
 // on the offending line, the line above it, or the enclosing function's
@@ -46,15 +41,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"strings"
 
 	"dmpstream/internal/lint"
 )
 
-// main defers to run so -cpuprofile's StopCPUProfile runs before the
-// process exits — os.Exit skips defers, so the exit code travels out as
-// a return value instead.
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -68,26 +59,11 @@ func run() int {
 	copysize := flag.Int("copysize", 0, "copycheck large-struct threshold in `bytes` (0 = default 128)")
 	enable := flag.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := flag.String("disable", "", "comma-separated analyzers to skip")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dmplint [flags] [packages]\n\npackages default to ./...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			_ = f.Close()
-		}()
-	}
 
 	root, err := moduleRoot()
 	if err != nil {
@@ -148,7 +124,7 @@ func run() int {
 		return fatal(fmt.Errorf("no packages match %v", patterns))
 	}
 
-	all := lint.RunAllParallel(selected, idx, analyzers)
+	all := lint.RunAll(selected, idx, analyzers)
 	active := unsuppressed(all)
 
 	if *updateBaseline {
@@ -303,7 +279,7 @@ func selectPackages(pkgs []*lint.Package, module string, patterns []string) []*l
 }
 
 // fatal reports a usage/IO error and yields the exit code for run to
-// return, keeping deferred cleanup (the CPU profile flush) alive.
+// return.
 func fatal(err error) int {
 	fmt.Fprintln(os.Stderr, "dmplint:", err)
 	return 2

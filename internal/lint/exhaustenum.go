@@ -3,7 +3,7 @@
 // The module's behavior ladders are iota enums: core.PathState drives
 // the path health machine, core.RejectCode the DMPR overload protocol,
 // emunet.FaultKind the scripted fault injector, hub.Policy the lag
-// ladder, chaos.ChurnKind the soak schedule. Adding a member to any of
+// ladder, chaos.Kind the soak schedule's events. Adding a member to any of
 // them must force every switch that dispatches on the type to take a
 // position — a silently skipped new state is how a degradation ladder
 // quietly stops degrading.

@@ -48,6 +48,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -225,10 +226,52 @@ func Run(pkgs []*Package, idx *Index, analyzers []*Analyzer) []Finding {
 
 // RunAll is Run without the suppression filter: nolint-covered findings
 // are kept with Suppressed set, so output plumbing (-json) can report
-// what was waived alongside what fires. RunAllParallel (runner.go) is
-// the same suite spread over GOMAXPROCS workers with identical output.
+// what was waived alongside what fires. Positions are resolved and
+// severity defaulted.
 func RunAll(pkgs []*Package, idx *Index, analyzers []*Analyzer) []Finding {
-	return runAll(pkgs, idx, analyzers, 1)
+	var out []Finding
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			if a.Scope != nil && !a.Scope(pkg) {
+				continue
+			}
+			fs := a.Run(pkg, idx)
+			for k := range fs {
+				f := &fs[k]
+				f.Pos = pkg.Fset.Position(f.pos)
+				f.Severity = a.Severity
+				if f.Severity == "" {
+					f.Severity = "error"
+				}
+				f.Suppressed = suppressed(pkg.Fset, *f)
+			}
+			out = append(out, fs...)
+		}
+	}
+	sortFindings(out)
+	return out
+}
+
+// sortFindings orders findings for output. The comparator is a total
+// order over every reported field (file, line, analyzer, column,
+// message), so sort.Slice's instability cannot reorder ties.
+func sortFindings(out []Finding) {
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		return a.Message < b.Message
+	})
 }
 
 var nolintRe = regexp.MustCompile(`nolint:([A-Za-z0-9_,]+)`)
