@@ -51,12 +51,14 @@ bufgraph:
 hotpaths:
 	$(GO) run ./cmd/dmplint -hotpaths
 
-# fuzz gives each wire-format target a short budget; CI runs the same
-# smoke. Raise FUZZTIME locally for a deeper session.
+# fuzz gives each wire-format target, and the receiver's arrival log, a
+# short budget; CI runs the same smoke. Raise FUZZTIME locally for a
+# deeper session.
 fuzz:
 	$(GO) test -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFrameHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzArrivalLog -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 
 # bench-smoke runs three short workloads of the repository benchmark
@@ -89,7 +91,9 @@ bench-tick:
 # bench-receiver replays a 200 000-packet stream from memory over two paths
 # into a core.Receiver: ns/frame is what recording a packet costs with both
 # readers on the receiver's lock, B/op divided by 200 000 what the receiver
-# allocates per packet over the stream (its 24-byte arrival plus change).
+# allocates per packet over the stream (its delta-coded arrival record, a
+# few bytes here because the replay's stamps are nanoseconds apart, plus
+# change).
 REPLAYS ?= 5
 bench-receiver:
 	$(GO) test -run '^$$' -bench BenchmarkReceiverIngest -benchtime $(REPLAYS)x ./internal/core

@@ -455,12 +455,21 @@ func (sess *Session) sendLoop(k int, conn net.Conn, stop <-chan struct{}) error 
 	ring := make([]queued, 0, s.cfg.ResendWindow) // nolint:hotalloc per-path resend ring, allocated once
 	next := 0
 	frameSize := frameHdr + s.cfg.PayloadSize
-	batch := make([]queued, sendBatch)       // nolint:hotalloc per-path claim buffer, allocated once
-	buf := make([]byte, sendBatch*frameSize) // nolint:hotalloc per-path render buffer, allocated once before the loop
+	batch := make([]queued, sendBatch) // nolint:hotalloc per-path claim buffer, allocated once
+	// The render buffer starts at one frame, a batch at pace, and doubles
+	// only when a catch-up batch needs more, up to sendBatch frames.
+	buf := make([]byte, frameSize) // nolint:hotalloc per-path render buffer, allocated once before the loop
 	for {
 		n, ok := s.popBatch(k, stop, batch)
 		if !ok {
 			break
+		}
+		if n*frameSize > len(buf) {
+			frames := len(buf) / frameSize
+			for frames < n {
+				frames *= 2
+			}
+			buf = make([]byte, min(frames, sendBatch)*frameSize) // nolint:hotalloc grows at most log2(sendBatch) times per path, on a catch-up batch
 		}
 		for i := 0; i < n; i++ {
 			f := buf[i*frameSize : (i+1)*frameSize]
@@ -605,8 +614,9 @@ func (s *Server) writeHeader(k int, conn net.Conn) error {
 	return WriteStreamHeader(conn, k, numPaths, s.cfg.PayloadSize, s.cfg.Mu)
 }
 
-// Arrival is one received packet observation: 24 bytes, the unit the
-// receiver's memory is counted in (Pkt and Path share a word).
+// Arrival is one received packet observation. The Receiver keeps each as a
+// record of varint deltas against the one before, ≈ 9.5 bytes a packet for
+// a CBR stream and never more than 30, and Trace decodes them back.
 type Arrival struct {
 	Pkt  uint32
 	Path int32
@@ -630,19 +640,22 @@ type Trace struct {
 // (seconds), in true playback order and in arrival order. Packet deadlines
 // are per-packet generation time + τ (server and client share a clock in
 // this testbed; see DESIGN.md). Packets that never arrived count as late.
+// Only a packet's first arrival counts in either order: a resend neither
+// plays nor takes a playout slot.
 func (t *Trace) LateFraction(tau float64) (playback, arrivalOrder float64) {
 	if t.Expected == 0 {
 		return 0, 0
 	}
 	tauN := int64(tau * 1e9)
-	var latePB int64
-	var seen PacketSet
 	var t0 int64 = 1<<63 - 1
 	for _, a := range t.Arrivals {
 		if a.Gen < t0 {
 			t0 = a.Gen
 		}
 	}
+	var latePB, lateAO int64
+	var seen PacketSet
+	period := 1e9 / t.Mu
 	for _, a := range t.Arrivals {
 		if !seen.Add(a.Pkt) {
 			continue
@@ -650,22 +663,14 @@ func (t *Trace) LateFraction(tau float64) (playback, arrivalOrder float64) {
 		if a.At > a.Gen+tauN {
 			latePB++
 		}
-	}
-	missing := t.Expected - int64(seen.Len())
-	latePB += missing
-
-	var lateAO int64
-	period := 1e9 / t.Mu
-	j := 0
-	for _, a := range t.Arrivals {
-		deadline := t0 + tauN + int64(float64(j)*period)
-		if a.At > deadline {
+		// The j-th distinct arrival plays in the j-th slot after t0 + τ.
+		j := seen.Len() - 1
+		if a.At > t0+tauN+int64(float64(j)*period) {
 			lateAO++
 		}
-		j++
 	}
-	lateAO += missing
-	return float64(latePB) / float64(t.Expected), float64(lateAO) / float64(t.Expected)
+	missing := t.Expected - int64(seen.Len())
+	return float64(latePB+missing) / float64(t.Expected), float64(lateAO+missing) / float64(t.Expected)
 }
 
 // PathCounts returns per-path arrival counts.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -314,6 +316,46 @@ func TestLateFractionDeduplicatesArrivals(t *testing.T) {
 	pb, _ := tr.LateFraction(1.0)
 	if pb != 0 {
 		t.Fatalf("late = %v with duplicate arrival", pb)
+	}
+}
+
+// TestLateFractionDuplicateTakesNoSlot: a resend in a trace — one read back
+// by ReadTraceCSV keeps them — neither plays nor takes a playout slot, in
+// playback order or in arrival order. The same trace with and without an
+// injected duplicate must give equal fractions in both orders at every τ.
+func TestLateFractionDuplicateTakesNoSlot(t *testing.T) {
+	clean := synthTrace(10, 100, func(i int) int64 { return int64(i%4) * 60e6 }) // 0–180 ms late
+	for _, tc := range []struct {
+		name string
+		pkt  int // the packet resent
+		pos  int // where in arrival order the resend lands
+	}{
+		{"first packet, early", 0, 1},
+		{"mid-stream", 40, 45},
+		{"last packet, at the end", 99, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resend := clean.Arrivals[tc.pkt]
+			resend.Path, resend.At = 1, clean.Arrivals[tc.pos-1].At
+			dup := *clean
+			dup.Arrivals = slices.Insert(slices.Clone(clean.Arrivals), tc.pos, resend)
+			var csv bytes.Buffer
+			if err := dup.WriteCSV(&csv); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ReadTraceCSV(&csv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tau := range []float64{0, 0.05, 0.1, 0.15, 0.2, 1} {
+				pb, ao := clean.LateFraction(tau)
+				for name, tr := range map[string]*Trace{"in memory": &dup, "from CSV": loaded} {
+					if gotPB, gotAO := tr.LateFraction(tau); gotPB != pb || gotAO != ao {
+						t.Errorf("τ=%v, %s: %v/%v with the resend, %v/%v without", tau, name, gotPB, gotAO, pb, ao)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -17,13 +18,17 @@ import (
 // reassembly forever even though the surviving paths finished the stream.
 const DefaultEndGrace = 10 * time.Second
 
-// arrivalBlockLen is how many arrivals one block of the receiver's log holds.
-// The log grows a block at a time, so recording a packet never copies the
+// logChunkSize is the capacity of one chunk of the receiver's arrival log.
+// The log grows a chunk at a time, so recording a packet never copies the
 // record so far under the lock every path's reader shares, and the slack is
-// at most one block (12 KB) rather than up to the whole log again.
-const arrivalBlockLen = 512
+// at most one chunk rather than up to the whole log again.
+const logChunkSize = 4096
 
-type arrivalBlock [arrivalBlockLen]Arrival
+// maxRecordLen is the longest one arrival's record can be: the head (a
+// 32-bit zigzag packet delta and the path-changed bit) and a 32-bit zigzag
+// path delta at most 5 varint bytes each, the generation and arrival deltas
+// at most 10 each. It is a constant, whatever the peer sends.
+const maxRecordLen = 2*binary.MaxVarintLen32 + 2*binary.MaxVarintLen64
 
 // ReceiverOptions tunes a Receiver.
 type ReceiverOptions struct {
@@ -51,7 +56,8 @@ type Receiver struct {
 	onPacket func(pkt uint32, genNanos int64, payload []byte)
 
 	mu       sync.Mutex
-	log      []*arrivalBlock       // guarded by mu; every block but the last is full
+	log      [][]byte              // guarded by mu; chunks of logChunkSize capacity holding whole records
+	last     Arrival               // guarded by mu; the last arrival recorded, what the next is coded against
 	n        int                   // guarded by mu; arrivals in log
 	seen     PacketSet             // guarded by mu
 	dups     int64                 // guarded by mu
@@ -141,15 +147,78 @@ func (r *Receiver) Run(path int, conn net.Conn) error {
 	}
 }
 
-// recordLocked appends one arrival to the log. Caller holds r.mu.
+// recordLocked appends one arrival to the log, coded against the last one; a
+// record that does not fit in the last chunk starts a new one, so no record
+// straddles two. Caller holds r.mu.
 func (r *Receiver) recordLocked(a Arrival) {
-	i := r.n % arrivalBlockLen
-	if i == 0 {
-		r.log = append(r.log, new(arrivalBlock))
+	var buf [maxRecordLen]byte
+	rec := appendRecord(buf[:0], r.last, a)
+	if len(r.log) == 0 || logChunkSize-len(r.log[len(r.log)-1]) < len(rec) {
+		r.log = append(r.log, make([]byte, 0, logChunkSize))
 	}
-	r.log[len(r.log)-1][i] = a
+	chunk := &r.log[len(r.log)-1]
+	*chunk = append(*chunk, rec...)
+	r.last = a
 	r.n++
 }
+
+// appendRecord appends a's record to dst: the varints zigzag(Δpkt)<<1 with
+// the low bit set when the path changed, zigzag(Δpath) only then,
+// zigzag(ΔGen) and zigzag(ΔAt), every delta against prev. The deltas wrap,
+// so any value round-trips through readRecord, a clock stepping back
+// included.
+func appendRecord(dst []byte, prev, a Arrival) []byte {
+	head := zigzag(int64(int32(a.Pkt-prev.Pkt))) << 1
+	if a.Path != prev.Path {
+		head |= 1
+	}
+	dst = binary.AppendUvarint(dst, head)
+	if a.Path != prev.Path {
+		dst = binary.AppendUvarint(dst, zigzag(int64(a.Path-prev.Path)))
+	}
+	dst = binary.AppendUvarint(dst, zigzag(a.Gen-prev.Gen))
+	return binary.AppendUvarint(dst, zigzag(a.At-prev.At))
+}
+
+// readRecord decodes the record appendRecord wrote at the head of src
+// against prev, and returns the arrival and the record's length.
+func readRecord(src []byte, prev Arrival) (Arrival, int) {
+	a := prev
+	head, n := binary.Uvarint(src)
+	a.Pkt += uint32(unzigzag(head >> 1))
+	if head&1 != 0 {
+		d, m := binary.Uvarint(src[n:])
+		a.Path += int32(unzigzag(d))
+		n += m
+	}
+	d, m := binary.Uvarint(src[n:])
+	a.Gen += unzigzag(d)
+	n += m
+	d, m = binary.Uvarint(src[n:])
+	a.At += unzigzag(d)
+	return a, n + m
+}
+
+// decodeLocked appends the log's arrivals to dst in recorded order. Caller
+// holds r.mu.
+func (r *Receiver) decodeLocked(dst []Arrival) []Arrival {
+	var a Arrival
+	for _, chunk := range r.log {
+		for off := 0; off < len(chunk); {
+			var n int
+			a, n = readRecord(chunk[off:], a)
+			dst = append(dst, a)
+			off += n
+		}
+	}
+	return dst
+}
+
+// zigzag maps small negative and positive deltas alike to small unsigned
+// numbers: 0, -1, 1, -2, ... become 0, 1, 2, 3, ...
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // finish records an end marker: the expected count is the max announced by
 // any path (paths of a live hub subscription drain at slightly different
@@ -180,7 +249,7 @@ func (r *Receiver) finish(expected int64, self net.Conn) {
 // that the stream is over and redialing is pointless.
 func (r *Receiver) Done() <-chan struct{} { return r.done }
 
-// Trace snapshots the merged arrival record, ordered by arrival time.
+// Trace decodes the merged arrival record, ordered by arrival time.
 // Arrivals are stamped under r.mu, so the log is already in that order
 // unless the wall clock stepped back; only then is it sorted, stably, so
 // arrivals with equal stamps keep the order they were recorded in.
@@ -189,11 +258,8 @@ func (r *Receiver) Trace() *Trace {
 	tr := &Trace{
 		Mu:          r.muRate,
 		PayloadSize: r.payload,
-		Arrivals:    make([]Arrival, 0, r.n),
+		Arrivals:    r.decodeLocked(make([]Arrival, 0, r.n)),
 		Duplicates:  r.dups,
-	}
-	for _, b := range r.log {
-		tr.Arrivals = append(tr.Arrivals, b[:min(arrivalBlockLen, r.n-len(tr.Arrivals))]...)
 	}
 	if r.expected > 0 {
 		tr.Expected = r.expected

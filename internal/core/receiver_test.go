@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
+	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -73,14 +78,15 @@ func replay(tb testing.TB, r *Receiver, paths [][]byte) {
 	}
 }
 
-// TestReceiverFootprint pins what the receiver keeps per packet for as long
-// as the stream lives: a 24-byte Arrival in a log that grows a block at a
-// time, and about a bit of duplicate filter. 100 000 packets over two paths
-// must leave no more than 26 bytes of live heap each; with 32-byte arrivals
-// in an append-doubled slice and a map[uint32]bool the same measurement read
-// ≈ 47.
+// TestReceiverFootprint pins what the whole receiver keeps per packet for as
+// long as the stream lives — the arrival log and the duplicate filter — with
+// 100 000 packets replayed over two paths. The replay is a flattering case
+// for the log: its arrivals are stamped nanoseconds apart, so their deltas
+// code in a byte or two. TestReceiverLogFootprint is the schedule that pins
+// the log's cost; this one pins that nothing else the receiver keeps grows
+// with the stream.
 func TestReceiverFootprint(t *testing.T) {
-	const packets, perPacketBudget = 100_000, 26
+	const packets, perPacketBudget = 100_000, 10
 	even, odd := alternate(packets)
 	paths := renderPaths(16, packets, even, odd)
 	heap0 := liveHeap()
@@ -101,55 +107,256 @@ func TestReceiverFootprint(t *testing.T) {
 	}
 }
 
-// TestReceiverLogBlockBoundary records one packet fewer than a block of the
-// log holds, exactly a block, and one more, and requires the snapshot exact
-// each time: every arrival once and attributed to its path, the packets never
-// sent reported missing, the resent ones counted as duplicates.
-func TestReceiverLogBlockBoundary(t *testing.T) {
-	for _, n := range []int{arrivalBlockLen - 1, arrivalBlockLen, arrivalBlockLen + 1} {
-		// Numbers 0..n+1 with two never sent leaves n to record. Path 0 runs
-		// to its end before path 1 starts, so path 1's three resends of
-		// path 0's packets are the duplicates and the attribution is fixed.
-		missing := []uint32{5, uint32(n)}
-		var first, second []uint32
-		for pkt := uint32(0); pkt < uint32(n)+2; pkt++ {
-			switch {
-			case pkt == missing[0] || pkt == missing[1]:
-			case pkt%2 == 0:
-				first = append(first, pkt)
-			default:
-				second = append(second, pkt)
-			}
+// cbrSchedule is n arrivals, in arrival order, of a 300 pkt/s stream striped
+// over a 1 ms and an 8 ms path: generation stamps jitter by up to 50 µs,
+// every delivery by up to 200 µs more, and a packet on the slow path lands
+// two or three packets after the fast path's that follow it.
+func cbrSchedule(n int) []Arrival {
+	const period = int64(time.Second / 300)
+	delay := [2]int64{int64(time.Millisecond), int64(8 * time.Millisecond)}
+	rng := rand.New(rand.NewSource(1))
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+	out := make([]Arrival, n)
+	for i := range out {
+		gen := base + int64(i)*period + rng.Int63n(50_000)
+		path := int32(0)
+		if rng.Intn(3) == 0 {
+			path = 1
 		}
-		want := []int64{int64(len(first)), int64(len(second))}
-		second = append(second, first[0], first[len(first)/2], first[len(first)-1])
-		paths := renderPaths(8, int64(n)+2, first, second)
+		out[i] = Arrival{Pkt: uint32(i), Path: path, Gen: gen, At: gen + delay[path] + rng.Int63n(200_000)}
+	}
+	slices.SortStableFunc(out, func(a, b Arrival) int { return cmp.Compare(a.At, b.At) })
+	return out
+}
 
-		r := NewReceiver(ReceiverOptions{})
-		replay(t, r, paths[:1])
-		if err := r.Run(1, &replayConn{r: bytes.NewReader(paths[1])}); err != nil {
-			t.Fatalf("n=%d: path 1: %v", n, err)
-		}
-		tr := r.Trace()
-		if len(tr.Arrivals) != n || tr.Expected != int64(n)+2 {
-			t.Fatalf("n=%d: %d arrivals, expected field %d", n, len(tr.Arrivals), tr.Expected)
-		}
-		if got := tr.Missing(); !reflect.DeepEqual(got, missing) {
-			t.Errorf("n=%d: missing %v, want %v", n, got, missing)
-		}
-		if tr.Duplicates != 3 {
-			t.Errorf("n=%d: %d duplicates, want 3", n, tr.Duplicates)
-		}
-		if got := tr.PathCounts(2); !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d: path counts %v, want %v", n, got, want)
-		}
-		var seen PacketSet
-		for i, a := range tr.Arrivals {
-			if !seen.Add(a.Pkt) || a.Gen != int64(a.Pkt) || a.Path != int32(a.Pkt%2) {
-				t.Fatalf("n=%d: arrival %d is %+v", n, i, a)
-			}
+// TestReceiverLogFootprint pins what the arrival log costs a packet of a
+// stream like the paper's: 100 000 arrivals of cbrSchedule must take no
+// more than 10 B of live heap each, and come back out of Trace exactly.
+// Their deltas are a packet or two, a path change about one time in two, and
+// generation and arrival gaps of milliseconds: four-byte varints.
+func TestReceiverLogFootprint(t *testing.T) {
+	const packets, perPacketBudget = 100_000, 10
+	sched := cbrSchedule(packets)
+	heap0 := liveHeap()
+
+	r := NewReceiver(ReceiverOptions{})
+	for _, a := range sched {
+		r.recordLocked(a)
+	}
+	perPacket := float64(int64(liveHeap())-int64(heap0)) / packets
+	t.Logf("%.2f B of live heap per recorded packet, %d chunks", perPacket, len(r.log))
+	if perPacket > perPacketBudget {
+		t.Errorf("log keeps %.2f B per packet, budget %d", perPacket, perPacketBudget)
+	}
+	if tr := r.Trace(); !slices.Equal(tr.Arrivals, sched) {
+		t.Fatal("the log did not give back the arrivals recorded")
+	}
+}
+
+// TestReceiverLogHostile bounds the log's cost a packet whatever the values:
+// packet numbers one per 64-packet word and 2²⁷ apart, path indices and
+// stamps jumping between extremes, so that every record takes maxRecordLen
+// bytes. A peer controls only the packet number and the generation stamp;
+// the path index and the clock are pushed too, for the worst case of every
+// field. A chunk then holds ⌊4096/30⌋ records and leaves 16 bytes unused,
+// ≈ 30.1 B a packet; the bound is 32. The duplicate filter's own hostile
+// cost is TestPacketSetHostileStride's.
+func TestReceiverLogHostile(t *testing.T) {
+	const packets, perPacketBudget = 40_000, 32
+	sched := make([]Arrival, packets)
+	for i := range sched {
+		odd := int64(i % 2)
+		sched[i] = Arrival{
+			Pkt:  uint32(i) * 64 * (1<<21 + 1),
+			Path: int32(odd) * math.MinInt32,
+			Gen:  odd * math.MinInt64,
+			At:   math.MaxInt64 + odd*math.MinInt64,
 		}
 	}
+	if n := len(appendRecord(nil, sched[1], sched[2])); n != maxRecordLen {
+		t.Fatalf("schedule's record is %d B, want the worst case %d", n, maxRecordLen)
+	}
+	heap0 := liveHeap()
+
+	r := NewReceiver(ReceiverOptions{})
+	for _, a := range sched {
+		r.recordLocked(a)
+	}
+	perPacket := float64(int64(liveHeap())-int64(heap0)) / packets
+	t.Logf("%.2f B of live heap per recorded packet", perPacket)
+	if perPacket > perPacketBudget {
+		t.Errorf("log keeps %.2f B per packet, bound %d", perPacket, perPacketBudget)
+	}
+	if !slices.Equal(r.decodeLocked(nil), sched) {
+		t.Fatal("the log did not give back the arrivals recorded")
+	}
+}
+
+// TestReceiverLogBlockBoundary fills the log's first chunk to four bytes
+// short of its end and records one more arrival: a four-byte record lands
+// exactly at the chunk's end, a five-byte one would straddle it and starts
+// the next chunk instead. Either way Trace gives back every arrival. Then a
+// stream whose log spans several chunks is replayed through Run, and the
+// snapshot must be exact: every arrival once and attributed to its path, the
+// packets never sent reported missing, the resent ones counted as
+// duplicates.
+func TestReceiverLogBlockBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		step       int64 // arrival gap of the last record: 64 ns codes in 2 bytes, 8192 ns in 3
+		chunks     int
+		firstChunk int
+	}{
+		{"lands at the end", 64, 1, logChunkSize},
+		{"would straddle", 8192, 2, logChunkSize - 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Each arrival after the first is one packet on, same path, same
+			// stamps: a three-byte record, as is the first against the zero
+			// arrival.
+			var sched []Arrival
+			for i := 0; i < (logChunkSize-4)/3; i++ {
+				sched = append(sched, Arrival{Pkt: uint32(i)})
+			}
+			r := NewReceiver(ReceiverOptions{})
+			for _, a := range sched {
+				r.recordLocked(a)
+			}
+			if len(r.log) != 1 || len(r.log[0]) != logChunkSize-4 {
+				t.Fatalf("filled %d chunks, the first %d B; want one of %d B", len(r.log), len(r.log[0]), logChunkSize-4)
+			}
+			last := Arrival{Pkt: uint32(len(sched)), At: tc.step}
+			sched = append(sched, last)
+			r.recordLocked(last)
+			if len(r.log) != tc.chunks || len(r.log[0]) != tc.firstChunk {
+				t.Fatalf("%d chunks, the first %d B; want %d, %d B", len(r.log), len(r.log[0]), tc.chunks, tc.firstChunk)
+			}
+			// One more to follow the edge.
+			sched = append(sched, Arrival{Pkt: last.Pkt + 1, Path: 1, At: last.At})
+			r.recordLocked(sched[len(sched)-1])
+			if tr := r.Trace(); !slices.Equal(tr.Arrivals, sched) {
+				t.Fatal("the log did not give back the arrivals recorded")
+			}
+		})
+	}
+
+	// Numbers 0..n+1 with two never sent leaves n to record. Path 0 runs to
+	// its end before path 1 starts, so path 1's three resends of path 0's
+	// packets are the duplicates and the attribution is fixed.
+	const n = 3000
+	missing := []uint32{5, n}
+	var first, second []uint32
+	for pkt := uint32(0); pkt < n+2; pkt++ {
+		switch {
+		case pkt == missing[0] || pkt == missing[1]:
+		case pkt%2 == 0:
+			first = append(first, pkt)
+		default:
+			second = append(second, pkt)
+		}
+	}
+	want := []int64{int64(len(first)), int64(len(second))}
+	second = append(second, first[0], first[len(first)/2], first[len(first)-1])
+	paths := renderPaths(8, n+2, first, second)
+
+	r := NewReceiver(ReceiverOptions{})
+	replay(t, r, paths[:1])
+	if err := r.Run(1, &replayConn{r: bytes.NewReader(paths[1])}); err != nil {
+		t.Fatalf("path 1: %v", err)
+	}
+	if len(r.log) < 2 {
+		t.Fatalf("log of %d chunks; the replay must cross a chunk edge", len(r.log))
+	}
+	tr := r.Trace()
+	if len(tr.Arrivals) != n || tr.Expected != n+2 {
+		t.Fatalf("%d arrivals, expected field %d", len(tr.Arrivals), tr.Expected)
+	}
+	if got := tr.Missing(); !reflect.DeepEqual(got, missing) {
+		t.Errorf("missing %v, want %v", got, missing)
+	}
+	if tr.Duplicates != 3 {
+		t.Errorf("%d duplicates, want 3", tr.Duplicates)
+	}
+	if got := tr.PathCounts(2); !reflect.DeepEqual(got, want) {
+		t.Errorf("path counts %v, want %v", got, want)
+	}
+	var seen PacketSet
+	for i, a := range tr.Arrivals {
+		if !seen.Add(a.Pkt) || a.Gen != int64(a.Pkt) || a.Path != int32(a.Pkt%2) {
+			t.Fatalf("arrival %d is %+v", i, a)
+		}
+	}
+}
+
+// FuzzArrivalLog: any sequence of arrivals must come back out of the log
+// exactly — packet numbers in any order and stride, negative paths, stamps
+// at math.MinInt64 and math.MaxInt64, the clock going backwards. The input
+// is cut into 24-byte arrivals (packet, path, generation and arrival stamps,
+// little-endian), recorded, and recorded again from the start until the log
+// spans more than one chunk.
+// Decoded in recorded order it must equal the input; Trace must equal the
+// input stably sorted by arrival stamp.
+func FuzzArrivalLog(f *testing.F) {
+	encode := func(as ...Arrival) []byte {
+		var b []byte
+		for _, a := range as {
+			b = binary.LittleEndian.AppendUint32(b, a.Pkt)
+			b = binary.LittleEndian.AppendUint32(b, uint32(a.Path))
+			b = binary.LittleEndian.AppendUint64(b, uint64(a.Gen))
+			b = binary.LittleEndian.AppendUint64(b, uint64(a.At))
+		}
+		return b
+	}
+	f.Add(encode(cbrSchedule(8)...))
+	f.Add(encode(
+		Arrival{Pkt: 0, Path: 0, Gen: math.MinInt64, At: math.MaxInt64},
+		Arrival{Pkt: math.MaxUint32, Path: -1, Gen: math.MaxInt64, At: math.MinInt64},
+		Arrival{Pkt: 64, Path: math.MinInt32, Gen: 0, At: -1},
+		Arrival{Pkt: 1 << 31, Path: math.MaxInt32, Gen: 1, At: 0},
+	))
+	f.Add(encode( // strided numbers, a clock stepping back and ties
+		Arrival{Pkt: 0, Path: 1, Gen: 1e18, At: 1e18 + 5e6},
+		Arrival{Pkt: 4096, Path: 0, Gen: 1e18 + 3e6, At: 1e18 + 1e6},
+		Arrival{Pkt: 8192, Path: 1, Gen: 1e18 + 6e6, At: 1e18 + 1e6},
+		Arrival{Pkt: 2, Path: -7, Gen: 1e18 - 3e6, At: 1e18 + 9e6},
+	))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cycle []Arrival
+		for ; len(data) >= 24; data = data[24:] {
+			cycle = append(cycle, Arrival{
+				Pkt:  binary.LittleEndian.Uint32(data),
+				Path: int32(binary.LittleEndian.Uint32(data[4:])),
+				Gen:  int64(binary.LittleEndian.Uint64(data[8:])),
+				At:   int64(binary.LittleEndian.Uint64(data[16:])),
+			})
+		}
+		r := NewReceiver(ReceiverOptions{})
+		var in []Arrival
+		var prev Arrival
+		for i := 0; i < len(cycle) || (len(cycle) > 0 && len(r.log) < 2); i++ {
+			a := cycle[i%len(cycle)]
+			if n := len(appendRecord(nil, prev, a)); n > maxRecordLen {
+				t.Fatalf("arrival %d: %d-byte record, longest allowed %d", i, n, maxRecordLen)
+			}
+			r.recordLocked(a)
+			in = append(in, a)
+			prev = a
+		}
+		for i, chunk := range r.log {
+			if cap(chunk) != logChunkSize {
+				t.Fatalf("chunk %d has capacity %d, want %d", i, cap(chunk), logChunkSize)
+			}
+		}
+		if got := r.decodeLocked(nil); !slices.Equal(got, in) {
+			t.Fatalf("decoded %d arrivals, not the %d recorded", len(got), len(in))
+		}
+		want := slices.Clone(in)
+		slices.SortStableFunc(want, func(a, b Arrival) int { return cmp.Compare(a.At, b.At) })
+		if tr := r.Trace(); !slices.Equal(tr.Arrivals, want) {
+			t.Fatal("Trace is not the recorded arrivals stably sorted by arrival stamp")
+		}
+	})
 }
 
 // TestReceiveRejectsPayloadMismatch: a path whose header announces a
@@ -174,7 +381,7 @@ func TestReceiveRejectsPayloadMismatch(t *testing.T) {
 // or ReorderCount reports reordering that did not happen; and when the wall
 // clock did step back, the sort that repairs it must not disturb the ties.
 func TestTraceKeepsRecordedOrderOnEqualStamps(t *testing.T) {
-	const n = 3 * arrivalBlockLen / 2
+	const n = logChunkSize // three-byte records: the log spans three chunks
 	r := NewReceiver(ReceiverOptions{})
 	for pkt := uint32(0); pkt < n; pkt++ {
 		r.recordLocked(Arrival{Pkt: pkt, At: 1000})
