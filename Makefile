@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-json lockgraph bufgraph hotpaths fuzz soak bench-smoke bench-tick bench-receiver
+.PHONY: all build test race lint lockgraph hotpaths fuzz soak bench-smoke bench-tick bench-receiver
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -20,34 +20,19 @@ race:
 	$(GO) test -race ./...
 
 # lint is the repo-invariant gate: go vet plus the dmplint suite
-# (detsim, lockguard, wiresafe, netdeadline, closecheck, lockorder,
-# goleak, atomicmix, hotalloc, copycheck, bufown, exhaustenum — see
-# DESIGN.md "Enforced invariants"). Findings not recorded in the
-# burn-down baseline (dmplint_baseline.json, currently empty) exit
-# non-zero.
+# (detsim, lockguard, lockorder, hotalloc, bufown, exhaustenum — see
+# DESIGN.md "Enforced invariants"). Any finding exits non-zero.
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/dmplint -baseline dmplint_baseline.json ./...
-
-# lint-json writes the machine-readable findings (including inline
-# suppressions, marked) to dmplint.json; CI uploads it as an artifact.
-lint-json:
-	$(GO) run ./cmd/dmplint -json ./... > dmplint.json
+	$(GO) run ./cmd/dmplint ./...
 
 # lockgraph renders the whole-program lock-acquisition graph as Graphviz
 # dot on stdout (cycle edges in red). Pipe into `dot -Tsvg` to view.
 lockgraph:
 	$(GO) run ./cmd/dmplint -lockgraph
 
-# bufgraph renders the buffer-ownership borrow graph as Graphviz dot on
-# stdout: who borrows which shared payload buffer, where it is lent on,
-# and which sink ends each borrow (sinks in blue). Pipe into
-# `dot -Tsvg` to view.
-bufgraph:
-	$(GO) run ./cmd/dmplint -bufgraph
-
 # hotpaths dumps the `// hotpath` annotated roots and the transitive
-# callee closure the hotalloc/copycheck analyzers police.
+# callee closure the hotalloc and bufown analyzers police.
 hotpaths:
 	$(GO) run ./cmd/dmplint -hotpaths
 

@@ -7,28 +7,15 @@
 // Patterns select which packages are analyzed (go-tool style: a package
 // path relative to the module root, or a prefix ending in /... for a
 // subtree; default ./...). The full module is always parsed so
-// cross-package inference and the whole-program concurrency pass work
+// cross-package inference and the whole-program lock graph work
 // regardless of the pattern.
 //
-// Output and gating modes:
+// Two dumps replace the gate run:
 //
-//	-json                 findings as a stable JSON schema (analyzer, pos,
-//	                      severity, message, suppressed) — suppressed
-//	                      findings are included and marked
-//	-baseline file        fail only on findings not recorded in file
-//	                      (adopt-then-burn-down)
-//	-update-baseline      rewrite the -baseline file from current findings
-//	-lockgraph            dump the whole-program lock-acquisition graph as
-//	                      Graphviz dot and exit (cycle edges in red)
-//	-bufgraph             dump the buffer-ownership borrow graph as
-//	                      Graphviz dot and exit (sinks in blue)
-//	-hotpaths             dump the `// hotpath` annotated roots and their
-//	                      transitive callee closure and exit (with -json,
-//	                      as the dmpstream/hotpaths/v1 document)
-//	-copysize n           copycheck large-struct threshold in bytes
-//	                      (default 128)
-//	-enable a,b / -disable a,b
-//	                      restrict which analyzers run
+//	-lockgraph   the whole-program lock-acquisition graph as Graphviz
+//	             dot (cycle edges in red)
+//	-hotpaths    the `// hotpath` annotated roots and their transitive
+//	             callee closure, with discovery chains
 //
 // Findings are suppressed with an inline `// nolint:<analyzer> <reason>`
 // on the offending line, the line above it, or the enclosing function's
@@ -36,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -49,16 +35,8 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
-	list := flag.Bool("list", false, "list analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON (stable schema, includes suppressed findings)")
-	baselinePath := flag.String("baseline", "", "baseline `file`: fail only on findings not recorded in it")
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite the -baseline file from the current findings and exit")
 	lockgraph := flag.Bool("lockgraph", false, "emit the whole-program lock-acquisition graph as Graphviz dot and exit")
-	bufgraph := flag.Bool("bufgraph", false, "emit the buffer-ownership borrow graph as Graphviz dot and exit")
-	hotpaths := flag.Bool("hotpaths", false, "dump the hotpath roots and transitive closure and exit (honors -json)")
-	copysize := flag.Int("copysize", 0, "copycheck large-struct threshold in `bytes` (0 = default 128)")
-	enable := flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-	disable := flag.String("disable", "", "comma-separated analyzers to skip")
+	hotpaths := flag.Bool("hotpaths", false, "dump the hotpath roots and transitive closure and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dmplint [flags] [packages]\n\npackages default to ./...\n")
 		flag.PrintDefaults()
@@ -73,45 +51,13 @@ func run() int {
 	if err != nil {
 		return fatal(err)
 	}
-	analyzers := lint.DefaultAnalyzers(module)
-	if *copysize > 0 {
-		for i, a := range analyzers {
-			if a.Name == "copycheck" {
-				analyzers[i] = lint.Copycheck(*copysize)
-			}
-		}
-	}
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	analyzers, err = selectAnalyzers(analyzers, *enable, *disable)
-	if err != nil {
-		return fatal(err)
-	}
-
 	idx := lint.BuildIndex(module, pkgs)
 	if *lockgraph {
 		fmt.Print(lint.LockGraphDot(idx))
 		return 0
 	}
-	if *bufgraph {
-		fmt.Print(lint.BufGraphDot(idx))
-		return 0
-	}
 	if *hotpaths {
-		d := lint.Hotpaths(idx)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(d); err != nil {
-				return fatal(err)
-			}
-		} else {
-			fmt.Print(d.Text(module))
-		}
+		fmt.Print(lint.Hotpaths(idx))
 		return 0
 	}
 
@@ -123,112 +69,15 @@ func run() int {
 	if len(selected) == 0 {
 		return fatal(fmt.Errorf("no packages match %v", patterns))
 	}
-
-	all := lint.RunAll(selected, idx, analyzers)
-	active := unsuppressed(all)
-
-	if *updateBaseline {
-		if *baselinePath == "" {
-			return fatal(fmt.Errorf("-update-baseline requires -baseline file"))
-		}
-		if err := lint.WriteBaselineFile(*baselinePath, active); err != nil {
-			return fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "dmplint: baseline %s records %d finding(s)\n", *baselinePath, len(active))
-		return 0
+	findings := lint.Run(selected, idx, lint.DefaultAnalyzers(module))
+	for _, f := range findings {
+		fmt.Println(f)
 	}
-	if *baselinePath != "" {
-		base, err := lint.LoadBaselineFile(*baselinePath)
-		if err != nil {
-			return fatal(err)
-		}
-		waived := len(active)
-		active = lint.FilterBaseline(active, base)
-		waived -= len(active)
-		if waived > 0 {
-			fmt.Fprintf(os.Stderr, "dmplint: %d finding(s) waived by baseline %s\n", waived, *baselinePath)
-		}
-	}
-
-	if *jsonOut {
-		// The JSON stream carries what gates (post-baseline) plus the
-		// inline-suppressed findings, marked, for audits of the waivers.
-		report := append([]lint.Finding{}, active...)
-		for _, f := range all {
-			if f.Suppressed {
-				report = append(report, f)
-			}
-		}
-		if err := lint.WriteJSON(os.Stdout, report); err != nil {
-			return fatal(err)
-		}
-	} else {
-		for _, f := range active {
-			fmt.Println(f)
-		}
-	}
-	if len(active) > 0 {
-		fmt.Fprintf(os.Stderr, "dmplint: %d finding(s)\n", len(active))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "dmplint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-func unsuppressed(findings []lint.Finding) []lint.Finding {
-	var out []lint.Finding
-	for _, f := range findings {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// selectAnalyzers applies -enable / -disable.
-func selectAnalyzers(all []*lint.Analyzer, enable, disable string) ([]*lint.Analyzer, error) {
-	known := map[string]bool{}
-	for _, a := range all {
-		known[a.Name] = true
-	}
-	parse := func(csv string) (map[string]bool, error) {
-		if csv == "" {
-			return nil, nil
-		}
-		set := map[string]bool{}
-		for _, name := range strings.Split(csv, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !known[name] {
-				return nil, fmt.Errorf("unknown analyzer %q (see -list)", name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	on, err := parse(enable)
-	if err != nil {
-		return nil, err
-	}
-	off, err := parse(disable)
-	if err != nil {
-		return nil, err
-	}
-	var out []*lint.Analyzer
-	for _, a := range all {
-		if on != nil && !on[a.Name] {
-			continue
-		}
-		if off[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no analyzers left after -enable/-disable")
-	}
-	return out, nil
 }
 
 // moduleRoot walks up from the working directory to the enclosing go.mod.

@@ -144,7 +144,7 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 			metaCh <- sessionMeta{mu: m, payload: payload}
 			frame := make([]byte, frameHdr+payload)
 			for {
-				// nolint:netdeadline client-side read loop: bounded by the server's
+				// Client-side read loop: bounded by the server's
 				// end marker, and the caller owns/closes the connections on failure.
 				if _, err := io.ReadFull(conn, frame); err != nil {
 					errs[k] = fmt.Errorf("core: path %d read: %w", k, err)

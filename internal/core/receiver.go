@@ -121,7 +121,7 @@ func (r *Receiver) Run(path int, conn net.Conn) error {
 
 	frame := make([]byte, frameHdr+payload)
 	for {
-		// nolint:netdeadline client-side read loop: bounded by the server's
+		// Client-side read loop: bounded by the server's
 		// end marker plus the EndGrace deadline armed once any path ends.
 		if _, err := io.ReadFull(conn, frame); err != nil {
 			return fmt.Errorf("core: path %d read: %w", path, err)

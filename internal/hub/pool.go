@@ -42,7 +42,7 @@ func (pb *payloadBuf) fill(fill func(pkt uint32, buf []byte), pkt uint32) {
 // external-source ingest analogue of fill, called by ring.publishAt on a
 // buffer it exclusively owns (fresh from the pool, not yet published).
 //
-// hotpath copy-point — the one sanctioned ingest copy per republished
+// hotpath — the one sanctioned ingest copy per republished
 // frame: the upstream's bytes become pool-private before any reader can
 // alias the slot.
 //

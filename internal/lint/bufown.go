@@ -5,9 +5,9 @@
 // The hub's ring slots are reused every ring lap, so any []byte that
 // aliases a slot payload is a loan with frame-scoped lifetime: the hub
 // delivers pinned slot buffers without copying them, so a retained or
-// mutated alias is a cross-lap data race. PR 7 built the enforcement
-// floor for allocations (hotalloc/copycheck over the hotpath closure);
-// bufown is the matching floor for aliasing and lifetime.
+// mutated alias is a cross-lap data race. hotalloc is the enforcement
+// floor for allocations over the hotpath closure; bufown is the matching
+// floor for aliasing and lifetime.
 //
 // Annotation grammar — doc-comment lines whose first word is "bufown":
 //
@@ -50,12 +50,11 @@
 // per the suite's "unknown: stay quiet" convention, and every check
 // honors `// nolint:bufown reason`.
 //
-// `dmplint -bufgraph` dumps the borrow edges the pass derives (field →
-// borrower, lender → borrowed param, function → sink) as Graphviz dot.
+// BufGraph lists the borrow edges the pass derives (field → borrower,
+// lender → borrowed param, function → sink).
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"sort"
@@ -666,7 +665,6 @@ func bufScope(h *hotIndex, fn *bufFn) bool {
 func Bufown() *Analyzer {
 	return &Analyzer{
 		Name: "bufown",
-		Doc:  "borrowed frame-payload slices are never mutated, retained, or leaked past frame scope",
 		Run: func(pkg *Package, idx *Index) []Finding {
 			bi := idx.buf()
 			h := idx.hot()
@@ -710,40 +708,4 @@ func BufGraph(idx *Index) []BufEdge {
 	}
 	sort.Slice(edges, func(i, j int) bool { return edges[i].key() < edges[j].key() })
 	return edges
-}
-
-// BufGraphDot renders the borrow graph as Graphviz dot: field → reader
-// borrow edges, caller → callee lends, sanctioned stores, and handoffs
-// into sinks. Deterministic (sorted nodes and edges) so it can be
-// diffed across commits.
-func BufGraphDot(idx *Index) string {
-	edges := BufGraph(idx)
-	nodeSet := map[string]bool{}
-	for _, e := range edges {
-		nodeSet[e.From] = true
-		nodeSet[e.To] = true
-	}
-	var nodes []string
-	for n := range nodeSet {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-
-	var b strings.Builder
-	b.WriteString("digraph bufown {\n")
-	b.WriteString("  rankdir=LR;\n")
-	b.WriteString("  node [shape=box, fontname=\"monospace\"];\n")
-	for _, n := range nodes {
-		fmt.Fprintf(&b, "  %q;\n", trimModule(idx.Module, n))
-	}
-	for _, e := range edges {
-		attrs := fmt.Sprintf("label=%q", e.Kind)
-		if e.Kind == "sink" {
-			attrs += ", color=blue"
-		}
-		fmt.Fprintf(&b, "  %q -> %q [%s];\n",
-			trimModule(idx.Module, e.From), trimModule(idx.Module, e.To), attrs)
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

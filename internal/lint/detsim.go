@@ -14,7 +14,6 @@ import (
 func Detsim() *Analyzer {
 	return &Analyzer{
 		Name: "detsim",
-		Doc:  "forbid wall-clock time, unseeded randomness and map-order dependent results in deterministic packages",
 		Run:  runDetsim,
 	}
 }

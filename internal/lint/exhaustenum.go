@@ -127,7 +127,6 @@ func defaultCommented(fset *token.FileSet, file *File, sw *ast.SwitchStmt, cc *a
 func Exhaustenum() *Analyzer {
 	return &Analyzer{
 		Name: "exhaustenum",
-		Doc:  "switches over repo enum types cover every member or carry a commented default",
 		Run: func(pkg *Package, idx *Index) []Finding {
 			enums := idx.enums()
 			var out []Finding

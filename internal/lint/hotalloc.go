@@ -26,7 +26,6 @@ import (
 func Hotalloc() *Analyzer {
 	return &Analyzer{
 		Name: "hotalloc",
-		Doc:  "no heap allocation inside `// hotpath` functions or their transitive callees",
 		Run:  runHotalloc,
 	}
 }

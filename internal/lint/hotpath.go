@@ -1,18 +1,13 @@
 // Hot-path discipline: the `// hotpath` annotation and the transitive
-// call-graph closure shared by the hotalloc and copycheck analyzers.
+// call-graph closure shared by the hotalloc and bufown analyzers.
 //
 // A function whose doc comment contains a line beginning with the word
 // `hotpath` declares itself a per-frame hot-path root: everything the
 // function does in steady state happens once per frame (or more), so
-// heap allocations and large copies inside it are throughput bugs, not
-// style nits. The marker line may carry extra tokens:
+// heap allocations inside it are throughput bugs, not style nits. The
+// rest of the marker line is prose:
 //
 //	// hotpath — ring advance, runs once per generated frame.
-//	// hotpath copy-point — the ONE sanctioned frame-payload copy.
-//
-// `copy-point` designates the function as a sanctioned frame-payload
-// copy site; copycheck allows builtin copy() into byte slices there and
-// flags it everywhere else on the hot path.
 //
 // The discipline is transitive: PR 6's lockorder pass followed calls one
 // level deep; here the closure is computed to a fixed point with a
@@ -42,13 +37,12 @@ import (
 
 // hotFunc is one function in the module-wide declaration index.
 type hotFunc struct {
-	key       string
-	pkg       *Package
-	file      *File
-	fd        *ast.FuncDecl
-	root      bool     // carries a `// hotpath` doc marker
-	copyPoint bool     // marker includes the copy-point token
-	via       []string // discovery chain from a root (empty for roots)
+	key  string
+	pkg  *Package
+	file *File
+	fd   *ast.FuncDecl
+	root bool     // carries a `// hotpath` doc marker
+	via  []string // discovery chain from a root (empty for roots)
 }
 
 // hotIndex is the lazily computed hot-path state.
@@ -69,23 +63,16 @@ func (idx *Index) hot() *hotIndex {
 // hotpathMarker scans a doc comment for the annotation. A line counts
 // when its first word (after stripping the comment marker) is exactly
 // "hotpath", so prose mentioning hot paths does not annotate.
-func hotpathMarker(doc *ast.CommentGroup) (isRoot, isCopyPoint bool) {
+func hotpathMarker(doc *ast.CommentGroup) bool {
 	if doc == nil {
-		return false, false
+		return false
 	}
 	for _, line := range strings.Split(doc.Text(), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 0 || fields[0] != "hotpath" {
-			continue
-		}
-		isRoot = true
-		for _, tok := range fields[1:] {
-			if strings.Trim(tok, "—-.,:;") == "copy-point" {
-				isCopyPoint = true
-			}
+		if fields := strings.Fields(line); len(fields) > 0 && fields[0] == "hotpath" {
+			return true
 		}
 	}
-	return isRoot, isCopyPoint
+	return false
 }
 
 // buildHotIndex indexes every declared function, finds the annotated
@@ -111,8 +98,7 @@ func buildHotIndex(idx *Index) *hotIndex {
 				if key == "" || h.funcs[key] != nil {
 					continue
 				}
-				root, cp := hotpathMarker(fd.Doc)
-				h.funcs[key] = &hotFunc{key: key, pkg: pkg, file: file, fd: fd, root: root, copyPoint: cp}
+				h.funcs[key] = &hotFunc{key: key, pkg: pkg, file: file, fd: fd, root: hotpathMarker(fd.Doc)}
 			}
 		}
 	}
@@ -265,72 +251,32 @@ func nolintLines(fset *token.FileSet, file *File, analyzers ...string) map[int]b
 	return lines
 }
 
-// HotpathEntry is one function of the hot-path closure in the
+// Hotpaths renders the annotated roots and their transitive callee
+// closure, sorted by function key, each with its discovery chain — the
 // `dmplint -hotpaths` dump.
-type HotpathEntry struct {
-	Func      string `json:"func"`
-	Root      bool   `json:"root"`
-	CopyPoint bool   `json:"copy_point,omitempty"`
-	// Via is the shortest discovery chain from a root (exclusive of
-	// Func itself); empty for roots.
-	Via []string `json:"via,omitempty"`
-}
-
-// HotpathDump is the machine-readable closure report. It is a separate
-// JSON document from the findings schema (JSONFinding is append-only
-// and golden-pinned), written by `dmplint -hotpaths -json`.
-type HotpathDump struct {
-	Schema  string         `json:"schema"`
-	Roots   []string       `json:"roots"`
-	Closure []HotpathEntry `json:"closure"`
-}
-
-// HotpathSchema versions the -hotpaths JSON document.
-const HotpathSchema = "dmpstream/hotpaths/v1"
-
-// Hotpaths reports the annotated roots and their transitive callee
-// closure, sorted by function key.
-func Hotpaths(idx *Index) *HotpathDump {
+func Hotpaths(idx *Index) string {
 	h := idx.hot()
-	d := &HotpathDump{Schema: HotpathSchema, Roots: append([]string{}, h.roots...)}
+	var b strings.Builder
+	b.WriteString("hotpath roots:\n")
+	for _, r := range h.roots {
+		b.WriteString("  " + trimModule(idx.Module, r) + "\n")
+	}
 	keys := make([]string, 0, len(h.hot))
 	for k := range h.hot {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	b.WriteString("transitive closure:\n")
 	for _, k := range keys {
 		fn := h.hot[k]
-		d.Closure = append(d.Closure, HotpathEntry{
-			Func: k, Root: fn.root, CopyPoint: fn.copyPoint,
-			Via: append([]string{}, fn.via...),
-		})
-	}
-	return d
-}
-
-// Text renders the dump for terminals: roots first, then the closure
-// with discovery chains.
-func (d *HotpathDump) Text(module string) string {
-	var b strings.Builder
-	b.WriteString("hotpath roots:\n")
-	for _, r := range d.Roots {
-		b.WriteString("  " + trimModule(module, r) + "\n")
-	}
-	b.WriteString("transitive closure:\n")
-	for _, e := range d.Closure {
-		b.WriteString("  " + trimModule(module, e.Func))
-		switch {
-		case e.Root && e.CopyPoint:
-			b.WriteString("  [root, copy-point]")
-		case e.Root:
+		b.WriteString("  " + trimModule(idx.Module, k))
+		if fn.root {
 			b.WriteString("  [root]")
-		case e.CopyPoint:
-			b.WriteString("  [copy-point]")
 		}
-		if len(e.Via) > 0 {
-			parts := make([]string, 0, len(e.Via))
-			for _, v := range e.Via {
-				parts = append(parts, trimModule(module, v))
+		if len(fn.via) > 0 {
+			parts := make([]string, 0, len(fn.via))
+			for _, v := range fn.via {
+				parts = append(parts, trimModule(idx.Module, v))
 			}
 			b.WriteString("  via " + strings.Join(parts, " -> "))
 		}

@@ -5,32 +5,23 @@ import (
 	"testing"
 )
 
-// closureMap builds key → entry from a dump.
-func closureMap(d *HotpathDump) map[string]HotpathEntry {
-	m := map[string]HotpathEntry{}
-	for _, e := range d.Closure {
-		m[e.Func] = e
-	}
-	return m
-}
-
 // TestHotpathClosureFixture pins the closure mechanics on the fixture
 // package: marker detection, transitive method resolution, via chains,
 // the nolint edge cut, and cycle termination.
 func TestHotpathClosureFixture(t *testing.T) {
 	pkg, _ := loadFixture(t, "hotpath")
 	idx := BuildIndex("fixture", []*Package{pkg})
-	d := Hotpaths(idx)
+	h := idx.hot()
 
 	wantRoots := []string{
 		"fixture.hub.generate", "fixture.hub.sendLoop",
 		"fixture.recurA", "fixture.ring.frame",
 	}
-	if got := strings.Join(d.Roots, " "); got != strings.Join(wantRoots, " ") {
-		t.Fatalf("roots = %v, want %v", d.Roots, wantRoots)
+	if got := strings.Join(h.roots, " "); got != strings.Join(wantRoots, " ") {
+		t.Fatalf("roots = %v, want %v", h.roots, wantRoots)
 	}
 
-	m := closureMap(d)
+	m := h.hot
 	for _, key := range []string{
 		"fixture.ring.advance", "fixture.shard.wakeup", "fixture.ring.frame",
 		"fixture.hub.pop", "fixture.encode", "fixture.recurB",
@@ -46,23 +37,20 @@ func TestHotpathClosureFixture(t *testing.T) {
 	}
 
 	// The via chain records the discovery path from a root.
-	if via := m["fixture.ring.advance"].Via; strings.Join(via, " ") != "fixture.hub.generate" {
+	if via := m["fixture.ring.advance"].via; strings.Join(via, " ") != "fixture.hub.generate" {
 		t.Errorf("advance via = %v, want [fixture.hub.generate]", via)
 	}
-	if via := m["fixture.encode"].Via; strings.Join(via, " ") != "fixture.hub.sendLoop fixture.hub.pop" {
+	if via := m["fixture.encode"].via; strings.Join(via, " ") != "fixture.hub.sendLoop fixture.hub.pop" {
 		t.Errorf("encode via = %v, want sendLoop -> pop", via)
 	}
-	if !m["fixture.ring.frame"].CopyPoint {
-		t.Errorf("ring.frame should carry the copy-point designation")
-	}
-	if m["fixture.hub.pop"].Root {
+	if m["fixture.hub.pop"].root {
 		t.Errorf("hub.pop is transitively hot, not a root")
 	}
 
 	// The text rendering mentions every closure member and the cut edge
 	// stays absent.
-	text := d.Text("fixture")
-	for _, want := range []string{"hub.generate", "ring.frame", "[root, copy-point]", "via hub.sendLoop -> hub.pop"} {
+	text := Hotpaths(idx)
+	for _, want := range []string{"hub.generate", "ring.frame  [root]", "via hub.sendLoop -> hub.pop"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text dump missing %q:\n%s", want, text)
 		}
@@ -77,22 +65,8 @@ func TestHotpathClosureFixture(t *testing.T) {
 // wakeup → sender write loop → frame encode chain without any of those
 // callees being annotated themselves.
 func TestRepoHotpathChain(t *testing.T) {
-	root, err := moduleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, module, err := Load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := BuildIndex(module, pkgs)
-	d := Hotpaths(idx)
-	m := closureMap(d)
-
-	roots := map[string]bool{}
-	for _, r := range d.Roots {
-		roots[r] = true
-	}
+	_, idx := loadRepo(t)
+	m := idx.hot().hot
 	for _, want := range []string{
 		"dmpstream/internal/hub.Hub.generate",
 		"dmpstream/internal/hub.shard.work",
@@ -100,8 +74,8 @@ func TestRepoHotpathChain(t *testing.T) {
 		"dmpstream/internal/core.Session.sendLoop",
 		"dmpstream/internal/registry.Registry.Route",
 	} {
-		if !roots[want] {
-			t.Errorf("expected hotpath root %s (have %v)", want, d.Roots)
+		if fn := m[want]; fn == nil || !fn.root {
+			t.Errorf("expected hotpath root %s (have %v)", want, idx.hot().roots)
 		}
 	}
 
@@ -121,18 +95,15 @@ func TestRepoHotpathChain(t *testing.T) {
 		"dmpstream/internal/core.PutFrameHeader":        false, // writeBatch → frame encode
 		"dmpstream/internal/core.Server.pop":            false,
 
-		"dmpstream/internal/hub.payloadBuf.fillFrom": true, // copy-point marker makes it a root too
+		"dmpstream/internal/hub.payloadBuf.fillFrom": true, // the ingest copy is a root of its own
 	} {
-		e, ok := m[key]
+		fn, ok := m[key]
 		if !ok {
 			t.Errorf("hot closure is missing %s", key)
 			continue
 		}
-		if e.Root != wantRoot {
-			t.Errorf("%s: root = %v, want %v", key, e.Root, wantRoot)
+		if fn.root != wantRoot {
+			t.Errorf("%s: root = %v, want %v", key, fn.root, wantRoot)
 		}
-	}
-	if !m["dmpstream/internal/hub.payloadBuf.fillFrom"].CopyPoint {
-		t.Errorf("hub.payloadBuf.fillFrom must be the designated copy point")
 	}
 }

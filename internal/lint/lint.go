@@ -11,26 +11,24 @@
 //	            dependent results in the deterministic model packages
 //	lockguard   fields documented `guarded by <mu>` are only touched by
 //	            functions that lock that mutex first
-//	wiresafe    wire encoders/decoders index byte slices only behind a
-//	            dominating length check, and use big-endian throughout
-//	netdeadline server-side net.Conn reads/writes happen in functions
-//	            that arm a deadline
-//	closecheck  no silently dropped Close() errors outside tests
 //	lockorder   the whole-program mutex acquisition graph stays acyclic
 //	            (lock-order deadlocks; `dmplint -lockgraph` dumps it)
-//	goleak      every goroutine in library packages has a provable exit
-//	            path (done channel, bounded loop, or return)
-//	atomicmix   a field accessed through sync/atomic anywhere is never
-//	            read or written plainly elsewhere
 //	hotalloc    no heap allocation inside `// hotpath` functions or
-//	            their transitive callees (see hotpath.go)
-//	copycheck   no large-struct by-value copies or stray frame-payload
-//	            copies on the hot path
+//	            their transitive callees (see hotpath.go; `dmplint
+//	            -hotpaths` dumps the closure)
 //	bufown      `// bufown borrowed` frame-payload slices are never
 //	            mutated, retained, or leaked past frame scope (see
-//	            bufown.go; `dmplint -bufgraph` dumps the borrow edges)
+//	            bufown.go)
 //	exhaustenum switches over repo enum types cover every member or
 //	            carry a commented default
+//
+// Defect classes a cheaper gate already convicts have no analyzer here:
+// goroutine leaks (the chaos harness's leak check), mixed atomic access
+// (`go vet` copylocks and the race detector), unchecked wire indexing
+// and byte order (the parsers' fuzz seed corpora), missing write
+// deadlines (the stall-timeout tests) and stray payload copies
+// (TestZeroCopyDeliveryAliasesRing in internal/hub). A dropped Close
+// error was a style rule and is not checked.
 //
 // Any finding can be suppressed with an inline escape hatch:
 //
@@ -76,18 +74,10 @@ type Finding struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Severity string // "error" unless the analyzer declares otherwise
-	// Suppressed marks findings covered by a nolint comment; Run drops
-	// them, RunAll keeps them flagged (the -json schema reports both).
-	Suppressed bool
 
 	pos  token.Pos // set by analyzers; resolved into Pos by Run
 	file *File
 }
-
-// File returns the module-relative path of the file the finding is in
-// (stable across machines, unlike Pos.Filename).
-func (f Finding) File() string { return f.file.Path }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
@@ -101,10 +91,6 @@ func finding(file *File, pos token.Pos, analyzer, format string, args ...any) Fi
 // Analyzer is one named check over a package.
 type Analyzer struct {
 	Name string
-	Doc  string
-	// Severity tags the analyzer's findings in -json output; empty means
-	// "error".
-	Severity string
 	// Scope reports whether the analyzer applies to pkg. nil = all
 	// packages.
 	Scope func(pkg *Package) bool
@@ -211,41 +197,21 @@ func NewFile(path string, af *ast.File) *File {
 	return f
 }
 
-// Run applies each analyzer to each in-scope package, filters nolint
-// suppressions, and returns findings sorted by position.
+// Run applies each analyzer to each in-scope package, drops findings
+// covered by a nolint comment, and returns the rest sorted by position.
 func Run(pkgs []*Package, idx *Index, analyzers []*Analyzer) []Finding {
-	all := RunAll(pkgs, idx, analyzers)
-	out := all[:0]
-	for _, f := range all {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// RunAll is Run without the suppression filter: nolint-covered findings
-// are kept with Suppressed set, so output plumbing (-json) can report
-// what was waived alongside what fires. Positions are resolved and
-// severity defaulted.
-func RunAll(pkgs []*Package, idx *Index, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if a.Scope != nil && !a.Scope(pkg) {
 				continue
 			}
-			fs := a.Run(pkg, idx)
-			for k := range fs {
-				f := &fs[k]
+			for _, f := range a.Run(pkg, idx) {
 				f.Pos = pkg.Fset.Position(f.pos)
-				f.Severity = a.Severity
-				if f.Severity == "" {
-					f.Severity = "error"
+				if !suppressed(pkg.Fset, f) {
+					out = append(out, f)
 				}
-				f.Suppressed = suppressed(pkg.Fset, *f)
 			}
-			out = append(out, fs...)
 		}
 	}
 	sortFindings(out)
@@ -324,15 +290,7 @@ func DefaultAnalyzers(module string) []*Analyzer {
 	det.Scope = pkgIn(module,
 		"internal/sim", "internal/tcpsim", "internal/netsim", "internal/dmpmodel",
 		"internal/markov", "internal/simstream", "internal/exps")
-	nd := Netdeadline()
-	nd.Scope = pkgIn(module, "internal/hub", "internal/core", "internal/emunet", "cmd/dmpserve")
-	// goleak targets long-lived library code: a leaked goroutine in a
-	// main (or example) dies with the process, but one per hub join or
-	// relay connection accumulates forever.
-	gl := Goleak()
-	gl.Scope = pkgPrefix(module, "internal")
-	return []*Analyzer{det, Lockguard(), Wiresafe(), nd, Closecheck(), Lockorder(), gl, Atomicmix(),
-		Hotalloc(), Copycheck(0), Bufown(), Exhaustenum()}
+	return []*Analyzer{det, Lockguard(), Lockorder(), Hotalloc(), Bufown(), Exhaustenum()}
 }
 
 func pkgIn(module string, rels ...string) func(*Package) bool {
@@ -341,17 +299,4 @@ func pkgIn(module string, rels ...string) func(*Package) bool {
 		set[module+"/"+r] = true
 	}
 	return func(p *Package) bool { return set[p.ImportPath] }
-}
-
-// pkgPrefix scopes an analyzer to a subtree of the module.
-func pkgPrefix(module string, rels ...string) func(*Package) bool {
-	return func(p *Package) bool {
-		for _, r := range rels {
-			pre := module + "/" + r
-			if p.ImportPath == pre || strings.HasPrefix(p.ImportPath, pre+"/") {
-				return true
-			}
-		}
-		return false
-	}
 }

@@ -30,7 +30,6 @@ import (
 func Lockguard() *Analyzer {
 	return &Analyzer{
 		Name: "lockguard",
-		Doc:  "fields annotated `guarded by <mu>` must only be accessed under that mutex",
 		Run:  runLockguard,
 	}
 }

@@ -39,7 +39,6 @@ func declFunc(decl ast.Decl) (*ast.FuncDecl, bool) {
 func Lockorder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
-		Doc:  "the global mutex acquisition graph must stay acyclic (lock-order deadlocks)",
 		Run:  runLockorder,
 	}
 }
@@ -67,21 +66,18 @@ func modeSuffix(read bool) string {
 	return "[W]"
 }
 
-// concIndex is the lazily computed whole-program concurrency state: the
-// lock-order graph plus the atomic-access census (see atomicmix.go).
+// concIndex is the lazily computed whole-program lock-order graph.
 type concIndex struct {
-	edges  []*lockEdge          // deterministic order: package walk, file, position
-	cycles [][]*lockEdge        // simple cycles, deduped, lexically-first edge first
-	atomic map[fieldKey]atomPos // fields accessed through sync/atomic calls
+	edges  []*lockEdge   // deterministic order: package walk, file, position
+	cycles [][]*lockEdge // simple cycles, deduped, lexically-first edge first
 }
 
 // conc computes the whole-program pass once per Index.
 func (idx *Index) conc() *concIndex {
 	idx.concOnce.Do(func() {
-		c := &concIndex{atomic: map[fieldKey]atomPos{}}
+		c := &concIndex{}
 		c.buildLockGraph(idx)
 		c.cycles = findLockCycles(c.edges)
-		buildAtomicCensus(idx, c)
 		idx.concIdx = c
 	})
 	return idx.concIdx

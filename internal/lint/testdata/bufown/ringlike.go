@@ -8,11 +8,11 @@ type ringx struct {
 	slots []slotx
 }
 
-// render copies the slot payload out — the fixture's copy point. It is
-// in scope via the hotpath closure, not a bufown param annotation, and
-// reading the owned field from outside slotx's methods yields a borrow.
+// render copies the slot payload out. It is in scope via the hotpath
+// closure, not a bufown param annotation, and reading the owned field
+// from outside slotx's methods yields a borrow.
 //
-// hotpath copy-point — fixture frame render loop.
+// hotpath — fixture frame render loop.
 func (r *ringx) render(i int, frame []byte) {
 	s := &r.slots[i]
 	copy(frame, s.payload) // copying OUT of the borrow is the sanctioned move

@@ -21,8 +21,8 @@ func (r *ring) advance() { r.head++ }
 
 func (s *shard) wakeup() { s.r.frame() }
 
-// frame is the designated payload copy site.
-// hotpath copy-point
+// frame is a root that the generator chain also reaches.
+// hotpath
 func (r *ring) frame() {}
 
 // sendLoop drains one subscriber.

@@ -2,8 +2,8 @@
 //
 // dmplint deliberately avoids go/types' full loader (it would need an
 // importer and build-system integration); instead an Index over every
-// parsed package records struct field types, function/method result types
-// and Close signatures, and a per-function env resolves identifiers from
+// parsed package records struct field types and function/method result
+// types, and a per-function env resolves identifiers from
 // receivers, parameters, var declarations, assignments from known
 // constructors, type assertions and range statements. Unresolvable
 // expressions yield nil, and analyzers treat nil as "unknown: stay quiet",
@@ -13,7 +13,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"strconv"
 	"sync"
 )
 
@@ -84,25 +83,23 @@ type Index struct {
 	structs       map[string]map[string]map[string]*TypeRef // pkg → struct → field → type
 	funcResults   map[string]map[string][]*TypeRef          // pkg → func → results
 	methodResults map[string]map[string]map[string][]*TypeRef
-	closeErr      map[string]map[string]bool     // pkg → type → Close() returns error
 	pkgVars       map[string]map[string]*TypeRef // pkg → package-level var → type
 
-	// pkgs is every loaded package; the whole-program concurrency pass
-	// (lock-order graph, atomic access census — see lockorder.go and
-	// atomicmix.go) runs over all of them regardless of which packages an
-	// analyzer is invoked on.
+	// pkgs is every loaded package; the whole-program lock-order graph
+	// (lockorder.go) is built over all of them regardless of which
+	// packages an analyzer is invoked on.
 	pkgs     []*Package
 	concOnce sync.Once
 	concIdx  *concIndex
 
 	// The hot-path closure (hotpath.go) is likewise computed once and
-	// shared by hotalloc and copycheck.
+	// shared by hotalloc and bufown.
 	hotOnce sync.Once
 	hotIdx  *hotIndex
 
 	// Buffer-ownership annotations (bufown.go): the module-wide table of
 	// `// bufown` marked params and fields, shared by the analyzer and
-	// the -bufgraph dump.
+	// BufGraph.
 	bufOnce sync.Once
 	bufIdx  *bufIndex
 
@@ -119,7 +116,6 @@ func BuildIndex(module string, pkgs []*Package) *Index {
 		structs:       map[string]map[string]map[string]*TypeRef{},
 		funcResults:   map[string]map[string][]*TypeRef{},
 		methodResults: map[string]map[string]map[string][]*TypeRef{},
-		closeErr:      map[string]map[string]bool{},
 		pkgVars:       map[string]map[string]*TypeRef{},
 		pkgs:          pkgs,
 	}
@@ -200,57 +196,11 @@ func BuildIndex(module string, pkgs []*Package) *Index {
 						idx.methodResults[pkg.ImportPath][recv.Name] = map[string][]*TypeRef{}
 					}
 					idx.methodResults[pkg.ImportPath][recv.Name][d.Name.Name] = results
-					if d.Name.Name == "Close" {
-						if idx.closeErr[pkg.ImportPath] == nil {
-							idx.closeErr[pkg.ImportPath] = map[string]bool{}
-						}
-						returnsErr := len(results) > 0 && results[len(results)-1].Is("", "error")
-						idx.closeErr[pkg.ImportPath][recv.Name] = returnsErr
-					}
 				}
 			}
 		}
 	}
 	return idx
-}
-
-// stdlib types whose Close returns an error.
-var stdCloseErr = map[[2]string]bool{
-	{"net", "Conn"}: true, {"net", "TCPConn"}: true, {"net", "UDPConn"}: true,
-	{"net", "Listener"}: true, {"net", "TCPListener"}: true,
-	{"os", "File"}:   true,
-	{"io", "Closer"}: true, {"io", "ReadCloser"}: true,
-	{"io", "WriteCloser"}: true, {"io", "ReadWriteCloser"}: true,
-}
-
-// CloseReturnsError reports whether t.Close() is known to return an error.
-func (idx *Index) CloseReturnsError(t *TypeRef) bool {
-	if t == nil {
-		return false
-	}
-	if stdCloseErr[[2]string{t.Path, t.Name}] {
-		return true
-	}
-	return idx.closeErr[t.Path][t.Name]
-}
-
-// stdlib constructor results, keyed by "pkgpath.Func".
-var stdFuncResults = map[string][]*TypeRef{
-	"net.Dial":        {{Path: "net", Name: "Conn"}, {Name: "error"}},
-	"net.DialTimeout": {{Path: "net", Name: "Conn"}, {Name: "error"}},
-	"net.DialTCP":     {{Path: "net", Name: "TCPConn", Ptr: true}, {Name: "error"}},
-	"net.Listen":      {{Path: "net", Name: "Listener"}, {Name: "error"}},
-	"net.ListenTCP":   {{Path: "net", Name: "TCPListener", Ptr: true}, {Name: "error"}},
-	"os.Open":         {{Path: "os", Name: "File", Ptr: true}, {Name: "error"}},
-	"os.Create":       {{Path: "os", Name: "File", Ptr: true}, {Name: "error"}},
-	"os.OpenFile":     {{Path: "os", Name: "File", Ptr: true}, {Name: "error"}},
-}
-
-// stdlib method results, keyed by recvPkg.RecvType.Method.
-var stdMethodResults = map[[3]string][]*TypeRef{
-	{"net", "Listener", "Accept"}:       {{Path: "net", Name: "Conn"}, {Name: "error"}},
-	{"net", "TCPListener", "Accept"}:    {{Path: "net", Name: "Conn"}, {Name: "error"}},
-	{"net", "TCPListener", "AcceptTCP"}: {{Path: "net", Name: "TCPConn", Ptr: true}, {Name: "error"}},
 }
 
 // env resolves identifiers within one function declaration.
@@ -355,8 +305,8 @@ func (e *env) bindAssign(a *ast.AssignStmt) {
 	}
 }
 
-// callResults resolves a call's result types from the make builtin, the
-// module-wide index, or the stdlib tables.
+// callResults resolves a call's result types from the make builtin or
+// the module-wide index.
 func (e *env) callResults(call *ast.CallExpr) []*TypeRef {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
@@ -367,18 +317,12 @@ func (e *env) callResults(call *ast.CallExpr) []*TypeRef {
 	case *ast.SelectorExpr:
 		if x, ok := fun.X.(*ast.Ident); ok {
 			if imp, ok := e.file.Imports[x.Name]; ok {
-				if r, ok := stdFuncResults[imp+"."+fun.Sel.Name]; ok {
-					return r
-				}
 				return e.idx.funcResults[imp][fun.Sel.Name]
 			}
 		}
 		recv := e.typeOf(fun.X)
 		if recv == nil {
 			return nil
-		}
-		if r, ok := stdMethodResults[[3]string{recv.Path, recv.Name, fun.Sel.Name}]; ok {
-			return r
 		}
 		return e.idx.methodResults[recv.Path][recv.Name][fun.Sel.Name]
 	}
@@ -427,80 +371,6 @@ func (e *env) typeOf(expr ast.Expr) *TypeRef {
 		}
 	}
 	return nil
-}
-
-// constVal evaluates a compile-time integer expression using the given
-// package-level constant table; ok=false when the expression is not a
-// simple constant.
-func constVal(consts map[string]int64, e ast.Expr) (int64, bool) {
-	switch e := e.(type) {
-	case *ast.BasicLit:
-		if e.Kind == token.INT {
-			v, err := strconv.ParseInt(e.Value, 0, 64)
-			return v, err == nil
-		}
-	case *ast.Ident:
-		v, ok := consts[e.Name]
-		return v, ok
-	case *ast.ParenExpr:
-		return constVal(consts, e.X)
-	case *ast.UnaryExpr:
-		if v, ok := constVal(consts, e.X); ok && e.Op == token.SUB {
-			return -v, true
-		}
-	case *ast.BinaryExpr:
-		a, okA := constVal(consts, e.X)
-		b, okB := constVal(consts, e.Y)
-		if !okA || !okB {
-			return 0, false
-		}
-		switch e.Op {
-		case token.ADD:
-			return a + b, true
-		case token.SUB:
-			return a - b, true
-		case token.MUL:
-			return a * b, true
-		case token.QUO:
-			if b != 0 {
-				return a / b, true
-			}
-		case token.SHL:
-			if b >= 0 && b < 63 {
-				return a << b, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// packageConsts collects integer package-level constants (plain literals
-// and simple expressions over earlier constants; iota runs are skipped).
-func packageConsts(pkg *Package) map[string]int64 {
-	consts := map[string]int64{}
-	// Two passes so order of declaration across files doesn't matter.
-	for pass := 0; pass < 2; pass++ {
-		for _, file := range pkg.Files {
-			for _, decl := range file.AST.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.CONST {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok || len(vs.Values) != len(vs.Names) {
-						continue
-					}
-					for i, name := range vs.Names {
-						if v, ok := constVal(consts, vs.Values[i]); ok {
-							consts[name.Name] = v
-						}
-					}
-				}
-			}
-		}
-	}
-	return consts
 }
 
 // eachFunc invokes fn for every function declaration in every non-test

@@ -114,7 +114,7 @@ func (f *forwarder) Run(path int, conn net.Conn) error {
 	}
 	frame := make([]byte, core.FrameHeaderSize+payload)
 	for {
-		// nolint:netdeadline upstream read loop: bounded by the upstream's
+		// Upstream read loop: bounded by the upstream's
 		// end marker (plus the end-grace deadline above), the redial
 		// engine's typed verdicts, and Close/Drain cutting active conns.
 		if _, err := io.ReadFull(conn, frame); err != nil {
