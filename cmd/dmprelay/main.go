@@ -23,8 +23,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"time"
@@ -81,7 +83,12 @@ func main() {
 	relay, err := emunet.Listen(*listen, *backend, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dmprelay:", err)
-		os.Exit(1)
+		// A socket error is the host's; anything else is a flag value no
+		// path can have (-rate -5, -delay -1s, ...).
+		if errors.As(err, new(*net.OpError)) {
+			os.Exit(1)
+		}
+		os.Exit(2)
 	}
 	fmt.Printf("relaying %s -> %s (rate %v KiB/s, delay %v, episodes %v)\n",
 		relay.Addr(), *backend, *rateKBps, *delay, *episodes)

@@ -8,11 +8,21 @@
 // configurations reproduces the role of the paper's Internet experiments —
 // validating the model against an implementation outside the simulator,
 // with real kernel sockets providing the send-buffer backpressure.
+//
+// A path costs what it carries. A Relay runs one accept goroutine, and each
+// relayed connection runs three: the handler, which also reads the return
+// direction, and the impaired direction's reader and paced writer. The
+// return direction's writer, with its queue, starts on the first byte that
+// direction reads, so a connection whose return direction stays idle never
+// has one. Congestion episodes are a schedule, not a process: whether one
+// is in progress is a function of the time since the schedule was made,
+// and no goroutine or timer drives it.
 package emunet
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -20,7 +30,9 @@ import (
 	"time"
 )
 
-// PathConfig describes one emulated path direction.
+// PathConfig describes one emulated path direction. Listen rejects a
+// negative or non-finite rate, delay, buffer, episode rate or episode
+// duration, and an EpisodeFactor outside [0, 1].
 type PathConfig struct {
 	RateBps   float64       // forwarding rate in bytes/second (0 = unlimited)
 	Delay     time.Duration // one-way propagation delay
@@ -28,15 +40,17 @@ type PathConfig struct {
 
 	// Congestion episodes: the rate drops to RateBps·EpisodeFactor for an
 	// exponentially distributed duration, at exponentially distributed
-	// intervals. EpisodeRate is episodes per second (0 disables).
+	// intervals. EpisodeRate is episodes per second (0 disables). Each
+	// relayed connection gets its own schedule (NewEpisodes with Seed),
+	// starting when the connection does.
 	EpisodeRate     float64
-	EpisodeDuration time.Duration
-	EpisodeFactor   float64
+	EpisodeDuration time.Duration // default 1s
+	EpisodeFactor   float64       // default 0.1
 
-	// Shared, when set, replaces the relay-local episode process: the relay
-	// is congested whenever the shared process is active. Use one Episodes
-	// value across several relays to model paths whose congestion is
-	// correlated (e.g. a common provider segment).
+	// Shared, when set, replaces the per-connection episode schedule: the
+	// relay is congested whenever the shared schedule is active. Use one
+	// Episodes value across several relays to model paths whose congestion
+	// is correlated (e.g. a common provider segment).
 	Shared *Episodes
 
 	// Downstream flips the impaired direction: the rate limit and episodes
@@ -48,85 +62,118 @@ type PathConfig struct {
 	Seed int64
 }
 
-// Episodes is a standalone on/off congestion process that any number of
-// relays can subscribe to through PathConfig.Shared.
+// Episodes is an on/off congestion schedule that any number of relays can
+// share through PathConfig.Shared. Active is a function of the time elapsed
+// since the schedule was made: a periodic schedule answers by phase
+// arithmetic, a random one draws its edges as the clock passes them. Either
+// way no goroutine or timer runs, and edges do not drift with scheduling
+// delay.
 type Episodes struct {
-	active atomic.Bool
-	stop   chan struct{}
-	once   sync.Once
-	wg     sync.WaitGroup
+	start time.Time
+
+	// Periodic schedule (period > 0): on during [offset+k·period,
+	// offset+k·period+dur) for every k ≥ 0.
+	period, offset time.Duration
+	// dur is the periodic episode's length, or the random one's mean.
+	dur time.Duration
+
+	// Random schedule: off intervals have mean 1/perSecond seconds.
+	perSecond float64
+	mu        sync.Mutex
+	rng       *rand.Rand    // guarded by mu
+	on        bool          // guarded by mu; the state before edge
+	edge      time.Duration // guarded by mu; elapsed time of the next flip
 }
 
-// NewEpisodes starts a process that turns on at exponential rate `perSecond`
-// and stays on for an exponentially distributed time with mean `dur`. Stop
-// it with Stop when done.
+// NewEpisodes makes a random schedule: episodes begin at exponential rate
+// `perSecond` and last an exponentially distributed time with mean `dur`.
+// The same seed gives the same schedule. It panics unless perSecond is
+// finite and positive and dur is positive.
 func NewEpisodes(perSecond float64, dur time.Duration, seed int64) *Episodes {
-	e := &Episodes{stop: make(chan struct{})}
-	rng := rand.New(rand.NewSource(seed))
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		for {
-			if !e.sleep(time.Duration(rng.ExpFloat64() / perSecond * float64(time.Second))) {
-				return
-			}
-			e.active.Store(true)
-			if !e.sleep(time.Duration(rng.ExpFloat64() * dur.Seconds() * float64(time.Second))) {
-				return
-			}
-			e.active.Store(false)
-		}
-	}()
+	if !(perSecond > 0) || math.IsInf(perSecond, 1) || dur <= 0 {
+		panic("emunet: episode rate and duration must be positive")
+	}
+	e := &Episodes{start: time.Now(), dur: dur, perSecond: perSecond, rng: rand.New(rand.NewSource(seed))}
+	e.advanceLocked() // e is not shared yet
 	return e
 }
 
-// NewPeriodicEpisodes starts a deterministic process: an episode of exactly
+// NewPeriodicEpisodes makes a deterministic schedule: an episode of exactly
 // `dur` begins every `period`, the first one after `offset`. Deterministic
 // schedules make short testbed runs reproducible and give the analytical
-// model an exact duty cycle.
+// model an exact duty cycle. It panics unless 0 < dur < period and
+// offset ≥ 0.
 func NewPeriodicEpisodes(period, dur, offset time.Duration) *Episodes {
+	if dur <= 0 || offset < 0 {
+		panic("emunet: episode duration must be positive and the offset not negative")
+	}
 	if dur >= period {
 		panic("emunet: episode duration must be below the period")
 	}
-	e := &Episodes{stop: make(chan struct{})}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		if !e.sleep(offset) {
-			return
-		}
-		for {
-			e.active.Store(true)
-			if !e.sleep(dur) {
-				return
-			}
-			e.active.Store(false)
-			if !e.sleep(period - dur) {
-				return
-			}
-		}
-	}()
-	return e
+	return &Episodes{start: time.Now(), period: period, dur: dur, offset: offset}
 }
 
 // Active reports whether an episode is in progress.
-func (e *Episodes) Active() bool { return e.active.Load() }
+func (e *Episodes) Active() bool { return e.activeAt(time.Since(e.start)) }
 
-// Stop terminates the process goroutine and joins it.
-func (e *Episodes) Stop() {
-	e.once.Do(func() { close(e.stop) })
-	e.wg.Wait()
+// Stop is a no-op: a schedule holds no goroutine or timer to release.
+func (e *Episodes) Stop() {}
+
+// activeAt reports whether the schedule is on at `elapsed` after its start.
+// A random schedule keeps only the interval it is in, so an instant before
+// that interval's start is answered with its state. With concurrent Active
+// callers that is still the state at some moment during the late caller's
+// call.
+func (e *Episodes) activeAt(elapsed time.Duration) bool {
+	if e.period > 0 {
+		return elapsed >= e.offset && (elapsed-e.offset)%e.period < e.dur
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for elapsed >= e.edge {
+		e.on = !e.on
+		e.advanceLocked()
+	}
+	return e.on
 }
 
-func (e *Episodes) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-e.stop:
-		return false
+// advanceLocked draws the interval that starts at edge (an off interval
+// while off, an on interval while on) and moves edge to its end. The draws
+// are those of a process that sleeps off, on, off, ... from one seeded rand;
+// an edge past the range of a Duration saturates there and is never reached.
+func (e *Episodes) advanceLocked() {
+	var ns float64
+	if e.on {
+		ns = e.rng.ExpFloat64() * e.dur.Seconds() * float64(time.Second)
+	} else {
+		ns = e.rng.ExpFloat64() / e.perSecond * float64(time.Second)
 	}
+	if ns >= 1<<62 || time.Duration(ns) > math.MaxInt64-e.edge {
+		e.edge = math.MaxInt64
+		return
+	}
+	e.edge += time.Duration(ns)
+}
+
+// validate rejects what no path can be, where withDefaults would otherwise
+// reinterpret it.
+func (c PathConfig) validate() error {
+	bad := func(x float64) bool { return !(x >= 0) || math.IsInf(x, 1) }
+	switch {
+	case bad(c.RateBps):
+		return fmt.Errorf("emunet: rate %v B/s: want finite and not negative", c.RateBps)
+	case c.Delay < 0:
+		return fmt.Errorf("emunet: delay %v: want not negative", c.Delay)
+	case c.BufferKiB < 0:
+		return fmt.Errorf("emunet: buffer %d KiB: want not negative", c.BufferKiB)
+	case bad(c.EpisodeRate):
+		return fmt.Errorf("emunet: episode rate %v/s: want finite and not negative", c.EpisodeRate)
+	case c.EpisodeDuration < 0:
+		return fmt.Errorf("emunet: episode duration %v: want not negative", c.EpisodeDuration)
+	case !(c.EpisodeFactor >= 0 && c.EpisodeFactor <= 1):
+		return fmt.Errorf("emunet: episode factor %v: want within [0, 1]", c.EpisodeFactor)
+	}
+	return nil
 }
 
 func (c PathConfig) withDefaults() PathConfig {
@@ -164,8 +211,12 @@ type Relay struct {
 	BytesReturned  atomic.Int64 // return direction (delay only)
 }
 
-// Listen starts a relay on addr forwarding to backend.
+// Listen starts a relay on addr forwarding to backend. It returns an error
+// for a PathConfig no path can have (see PathConfig).
 func Listen(addr, backend string, cfg PathConfig) (*Relay, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("emunet: listen: %w", err)
@@ -271,20 +322,20 @@ func (r *Relay) handle(client net.Conn) {
 	if tc, ok := out.(*net.TCPConn); ok {
 		tc.SetWriteBuffer(r.cfg.BufferKiB * 1024)
 	}
-	shape := newShaper(r.cfg, &r.BytesForwarded, r.waitOpen)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // impaired direction
-		defer wg.Done()
-		shape.pump(in, out)
+	eps := r.cfg.Shared
+	if eps == nil && r.cfg.EpisodeRate > 0 {
+		eps = NewEpisodes(r.cfg.EpisodeRate, r.cfg.EpisodeDuration, r.cfg.Seed)
+	}
+	impaired := make(chan struct{})
+	go func() {
+		defer close(impaired)
+		r.pump(in, out, eps)
 		tcpHalfClose(out)
 	}()
-	go func() { // return direction: delay only
-		defer wg.Done()
-		delayPump(out, in, r.cfg.Delay, &r.BytesReturned, r.waitOpen)
-		tcpHalfClose(in)
-	}()
-	wg.Wait()
+	// The return direction (delay only) runs on this goroutine.
+	r.delayPump(out, in)
+	tcpHalfClose(in)
+	<-impaired
 	_ = client.Close()
 	_ = server.Close()
 }
@@ -302,85 +353,18 @@ type chunk struct {
 	release time.Time
 }
 
-// shaper implements rate limiting + episodes + delay for one direction.
-type shaper struct {
-	cfg     PathConfig
-	rng     *rand.Rand
-	rngMu   sync.Mutex
-	inEp    atomic.Bool
-	counter *atomic.Int64
-	done    chan struct{}
-	gate    func() bool // blocks while the relay is stalled; false = closed
-}
-
-func newShaper(cfg PathConfig, counter *atomic.Int64, gate func() bool) *shaper {
-	s := &shaper{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		counter: counter,
-		done:    make(chan struct{}),
-		gate:    gate,
-	}
-	if cfg.Shared == nil && cfg.EpisodeRate > 0 {
-		go s.episodeLoop()
-	}
-	return s
-}
-
-// sleepOrDone sleeps for d unless the shaper shuts down first.
-func (s *shaper) sleepOrDone(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-s.done:
-		return false
-	}
-}
-
-func (s *shaper) expDur(mean float64) time.Duration {
-	s.rngMu.Lock()
-	v := s.rng.ExpFloat64() * mean
-	s.rngMu.Unlock()
-	return time.Duration(v * float64(time.Second))
-}
-
-func (s *shaper) episodeLoop() {
-	for {
-		if !s.sleepOrDone(s.expDur(1 / s.cfg.EpisodeRate)) {
-			return
-		}
-		s.inEp.Store(true)
-		if !s.sleepOrDone(s.expDur(s.cfg.EpisodeDuration.Seconds())) {
-			return
-		}
-		s.inEp.Store(false)
-	}
-}
-
-func (s *shaper) currentRate() float64 {
-	congested := s.inEp.Load()
-	if s.cfg.Shared != nil {
-		congested = s.cfg.Shared.Active()
-	}
-	if congested {
-		return s.cfg.RateBps * s.cfg.EpisodeFactor
-	}
-	return s.cfg.RateBps
-}
-
-// pump forwards src→dst with pacing and delay. The bounded channel between
-// the reader and the writer is the relay's buffer: when it fills, reads stop
-// and TCP backpressure reaches the sender — which is exactly the signal the
-// DMP sender goroutines rely on.
+// pump forwards the impaired direction src→dst with pacing, episodes (eps,
+// nil for none) and delay, counting bytes into BytesForwarded. The bounded
+// channel between the reader and the writer is the relay's buffer: when it
+// fills, reads stop and TCP backpressure reaches the sender — which is
+// exactly the signal the DMP sender goroutines rely on.
 //
 // Pacing is charged on the writer side, at serve time: a real link transmits
 // queued bytes at whatever the line rate is NOW, so bytes buffered during a
 // congestion episode must not keep the episode's slow rate once it ends.
-func (s *shaper) pump(src io.Reader, dst io.Writer) {
+func (r *Relay) pump(src io.Reader, dst io.Writer, eps *Episodes) {
 	const chunkSize = 2048
-	depth := s.cfg.BufferKiB * 1024 / chunkSize
+	depth := r.cfg.BufferKiB * 1024 / chunkSize
 	if depth < 2 {
 		depth = 2
 	}
@@ -391,7 +375,7 @@ func (s *shaper) pump(src io.Reader, dst io.Writer) {
 		defer wg.Done()
 		var pace time.Time
 		for data := range ch {
-			if s.gate != nil && !s.gate() {
+			if !r.waitOpen() {
 				for range ch { // relay closed mid-stall: drain and exit
 				}
 				return
@@ -400,12 +384,16 @@ func (s *shaper) pump(src io.Reader, dst io.Writer) {
 			if pace.Before(now) {
 				pace = now
 			}
-			if rate := s.currentRate(); rate > 0 {
+			rate := r.cfg.RateBps
+			if eps != nil && eps.Active() {
+				rate *= r.cfg.EpisodeFactor
+			}
+			if rate > 0 {
 				pace = pace.Add(time.Duration(float64(len(data)) / rate * float64(time.Second)))
 			}
 			// Serialization finishes at `pace`; the head arrives Delay later.
 			// pace is monotone, so FIFO order and inter-chunk gaps survive.
-			if d := time.Until(pace.Add(s.cfg.Delay)); d > 0 {
+			if d := time.Until(pace.Add(r.cfg.Delay)); d > 0 {
 				time.Sleep(d)
 			}
 			if _, err := dst.Write(data); err != nil {
@@ -414,9 +402,7 @@ func (s *shaper) pump(src io.Reader, dst io.Writer) {
 				}
 				return
 			}
-			if s.counter != nil {
-				s.counter.Add(int64(len(data)))
-			}
+			r.BytesForwarded.Add(int64(len(data)))
 		}
 	}()
 
@@ -433,51 +419,60 @@ func (s *shaper) pump(src io.Reader, dst io.Writer) {
 		}
 	}
 	close(ch)
-	close(s.done)
 	wg.Wait()
 }
 
-// delayPump forwards src→dst with a fixed delay and no rate limit,
-// counting forwarded bytes into counter (atomically — the other side of
-// the relay reads it live). gate, when non-nil, parks the writer while the
-// relay is stalled (see faults.go).
-func delayPump(src io.Reader, dst io.Writer, delay time.Duration, counter *atomic.Int64, gate func() bool) {
-	ch := make(chan chunk, 256)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for c := range ch {
-			if gate != nil && !gate() {
-				for range ch { // relay closed mid-stall: drain and exit
-				}
-				return
-			}
-			if d := time.Until(c.release); d > 0 {
-				time.Sleep(d)
-			}
-			if _, err := dst.Write(c.data); err != nil {
-				for range ch {
-				}
-				return
-			}
-			if counter != nil {
-				counter.Add(int64(len(c.data)))
-			}
-		}
-	}()
-	buf := make([]byte, 4096)
+// delayPump forwards the return direction src→dst with the delay and no
+// rate limit, counting bytes into BytesReturned. The writer, its queue and
+// a full-size read buffer start on the first byte read, which is forwarded
+// alone: a direction that never carries one costs only this goroutine.
+func (r *Relay) delayPump(src io.Reader, dst io.Writer) {
+	var (
+		buf  = make([]byte, 1)
+		ch   chan chunk    // nil until the first byte
+		done chan struct{} // closed when the writer exits
+	)
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
 			data := make([]byte, n)
 			copy(data, buf[:n])
-			ch <- chunk{data: data, release: time.Now().Add(delay)}
+			if ch == nil {
+				// 256 reads may wait out the delay before reads stop.
+				ch, done = make(chan chunk, 256), make(chan struct{})
+				go r.writeDelayed(ch, done, dst)
+				buf = make([]byte, 4096)
+			}
+			ch <- chunk{data: data, release: time.Now().Add(r.cfg.Delay)}
 		}
 		if err != nil {
 			break
 		}
 	}
-	close(ch)
-	wg.Wait()
+	if ch != nil {
+		close(ch)
+		<-done
+	}
+}
+
+// writeDelayed writes each chunk at its release time, parked while the
+// relay is stalled (see faults.go), and closes done when ch is drained.
+func (r *Relay) writeDelayed(ch <-chan chunk, done chan<- struct{}, dst io.Writer) {
+	defer close(done)
+	for c := range ch {
+		if !r.waitOpen() {
+			for range ch { // relay closed mid-stall: drain and exit
+			}
+			return
+		}
+		if d := time.Until(c.release); d > 0 {
+			time.Sleep(d)
+		}
+		if _, err := dst.Write(c.data); err != nil {
+			for range ch {
+			}
+			return
+		}
+		r.BytesReturned.Add(int64(len(c.data)))
+	}
 }
