@@ -47,13 +47,14 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 	$(GO) test -fuzz=FuzzEpisodeSchedule -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 
-# bench-smoke runs three short workloads of the repository benchmark
+# bench-smoke runs four short workloads of the repository benchmark
 # (BENCHMARK.json, benchmark/) end to end — build from source, set up,
 # measure, check — and fails unless each result line says the run was
 # correct: fanout_steady for the at-pace path, fanout_overload because
 # nothing else here exercises workers blocked in Write, eviction, churn
 # and the budget governor together, multipath_emu because it is the only
-# one of the three that runs the paper's own sender and receiver. The
+# one that runs the paper's own sender and receiver, tree_edge because it
+# is the only one that runs the relay forwarder and a kernel accept loop. The
 # benchmark is a nested module, so `go test ./...` at the root never
 # enters it; CI runs this and `go test -C benchmark ./...`.
 bench-smoke:
@@ -62,6 +63,8 @@ bench-smoke:
 	@out=$$(bash benchmark/run.sh --workload fanout_overload --seconds 5 --trace 0); status=$$?; \
 	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
 	@out=$$(bash benchmark/run.sh --workload multipath_emu --seconds 5 --trace 0); status=$$?; \
+	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
+	@out=$$(bash benchmark/run.sh --workload tree_edge --seconds 5 --trace 0); status=$$?; \
 	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
 
 # bench-tick times the generator tick's critical section (PublishAt: ring

@@ -83,7 +83,6 @@ func main() {
 		sndbuf  = flag.Int("sndbuf", 0, "per-path TCP send buffer bytes (0 = kernel default; small values make backpressure prompt)")
 		grace   = flag.Duration("grace", 0, "re-attach grace: how long a subscription outlives its last path (0 = default 5s, negative = off)")
 		resend  = flag.Int("resend", 0, "dead-path resend window, packets (0 = default 64, negative = off)")
-		shards  = flag.Int("shards", 0, "fan-out worker shards per stream (0 = GOMAXPROCS)")
 		statsIv = flag.Duration("stats", 5*time.Second, "stats print interval (0 = quiet)")
 		maxSubs = flag.Int("max-subs", 0, "max concurrent subscribers per stream; excess joins get a typed reject (0 = unlimited)")
 		maxConn = flag.Int("max-conns", 0, "max subscriber path connections per stream (0 = unlimited)")
@@ -121,7 +120,6 @@ func main() {
 			MaxSubscribers:    *maxSubs,
 			MaxConns:          *maxConn,
 			MaxBytes:          *maxByte,
-			Shards:            *shards,
 		},
 		JoinTimeout: *joinTo,
 	})

@@ -258,10 +258,6 @@ type HubConfig struct {
 	// connections that stay silent longer are cut (slowloris defense).
 	// 0 selects the default (10s); negative disables.
 	JoinTimeout time.Duration
-	// Shards spreads the subscriber set across independent worker groups so
-	// fan-out, lag enforcement and stats stop serializing on one lock.
-	// 0 picks GOMAXPROCS; 1 puts every subscriber under one shard lock.
-	Shards int
 }
 
 // Hub broadcasts a single live source to many subscribers, each running its
@@ -294,7 +290,6 @@ func (cfg HubConfig) toInternal() hub.Config {
 		MaxConns:        cfg.MaxConns,
 		MaxBytes:        cfg.MaxBytes,
 		JoinTimeout:     cfg.JoinTimeout,
-		Shards:          cfg.Shards,
 	}
 }
 

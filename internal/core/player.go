@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -94,7 +92,9 @@ func (b *playBuffer) recycle(data []byte) {
 // Play consumes a DMP-streaming session from the given path connections and
 // plays it back in real time with the configured startup delay. It blocks
 // until the stream ends and every slot up to the last generated packet has
-// been played or declared a glitch.
+// been played or declared a glitch. A packet that arrives after its slot
+// has passed counts as a late arrival only if the slot glitched; another
+// copy of a packet that already played is a duplicate.
 func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 	if len(conns) == 0 {
 		return PlayerStats{}, errors.New("core: no paths")
@@ -103,132 +103,72 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 		return PlayerStats{}, errors.New("core: startup delay must be positive")
 	}
 
-	type sessionMeta struct {
-		mu      float64
-		payload int
-	}
-	metaCh := make(chan sessionMeta, len(conns))
-
-	grace := cfg.EndGrace
-	if grace == 0 {
-		grace = DefaultEndGrace
-	}
-
 	var mu sync.Mutex
 	buffer := playBuffer{slots: make(map[uint32][]byte)}
-	var expected int64 = -1 // unknown until an end marker
-	var lateArrivals int64
-	played := uint32(0) // next slot to play (read under mu)
-	endSeen := false    // guarded by mu
-	active := make(map[net.Conn]struct{}, len(conns))
-	for _, conn := range conns {
-		active[conn] = struct{}{}
-	}
-
-	var readers sync.WaitGroup
-	errs := make([]error, len(conns))
-	for k, conn := range conns {
-		readers.Add(1)
-		go func(k int, conn net.Conn) {
-			defer readers.Done()
-			defer func() {
-				mu.Lock()
-				delete(active, conn)
-				mu.Unlock()
-			}()
-			m, payload, err := readHeader(conn)
-			if err != nil {
-				errs[k] = err
-				return
+	missed := make(map[uint32]struct{}) // guarded by mu; glitched slots whose packet has not come
+	var lateArrivals int64              // guarded by mu
+	played := uint32(0)                 // guarded by mu; next slot to play
+	header := make(chan float64, 1)     // the first agreed header's µ
+	pr := NewPathReader(cfg.EndGrace,
+		func(m float64, _ int) error {
+			select {
+			case header <- m:
+			default:
 			}
-			metaCh <- sessionMeta{mu: m, payload: payload}
-			frame := make([]byte, frameHdr+payload)
-			for {
-				// Client-side read loop: bounded by the server's
-				// end marker, and the caller owns/closes the connections on failure.
-				if _, err := io.ReadFull(conn, frame); err != nil {
-					errs[k] = fmt.Errorf("core: path %d read: %w", k, err)
-					return
-				}
-				pkt, v, err := ParseFrameHeader(frame)
-				if err != nil {
-					errs[k] = fmt.Errorf("core: path %d: %w", k, err)
-					return
-				}
-				if pkt == EndMarker {
-					mu.Lock()
-					if v > expected {
-						expected = v
-					}
-					if !endSeen {
-						endSeen = true
-						// First end marker: a path still silent from here on
-						// would block the final readers.Wait forever (a
-						// blackholed link surfaces no read error), so bound
-						// the stragglers with the grace deadline.
-						if grace > 0 {
-							dl := time.Now().Add(grace)
-							for c := range active {
-								if c != conn {
-									c.SetReadDeadline(dl)
-								}
-							}
-						}
-					}
-					mu.Unlock()
-					return
-				}
-				mu.Lock()
-				if pkt < played {
-					lateArrivals++ // slot already passed; discard
-				} else {
-					buffer.put(pkt, frame[frameHdr:])
-				}
-				mu.Unlock()
+			return nil
+		},
+		func(_ int, pkt uint32, _ int64, payload []byte) {
+			mu.Lock()
+			if pkt >= played {
+				buffer.put(pkt, payload)
+			} else if _, ok := missed[pkt]; ok {
+				delete(missed, pkt)
+				lateArrivals++ // slot already passed; discard
 			}
-		}(k, conn)
-	}
+			mu.Unlock()
+		})
 
-	done := make(chan struct{})
+	var errs []error
+	done := make(chan struct{}) // closed once every path's reader has returned
 	go func() {
-		readers.Wait()
+		errs = pr.RunAll(conns)
 		close(done)
 	}()
 
-	var meta sessionMeta
+	var m float64
 	select {
-	case meta = <-metaCh:
+	case m = <-header:
 	case <-done:
 		// Every reader failed before producing a header.
 		select {
-		case meta = <-metaCh:
+		case m = <-header:
 		default:
 			return PlayerStats{}, errors.Join(append(errs, errors.New("core: no usable session header"))...)
 		}
 	}
-	period := time.Duration(float64(time.Second) / meta.mu)
+	period := time.Duration(float64(time.Second) / m)
 
 	var stats PlayerStats
 	start := time.Now().Add(cfg.StartupDelay)
+	var clock *time.Timer // the slot clock, reset for every slot; always drained
 	for slot := uint32(0); ; slot++ {
-		mu.Lock()
-		exp := expected
-		mu.Unlock()
+		exp := pr.Expected()
 		if exp >= 0 && int64(slot) >= exp {
 			break
 		}
-		due := start.Add(time.Duration(slot) * period)
-		if d := time.Until(due); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-done:
-				// Paths all ended; if expected is known and reached, stop —
-				// otherwise keep playing out buffered content on schedule.
-				time.Sleep(time.Until(due))
+		if d := time.Until(start.Add(time.Duration(slot) * period)); d > 0 {
+			if clock == nil {
+				clock = time.NewTimer(d)
+			} else {
+				clock.Reset(d)
 			}
+			<-clock.C
 		}
 		mu.Lock()
 		data, ok := buffer.take(slot)
+		if !ok {
+			missed[slot] = struct{}{}
+		}
 		played = slot + 1
 		mu.Unlock()
 		if ok {
@@ -251,14 +191,10 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 			select {
 			case <-done:
 				mu.Lock()
-				empty := len(buffer.slots) == 0
+				empty, late := len(buffer.slots) == 0, lateArrivals
 				mu.Unlock()
 				if empty {
-					readers.Wait()
-					mu.Lock()
-					stats.Expected = int64(played)
-					stats.LateArrivals = lateArrivals
-					mu.Unlock()
+					stats.Expected, stats.LateArrivals = int64(slot)+1, late
 					return stats, errors.Join(errs...)
 				}
 			default:
@@ -266,9 +202,9 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 		}
 	}
 
-	readers.Wait()
+	<-done
+	stats.Expected = pr.Expected()
 	mu.Lock()
-	stats.Expected = expected
 	stats.LateArrivals = lateArrivals
 	mu.Unlock()
 	return stats, errors.Join(errs...)

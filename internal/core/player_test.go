@@ -119,6 +119,50 @@ func TestPlayerCountsGlitchesWithManualFrames(t *testing.T) {
 	}
 }
 
+// TestPlayResendIsNotLate: packets 0–9 arrive on path A in time; after slot
+// 3 has played, path B resends packet 3. That copy is a duplicate of a
+// packet that played, not a late arrival.
+func TestPlayResendIsNotLate(t *testing.T) {
+	const mu, payload = 100.0, 8 // 10ms slots
+	a, sa := tcpPair(t)
+	b, sb := tcpPair(t)
+	defer a.Close()
+	defer b.Close()
+	defer sa.Close()
+	defer sb.Close()
+	end := frameBytes(EndMarker, payload)
+	putUint64(end[4:12], 10)
+	sa.Write(headerBytes(0, 2, payload, mu))
+	for pkt := uint32(0); pkt < 10; pkt++ {
+		sa.Write(frameBytes(pkt, payload))
+	}
+	sa.Write(end)
+	sb.Write(headerBytes(1, 2, payload, mu))
+	slot3 := make(chan struct{})
+	go func() {
+		<-slot3
+		sb.Write(frameBytes(3, payload))
+		sb.Write(end)
+	}()
+	stats, err := Play([]net.Conn{a, b}, PlayerConfig{
+		StartupDelay: 20 * time.Millisecond,
+		OnPacket: func(pkt uint32, _ []byte) {
+			if pkt == 3 {
+				close(slot3)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Played != 10 || stats.Glitches != 0 {
+		t.Fatalf("played %d, %d glitches; want 10, 0", stats.Played, stats.Glitches)
+	}
+	if stats.LateArrivals != 0 {
+		t.Fatalf("late arrivals = %d, want 0: the resent packet had played", stats.LateArrivals)
+	}
+}
+
 // TestPlayBufferRecycles: a played-out buffer is the next arrival's storage,
 // a resend of a waiting packet neither replaces it nor takes a buffer, and
 // the free list stops growing at its cap however far occupancy falls.

@@ -4,19 +4,11 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"slices"
 	"sync"
 	"time"
 )
-
-// DefaultEndGrace bounds how long the remaining paths may keep delivering
-// after the first end marker arrives. A path that has gone silent (a
-// blackholed link never surfaces a read error) would otherwise block
-// reassembly forever even though the surviving paths finished the stream.
-const DefaultEndGrace = 10 * time.Second
 
 // logChunkSize is the capacity of one chunk of the receiver's arrival log.
 // The log grows a chunk at a time, so recording a packet never copies the
@@ -52,99 +44,37 @@ type ReceiverOptions struct {
 // dies. Packets are deduplicated across attachments, so a server resending a
 // dead path's window does not double-deliver.
 type Receiver struct {
-	grace    time.Duration
-	onPacket func(pkt uint32, genNanos int64, payload []byte)
+	*PathReader // Run, Done: the paths read into frame
+	onPacket    func(pkt uint32, genNanos int64, payload []byte)
 
-	mu       sync.Mutex
-	log      [][]byte              // guarded by mu; chunks of logChunkSize capacity holding whole records
-	last     Arrival               // guarded by mu; the last arrival recorded, what the next is coded against
-	n        int                   // guarded by mu; arrivals in log
-	seen     PacketSet             // guarded by mu
-	dups     int64                 // guarded by mu
-	muRate   float64               // guarded by mu
-	payload  int                   // guarded by mu
-	expected int64                 // guarded by mu; -1 until an end marker
-	endSeen  bool                  // guarded by mu
-	active   map[net.Conn]struct{} // guarded by mu; conns currently in Run
-	done     chan struct{}         // closed when the first end marker arrives
+	mu   sync.Mutex
+	log  [][]byte  // guarded by mu; chunks of logChunkSize capacity holding whole records
+	last Arrival   // guarded by mu; the last arrival recorded, what the next is coded against
+	n    int       // guarded by mu; arrivals in log
+	seen PacketSet // guarded by mu
+	dups int64     // guarded by mu
 }
 
 // NewReceiver builds an empty Receiver; attach paths with Run.
 func NewReceiver(opts ReceiverOptions) *Receiver {
-	grace := opts.EndGrace
-	if grace == 0 {
-		grace = DefaultEndGrace
-	}
-	return &Receiver{
-		grace:    grace,
-		onPacket: opts.OnPacket,
-		active:   make(map[net.Conn]struct{}),
-		expected: -1,
-		done:     make(chan struct{}),
-	}
+	r := &Receiver{onPacket: opts.OnPacket}
+	r.PathReader = NewPathReader(opts.EndGrace, nil, r.frame)
+	return r
 }
 
-// Run consumes one path connection until its end marker (nil) or a terminal
-// error. It may be called concurrently for different paths and again for the
-// same path index after a redial; the caller owns (and closes) conn.
-func (r *Receiver) Run(path int, conn net.Conn) error {
+// frame records one packet from path unless another path delivered it
+// first.
+func (r *Receiver) frame(path int, pkt uint32, gen int64, payload []byte) {
 	r.mu.Lock()
-	r.active[conn] = struct{}{}
-	if r.endSeen && r.grace > 0 {
-		conn.SetReadDeadline(time.Now().Add(r.grace))
+	if !r.seen.Add(pkt) {
+		r.dups++
+	} else {
+		r.recordLocked(Arrival{Pkt: pkt, Path: int32(path), Gen: gen, At: time.Now().UnixNano()})
+		if r.onPacket != nil {
+			r.onPacket(pkt, gen, payload)
+		}
 	}
 	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.active, conn)
-		r.mu.Unlock()
-	}()
-
-	mu, payload, err := readHeader(conn)
-	if err != nil {
-		return fmt.Errorf("core: path %d: %w", path, err)
-	}
-	r.mu.Lock()
-	var mismatch error
-	switch {
-	case r.muRate == 0: // first header: it sets what the siblings must match
-		r.muRate, r.payload = mu, payload
-	case r.muRate != mu:
-		mismatch = fmt.Errorf("core: path %d announces µ=%v, another path %v", path, mu, r.muRate)
-	case r.payload != payload:
-		mismatch = fmt.Errorf("core: path %d announces %d-byte payloads, another path %d", path, payload, r.payload)
-	}
-	r.mu.Unlock()
-	if mismatch != nil {
-		return mismatch
-	}
-
-	frame := make([]byte, frameHdr+payload)
-	for {
-		// Client-side read loop: bounded by the server's
-		// end marker plus the EndGrace deadline armed once any path ends.
-		if _, err := io.ReadFull(conn, frame); err != nil {
-			return fmt.Errorf("core: path %d read: %w", path, err)
-		}
-		pkt, v, err := ParseFrameHeader(frame)
-		if err != nil {
-			return fmt.Errorf("core: path %d: %w", path, err)
-		}
-		if pkt == EndMarker {
-			r.finish(v, conn)
-			return nil
-		}
-		r.mu.Lock()
-		if !r.seen.Add(pkt) {
-			r.dups++
-		} else {
-			r.recordLocked(Arrival{Pkt: pkt, Path: int32(path), Gen: v, At: time.Now().UnixNano()})
-			if r.onPacket != nil {
-				r.onPacket(pkt, v, frame[frameHdr:])
-			}
-		}
-		r.mu.Unlock()
-	}
 }
 
 // recordLocked appends one arrival to the log, coded against the last one; a
@@ -220,50 +150,16 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// finish records an end marker: the expected count is the max announced by
-// any path (paths of a live hub subscription drain at slightly different
-// times), and on the first marker every other in-flight path gets the grace
-// deadline so a silent one cannot block reassembly forever.
-func (r *Receiver) finish(expected int64, self net.Conn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if expected > r.expected {
-		r.expected = expected
-	}
-	if r.endSeen {
-		return
-	}
-	r.endSeen = true
-	close(r.done)
-	if r.grace > 0 {
-		dl := time.Now().Add(r.grace)
-		for c := range r.active {
-			if c != self {
-				c.SetReadDeadline(dl)
-			}
-		}
-	}
-}
-
-// Done is closed once any path has delivered its end marker — the signal
-// that the stream is over and redialing is pointless.
-func (r *Receiver) Done() <-chan struct{} { return r.done }
-
 // Trace decodes the merged arrival record, ordered by arrival time.
 // Arrivals are stamped under r.mu, so the log is already in that order
 // unless the wall clock stepped back; only then is it sorted, stably, so
 // arrivals with equal stamps keep the order they were recorded in.
 func (r *Receiver) Trace() *Trace {
+	tr := &Trace{Expected: max(r.Expected(), 0)}
+	tr.Mu, tr.PayloadSize = r.Header()
 	r.mu.Lock()
-	tr := &Trace{
-		Mu:          r.muRate,
-		PayloadSize: r.payload,
-		Arrivals:    r.decodeLocked(make([]Arrival, 0, r.n)),
-		Duplicates:  r.dups,
-	}
-	if r.expected > 0 {
-		tr.Expected = r.expected
-	}
+	tr.Arrivals = r.decodeLocked(make([]Arrival, 0, r.n))
+	tr.Duplicates = r.dups
 	r.mu.Unlock()
 	byArrival := func(a, b Arrival) int { return cmp.Compare(a.At, b.At) }
 	if !slices.IsSortedFunc(tr.Arrivals, byArrival) {
@@ -287,18 +183,8 @@ func ReceiveOpts(conns []net.Conn, opts ReceiverOptions) (*Trace, error) {
 		return nil, errors.New("core: no paths")
 	}
 	r := NewReceiver(opts)
-	errs := make([]error, len(conns))
-	var wg sync.WaitGroup
-	for k, conn := range conns {
-		wg.Add(1)
-		go func(k int, conn net.Conn) {
-			defer wg.Done()
-			errs[k] = r.Run(k, conn)
-		}(k, conn)
-	}
-	wg.Wait()
 	var firstErr error
-	for _, err := range errs {
+	for _, err := range r.RunAll(conns) {
 		if err != nil {
 			firstErr = err
 			break

@@ -359,20 +359,63 @@ func FuzzArrivalLog(f *testing.F) {
 	})
 }
 
+// gatedConn is a replayConn whose bytes flow only once gate is closed.
+type gatedConn struct {
+	replayConn
+	gate chan struct{}
+}
+
+func (c *gatedConn) Read(p []byte) (int, error) {
+	<-c.gate
+	return c.replayConn.Read(p)
+}
+
 // TestReceiveRejectsPayloadMismatch: a path whose header announces a
-// different payload size than its siblings is refused like one announcing a
-// different rate, and does not rewrite the trace's metadata.
+// different payload size than the first path's is refused like one
+// announcing a different rate, and leaves no mark on what the first path
+// delivered — in Receive's trace and in Play's playout alike.
 func TestReceiveRejectsPayloadMismatch(t *testing.T) {
-	r := NewReceiver(ReceiverOptions{})
-	replay(t, r, renderPaths(16, 3, []uint32{0, 1, 2}))
+	first := renderPaths(16, 3, []uint32{0, 1, 2})[0]
 	odd := renderPaths(32, 3, []uint32{0})[0]
-	err := r.Run(1, &replayConn{r: bytes.NewReader(odd)})
-	if err == nil || !strings.Contains(err.Error(), "payload") {
-		t.Fatalf("path with another payload size: %v, want a rejection naming the payload", err)
-	}
-	if tr := r.Trace(); tr.PayloadSize != 16 || len(tr.Arrivals) != 3 || tr.Duplicates != 0 {
-		t.Fatalf("rejected path left its mark: payload %d, %d arrivals, %d duplicates",
-			tr.PayloadSize, len(tr.Arrivals), tr.Duplicates)
+	for _, tc := range []struct {
+		name string
+		// run reads first, then odd once first's header has been agreed, and
+		// returns the payload size and packets delivered and odd's error.
+		run func(t *testing.T) (payload, packets int, err error)
+	}{
+		{"receive", func(t *testing.T) (int, int, error) {
+			r := NewReceiver(ReceiverOptions{})
+			replay(t, r, [][]byte{first})
+			err := r.Run(1, &replayConn{r: bytes.NewReader(odd)})
+			tr := r.Trace()
+			if tr.Duplicates != 0 {
+				t.Errorf("%d duplicates", tr.Duplicates)
+			}
+			return tr.PayloadSize, len(tr.Arrivals), err
+		}},
+		{"play", func(t *testing.T) (int, int, error) {
+			gate := make(chan struct{})
+			payload := 0
+			stats, err := Play([]net.Conn{
+				&replayConn{r: bytes.NewReader(first)},
+				&gatedConn{replayConn{r: bytes.NewReader(odd)}, gate},
+			}, PlayerConfig{StartupDelay: time.Millisecond, OnPacket: func(pkt uint32, p []byte) {
+				if payload = len(p); pkt == 0 {
+					close(gate) // slot 0 played: the first header was agreed
+				}
+			}})
+			return payload, int(stats.Played), err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload, packets, err := tc.run(t)
+			if err == nil || !strings.Contains(err.Error(), "payload") {
+				t.Fatalf("path with another payload size: %v, want a rejection naming the payload", err)
+			}
+			if payload != 16 || packets != 3 {
+				t.Fatalf("rejected path left its mark: payload %d, %d packets", payload, packets)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -342,115 +341,6 @@ func TestSeverRedialAcceptance(t *testing.T) {
 	}
 	if len(runA.redials) != len(runB.redials) {
 		t.Fatalf("redial sequences differ: %v vs %v", runA.redials, runB.redials)
-	}
-}
-
-// TestReceiveUnblocksSilentPath is the regression test for the pre-
-// resilience hang: a path that goes silent (no error, no end marker) used
-// to block Receive forever once the other path had finished. The EndGrace
-// deadline must surface it as a per-path error instead, with the stream
-// intact from the surviving path.
-func TestReceiveUnblocksSilentPath(t *testing.T) {
-	const count = 20
-	c0, s0 := tcpPair(t)
-	c1, s1 := tcpPair(t)
-	defer c0.Close()
-	defer c1.Close()
-	defer s0.Close()
-	defer s1.Close()
-
-	// Path 0 delivers the whole stream and its end marker; path 1 presents a
-	// header and then goes silent with the connection held open.
-	go func() {
-		if err := WriteStreamHeader(s0, 0, 2, 10, 100); err != nil {
-			return
-		}
-		frame := make([]byte, frameHdr+10)
-		for i := uint32(0); i < count; i++ {
-			PutFrameHeader(frame, i, time.Now().UnixNano())
-			if _, err := s0.Write(frame); err != nil {
-				return
-			}
-		}
-		PutFrameHeader(frame, EndMarker, count)
-		s0.Write(frame)
-	}()
-	go func() {
-		WriteStreamHeader(s1, 1, 2, 10, 100)
-		// ... and nothing more: the silent-failure mode.
-	}()
-
-	done := make(chan struct{})
-	var tr *Trace
-	var err error
-	go func() {
-		defer close(done)
-		tr, err = ReceiveOpts([]net.Conn{c0, c1}, ReceiverOptions{EndGrace: 500 * time.Millisecond})
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Receive still blocked on the silent path")
-	}
-	if err == nil {
-		t.Fatal("silent path must surface a per-path error")
-	}
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("silent-path error %v does not carry the deadline timeout", err)
-	}
-	if tr.Expected != count || int64(len(tr.Arrivals)) != count {
-		t.Fatalf("surviving path delivered %d/%d (expected field %d)", len(tr.Arrivals), count, tr.Expected)
-	}
-}
-
-// TestPlayUnblocksSilentPath: same regression for the real-time player.
-func TestPlayUnblocksSilentPath(t *testing.T) {
-	const count = 30
-	c0, s0 := tcpPair(t)
-	c1, s1 := tcpPair(t)
-	defer c0.Close()
-	defer c1.Close()
-	defer s0.Close()
-	defer s1.Close()
-
-	go func() {
-		if err := WriteStreamHeader(s0, 0, 2, 10, 200); err != nil {
-			return
-		}
-		frame := make([]byte, frameHdr+10)
-		for i := uint32(0); i < count; i++ {
-			PutFrameHeader(frame, i, time.Now().UnixNano())
-			if _, err := s0.Write(frame); err != nil {
-				return
-			}
-		}
-		PutFrameHeader(frame, EndMarker, count)
-		s0.Write(frame)
-	}()
-	go func() {
-		WriteStreamHeader(s1, 1, 2, 10, 200)
-	}()
-
-	done := make(chan struct{})
-	var stats PlayerStats
-	go func() {
-		defer close(done)
-		stats, _ = Play([]net.Conn{c0, c1}, PlayerConfig{
-			StartupDelay: 100 * time.Millisecond,
-			EndGrace:     500 * time.Millisecond,
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("Play still blocked on the silent path")
-	}
-	if stats.Expected != count {
-		t.Fatalf("played stream expected %d, want %d", stats.Expected, count)
-	}
-	if stats.Played == 0 {
-		t.Fatal("nothing played from the surviving path")
 	}
 }
 

@@ -166,7 +166,11 @@ func WriteStreamHeader(w io.Writer, pathIdx, numPaths, payloadSize int, mu float
 	return err
 }
 
-func readHeader(r io.Reader) (mu float64, payload int, err error) {
+// ReadStreamHeader reads one join response: the v1 stream header on
+// admission (returning its rate and payload size), or a typed *RejectError
+// when the server answered with a reject frame. It lets a client learn a
+// join's outcome without committing to consume the stream.
+func ReadStreamHeader(r io.Reader) (mu float64, payload int, err error) {
 	var h [headerSize]byte
 	if _, err = io.ReadFull(r, h[:]); err != nil {
 		return 0, 0, fmt.Errorf("core: header read: %w", err)
@@ -189,14 +193,6 @@ func readHeader(r io.Reader) (mu float64, payload int, err error) {
 		return 0, 0, fmt.Errorf("core: implausible header µ=%v payload=%d", mu, payload)
 	}
 	return mu, payload, nil
-}
-
-// ReadStreamHeader reads one join response: the v1 stream header on
-// admission (returning its rate and payload size), or a typed *RejectError
-// when the server answered with a reject frame. It lets a client learn a
-// join's outcome without committing to consume the stream.
-func ReadStreamHeader(r io.Reader) (mu float64, payloadSize int, err error) {
-	return readHeader(r)
 }
 
 // PutFrameHeader encodes a frame's packet number and generation timestamp

@@ -9,7 +9,7 @@ import (
 
 // Native fuzz targets for the wire format: the hub accept loop feeds
 // attacker-controlled bytes straight into ReadJoin and clients feed
-// server bytes into readHeader/ParseFrameHeader, so none of them may
+// server bytes into ReadStreamHeader/ParseFrameHeader, so none of them may
 // panic or overread, and every accepted value must round-trip.
 //
 // Run continuously with:
@@ -126,7 +126,7 @@ func FuzzParseHeader(f *testing.F) {
 	}
 	f.Add([]byte("DMPR"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mu, payload, err := readHeader(bytes.NewReader(data))
+		mu, payload, err := ReadStreamHeader(bytes.NewReader(data))
 		if err != nil {
 			var rej *RejectError
 			if errors.As(err, &rej) {

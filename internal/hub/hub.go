@@ -24,8 +24,7 @@
 // per wakeup, so the payload bytes are never copied in user space. Ring advance, lag enforcement and fan-out
 // therefore never serialize on a single hub-wide mutex — the only
 // cross-shard points are admission (control plane), the byte-budget
-// governor, and Stats, none of which sit on the frame hot path. Shards=1
-// puts the whole population under one shard lock.
+// governor, and Stats, none of which sit on the frame hot path.
 //
 // An attached path is an entry, not a goroutine: on its shard's parked
 // list while it has nothing to send, woken or ready once it has, or held by
@@ -115,17 +114,6 @@ const writeBatchFrames = 32
 // packets between two lag-policy passes.
 const maxTickBurst = 64
 
-// DefaultJoinTimeout bounds how long an accepted connection may take to
-// present its join request before the hub gives up on it (see
-// Config.JoinTimeout).
-const DefaultJoinTimeout = 10 * time.Second
-
-// DefaultHandshakeLimit caps how many accepted connections may sit in the
-// join handshake concurrently (see Config.HandshakeLimit). Beyond it, Serve
-// sheds new connections with a server-full reject instead of queuing
-// unbounded slowloris candidates.
-const DefaultHandshakeLimit = 64
-
 // MaxShards bounds Config.Shards: past a few dozen shards the per-packet
 // wake walk costs more than the contention it avoids.
 const MaxShards = 64
@@ -134,10 +122,6 @@ const MaxShards = 64
 // governor never shrinks a subscriber's effective lag window below this
 // many packets — past that rung, the only relief left is eviction.
 const minShedWindow = 16
-
-// rejectWriteTimeout bounds the courtesy reject-frame write so a refused
-// client that never reads cannot pin a handshake goroutine.
-const rejectWriteTimeout = 2 * time.Second
 
 // DefaultReattachGrace is how long a subscriber outlives its last path by
 // default, waiting for the client to redial with the same token.
@@ -179,7 +163,7 @@ type Config struct {
 	// Shards is how many per-core worker groups the subscriber population
 	// is hashed across; each shard's lock covers only its own subscribers'
 	// cursors, paths and workers. 0 selects GOMAXPROCS (capped at MaxShards);
-	// 1 puts every subscriber under one shard lock.
+	// tests pin other counts.
 	Shards int
 	// PathWriteBuffer, when positive, caps each path's kernel send buffer
 	// (SetWriteBuffer) so backpressure from a slow subscriber reaches the
@@ -289,14 +273,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.JoinTimeout < 0 {
 		return c, fmt.Errorf("hub: join timeout %v < 0", c.JoinTimeout)
 	}
-	if c.JoinTimeout == 0 {
-		c.JoinTimeout = DefaultJoinTimeout
-	}
 	if c.HandshakeLimit < 0 {
 		return c, fmt.Errorf("hub: handshake limit %d < 0", c.HandshakeLimit)
-	}
-	if c.HandshakeLimit == 0 {
-		c.HandshakeLimit = DefaultHandshakeLimit
 	}
 	return c, nil
 }
@@ -324,6 +302,7 @@ type Hub struct {
 	pool   *bufPool
 	ring   *ring
 	shards []*shard
+	acc    *Acceptor
 	wg     sync.WaitGroup
 	start  time.Time
 
@@ -334,14 +313,12 @@ type Hub struct {
 	genDone atomic.Bool // generator exited
 	closed  atomic.Bool // force-closed
 
-	// mu is the control plane: listeners, handshakes, drain state and
-	// admission. It is never taken on the frame hot path.
+	// mu is the control plane: drain state and admission. It is never
+	// taken on the frame hot path.
 	mu       sync.Mutex
-	lns      []net.Listener        // guarded by mu
-	pending  map[net.Conn]struct{} // guarded by mu; accepted conns mid-handshake
-	draining bool                  // guarded by mu; admission closed, live subscriptions finishing
-	stopSig  bool                  // guarded by mu; stopCh already closed
-	stopCh   chan struct{}         // closed once the stream is over (Stop/Close/Count)
+	draining bool          // guarded by mu; admission closed, live subscriptions finishing
+	stopSig  bool          // guarded by mu; stopCh already closed
+	stopCh   chan struct{} // closed once the stream is over (Stop/Close/Count)
 
 	// govMu serializes the byte-budget governor with Stats' BytesHeld
 	// aggregation and with the generator's publish cycle, so no reader can
@@ -358,17 +335,15 @@ type Hub struct {
 	// joins with instead of the default stream-ended code (see Fail).
 	failCode atomic.Uint32
 
-	generated     atomic.Int64
-	sourceGaps    atomic.Int64 // external-source sequences skipped past (never published)
-	totalSent     atomic.Int64
-	totalDropped  atomic.Int64
-	evictedCount  atomic.Int64
-	pathErrors    atomic.Int64
-	totalResent   atomic.Int64 // packets replayed from resend queues
-	reattached    atomic.Int64 // joins that revived a dead path's slot
-	rejected      atomic.Int64 // joins refused with a reject frame
-	shedCount     atomic.Int64 // degradation-ladder steps across all subscribers
-	acceptRetries atomic.Int64 // temporary Accept errors retried with backoff
+	generated    atomic.Int64
+	sourceGaps   atomic.Int64 // external-source sequences skipped past (never published)
+	totalSent    atomic.Int64
+	totalDropped atomic.Int64
+	evictedCount atomic.Int64
+	pathErrors   atomic.Int64
+	totalResent  atomic.Int64 // packets replayed from resend queues
+	reattached   atomic.Int64 // joins that revived a dead path's slot
+	shedCount    atomic.Int64 // degradation-ladder steps across all subscribers
 
 	// Delivery-path instrumentation: how many user-space bytes were
 	// memcpy'd to deliver frames (header patches only), and how many
@@ -392,10 +367,10 @@ func New(cfg Config) (*Hub, error) {
 		batchFrames: writeBatchFrames,
 		pool:        pool,
 		ring:        newRing(cfg.LagWindow, pool),
-		pending:     make(map[net.Conn]struct{}),
 		start:       time.Now(),
 		stopCh:      make(chan struct{}),
 	}
+	h.acc = NewAcceptor(cfg.JoinTimeout, cfg.HandshakeLimit, ErrStreamEnded, h.refuse, h.AttachJoined)
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
 		h.shards[i] = newShard(h)
@@ -758,32 +733,20 @@ func (h *Hub) writeFrame(conn net.Conn, frame []byte) error {
 	return err
 }
 
-// rejectConn answers a refused join with the typed reject frame and closes
-// the connection. The courtesy write gets a short deadline so a refused
-// client that never reads cannot pin a handshake goroutine. Every written
-// reject is counted exactly once in Stats.Rejected.
-func (h *Hub) rejectConn(conn net.Conn, code core.RejectCode) {
-	h.rejected.Add(1)
-	conn.SetWriteDeadline(time.Now().Add(rejectWriteTimeout))
-	_ = core.WriteReject(conn, code)
-	_ = conn.Close()
-}
-
 // Attach performs the server side of the join handshake on conn and queues
 // a path for the joined subscription. It closes conn on any error;
 // admission refusals additionally answer with the typed reject frame, and
 // the returned error unwraps to the matching core sentinel
 // (core.ErrServerFull, core.ErrDraining, ...).
-func (h *Hub) Attach(conn net.Conn) error {
-	conn.SetReadDeadline(time.Now().Add(h.cfg.JoinTimeout))
-	j, err := core.ReadJoin(conn)
-	conn.SetReadDeadline(time.Time{})
-	if err != nil {
-		// Not (or not yet) speaking our protocol: no reject frame owed.
-		_ = conn.Close()
-		return fmt.Errorf("hub: join: %w", err)
+func (h *Hub) Attach(conn net.Conn) error { return h.acc.Attach(conn) }
+
+// refuse is the accept loop's inline verdict: once the stream is over,
+// every joiner gets the end code without a handshake.
+func (h *Hub) refuse() core.RejectCode {
+	if h.stopped.Load() || h.genDone.Load() {
+		return h.endCode()
 	}
-	return h.AttachJoined(conn, j)
+	return 0
 }
 
 // AttachJoined admits a connection whose join request has already been
@@ -794,9 +757,8 @@ func (h *Hub) Attach(conn net.Conn) error {
 // header first, and is served until the stream ends.
 func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 	if j.StreamID != h.cfg.StreamID {
-		h.rejectConn(conn, core.RejectUnknownStream)
 		return fmt.Errorf("hub: join for stream %q (serving %q): %w",
-			j.StreamID, h.cfg.StreamID, &core.RejectError{Code: core.RejectUnknownStream})
+			j.StreamID, h.cfg.StreamID, h.acc.Reject(conn, core.RejectUnknownStream))
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -810,9 +772,9 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 	if h.closed.Load() || h.stopped.Load() || h.genDone.Load() {
 		h.mu.Unlock()
 		code := h.endCode()
-		h.rejectConn(conn, code)
+		err := h.acc.Reject(conn, code)
 		if code != core.RejectStreamEnded {
-			return fmt.Errorf("hub: stream over: %w", &core.RejectError{Code: code})
+			return fmt.Errorf("hub: stream over: %w", err)
 		}
 		return ErrStreamEnded
 	}
@@ -832,16 +794,14 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 		if code != 0 {
 			sd.mu.Unlock()
 			h.mu.Unlock()
-			h.rejectConn(conn, code)
-			return fmt.Errorf("hub: join refused: %w", &core.RejectError{Code: code})
+			return fmt.Errorf("hub: join refused: %w", h.acc.Reject(conn, code))
 		}
 	}
 	if h.cfg.MaxConns > 0 && int(h.pathConns.Load()) >= h.cfg.MaxConns {
 		sd.mu.Unlock()
 		h.mu.Unlock()
-		h.rejectConn(conn, core.RejectServerFull)
 		return fmt.Errorf("hub: %d connections attached: %w",
-			h.cfg.MaxConns, &core.RejectError{Code: core.RejectServerFull})
+			h.cfg.MaxConns, h.acc.Reject(conn, core.RejectServerFull))
 	}
 	if sub == nil {
 		head := h.ring.headSeq()
@@ -864,9 +824,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 	if sub.evicted {
 		sd.mu.Unlock()
 		h.mu.Unlock()
-		h.rejectConn(conn, core.RejectEvicted)
-		return fmt.Errorf("hub: subscriber %s: %w",
-			j.Token, &core.RejectError{Code: core.RejectEvicted})
+		return fmt.Errorf("hub: subscriber %s: %w", j.Token, h.acc.Reject(conn, core.RejectEvicted))
 	}
 	h.pathConns.Add(1)
 	p := &path{sub: sub, conn: conn, idx: int(sub.nextPath), numPaths: len(sub.links) + 1}
@@ -911,99 +869,10 @@ func mergeSeqs(have, add []int64) []int64 {
 	return out[:n]
 }
 
-// Serve accepts connections on ln and attaches each as a subscriber path.
-// It returns when ln is closed; per-connection join failures are counted in
-// Stats, not returned. Temporary accept errors (EMFILE storms, transient
-// kernel refusals) are retried with capped exponential backoff instead of
-// tearing the accept loop down, and connections beyond the handshake
-// concurrency cap are shed with a server-full reject.
-func (h *Hub) Serve(ln net.Listener) error {
-	h.mu.Lock()
-	h.lns = append(h.lns, ln)
-	closed := h.closed.Load()
-	h.mu.Unlock()
-	if closed {
-		_ = ln.Close()
-		return ErrStreamEnded
-	}
-	var backoff time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if h.closed.Load() || h.stopped.Load() {
-				return nil
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Temporary() {
-				// An accept storm that exhausts descriptors surfaces here as
-				// a temporary error: hold the loop together and retry once
-				// some in-flight connection retires a descriptor.
-				h.acceptRetries.Add(1)
-				switch {
-				case backoff <= 0:
-					backoff = 5 * time.Millisecond
-				case backoff < time.Second:
-					backoff *= 2
-					if backoff > time.Second {
-						backoff = time.Second
-					}
-				}
-				t := time.NewTimer(backoff)
-				select {
-				case <-t.C:
-				case <-h.stopCh:
-					t.Stop()
-				}
-				continue
-			}
-			return err
-		}
-		backoff = 0
-		// The handshake goroutine is wg-tracked and its conn is registered
-		// so Close can cut a client that stalls mid-handshake instead of
-		// leaking the goroutine for up to JoinTimeout. Adding to wg under
-		// mu with closed checked first keeps Add ordered before Close's
-		// Wait.
-		h.mu.Lock()
-		if h.closed.Load() {
-			h.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		if h.stopped.Load() || h.genDone.Load() {
-			// The stream is over, so Attach would refuse anyway — answer
-			// inline rather than spawn a tracked goroutine, because a
-			// Drain/Close may already be in wg.Wait and an Add now would
-			// race it. The reject write is deadline-bounded.
-			h.mu.Unlock()
-			h.rejectConn(conn, h.endCode())
-			continue
-		}
-		if len(h.pending) >= h.cfg.HandshakeLimit {
-			// Too many handshakes in flight — likely a slowloris herd. Shed
-			// the newcomer; rejectConn writes under a deadline, so drop mu
-			// first.
-			h.mu.Unlock()
-			h.rejectConn(conn, core.RejectServerFull)
-			continue
-		}
-		h.pending[conn] = struct{}{}
-		h.wg.Add(1)
-		h.mu.Unlock()
-		go func() {
-			defer h.wg.Done()
-			err := h.Attach(conn)
-			h.mu.Lock()
-			delete(h.pending, conn)
-			h.mu.Unlock()
-			if err != nil && !errors.Is(err, ErrStreamEnded) && !errors.Is(err, core.ErrRejected) {
-				// Admission refusals are counted in Rejected by rejectConn;
-				// only protocol-level failures are path errors.
-				h.pathErrors.Add(1)
-			}
-		}()
-	}
-}
+// Serve accepts connections on ln and attaches each as a subscriber path
+// through the hub's Acceptor. It returns when ln is closed; per-connection
+// join failures are counted in Stats, not returned.
+func (h *Hub) Serve(ln net.Listener) error { return h.acc.Serve(ln) }
 
 // BeginDrain closes admission: joins presenting fresh tokens are refused
 // with a draining reject, while live subscriptions (including re-attaches
@@ -1095,13 +964,8 @@ func (h *Hub) Close() {
 	h.closed.Store(true)
 	h.stopped.Store(true)
 	h.signalStopLocked()
-	for _, ln := range h.lns {
-		_ = ln.Close()
-	}
-	for c := range h.pending {
-		_ = c.Close()
-	}
 	h.mu.Unlock()
+	h.acc.Close()
 	for _, sd := range h.shards {
 		sd.mu.Lock()
 		for _, sub := range sd.subs {
@@ -1206,6 +1070,7 @@ type Stats struct {
 // turn, and the generator keeps ticking through it: each shard's rows are
 // exact for the live edge at the moment that shard was read.
 func (h *Hub) Stats() Stats {
+	retries, rejected, badJoins := h.acc.Counters()
 	st := Stats{
 		StreamID:      h.cfg.StreamID,
 		Shards:        len(h.shards),
@@ -1214,10 +1079,10 @@ func (h *Hub) Stats() Stats {
 		Sent:          h.totalSent.Load(),
 		Dropped:       h.totalDropped.Load(),
 		Evicted:       h.evictedCount.Load(),
-		Rejected:      h.rejected.Load(),
+		Rejected:      rejected,
 		Shed:          h.shedCount.Load(),
-		AcceptRetries: h.acceptRetries.Load(),
-		PathErrors:    h.pathErrors.Load(),
+		AcceptRetries: retries,
+		PathErrors:    h.pathErrors.Load() + badJoins,
 		Resent:        h.totalResent.Load(),
 		Reattached:    h.reattached.Load(),
 		Conns:         int(h.pathConns.Load()),
@@ -1227,10 +1092,8 @@ func (h *Hub) Stats() Stats {
 		Pool:          h.pool.stats(),
 		Elapsed:       time.Since(h.start),
 	}
-	h.mu.Lock()
-	st.Handshaking = len(h.pending)
-	st.Draining = h.draining
-	h.mu.Unlock()
+	st.Handshaking = h.acc.Handshaking()
+	st.Draining = h.Draining()
 	st.BytesHeld = h.BytesHeld()
 	st.Subs = make([]SubscriberStats, 0, h.SubscriberCount())
 	for _, sd := range h.shards {

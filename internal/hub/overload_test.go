@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,78 +135,6 @@ func TestHubAdmissionRejects(t *testing.T) {
 	}
 }
 
-// TestHubSlowlorisJoin: connections that never send their join occupy
-// handshake slots only until JoinTimeout; while the slots are full, Serve
-// sheds newcomers with a server-full reject, and once the deadline cuts
-// the stallers a well-behaved join is admitted again.
-func TestHubSlowlorisJoin(t *testing.T) {
-	h, err := New(Config{
-		Stream:         core.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30},
-		StreamID:       "slow",
-		JoinTimeout:    300 * time.Millisecond,
-		HandshakeLimit: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go h.Serve(ln)
-	addr := ln.Addr().String()
-
-	// Two silent connections fill both handshake slots.
-	var stallers []net.Conn
-	for i := 0; i < 2; i++ {
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		stallers = append(stallers, c)
-	}
-	waitStats(t, h, "both handshake slots occupied", func(st Stats) bool {
-		return st.Handshaking == 2
-	})
-
-	// The overflow connection is shed immediately — before any join bytes.
-	over, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer over.Close()
-	over.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, _, err = core.ReadStreamHeader(over)
-	if !errors.Is(err, core.ErrServerFull) {
-		t.Fatalf("overflow conn: %v, want ErrServerFull", err)
-	}
-
-	// JoinTimeout cuts the stallers: their reads fail (no reject frame is
-	// owed to a connection that never spoke the protocol).
-	for i, c := range stallers {
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, _, err := core.ReadStreamHeader(c); err == nil {
-			t.Fatalf("staller %d got a stream header", i)
-		} else if errors.Is(err, core.ErrRejected) {
-			t.Fatalf("staller %d got a courtesy reject: %v", i, err)
-		}
-	}
-	waitStats(t, h, "handshake slots freed", func(st Stats) bool {
-		return st.Handshaking == 0
-	})
-
-	// With the slots free, a prompt join is admitted again.
-	c := joinOK(t, addr, "slow", newToken(t), 0)
-	c.Close()
-
-	if st := h.Stats(); st.Rejected != 1 {
-		t.Fatalf("Rejected = %d, want 1 (the overflow conn)", st.Rejected)
-	}
-}
-
 // TestHubOverloadDegradation is the deterministic overload acceptance
 // test: a prompt subscriber and a fully stalled one share a hub with a
 // tight MaxBytes budget while two excess joiners are refused. The
@@ -321,64 +248,6 @@ func TestHubOverloadDegradation(t *testing.T) {
 		t.Fatalf("prompt subscriber late fraction %v at τ=2s, want <= 0.02", late)
 	}
 	h.Wait()
-}
-
-// tempErr mimics the temporary net.Error an accept storm (EMFILE) raises.
-type tempErr struct{}
-
-func (tempErr) Error() string   { return "accept: too many open files (simulated)" }
-func (tempErr) Timeout() bool   { return false }
-func (tempErr) Temporary() bool { return true }
-
-// flakyListener fails its first `fails` Accept calls with a temporary
-// error, then behaves like the wrapped listener.
-type flakyListener struct {
-	net.Listener
-	fails atomic.Int32
-}
-
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.fails.Add(-1) >= 0 {
-		return nil, tempErr{}
-	}
-	return l.Listener.Accept()
-}
-
-// TestHubServeAcceptBackoff: temporary accept errors must not tear Serve
-// down — the loop backs off, retries, and keeps admitting.
-func TestHubServeAcceptBackoff(t *testing.T) {
-	const fails = 3
-	h, err := New(Config{
-		Stream:   core.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30},
-		StreamID: "flaky",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	fl := &flakyListener{Listener: ln}
-	fl.fails.Store(fails)
-
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- h.Serve(fl) }()
-
-	// The join only succeeds once Serve has survived every simulated
-	// accept failure.
-	c := joinOK(t, ln.Addr().String(), "flaky", newToken(t), 0)
-	c.Close()
-	if got := h.Stats().AcceptRetries; got != fails {
-		t.Fatalf("AcceptRetries = %d, want %d", got, fails)
-	}
-
-	h.Close()
-	if err := <-serveDone; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
 }
 
 // TestHubDrainGraceful: BeginDrain refuses fresh tokens but keeps serving

@@ -165,7 +165,6 @@ func TestRepoLockGraphAcyclic(t *testing.T) {
 		"internal/hub.Hub.mu -> internal/hub.shard.mu",
 		"internal/hub.ring.mu -> internal/hub.bufPool.mu",
 		"internal/registry.Registry.mu -> internal/hub.shard.mu",
-		"internal/relay.Relay.mu -> internal/relay.forwarder.mu",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("lock graph edges:\n%s\nwant (DESIGN.md §7):\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

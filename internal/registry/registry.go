@@ -57,10 +57,6 @@ var (
 	ErrClosed = errors.New("registry: closed")
 )
 
-// rejectWriteTimeout bounds the courtesy reject-frame write, exactly as in
-// the hub: a refused client that never reads cannot pin a goroutine.
-const rejectWriteTimeout = 2 * time.Second
-
 // Config describes a stream registry.
 type Config struct {
 	// Hub is the per-stream template: every stream Create starts gets this
@@ -104,14 +100,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.JoinTimeout < 0 {
 		return c, fmt.Errorf("registry: join timeout %v < 0", c.JoinTimeout)
 	}
-	if c.JoinTimeout == 0 {
-		c.JoinTimeout = hub.DefaultJoinTimeout
-	}
 	if c.HandshakeLimit < 0 {
 		return c, fmt.Errorf("registry: handshake limit %d < 0", c.HandshakeLimit)
-	}
-	if c.HandshakeLimit == 0 {
-		c.HandshakeLimit = hub.DefaultHandshakeLimit
 	}
 	return c, nil
 }
@@ -119,27 +109,23 @@ func (c Config) withDefaults() (Config, error) {
 // Registry routes joins across many live streams and owns their lifecycles.
 type Registry struct {
 	cfg Config
-	wg  sync.WaitGroup
+	acc *hub.Acceptor
 
 	closed atomic.Bool // stored under mu, read lock-free
 
 	mu       sync.Mutex
-	streams  map[string]*hub.Hub   // guarded by mu; live, join-routable
-	ended    map[string]struct{}   // guarded by mu; tombstones of ended ids
-	retired  []*hub.Hub            // guarded by mu; ended hubs not yet force-closed
-	lns      []net.Listener        // guarded by mu
-	pending  map[net.Conn]struct{} // guarded by mu; accepted conns mid-handshake
-	draining bool                  // guarded by mu
+	streams  map[string]*hub.Hub // guarded by mu; live, join-routable
+	ended    map[string]struct{} // guarded by mu; tombstones of ended ids
+	retired  []*hub.Hub          // guarded by mu; ended hubs not yet force-closed
+	draining bool                // guarded by mu
 
 	// connCount is the registry-wide MaxConns account: incremented only
 	// under mu (strict cap), decremented exactly once per connection by the
 	// countedConn wrapper.
 	connCount atomic.Int64
 
-	rejected      atomic.Int64 // joins the registry itself refused
-	unknownStream atomic.Int64 // ... because the id named no stream
+	unknownStream atomic.Int64 // joins refused because the id named no stream
 	streamEnded   atomic.Int64 // ... because the id's stream had ended
-	acceptRetries atomic.Int64 // temporary Accept errors retried with backoff
 	created       atomic.Int64 // streams created over the registry's lifetime
 }
 
@@ -149,12 +135,13 @@ func New(cfg Config) (*Registry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Registry{
+	r := &Registry{
 		cfg:     cfg,
 		streams: make(map[string]*hub.Hub),
 		ended:   make(map[string]struct{}),
-		pending: make(map[net.Conn]struct{}),
-	}, nil
+	}
+	r.acc = hub.NewAcceptor(cfg.JoinTimeout, cfg.HandshakeLimit, ErrClosed, nil, r.Route)
+	return r, nil
 }
 
 // countedConn releases its registry connection slot exactly once on Close,
@@ -360,29 +347,11 @@ func (r *Registry) allHubsLocked() []*hub.Hub {
 	return hubs
 }
 
-// rejectConn answers a refused join with the typed reject frame and closes
-// the connection, mirroring the hub's refusal path.
-func (r *Registry) rejectConn(conn net.Conn, code core.RejectCode) {
-	r.rejected.Add(1)
-	conn.SetWriteDeadline(time.Now().Add(rejectWriteTimeout))
-	_ = core.WriteReject(conn, code)
-	_ = conn.Close()
-}
-
 // Attach performs the join handshake on conn and routes the connection to
 // the stream its join names. It closes conn on any error; refusals answer
 // with the typed reject frame and the returned error unwraps to the
 // matching core sentinel.
-func (r *Registry) Attach(conn net.Conn) error {
-	conn.SetReadDeadline(time.Now().Add(r.cfg.JoinTimeout))
-	j, err := core.ReadJoin(conn)
-	conn.SetReadDeadline(time.Time{})
-	if err != nil {
-		_ = conn.Close()
-		return fmt.Errorf("registry: join: %w", err)
-	}
-	return r.Route(conn, j)
-}
+func (r *Registry) Attach(conn net.Conn) error { return r.acc.Attach(conn) }
 
 // Route admits a connection whose join has already been read: look the
 // stream up, apply the registry-wide caps, and hand the connection to the
@@ -405,7 +374,7 @@ func (r *Registry) Route(conn net.Conn, j core.Join) error {
 	if r.closed.Load() {
 		r.mu.Unlock()
 		r.streamEnded.Add(1)
-		r.rejectConn(conn, core.RejectStreamEnded)
+		r.acc.Reject(conn, core.RejectStreamEnded)
 		return ErrClosed
 	}
 	h, live := r.streams[j.StreamID]
@@ -414,28 +383,24 @@ func (r *Registry) Route(conn net.Conn, j core.Join) error {
 		r.mu.Unlock()
 		if ended {
 			r.streamEnded.Add(1)
-			r.rejectConn(conn, core.RejectStreamEnded)
 			return fmt.Errorf("%w: %s: %s", ErrStreamEnded, j.StreamID,
-				&core.RejectError{Code: core.RejectStreamEnded})
+				r.acc.Reject(conn, core.RejectStreamEnded))
 		}
 		r.unknownStream.Add(1)
-		r.rejectConn(conn, core.RejectUnknownStream)
 		return fmt.Errorf("%w: %q: %s", ErrUnknownStream, j.StreamID,
-			&core.RejectError{Code: core.RejectUnknownStream})
+			r.acc.Reject(conn, core.RejectUnknownStream))
 	}
 	if r.draining && !h.HasSubscriber(j.Token) {
 		// Draining answers before any capacity check, like the hub's own
 		// admission order: a fresh token during drain is told the truth
 		// (draining), not a coincidental server-full.
 		r.mu.Unlock()
-		r.rejectConn(conn, core.RejectDraining)
-		return fmt.Errorf("registry: draining: %w", &core.RejectError{Code: core.RejectDraining})
+		return fmt.Errorf("registry: draining: %w", r.acc.Reject(conn, core.RejectDraining))
 	}
 	if r.cfg.MaxConns > 0 && int(r.connCount.Load()) >= r.cfg.MaxConns {
 		r.mu.Unlock()
-		r.rejectConn(conn, core.RejectServerFull)
 		return fmt.Errorf("registry: %d connections attached: %w",
-			r.cfg.MaxConns, &core.RejectError{Code: core.RejectServerFull})
+			r.cfg.MaxConns, r.acc.Reject(conn, core.RejectServerFull))
 	}
 	if r.cfg.MaxSubscribers > 0 {
 		total := 0
@@ -447,9 +412,8 @@ func (r *Registry) Route(conn net.Conn, j core.Join) error {
 		// subscription that is only healing a flapped path.
 		if total >= r.cfg.MaxSubscribers && !h.HasSubscriber(j.Token) {
 			r.mu.Unlock()
-			r.rejectConn(conn, core.RejectServerFull)
 			return fmt.Errorf("registry: %d subscribers attached: %w",
-				total, &core.RejectError{Code: core.RejectServerFull})
+				total, r.acc.Reject(conn, core.RejectServerFull))
 		}
 	}
 	r.connCount.Add(1)
@@ -457,68 +421,12 @@ func (r *Registry) Route(conn net.Conn, j core.Join) error {
 	return h.AttachJoined(&countedConn{Conn: conn, r: r}, j) // nolint:hotalloc one wrapper per admitted connection; the hub attach below is its own domain
 }
 
-// Serve accepts connections on ln and routes each join to its stream. It
-// returns when ln is closed; per-connection failures are counted, not
-// returned. The loop carries the hub's accept hardening: capped backoff on
-// temporary errors and a handshake concurrency cap shedding slowloris
-// herds with a server-full reject.
-func (r *Registry) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	r.lns = append(r.lns, ln)
-	closed := r.closed.Load()
-	r.mu.Unlock()
-	if closed {
-		_ = ln.Close()
-		return ErrClosed
-	}
-	var backoff time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.closed.Load() {
-				return nil
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Temporary() {
-				r.acceptRetries.Add(1)
-				switch {
-				case backoff <= 0:
-					backoff = 5 * time.Millisecond
-				case backoff < time.Second:
-					backoff *= 2
-					if backoff > time.Second {
-						backoff = time.Second
-					}
-				}
-				time.Sleep(backoff)
-				continue
-			}
-			return err
-		}
-		backoff = 0
-		r.mu.Lock()
-		if r.closed.Load() {
-			r.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		if len(r.pending) >= r.cfg.HandshakeLimit {
-			r.mu.Unlock()
-			r.rejectConn(conn, core.RejectServerFull)
-			continue
-		}
-		r.pending[conn] = struct{}{}
-		r.wg.Add(1)
-		r.mu.Unlock()
-		go func() {
-			defer r.wg.Done()
-			_ = r.Attach(conn)
-			r.mu.Lock()
-			delete(r.pending, conn)
-			r.mu.Unlock()
-		}()
-	}
-}
+// Serve accepts connections on ln and routes each join to its stream,
+// through the same Acceptor a hub serves with: capped backoff on temporary
+// errors, a handshake concurrency cap shedding slowloris herds with a
+// server-full reject. It returns when ln is closed; per-connection failures
+// are counted, not returned.
+func (r *Registry) Serve(ln net.Listener) error { return r.acc.Serve(ln) }
 
 // Close force-stops the registry: every stream's hub is closed (paths are
 // NOT drained), listeners and mid-handshake connections are cut, and new
@@ -532,17 +440,11 @@ func (r *Registry) Close() {
 		r.ended[id] = struct{}{}
 	}
 	r.retired = r.retired[:0]
-	for _, ln := range r.lns {
-		_ = ln.Close()
-	}
-	for c := range r.pending {
-		_ = c.Close()
-	}
 	r.mu.Unlock()
+	r.acc.Close()
 	for _, h := range hubs {
 		h.Close()
 	}
-	r.wg.Wait()
 }
 
 // ConnCount returns the attached path connections across all streams.
@@ -575,13 +477,12 @@ func (r *Registry) Stats() Stats {
 	st := Stats{
 		Created:       r.created.Load(),
 		Conns:         int(r.connCount.Load()),
-		Rejected:      r.rejected.Load(),
 		UnknownStream: r.unknownStream.Load(),
 		StreamEnded:   r.streamEnded.Load(),
-		AcceptRetries: r.acceptRetries.Load(),
+		Handshaking:   r.acc.Handshaking(),
 	}
+	st.AcceptRetries, st.Rejected, _ = r.acc.Counters()
 	r.mu.Lock()
-	st.Handshaking = len(r.pending)
 	st.Draining = r.draining
 	hubs := make([]*hub.Hub, 0, len(r.streams))
 	for _, h := range r.streams {

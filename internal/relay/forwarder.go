@@ -1,15 +1,11 @@
 package relay
 
 import (
-	"fmt"
-	"io"
-	"net"
 	"sort"
 	"sync"
 	"time"
 
 	"dmpstream/internal/core"
-	"dmpstream/internal/hub"
 )
 
 // syncDepth is how many packets the forwarder holds before committing to
@@ -28,138 +24,36 @@ type heldFrame struct {
 }
 
 // forwarder is the relay's upstream sink: core.Client's redial engine
-// hands it every (re)attached upstream path connection, and it
-// republishes the received feed — in strictly ascending absolute
-// sequence order, exactly once per sequence — into the local hub ring via
+// hands it every (re)attached upstream path connection, its core.PathReader
+// reads them (header agreement, end markers, end-grace deadlines), and it
+// republishes the received feed — in strictly ascending absolute sequence
+// order, exactly once per sequence — into the local hub ring via
 // Hub.PublishAt. Out-of-order arrivals (multipath interleave, failover
 // replays overtaking live frames) park in a bounded reorder buffer;
 // sequences the upstream replayed twice are dropped here, so the
 // downstream tier never sees a duplicate. A gap that stays open past the
 // reorder window is abandoned (the head jumps past it downstream), which
 // bounds the relay's memory no matter how the upstream misbehaves.
-//
-// It implements core.Sink; the interesting half of Receiver's contract
-// (dedup, end-marker handling, end-grace deadlines) is mirrored here with
-// ring-publication replacing trace accumulation.
 type forwarder struct {
-	r *Relay
+	*core.PathReader // Run, Done, Conns, Expected: the core.Sink half
+	r                *Relay
 
 	mu        sync.Mutex
-	h         *hub.Hub              // guarded by mu; nil until the first upstream header
-	next      int64                 // guarded by mu; next sequence to publish; -1 until synced
-	pending   map[int64]heldFrame   // guarded by mu; out-of-order arrivals by sequence
-	active    map[net.Conn]struct{} // guarded by mu; upstream conns currently in Run
-	endSeen   bool                  // guarded by mu
-	expected  int64                 // guarded by mu; end-marker generated count (max across paths)
-	forwarded int64                 // guarded by mu; packets accepted by PublishAt
-	lateDrops int64                 // guarded by mu; duplicates and too-late arrivals discarded
-	reordered int64                 // guarded by mu; packets that had to park in the buffer
-	gapSkips  int64                 // guarded by mu; sequences abandoned (window overflow)
-	refused   int64                 // guarded by mu; publishes the hub refused (stopped/draining)
-	done      chan struct{}         // closed on the first end marker
+	next      int64               // guarded by mu; next sequence to publish; -1 until synced
+	pending   map[int64]heldFrame // guarded by mu; out-of-order arrivals by sequence
+	forwarded int64               // guarded by mu; packets accepted by PublishAt
+	lateDrops int64               // guarded by mu; duplicates and too-late arrivals discarded
+	reordered int64               // guarded by mu; packets that had to park in the buffer
+	gapSkips  int64               // guarded by mu; sequences abandoned (window overflow)
+	refused   int64               // guarded by mu; publishes the hub refused (stopped/draining)
 }
 
-func newForwarder(r *Relay) *forwarder {
-	return &forwarder{
-		r:       r,
-		next:    -1,
-		pending: make(map[int64]heldFrame),
-		active:  make(map[net.Conn]struct{}),
-		done:    make(chan struct{}),
-	}
-}
-
-// setHub installs the local hub once the first upstream header fixed the
-// stream's rate and payload size.
-func (f *forwarder) setHub(h *hub.Hub) {
-	f.mu.Lock()
-	f.h = h
-	f.mu.Unlock()
-}
-
-// activeConns snapshots the upstream connections currently being read —
-// the set Close/Drain cuts to unwind the redial engine promptly.
-func (f *forwarder) activeConns() []net.Conn {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]net.Conn, 0, len(f.active))
-	for c := range f.active {
-		out = append(out, c)
-	}
-	return out
-}
-
-// Run consumes one upstream path connection until its end marker (nil) or
-// a terminal error — the core.Sink contract. Called concurrently for
-// different paths and again after redials.
-func (f *forwarder) Run(path int, conn net.Conn) error {
-	f.mu.Lock()
-	f.active[conn] = struct{}{}
-	if f.endSeen {
-		conn.SetReadDeadline(time.Now().Add(core.DefaultEndGrace))
-	}
-	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		delete(f.active, conn)
-		f.mu.Unlock()
-	}()
-
-	mu, payload, err := core.ReadStreamHeader(conn)
-	if err != nil {
-		return fmt.Errorf("relay: upstream path %d: %w", path, err)
-	}
-	if err := f.r.onHeader(mu, payload); err != nil {
-		return err
-	}
-	frame := make([]byte, core.FrameHeaderSize+payload)
-	for {
-		// Upstream read loop: bounded by the upstream's
-		// end marker (plus the end-grace deadline above), the redial
-		// engine's typed verdicts, and Close/Drain cutting active conns.
-		if _, err := io.ReadFull(conn, frame); err != nil {
-			return fmt.Errorf("relay: upstream path %d read: %w", path, err)
-		}
-		pkt, gen, err := core.ParseFrameHeader(frame)
-		if err != nil {
-			return fmt.Errorf("relay: upstream path %d: %w", path, err)
-		}
-		if pkt == core.EndMarker {
-			f.finish(gen, conn)
-			return nil
-		}
-		f.ingest(int64(pkt), gen, frame[core.FrameHeaderSize:])
-	}
-}
-
-// Done is closed once any upstream path delivered its end marker — the
-// redial engine's stop signal.
-func (f *forwarder) Done() <-chan struct{} { return f.done }
-
-// finish records an upstream end marker: the expected count is the max
-// announced across paths, and the first marker arms the end-grace
-// deadline on the other in-flight paths so a blackholed one cannot hold
-// the relay's teardown hostage.
-func (f *forwarder) finish(expected int64, self net.Conn) {
-	f.mu.Lock()
-	if expected > f.expected {
-		f.expected = expected
-	}
-	first := !f.endSeen
-	if first {
-		f.endSeen = true
-		close(f.done)
-		dl := time.Now().Add(core.DefaultEndGrace)
-		for c := range f.active {
-			if c != self {
-				c.SetReadDeadline(dl)
-			}
-		}
-	}
-	f.mu.Unlock()
-	if first {
-		f.r.noteEnded()
-	}
+// newForwarder builds r's upstream sink; grace is the end-grace deadline
+// the first upstream end marker arms on silent sibling paths.
+func newForwarder(r *Relay, grace time.Duration) *forwarder {
+	f := &forwarder{r: r, next: -1, pending: make(map[int64]heldFrame)}
+	f.PathReader = core.NewPathReader(grace, r.onHeader, f.ingest)
+	return f
 }
 
 // ingest routes one upstream packet: publish it if it is the next
@@ -172,7 +66,8 @@ func (f *forwarder) finish(expected int64, self net.Conn) {
 // bufown borrowed payload — either copied into a private heldFrame buffer
 // or lent onward to Hub.PublishAt (which copies before returning); never
 // retained past the call.
-func (f *forwarder) ingest(seq, gen int64, payload []byte) {
+func (f *forwarder) ingest(_ int, pkt uint32, gen int64, payload []byte) {
+	seq := int64(pkt)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.next < 0 {
@@ -273,7 +168,7 @@ func (f *forwarder) skipLocked() {
 // bufown borrowed payload — lent onward to Hub.PublishAt, which copies it
 // into a pool buffer before returning.
 func (f *forwarder) publishLocked(seq, gen int64, payload []byte) {
-	if f.h != nil && f.h.PublishAt(seq, gen, payload) {
+	if h := f.r.local.Load(); h != nil && h.PublishAt(seq, gen, payload) {
 		f.forwarded++
 	} else {
 		f.refused++

@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dmpstream/internal/core"
@@ -202,27 +203,26 @@ type Relay struct {
 	client *core.Client
 	wg     sync.WaitGroup
 
-	readyCh      chan struct{} // closed once the local hub exists
+	readyCh      chan struct{} // closed by onHeader when it stores local
 	failCh       chan struct{} // closed if the relay gives up before a hub exists
 	stopCh       chan struct{} // closed once upstream consumption is over (cancel orphan timers)
 	upstreamDone chan struct{} // closed once the upstream manager (redial engine + flush) exited
 
-	mu         sync.Mutex
-	h          *hub.Hub // guarded by mu; written once by onHeader
-	hubMu      float64  // guarded by mu; upstream-announced rate
-	hubPayload int      // guarded by mu; upstream-announced payload size
-	up         []bool   // guarded by mu; per-path liveness (header-delivering conns)
-	live       int      // guarded by mu; count of true entries in up
-	cand       []int    // guarded by mu; per-path current candidate index
-	failovers  int64    // guarded by mu; candidate rotations on multi-candidate configs
-	orphaned   bool     // guarded by mu
-	ended      bool     // guarded by mu; upstream end marker seen
-	cancelled  bool     // guarded by mu; stop dialing upstream (Close/Drain/orphan)
-	orphanGen   int64 // guarded by mu; versions the pending orphan countdown
-	orphanArmed bool  // guarded by mu; a countdown is pending (don't re-arm per retry)
-	readySig   bool     // guarded by mu; readyCh already closed
-	failSig    bool     // guarded by mu; failCh already closed
-	stopSig    bool     // guarded by mu; stopCh already closed
+	// local is the downstream hub, nil until the first upstream header;
+	// stored once, by onHeader under mu.
+	local atomic.Pointer[hub.Hub]
+
+	mu          sync.Mutex
+	up          []bool // guarded by mu; per-path liveness (header-delivering conns)
+	live        int    // guarded by mu; count of true entries in up
+	cand        []int  // guarded by mu; per-path current candidate index
+	failovers   int64  // guarded by mu; candidate rotations on multi-candidate configs
+	orphaned    bool   // guarded by mu
+	cancelled   bool   // guarded by mu; stop dialing upstream (Close/Drain/orphan)
+	orphanGen   int64  // guarded by mu; versions the pending orphan countdown
+	orphanArmed bool   // guarded by mu; a countdown is pending (don't re-arm per retry)
+	failSig     bool   // guarded by mu; failCh already closed
+	stopSig     bool   // guarded by mu; stopCh already closed
 }
 
 // New validates cfg, draws (or adopts) the upstream token and starts the
@@ -256,7 +256,7 @@ func New(cfg Config) (*Relay, error) {
 		up:           make([]bool, cfg.Paths),
 		cand:         cand,
 	}
-	r.fwd = newForwarder(r)
+	r.fwd = newForwarder(r, core.DefaultEndGrace)
 	r.client = &core.Client{
 		Paths:      cfg.Paths,
 		Dial:       r.dialUpstream,
@@ -284,11 +284,7 @@ func (r *Relay) Token() core.Token { return r.token }
 
 // Hub returns the local downstream hub, or nil before the first upstream
 // header has arrived.
-func (r *Relay) Hub() *hub.Hub {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.h
-}
+func (r *Relay) Hub() *hub.Hub { return r.local.Load() }
 
 // Ready is closed once the local hub exists (the first upstream header
 // arrived).
@@ -306,7 +302,7 @@ func (r *Relay) logf(format string, args ...any) {
 // verdict and retires the path instead of backing off forever.
 func (r *Relay) dialUpstream(k int) (net.Conn, error) {
 	r.mu.Lock()
-	if r.cancelled || r.ended {
+	if r.cancelled || r.upstreamEnded() {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("relay: upstream detached: %w",
 			&core.RejectError{Code: core.RejectStreamEnded})
@@ -341,7 +337,7 @@ func (r *Relay) pathDown(k int, err error) {
 		r.up[k] = false
 		r.live--
 	}
-	if r.cancelled || r.ended || r.orphaned {
+	if r.cancelled || r.upstreamEnded() || r.orphaned {
 		r.mu.Unlock()
 		return
 	}
@@ -365,7 +361,7 @@ func (r *Relay) pathDown(k int, err error) {
 // clears) or the relay stops (stopCh).
 func (r *Relay) armOrphanTimer() {
 	r.mu.Lock()
-	if r.orphanArmed || r.cancelled || r.ended || r.orphaned {
+	if r.orphanArmed || r.cancelled || r.upstreamEnded() || r.orphaned {
 		r.mu.Unlock()
 		return
 	}
@@ -394,14 +390,14 @@ func (r *Relay) armOrphanTimer() {
 // joiners get the typed reject.
 func (r *Relay) orphanFire(gen int64) {
 	r.mu.Lock()
-	if r.orphanGen != gen || r.live > 0 || r.ended || r.cancelled || r.orphaned {
+	if r.orphanGen != gen || r.live > 0 || r.upstreamEnded() || r.cancelled || r.orphaned {
 		r.mu.Unlock()
 		return
 	}
 	r.orphaned = true
 	r.cancelled = true
 	r.signalStopLocked()
-	h := r.h
+	h := r.local.Load()
 	if h == nil {
 		r.signalFailLocked()
 	}
@@ -411,30 +407,25 @@ func (r *Relay) orphanFire(gen int64) {
 	if h != nil {
 		h.Fail(core.RejectUpstreamLost)
 	}
-	for _, c := range r.fwd.activeConns() {
+	for _, c := range r.fwd.Conns() {
 		_ = c.Close()
 	}
 }
 
-// onHeader reacts to an upstream stream header: the first one fixes the
-// feed's rate and payload size and brings the local hub up; later ones
-// (redials, other paths) must agree with it.
+// onHeader reacts to an upstream path's stream header, which the
+// forwarder's reader has already checked against the first: the first
+// call brings the local hub up from the feed's rate and payload size, and
+// every path waits for it before its first frame.
 func (r *Relay) onHeader(mu float64, payload int) error {
 	r.mu.Lock()
-	if r.h != nil {
-		ok := r.hubMu == mu && r.hubPayload == payload
+	if r.local.Load() != nil {
 		r.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("relay: upstream header changed: µ=%v payload=%d", mu, payload)
-		}
 		return nil
 	}
-	if r.cancelled || r.ended || r.orphaned {
+	if r.cancelled || r.upstreamEnded() || r.orphaned {
 		r.mu.Unlock()
 		return fmt.Errorf("relay: stream already over")
 	}
-	r.mu.Unlock()
-
 	hc := r.cfg.Hub
 	hc.ExternalSource = true
 	hc.StreamID = r.cfg.StreamID
@@ -446,33 +437,16 @@ func (r *Relay) onHeader(mu float64, payload int) error {
 	if err != nil {
 		// A hub that cannot be built from the upstream's own header will
 		// never build: give up rather than redial into the same wall.
-		r.mu.Lock()
 		r.cancelled = true
 		r.signalStopLocked()
 		r.signalFailLocked()
 		r.mu.Unlock()
 		return fmt.Errorf("relay: local hub: %w", err)
 	}
-	r.mu.Lock()
-	if r.h == nil && !r.cancelled {
-		r.h = h
-		r.hubMu, r.hubPayload = mu, payload
-		r.fwd.setHub(h)
-		r.signalReadyLocked()
-		r.mu.Unlock()
-		r.logf("relay: local hub up: µ=%v payload=%d", mu, payload)
-		return nil
-	}
-	// Lost the bring-up race to another path, or cancelled meanwhile:
-	// discard the spare hub (no generator to join — ExternalSource).
+	r.local.Store(h)
+	close(r.readyCh)
 	r.mu.Unlock()
-	h.Close()
-	r.mu.Lock()
-	ok := r.h != nil && r.hubMu == mu && r.hubPayload == payload
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("relay: stream already over")
-	}
+	r.logf("relay: local hub up: µ=%v payload=%d", mu, payload)
 	return nil
 }
 
@@ -481,10 +455,10 @@ func (r *Relay) onHeader(mu float64, payload int) error {
 func (r *Relay) onUpstreamDone(errs []error) {
 	r.fwd.flush()
 	r.mu.Lock()
-	ended := r.ended
+	ended := r.upstreamEnded()
 	decided := r.cancelled || r.orphaned
 	r.signalStopLocked()
-	h := r.h
+	h := r.local.Load()
 	if h == nil {
 		r.signalFailLocked()
 	}
@@ -495,6 +469,7 @@ func (r *Relay) onUpstreamDone(errs []error) {
 	case ended:
 		// Graceful end-of-stream: senders drain the ring and emit end
 		// markers carrying the absolute head.
+		r.logf("relay: upstream stream ended")
 		h.Stop()
 	case decided:
 		// Close/Drain/orphan already settled the hub.
@@ -513,25 +488,19 @@ func (r *Relay) onUpstreamDone(errs []error) {
 	}
 }
 
-// noteEnded records the upstream end marker (called by the forwarder on
-// the first one).
-func (r *Relay) noteEnded() {
-	r.mu.Lock()
-	r.ended = true
-	r.signalStopLocked()
-	r.mu.Unlock()
-	r.logf("relay: upstream stream ended")
-}
-
-// signalReadyLocked / signalFailLocked / signalStopLocked close their
-// channel exactly once. Caller holds r.mu.
-func (r *Relay) signalReadyLocked() {
-	if !r.readySig {
-		r.readySig = true
-		close(r.readyCh)
+// upstreamEnded reports whether an upstream path delivered the stream's
+// end marker.
+func (r *Relay) upstreamEnded() bool {
+	select {
+	case <-r.fwd.Done():
+		return true
+	default:
+		return false
 	}
 }
 
+// signalFailLocked / signalStopLocked close their channel exactly once.
+// Caller holds r.mu.
 func (r *Relay) signalFailLocked() {
 	if !r.failSig {
 		r.failSig = true
@@ -559,15 +528,7 @@ func (r *Relay) Serve(ln net.Listener) error {
 		_ = ln.Close()
 		return ErrNoUpstream
 	}
-	return r.hubOrNil().Serve(ln)
-}
-
-// hubOrNil returns the hub pointer without the nil-vs-ready ceremony;
-// only called after readyCh.
-func (r *Relay) hubOrNil() *hub.Hub {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.h
+	return r.Hub().Serve(ln)
 }
 
 // BeginDrain closes downstream admission (fresh tokens get a draining
@@ -608,7 +569,7 @@ func (r *Relay) cancelUpstream() {
 	r.cancelled = true
 	r.signalStopLocked()
 	r.mu.Unlock()
-	for _, c := range r.fwd.activeConns() {
+	for _, c := range r.fwd.Conns() {
 		_ = c.Close()
 	}
 }
@@ -656,7 +617,7 @@ func (r *Relay) Stats() Stats {
 	switch {
 	case r.orphaned:
 		st.State = StateOrphaned
-	case r.ended:
+	case r.upstreamEnded():
 		st.State = StateEnded
 	case r.live == 0:
 		st.State = StateConnecting
@@ -665,7 +626,7 @@ func (r *Relay) Stats() Stats {
 	default:
 		st.State = StateDegraded
 	}
-	h := r.h
+	h := r.local.Load()
 	r.mu.Unlock()
 	f := r.fwd
 	f.mu.Lock()
@@ -675,9 +636,10 @@ func (r *Relay) Stats() Stats {
 	st.GapSkips = f.gapSkips
 	st.Refused = f.refused
 	st.Held = len(f.pending)
-	st.Ended = f.endSeen
-	st.Expected = f.expected
 	f.mu.Unlock()
+	if exp := f.Expected(); exp >= 0 {
+		st.Ended, st.Expected = true, exp
+	}
 	if h != nil {
 		st.HubReady = true
 		st.Hub = h.Stats()
