@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lockgraph hotpaths fuzz soak bench-smoke bench-tick bench-receiver
+.PHONY: all build test race lint lockgraph hotpaths fuzz soak bench-smoke bench-tick bench-receiver sim-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -86,6 +86,18 @@ bench-tick:
 REPLAYS ?= 5
 bench-receiver:
 	$(GO) test -run '^$$' -bench BenchmarkReceiverIngest -benchtime $(REPLAYS)x ./internal/core
+
+# sim-tables prints the quick, seed-1 tables of every packet-simulator
+# experiment with dmpbench's "# ... finished in" timing lines stripped, so
+# two commits' outputs compare with one diff: `make sim-tables > a.txt` on
+# each, then `diff a.txt b.txt`. About 75 s on a 2-vCPU machine.
+SIM_EXPS = fig4a fig4b fig5a fig5b correlated table2 table3 \
+	ablation-sndbuf ablation-red ablation-flavor extq1 toy73sim
+sim-tables:
+	@for e in $(SIM_EXPS); do \
+		out=$$($(GO) run ./cmd/dmpbench -exp $$e -fidelity quick -seed 1) || exit 1; \
+		printf '%s\n\n' "$$out" | sed '/^# .* finished in /d'; \
+	done
 
 # soak runs the randomized chaos harness under the race detector in each
 # of its three topologies in turn — one hub, a four-stream registry, a

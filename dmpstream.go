@@ -30,6 +30,7 @@ package dmpstream
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"time"
 
@@ -43,7 +44,6 @@ import (
 	"dmpstream/internal/simstream"
 	"dmpstream/internal/tcpmodel"
 	"dmpstream/internal/tcpsim"
-	"dmpstream/internal/trafficgen"
 )
 
 // ---------- Real streaming over TCP ----------
@@ -700,13 +700,13 @@ type SimResult struct {
 	Generated  int64
 	Arrived    int64
 	PathCounts []int64
-	report     *simstream.Stream
+	trace      *Trace
 }
 
 // LateFraction returns the fraction of late packets for startup delay tau
 // (seconds) in playback order and in arrival order.
 func (r *SimResult) LateFraction(tau float64) (playback, arrivalOrder float64) {
-	return r.report.LateFraction(tau)
+	return r.trace.LateFraction(tau)
 }
 
 // SimulateStreaming runs DMP-streaming at `rate` packets/second for
@@ -716,18 +716,34 @@ func SimulateStreaming(paths []SimPath, rate float64, duration time.Duration, se
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("dmpstream: no paths")
 	}
-	if rate <= 0 || duration <= 0 {
-		return nil, fmt.Errorf("dmpstream: rate and duration must be positive")
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("dmpstream: rate %v must be finite and positive", rate)
+	}
+	if duration <= 0 {
+		return nil, fmt.Errorf("dmpstream: duration %v must be positive", duration)
+	}
+	if n := rate * duration.Seconds(); !(n < float64(core.EndMarker)) {
+		return nil, fmt.Errorf("dmpstream: %g packets (rate × duration) do not fit below %d", n, core.EndMarker)
+	}
+	for i, p := range paths {
+		switch {
+		case !(p.BottleneckMbps > 0) || math.IsInf(p.BottleneckMbps, 1):
+			return nil, fmt.Errorf("dmpstream: path %d: bottleneck %v Mbps must be finite and positive", i, p.BottleneckMbps)
+		case p.BufferPkts < 1:
+			return nil, fmt.Errorf("dmpstream: path %d: buffer %d packets, want at least 1", i, p.BufferPkts)
+		case p.OneWayDelay < 0 || p.FTPFlows < 0 || p.HTTPFlows < 0:
+			return nil, fmt.Errorf("dmpstream: path %d: negative delay or flow count", i)
+		}
 	}
 	s := sim.New(seed)
 	var conns []*tcpsim.Conn
 	var flowID netsim.FlowID = 1
 	for _, p := range paths {
-		env := buildSimPath(s, p, &flowID)
-		id := flowID
+		attach := simstream.Dumbbell(s, p.BottleneckMbps, sim.Time(p.OneWayDelay), p.BufferPkts, false,
+			p.FTPFlows, p.HTTPFlows, &flowID)
+		conn := tcpsim.NewConn(s, flowID, tcpsim.Config{})
+		attach(flowID, conn)
 		flowID++
-		conn := tcpsim.NewConn(s, id, tcpsim.Config{})
-		env.wireFlow(id, conn)
 		conns = append(conns, conn)
 	}
 	st := simstream.New(s, simstream.VideoConfig{Mu: rate, Duration: sim.Time(duration)}, conns)
@@ -736,57 +752,8 @@ func SimulateStreaming(paths []SimPath, rate float64, duration time.Duration, se
 	s.Run(sim.Time(duration) + 120*sim.Second)
 	return &SimResult{
 		Generated:  st.Generated(),
-		Arrived:    st.Arrived(),
+		Arrived:    int64(len(st.Trace().Arrivals)),
 		PathCounts: st.PathCounts(),
-		report:     st,
+		trace:      st.Trace(),
 	}, nil
-}
-
-// simPathEnv wires flows into one path's shared bottleneck.
-type simPathEnv struct {
-	s      *sim.Simulator
-	p      SimPath
-	bneck  *netsim.Link
-	demux  map[netsim.FlowID]netsim.Sink
-	flowID *netsim.FlowID
-}
-
-// buildSimPath creates the bottleneck + background load for one path.
-func buildSimPath(s *sim.Simulator, p SimPath, flowID *netsim.FlowID) *simPathEnv {
-	env := &simPathEnv{s: s, p: p, demux: make(map[netsim.FlowID]netsim.Sink), flowID: flowID}
-	env.bneck = netsim.NewLink(s, "bneck", p.BottleneckMbps, sim.Time(p.OneWayDelay), p.BufferPkts,
-		netsim.SinkFunc(func(pkt *netsim.Packet) {
-			if sink, ok := env.demux[pkt.Flow]; ok {
-				sink.Deliver(pkt)
-			}
-		}))
-	for i := 0; i < p.FTPFlows; i++ {
-		id := *flowID
-		*flowID++
-		f := trafficgen.NewFTP(s, id, tcpsim.Config{})
-		env.wireFlow(id, f.Conn)
-		f.Start()
-	}
-	for i := 0; i < p.HTTPFlows; i++ {
-		h := trafficgen.NewHTTP(s, trafficgen.HTTPConfig{}, func() *tcpsim.Conn {
-			id := *flowID
-			*flowID++
-			c := tcpsim.NewConn(s, id, tcpsim.Config{})
-			env.wireFlow(id, c)
-			return c
-		})
-		h.Start()
-	}
-	return env
-}
-
-// wireFlow attaches a connection's forward path through the bottleneck and a
-// clean reverse path.
-func (env *simPathEnv) wireFlow(id netsim.FlowID, c *tcpsim.Conn) {
-	head := netsim.NewLink(env.s, "head", 100, 10*sim.Millisecond, 1<<18, nil)
-	tail := netsim.NewLink(env.s, "tail", 100, 10*sim.Millisecond, 1<<18, nil)
-	env.demux[id] = netsim.NewPath(c.Rcv, tail)
-	fwd := netsim.NewPath(env.bneck, head)
-	rev := netsim.NewLink(env.s, "rev", 100, sim.Time(env.p.OneWayDelay)+20*sim.Millisecond, 1<<18, nil)
-	c.Wire(fwd, netsim.NewPath(c.Snd, rev))
 }

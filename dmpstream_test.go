@@ -138,18 +138,51 @@ func TestSimulateStreamingDeterministic(t *testing.T) {
 	if a.Arrived != a.Generated {
 		t.Fatalf("TCP lost packets: %d/%d", a.Arrived, a.Generated)
 	}
+	// Values captured before the simulator wrote a core.Trace; nothing in
+	// the simulated path or its analysis may move them.
+	for _, tau := range []float64{4, 6, 8, 10} {
+		if pb, ao := a.LateFraction(tau); pb != 0 || ao != 0 {
+			t.Errorf("tau=%v: late %v/%v, pinned 0/0", tau, pb, ao)
+		}
+	}
+	if d, ok := dmpstream.SimTrace(a).RequiredDelay(0.01); !ok || d != 1344726400 {
+		t.Errorf("delay for 1%% late %v (ok=%v), pinned 1.3447264s", d, ok)
+	}
+	if a.PathCounts[0] != 1378 || a.PathCounts[1] != 1022 {
+		t.Errorf("path counts %v, pinned [1378 1022]", a.PathCounts)
+	}
 }
 
 func TestSimulateStreamingValidation(t *testing.T) {
-	good := []dmpstream.SimPath{{BottleneckMbps: 1, BufferPkts: 10}}
-	if _, err := dmpstream.SimulateStreaming(nil, 10, time.Second, 1); err == nil {
-		t.Error("no paths accepted")
+	good := dmpstream.SimPath{BottleneckMbps: 1, BufferPkts: 10}
+	with := func(edit func(*dmpstream.SimPath)) []dmpstream.SimPath {
+		p := good
+		edit(&p)
+		return []dmpstream.SimPath{good, p}
 	}
-	if _, err := dmpstream.SimulateStreaming(good, 0, time.Second, 1); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := dmpstream.SimulateStreaming(good, 10, 0, 1); err == nil {
-		t.Error("zero duration accepted")
+	for _, c := range []struct {
+		name  string
+		paths []dmpstream.SimPath
+		rate  float64
+		dur   time.Duration
+	}{
+		{"no paths", nil, 10, time.Second},
+		{"zero rate", []dmpstream.SimPath{good}, 0, time.Second},
+		{"NaN rate", []dmpstream.SimPath{good}, math.NaN(), time.Second},
+		{"infinite rate", []dmpstream.SimPath{good}, math.Inf(1), time.Second},
+		{"zero duration", []dmpstream.SimPath{good}, 10, 0},
+		{"packets past the end marker", []dmpstream.SimPath{good}, 1e300, time.Second},
+		{"zero bottleneck", with(func(p *dmpstream.SimPath) { p.BottleneckMbps = 0 }), 10, time.Second},
+		{"NaN bottleneck", with(func(p *dmpstream.SimPath) { p.BottleneckMbps = math.NaN() }), 10, time.Second},
+		{"infinite bottleneck", with(func(p *dmpstream.SimPath) { p.BottleneckMbps = math.Inf(1) }), 10, time.Second},
+		{"zero buffer", with(func(p *dmpstream.SimPath) { p.BufferPkts = 0 }), 10, time.Second},
+		{"negative delay", with(func(p *dmpstream.SimPath) { p.OneWayDelay = -time.Millisecond }), 10, time.Second},
+		{"negative FTP flows", with(func(p *dmpstream.SimPath) { p.FTPFlows = -1 }), 10, time.Second},
+		{"negative HTTP flows", with(func(p *dmpstream.SimPath) { p.HTTPFlows = -1 }), 10, time.Second},
+	} {
+		if _, err := dmpstream.SimulateStreaming(c.paths, c.rate, c.dur, 1); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package exps
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -80,8 +81,38 @@ func TestTableFormat(t *testing.T) {
 	}
 }
 
+// simPin is a validation run's record, captured before the simulator wrote a
+// core.Trace: late fractions in both orders at τ = 4, 6, 8, 10 s, the startup
+// delay for 1% late, and the packets each path fetched. A change that moves
+// any of them moves the paper's Figs 4–5 and Tables 2–3.
+type simPin struct {
+	playback, arrival [4]float64
+	delay             time.Duration
+	counts            []int64
+}
+
+func checkSimPin(t *testing.T, run *simRun, want simPin) {
+	t.Helper()
+	tr := run.stream.Trace()
+	for i, tau := range []float64{4, 6, 8, 10} {
+		if pb, ao := tr.LateFraction(tau); pb != want.playback[i] || ao != want.arrival[i] {
+			t.Errorf("tau=%v: late %v/%v, pinned %v/%v", tau, pb, ao, want.playback[i], want.arrival[i])
+		}
+	}
+	if d, ok := tr.RequiredDelay(0.01); !ok || d != want.delay {
+		t.Errorf("delay for 1%% late %v (ok=%v), pinned %v", d, ok, want.delay)
+	}
+	if counts := run.stream.PathCounts(); !slices.Equal(counts, want.counts) {
+		t.Errorf("path counts %v, pinned %v", counts, want.counts)
+	}
+	if missing := tr.Missing(); len(missing) != 0 {
+		t.Errorf("TCP reliability violated: %d of %d packets missing", len(missing), tr.Expected)
+	}
+}
+
 func TestValidationSimMeasurementsInPaperRange(t *testing.T) {
-	run, err := runValidationSim(settingByName("2-2", independentSettings), false, 300, 5)
+	st := settingByName("2-2", independentSettings)
+	run, err := runValidationSimVar(st.links(), false, st.mu, 300, 5, simVariant{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +127,17 @@ func TestValidationSimMeasurementsInPaperRange(t *testing.T) {
 			t.Errorf("path %d timeout ratio %v outside plausible range", k, st.TO)
 		}
 	}
-	if run.stream.Arrived() != run.stream.Generated() {
-		t.Errorf("TCP reliability violated: %d/%d", run.stream.Arrived(), run.stream.Generated())
-	}
+	checkSimPin(t, run, simPin{
+		playback: [4]float64{0.11646666666666666, 0.08653333333333334, 0.044866666666666666, 0.003533333333333333},
+		arrival:  [4]float64{0.11126666666666667, 0.08653333333333334, 0.044533333333333334, 0.0023333333333333335},
+		delay:    9692575329,
+		counts:   []int64{7679, 7321},
+	})
 }
 
 func TestCorrelatedSimBothFlowsSimilar(t *testing.T) {
-	run, err := runValidationSim(settingByName("2", correlatedSettings), true, 300, 6)
+	st := settingByName("2", correlatedSettings)
+	run, err := runValidationSimVar(st.links(), true, st.mu, 300, 6, simVariant{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +147,12 @@ func TestCorrelatedSimBothFlowsSimilar(t *testing.T) {
 	if r0/r1 > 1.2 || r1/r0 > 1.2 {
 		t.Errorf("correlated paths measured very different RTTs: %v vs %v", r0, r1)
 	}
+	checkSimPin(t, run, simPin{
+		playback: [4]float64{0.1544, 0.009333333333333334, 0, 0},
+		arrival:  [4]float64{0.1534, 0.0108, 0, 0},
+		delay:    5963888026,
+		counts:   []int64{7586, 7414},
+	})
 }
 
 func TestToy73ClaimHolds(t *testing.T) {

@@ -11,9 +11,6 @@ import (
 	"fmt"
 
 	"dmpstream/internal/dmpmodel"
-	"dmpstream/internal/netsim"
-	"dmpstream/internal/sim"
-	"dmpstream/internal/simstream"
 	"dmpstream/internal/tcpmodel"
 	"dmpstream/internal/tcpsim"
 )
@@ -204,16 +201,18 @@ func runAblationSndbuf(f Fidelity, seed int64) ([]Table, error) {
 		Columns: []string{"sndbuf (pkts)", "late @ tau=4", "late @ tau=6", "late @ tau=10", "path-0 share"},
 	}
 	for _, buf := range []int{4, 16, 64} {
-		run, err := runValidationSimTCP(st, false, duration, seed, tcpsim.Config{SndBufPkts: buf})
+		run, err := runValidationSimVar(st.links(), false, st.mu, duration, seed,
+			simVariant{videoTCP: tcpsim.Config{SndBufPkts: buf}})
 		if err != nil {
 			return nil, err
 		}
 		cells := []string{fmt.Sprintf("%d", buf)}
 		for _, tau := range []float64{4, 6, 10} {
-			pb, _ := run.stream.LateFraction(tau)
+			pb, _ := run.stream.Trace().LateFraction(tau)
 			cells = append(cells, fmtF(pb))
 		}
-		cells = append(cells, fmt.Sprintf("%.2f", run.stream.PathShare(0)))
+		counts := run.stream.PathCounts()
+		cells = append(cells, fmt.Sprintf("%.2f", float64(counts[0])/float64(counts[0]+counts[1])))
 		t.Rows = append(t.Rows, cells)
 	}
 	t.Notes = append(t.Notes,
@@ -239,12 +238,12 @@ func runAblationRED(f Fidelity, seed int64) ([]Table, error) {
 		name string
 		red  bool
 	}{{"drop-tail", false}, {"RED", true}} {
-		run, err := runValidationSimVar(st, false, duration, seed, simVariant{red: v.red})
+		run, err := runValidationSimVar(st.links(), false, st.mu, duration, seed, simVariant{red: v.red})
 		if err != nil {
 			return nil, err
 		}
-		p4, _ := run.stream.LateFraction(4)
-		p8, _ := run.stream.LateFraction(8)
+		p4, _ := run.stream.Trace().LateFraction(4)
+		p8, _ := run.stream.Trace().LateFraction(8)
 		t.Rows = append(t.Rows, []string{
 			v.name,
 			fmt.Sprintf("%.3f", (run.stats[0].P+run.stats[1].P)/2),
@@ -270,28 +269,18 @@ func runExtQ1(f Fidelity, seed int64) ([]Table, error) {
 		Columns: []string{"configuration", "late @ tau=4", "late @ tau=6", "late @ tau=10", "delay for <1% late (s)"},
 	}
 	runCfg := func(name string, links []LinkConfig) error {
-		s := sim.New(seed)
-		var next netsim.FlowID = 100
-		var conns []*tcpsim.Conn
-		for k, lc := range links {
-			env := newPathEnv(s, lc, &next, false)
-			env.populate()
-			c := tcpsim.NewConn(s, netsim.FlowID(k+1), tcpsim.Config{})
-			env.attach(netsim.FlowID(k+1), c)
-			conns = append(conns, c)
+		run, err := runValidationSimVar(links, false, 50, duration, seed, simVariant{})
+		if err != nil {
+			return err
 		}
-		const warmup = 30.0
-		s.Run(sim.Seconds(warmup))
-		stream := simstream.New(s, simstream.VideoConfig{Mu: 50, Duration: sim.Seconds(duration)}, conns)
-		stream.Start()
-		s.Run(sim.Seconds(warmup+duration) + 120*sim.Second)
+		tr := run.stream.Trace()
 		row := []string{name}
 		for _, tau := range []float64{4, 6, 10} {
-			pb, _ := stream.LateFraction(tau)
+			pb, _ := tr.LateFraction(tau)
 			row = append(row, fmtF(pb))
 		}
-		if d, ok := stream.RequiredDelay(0.01); ok {
-			row = append(row, fmt.Sprintf("%.1f", d))
+		if d, ok := tr.RequiredDelay(0.01); ok {
+			row = append(row, fmt.Sprintf("%.1f", d.Seconds()))
 		} else {
 			row = append(row, "n/a")
 		}
@@ -330,12 +319,13 @@ func runAblationFlavor(f Fidelity, seed int64) ([]Table, error) {
 		name string
 		f    tcpsim.Flavor
 	}{{"Reno", tcpsim.Reno}, {"NewReno", tcpsim.NewReno}} {
-		run, err := runValidationSimTCP(st, false, duration, seed, tcpsim.Config{Flavor: fl.f})
+		run, err := runValidationSimVar(st.links(), false, st.mu, duration, seed,
+			simVariant{videoTCP: tcpsim.Config{Flavor: fl.f}})
 		if err != nil {
 			return nil, err
 		}
-		p4, _ := run.stream.LateFraction(4)
-		p8, _ := run.stream.LateFraction(8)
+		p4, _ := run.stream.Trace().LateFraction(4)
+		p8, _ := run.stream.Trace().LateFraction(8)
 		t.Rows = append(t.Rows, []string{
 			fl.name,
 			fmt.Sprintf("%.3f", (run.stats[0].P+run.stats[1].P)/2),

@@ -10,6 +10,7 @@ import (
 	"dmpstream/internal/core"
 	"dmpstream/internal/dmpmodel"
 	"dmpstream/internal/emunet"
+	"dmpstream/internal/stats"
 	"dmpstream/internal/tcpmodel"
 )
 
@@ -243,7 +244,7 @@ func runFig7b(f Fidelity, seed int64) ([]Table, error) {
 			}
 		}
 		for _, tau := range []float64{4, 6, 8, 10} {
-			meas, _ := meanCI(byTau[tau])
+			meas, _ := stats.MeanCI95(byTau[tau])
 			res, err := model.FractionLate(tau, dmpmodel.Options{Seed: seed, MaxConsumptions: budget})
 			if err != nil {
 				return nil, err

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"dmpstream/internal/dmpmodel"
+	"dmpstream/internal/stats"
 	"dmpstream/internal/tcpmodel"
 )
 
@@ -70,12 +71,12 @@ func runOutOfOrderFig(id string, st setting, correlated bool, f Fidelity, seed i
 	}
 	var worst float64 = 1
 	for r := 0; r < runs; r++ {
-		run, err := runValidationSim(st, correlated, duration, seed+int64(r)*101)
+		run, err := runValidationSimVar(st.links(), correlated, st.mu, duration, seed+int64(r)*101, simVariant{})
 		if err != nil {
 			return nil, err
 		}
 		for _, tau := range []float64{4, 6, 8, 10} {
-			pb, ao := run.stream.LateFraction(tau)
+			pb, ao := run.stream.Trace().LateFraction(tau)
 			ratio := math.NaN()
 			if pb > 0 && ao > 0 {
 				ratio = ao / pb
@@ -110,12 +111,12 @@ func runSimVsModelFig(id string, st setting, correlated bool, f Fidelity, seed i
 	simF := make(map[float64][]float64)
 	var params [2]videoPathStats
 	for r := 0; r < runs; r++ {
-		run, err := runValidationSim(st, correlated, duration, seed+int64(r)*101)
+		run, err := runValidationSimVar(st.links(), correlated, st.mu, duration, seed+int64(r)*101, simVariant{})
 		if err != nil {
 			return nil, err
 		}
 		for _, tau := range taus {
-			pb, _ := run.stream.LateFraction(tau)
+			pb, _ := run.stream.Trace().LateFraction(tau)
 			simF[tau] = append(simF[tau], pb)
 		}
 		for k := 0; k < 2; k++ {
@@ -136,7 +137,7 @@ func runSimVsModelFig(id string, st setting, correlated bool, f Fidelity, seed i
 		Columns: []string{"tau (s)", "sim mean", "sim 95% CI", "model", "model/sim", "match"},
 	}
 	for _, tau := range taus {
-		mean, ci := meanCI(simF[tau])
+		mean, ci := stats.MeanCI95(simF[tau])
 		res, err := model.FractionLate(tau, dmpmodel.Options{Seed: seed + 7, MaxConsumptions: budget})
 		if err != nil {
 			return nil, err
@@ -184,27 +185,6 @@ func runCorrelatedValidation(f Fidelity, seed int64) ([]Table, error) {
 		out = append(out, ts...)
 	}
 	return out, nil
-}
-
-// meanCI returns the sample mean and normal-approximation 95% half-width.
-func meanCI(xs []float64) (mean, ci float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(len(xs)-1))
-	return mean, 1.96 * sd / math.Sqrt(float64(len(xs)))
 }
 
 // modelBudget is the Monte-Carlo sampling budget per model estimate.

@@ -64,7 +64,7 @@ func runPathParamTable(id, title string, settings []setting, correlated bool, f 
 	for _, st := range settings {
 		var agg [2]videoPathStats
 		for r := 0; r < runs; r++ {
-			run, err := runValidationSim(st, correlated, duration, seed+int64(r)*101)
+			run, err := runValidationSimVar(st.links(), correlated, st.mu, duration, seed+int64(r)*101, simVariant{})
 			if err != nil {
 				return nil, fmt.Errorf("setting %s run %d: %w", st.name, r, err)
 			}

@@ -8,7 +8,6 @@ import (
 	"dmpstream/internal/simstream"
 	"dmpstream/internal/tcpmodel"
 	"dmpstream/internal/tcpsim"
-	"dmpstream/internal/trafficgen"
 )
 
 // LinkConfig is one row of the paper's Table 1: a bottleneck link
@@ -59,70 +58,6 @@ var correlatedSettings = []setting{
 	{"4", 3, 3, 80},
 }
 
-// pathEnv is one bottleneck plus its attached background load.
-type pathEnv struct {
-	s       *sim.Simulator
-	cfg     LinkConfig
-	bneck   *netsim.Link
-	ingress netsim.Sink // bottleneck admission: the link itself, or RED
-	red     *netsim.RED // non-nil when RED admission is active
-	demux   map[netsim.FlowID]netsim.Sink
-	next    *netsim.FlowID
-}
-
-func newPathEnv(s *sim.Simulator, cfg LinkConfig, next *netsim.FlowID, useRED bool) *pathEnv {
-	env := &pathEnv{s: s, cfg: cfg, demux: make(map[netsim.FlowID]netsim.Sink), next: next}
-	sink := netsim.SinkFunc(func(pkt *netsim.Packet) {
-		if s, ok := env.demux[pkt.Flow]; ok {
-			s.Deliver(pkt)
-		}
-	})
-	if useRED {
-		env.bneck, env.red = netsim.NewREDLink(s, "bneck", cfg.Mbps,
-			sim.Seconds(cfg.DelayMs/1e3), cfg.BufPkts, netsim.REDConfig{}, sink)
-		env.ingress = env.red
-	} else {
-		env.bneck = netsim.NewLink(s, "bneck", cfg.Mbps,
-			sim.Seconds(cfg.DelayMs/1e3), cfg.BufPkts, sink)
-		env.ingress = env.bneck
-	}
-	return env
-}
-
-// attach wires a connection through this bottleneck: 100 Mbps access links
-// with 10 ms propagation on each side (the paper's Fig. 3 topology) and an
-// uncongested reverse path with matching total delay.
-func (env *pathEnv) attach(id netsim.FlowID, c *tcpsim.Conn) {
-	head := netsim.NewLink(env.s, "head", 100, 10*sim.Millisecond, 1<<18, nil)
-	tail := netsim.NewLink(env.s, "tail", 100, 10*sim.Millisecond, 1<<18, nil)
-	env.demux[id] = netsim.NewPath(c.Rcv, tail)
-	rev := netsim.NewLink(env.s, "rev", 100,
-		sim.Seconds(env.cfg.DelayMs/1e3)+20*sim.Millisecond, 1<<18, nil)
-	c.Wire(netsim.NewPath(env.ingress, head), netsim.NewPath(c.Snd, rev))
-}
-
-// populate starts the background FTP and HTTP sources.
-func (env *pathEnv) populate() {
-	for i := 0; i < env.cfg.FTPFlows; i++ {
-		id := *env.next
-		*env.next++
-		f := trafficgen.NewFTP(env.s, id, tcpsim.Config{})
-		env.attach(id, f.Conn)
-		f.Start()
-	}
-	for i := 0; i < env.cfg.HTTPFlows; i++ {
-		// trafficgen's defaults are calibrated against Table 2; see HTTPConfig.
-		h := trafficgen.NewHTTP(env.s, trafficgen.HTTPConfig{}, func() *tcpsim.Conn {
-			id := *env.next
-			*env.next++
-			c := tcpsim.NewConn(env.s, id, tcpsim.Config{})
-			env.attach(id, c)
-			return c
-		})
-		h.Start()
-	}
-}
-
 // videoPathStats are the per-path measurements the paper reports in
 // Tables 2 and 3.
 type videoPathStats struct {
@@ -136,17 +71,15 @@ func (v videoPathStats) ModelParams() tcpmodel.Params {
 	return tcpmodel.Params{P: v.P, R: v.R, TO: v.TO}
 }
 
+// links returns the setting's two bottleneck configurations.
+func (st setting) links() []LinkConfig {
+	return []LinkConfig{Table1Configs[st.c1], Table1Configs[st.c2]}
+}
+
 // simRun is one completed validation simulation.
 type simRun struct {
 	stream *simstream.Stream
-	stats  [2]videoPathStats
-}
-
-// runValidationSim builds the paper's topology for the given setting and
-// runs DMP-streaming for `duration` simulated seconds. correlated selects
-// the Fig. 6 shared-bottleneck variant.
-func runValidationSim(st setting, correlated bool, duration float64, seed int64) (*simRun, error) {
-	return runValidationSimVar(st, correlated, duration, seed, simVariant{})
+	stats  []videoPathStats // per video flow
 }
 
 // simVariant selects ablation knobs for the validation topology.
@@ -155,49 +88,42 @@ type simVariant struct {
 	red      bool          // RED admission at the bottlenecks instead of drop-tail
 }
 
-// runValidationSimTCP is runValidationSim with an explicit TCP configuration
-// for the video flows (used by the send-buffer and flavor ablations; the
-// background flows always use defaults).
-func runValidationSimTCP(st setting, correlated bool, duration float64, seed int64, videoTCP tcpsim.Config) (*simRun, error) {
-	return runValidationSimVar(st, correlated, duration, seed, simVariant{videoTCP: videoTCP})
-}
-
-// runValidationSimVar is the fully parameterized variant.
-func runValidationSimVar(st setting, correlated bool, duration float64, seed int64, v simVariant) (*simRun, error) {
+// runValidationSimVar builds the paper's topology, one video flow per link,
+// and runs DMP-streaming at mu for `duration` simulated seconds. Each link is
+// its own Fig. 3 dumbbell with its own background load; correlated selects
+// the Fig. 6 variant, where every video flow shares the dumbbell of
+// links[0]. The background flows always use default TCP.
+func runValidationSimVar(links []LinkConfig, correlated bool, mu, duration float64, seed int64, v simVariant) (*simRun, error) {
 	s := sim.New(seed)
 	var next netsim.FlowID = 100
-	var envs [2]*pathEnv
-	if correlated {
-		env := newPathEnv(s, Table1Configs[st.c1], &next, v.red)
-		envs[0], envs[1] = env, env
-		env.populate()
-	} else {
-		envs[0] = newPathEnv(s, Table1Configs[st.c1], &next, v.red)
-		envs[1] = newPathEnv(s, Table1Configs[st.c2], &next, v.red)
-		envs[0].populate()
-		envs[1].populate()
+	attach := make([]func(netsim.FlowID, *tcpsim.Conn), len(links))
+	for i, lc := range links {
+		if correlated && i > 0 {
+			attach[i] = attach[0]
+			continue
+		}
+		attach[i] = simstream.Dumbbell(s, lc.Mbps, sim.Seconds(lc.DelayMs/1e3), lc.BufPkts, v.red,
+			lc.FTPFlows, lc.HTTPFlows, &next)
 	}
-
-	videoIDs := [2]netsim.FlowID{1, 2}
-	var conns []*tcpsim.Conn
-	for k := 0; k < 2; k++ {
-		c := tcpsim.NewConn(s, videoIDs[k], v.videoTCP)
-		envs[k].attach(videoIDs[k], c)
-		conns = append(conns, c)
+	conns := make([]*tcpsim.Conn, len(links))
+	for k := range conns {
+		id := netsim.FlowID(k + 1)
+		conns[k] = tcpsim.NewConn(s, id, v.videoTCP)
+		attach[k](id, conns[k])
 	}
 
 	// Let the background traffic reach steady state before streaming starts.
 	const warmup = 30.0
 	s.Run(sim.Seconds(warmup))
 	stream := simstream.New(s, simstream.VideoConfig{
-		Mu: st.mu, Duration: sim.Seconds(duration),
+		Mu: mu, Duration: sim.Seconds(duration),
 	}, conns)
 	stream.Start()
 	s.Run(sim.Seconds(warmup+duration) + 120*sim.Second)
 
-	run := &simRun{stream: stream}
-	for k := 0; k < 2; k++ {
-		snd := conns[k].Snd.Stats()
+	run := &simRun{stream: stream, stats: make([]videoPathStats, len(conns))}
+	for k, c := range conns {
+		snd := c.Snd.Stats()
 		if snd.Sent == 0 {
 			return nil, fmt.Errorf("exps: video flow %d sent nothing", k)
 		}

@@ -79,7 +79,7 @@ func runToy73Sim(f Fidelity, seed int64) ([]Table, error) {
 		st := simstream.New(s, simstream.VideoConfig{Mu: mu, Duration: sim.Seconds(duration)}, []*tcpsim.Conn{c})
 		st.Start()
 		s.Run(sim.Seconds(duration) + 300*sim.Second)
-		pb, _ := st.LateFraction(tau)
+		pb, _ := st.Trace().LateFraction(tau)
 		return pb, nil
 	}
 	fSingle, err := runSingle()
@@ -96,7 +96,7 @@ func runToy73Sim(f Fidelity, seed int64) ([]Table, error) {
 			[]*tcpsim.Conn{c1, c2})
 		st.Start()
 		s.Run(sim.Seconds(duration) + 300*sim.Second)
-		fDMP, _ := st.LateFraction(tau)
+		fDMP, _ := st.Trace().LateFraction(tau)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", frac),
 			fmtF(fSingle),

@@ -8,29 +8,27 @@
 // automatically carry more packets — the "implicit bandwidth inference" at
 // the heart of DMP-streaming.
 //
-// The client side records the arrival time of every video packet, which lets
-// one simulation run be analyzed for every startup delay τ afterwards, in
-// both true playback order and arrival order (the paper's Figs 4a/5a).
+// The client side records every delivered packet in a core.Trace, the same
+// record the real implementation's receiver keeps, so one simulation run is
+// analyzed for every startup delay τ afterwards, in both true playback order
+// and arrival order (the paper's Figs 4a/5a), by the same code that analyzes
+// a real session.
 package simstream
 
 import (
 	"fmt"
-	"sort"
 
+	"dmpstream/internal/core"
+	"dmpstream/internal/netsim"
 	"dmpstream/internal/sim"
 	"dmpstream/internal/tcpsim"
+	"dmpstream/internal/trafficgen"
 )
 
 // VideoConfig describes the live CBR source.
 type VideoConfig struct {
 	Mu       float64  // playback/generation rate, packets per second
 	Duration sim.Time // generation horizon (video length)
-}
-
-// arrival is one client-side packet arrival observation.
-type arrival struct {
-	pkt int64
-	at  sim.Time
 }
 
 // Stream couples a CBR generator, the server queue, K TCP senders and the
@@ -46,36 +44,40 @@ type Stream struct {
 	rr        int      // round-robin start for the drain loop
 	startAt   sim.Time // generation start (packet i is generated at startAt + i/µ)
 
-	arrivals   []sim.Time // arrival time per packet number; -1 = not arrived
-	arrivalLog []arrival  // merged arrival sequence across paths
-	byPath     []int64    // packets fetched per path
+	trace  core.Trace
+	byPath []int64 // packets fetched per path
 }
 
 // New builds a stream over pre-wired connections (one per path). Call Start,
-// then run the simulator past cfg.Duration plus drain time.
+// then run the simulator past cfg.Duration plus drain time. It panics unless
+// the rate is positive and µ × Duration packet numbers fit below
+// core.EndMarker.
 func New(s *sim.Simulator, cfg VideoConfig, conns []*tcpsim.Conn) *Stream {
-	if cfg.Mu <= 0 {
+	if !(cfg.Mu > 0) {
 		panic(fmt.Sprintf("simstream: non-positive rate %v", cfg.Mu))
+	}
+	total := cfg.Duration.Seconds() * cfg.Mu
+	if !(total < float64(core.EndMarker)) {
+		panic(fmt.Sprintf("simstream: %v packets do not fit below the end marker", total))
 	}
 	if len(conns) == 0 {
 		panic("simstream: no paths")
 	}
 	st := &Stream{sim: s, cfg: cfg, conns: conns, byPath: make([]int64, len(conns))}
-	total := int64(cfg.Duration.Seconds() * cfg.Mu)
-	st.arrivals = make([]sim.Time, total)
-	for i := range st.arrivals {
-		st.arrivals[i] = -1
-	}
+	st.trace = core.Trace{Mu: cfg.Mu, Expected: int64(total)}
 	for k, c := range conns {
-		k := k
 		c.Snd.Writable = st.drain
 		c.Rcv.OnDeliver = func(_ int64, app any) {
 			pkt := app.(int64)
-			if st.arrivals[pkt] < 0 {
-				st.arrivals[pkt] = s.Now()
-				st.arrivalLog = append(st.arrivalLog, arrival{pkt: pkt, at: s.Now()})
-			}
-			_ = k
+			// Gen is packet pkt's scheduled instant, the one its deadlines
+			// are measured from; generate runs on accumulated 1/µ steps,
+			// which drift from it by sub-µs.
+			st.trace.Arrivals = append(st.trace.Arrivals, core.Arrival{
+				Pkt:  uint32(pkt),
+				Path: int32(k),
+				Gen:  int64(st.startAt + sim.Seconds(float64(pkt)/cfg.Mu)),
+				At:   int64(s.Now()),
+			})
 		}
 	}
 	return st
@@ -89,7 +91,7 @@ func (st *Stream) Start() {
 }
 
 func (st *Stream) generate() {
-	total := int64(len(st.arrivals))
+	total := st.trace.Expected
 	if st.generated >= total {
 		return
 	}
@@ -130,18 +132,6 @@ func (st *Stream) Generated() int64 { return st.generated }
 // QueueLen returns the current server-queue backlog.
 func (st *Stream) QueueLen() int { return len(st.queue) - st.qhead }
 
-// PathShare returns the fraction of fetched packets assigned to path k.
-func (st *Stream) PathShare(k int) float64 {
-	var tot int64
-	for _, c := range st.byPath {
-		tot += c
-	}
-	if tot == 0 {
-		return 0
-	}
-	return float64(st.byPath[k]) / float64(tot)
-}
-
 // PathCounts returns per-path fetched-packet counts.
 func (st *Stream) PathCounts() []int64 {
 	out := make([]int64, len(st.byPath))
@@ -149,93 +139,60 @@ func (st *Stream) PathCounts() []int64 {
 	return out
 }
 
-// Arrived returns how many distinct packets reached the client.
-func (st *Stream) Arrived() int64 { return int64(len(st.arrivalLog)) }
+// Trace returns the client-side record: one arrival per delivered packet,
+// stamped in simulation nanoseconds, with the path that carried it. Expected
+// is the planned µ × Duration, so a run stopped before the drain counts the
+// packets it never delivered as late. The trace grows while the simulator
+// runs; analyze it afterwards.
+func (st *Stream) Trace() *core.Trace { return &st.trace }
 
-// LateFraction analyzes the recorded trace for startup delay tau (seconds).
-// playback is the true-order fraction of late packets: packet i (generated at
-// i/µ) is late if it arrives after i/µ + τ. arrivalOrder plays packets in the
-// order they arrived — the j-th arriving packet is consumed at j/µ + τ — and
-// is the quantity the paper uses to show out-of-order effects are negligible
-// (Figs 4a, 5a). Packets that never arrived count as late in both.
-func (st *Stream) LateFraction(tau float64) (playback, arrivalOrder float64) {
-	total := int64(len(st.arrivals))
-	if total == 0 {
-		return 0, 0
-	}
-	var latePB int64
-	for i, at := range st.arrivals {
-		deadline := st.startAt + sim.Seconds(float64(i)/st.cfg.Mu+tau)
-		if at < 0 || at > deadline {
-			latePB++
+// Dumbbell builds one bottleneck of the paper's Fig. 3 topology and returns
+// the function that wires a flow through it. The bottleneck has rate mbps,
+// one-way propagation delay and a buffer of bufPkts packets, with drop-tail
+// admission or, when red is set, RED. ftp backlogged and http on/off
+// background flows start on it at once, numbered from *next (HTTP flows take
+// their numbers as their connections open). Every flow, background or
+// attached, reaches the bottleneck over a 100 Mbps 10 ms head link, leaves
+// it over a matching tail link, and returns over an uncongested 100 Mbps
+// reverse link with the same total delay.
+func Dumbbell(s *sim.Simulator, mbps float64, delay sim.Time, bufPkts int, red bool,
+	ftp, http int, next *netsim.FlowID) (attach func(netsim.FlowID, *tcpsim.Conn)) {
+	demux := make(map[netsim.FlowID]netsim.Sink)
+	exit := netsim.SinkFunc(func(pkt *netsim.Packet) {
+		if sink, ok := demux[pkt.Flow]; ok {
+			sink.Deliver(pkt)
 		}
-	}
-	var lateAO int64
-	for j, a := range st.arrivalLog {
-		deadline := st.startAt + sim.Seconds(float64(j)/st.cfg.Mu+tau)
-		if a.at > deadline {
-			lateAO++
-		}
-	}
-	lateAO += total - int64(len(st.arrivalLog)) // missing packets are late
-	return float64(latePB) / float64(total), float64(lateAO) / float64(total)
-}
-
-// RequiredDelay returns the smallest startup delay (seconds) that keeps the
-// fraction of late packets at or below quality, computed exactly from the
-// recorded arrivals, and ok=false when missing packets alone exceed the
-// budget. It is the simulation-side counterpart of the model's
-// RequiredStartupDelay and of core.Trace.RequiredDelay.
-func (st *Stream) RequiredDelay(quality float64) (delay float64, ok bool) {
-	n := len(st.arrivals)
-	if n == 0 {
-		return 0, true
-	}
-	slacks := make([]float64, 0, n)
-	missing := 0
-	for i, at := range st.arrivals {
-		if at < 0 {
-			missing++
-			continue
-		}
-		gen := st.startAt + sim.Seconds(float64(i)/st.cfg.Mu)
-		slacks = append(slacks, (at - gen).Seconds())
-	}
-	budget := int(quality * float64(n))
-	if missing > budget {
-		return 0, false
-	}
-	sort.Float64s(slacks)
-	idx := len(slacks) - 1 - (budget - missing)
-	if idx < 0 {
-		return 0, true
-	}
-	s := slacks[idx]
-	if s < 0 {
-		s = 0
-	}
-	return s, true
-}
-
-// OutOfOrderCount returns how many arrivals had a packet number smaller than
-// an earlier arrival (a direct measure of cross-path reordering).
-func (st *Stream) OutOfOrderCount() int64 {
-	var n int64
-	maxSeen := int64(-1)
-	for _, a := range st.arrivalLog {
-		if a.pkt < maxSeen {
-			n++
-		} else {
-			maxSeen = a.pkt
-		}
-	}
-	return n
-}
-
-// ArrivalTimesSorted returns all arrival times in increasing order (test
-// support: verifying the log is time-ordered).
-func (st *Stream) ArrivalTimesSorted() bool {
-	return sort.SliceIsSorted(st.arrivalLog, func(i, j int) bool {
-		return st.arrivalLog[i].at < st.arrivalLog[j].at
 	})
+	var ingress netsim.Sink
+	if red {
+		_, ingress = netsim.NewREDLink(s, "bneck", mbps, delay, bufPkts, netsim.REDConfig{}, exit)
+	} else {
+		ingress = netsim.NewLink(s, "bneck", mbps, delay, bufPkts, exit)
+	}
+	attach = func(id netsim.FlowID, c *tcpsim.Conn) {
+		head := netsim.NewLink(s, "head", 100, 10*sim.Millisecond, 1<<18, nil)
+		tail := netsim.NewLink(s, "tail", 100, 10*sim.Millisecond, 1<<18, nil)
+		demux[id] = netsim.NewPath(c.Rcv, tail)
+		rev := netsim.NewLink(s, "rev", 100, delay+20*sim.Millisecond, 1<<18, nil)
+		c.Wire(netsim.NewPath(ingress, head), netsim.NewPath(c.Snd, rev))
+	}
+	dial := func() *tcpsim.Conn {
+		id := *next
+		*next++
+		c := tcpsim.NewConn(s, id, tcpsim.Config{})
+		attach(id, c)
+		return c
+	}
+	for i := 0; i < ftp; i++ {
+		id := *next
+		*next++
+		f := trafficgen.NewFTP(s, id, tcpsim.Config{})
+		attach(id, f.Conn)
+		f.Start()
+	}
+	for i := 0; i < http; i++ {
+		// trafficgen's defaults are calibrated against Table 2; see HTTPConfig.
+		trafficgen.NewHTTP(s, trafficgen.HTTPConfig{}, dial).Start()
+	}
+	return attach
 }
