@@ -36,9 +36,10 @@ lockgraph:
 hotpaths:
 	$(GO) run ./cmd/dmplint -hotpaths
 
-# fuzz gives each wire-format target, the receiver's arrival log and the
-# emulator's lazily drawn episode schedule a short budget; CI runs the same
-# smoke. Raise FUZZTIME locally for a deeper session.
+# fuzz gives each wire-format target, the receiver's arrival log, the
+# emulator's lazily drawn episode schedule and the relay forwarder's first
+# commit a short budget; CI runs the same smoke. Raise FUZZTIME locally for
+# a deeper session.
 fuzz:
 	$(GO) test -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzArrivalLog -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 	$(GO) test -fuzz=FuzzEpisodeSchedule -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
+	$(GO) test -fuzz=FuzzForwarderSync -fuzztime=$(FUZZTIME) -run '^$$' ./internal/relay
 
 # bench-smoke runs four short workloads of the repository benchmark
 # (BENCHMARK.json, benchmark/) end to end — build from source, set up,

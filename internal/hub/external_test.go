@@ -59,6 +59,16 @@ func TestExternalPublishAt(t *testing.T) {
 	if g := h.Generated(); g != 11 {
 		t.Fatalf("generated %d, want 11 (gaps are not generated)", g)
 	}
+
+	// A source joined mid-stream starts where its first packet is: no gap.
+	mid := newExternalHub(t, Config{StreamID: "ext", LagWindow: 64})
+	defer mid.Close()
+	if !mid.PublishAt(100, 0, payload) {
+		t.Fatal("first publish at seq 100 refused")
+	}
+	if sg := mid.Stats().SourceGaps; sg != 0 {
+		t.Fatalf("source gaps %d after a first packet at seq 100, want 0", sg)
+	}
 }
 
 // TestExternalPublishAtValidation: PublishAt enforces its contract —

@@ -489,8 +489,10 @@ func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 // sequence order; a seq below the current head is a late duplicate and is
 // refused. Sequences may skip ahead (the upstream lost packets for good,
 // or the relay restarted mid-stream): the head jumps and the skipped
-// positions read as drops downstream. payload must be exactly PayloadSize
-// bytes. It returns whether the packet was accepted.
+// positions read as drops downstream, counted in SourceGaps. The first
+// packet may carry any sequence; it is where the stream starts, not a
+// gap. payload must be exactly PayloadSize bytes. It returns whether the
+// packet was accepted.
 //
 // The call mirrors publishTick's cycle — publish, wake the shards (lag
 // policy + ready list), one governor pass — so every downstream
@@ -517,7 +519,7 @@ func (h *Hub) PublishAt(seq, gen int64, payload []byte) bool {
 		return false
 	}
 	h.generated.Add(1)
-	if gap := seq - prev; gap > 0 {
+	if gap := seq - prev; gap > 0 && prev > 0 { // prev is 0 only before the first packet
 		h.sourceGaps.Add(gap)
 	}
 	for _, sd := range h.shards {

@@ -102,21 +102,19 @@ func TestEndOfStream(t *testing.T) {
 			}
 		}},
 		{"forwarder", func(t *testing.T, conns []net.Conn, grace time.Duration) (<-chan struct{}, func() (int64, error)) {
-			r := &Relay{
-				cfg:     Config{StreamID: "eos", ReorderWindow: DefaultReorderWindow},
-				readyCh: make(chan struct{}),
-				failCh:  make(chan struct{}),
-				stopCh:  make(chan struct{}),
-			}
+			r := testRelay(Config{StreamID: "eos", Paths: len(conns)})
 			r.fwd = newForwarder(r, grace)
 			t.Cleanup(func() {
-				if h := r.Hub(); h != nil {
+				if h := r.local.Load(); h != nil {
 					h.Close()
 				}
 			})
-			wait := runAll(r.fwd.PathReader, conns)
+			// Through the redial engine, as the relay runs it (no redial).
+			c := &core.Client{Paths: len(conns), Dial: func(k int) (net.Conn, error) { return conns[k], nil }}
+			errc := make(chan error, 1)
+			go func() { errc <- errors.Join(c.RunWith(r.fwd)...) }()
 			return r.fwd.Done(), func() (int64, error) {
-				err := wait()
+				err := <-errc
 				return r.fwd.Expected(), err
 			}
 		}},

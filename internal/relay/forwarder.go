@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"net"
 	"sort"
 	"sync"
 	"time"
@@ -8,12 +9,11 @@ import (
 	"dmpstream/internal/core"
 )
 
-// syncDepth is how many packets the forwarder holds before committing to
-// a starting sequence: the upstream hub spreads consecutive packets
-// across the relay's paths, so the first arrival on a fast path may be a
-// few sequences ahead of the true resume point on a slower one. Holding a
-// short prefix and starting from its minimum keeps those near-boundary
-// packets out of the late-drop bin.
+// syncDepth is the fallback commit: with this many packets parked the
+// forwarder starts from their minimum even though some upstream path has
+// not delivered a packet yet. It only decides when a path never connects
+// (a dead candidate); a relay whose paths all speak commits earlier, on
+// the rule in ingest.
 const syncDepth = 8
 
 // heldFrame is one out-of-order upstream packet parked in the reorder
@@ -35,11 +35,13 @@ type heldFrame struct {
 // reorder window is abandoned (the head jumps past it downstream), which
 // bounds the relay's memory no matter how the upstream misbehaves.
 type forwarder struct {
-	*core.PathReader // Run, Done, Conns, Expected: the core.Sink half
+	*core.PathReader // Conns, Expected and the path reading under the core.Sink half (Run, Done)
 	r                *Relay
 
 	mu        sync.Mutex
 	next      int64               // guarded by mu; next sequence to publish; -1 until synced
+	heard     []bool              // guarded by mu; per upstream path: delivered a packet before the commit
+	unheard   int                 // guarded by mu; count of false entries in heard
 	pending   map[int64]heldFrame // guarded by mu; out-of-order arrivals by sequence
 	forwarded int64               // guarded by mu; packets accepted by PublishAt
 	lateDrops int64               // guarded by mu; duplicates and too-late arrivals discarded
@@ -51,10 +53,34 @@ type forwarder struct {
 // newForwarder builds r's upstream sink; grace is the end-grace deadline
 // the first upstream end marker arms on silent sibling paths.
 func newForwarder(r *Relay, grace time.Duration) *forwarder {
-	f := &forwarder{r: r, next: -1, pending: make(map[int64]heldFrame)}
+	f := &forwarder{
+		r:       r,
+		next:    -1,
+		heard:   make([]bool, r.cfg.Paths),
+		unheard: r.cfg.Paths,
+		pending: make(map[int64]heldFrame),
+	}
 	f.PathReader = core.NewPathReader(grace, r.onHeader, f.ingest)
 	return f
 }
+
+// Run reads one upstream path connection for the redial engine. A path
+// that returns nil delivered the stream's end marker: upstream consumption
+// is over, and Done says so to every sibling.
+func (f *forwarder) Run(path int, conn net.Conn) error {
+	err := f.PathReader.Run(path, conn)
+	if err == nil {
+		f.r.stop()
+	}
+	return err
+}
+
+// Done is the redial engine's stop signal: closed once upstream
+// consumption is over — an end marker arrived, or the relay detached
+// (Close, Drain, the orphan verdict) — so a path waiting out its redial
+// backoff retires at once instead of holding Close and Drain for the rest
+// of it. Whether the stream itself ended is PathReader.Done.
+func (f *forwarder) Done() <-chan struct{} { return f.r.stopCh }
 
 // ingest routes one upstream packet: publish it if it is the next
 // sequence, drop it if it is a duplicate or arrived too late, park it if
@@ -63,22 +89,35 @@ func newForwarder(r *Relay, grace time.Duration) *forwarder {
 // and it pins the relay tier's lock-order edge: forwarder.mu ≺
 // hub.Hub.govMu (see the lockorder fixture).
 //
+// Until the first commit every packet parks, and the forwarder commits to
+// the smallest parked sequence as soon as each of the relay's paths has
+// delivered one. That is exact, not a guess at path skew: a hub writes
+// each path connection in ascending order and serves a subscription oldest
+// first (its resend queue, then its cursor), so the smallest sequence a
+// subscription will ever send is the first packet of one of its paths.
+// Once every path has spoken, that packet is parked, for each subscription
+// the relay holds — one, or two when its paths are dual-homed on two hubs.
+// A path that never connects would stall the rule, so syncDepth parked
+// packets commit regardless.
+//
 // bufown borrowed payload — either copied into a private heldFrame buffer
 // or lent onward to Hub.PublishAt (which copies before returning); never
 // retained past the call.
-func (f *forwarder) ingest(_ int, pkt uint32, gen int64, payload []byte) {
+func (f *forwarder) ingest(path int, pkt uint32, gen int64, payload []byte) {
 	seq := int64(pkt)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.next < 0 {
-		// Not synced yet: park everything; commit to the smallest held
-		// sequence once the prefix is deep enough to cover path skew.
 		if _, dup := f.pending[seq]; dup {
 			f.lateDrops++
-			return
+		} else {
+			f.holdLocked(seq, gen, payload)
 		}
-		f.holdLocked(seq, gen, payload)
-		if len(f.pending) >= syncDepth {
+		if path < len(f.heard) && !f.heard[path] {
+			f.heard[path] = true
+			f.unheard--
+		}
+		if f.unheard == 0 || len(f.pending) >= syncDepth {
 			f.syncLocked()
 		}
 		return
@@ -170,6 +209,9 @@ func (f *forwarder) skipLocked() {
 func (f *forwarder) publishLocked(seq, gen int64, payload []byte) {
 	if h := f.r.local.Load(); h != nil && h.PublishAt(seq, gen, payload) {
 		f.forwarded++
+		if f.forwarded == 1 {
+			f.r.markReady()
+		}
 	} else {
 		f.refused++
 	}

@@ -203,13 +203,16 @@ type Relay struct {
 	client *core.Client
 	wg     sync.WaitGroup
 
-	readyCh      chan struct{} // closed by onHeader when it stores local
+	readyCh      chan struct{} // closed by markReady: local has something to serve
+	readyOnce    sync.Once     // closes readyCh
 	failCh       chan struct{} // closed if the relay gives up before a hub exists
-	stopCh       chan struct{} // closed once upstream consumption is over (cancel orphan timers)
+	stopCh       chan struct{} // closed once upstream consumption is over (cancel orphan timers and redial backoffs)
 	upstreamDone chan struct{} // closed once the upstream manager (redial engine + flush) exited
 
 	// local is the downstream hub, nil until the first upstream header;
-	// stored once, by onHeader under mu.
+	// stored once, by onHeader under mu. The forwarder publishes into it
+	// from then on, but it is served downstream (Hub, Serve) only once
+	// readyCh is closed.
 	local atomic.Pointer[hub.Hub]
 
 	mu          sync.Mutex
@@ -226,9 +229,10 @@ type Relay struct {
 }
 
 // New validates cfg, draws (or adopts) the upstream token and starts the
-// upstream subscription. The local hub comes up once the first upstream
-// stream header fixes the feed's rate and payload size; Serve blocks on
-// that. Shut down with Drain (graceful) or Close.
+// upstream subscription. The local hub is built once the first upstream
+// stream header fixes the feed's rate and payload size, and served once it
+// holds its first packet; Serve blocks on that. Shut down with Drain
+// (graceful) or Close.
 func New(cfg Config) (*Relay, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -282,13 +286,34 @@ func New(cfg Config) (*Relay, error) {
 // a restarted relay to the same upstream subscription.
 func (r *Relay) Token() core.Token { return r.token }
 
-// Hub returns the local downstream hub, or nil before the first upstream
-// header has arrived.
-func (r *Relay) Hub() *hub.Hub { return r.local.Load() }
+// Hub returns the local downstream hub, or nil until Ready is closed.
+func (r *Relay) Hub() *hub.Hub {
+	select {
+	case <-r.readyCh:
+		return r.local.Load()
+	default:
+		return nil
+	}
+}
 
-// Ready is closed once the local hub exists (the first upstream header
-// arrived).
+// Ready is closed once the local hub has something to serve: the
+// forwarder published its first packet into it, or the upstream ended or
+// was lost before delivering one (joiners then get the stream's verdict).
+// Hub and Serve wait for it, so a downstream subscriber never attaches
+// before the first packet, and a rebased one is numbered from a packet
+// the relay really holds, not from sequence 0 of a stream the relay
+// joined mid-way.
 func (r *Relay) Ready() <-chan struct{} { return r.readyCh }
+
+// markReady closes Ready; only once local is stored.
+func (r *Relay) markReady() { r.readyOnce.Do(func() { close(r.readyCh) }) }
+
+// stop closes stopCh: upstream consumption is over.
+func (r *Relay) stop() {
+	r.mu.Lock()
+	r.signalStopLocked()
+	r.mu.Unlock()
+}
 
 func (r *Relay) logf(format string, args ...any) {
 	if r.cfg.Logf != nil {
@@ -406,6 +431,7 @@ func (r *Relay) orphanFire(gen int64) {
 	r.fwd.flush()
 	if h != nil {
 		h.Fail(core.RejectUpstreamLost)
+		r.markReady()
 	}
 	for _, c := range r.fwd.Conns() {
 		_ = c.Close()
@@ -414,7 +440,7 @@ func (r *Relay) orphanFire(gen int64) {
 
 // onHeader reacts to an upstream path's stream header, which the
 // forwarder's reader has already checked against the first: the first
-// call brings the local hub up from the feed's rate and payload size, and
+// call builds the local hub from the feed's rate and payload size, and
 // every path waits for it before its first frame.
 func (r *Relay) onHeader(mu float64, payload int) error {
 	r.mu.Lock()
@@ -444,7 +470,6 @@ func (r *Relay) onHeader(mu float64, payload int) error {
 		return fmt.Errorf("relay: local hub: %w", err)
 	}
 	r.local.Store(h)
-	close(r.readyCh)
 	r.mu.Unlock()
 	r.logf("relay: local hub up: µ=%v payload=%d", mu, payload)
 	return nil
@@ -481,6 +506,11 @@ func (r *Relay) onUpstreamDone(errs []error) {
 		r.mu.Unlock()
 		h.Fail(core.RejectUpstreamLost)
 	}
+	if h != nil {
+		// A feed that ended before its first packet still has a verdict
+		// for joiners.
+		r.markReady()
+	}
 	for _, err := range errs {
 		if err != nil {
 			r.logf("relay: upstream path retired: %v", err)
@@ -492,7 +522,7 @@ func (r *Relay) onUpstreamDone(errs []error) {
 // end marker.
 func (r *Relay) upstreamEnded() bool {
 	select {
-	case <-r.fwd.Done():
+	case <-r.fwd.PathReader.Done():
 		return true
 	default:
 		return false
@@ -515,12 +545,12 @@ func (r *Relay) signalStopLocked() {
 	}
 }
 
-// Serve accepts downstream subscribers on ln, blocking first until the
-// upstream feed exists (the local hub needs the upstream header's rate
-// and payload size). If the relay orphans before ever seeing a header,
-// ln is closed and ErrNoUpstream returned. Once serving, the listener
-// keeps answering joins even after the stream ends or fails — with the
-// typed verdict (stream-ended, upstream-lost) — until Close.
+// Serve accepts downstream subscribers on ln, blocking first until Ready
+// (the local hub needs the upstream header's rate and payload size, and a
+// first packet to number joiners from). If the relay orphans before ever
+// seeing a header, ln is closed and ErrNoUpstream returned. Once serving,
+// the listener keeps answering joins even after the stream ends or fails
+// — with the typed verdict (stream-ended, upstream-lost) — until Close.
 func (r *Relay) Serve(ln net.Listener) error {
 	select {
 	case <-r.readyCh:
@@ -535,7 +565,7 @@ func (r *Relay) Serve(ln net.Listener) error {
 // reject; re-attaches of live subscriptions still heal). The upstream
 // side is untouched — pair with Drain for the full cascade.
 func (r *Relay) BeginDrain() {
-	if h := r.Hub(); h != nil {
+	if h := r.local.Load(); h != nil {
 		h.BeginDrain()
 	}
 }
@@ -544,20 +574,20 @@ func (r *Relay) BeginDrain() {
 // detach from the upstream (freeing this relay's slot at the origin),
 // flush the reorder buffer into the local ring, then drain downstream —
 // every live path gets the remaining ring contents and an end marker.
-// It returns true when every downstream path drained within timeout.
+// Both phases share the one timeout. It returns true when every
+// downstream path drained within it.
 func (r *Relay) Drain(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
 	r.BeginDrain()
 	r.cancelUpstream()
 	select {
 	case <-r.upstreamDone: // reorder buffer flushed
 	case <-time.After(timeout):
 	}
-	h := r.Hub()
-	if h == nil {
-		r.wg.Wait()
-		return true
+	ok := true
+	if h := r.local.Load(); h != nil {
+		ok = h.Drain(time.Until(deadline))
 	}
-	ok := h.Drain(timeout)
 	r.wg.Wait()
 	return ok
 }
@@ -579,7 +609,7 @@ func (r *Relay) cancelUpstream() {
 // every goroutine the relay started is joined.
 func (r *Relay) Close() {
 	r.cancelUpstream()
-	if h := r.Hub(); h != nil {
+	if h := r.local.Load(); h != nil {
 		h.Close()
 	}
 	r.wg.Wait()
@@ -600,7 +630,7 @@ type Stats struct {
 	Held       int   // packets currently parked in the reorder buffer
 	Ended      bool  // upstream end marker seen
 	Expected   int64 // end-marker packet count (absolute head), once Ended
-	HubReady   bool  // the local hub exists
+	HubReady   bool  // Ready is closed: the local hub is serving
 	Hub        hub.Stats
 }
 
@@ -626,7 +656,7 @@ func (r *Relay) Stats() Stats {
 	default:
 		st.State = StateDegraded
 	}
-	h := r.local.Load()
+	h := r.Hub()
 	r.mu.Unlock()
 	f := r.fwd
 	f.mu.Lock()

@@ -176,6 +176,156 @@ func TestRelayTwoTier(t *testing.T) {
 	}
 }
 
+// TestRelayLeafNumberedFromFirstPublish: a relay that joins its upstream
+// mid-stream starts publishing past sequence 0. A rebased leaf that dialled
+// the relay before that first publish is served only after it, so its
+// first frame is numbered 0, nothing is counted dropped, and the relay's
+// hub records no source gap.
+func TestRelayLeafNumberedFromFirstPublish(t *testing.T) {
+	const start = 1000 // where the origin's stream is when the relay commits
+	origin, err := hub.New(hub.Config{ExternalSource: true, StreamID: "mid", Stream: core.Config{Mu: 100, PayloadSize: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	oln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go origin.Serve(oln)
+	r, rln := newRelay(t, Config{Upstreams: []string{oln.Addr().String()}, StreamID: "mid", Paths: 1})
+	defer r.Close()
+	defer rln.Close()
+	waitFor(t, "the relay's local hub", func() bool { return r.local.Load() != nil })
+
+	leaf, err := net.DialTimeout("tcp", rln.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Close()
+	tok, err := core.NewToken()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteJoin(leaf, core.Join{StreamID: "mid", Token: tok}); err != nil {
+		t.Fatal(err)
+	}
+	// A relay that served from its first header attaches the leaf now,
+	// before any packet; give it the chance.
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if r.local.Load().SubscriberCount() == 1 {
+			break
+		}
+	}
+
+	payload := make([]byte, 8)
+	publish := func(from, to int64) {
+		for seq := from; seq < to; seq++ {
+			if !origin.PublishAt(seq, time.Now().UnixNano(), payload) {
+				t.Fatalf("origin refused packet %d", seq)
+			}
+		}
+	}
+	publish(start, start+syncDepth)
+	waitFor(t, "the leaf to attach", func() bool { h := r.Hub(); return h != nil && h.SubscriberCount() == 1 })
+	publish(start+syncDepth, start+2*syncDepth)
+	origin.Stop()
+
+	tr, err := core.Receive([]net.Conn{leaf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Arrivals) == 0 {
+		t.Fatal("the leaf received nothing")
+	}
+	if first := tr.Arrivals[0].Pkt; first != 0 {
+		t.Fatalf("the leaf's first frame is numbered %d, want 0", first)
+	}
+	if m := tr.Missing(); len(m) != 0 {
+		t.Fatalf("the leaf misses %d packets", len(m))
+	}
+	h := r.Hub()
+	if d := h.TotalDropped(); d != 0 {
+		t.Fatalf("relay hub dropped %d packets for a leaf that kept up", d)
+	}
+	if sg := h.Stats().SourceGaps; sg != 0 {
+		t.Fatalf("relay hub counts %d source gaps before its first packet", sg)
+	}
+}
+
+// TestRelayDrainOneBudget: Drain's two phases — the upstream flush and the
+// downstream drain — share one timeout. With a downstream leaf that never
+// reads, Drain must give up (false) within about its budget whether the
+// upstream is waiting out a redial backoff or its manager never finishes.
+func TestRelayDrainOneBudget(t *testing.T) {
+	const budget = 300 * time.Millisecond
+	// stall attaches a leaf that never reads: the unbuffered pipe blocks
+	// the hub's first write to it, so the hub cannot drain.
+	stall := func(t *testing.T, h *hub.Hub, id string) {
+		leaf, conn := net.Pipe()
+		t.Cleanup(func() { leaf.Close() })
+		tok, err := core.NewToken()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.AttachJoined(conn, core.Join{StreamID: id, Token: tok}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		relay func(t *testing.T) *Relay
+	}{
+		{"upstream in redial backoff", func(t *testing.T) *Relay {
+			origin, oln := newOrigin(t, "live", 300.0, 100, 0, 0)
+			r, err := New(Config{
+				Upstreams:   []string{oln.Addr().String()},
+				StreamID:    "live",
+				Paths:       1,
+				Redial:      core.RedialPolicy{Base: time.Minute, Max: time.Minute, Seed: 1},
+				OrphanGrace: time.Minute,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(r.Close)
+			select {
+			case <-r.Ready():
+			case <-time.After(5 * time.Second):
+				t.Fatal("relay never published")
+			}
+			stall(t, r.Hub(), "live")
+			oln.Close()
+			origin.Close()
+			waitFor(t, "the upstream path to drop", func() bool { return r.Stats().LivePaths == 0 })
+			return r
+		}},
+		{"upstream manager never finishes", func(t *testing.T) *Relay {
+			r := testRelay(Config{StreamID: "stuck"})
+			r.fwd = newForwarder(r, 0)
+			h, err := hub.New(hub.Config{ExternalSource: true, StreamID: "stuck", Stream: core.Config{Mu: 100, PayloadSize: 8}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(h.Close)
+			r.local.Store(h)
+			stall(t, h, "stuck")
+			return r
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.relay(t)
+			begin := time.Now()
+			if r.Drain(budget) {
+				t.Fatal("Drain reported success with a leaf that never reads")
+			}
+			if took := time.Since(begin); took > budget*6/5 {
+				t.Fatalf("Drain(%v) took %v", budget, took)
+			}
+		})
+	}
+}
+
 // TestRelayOrphanNoUpstream: a relay whose every candidate is unreachable
 // must give up after the orphan grace instead of hanging Serve forever.
 func TestRelayOrphanNoUpstream(t *testing.T) {
