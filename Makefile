@@ -37,9 +37,9 @@ hotpaths:
 	$(GO) run ./cmd/dmplint -hotpaths
 
 # fuzz gives each wire-format target, the receiver's arrival log, the
-# emulator's lazily drawn episode schedule and the relay forwarder's first
-# commit a short budget; CI runs the same smoke. Raise FUZZTIME locally for
-# a deeper session.
+# emulator's lazily drawn episode schedule, the relay forwarder's first
+# commit and the hub's per-path resend record a short budget; CI runs the
+# same smoke. Raise FUZZTIME locally for a deeper session.
 fuzz:
 	$(GO) test -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 	$(GO) test -fuzz=FuzzEpisodeSchedule -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 	$(GO) test -fuzz=FuzzForwarderSync -fuzztime=$(FUZZTIME) -run '^$$' ./internal/relay
+	$(GO) test -fuzz=FuzzResendRecord -fuzztime=$(FUZZTIME) -run '^$$' ./internal/hub
 
 # bench-smoke runs four short workloads of the repository benchmark
 # (BENCHMARK.json, benchmark/) end to end — build from source, set up,

@@ -40,7 +40,7 @@ func main() {
 		redial     = flag.Duration("redial", 0, "redial dead paths after this base backoff (0 = off; requires -stream)")
 		redialMax  = flag.Duration("redial-max", 10*time.Second, "backoff cap for -redial")
 		redialBudg = flag.Int("redial-budget", 0, "max redials per path (0 = unlimited)")
-		redialJit  = flag.Float64("redial-jitter", 0, "fraction of each backoff delay randomized [0,1)")
+		redialJit  = flag.Float64("redial-jitter", 0, "fraction of each backoff delay randomized, in [0,1]")
 		redialSeed = flag.Int64("redial-seed", 1, "jitter seed (per-path RNG seeded with seed+path)")
 	)
 	flag.Parse()

@@ -87,7 +87,7 @@ func main() {
 		maxSubs = flag.Int("max-subs", 0, "max concurrent subscribers per stream; excess joins get a typed reject (0 = unlimited)")
 		maxConn = flag.Int("max-conns", 0, "max subscriber path connections per stream (0 = unlimited)")
 		maxByte = flag.Int64("max-bytes", 0, "per-stream resource-governor byte budget; laggards are degraded to stay under it (0 = unlimited)")
-		joinTo  = flag.Duration("join-timeout", 0, "join handshake deadline, slowloris defense (0 = default 10s, negative = off)")
+		joinTo  = flag.Duration("join-timeout", 0, "join handshake deadline, slowloris defense (0 = default 10s; must not be negative)")
 		drainTo = flag.Duration("drain", 10*time.Second, "graceful-drain budget on interrupt before force close")
 	)
 	flag.Var(&streams, "stream", "stream id subscribers may join; repeat or comma-separate for several (default live)")

@@ -181,10 +181,16 @@ type Client = core.Client
 // them all to streamID under a single fresh token. When a path dies
 // mid-stream the client redials its address under policy and re-presents
 // the same token, so the hub resumes the subscription (within its re-attach
-// grace window) with numbering intact. Run the returned client to stream.
+// grace window) with numbering intact. A policy no redial schedule can
+// follow — a negative Base, Max or Budget, a Jitter outside [0, 1], a
+// Multiplier that is not finite — is an error. Run the returned client to
+// stream.
 func NewStreamClient(addrs []string, streamID string, policy RedialPolicy) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("dmpstream: no path addresses")
+	}
+	if err := core.ValidateRedialPolicy(policy); err != nil {
+		return nil, err
 	}
 	tok, err := core.NewToken()
 	if err != nil {
@@ -256,7 +262,7 @@ type HubConfig struct {
 	MaxBytes int64
 	// JoinTimeout bounds the join handshake on an accepted connection;
 	// connections that stay silent longer are cut (slowloris defense).
-	// 0 selects the default (10s); negative disables.
+	// 0 selects the default (10s); a negative value is an error.
 	JoinTimeout time.Duration
 }
 
@@ -356,7 +362,7 @@ type RegistryConfig struct {
 	// 0 = unlimited.
 	MaxConns int
 	// JoinTimeout bounds the join handshake on accepted connections.
-	// 0 selects the default (10s).
+	// 0 selects the default (10s); a negative value is an error.
 	JoinTimeout time.Duration
 }
 

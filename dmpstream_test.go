@@ -318,3 +318,29 @@ func TestPathThroughputScaling(t *testing.T) {
 		t.Fatalf("σ(100ms)/σ(200ms) = %v, want 2", a/b)
 	}
 }
+
+// TestFacadeRejectsBadConfig: the façade's constructors refuse what the
+// layers beneath them refuse — a redial policy no schedule can follow, and
+// a negative join timeout, which is an error rather than "no timeout".
+func TestFacadeRejectsBadConfig(t *testing.T) {
+	for _, p := range []dmpstream.RedialPolicy{
+		{Base: time.Millisecond, Jitter: 2},
+		{Base: time.Millisecond, Jitter: -1},
+		{Base: -time.Second},
+		{Max: -time.Second},
+		{Budget: -1},
+		{Base: time.Millisecond, Multiplier: math.NaN()},
+	} {
+		if _, err := dmpstream.NewStreamClient([]string{"127.0.0.1:1"}, "live", p); err == nil {
+			t.Errorf("NewStreamClient accepted redial policy %+v", p)
+		}
+	}
+	if h, err := dmpstream.NewHub(dmpstream.HubConfig{Rate: 10, JoinTimeout: -time.Second}); err == nil {
+		h.Close()
+		t.Error("NewHub accepted a negative JoinTimeout")
+	}
+	if r, err := dmpstream.NewRegistry(dmpstream.RegistryConfig{Stream: dmpstream.HubConfig{Rate: 10}, JoinTimeout: -time.Second}); err == nil {
+		r.Close()
+		t.Error("NewRegistry accepted a negative JoinTimeout")
+	}
+}

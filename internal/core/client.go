@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -23,7 +24,8 @@ type RedialPolicy struct {
 	// backoff). Values below 1 (including 0, the zero-value default) mean 2.
 	Multiplier float64
 	// Jitter is the fraction of each delay that is randomized: the actual
-	// wait is uniform in [delay·(1−Jitter), delay]. 0 keeps delays exact.
+	// wait is uniform in [delay·(1−Jitter), delay]. 0 keeps delays exact;
+	// it must lie in [0, 1] (see ValidateRedialPolicy).
 	Jitter float64
 	// Budget is the maximum number of redials per path; once spent, the path
 	// gives up and its last error stands. 0 means unlimited.
@@ -32,6 +34,26 @@ type RedialPolicy struct {
 	// with Seed+k, so the same policy replays the same delays. Required for
 	// reproducible failure experiments; has no effect when Jitter is 0.
 	Seed int64
+}
+
+// ValidateRedialPolicy rejects a policy no redial schedule can follow: a
+// negative Base, Max or Budget, a Jitter outside [0, 1] — above 1 the
+// randomized wait can be zero or negative, a redial loop with no backoff —
+// or a Multiplier that is not a finite number.
+func ValidateRedialPolicy(p RedialPolicy) error {
+	switch {
+	case p.Base < 0:
+		return fmt.Errorf("core: redial base %v < 0", p.Base)
+	case p.Max < 0:
+		return fmt.Errorf("core: redial max %v < 0", p.Max)
+	case p.Budget < 0:
+		return fmt.Errorf("core: redial budget %d < 0", p.Budget)
+	case !(p.Jitter >= 0 && p.Jitter <= 1):
+		return fmt.Errorf("core: redial jitter %v outside [0, 1]", p.Jitter)
+	case math.IsNaN(p.Multiplier) || math.IsInf(p.Multiplier, 0):
+		return fmt.Errorf("core: redial multiplier %v is not finite", p.Multiplier)
+	}
+	return nil
 }
 
 // delay computes the wait before redial number attempt (0-based) of a path.
@@ -134,16 +156,22 @@ func (c *Client) Run() (*Trace, error) {
 // and blocks until all paths have finished or given up. The returned
 // slice holds each path's final error (nil when the path delivered the
 // stream's end marker); judging stream completeness is the caller's job,
-// since only the sink knows what "complete" means.
+// since only the sink knows what "complete" means. Without a Dial function,
+// or with a policy ValidateRedialPolicy rejects, no path is dialed and
+// every path gets that error.
 func (c *Client) RunWith(sink Sink) []error {
 	paths := c.Paths
 	if paths == 0 {
 		paths = 1
 	}
 	errs := make([]error, paths)
+	err := ValidateRedialPolicy(c.Policy)
 	if c.Dial == nil {
+		err = errors.New("core: client needs a Dial function")
+	}
+	if err != nil {
 		for k := range errs {
-			errs[k] = errors.New("core: client needs a Dial function")
+			errs[k] = err
 		}
 		return errs
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -458,6 +461,62 @@ func TestSessionChurnRace(t *testing.T) {
 		case PathActive, PathStalled, PathDead, PathRemoved:
 		default:
 			t.Fatalf("path %d in impossible state %v", k, st)
+		}
+	}
+}
+
+// badRedialPolicies are policies no redial schedule can follow. Where Base
+// is positive a Budget is set, so an engine that does not reject them still
+// stops redialing.
+var badRedialPolicies = []struct {
+	name   string
+	policy RedialPolicy
+}{
+	{"jitter above 1", RedialPolicy{Base: time.Millisecond, Jitter: 2, Budget: 2}},
+	{"negative jitter", RedialPolicy{Base: time.Millisecond, Jitter: -0.5, Budget: 2}},
+	{"NaN jitter", RedialPolicy{Base: time.Millisecond, Jitter: math.NaN(), Budget: 2}},
+	{"negative base", RedialPolicy{Base: -time.Second}},
+	{"negative max", RedialPolicy{Base: time.Millisecond, Max: -time.Second, Budget: 2}},
+	{"negative budget", RedialPolicy{Budget: -1}},
+	{"infinite multiplier", RedialPolicy{Base: time.Millisecond, Multiplier: math.Inf(1), Budget: 2}},
+	{"NaN multiplier", RedialPolicy{Base: time.Millisecond, Multiplier: math.NaN(), Budget: 2}},
+}
+
+// TestRedialPolicyValidation: a policy no schedule can follow is refused
+// before any path is dialed — with a Jitter above 1 the randomized backoff
+// can be zero or negative and the engine would redial in a tight loop —
+// and every path reports the error, as for a missing Dial.
+func TestRedialPolicyValidation(t *testing.T) {
+	for _, tc := range badRedialPolicies {
+		var dials atomic.Int64
+		c := &Client{
+			Dial: func(int) (net.Conn, error) {
+				dials.Add(1)
+				return nil, errors.New("refused")
+			},
+			Paths:  2,
+			Policy: tc.policy,
+		}
+		errs := c.RunWith(NewReceiver(ReceiverOptions{}))
+		if n := dials.Load(); n != 0 {
+			t.Errorf("%s: %d dials, want none", tc.name, n)
+		}
+		for k, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "redial") {
+				t.Errorf("%s: path %d error %v, want the policy's", tc.name, k, err)
+			}
+		}
+		if ValidateRedialPolicy(tc.policy) == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	for _, ok := range []RedialPolicy{
+		{},
+		{Base: time.Millisecond, Max: time.Second, Multiplier: 0.5, Jitter: 1, Budget: 3},
+		{Base: time.Millisecond, Multiplier: -1, Jitter: 0},
+	} {
+		if err := ValidateRedialPolicy(ok); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
 		}
 	}
 }

@@ -86,16 +86,19 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 }
 
 // TestParkedPathFootprint pins what an attached, caught-up path costs:
-// its subscriber, its path entry and its resend ring — not a batch
-// workspace (leased per write from the shard), not a frame buffer
-// (allocated at stream end) and not a goroutine (a parked path is an entry;
-// the shard's workers follow the writes in flight). 2000 parked paths must
-// stay under 0.75 KB of live heap plus goroutine stack each, on no more
-// than a worker or two per shard; with a goroutine per path the same
-// measurement read 1.3 KB of heap plus 2.4–4.1 KB of stack, and with
-// absolute 64-bit sequences in the resend ring 0.85 KB of heap.
+// its subscriber and its path entry, whose resend record is one run of
+// consecutive numbers kept inline — not a resend ring (allocated only once
+// a path's writes fragment), not a batch workspace (leased per write from
+// the shard), not a frame buffer (allocated at stream end) and not a
+// goroutine (a parked path is an entry; the shard's workers follow the
+// writes in flight). 2000 parked paths must stay under 448 B of live heap
+// plus goroutine stack each, on no more than a worker or two per shard;
+// with a goroutine per path the same measurement read 1.3 KB of heap plus
+// 2.4–4.1 KB of stack, with absolute 64-bit sequences in a resend ring
+// allocated at the stream header 0.85 KB of heap, and with 32-bit ones
+// 0.59 KB.
 func TestParkedPathFootprint(t *testing.T) {
-	const paths, perPathBudget = 2000, 768
+	const paths, perPathBudget = 2000, 448
 	h, err := New(Config{
 		Stream:         core.Config{Mu: 250, PayloadSize: 256},
 		StreamID:       "live",

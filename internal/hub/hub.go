@@ -34,7 +34,8 @@
 // finds nothing queued while another is idle exits — so goroutines, like the batch workspaces the workers lease from the shard's
 // free list for the span of one write, scale with writes in flight, not
 // with attached paths: a path parked on a caught-up subscriber holds its
-// subscription, its entry and its resend ring, nothing else, and a
+// subscription and its entry, whose record of recent writes is a run or
+// two kept inline until the path's writes fragment, nothing else, and a
 // subscriber blocked in Write holds exactly one worker.
 //
 // A subscriber that cannot keep up falls behind the ring. The hub then
@@ -833,7 +834,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 		return fmt.Errorf("hub: subscriber %s: %w", j.Token, h.acc.Reject(conn, core.RejectEvicted))
 	}
 	h.pathConns.Add(1)
-	p := &path{sub: sub, conn: conn, idx: int(sub.nextPath), numPaths: len(sub.links) + 1}
+	p := &path{sub: sub, conn: conn, idx: sub.nextPath, numPaths: int32(len(sub.links) + 1)}
 	sub.nextPath++
 	if len(sub.links) == 0 {
 		// No orphan any more, if it was one: a path is back within the grace.

@@ -301,7 +301,7 @@ func TestLeaseCloseMidWrite(t *testing.T) {
 }
 
 // TestLeaseWriteErrorRecentIsCopy fails a path's second vectored write and
-// checks the sequences queued for retransmission — the resend ring plus
+// checks the sequences queued for retransmission — the resend record plus
 // the in-hand batch — are the subscriber's own copy: the batch they were
 // read from goes straight back to the shard, and the next lessee's
 // sequences must not show through.
@@ -330,7 +330,7 @@ func TestLeaseWriteErrorRecentIsCopy(t *testing.T) {
 	}
 	want := []int64{0, 1, 2, 3}
 	if got := resend(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("queued for resend %v, want %v (resend ring, then the failed batch)", got, want)
+		t.Fatalf("queued for resend %v, want %v (resend record, then the failed batch)", got, want)
 	}
 	waitFor(t, "the failed write's lease to come back", func() bool { return stock(t, sd) == 1 })
 

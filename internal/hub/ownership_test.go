@@ -39,53 +39,81 @@ func TestRingCopyAtIngest(t *testing.T) {
 }
 
 // TestResendRingRetainsNoPayloadAliases locks in why pin-at-fetch is
-// sufficient on the hub side: the per-path resend ring holds bare
+// sufficient on the hub side: the per-path resend record holds bare
 // sequence numbers, re-pinned through the shared ring on re-attach, so
 // there is no retained payload to go stale. Adding a payload alias to the
-// ring would reintroduce the exact use-after-lap bug the bufown analyzer
-// exists to prevent, so the element type is pinned reference-free here:
-// a fixed-size integer, whatever its width. (internal/core has the
-// matching pin for its queued metadata ring.) The ring stores the number
-// that went on the wire, so what it unrolls to is checked in absolute
-// sequences for a rebased subscriber, for an absolute one, and across the
-// ring's wrap-around.
+// record would reintroduce the exact use-after-lap bug the bufown analyzer
+// exists to prevent, so both of its forms are pinned reference-free here:
+// the inline runs and the spilled ring hold fixed-size integers only,
+// whatever their width. (internal/core has the matching pin for its queued
+// metadata ring.) The record stores the numbers that went on the wire, so
+// what it unrolls to is checked in absolute sequences for a rebased
+// subscriber, for an absolute one, across the ring's wrap-around, as runs,
+// across a spill and with the window trimmed across runs.
 func TestResendRingRetainsNoPayloadAliases(t *testing.T) {
-	switch k := reflect.TypeOf(path{}.recent).Elem().Kind(); k {
-	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-	default:
+	plainInt := func(k reflect.Kind) bool {
+		switch k {
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			return true
+		}
+		return false
+	}
+	if k := reflect.TypeOf(resendRing{}.slots).Elem().Kind(); !plainInt(k) {
 		t.Fatalf("hub resend ring element is %v, want a plain integer (metadata only, nothing that can hold a reference)", k)
 	}
+	runT := reflect.TypeOf(path{}.runs).Elem()
+	for i := 0; i < runT.NumField(); i++ {
+		if f := runT.Field(i); !plainInt(f.Type.Kind()) {
+			t.Fatalf("hub resend run field %s is %v, want a plain integer (metadata only, nothing that can hold a reference)", f.Name, f.Type)
+		}
+	}
 	for _, tc := range []struct {
-		name  string
-		first int64 // the subscriber's join point: 0 for a JoinFlagAbsolute subscriber
-		slots int
-		write [][]int64 // batches remembered, in order
-		want  []int64
+		name   string
+		first  int64 // the subscriber's join point: 0 for a JoinFlagAbsolute subscriber
+		slots  int
+		write  [][]int64 // batches remembered, in order
+		want   []int64
+		spills bool // the writes fragment past the inline runs
 	}{
-		{"absolute, wrapped", 0, 3, [][]int64{{1, 2, 3, 4, 5, 6, 7}}, []int64{5, 6, 7}},
-		{"absolute, not full", 0, 3, [][]int64{{8, 9}}, []int64{8, 9}},
-		{"rebased, not full", 1000, 4, [][]int64{{1000, 1001}, {1002}}, []int64{1000, 1001, 1002}},
-		{"rebased, exactly full", 1000, 3, [][]int64{{1000, 1001, 1002}}, []int64{1000, 1001, 1002}},
+		{"absolute, wrapped", 0, 3, [][]int64{{1, 2, 3, 4, 5, 6, 7}}, []int64{5, 6, 7}, false},
+		{"absolute, not full", 0, 3, [][]int64{{8, 9}}, []int64{8, 9}, false},
+		{"rebased, not full", 1000, 4, [][]int64{{1000, 1001}, {1002}}, []int64{1000, 1001, 1002}, false},
+		{"rebased, exactly full", 1000, 3, [][]int64{{1000, 1001, 1002}}, []int64{1000, 1001, 1002}, false},
 		{"rebased, wrapped mid-batch", 1 << 40, 4, [][]int64{{1<<40 + 5, 1<<40 + 6, 1<<40 + 7}, {1<<40 + 8, 1<<40 + 9, 1<<40 + 10}},
-			[]int64{1<<40 + 7, 1<<40 + 8, 1<<40 + 9, 1<<40 + 10}},
-		{"rebased, resends out of order", 500, 3, [][]int64{{510, 511}, {503, 504}}, []int64{511, 503, 504}},
-		{"rebased, wrapped many times", 7, 2, [][]int64{{7, 8, 9}, {10, 11, 12}, {13}}, []int64{12, 13}},
+			[]int64{1<<40 + 7, 1<<40 + 8, 1<<40 + 9, 1<<40 + 10}, false},
+		{"rebased, resends out of order", 500, 3, [][]int64{{510, 511}, {503, 504}}, []int64{511, 503, 504}, false},
+		{"rebased, wrapped many times", 7, 2, [][]int64{{7, 8, 9}, {10, 11, 12}, {13}}, []int64{12, 13}, false},
+		{"two runs, trimmed across them", 0, 4, [][]int64{{1, 2, 3}, {10, 11, 12}}, []int64{3, 10, 11, 12}, false},
+		{"two runs, the older trimmed away", 0, 3, [][]int64{{1, 2}, {10, 11, 12}, {13}}, []int64{11, 12, 13}, false},
+		{"spill, not full", 0, 8, [][]int64{{1, 2}, {5, 6}, {9}}, []int64{1, 2, 5, 6, 9}, true},
+		{"spill, exactly full", 0, 5, [][]int64{{1, 2}, {5, 6}, {9}}, []int64{1, 2, 5, 6, 9}, true},
+		{"spill, then wrapped", 100, 4, [][]int64{{101, 102}, {105, 106}, {109, 110, 111}}, []int64{106, 109, 110, 111}, true},
+		{"spill, then consecutive", 0, 6, [][]int64{{1}, {3}, {5, 6, 7}, {8, 9}}, []int64{3, 5, 6, 7, 8, 9}, true},
+		{"wire numbers wrap inside a run", 0, 4, [][]int64{{1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1}}, []int64{1<<32 - 2, 1<<32 - 1, 0, 1}, false},
 	} {
-		p := &path{sub: &subscriber{first: tc.first}, recent: make([]uint32, tc.slots)}
+		p := &path{sub: &subscriber{first: tc.first}}
 		for _, batch := range tc.write {
-			p.remember(batch)
+			p.remember(batch, tc.slots)
 		}
 		got := p.lastWritten()
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: a %d-slot ring unrolls to %v, want %v", tc.name, tc.slots, got, tc.want)
+			t.Errorf("%s: a %d-slot record unrolls to %v, want %v", tc.name, tc.slots, got, tc.want)
 		}
 		if cap(got)-len(got) < writeBatchFrames {
 			t.Errorf("%s: no room left to append the batch in hand", tc.name)
 		}
+		if spilled := p.ring != nil; spilled != tc.spills {
+			t.Errorf("%s: spilled to a ring %v, want %v", tc.name, spilled, tc.spills)
+		}
 	}
-	if got := (&path{sub: &subscriber{}, recent: make([]uint32, 3)}).lastWritten(); got != nil {
+	if got := (&path{sub: &subscriber{}}).lastWritten(); got != nil {
 		t.Errorf("a path that never wrote unrolls to %v, want nil", got)
+	}
+	p := &path{sub: &subscriber{}}
+	p.remember([]int64{1, 2, 3}, 0)
+	if got := p.lastWritten(); got != nil {
+		t.Errorf("with resends disabled a path unrolls to %v, want nil", got)
 	}
 }
 

@@ -59,8 +59,8 @@ type subscriber struct {
 type path struct {
 	sub      *subscriber
 	conn     net.Conn
-	idx      int // path index announced in the stream header
-	numPaths int // the subscriber's path count when this one attached
+	idx      int32 // path index announced in the stream header
+	numPaths int32 // the subscriber's path count when this one attached
 
 	next, prev *path // guarded by mu (the shard's); links of the list the path is on
 	held       bool  // guarded by mu; on the shard's held list: a worker has it
@@ -68,37 +68,96 @@ type path struct {
 	// Owned by whichever worker holds the path; the shard mutex orders one
 	// holder's accesses before the next one's.
 	started bool // stream header written (or being written)
-	// recent is the resend ring: the last ResendWindow sequences written, each
-	// as the number that went on the wire — uint32(seq − sub.first) — which is
-	// half the bytes of the absolute sequence and loses nothing the wire
-	// format had kept.
-	recent []uint32
-	wrote  int // sequences ever recorded; recent[wrote%len] is next to overwrite
+	// The resend record: the last ResendWindow sequences written, as the
+	// 32-bit number that went on the wire, uint32(seq − sub.first). A
+	// caught-up path writes consecutive numbers, kept as runs inline; writes
+	// that fragment past them (striped paths, served resends, repeated lag
+	// skips) spill the record to a ring the path keeps for life.
+	runs [2]run      // oldest first; unused runs are empty; ignored once spilled
+	ring *resendRing // nil until the record spills
 }
 
-// remember records a written batch's sequences in the path's resend ring.
-func (p *path) remember(seqs []int64) {
-	win := len(p.recent)
+// run is the consecutive wire numbers from, from+1, …, from+n−1 (mod 2³²).
+type run struct{ from, n uint32 }
+
+// resendRing is a spilled resend record: one slot per wire number.
+type resendRing struct {
+	slots []uint32
+	wrote int // numbers ever recorded; slots[wrote%len] is next to overwrite
+}
+
+// remember records a written batch in the resend record, keeping the last win.
+func (p *path) remember(seqs []int64, win int) {
 	if win == 0 {
 		return
 	}
 	for _, seq := range seqs {
-		p.recent[p.wrote%win] = uint32(seq - p.sub.first)
-		p.wrote++
+		w := uint32(seq - p.sub.first)
+		if p.ring == nil && !p.extendRuns(w, win) {
+			p.spill(win)
+		}
+		if r := p.ring; r != nil {
+			r.slots[r.wrote%win] = w
+			r.wrote++
+		}
 	}
 }
 
-// lastWritten returns the absolute sequences in the resend ring, oldest
+// extendRuns appends w to the inline runs, dropping the oldest number once
+// they hold more than win; false if w starts a run there is no room for.
+func (p *path) extendRuns(w uint32, win int) bool {
+	k := int(min(p.runs[0].n, 1) + min(p.runs[1].n, 1)) // runs in use
+	switch {
+	case k > 0 && w == p.runs[k-1].from+p.runs[k-1].n:
+		p.runs[k-1].n++
+	case k < len(p.runs):
+		p.runs[k] = run{from: w, n: 1}
+	default:
+		return false
+	}
+	if p.runs[0].n+p.runs[1].n > uint32(win) {
+		p.runs[0].from++
+		if p.runs[0].n--; p.runs[0].n == 0 {
+			p.runs[0], p.runs[1] = p.runs[1], run{}
+		}
+	}
+	return true
+}
+
+// spill moves the inline runs, oldest first, into a new win-slot ring.
+func (p *path) spill(win int) {
+	r := &resendRing{slots: make([]uint32, win)} // nolint:hotalloc once per path lifetime, when its writes first fragment past the inline runs
+	for _, run := range p.runs {
+		for i := uint32(0); i < run.n; i++ {
+			r.slots[r.wrote] = run.from + i
+			r.wrote++
+		}
+	}
+	p.ring = r
+}
+
+// lastWritten returns the absolute sequences in the resend record, oldest
 // first, with room for a batch to be appended; nil if the path never wrote.
 func (p *path) lastWritten() []int64 {
-	n := min(p.wrote, len(p.recent))
-	if n == 0 {
-		return nil
+	if p.ring == nil {
+		n := p.runs[0].n + p.runs[1].n
+		if n == 0 {
+			return nil
+		}
+		out := make([]int64, 0, int(n)+writeBatchFrames)
+		for _, r := range p.runs {
+			for i := uint32(0); i < r.n; i++ {
+				out = append(out, p.sub.first+int64(r.from+i))
+			}
+		}
+		return out
 	}
+	r := p.ring
+	n := min(r.wrote, len(r.slots))
 	out := make([]int64, 0, n+writeBatchFrames)
-	at := p.wrote % n // the oldest entry once the ring has wrapped, 0 before
+	at := r.wrote % n // the oldest entry once the ring has wrapped, 0 before
 	for i := 0; i < n; i++ {
-		out = append(out, p.sub.first+int64(p.recent[at]))
+		out = append(out, p.sub.first+int64(r.slots[at]))
 		if at++; at == n {
 			at = 0
 		}
@@ -366,7 +425,7 @@ const (
 // sender always has: teardown first, then the stream header, then frames —
 // resends before new content — and the end marker once the stream is over
 // and drained. A path with none of these is parked: it holds its
-// subscription and its resend ring, no workspace and no goroutine. The
+// subscription and its resend record, no workspace and no goroutine. The
 // batch is non-nil for stepWrite only; the worker owns its pins and drops
 // them with releaseBatch after the write. Caller holds sd.mu.
 func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
@@ -459,8 +518,7 @@ func (sd *shard) work() {
 
 		switch step {
 		case stepHeader:
-			p.recent = make([]uint32, h.cfg.ResendWindow) // per-path setup, once
-			if err := core.WriteStreamHeader(p.conn, p.idx, p.numPaths, h.cfg.Stream.PayloadSize, h.cfg.Stream.Mu); err != nil {
+			if err := core.WriteStreamHeader(p.conn, int(p.idx), int(p.numPaths), h.cfg.Stream.PayloadSize, h.cfg.Stream.Mu); err != nil {
 				sd.retire(p, nil, fmt.Errorf("hub: path %d header: %w", p.idx, err))
 				p = nil
 			}
@@ -489,7 +547,7 @@ func (sd *shard) work() {
 			p = nil
 			continue
 		}
-		p.remember(b.seqs[:b.n])
+		p.remember(b.seqs[:b.n], h.cfg.ResendWindow)
 	}
 }
 

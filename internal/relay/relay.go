@@ -129,7 +129,8 @@ type Config struct {
 	// stream gapping.
 	Token core.Token
 	// Redial is the upstream redial policy. A zero Base selects a capped
-	// exponential default (50ms base, 1s cap, unlimited budget).
+	// exponential default (50ms base, 1s cap, unlimited budget); a policy
+	// core.ValidateRedialPolicy rejects is an error.
 	Redial core.RedialPolicy
 	// DialTimeout bounds one candidate dial. 0 selects DefaultDialTimeout.
 	DialTimeout time.Duration
@@ -166,6 +167,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Paths < 0 {
 		return c, fmt.Errorf("relay: paths %d < 0", c.Paths)
+	}
+	if err := core.ValidateRedialPolicy(c.Redial); err != nil {
+		return c, fmt.Errorf("relay: %w", err)
 	}
 	if c.Redial.Base == 0 {
 		c.Redial = core.RedialPolicy{

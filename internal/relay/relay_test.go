@@ -2,6 +2,7 @@ package relay
 
 import (
 	"errors"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -501,5 +502,23 @@ func TestRelayDrainCascade(t *testing.T) {
 			t.Fatalf("origin still holds %d subscribers after relay drain", origin.SubscriberCount())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestConfigRejectsBadRedial: an upstream redial policy no schedule can
+// follow is a configuration error, even where a zero Base would have
+// replaced it with the default.
+func TestConfigRejectsBadRedial(t *testing.T) {
+	for _, p := range []core.RedialPolicy{
+		{Base: time.Millisecond, Jitter: 2},
+		{Base: -time.Second},
+		{Budget: -1},
+		{Base: time.Millisecond, Multiplier: math.Inf(1)},
+	} {
+		r, err := New(Config{Upstreams: []string{"127.0.0.1:1"}, Paths: 1, Redial: p})
+		if err == nil {
+			r.Close()
+			t.Errorf("redial policy %+v accepted", p)
+		}
 	}
 }
