@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lockgraph hotpaths fuzz soak bench-smoke bench-tick bench-receiver sim-tables
+.PHONY: all build test race lint lockrank hotpaths fuzz soak bench-smoke bench-tick bench-receiver sim-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -20,19 +20,21 @@ race:
 	$(GO) test -race ./...
 
 # lint is the repo-invariant gate: go vet plus the dmplint suite
-# (detsim, lockguard, lockorder, hotalloc, bufown, exhaustenum — see
-# DESIGN.md "Enforced invariants"). Any finding exits non-zero.
+# (detsim, lockguard, hotalloc, exhaustenum — see DESIGN.md "Enforced
+# invariants"). Any finding exits non-zero.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dmplint ./...
 
-# lockgraph renders the whole-program lock-acquisition graph as Graphviz
-# dot on stdout (cycle edges in red). Pipe into `dot -Tsvg` to view.
-lockgraph:
-	$(GO) run ./cmd/dmplint -lockgraph
+# lockrank runs the packages that nest the hub's locks with the lock-rank
+# check built in (internal/lockrank): any executed nesting that inverts the
+# rank table, nests two locks of one rank, or takes an unranked lock panics
+# with both acquisition stacks.
+lockrank:
+	$(GO) test -tags lockrank ./internal/hub ./internal/relay ./internal/registry ./internal/chaos
 
 # hotpaths dumps the `// hotpath` annotated roots and the transitive
-# callee closure the hotalloc and bufown analyzers police.
+# callee closure the hotalloc analyzer polices.
 hotpaths:
 	$(GO) run ./cmd/dmplint -hotpaths
 

@@ -7,13 +7,11 @@
 // Patterns select which packages are analyzed (go-tool style: a package
 // path relative to the module root, or a prefix ending in /... for a
 // subtree; default ./...). The full module is always parsed so
-// cross-package inference and the whole-program lock graph work
-// regardless of the pattern.
+// cross-package inference and the hot-path closure work regardless of
+// the pattern.
 //
-// Two dumps replace the gate run:
+// One dump replaces the gate run:
 //
-//	-lockgraph   the whole-program lock-acquisition graph as Graphviz
-//	             dot (cycle edges in red)
 //	-hotpaths    the `// hotpath` annotated roots and their transitive
 //	             callee closure, with discovery chains
 //
@@ -35,7 +33,6 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
-	lockgraph := flag.Bool("lockgraph", false, "emit the whole-program lock-acquisition graph as Graphviz dot and exit")
 	hotpaths := flag.Bool("hotpaths", false, "dump the hotpath roots and transitive closure and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dmplint [flags] [packages]\n\npackages default to ./...\n")
@@ -52,10 +49,6 @@ func run() int {
 		return fatal(err)
 	}
 	idx := lint.BuildIndex(module, pkgs)
-	if *lockgraph {
-		fmt.Print(lint.LockGraphDot(idx))
-		return 0
-	}
 	if *hotpaths {
 		fmt.Print(lint.Hotpaths(idx))
 		return 0

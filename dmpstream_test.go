@@ -335,6 +335,16 @@ func TestFacadeRejectsBadConfig(t *testing.T) {
 			t.Errorf("NewStreamClient accepted redial policy %+v", p)
 		}
 	}
+	// A rate the generator cannot pace or the stream header cannot carry.
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 1e-7, 2e9} {
+		if _, err := dmpstream.NewServer(dmpstream.StreamConfig{Rate: rate}); err == nil {
+			t.Errorf("NewServer accepted Rate %v", rate)
+		}
+		if h, err := dmpstream.NewHub(dmpstream.HubConfig{Rate: rate}); err == nil {
+			h.Close()
+			t.Errorf("NewHub accepted Rate %v", rate)
+		}
+	}
 	if h, err := dmpstream.NewHub(dmpstream.HubConfig{Rate: 10, JoinTimeout: -time.Second}); err == nil {
 		h.Close()
 		t.Error("NewHub accepted a negative JoinTimeout")

@@ -133,8 +133,8 @@ func (r *runner) checkHub(name string, st hub.Stats, budget int64, maxSubs int) 
 		st.Dropped < p.Dropped || st.Rejected < p.Rejected || st.Shed < p.Shed || st.Evicted < p.Evicted) {
 		r.violatef("%s: hub counters regressed: %+v -> %+v", name, p, st)
 	}
-	if st.Pool.DoublePuts != 0 || st.Pool.PoisonTrips != 0 {
-		r.violatef("%s: payload pool integrity violated (double put or use-after-put): %+v", name, st.Pool)
+	if st.Pool.DoublePuts != 0 || st.Pool.PoisonTrips != 0 || st.Pool.Aliases != 0 {
+		r.violatef("%s: payload pool integrity violated (double put, use-after-put or a retained payload alias): %+v", name, st.Pool)
 	}
 	r.prevHub[name] = st
 }

@@ -97,6 +97,7 @@ func TestCheckHub(t *testing.T) {
 		"over the cap":   func(s *hub.Stats) { s.Subscribers = hubMaxSubs + 1 },
 		"poison trip":    func(s *hub.Stats) { s.Pool.PoisonTrips = 1 },
 		"double put":     func(s *hub.Stats) { s.Pool.DoublePuts = 1 },
+		"payload alias":  func(s *hub.Stats) { s.Pool.Aliases = 1 },
 	}
 	for name, field := range counters {
 		cases[name+" regressed"] = func(s *hub.Stats) { *field(s) = *field(&prev) - 1 }

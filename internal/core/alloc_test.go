@@ -6,9 +6,10 @@
 // compile time behind the analyzer's back.
 //
 // AllocsPerRun is unreliable under the race detector (instrumentation
-// allocates), so the guard is built out of race runs.
+// allocates), and the lockrank build's check allocates on every Lock, so
+// the guard is built out of race and lockrank runs.
 //
-//go:build !race
+//go:build !race && !lockrank
 
 package core
 

@@ -23,6 +23,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"dmpstream/internal/lockrank"
 )
 
 // Config describes the video source.
@@ -60,8 +62,11 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.Mu <= 0 {
-		return fmt.Errorf("core: rate %v <= 0", c.Mu)
+	// The stream header carries µ in micro-packets/s and the generators
+	// sleep time.Second/µ per packet, so a rate below 1e-6 goes on the
+	// wire as 0 and one above 1e9 paces nothing (NaN fails both).
+	if !(c.Mu*1e6 >= 1) || !(float64(time.Second)/c.Mu >= 1) {
+		return fmt.Errorf("core: rate %v packets/s: want finite, within [1e-6, 1e9]", c.Mu)
 	}
 	if c.PayloadSize < 0 || c.PayloadSize > 1<<20 {
 		return fmt.Errorf("core: payload size %d out of range", c.PayloadSize)
@@ -95,7 +100,7 @@ func (c Config) Normalized() (Config, error) {
 type Server struct {
 	cfg Config
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex
 	cond    *sync.Cond
 	queue   []queued // guarded by mu
 	qhead   int      // guarded by mu
@@ -118,6 +123,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{cfg: cfg}
+	s.mu.Init(lockrank.Server)
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -207,7 +213,7 @@ func (s PathState) String() string {
 type Session struct {
 	srv *Server
 
-	mu     sync.Mutex
+	mu     lockrank.Mutex
 	wg     sync.WaitGroup
 	errs   []error         // guarded by mu
 	stops  []chan struct{} // guarded by mu
@@ -219,6 +225,7 @@ type Session struct {
 // attach paths to. The caller must eventually call Wait.
 func (s *Server) Start() *Session {
 	sess := &Session{srv: s}
+	sess.mu.Init(lockrank.Session)
 	sess.wg.Add(1) // generation
 	go func() {
 		defer sess.wg.Done()
@@ -546,10 +553,9 @@ func (sess *Session) fail(k int, unsent []queued, ring []queued) {
 // delivered frames from ones to requeue). A timed-out write moves the path
 // to PathStalled and is retried — resuming at the partial-write offset so
 // framing survives — up to Config.StallRetries consecutive stalls; a write
-// completing returns the path to PathActive.
-//
-// bufown borrowed frame — lent to the conn.Write sink (re-sliced across
-// stall retries); writeFrame must never retain or rewrite it.
+// completing returns the path to PathActive. frame is only lent to
+// conn.Write (re-sliced across stall retries); writeFrame must never
+// retain or rewrite it.
 func (sess *Session) writeFrame(k int, conn net.Conn, frame []byte) (int, error) {
 	s := sess.srv
 	stalls, off := 0, 0

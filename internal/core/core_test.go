@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -196,6 +197,50 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range bad {
 		if _, err := NewServer(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// TestConfigRateBounds pins the rates a Config accepts: finite, at least
+// the header's unit of 1e-6 packets/s (below it µ encodes as 0, which
+// every ReadStreamHeader refuses) and at most 1e9 packets/s (above it the
+// generator's period rounds to 0 and it publishes without sleeping).
+func TestConfigRateBounds(t *testing.T) {
+	for _, tc := range []struct {
+		mu float64
+		ok bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{0, false},
+		{-5, false},
+		{1e-300, false},
+		{1e-7, false},
+		{1e-6, true},
+		{1, true},
+		{250, true},
+		{1e9, true},
+		{1.000001e9, false},
+		{2e9, false},
+	} {
+		cfg, err := Config{Mu: tc.mu}.Normalized()
+		if (err == nil) != tc.ok {
+			t.Errorf("µ = %v: error %v, want accepted %v", tc.mu, err, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			continue
+		}
+		if period := time.Duration(float64(time.Second) / cfg.Mu); period < 1 {
+			t.Errorf("µ = %v accepted with a generator period of %v", tc.mu, period)
+		}
+		var hdr bytes.Buffer
+		if err := WriteStreamHeader(&hdr, 0, 1, cfg.PayloadSize, cfg.Mu); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadStreamHeader(&hdr); err != nil {
+			t.Errorf("µ = %v accepted, but its stream header reads back as %v", tc.mu, err)
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 // no retained payload to go stale when a path dies and its window is
 // requeued. A payload alias added to queued would silently survive
 // requeue/unroll and replay whatever the buffer holds by then — the
-// use-after-handoff bug the bufown analyzer convicts statically — so
-// the element type is pinned reference-free here. (internal/hub has
-// the matching pin for its []int64 sequence ring.)
+// use-after-handoff bug the hub's payload alias scan counts — so
+// the element type is pinned reference-free here. (internal/hub
+// counts such aliases at run time instead: TestPayloadAliasScan.)
 func TestQueuedRetainsNoPayloadAliases(t *testing.T) {
 	qt := reflect.TypeOf(queued{})
 	for i := 0; i < qt.NumField(); i++ {

@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"dmpstream/internal/lockrank"
 )
 
 // DefaultEndGrace bounds how long the remaining paths may keep delivering
@@ -28,7 +30,7 @@ type PathReader struct {
 	onHeader func(mu float64, payload int) error
 	onFrame  func(path int, pkt uint32, gen int64, payload []byte)
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex
 	active   map[net.Conn]struct{} // guarded by mu; conns currently in Run
 	muRate   float64               // guarded by mu; 0 until the first header
 	payload  int                   // guarded by mu
@@ -48,7 +50,7 @@ func NewPathReader(grace time.Duration, onHeader func(mu float64, payload int) e
 	if grace == 0 {
 		grace = DefaultEndGrace
 	}
-	return &PathReader{
+	pr := &PathReader{
 		grace:    grace,
 		onHeader: onHeader,
 		onFrame:  onFrame,
@@ -56,6 +58,8 @@ func NewPathReader(grace time.Duration, onHeader func(mu float64, payload int) e
 		expected: -1,
 		done:     make(chan struct{}),
 	}
+	pr.mu.Init(lockrank.PathReader)
+	return pr
 }
 
 // Run consumes one path connection until its end marker (nil) or a terminal

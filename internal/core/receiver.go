@@ -6,8 +6,9 @@ import (
 	"errors"
 	"net"
 	"slices"
-	"sync"
 	"time"
+
+	"dmpstream/internal/lockrank"
 )
 
 // logChunkSize is the capacity of one chunk of the receiver's arrival log.
@@ -47,7 +48,7 @@ type Receiver struct {
 	*PathReader // Run, Done: the paths read into frame
 	onPacket    func(pkt uint32, genNanos int64, payload []byte)
 
-	mu   sync.Mutex
+	mu   lockrank.Mutex
 	log  [][]byte  // guarded by mu; chunks of logChunkSize capacity holding whole records
 	last Arrival   // guarded by mu; the last arrival recorded, what the next is coded against
 	n    int       // guarded by mu; arrivals in log
@@ -58,6 +59,7 @@ type Receiver struct {
 // NewReceiver builds an empty Receiver; attach paths with Run.
 func NewReceiver(opts ReceiverOptions) *Receiver {
 	r := &Receiver{onPacket: opts.OnPacket}
+	r.mu.Init(lockrank.Receiver)
 	r.PathReader = NewPathReader(opts.EndGrace, nil, r.frame)
 	return r
 }

@@ -197,10 +197,9 @@ func ReadStreamHeader(r io.Reader) (mu float64, payload int, err error) {
 
 // PutFrameHeader encodes a frame's packet number and generation timestamp
 // into the first FrameHeaderSize bytes of frame. For an end marker, pass
-// EndMarker and the generated-packet count.
-//
-// bufown owned frame — the encoder writes the header in place, so the
-// caller must pass a buffer it owns, never a borrowed payload view.
+// EndMarker and the generated-packet count. The header is written in
+// place, so the caller must pass a buffer it owns, never a borrowed
+// payload view.
 func PutFrameHeader(frame []byte, pkt uint32, genNanos int64) {
 	_ = frame[frameHdr-1] // bounds check: callers must size frame >= FrameHeaderSize
 	binary.BigEndian.PutUint32(frame[0:4], pkt)
@@ -212,9 +211,6 @@ func PutFrameHeader(frame []byte, pkt uint32, genNanos int64) {
 // number is EndMarker and the timestamp field carries the generated
 // count. It is the read-side inverse of PutFrameHeader and rejects short
 // input instead of panicking, so it is safe on untrusted bytes.
-//
-// bufown borrowed b — read-only decode; the header bytes stay the
-// caller's.
 func ParseFrameHeader(b []byte) (pkt uint32, genNanos int64, err error) {
 	if len(b) < frameHdr {
 		return 0, 0, fmt.Errorf("core: frame header: %d bytes, need %d", len(b), frameHdr)

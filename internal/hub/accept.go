@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dmpstream/internal/core"
+	"dmpstream/internal/lockrank"
 )
 
 // DefaultJoinTimeout bounds how long an accepted connection may take to
@@ -47,7 +48,7 @@ type Acceptor struct {
 	wg     sync.WaitGroup // handshake goroutines
 	closed atomic.Bool    // stored under mu, read lock-free
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex
 	lns     []net.Listener        // guarded by mu
 	pending map[net.Conn]struct{} // guarded by mu; accepted conns mid-handshake
 
@@ -68,7 +69,7 @@ func NewAcceptor(joinTimeout time.Duration, limit int, closedErr error,
 	if limit == 0 {
 		limit = DefaultHandshakeLimit
 	}
-	return &Acceptor{
+	a := &Acceptor{
 		joinTimeout: joinTimeout,
 		limit:       limit,
 		closedErr:   closedErr,
@@ -77,6 +78,8 @@ func NewAcceptor(joinTimeout time.Duration, limit int, closedErr error,
 		stopCh:      make(chan struct{}),
 		pending:     make(map[net.Conn]struct{}),
 	}
+	a.mu.Init(lockrank.Acceptor)
+	return a
 }
 
 // Reject answers a refused join with the typed reject frame and closes the

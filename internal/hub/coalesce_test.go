@@ -51,7 +51,7 @@ func TestTickCoalescesWakeups(t *testing.T) {
 	if conn.torn.Load() != 0 {
 		t.Fatalf("%d torn payloads", conn.torn.Load())
 	}
-	if ps := h.PoolCheck(); ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
+	if ps := h.PoolCheck(); ps.DoublePuts != 0 || ps.PoisonTrips != 0 || ps.Aliases != 0 {
 		t.Fatalf("pool integrity violated: %+v", ps)
 	}
 }
@@ -109,7 +109,7 @@ func TestPoolChurnRace(t *testing.T) {
 	wg.Wait()
 
 	ps := pool.stats()
-	if ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
+	if ps.DoublePuts != 0 || ps.PoisonTrips != 0 || ps.Aliases != 0 {
 		t.Fatalf("pool integrity violated under churn: %+v", ps)
 	}
 	if live := int64(ps.Free) + r.size(); ps.News != live {

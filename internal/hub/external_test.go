@@ -149,7 +149,7 @@ func TestExternalGapReadsAsDrop(t *testing.T) {
 	if d := h.TotalDropped(); d != 5 {
 		t.Fatalf("dropped %d, want exactly the 5-packet gap", d)
 	}
-	if ps := h.PoolCheck(); ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
+	if ps := h.PoolCheck(); ps.DoublePuts != 0 || ps.PoisonTrips != 0 || ps.Aliases != 0 {
 		t.Fatalf("pool integrity: %+v", ps)
 	}
 	h.Close()

@@ -81,6 +81,7 @@ import (
 	"time"
 
 	"dmpstream/internal/core"
+	"dmpstream/internal/lockrank"
 )
 
 // Policy selects what happens to a subscriber whose lag exceeds the window.
@@ -158,8 +159,9 @@ type Config struct {
 	// PoisonPool turns on the payload pool's poison-on-put debug mode:
 	// released buffers are filled with a poison byte and verified intact on
 	// reuse, so a use-after-release write trips a counter (Stats.Pool)
-	// instead of silently corrupting a live frame. Costs one buffer scan
-	// per publish and per release — meant for chaos/soak builds.
+	// instead of silently corrupting a live frame, and PoolCheck (so
+	// Stats.Pool) runs the payload alias scan. Costs one buffer scan per
+	// publish and per release — meant for chaos/soak builds and tests.
 	PoisonPool bool
 	// Shards is how many per-core worker groups the subscriber population
 	// is hashed across; each shard's lock covers only its own subscribers'
@@ -287,9 +289,10 @@ var ErrStreamEnded = errors.New("hub: stream ended")
 // Hub is a running broadcast: one generator, a shared ring, N subscribers
 // spread over per-core shards.
 //
-// Lock hierarchy (see DESIGN.md): registry.Registry.mu ≺ Hub.mu ≺
-// Hub.govMu ≺ shard.mu ≺ ring.mu. The frame hot path (shard.work →
-// stepLocked → ring.pinBatch) takes only the last two, and ring.mu only
+// Lock hierarchy (the rank table in internal/lockrank, checked under
+// -tags lockrank): registry.Registry.mu ≺ Hub.mu ≺ Hub.govMu ≺ shard.mu ≺
+// ring.mu ≺ bufPool.mu. The frame hot path (shard.work → stepLocked →
+// ring.pinBatch) takes only shard.mu and ring.mu, and ring.mu only
 // shared; a worker holds no lock across a write, and retires a path
 // (finishPath, which may take govMu) only after releasing shard.mu.
 type Hub struct {
@@ -316,7 +319,7 @@ type Hub struct {
 
 	// mu is the control plane: drain state and admission. It is never
 	// taken on the frame hot path.
-	mu       sync.Mutex
+	mu       lockrank.Mutex
 	draining bool          // guarded by mu; admission closed, live subscriptions finishing
 	stopSig  bool          // guarded by mu; stopCh already closed
 	stopCh   chan struct{} // closed once the stream is over (Stop/Close/Count)
@@ -325,7 +328,7 @@ type Hub struct {
 	// aggregation and with the generator's publish cycle, so no reader can
 	// observe held bytes between a publish (or resend merge) and the
 	// governor pass that settles them back under budget.
-	govMu sync.Mutex
+	govMu lockrank.Mutex
 
 	// Admission accounting: incremented only under mu (so the caps are
 	// strict), decremented atomically wherever a subscriber or path retires.
@@ -371,6 +374,8 @@ func New(cfg Config) (*Hub, error) {
 		start:       time.Now(),
 		stopCh:      make(chan struct{}),
 	}
+	h.mu.Init(lockrank.Hub)
+	h.govMu.Init(lockrank.Governor)
 	h.acc = NewAcceptor(cfg.JoinTimeout, cfg.HandshakeLimit, ErrStreamEnded, h.refuse, h.AttachJoined)
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
@@ -503,8 +508,8 @@ func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 // hotpath — the relay-ingest ring-advance root; runs once per upstream
 // frame.
 //
-// bufown borrowed payload — copied into a private pool buffer inside
-// ring.publishAt before any reader can alias the slot; never retained.
+// payload is copied into a private pool buffer inside ring.publishAt
+// before any reader can alias the slot; it is never retained.
 func (h *Hub) PublishAt(seq, gen int64, payload []byte) bool {
 	if !h.cfg.ExternalSource || len(payload) != h.cfg.Stream.PayloadSize || seq < 0 {
 		return false
@@ -664,10 +669,8 @@ type BuffersWriter interface {
 // [header, shared payload] pairs to the connection as one vectored
 // write. The payload bytes are shared ring buffers the batch holds pins
 // on; they are lent to the kernel for the duration of the call and never
-// copied in user space.
-//
-// bufown sink — writev handoff: the pinned slot borrows leave the
-// process here, alive under the batch's refcounts until releaseBatch.
+// copied in user space: they stay alive under the batch's refcounts until
+// releaseBatch.
 func (h *Hub) writeBatch(conn net.Conn, sub *subscriber, b *batch) error {
 	for i := 0; i < b.n; i++ {
 		hdr := b.hdrs[i*core.FrameHeaderSize : (i+1)*core.FrameHeaderSize]
@@ -724,10 +727,8 @@ func (h *Hub) writeEndMarker(p *path) error {
 }
 
 // writeFrame writes one rendered frame, arming the optional stall
-// deadline first.
-//
-// bufown borrowed frame — writeFrame only lends the buffer to the
-// conn.Write sink; it must never retain or rewrite it.
+// deadline first. It only lends frame to conn.Write; it must never retain
+// or rewrite it.
 func (h *Hub) writeFrame(conn net.Conn, frame []byte) error {
 	if d := h.cfg.Stream.WriteStallTimeout; d > 0 {
 		conn.SetWriteDeadline(time.Now().Add(d))
@@ -1020,9 +1021,15 @@ func (h *Hub) DeliveryCounters() (bytesCopied, writevs, framesBatched int64) {
 }
 
 // PoolCheck snapshots the payload pool's integrity counters; chaos runs
-// assert DoublePuts and PoisonTrips stay zero.
+// assert DoublePuts, PoisonTrips and Aliases stay zero. On a PoisonPool
+// hub it also runs the payload alias scan, which takes every shard lock
+// in turn; on any other hub Aliases is 0 and the call costs one pool lock.
 func (h *Hub) PoolCheck() PoolStats {
-	return h.pool.stats()
+	ps := h.pool.stats()
+	if h.cfg.PoisonPool {
+		ps.Aliases = h.payloadAliases()
+	}
+	return ps
 }
 
 // SubscriberStats is one subscriber's snapshot within Stats.
@@ -1096,7 +1103,7 @@ func (h *Hub) Stats() Stats {
 		BytesCopied:   h.bytesCopied.Load(),
 		Writevs:       h.writevs.Load(),
 		FramesBatched: h.framesBatched.Load(),
-		Pool:          h.pool.stats(),
+		Pool:          h.PoolCheck(),
 		Elapsed:       time.Since(h.start),
 	}
 	st.Handshaking = h.acc.Handshaking()

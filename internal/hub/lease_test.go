@@ -205,7 +205,7 @@ func checkQuiesced(t *testing.T, h *Hub, paths int) {
 		t.Fatalf("shard stocks %d batches for %d paths", n, paths)
 	}
 	ps := h.PoolCheck()
-	if ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
+	if ps.DoublePuts != 0 || ps.PoisonTrips != 0 || ps.Aliases != 0 {
 		t.Fatalf("pool integrity violated: %+v", ps)
 	}
 	held := h.ring.headSeq()

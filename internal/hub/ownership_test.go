@@ -6,14 +6,15 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dmpstream/internal/core"
 )
 
 // TestRingCopyAtIngest pins the ingest half of the buffer-ownership
-// contract the bufown analyzer annotates: publish fills a pool buffer
-// while it is still private (copy at ingest), so mutating the generator's
-// source after publish must never change what a later pin returns.
+// contract: publish fills a pool buffer while it is still private (copy
+// at ingest), so mutating the generator's source after publish must never
+// change what a later pin returns.
 func TestRingCopyAtIngest(t *testing.T) {
 	const payloadSize = 8
 	r := newRing(4, newBufPool(payloadSize, false))
@@ -39,35 +40,14 @@ func TestRingCopyAtIngest(t *testing.T) {
 }
 
 // TestResendRingRetainsNoPayloadAliases locks in why pin-at-fetch is
-// sufficient on the hub side: the per-path resend record holds bare
-// sequence numbers, re-pinned through the shared ring on re-attach, so
-// there is no retained payload to go stale. Adding a payload alias to the
-// record would reintroduce the exact use-after-lap bug the bufown analyzer
-// exists to prevent, so both of its forms are pinned reference-free here:
-// the inline runs and the spilled ring hold fixed-size integers only,
-// whatever their width. (internal/core has the matching pin for its queued
-// metadata ring.) The record stores the numbers that went on the wire, so
-// what it unrolls to is checked in absolute sequences for a rebased
-// subscriber, for an absolute one, across the ring's wrap-around, as runs,
-// across a spill and with the window trimmed across runs.
+// sufficient on the hub side: the per-path resend record holds the bare
+// wire numbers, re-pinned through the shared ring on re-attach, so there
+// is no retained payload to go stale (TestPayloadAliasScan shows the scan
+// that would count one). What the record unrolls to is checked in
+// absolute sequences for a rebased subscriber, for an absolute one,
+// across the ring's wrap-around, as runs, across a spill and with the
+// window trimmed across runs.
 func TestResendRingRetainsNoPayloadAliases(t *testing.T) {
-	plainInt := func(k reflect.Kind) bool {
-		switch k {
-		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			return true
-		}
-		return false
-	}
-	if k := reflect.TypeOf(resendRing{}.slots).Elem().Kind(); !plainInt(k) {
-		t.Fatalf("hub resend ring element is %v, want a plain integer (metadata only, nothing that can hold a reference)", k)
-	}
-	runT := reflect.TypeOf(path{}.runs).Elem()
-	for i := 0; i < runT.NumField(); i++ {
-		if f := runT.Field(i); !plainInt(f.Type.Kind()) {
-			t.Fatalf("hub resend run field %s is %v, want a plain integer (metadata only, nothing that can hold a reference)", f.Name, f.Type)
-		}
-	}
 	for _, tc := range []struct {
 		name   string
 		first  int64 // the subscriber's join point: 0 for a JoinFlagAbsolute subscriber
@@ -114,6 +94,66 @@ func TestResendRingRetainsNoPayloadAliases(t *testing.T) {
 	p.remember([]int64{1, 2, 3}, 0)
 	if got := p.lastWritten(); got != nil {
 		t.Errorf("with resends disabled a path unrolls to %v, want nil", got)
+	}
+}
+
+// TestPayloadAliasScan seeds each kind of retained payload alias, one at
+// a time, into a quiesced poison-mode hub: a free batch keeping a payload
+// slice or a pin, a subscriber and a parked path keeping a slice re-typed
+// over a payload. PoolCheck must count each, whatever the slice's element
+// type, and count nothing once it is dropped again.
+func TestPayloadAliasScan(t *testing.T) {
+	h := ownershipHub(t, 8, 8, 4)
+	sd := h.shards[0]
+	tok, err := core.NewToken()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := &subscriber{token: tok, shard: sd, cur: 4, window: 4}
+	addSub(sd, sub)
+	b := popBatch(sd, sub, nil) // a batch that has carried frames, back on the free list
+	if b == nil {
+		t.Fatal("popBatch returned no frames")
+	}
+	h.releaseBatch(b)
+	returnBatch(sd, b)
+	if ps := h.PoolCheck(); ps.Aliases != 0 {
+		t.Fatalf("a clean hub counts %d aliases: %+v", ps.Aliases, ps)
+	}
+
+	h.ring.mu.RLock()
+	pb := h.ring.slots[0].payload
+	h.ring.mu.RUnlock()
+	p := &path{sub: sub}
+	for _, tc := range []struct {
+		name       string
+		seed, undo func()
+	}{
+		{"free batch keeps a payload slice",
+			func() { b.wb[1] = pb.data[2:] }, func() { b.wb[1] = nil }},
+		{"free batch keeps a pin",
+			func() { b.bufs[0] = pb }, func() { b.bufs[0] = nil }},
+		{"subscriber keeps a payload as sequences",
+			func() { sub.resend = unsafe.Slice((*int64)(unsafe.Pointer(&pb.data[0])), 1) }, func() { sub.resend = nil }},
+		{"parked path's record spills over a payload",
+			func() {
+				sub.links = []*path{p}
+				p.ring = &resendRing{slots: unsafe.Slice((*uint32)(unsafe.Pointer(&pb.data[4])), 1)}
+			},
+			func() { sub.links, p.ring = nil, nil }},
+	} {
+		sd.mu.Lock()
+		tc.seed()
+		sd.mu.Unlock()
+		if got := h.PoolCheck().Aliases; got != 1 {
+			t.Errorf("%s: PoolCheck counts %d aliases, want 1", tc.name, got)
+		}
+		sd.mu.Lock()
+		tc.undo()
+		sd.mu.Unlock()
+		if got := h.PoolCheck().Aliases; got != 0 {
+			t.Errorf("%s: PoolCheck counts %d aliases once it is dropped, want 0", tc.name, got)
+		}
 	}
 }
 
@@ -227,7 +267,7 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 	returnBatch(sd, slowBatch)
 
 	ps := h.PoolCheck()
-	if ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
+	if ps.DoublePuts != 0 || ps.PoisonTrips != 0 || ps.Aliases != 0 {
 		t.Fatalf("pool integrity violated: %+v", ps)
 	}
 	// Conservation at quiescence: every allocated buffer is either on the
@@ -303,7 +343,7 @@ func TestReattachResendReplayFromPool(t *testing.T) {
 			t.Fatalf("replayed seq %d payload %v, want %v (byte-exact conservation)", seq, got, want)
 		}
 	}
-	if ps := h.PoolCheck(); ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
+	if ps := h.PoolCheck(); ps.DoublePuts != 0 || ps.PoisonTrips != 0 || ps.Aliases != 0 {
 		t.Fatalf("pool integrity violated: %+v", ps)
 	}
 }

@@ -1,8 +1,9 @@
 package hub
 
 import (
-	"sync"
 	"sync/atomic"
+
+	"dmpstream/internal/lockrank"
 )
 
 // poisonByte fills every released buffer when the pool's poison-on-put
@@ -16,8 +17,10 @@ const poisonByte = 0xDB
 // fills it once, and publishes it into a ring slot; zero-copy senders pin
 // it (refs++) under the ring's read lock and release after their vectored
 // write completes. Whoever drops the last reference returns the buffer to
-// the pool. From publish until refs reaches zero the bytes are immutable —
-// that is the invariant the bufown annotation below enforces.
+// the pool. From publish until refs reaches zero the bytes are immutable,
+// and no slice into them may outlive the last reference: a PoisonPool
+// hub's PoolCheck counts any that a free batch, a subscriber or a parked
+// path still holds (alias.go).
 type payloadBuf struct {
 	refs   atomic.Int32
 	pooled bool // guarded by bufPool.mu; true while on the freelist
@@ -26,7 +29,7 @@ type payloadBuf struct {
 	// while exactly one owner holds the buffer. Writes anywhere else are
 	// cross-reader corruption, which is why only payloadBuf's own methods
 	// touch the bytes.
-	data []byte // bufown owned — pooled shared payload, immutable from publish until the refcount reaches zero
+	data []byte // pooled shared payload, immutable from publish until the refcount reaches zero
 }
 
 // fill renders packet pkt's payload in place. Called only by the
@@ -44,9 +47,7 @@ func (pb *payloadBuf) fill(fill func(pkt uint32, buf []byte), pkt uint32) {
 //
 // hotpath — the one sanctioned ingest copy per republished
 // frame: the upstream's bytes become pool-private before any reader can
-// alias the slot.
-//
-// bufown borrowed src — copied out inside the call, never retained.
+// alias the slot. src is copied out inside the call, never retained.
 func (pb *payloadBuf) fillFrom(src []byte) {
 	copy(pb.data, src)
 }
@@ -78,14 +79,15 @@ func (pb *payloadBuf) poisonIntact() bool {
 // state allocation-free with a capacity that stabilizes at the ring size
 // plus in-flight pins.
 //
-// Integrity counters make misuse observable: chaos asserts DoublePuts and
-// PoisonTrips stay zero across a full churn run.
+// Integrity counters make misuse observable: chaos asserts DoublePuts,
+// PoisonTrips and Aliases stay zero across a full churn run.
 type bufPool struct {
 	size   int
 	poison bool
 
-	mu   sync.Mutex
+	mu   lockrank.Mutex
 	free []*payloadBuf // guarded by mu
+	all  []*payloadBuf // guarded by mu; every buffer made, kept in poison mode for the alias scan
 
 	news        int64 // guarded by mu; fresh buffers allocated (pool misses)
 	gets        int64 // guarded by mu; acquisitions, freelist hits plus misses
@@ -95,7 +97,9 @@ type bufPool struct {
 }
 
 func newBufPool(size int, poison bool) *bufPool {
-	return &bufPool{size: size, poison: poison}
+	p := &bufPool{size: size, poison: poison}
+	p.mu.Init(lockrank.Pool)
+	return p
 }
 
 // get acquires a buffer with refs == 1 and exclusive ownership: either a
@@ -119,15 +123,18 @@ func (p *bufPool) get() *payloadBuf {
 	p.mu.Unlock()
 	pb := &payloadBuf{data: make([]byte, p.size)} // nolint:hotalloc pool miss: one make per buffer per hub lifetime, then recycled through the freelist
 	pb.refs.Store(1)
+	if p.poison {
+		p.mu.Lock()
+		p.all = append(p.all, pb) // nolint:hotalloc poison mode only: one entry per pool miss
+		p.mu.Unlock()
+	}
 	return pb
 }
 
 // put returns a buffer whose refcount reached zero to the freelist. A
 // buffer already on the freelist is counted as a double put and left
-// alone (the freelist must never hold the same entry twice).
-//
-// bufown sink — pool reclaim: the ring's lapped-slot reference and the
-// senders' released pins all die here; the bytes never leave the pool.
+// alone (the freelist must never hold the same entry twice). The ring's
+// lapped-slot reference and the senders' released pins all end here.
 func (p *bufPool) put(pb *payloadBuf) {
 	if pb == nil || len(pb.data) != p.size {
 		return // foreign or mis-sized buffer: drop it rather than corrupt the freelist
@@ -149,8 +156,8 @@ func (p *bufPool) put(pb *payloadBuf) {
 
 // PoolStats is a point-in-time integrity snapshot of the payload pool.
 // News − (the buffers currently live in ring slots and pinned batches)
-// should equal Free at quiescence; DoublePuts or PoisonTrips above zero
-// mean the refcount discipline was violated somewhere.
+// should equal Free at quiescence; DoublePuts, PoisonTrips or Aliases
+// above zero mean the refcount discipline was violated somewhere.
 type PoolStats struct {
 	News        int64 // fresh buffers allocated (pool misses)
 	Gets        int64 // acquisitions (freelist hits + misses)
@@ -158,6 +165,7 @@ type PoolStats struct {
 	Free        int   // buffers currently on the freelist
 	DoublePuts  int64 // > 0 ⇒ some buffer was released twice
 	PoisonTrips int64 // > 0 ⇒ some pooled buffer was written after release
+	Aliases     int64 // > 0 ⇒ a free batch, a subscriber or a parked path holds a slice into a pool buffer (PoisonPool hubs only)
 }
 
 func (p *bufPool) stats() PoolStats {

@@ -130,13 +130,15 @@ func (w *propWorld) settle() {
 
 // check compares maintained state with the reference scans. The strict
 // part runs with the governor lock and every shard lock held, so nothing —
-// a worker, a grace timer — moves underneath it.
+// a worker, a grace timer — moves underneath it. Hub code never holds two
+// shard locks at once, and a lockrank build refuses that nesting, so this
+// freeze takes the shard locks' unranked sync halves, in index order.
 func (w *propWorld) check(step string) {
 	w.t.Helper()
 	h := w.h
 	h.govMu.Lock()
 	for _, sd := range h.shards {
-		sd.mu.Lock()
+		sd.mu.Mutex.Lock()
 	}
 	head := h.ring.headSeq()
 	tail := max(head-h.ring.size(), 0)
@@ -206,7 +208,7 @@ func (w *propWorld) check(step string) {
 		}
 	}
 	for i := len(h.shards) - 1; i >= 0; i-- {
-		h.shards[i].mu.Unlock()
+		h.shards[i].mu.Mutex.Unlock()
 	}
 	// The hub-wide figures: accountLocked between two scans. A worker or a
 	// grace timer may move something in between, and when the scans agree
@@ -432,7 +434,7 @@ func TestMaintainedStateMatchesScan(t *testing.T) {
 					c.Close()
 				}
 			}
-			if ps := h.PoolCheck(); ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
+			if ps := h.PoolCheck(); ps.DoublePuts != 0 || ps.PoisonTrips != 0 || ps.Aliases != 0 {
 				t.Fatalf("pool integrity violated: %+v", ps)
 			}
 		})

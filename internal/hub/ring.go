@@ -1,9 +1,10 @@
 package hub
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"dmpstream/internal/lockrank"
 )
 
 // slot is one generated packet in the shared ring.
@@ -24,7 +25,7 @@ type slot struct {
 	// the buffer keeps valid bytes until its own release. Any reference
 	// that leaves the ring's lock scope without a pin is a borrow with
 	// frame-scoped lifetime.
-	payload *payloadBuf // bufown owned — slot buffer, recycled through the pool when the head laps
+	payload *payloadBuf // slot buffer, recycled through the pool when the head laps
 }
 
 // ring is the shared packet store every shard fans out from: a fixed
@@ -45,7 +46,7 @@ type ring struct {
 	n    int64 // capacity in packets; immutable after newRing
 	pool *bufPool
 
-	mu    sync.RWMutex
+	mu    lockrank.RWMutex
 	slots []slot // guarded by mu
 	head  int64  // guarded by mu; absolute sequence of the next packet to publish
 
@@ -58,6 +59,7 @@ type ring struct {
 // reader yet, so the slot init needs no lock
 func newRing(n int, pool *bufPool) *ring {
 	r := &ring{n: int64(n), pool: pool, slots: make([]slot, n)}
+	r.mu.Init(lockrank.Ring)
 	for i := range r.slots {
 		r.slots[i].seq = -1 // no slot is valid before its first publish
 	}
@@ -77,10 +79,9 @@ func (r *ring) headSeq() int64 { return r.headA.Load() }
 // is taken — it is private until the swap below, and only the generator
 // advances the head, so the exclusive critical section shrinks to a
 // pointer swap. The lapped occupant's ring reference is dropped after
-// the swap; if no sender still pins it, it returns to the pool here.
-//
-// bufown sink — slot ingest: fill writes the payload in place while the
-// buffer is still private, before any reader can alias the slot.
+// the swap; if no sender still pins it, it returns to the pool here. fill
+// writes the payload in place while the buffer is still private, before
+// any reader can alias the slot.
 func (r *ring) publish(fill func(pkt uint32, buf []byte)) int64 {
 	pb := r.pool.get()
 	pb.fill(fill, uint32(r.headA.Load()))
@@ -108,10 +109,9 @@ func (r *ring) publish(fill func(pkt uint32, buf []byte)) int64 {
 // below head is a late duplicate and is refused (ok=false) rather than
 // backfilled. Skipped positions between the old head and seq keep their
 // stale occupants; the seq-validity check in pin/pinBatch makes
-// those gaps read as drops, never as another packet's bytes.
-//
-// bufown sink — slot ingest: the borrowed payload is copied into a pool
-// buffer that is still private, before any reader can alias the slot.
+// those gaps read as drops, never as another packet's bytes. payload is
+// copied into a pool buffer that is still private, before any reader can
+// alias the slot.
 func (r *ring) publishAt(seq, gen int64, payload []byte) (head int64, ok bool) {
 	pb := r.pool.get()
 	pb.fillFrom(payload)

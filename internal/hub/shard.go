@@ -5,10 +5,10 @@ import (
 	"net"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"dmpstream/internal/core"
+	"dmpstream/internal/lockrank"
 )
 
 // subscriber is one multipath subscription: a cursor into the ring plus the
@@ -206,7 +206,7 @@ func (p *path) lastWritten() []int64 {
 type shard struct {
 	h *Hub
 
-	mu    sync.Mutex
+	mu    lockrank.Mutex
 	subs  map[core.Token]*subscriber // guarded by mu
 	wakes int64                      // guarded by mu; generator wakes (the coalescing tests' counter hook)
 	// walked counts the subscribers wake's lag walk has visited, once per
@@ -254,6 +254,7 @@ const freeTrimWakes = 256
 // nolint:lockguard constructor — the shard has not been shared yet
 func newShard(h *Hub) *shard {
 	sd := &shard{h: h, subs: make(map[core.Token]*subscriber), kick: make(chan struct{}, 1)}
+	sd.mu.Init(lockrank.Shard)
 	sd.parked.init()
 	sd.woken.init()
 	sd.ready.init()
@@ -577,11 +578,9 @@ func (sd *shard) leaseLocked() *batch {
 }
 
 // returnLocked puts a leased batch back on the free list. Caller holds
-// sd.mu.
-//
-// bufown owned b — the lease ends at this call: the batch is the shard's
-// again and the next lessee overwrites every slot, so it must come back
-// holding no borrow (releaseBatch has dropped its pins and their aliases).
+// sd.mu. The lease ends here: the batch is the shard's again and the next
+// lessee overwrites every slot, so it must come back holding no pin and no
+// payload slice (releaseBatch has dropped both; the alias scan checks).
 func (sd *shard) returnLocked(b *batch) {
 	b.next = sd.free
 	sd.free = b

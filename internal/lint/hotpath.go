@@ -1,5 +1,5 @@
 // Hot-path discipline: the `// hotpath` annotation and the transitive
-// call-graph closure shared by the hotalloc and bufown analyzers.
+// call-graph closure the hotalloc analyzer polices.
 //
 // A function whose doc comment contains a line beginning with the word
 // `hotpath` declares itself a per-frame hot-path root: everything the
@@ -9,9 +9,8 @@
 //
 //	// hotpath — ring advance, runs once per generated frame.
 //
-// The discipline is transitive: PR 6's lockorder pass followed calls one
-// level deep; here the closure is computed to a fixed point with a
-// cycle guard, so the analyzers follow the real call graph — hub ring
+// The discipline is transitive: the closure is computed to a fixed point
+// with a cycle guard, so the analyzer follows the real call graph — hub ring
 // advance → shard wakeup → sender write loop → frame encode — without
 // requiring every link to be annotated. Only module-internal calls are
 // followed (bare identifiers, pkg-qualified functions via the file's
@@ -34,6 +33,34 @@ import (
 	"sort"
 	"strings"
 )
+
+// declFunc narrows a declaration to a function with a body.
+func declFunc(decl ast.Decl) (*ast.FuncDecl, bool) {
+	fd, ok := decl.(*ast.FuncDecl)
+	return fd, ok && fd.Body != nil
+}
+
+// summaryKey names a declaration the way call sites can resolve it:
+// "pkg.Type.method" for methods, "pkg.func" for plain functions. Generic
+// and unresolvable receivers yield "".
+func summaryKey(pkg *Package, fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return pkg.ImportPath + "." + fd.Name.Name
+	}
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	id, ok := t.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	return pkg.ImportPath + "." + id.Name + "." + fd.Name.Name
+}
+
+func trimModule(module, node string) string {
+	return strings.TrimPrefix(strings.TrimPrefix(node, module+"/"), module+".")
+}
 
 // hotFunc is one function in the module-wide declaration index.
 type hotFunc struct {

@@ -11,14 +11,9 @@
 //	            dependent results in the deterministic model packages
 //	lockguard   fields documented `guarded by <mu>` are only touched by
 //	            functions that lock that mutex first
-//	lockorder   the whole-program mutex acquisition graph stays acyclic
-//	            (lock-order deadlocks; `dmplint -lockgraph` dumps it)
 //	hotalloc    no heap allocation inside `// hotpath` functions or
 //	            their transitive callees (see hotpath.go; `dmplint
 //	            -hotpaths` dumps the closure)
-//	bufown      `// bufown borrowed` frame-payload slices are never
-//	            mutated, retained, or leaked past frame scope (see
-//	            bufown.go)
 //	exhaustenum switches over repo enum types cover every member or
 //	            carry a commented default
 //
@@ -26,9 +21,11 @@
 // goroutine leaks (the chaos harness's leak check), mixed atomic access
 // (`go vet` copylocks and the race detector), unchecked wire indexing
 // and byte order (the parsers' fuzz seed corpora), missing write
-// deadlines (the stall-timeout tests) and stray payload copies
-// (TestZeroCopyDeliveryAliasesRing in internal/hub). A dropped Close
-// error was a style rule and is not checked.
+// deadlines (the stall-timeout tests), stray payload copies
+// (TestZeroCopyDeliveryAliasesRing in internal/hub), lock-order
+// inversions (the internal/lockrank check, `go test -tags lockrank`) and
+// retained payload aliases (the alias scan of a PoisonPool hub's
+// PoolCheck). A dropped Close error was a style rule and is not checked.
 //
 // Any finding can be suppressed with an inline escape hatch:
 //
@@ -41,11 +38,14 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/build/constraint"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -100,7 +100,8 @@ type Analyzer struct {
 // Load walks the module rooted at root, parses every package, and returns
 // the packages plus the module path from go.mod. Directories named
 // testdata or vendor, and names starting with "." or "_", are skipped —
-// same convention as the go tool.
+// same convention as the go tool — and so are files whose //go:build line
+// leaves them out of the default build (the lockrank build's checker).
 func Load(root string) ([]*Package, string, error) {
 	modBytes, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -170,6 +171,9 @@ func loadDir(fset *token.FileSet, root, module, dir string) (*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
+		if !defaultBuild(af) {
+			continue
+		}
 		relName := name
 		if rel != "." {
 			relName = filepath.ToSlash(rel) + "/" + name
@@ -180,6 +184,31 @@ func loadDir(fset *token.FileSet, root, module, dir string) (*Package, error) {
 		return nil, nil
 	}
 	return pkg, nil
+}
+
+// defaultBuild reports whether af's //go:build line, if any, holds with
+// no tags beyond the host's default build context: GOOS, GOARCH, the
+// compiler and the release tags.
+func defaultBuild(af *ast.File) bool {
+	for _, cg := range af.Comments {
+		if cg.Pos() > af.Package {
+			break
+		}
+		for _, c := range cg.List {
+			if !constraint.IsGoBuild(c.Text) {
+				continue
+			}
+			expr, err := constraint.Parse(c.Text)
+			if err != nil {
+				return true
+			}
+			ctx := build.Default
+			return expr.Eval(func(tag string) bool {
+				return tag == ctx.GOOS || tag == ctx.GOARCH || tag == ctx.Compiler || slices.Contains(ctx.ReleaseTags, tag)
+			})
+		}
+	}
+	return true
 }
 
 // NewFile wraps a parsed AST as a lint File, deriving the import table.
@@ -290,7 +319,7 @@ func DefaultAnalyzers(module string) []*Analyzer {
 	det.Scope = pkgIn(module,
 		"internal/sim", "internal/tcpsim", "internal/netsim", "internal/dmpmodel",
 		"internal/markov", "internal/simstream", "internal/exps")
-	return []*Analyzer{det, Lockguard(), Lockorder(), Hotalloc(), Bufown(), Exhaustenum()}
+	return []*Analyzer{det, Lockguard(), Hotalloc(), Exhaustenum()}
 }
 
 func pkgIn(module string, rels ...string) func(*Package) bool {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -93,9 +94,7 @@ func checkFixture(t *testing.T, a *Analyzer, dir string) {
 
 func TestDetsimFixture(t *testing.T)      { checkFixture(t, Detsim(), "detsim") }
 func TestLockguardFixture(t *testing.T)   { checkFixture(t, Lockguard(), "lockguard") }
-func TestLockorderFixture(t *testing.T)   { checkFixture(t, Lockorder(), "lockorder") }
 func TestHotallocFixture(t *testing.T)    { checkFixture(t, Hotalloc(), "hotalloc") }
-func TestBufownFixture(t *testing.T)      { checkFixture(t, Bufown(), "bufown") }
 func TestExhaustenumFixture(t *testing.T) { checkFixture(t, Exhaustenum(), "exhaustenum") }
 
 // loadRepo parses the whole module and indexes it.
@@ -129,67 +128,12 @@ func TestRepoSelfClean(t *testing.T) {
 	for _, a := range analyzers {
 		names = append(names, a.Name)
 	}
-	want := "detsim lockguard lockorder hotalloc bufown exhaustenum"
+	want := "detsim lockguard hotalloc exhaustenum"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("default suite = %s, want %s", got, want)
 	}
 	for _, f := range Run(pkgs, idx, analyzers) {
 		t.Errorf("repo not lint-clean: %s", f)
-	}
-}
-
-// TestRepoLockGraphAcyclic pins the module's lock graph: no cycle
-// (LockGraphDot paints cycle edges red) and exactly the cross-mutex edges
-// DESIGN.md §7's hierarchy documents. A new edge or a vanished one fails
-// here, so the doc's list is updated in the same diff.
-func TestRepoLockGraphAcyclic(t *testing.T) {
-	_, idx := loadRepo(t)
-	dot := LockGraphDot(idx)
-	if !strings.HasPrefix(dot, "digraph lockorder {") {
-		t.Fatalf("unexpected dot prologue:\n%s", dot)
-	}
-	if strings.Contains(dot, "color=red") {
-		t.Errorf("lock graph has a cycle:\n%s", dot)
-	}
-	var got []string
-	for _, line := range strings.Split(dot, "\n") {
-		if from, rest, ok := strings.Cut(strings.TrimSpace(line), " -> "); ok {
-			to, _, _ := strings.Cut(rest, " [")
-			got = append(got, strings.Trim(from, `"`)+" -> "+strings.Trim(to, `"`))
-		}
-	}
-	want := []string{
-		"internal/core.Session.mu -> internal/core.Server.mu",
-		"internal/hub.Hub.govMu -> internal/hub.ring.mu",
-		"internal/hub.Hub.govMu -> internal/hub.shard.mu",
-		"internal/hub.Hub.mu -> internal/hub.shard.mu",
-		"internal/hub.ring.mu -> internal/hub.bufPool.mu",
-		"internal/registry.Registry.mu -> internal/hub.shard.mu",
-	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("lock graph edges:\n%s\nwant (DESIGN.md §7):\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-}
-
-// TestLockGraphDotFixture checks the dot rendering over the lockorder
-// fixture: cycle edges red, clean hierarchy edges plain, deterministic
-// output.
-func TestLockGraphDotFixture(t *testing.T) {
-	pkg, _ := loadFixture(t, "lockorder")
-	idx := BuildIndex("fixture", []*Package{pkg})
-	dot := LockGraphDot(idx)
-	for _, want := range []string{
-		`"A.mu" -> "B.mu" [label="Lock->Lock\ncycle.go (ab)", color=red, fontcolor=red];`,
-		`"B.mu" -> "A.mu" [label="Lock->Lock\ncycle.go (ba)", color=red, fontcolor=red];`,
-		`"C.mu" -> "D.mu" [label="Lock->Lock\nhierarchy.go (cd)"];`,
-		`"tableMu" -> "C.mu" [label="Lock->Lock\nhierarchy.go (load)"];`,
-	} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("dot output missing %q:\n%s", want, dot)
-		}
-	}
-	if dot != LockGraphDot(idx) {
-		t.Error("LockGraphDot is not deterministic")
 	}
 }
 
@@ -252,5 +196,28 @@ func unrelatedSuppression() {
 	}
 	if got[0].Pos.Line != 22 {
 		t.Fatalf("finding at line %d, want 22 (unrelatedSuppression)", got[0].Pos.Line)
+	}
+}
+
+// TestDefaultBuildConstraint pins which files Load keeps: those a plain
+// `go build` compiles. A file that needs a tag (the lockrank checker)
+// would otherwise pull its Lock into the hot-path closure.
+func TestDefaultBuildConstraint(t *testing.T) {
+	for src, want := range map[string]bool{
+		"package p\n":                                             true,
+		"//go:build lockrank\n\npackage p\n":                      false,
+		"//go:build !lockrank\n\npackage p\n":                     true,
+		"//go:build !race && !lockrank\n\npackage p\n":            true,
+		"//go:build go1.1 && " + runtime.GOOS + "\n\npackage p\n": true,
+		"// Doc.\n//\n//go:build ignore\n\npackage p\n":           false,
+		"package p\n\n//go:build lockrank\n":                      true, // not a constraint after the package clause
+	} {
+		af, err := parser.ParseFile(token.NewFileSet(), "p.go", src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := defaultBuild(af); got != want {
+			t.Errorf("defaultBuild(%q) = %v, want %v", src, got, want)
+		}
 	}
 }

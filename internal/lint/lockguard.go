@@ -52,7 +52,7 @@ func runLockguard(pkg *Package, idx *Index) []Finding {
 			return
 		}
 		e := funcEnv(idx, pkg, file, fd)
-		scopes := collectLockScopes(e, fd)
+		scopes := collectLockScopes(fd)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {

@@ -1,5 +1,4 @@
-// Lexical lock-state tracking shared by the lockguard and lockorder
-// analyzers.
+// Lexical lock-state tracking for the lockguard analyzer.
 //
 // A lock scope is one function declaration body or one function literal
 // inside it — literals get their own scope because they typically escape
@@ -22,11 +21,11 @@
 //   - Lock/Unlock and RLock/RUnlock pair independently, so read-side and
 //     write-side holds are distinguished.
 //
-// The model is lexical, not a CFG: loops, gotos and aliasing are
-// approximated. Both consumers bias the imprecision toward false
-// negatives (lockguard: an uncovered access stays quiet only when a
-// covering interval exists; lockorder: an edge needs a positive covering
-// interval).
+// Mutexes are told apart by the final element of the locked expression
+// ("mu" in sd.mu.Lock()), whatever their type, so a sync.Mutex and a
+// lockrank.Mutex read the same. The model is lexical, not a CFG: loops,
+// gotos and aliasing are approximated, biased toward false negatives (an
+// access stays quiet whenever a covering interval exists).
 package lint
 
 import (
@@ -41,7 +40,6 @@ import (
 type lockEvent struct {
 	pos      token.Pos
 	name     string // final path element of the mutex expression ("mu")
-	node     string // global mutex identity "pkg.Type.field" / "pkg.var"; "" unresolved
 	read     bool   // RLock / RUnlock
 	acquire  bool   // Lock / RLock
 	deferred bool   // inside a defer statement
@@ -66,7 +64,6 @@ type lockScope struct {
 	events []lockEvent
 
 	byName map[string][]muInterval // keyed by mutex field/ident name
-	byNode map[string][]muInterval // keyed by resolved global identity
 }
 
 // contains reports whether the scope's body lexically contains pos.
@@ -87,12 +84,12 @@ func (sc *lockScope) heldByName(name string, pos token.Pos) bool {
 
 // collectLockScopes builds the lock scopes of fd: one for the declaration
 // body plus one per function literal, at any nesting depth.
-func collectLockScopes(e *env, fd *ast.FuncDecl) []*lockScope {
+func collectLockScopes(fd *ast.FuncDecl) []*lockScope {
 	var out []*lockScope
 	var build func(name string, body *ast.BlockStmt)
 	build = func(name string, body *ast.BlockStmt) {
 		sc := &lockScope{fnName: name, body: body}
-		collectLockEvents(e, sc, body)
+		collectLockEvents(sc, body)
 		sc.finish()
 		out = append(out, sc)
 		// Nested literals become their own scopes.
@@ -134,7 +131,7 @@ func innermostScope(scopes []*lockScope, pos token.Pos) *lockScope {
 // collectLockEvents walks body's statements in lexical order, recording
 // mutex calls with their defer/terminal context. Function literals are
 // not descended into — they form separate scopes.
-func collectLockEvents(e *env, sc *lockScope, body *ast.BlockStmt) {
+func collectLockEvents(sc *lockScope, body *ast.BlockStmt) {
 	var walkStmts func(list []ast.Stmt, outermost bool, clip token.Pos)
 	var walkStmt func(s ast.Stmt, terminal bool, clip token.Pos)
 
@@ -152,10 +149,10 @@ func collectLockEvents(e *env, sc *lockScope, body *ast.BlockStmt) {
 		switch s := s.(type) {
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok {
-				sc.lockCall(e, call, false, terminal, clip)
+				sc.lockCall(call, false, terminal, clip)
 			}
 		case *ast.DeferStmt:
-			sc.lockCall(e, s.Call, true, terminal, clip)
+			sc.lockCall(s.Call, true, terminal, clip)
 		case *ast.BlockStmt:
 			walkStmts(s.List, false, clip)
 		case *ast.LabeledStmt:
@@ -237,7 +234,7 @@ func isPanicCall(call *ast.CallExpr) bool {
 }
 
 // lockCall records call as a lock event if it is a mutex operation.
-func (sc *lockScope) lockCall(e *env, call *ast.CallExpr, deferred, terminal bool, clip token.Pos) {
+func (sc *lockScope) lockCall(call *ast.CallExpr, deferred, terminal bool, clip token.Pos) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -266,7 +263,6 @@ func (sc *lockScope) lockCall(e *env, call *ast.CallExpr, deferred, terminal boo
 	sc.events = append(sc.events, lockEvent{
 		pos:      call.Pos(),
 		name:     name,
-		node:     resolveMutexNode(e, sel.X),
 		read:     read,
 		acquire:  acquire,
 		deferred: deferred,
@@ -275,44 +271,14 @@ func (sc *lockScope) lockCall(e *env, call *ast.CallExpr, deferred, terminal boo
 	})
 }
 
-// resolveMutexNode derives a module-global mutex identity from the
-// expression x in x.Lock(): "pkg.Type.field" for a struct field whose
-// declared type is sync.Mutex/RWMutex, "pkg.var" for a package-level
-// mutex var. Locals, parameters of mutex type and unresolvable chains
-// yield "" (they cannot participate in a cross-function order anyway).
-func resolveMutexNode(e *env, x ast.Expr) string {
-	switch x := x.(type) {
-	case *ast.SelectorExpr:
-		base := e.typeOf(x.X)
-		if base == nil || base.Path == "" {
-			return ""
-		}
-		ft := e.idx.structs[base.Path][base.Name][x.Sel.Name]
-		if !isMutexType(ft) {
-			return ""
-		}
-		return base.Path + "." + base.Name + "." + x.Sel.Name
-	case *ast.Ident:
-		if t := e.idx.pkgVars[e.pkg.ImportPath][x.Name]; isMutexType(t) {
-			return e.pkg.ImportPath + "." + x.Name
-		}
-	}
-	return ""
-}
-
-func isMutexType(t *TypeRef) bool {
-	return t != nil && (t.Is("sync", "Mutex") || t.Is("sync", "RWMutex"))
-}
-
 // finish pairs the recorded events into held intervals.
 func (sc *lockScope) finish() {
 	sort.Slice(sc.events, func(i, j int) bool { return sc.events[i].pos < sc.events[j].pos })
 	end := sc.body.End()
-	sc.byName = buildIntervals(sc.events, end, func(ev lockEvent) string { return ev.name })
-	sc.byNode = buildIntervals(sc.events, end, func(ev lockEvent) string { return ev.node })
+	sc.byName = buildIntervals(sc.events, end)
 }
 
-func buildIntervals(events []lockEvent, end token.Pos, key func(lockEvent) string) map[string][]muInterval {
+func buildIntervals(events []lockEvent, end token.Pos) map[string][]muInterval {
 	type open struct {
 		pos  token.Pos
 		read bool
@@ -327,10 +293,7 @@ func buildIntervals(events []lockEvent, end token.Pos, key func(lockEvent) strin
 		return ivEnd
 	}
 	for _, ev := range events {
-		k := key(ev)
-		if k == "" {
-			continue
-		}
+		k := ev.name
 		if ev.acquire {
 			opens[k] = append(opens[k], open{ev.pos, ev.read, ev.clip})
 			continue

@@ -1,7 +1,11 @@
 // Fixture for the lockguard analyzer.
 package fixture
 
-import "sync"
+import (
+	"sync"
+
+	"dmpstream/internal/lockrank"
+)
 
 type Box struct {
 	mu sync.Mutex
@@ -109,4 +113,21 @@ func (r *RBox) ReadPath() int {
 	v := r.v // ok: read-held
 	r.mu.RUnlock()
 	return v + r.v // want "guarded by mu"
+}
+
+// Ranked is a lockrank-style mutex: lockguard tells mutexes apart by
+// field name, not type, so a ranked lock guards its fields the same way.
+type Ranked struct {
+	mu lockrank.Mutex
+	n  int // guarded by mu
+}
+
+func (r *Ranked) Good() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}
+
+func (r *Ranked) Bad() int {
+	return r.n // want "guarded by mu"
 }

@@ -28,11 +28,6 @@ type TypeRef struct {
 	Elem  *TypeRef
 }
 
-// Is reports whether t names path.name, ignoring pointerness.
-func (t *TypeRef) Is(path, name string) bool {
-	return t != nil && !t.Slice && !t.Array && !t.Map && t.Path == path && t.Name == name
-}
-
 // resolveType derives a TypeRef from a type expression appearing in file
 // (whose import table gives package names meaning). pkgPath qualifies
 // bare identifiers that name package-local types.
@@ -83,25 +78,13 @@ type Index struct {
 	structs       map[string]map[string]map[string]*TypeRef // pkg → struct → field → type
 	funcResults   map[string]map[string][]*TypeRef          // pkg → func → results
 	methodResults map[string]map[string]map[string][]*TypeRef
-	pkgVars       map[string]map[string]*TypeRef // pkg → package-level var → type
 
-	// pkgs is every loaded package; the whole-program lock-order graph
-	// (lockorder.go) is built over all of them regardless of which
-	// packages an analyzer is invoked on.
-	pkgs     []*Package
-	concOnce sync.Once
-	concIdx  *concIndex
-
-	// The hot-path closure (hotpath.go) is likewise computed once and
-	// shared by hotalloc and bufown.
+	// pkgs is every loaded package; the hot-path closure (hotpath.go)
+	// follows calls across all of them regardless of which packages an
+	// analyzer is invoked on. It is computed once, for hotalloc.
+	pkgs    []*Package
 	hotOnce sync.Once
 	hotIdx  *hotIndex
-
-	// Buffer-ownership annotations (bufown.go): the module-wide table of
-	// `// bufown` marked params and fields, shared by the analyzer and
-	// BufGraph.
-	bufOnce sync.Once
-	bufIdx  *bufIndex
 
 	// Enum member table (exhaustenum.go): module named integer types with
 	// two or more typed constants.
@@ -116,7 +99,6 @@ func BuildIndex(module string, pkgs []*Package) *Index {
 		structs:       map[string]map[string]map[string]*TypeRef{},
 		funcResults:   map[string]map[string][]*TypeRef{},
 		methodResults: map[string]map[string]map[string][]*TypeRef{},
-		pkgVars:       map[string]map[string]*TypeRef{},
 		pkgs:          pkgs,
 	}
 	for _, pkg := range pkgs {
@@ -124,22 +106,6 @@ func BuildIndex(module string, pkgs []*Package) *Index {
 			for _, decl := range file.AST.Decls {
 				switch d := decl.(type) {
 				case *ast.GenDecl:
-					if d.Tok == token.VAR {
-						for _, spec := range d.Specs {
-							vs, ok := spec.(*ast.ValueSpec)
-							if !ok || vs.Type == nil {
-								continue
-							}
-							t := resolveType(file, pkg.ImportPath, vs.Type)
-							for _, name := range vs.Names {
-								if idx.pkgVars[pkg.ImportPath] == nil {
-									idx.pkgVars[pkg.ImportPath] = map[string]*TypeRef{}
-								}
-								idx.pkgVars[pkg.ImportPath][name.Name] = t
-							}
-						}
-						continue
-					}
 					if d.Tok != token.TYPE {
 						continue
 					}

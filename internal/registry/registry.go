@@ -39,6 +39,7 @@ import (
 
 	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
+	"dmpstream/internal/lockrank"
 )
 
 // Sentinel errors for stream lifecycle misuse.
@@ -113,7 +114,7 @@ type Registry struct {
 
 	closed atomic.Bool // stored under mu, read lock-free
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex
 	streams  map[string]*hub.Hub // guarded by mu; live, join-routable
 	ended    map[string]struct{} // guarded by mu; tombstones of ended ids
 	retired  []*hub.Hub          // guarded by mu; ended hubs not yet force-closed
@@ -140,6 +141,7 @@ func New(cfg Config) (*Registry, error) {
 		streams: make(map[string]*hub.Hub),
 		ended:   make(map[string]struct{}),
 	}
+	r.mu.Init(lockrank.Registry)
 	r.acc = hub.NewAcceptor(cfg.JoinTimeout, cfg.HandshakeLimit, ErrClosed, nil, r.Route)
 	return r, nil
 }

@@ -3,10 +3,10 @@ package relay
 import (
 	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"dmpstream/internal/core"
+	"dmpstream/internal/lockrank"
 )
 
 // syncDepth is the fallback commit: with this many packets parked the
@@ -20,7 +20,7 @@ const syncDepth = 8
 // buffer until the sequences before it arrive (or are given up on).
 type heldFrame struct {
 	gen     int64
-	payload []byte // bufown owned — private copy taken at ingest
+	payload []byte // private copy taken at ingest
 }
 
 // forwarder is the relay's upstream sink: core.Client's redial engine
@@ -38,7 +38,7 @@ type forwarder struct {
 	*core.PathReader // Conns, Expected and the path reading under the core.Sink half (Run, Done)
 	r                *Relay
 
-	mu        sync.Mutex
+	mu        lockrank.Mutex
 	next      int64               // guarded by mu; next sequence to publish; -1 until synced
 	heard     []bool              // guarded by mu; per upstream path: delivered a packet before the commit
 	unheard   int                 // guarded by mu; count of false entries in heard
@@ -60,6 +60,7 @@ func newForwarder(r *Relay, grace time.Duration) *forwarder {
 		unheard: r.cfg.Paths,
 		pending: make(map[int64]heldFrame),
 	}
+	f.mu.Init(lockrank.Forwarder)
 	f.PathReader = core.NewPathReader(grace, r.onHeader, f.ingest)
 	return f
 }
@@ -87,7 +88,7 @@ func (f *forwarder) Done() <-chan struct{} { return f.r.stopCh }
 // it ran ahead. Holding the forwarder lock across the publish is what
 // makes "strictly ascending, exactly once" true under concurrent paths —
 // and it pins the relay tier's lock-order edge: forwarder.mu ≺
-// hub.Hub.govMu (see the lockorder fixture).
+// hub.Hub.govMu (lockrank.Forwarder ≺ lockrank.Governor).
 //
 // Until the first commit every packet parks, and the forwarder commits to
 // the smallest parked sequence as soon as each of the relay's paths has
@@ -100,9 +101,9 @@ func (f *forwarder) Done() <-chan struct{} { return f.r.stopCh }
 // A path that never connects would stall the rule, so syncDepth parked
 // packets commit regardless.
 //
-// bufown borrowed payload — either copied into a private heldFrame buffer
-// or lent onward to Hub.PublishAt (which copies before returning); never
-// retained past the call.
+// payload is either copied into a private heldFrame buffer or lent onward
+// to Hub.PublishAt (which copies before returning); never retained past
+// the call.
 func (f *forwarder) ingest(path int, pkt uint32, gen int64, payload []byte) {
 	seq := int64(pkt)
 	f.mu.Lock()
@@ -147,9 +148,6 @@ func (f *forwarder) ingest(path int, pkt uint32, gen int64, payload []byte) {
 
 // holdLocked parks a private copy of one out-of-order payload. Caller
 // holds f.mu.
-//
-// bufown borrowed payload — copied into a fresh heldFrame buffer before
-// the call returns.
 func (f *forwarder) holdLocked(seq, gen int64, payload []byte) {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
@@ -202,10 +200,8 @@ func (f *forwarder) skipLocked() {
 }
 
 // publishLocked hands one in-order packet to the local hub ring. Caller
-// holds f.mu.
-//
-// bufown borrowed payload — lent onward to Hub.PublishAt, which copies it
-// into a pool buffer before returning.
+// holds f.mu. PublishAt copies payload into a pool buffer before
+// returning.
 func (f *forwarder) publishLocked(seq, gen int64, payload []byte) {
 	if h := f.r.local.Load(); h != nil && h.PublishAt(seq, gen, payload) {
 		f.forwarded++

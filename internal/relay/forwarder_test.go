@@ -8,6 +8,7 @@ import (
 
 	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
+	"dmpstream/internal/lockrank"
 )
 
 // testRelay is a Relay with only what the forwarder and the shutdown paths
@@ -16,13 +17,15 @@ func testRelay(cfg Config) *Relay {
 	if cfg.ReorderWindow == 0 {
 		cfg.ReorderWindow = DefaultReorderWindow
 	}
-	return &Relay{
+	r := &Relay{
 		cfg:          cfg,
 		readyCh:      make(chan struct{}),
 		failCh:       make(chan struct{}),
 		stopCh:       make(chan struct{}),
 		upstreamDone: make(chan struct{}),
 	}
+	r.mu.Init(lockrank.Relay)
+	return r
 }
 
 // newTestForwarder is the forwarder of a relay with paths upstream paths,

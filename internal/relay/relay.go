@@ -56,6 +56,7 @@ import (
 
 	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
+	"dmpstream/internal/lockrank"
 )
 
 // DefaultOrphanGrace is how long the relay tolerates having zero live
@@ -219,7 +220,7 @@ type Relay struct {
 	// readyCh is closed.
 	local atomic.Pointer[hub.Hub]
 
-	mu          sync.Mutex
+	mu          lockrank.Mutex
 	up          []bool // guarded by mu; per-path liveness (header-delivering conns)
 	live        int    // guarded by mu; count of true entries in up
 	cand        []int  // guarded by mu; per-path current candidate index
@@ -264,6 +265,7 @@ func New(cfg Config) (*Relay, error) {
 		up:           make([]bool, cfg.Paths),
 		cand:         cand,
 	}
+	r.mu.Init(lockrank.Relay)
 	r.fwd = newForwarder(r, core.DefaultEndGrace)
 	r.client = &core.Client{
 		Paths:      cfg.Paths,

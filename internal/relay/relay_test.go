@@ -172,7 +172,7 @@ func TestRelayTwoTier(t *testing.T) {
 	if !st.Ended || st.Expected != count {
 		t.Fatalf("relay end marker: ended=%v expected=%d, want true, %d", st.Ended, st.Expected, count)
 	}
-	if ps := st.Hub.Pool; ps.DoublePuts != 0 || ps.PoisonTrips != 0 {
+	if ps := st.Hub.Pool; ps.DoublePuts != 0 || ps.PoisonTrips != 0 || ps.Aliases != 0 {
 		t.Fatalf("relay hub pool integrity: %+v", ps)
 	}
 }
