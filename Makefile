@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lockrank hotpaths fuzz soak bench-smoke bench-tick bench-receiver sim-tables
+.PHONY: all build test race lint lockrank hotpaths fuzz soak bench-smoke bench-tick bench-receiver bench-deliver sim-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -91,6 +91,15 @@ bench-tick:
 REPLAYS ?= 5
 bench-receiver:
 	$(GO) test -run '^$$' -bench BenchmarkReceiverIngest -benchtime $(REPLAYS)x ./internal/core
+
+# bench-deliver times one hub worker delivery step by hand — lease and pin
+# (stepLocked), header patch and vectored write into a discarding conn
+# (writeBatch), unpin (releaseBatch) and hand-back (returnLocked) — for a
+# one-frame write at pace and a 32-frame catch-up. allocs/op must read 0;
+# ns/frame is the per-frame cost of the delivery stage.
+DELIVERTIME ?= 1s
+bench-deliver:
+	$(GO) test -run '^$$' -bench BenchmarkDeliverBatch -benchtime $(DELIVERTIME) ./internal/hub
 
 # sim-tables prints the quick, seed-1 tables of every packet-simulator
 # experiment with dmpbench's "# ... finished in" timing lines stripped, so

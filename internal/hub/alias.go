@@ -23,13 +23,15 @@ type span struct{ lo, hi uintptr }
 // scanStop are the types a scanned record points to but does not own:
 // the hub and its shards, the records walked on their own, and the
 // connection. Pointers to anything else, payload buffers included, are
-// followed, so a stale pin counts too.
+// followed, so a stale pin counts too. A batch's inline frame is skipped
+// as a field: the batch's slices reach it, and it must count once.
 var scanStop = map[reflect.Type]bool{
 	reflect.TypeFor[*Hub]():        true,
 	reflect.TypeFor[*shard]():      true,
 	reflect.TypeFor[*subscriber](): true,
 	reflect.TypeFor[*path]():       true,
 	reflect.TypeFor[*batch]():      true,
+	reflect.TypeFor[oneFrame]():    true,
 }
 
 // payloadAliases counts the slices held by a free batch, a subscriber or a
@@ -63,6 +65,9 @@ func (h *Hub) payloadAliases() int64 {
 func aliasesIn(v reflect.Value, spans []span) (n int64) {
 	switch v.Kind() {
 	case reflect.Struct:
+		if scanStop[v.Type()] {
+			return 0
+		}
 		for i := 0; i < v.NumField(); i++ {
 			n += aliasesIn(v.Field(i), spans)
 		}

@@ -29,14 +29,14 @@ import (
 
 // quietHub builds a hub whose generator publishes its single scheduled
 // packet and exits, leaving the ring free for the test to drive by hand.
-func quietHub(t *testing.T) *Hub {
+func quietHub(t *testing.T, lagWindow int) *Hub {
 	t.Helper()
 	h, err := New(Config{
 		Stream: core.Config{
 			Mu: 500, PayloadSize: 64, Count: 1,
 			Fill: func(pkt uint32, buf []byte) { buf[0] = byte(pkt) },
 		},
-		LagWindow: 8,
+		LagWindow: lagWindow,
 		Shards:    1,
 	})
 	if err != nil {
@@ -57,33 +57,81 @@ func quietHub(t *testing.T) *Hub {
 // zero allocations per frame once the pool, its freelist and the shard's
 // batch free list have warmed through one ring lap. The cycle crosses
 // the shard's free-list trim (every freeTrimWakes wakes) on the way.
+//
+// The second case alternates, on one shard, a path at pace (one frame a
+// write) with one that catches up 32 frames at a time, handing each lease
+// back before the next wake as a worker does: the workspace the catch-up
+// grew serves both, and no trim hands it back to one frame while the
+// catch-ups keep coming, so after the first lap nothing allocates.
 func TestZeroCopyHotPathAllocFree(t *testing.T) {
-	h := quietHub(t)
-	sd := h.shards[0]
+	t.Run("one-frame", func(t *testing.T) {
+		h := quietHub(t, 8)
+		sd := h.shards[0]
 
-	var tok core.Token
-	sub := &subscriber{token: tok, shard: sd, window: h.cfg.LagWindow}
-	addSub(sd, sub)
+		var tok core.Token
+		sub := &subscriber{token: tok, shard: sd, window: h.cfg.LagWindow}
+		addSub(sd, sub)
 
-	var conn net.Conn = sinkConn{}
-	var b *batch
-	cycle := func() {
-		head := h.ring.publish(h.cfg.Stream.Fill)
-		sd.wake(head)
-		if b = popBatch(sd, sub, b); b == nil {
-			t.Fatal("no batch to lease in steady state")
+		var conn net.Conn = sinkConn{}
+		var b *batch
+		cycle := func() {
+			head := h.ring.publish(h.cfg.Stream.Fill)
+			sd.wake(head)
+			if b = popBatch(sd, sub, b); b == nil {
+				t.Fatal("no batch to lease in steady state")
+			}
+			if err := h.writeBatch(conn, sub, b); err != nil {
+				t.Fatal(err)
+			}
+			h.releaseBatch(b)
 		}
-		if err := h.writeBatch(conn, sub, b); err != nil {
-			t.Fatal(err)
+		for i := 0; i < h.cfg.LagWindow+1; i++ {
+			cycle()
 		}
-		h.releaseBatch(b)
-	}
-	for i := 0; i < h.cfg.LagWindow+1; i++ {
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(2*freeTrimWakes, cycle); allocs != 0 {
-		t.Errorf("zero-copy hot path allocates %.2f times per frame, want 0", allocs)
-	}
+		if allocs := testing.AllocsPerRun(2*freeTrimWakes, cycle); allocs != 0 {
+			t.Errorf("zero-copy hot path allocates %.2f times per frame, want 0", allocs)
+		}
+	})
+	t.Run("one-frame and catch-up", func(t *testing.T) {
+		h := quietHub(t, 2*writeBatchFrames)
+		sd := h.shards[0]
+		pace := &subscriber{token: core.Token{1}, shard: sd, window: h.cfg.LagWindow}
+		behind := &subscriber{token: core.Token{2}, shard: sd, window: h.cfg.LagWindow}
+		addSub(sd, pace)
+		addSub(sd, behind)
+
+		var conn net.Conn = sinkConn{}
+		deliver := func(sub *subscriber, frames int) {
+			b := popBatch(sd, sub, nil)
+			if b == nil {
+				t.Fatalf("nothing leased, want %d frames", frames)
+			}
+			if b.n != frames {
+				t.Fatalf("leased %d frames, want %d", b.n, frames)
+			}
+			if err := h.writeBatch(conn, sub, b); err != nil {
+				t.Fatal(err)
+			}
+			h.releaseBatch(b)
+			returnBatch(sd, b)
+		}
+		// Both start on the generator's one packet.
+		deliver(pace, 1)
+		deliver(behind, 1)
+		lap := func() {
+			for i := 0; i < writeBatchFrames; i++ {
+				sd.wake(h.ring.publish(h.cfg.Stream.Fill))
+				deliver(pace, 1)
+			}
+			deliver(behind, writeBatchFrames)
+		}
+		lap()
+		// Each lap is 64 frames; 2*freeTrimWakes wakes cross two trims.
+		if allocs := testing.AllocsPerRun(2*freeTrimWakes/writeBatchFrames, lap); allocs != 0 {
+			t.Errorf("alternating one-frame and %d-frame writes allocate %.2f times per lap of %d frames, want 0",
+				writeBatchFrames, allocs, 2*writeBatchFrames)
+		}
+	})
 }
 
 // TestParkedPathFootprint pins what an attached, caught-up path costs:

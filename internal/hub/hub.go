@@ -120,6 +120,11 @@ const maxTickBurst = 64
 // wake walk costs more than the contention it avoids.
 const MaxShards = 64
 
+// MaxLagWindow bounds Config.LagWindow. The ring's slots are allocated up
+// front, 24 B each: 1<<24 packets is 400 MB of slots before any payload,
+// and 18 hours of a 250 packets/s stream.
+const MaxLagWindow = 1 << 24
+
 // minShedWindow is the floor of the degradation ladder: the resource
 // governor never shrinks a subscriber's effective lag window below this
 // many packets — past that rung, the only relief left is eviction.
@@ -152,7 +157,7 @@ type Config struct {
 	StreamID string
 	// LagWindow is the ring size: the number of most recent packets a
 	// subscriber may lag behind the generator before Policy applies.
-	// Default 1024.
+	// Default 1024, at most MaxLagWindow.
 	LagWindow int
 	// Policy is the slow-subscriber policy (default DropOldest).
 	Policy Policy
@@ -216,6 +221,13 @@ type Config struct {
 	HandshakeLimit int
 }
 
+// Validate reports the error New would return for c, without building a
+// hub.
+func (c Config) Validate() error {
+	_, err := c.withDefaults()
+	return err
+}
+
 func (c Config) withDefaults() (Config, error) {
 	var err error
 	if c.Stream, err = c.Stream.Normalized(); err != nil {
@@ -232,6 +244,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.LagWindow < 0 {
 		return c, fmt.Errorf("hub: lag window %d < 0", c.LagWindow)
+	}
+	if c.LagWindow > MaxLagWindow {
+		return c, fmt.Errorf("hub: lag window %d > %d", c.LagWindow, MaxLagWindow)
 	}
 	if c.Policy != DropOldest && c.Policy != Evict {
 		return c, fmt.Errorf("hub: unknown policy %d", int(c.Policy))
@@ -298,7 +313,7 @@ var ErrStreamEnded = errors.New("hub: stream ended")
 type Hub struct {
 	cfg Config
 
-	// batchFrames is the capacity of a leased batch workspace:
+	// batchFrames caps the capacity a leased batch workspace grows to:
 	// writeBatchFrames, except in tests, which shrink it after New to force
 	// multi-write drains.
 	batchFrames int
@@ -624,16 +639,22 @@ func (h *Hub) governLocked(head int64) {
 	}
 }
 
-// batch is the workspace of one vectored write in flight: up to
-// batchFrames pinned shared payload buffers plus the per-subscriber patched
-// headers and the vectored write assembled over them. Batches belong to
-// the shard, not to a path: a worker leases one (popBatchLocked) once the
-// path it holds has frames to pin, keeps it across writeBatch and
-// releaseBatch, and hands it back under its next hold of the shard lock,
-// whatever became of the write. A parked path therefore holds none, and a
-// shard's stock follows its writes in flight rather than its attached
-// paths. All storage is allocated once per batch; the hot loop
-// only writes indexed slots, never appends.
+// batch is the workspace of one vectored write in flight: pinned shared
+// payload buffers plus the per-subscriber patched headers and the vectored
+// write assembled over them. Batches belong to the shard, not to a path: a
+// worker leases one (popBatchLocked) once the path it holds has frames to
+// pin, keeps it across writeBatch and releaseBatch, and hands it back under
+// its next hold of the shard lock, whatever became of the write. A parked
+// path therefore holds none, and a shard's stock follows its writes in
+// flight rather than its attached paths.
+//
+// A workspace holds as many frames as its writes have needed. It starts at
+// one, kept inline in the batch itself — at pace a fan-out write carries
+// one frame — and popBatchLocked grows the leased one, to the next power of
+// two up to batchFrames, only when its subscriber has more ready than it
+// holds. A trim hands a workspace that no write since the last trim filled
+// past half back to its inline frame (trimFreeLocked). In between the
+// storage is reused: the hot loop only writes indexed slots, never appends.
 type batch struct {
 	n    int           // filled entries
 	bufs []*payloadBuf // pinned shared payloads; len is the batch capacity
@@ -643,16 +664,42 @@ type batch struct {
 	wb   [][]byte      // 2 × capacity vectored-write slots: header, payload, ...
 	vec  net.Buffers   // reusable view of wb[:2n] — a field so WriteTo's pointer receiver never forces a per-call heap escape
 	next *batch        // guarded by mu (the shard's); free-list link, nil while leased
+	peak int           // guarded by mu; most frames one lease carried since the last trim
+	one  oneFrame      // the inline one-frame workspace the slices start on
 }
 
-func newBatch(size int) *batch {
-	return &batch{
-		bufs: make([]*payloadBuf, size),
-		seqs: make([]int64, size),
-		gens: make([]int64, size),
-		hdrs: make([]byte, size*core.FrameHeaderSize),
-		wb:   make([][]byte, 2*size),
-	}
+// oneFrame is a batch's inline storage for one frame. The alias scan
+// reaches it through the batch's slices only.
+type oneFrame struct {
+	bufs [1]*payloadBuf
+	seqs [1]int64
+	gens [1]int64
+	hdrs [core.FrameHeaderSize]byte
+	wb   [2][]byte
+}
+
+// newBatch returns a one-frame workspace: a single allocation.
+func newBatch() *batch {
+	b := new(batch)
+	b.shrink()
+	return b
+}
+
+// shrink points b's slices back at its inline frame, leaving any grown
+// storage to the collector. b must hold no pins.
+func (b *batch) shrink() {
+	b.bufs, b.seqs, b.gens = b.one.bufs[:], b.one.seqs[:], b.one.gens[:]
+	b.hdrs, b.wb, b.vec = b.one.hdrs[:], b.one.wb[:], nil
+}
+
+// grow replaces b's storage with room for n frames. b must hold no pins.
+func (b *batch) grow(n int) {
+	b.bufs = make([]*payloadBuf, n)
+	b.seqs = make([]int64, n)
+	b.gens = make([]int64, n)
+	b.hdrs = make([]byte, n*core.FrameHeaderSize)
+	b.wb = make([][]byte, 2*n)
+	b.vec = nil
 }
 
 // BuffersWriter is implemented by connections that consume a vectored

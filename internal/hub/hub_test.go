@@ -438,6 +438,10 @@ func TestHubConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Stream: core.Config{Mu: 0}},
 		{Stream: core.Config{Mu: 10}, LagWindow: -1},
+		// The ring's slots are allocated up front: past the bound New
+		// refuses rather than dies in the ring's constructor.
+		{Stream: core.Config{Mu: 10}, LagWindow: MaxLagWindow + 1},
+		{Stream: core.Config{Mu: 10}, LagWindow: 1 << 40},
 		{Stream: core.Config{Mu: 10}, Policy: Policy(9)},
 		{Stream: core.Config{Mu: 10}, StreamID: "this-stream-id-is-far-too-long"},
 		{Stream: core.Config{Mu: 10}, PathWriteBuffer: -1},
@@ -452,6 +456,9 @@ func TestHubConfigValidation(t *testing.T) {
 			h.Close()
 			t.Errorf("config %d accepted", i)
 		}
+	}
+	if err := (Config{Stream: core.Config{Mu: 10}, LagWindow: MaxLagWindow}).Validate(); err != nil {
+		t.Errorf("lag window at the bound refused: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dmpstream/internal/core"
 )
@@ -524,4 +525,109 @@ func TestLeaseChurnRace(t *testing.T) {
 		t.Fatal("no frames delivered")
 	}
 	checkQuiesced(t, h, paths)
+}
+
+// batchBytes is what an idle batch keeps alive: the batch, its inline
+// frame included, plus the storage a lease grew it to, if any.
+func batchBytes(b *batch) uintptr {
+	n := unsafe.Sizeof(*b)
+	if &b.bufs[0] != &b.one.bufs[0] {
+		perFrame := unsafe.Sizeof(b.bufs[0]) + unsafe.Sizeof(b.seqs[0]) + unsafe.Sizeof(b.gens[0]) +
+			core.FrameHeaderSize + 2*unsafe.Sizeof(b.wb[0])
+		n += uintptr(len(b.bufs)) * perFrame
+	}
+	return n
+}
+
+// stockBytes sums batchBytes over the shard's idle stock.
+func stockBytes(t *testing.T, sd *shard) (batches int, bytes uintptr) {
+	t.Helper()
+	batches = stock(t, sd)
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	for b := sd.free; b != nil; b = b.next {
+		bytes += batchBytes(b)
+	}
+	return batches, bytes
+}
+
+// TestBatchStockFootprint pins what a shard's stock of batch workspaces
+// costs. Paths at pace lease one-frame workspaces, so the stock they leave
+// behind is one-frame workspaces: at most 256 B a batch, where a 32-slot
+// workspace for every lease cost 2 848 B. A path that is 32 frames behind
+// still drains them in one 32-frame vectored write, and the workspace it
+// grew goes back to one frame within a few trim intervals of traffic at
+// pace.
+func TestBatchStockFootprint(t *testing.T) {
+	const perBatchBudget = 256
+	t.Run("at pace", func(t *testing.T) {
+		const paths = 16
+		h := leaseHub(t, Config{})
+		sd := h.shards[0]
+		gate := make(chan struct{})
+		conns := make([]*leaseConn, paths)
+		for i := range conns {
+			conns[i] = newLeaseConn()
+			conns[i].gate = gate
+			attach(t, h, conns[i])
+		}
+		publish(t, h, 0, 1)
+		for _, c := range conns {
+			select {
+			case <-c.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a path never reached its write")
+			}
+		}
+		if n := stock(t, sd); n != 0 {
+			t.Fatalf("stock %d with every path mid-write, want 0", n)
+		}
+		close(gate)
+		waitFor(t, "leases back", func() bool { return stock(t, sd) == paths })
+		n, bytes := stockBytes(t, sd)
+		t.Logf("idle stock: %d batches, %d B each", n, bytes/uintptr(n))
+		if per := bytes / uintptr(n); per > perBatchBudget {
+			t.Errorf("an idle batch costs %d B after one-frame writes, budget %d B", per, perBatchBudget)
+		}
+		h.Stop()
+		h.Wait()
+		checkQuiesced(t, h, paths)
+	})
+	t.Run("catch-up", func(t *testing.T) {
+		const behind, atPace = writeBatchFrames, 3 * freeTrimWakes
+		h := leaseHub(t, Config{LagWindow: 2 * writeBatchFrames})
+		sd := h.shards[0]
+		publish(t, h, 0, behind)
+		conn := newLeaseConn()
+		// An absolute join starts at the ring tail: 32 frames behind.
+		if err := h.AttachJoined(conn, core.Join{StreamID: h.cfg.StreamID, Token: newToken(t), Flags: core.JoinFlagAbsolute}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the catch-up", func() bool { return conn.frames.Load() == behind && stock(t, sd) == 1 })
+		if st := h.Stats(); st.Writevs != 1 || st.FramesBatched != behind {
+			t.Fatalf("caught up in %d writes carrying %d frames, want one of %d", st.Writevs, st.FramesBatched, behind)
+		}
+		sd.mu.Lock()
+		grown := len(sd.free.bufs)
+		sd.mu.Unlock()
+		if grown != writeBatchFrames {
+			t.Fatalf("the catch-up's workspace holds %d frames, want %d", grown, writeBatchFrames)
+		}
+		// At pace: one packet a wake, each written before the next is
+		// published and the lease back in the stock, as a trim finds it.
+		for seq := int64(behind); seq < behind+atPace; seq++ {
+			publish(t, h, seq, seq+1)
+			waitFor(t, "delivery at pace", func() bool { return conn.frames.Load() == seq+1 && stock(t, sd) == 1 })
+		}
+		if st := h.Stats(); st.Writevs != 1+atPace || st.FramesBatched != behind+atPace {
+			t.Fatalf("%d writes carried %d frames, want %d carrying %d", st.Writevs, st.FramesBatched, 1+atPace, behind+atPace)
+		}
+		if n, bytes := stockBytes(t, sd); bytes/uintptr(n) > perBatchBudget {
+			t.Errorf("%d trim intervals at pace leave %d idle batches of %d B each, budget %d B",
+				atPace/freeTrimWakes, n, bytes/uintptr(n), perBatchBudget)
+		}
+		h.Stop()
+		h.Wait()
+		checkQuiesced(t, h, 1)
+	})
 }

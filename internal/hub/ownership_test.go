@@ -125,6 +125,8 @@ func TestPayloadAliasScan(t *testing.T) {
 	pb := h.ring.slots[0].payload
 	h.ring.mu.RUnlock()
 	p := &path{sub: sub}
+	one := newBatch() // a one-frame workspace, its slices over its inline frame
+	returnBatch(sd, one)
 	for _, tc := range []struct {
 		name       string
 		seed, undo func()
@@ -133,6 +135,8 @@ func TestPayloadAliasScan(t *testing.T) {
 			func() { b.wb[1] = pb.data[2:] }, func() { b.wb[1] = nil }},
 		{"free batch keeps a pin",
 			func() { b.bufs[0] = pb }, func() { b.bufs[0] = nil }},
+		{"free one-frame batch keeps a payload slice",
+			func() { one.wb[1] = pb.data }, func() { one.wb[1] = nil }},
 		{"subscriber keeps a payload as sequences",
 			func() { sub.resend = unsafe.Slice((*int64)(unsafe.Pointer(&pb.data[0])), 1) }, func() { sub.resend = nil }},
 		{"parked path's record spills over a payload",

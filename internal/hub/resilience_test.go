@@ -252,3 +252,51 @@ func TestFinishPathDropsClosedConn(t *testing.T) {
 		}
 	}
 }
+
+// TestGraceExpired runs the re-attach grace countdown's verdict directly,
+// with no timer: a countdown a newer death has superseded (stale gen) is a
+// no-op, a subscriber whose client re-attached survives its countdown, and
+// only a subscriber still without a path at its current countdown's end is
+// removed.
+func TestGraceExpired(t *testing.T) {
+	h := leaseHub(t, Config{})
+	sd := h.shards[0]
+	orphan := func() *subscriber {
+		sub := &subscriber{token: newToken(t), shard: sd, window: h.cfg.LagWindow}
+		addSub(sd, sub)
+		sd.mu.Lock()
+		sub.graceGen = 2 // a second death restarted the countdown
+		sd.mu.Unlock()
+		return sub
+	}
+
+	stale := orphan()
+	sd.graceExpired(stale, 1)
+	if !h.HasSubscriber(stale.token) {
+		t.Fatal("a superseded countdown removed the subscriber")
+	}
+
+	back := orphan()
+	conn := newLeaseConn()
+	if err := h.AttachJoined(conn, core.Join{StreamID: h.cfg.StreamID, Token: back.token}); err != nil {
+		t.Fatal(err)
+	}
+	sd.graceExpired(back, 2)
+	if !h.HasSubscriber(back.token) {
+		t.Fatal("a re-attached subscriber was removed when its countdown ran out")
+	}
+
+	sd.graceExpired(stale, 2)
+	if h.HasSubscriber(stale.token) {
+		t.Fatal("a subscriber with no path outlived its current countdown")
+	}
+	if n := h.SubscriberCount(); n != 1 {
+		t.Fatalf("%d subscribers registered, want the re-attached one", n)
+	}
+	sd.mu.Lock()
+	nsubs, orphans := sd.nsubs, len(sd.orphans)
+	sd.mu.Unlock()
+	if nsubs != 1 || orphans != 0 {
+		t.Fatalf("shard counts %d subscribers and %d orphans, want 1 and 0", nsubs, orphans)
+	}
+}

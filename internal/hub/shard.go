@@ -2,6 +2,7 @@ package hub
 
 import (
 	"fmt"
+	"math/bits"
 	"net"
 	"runtime"
 	"slices"
@@ -560,14 +561,14 @@ func (sd *shard) retire(p *path, recent []int64, err error) {
 }
 
 // leaseLocked takes a batch workspace off the shard's free list,
-// allocating one only when every batch the shard has is out on lease.
-// Caller holds sd.mu.
+// allocating a one-frame one only when every batch the shard has is out on
+// lease. Caller holds sd.mu.
 func (sd *shard) leaseLocked() *batch {
 	b := sd.free
 	if b == nil {
 		// Miss: more writes in flight than ever before on this shard (or
 		// since the last trim). The stock grows by one and keeps it.
-		return newBatch(sd.h.batchFrames)
+		return newBatch()
 	}
 	sd.free, b.next = b.next, nil
 	sd.nfree--
@@ -591,13 +592,23 @@ func (sd *shard) returnLocked(b *batch) {
 // interval since the last trim. A stall that backlogged every path at once
 // leaves one batch per path behind; halving returns that to the steady
 // stock within a few intervals without dropping a batch the next burst of
-// the same size would have to allocate again. Caller holds sd.mu.
+// the same size would have to allocate again. A kept batch that no lease
+// since the last trim filled past half goes back to its inline frame:
+// under LIFO reuse the workspace a catch-up grew would otherwise serve
+// one-frame writes at its grown size for as long as the shard streams.
+// Caller holds sd.mu.
 func (sd *shard) trimFreeLocked() {
 	for drop := sd.freeLow / 2; drop > 0; drop-- {
 		sd.free = sd.free.next // unlinked, the batch is the collector's
 		sd.nfree--
 	}
 	sd.freeLow = sd.nfree
+	for b := sd.free; b != nil; b = b.next {
+		if len(b.bufs) > 1 && 2*b.peak <= len(b.bufs) {
+			b.shrink()
+		}
+		b.peak = 0
+	}
 }
 
 // registerLocked adds sub to the shard and to its running totals, taking
@@ -842,10 +853,13 @@ func (sd *shard) evictLocked(sub *subscriber) {
 
 // popBatchLocked returns a leased batch filled with the subscriber's next
 // ready frames, after the lag policy has had its say: resend-queue packets
-// first, so retransmissions jump ahead of new content, then up to the batch
-// capacity of consecutive cursor packets — pinning each shared ring buffer
-// instead of copying it. One step therefore drains one vectored write's
-// worth of frames. A batch is leased only once there are frames to pin; nil
+// first, so retransmissions jump ahead of new content, then up to batchFrames
+// consecutive cursor packets — pinning each shared ring buffer instead of
+// copying it. One step therefore drains one vectored write's worth of
+// frames. The lease is grown first if the subscriber has more ready than it
+// holds, to the next power of two up to batchFrames, so a write carries the
+// frames it would from a full-size workspace while an at-pace one pins a
+// one-frame workspace. A batch is leased only once there are frames to pin; nil
 // means the subscriber has none (caught up, evicted by the lag policy, or
 // everything ready had already left the ring and is now counted as dropped)
 // and the caller holds no lease. The caller owns the pins in the returned
@@ -867,7 +881,11 @@ func (sd *shard) popBatchLocked(sub *subscriber) *batch {
 			return nil
 		}
 		b := sd.leaseLocked()
+		if ready := len(sub.resend) + int(max(head-sub.cur, 0)); ready > len(b.bufs) && len(b.bufs) < sd.h.batchFrames {
+			b.grow(min(1<<bits.Len(uint(ready-1)), sd.h.batchFrames)) // nolint:hotalloc a lease grows once per size its stock has not held since the last trim; at pace none does
+		}
 		sd.fillLocked(sub, b)
+		b.peak = max(b.peak, b.n)
 		if b.n > 0 {
 			return b
 		}
@@ -876,7 +894,7 @@ func (sd *shard) popBatchLocked(sub *subscriber) *batch {
 }
 
 // fillLocked pins the subscriber's ready frames into b: the resend queue
-// oldest first, then consecutive cursor packets, up to the batch capacity.
+// oldest first, then consecutive cursor packets, up to b's capacity.
 // Packets that left the ring are counted as drops. Caller holds sd.mu.
 func (sd *shard) fillLocked(sub *subscriber, b *batch) {
 	h := sd.h
@@ -982,13 +1000,7 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 				case <-h.stopCh: // stream over: no re-attach can succeed
 					t.Stop()
 				}
-				sd.mu.Lock()
-				// A re-attach (a path is back) or a newer death's timer
-				// (graceGen moved on) supersedes this countdown.
-				if len(sub.links) == 0 && sub.graceGen == gen {
-					sd.removeLocked(sub)
-				}
-				sd.mu.Unlock()
+				sd.graceExpired(sub, gen)
 			}()
 		default:
 			sd.removeLocked(sub)
@@ -1006,6 +1018,17 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	if govern {
 		h.governLocked(h.ring.headSeq())
 	}
+}
+
+// graceExpired ends the re-attach grace countdown gen of sub: the
+// subscriber is removed unless a re-attach (a path is back) or a newer
+// death's countdown (graceGen moved on) has superseded this one.
+func (sd *shard) graceExpired(sub *subscriber, gen int64) {
+	sd.mu.Lock()
+	if len(sub.links) == 0 && sub.graceGen == gen {
+		sd.removeLocked(sub)
+	}
+	sd.mu.Unlock()
 }
 
 // removeLocked deletes sub from the shard if it is still the one

@@ -196,7 +196,26 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ReorderWindow < 0 {
 		return c, fmt.Errorf("relay: reorder window %d < 0", c.ReorderWindow)
 	}
+	// The local hub is built at the first upstream header, which only sets
+	// its rate and payload size: a setting no hub takes fails here, not
+	// there.
+	if err := c.localHub(1, 1).Validate(); err != nil {
+		return c, fmt.Errorf("relay: local hub: %w", err)
+	}
 	return c, nil
+}
+
+// localHub is the configuration of the local hub for a feed of mu packets
+// per second carrying payload-byte packets.
+func (c Config) localHub(mu float64, payload int) hub.Config {
+	hc := c.Hub
+	hc.ExternalSource = true
+	hc.StreamID = c.StreamID
+	hc.Stream.Mu = mu
+	hc.Stream.PayloadSize = payload
+	hc.Stream.Count = 0
+	hc.Stream.Fill = nil
+	return hc
 }
 
 // Relay is a running edge relay: an upstream multipath subscription being
@@ -458,14 +477,7 @@ func (r *Relay) onHeader(mu float64, payload int) error {
 		r.mu.Unlock()
 		return fmt.Errorf("relay: stream already over")
 	}
-	hc := r.cfg.Hub
-	hc.ExternalSource = true
-	hc.StreamID = r.cfg.StreamID
-	hc.Stream.Mu = mu
-	hc.Stream.PayloadSize = payload
-	hc.Stream.Count = 0
-	hc.Stream.Fill = nil
-	h, err := hub.New(hc)
+	h, err := hub.New(r.cfg.localHub(mu, payload))
 	if err != nil {
 		// A hub that cannot be built from the upstream's own header will
 		// never build: give up rather than redial into the same wall.

@@ -505,6 +505,22 @@ func TestRelayDrainCascade(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsBadLocalHub: the local hub is built only once the
+// upstream header arrives, but it inherits the hub's bounds at New — a lag
+// window past hub.MaxLagWindow is refused before any dial.
+func TestConfigRejectsBadLocalHub(t *testing.T) {
+	for _, hc := range []hub.Config{
+		{LagWindow: hub.MaxLagWindow + 1},
+		{MaxConns: -1},
+	} {
+		r, err := New(Config{Upstreams: []string{"127.0.0.1:1"}, Paths: 1, Hub: hc})
+		if err == nil {
+			r.Close()
+			t.Errorf("local hub config %+v accepted", hc)
+		}
+	}
+}
+
 // TestConfigRejectsBadRedial: an upstream redial policy no schedule can
 // follow is a configuration error, even where a zero Base would have
 // replaced it with the default.
