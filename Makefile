@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lockrank hotpaths fuzz soak bench-smoke bench-tick bench-receiver bench-deliver sim-tables
+.PHONY: all build test race lint lockrank hotpaths fuzz soak bench-smoke bench-tick bench-receiver bench-deliver bench-fanout sim-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -100,6 +100,15 @@ bench-receiver:
 DELIVERTIME ?= 1s
 bench-deliver:
 	$(GO) test -run '^$$' -bench BenchmarkDeliverBatch -benchtime $(DELIVERTIME) ./internal/hub
+
+# bench-fanout times the wake → worker → write stage with the real shard
+# workers: one tick published to 64 and to 1024 parked paths on discarding
+# conns, waited on until every path has written it. tick-ns is publish to
+# the last write; starts/tick (worker goroutines started per tick) must
+# read 0 when no write blocks, and allocs/op 0.
+FANOUTTICKS ?= 2000
+bench-fanout:
+	$(GO) test -run '^$$' -bench BenchmarkTickFanout -benchtime $(FANOUTTICKS)x ./internal/hub
 
 # sim-tables prints the quick, seed-1 tables of every packet-simulator
 # experiment with dmpbench's "# ... finished in" timing lines stripped, so

@@ -230,6 +230,7 @@ func printStats(st dmpstream.RegistryStats) {
 		}
 		fmt.Printf("[%7.1fs] %s: generated %d, sent %d, dropped %d, evicted %d, resent %d, reattached %d, goodput %.1f pkts/s, %d subscriber(s)%s\n",
 			h.Elapsed.Seconds(), s.ID, h.Generated, h.Sent, h.Dropped, h.Evicted, h.Resent, h.Reattached, h.GoodputPkts, h.Subscribers, state)
+		fmt.Printf("  workers %d (busy %d), started %d\n", h.Workers, h.WorkersBusy, h.WorkerStarts)
 		if h.Rejected+h.Shed+h.BytesHeld > 0 {
 			fmt.Printf("  overload: rejected %d, shed %d, %d bytes held\n",
 				h.Rejected, h.Shed, h.BytesHeld)

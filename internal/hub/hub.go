@@ -30,13 +30,16 @@
 // list while it has nothing to send, woken or ready once it has, or held by
 // the one worker that is writing it (see shard). The workers are a small
 // self-sizing stock per shard — whoever queues a path signals the idle
-// worker or, with every worker out on a write, starts one; a worker that
-// finds nothing queued while another is idle exits — so goroutines, like the batch workspaces the workers lease from the shard's
-// free list for the span of one write, scale with writes in flight, not
-// with attached paths: a path parked on a caught-up subscriber holds its
-// subscription and its entry, whose record of recent writes is a run or
-// two kept inline until the path's writes fragment, nothing else, and a
-// subscriber blocked in Write holds exactly one worker.
+// worker or, with every worker out on a write, starts one; a worker leaving
+// on a write with paths still queued starts one only once the writes out
+// have stalled for a millisecond; a worker that finds nothing queued while
+// another is idle exits — so goroutines, like the batch workspaces the
+// workers lease from the shard's free list for the span of one write,
+// scale with writes blocked, not with attached paths: a path parked on a
+// caught-up subscriber holds its subscription and its entry, whose record
+// of recent writes is a run or two kept inline until the path's writes
+// fragment, nothing else, and a subscriber blocked in Write holds exactly
+// one worker.
 //
 // A subscriber that cannot keep up falls behind the ring. The hub then
 // applies the configured slow-subscriber policy — each tick to the
@@ -1118,6 +1121,9 @@ type Stats struct {
 	PathErrors    int64         // paths that ended in an error (left, stalled out, bad join)
 	Resent        int64         // packets retransmitted from dead paths' windows
 	Reattached    int64         // joins that revived a dead path within the grace
+	Workers       int           // shard worker goroutines alive
+	WorkersBusy   int           // of those, the ones out with a path: in a write or retiring it
+	WorkerStarts  int64         // shard workers started since the hub began
 	Draining      bool          // admission closed, live subscriptions finishing
 	Elapsed       time.Duration // since the hub started
 	GoodputPkts   float64       // aggregate delivered packets per second
@@ -1159,6 +1165,9 @@ func (h *Hub) Stats() Stats {
 	st.Subs = make([]SubscriberStats, 0, h.SubscriberCount())
 	for _, sd := range h.shards {
 		sd.mu.Lock()
+		st.Workers += sd.workers
+		st.WorkersBusy += sd.busy
+		st.WorkerStarts += sd.starts
 		// Read under the shard lock, the live edge is at or past every
 		// cursor of the shard.
 		head := h.ring.headSeq()

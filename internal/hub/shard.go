@@ -198,12 +198,15 @@ func (p *path) lastWritten() []int64 {
 // per path. A worker takes the oldest ready path — woken ones once ready is
 // empty — does its blocking write, and keeps it while it has more to send
 // or parks it again. The worker stock sizes itself on one invariant: while
-// a path is queued, some worker is not busy. Whoever queues a path signals
+// a path is queued, some worker is free, or the shard's writes have been
+// coming back within the last stallGrace. Whoever queues a path signals
 // the idle worker or, if every worker is out on a write, starts one; a
-// worker about to leave on a write does the same; and a worker that finds
-// nothing queued while another is already idle exits. Healthy sinks
-// therefore share a handful of workers, while each sink blocked in Write
-// holds exactly one — the write in flight that it is.
+// worker about to leave on a write with paths still queued signals the
+// idle worker too, but with every worker out it only arms the stall timer,
+// which starts one if no write has come back by the time it fires; and a
+// worker that finds nothing queued while another is already idle exits.
+// Healthy sinks therefore share a worker or two, while each sink blocked
+// in Write holds exactly one — the write in flight that it is.
 type shard struct {
 	h *Hub
 
@@ -234,7 +237,17 @@ type shard struct {
 	// kick wakes the idle worker. One token is enough: at most one worker
 	// idles, and a token sent while the idler was already waking only costs
 	// the next idler one empty pass over the lists.
-	kick chan struct{}
+	kick   chan struct{}
+	starts int64 // guarded by mu; workers ever started (Stats.WorkerStarts)
+
+	// The stall timer, armed by a worker leaving on a write while paths are
+	// queued and every worker is out (handOffLocked). It fires stallGrace
+	// later into stalled, which adds a worker only if none of the shard's
+	// writes has come back meanwhile.
+	stall      *time.Timer // guarded by mu; nil until first armed
+	stallArmed bool        // guarded by mu; stall is set to fire and nobody has disarmed it
+	stallAt    time.Time   // guarded by mu; when the armed firing is due
+	returned   bool        // guarded by mu; a write has come back since the timer was armed
 
 	// The shard's stock of idle batch workspaces, leased to workers for
 	// the span of one write (see batch). It grows on a miss,
@@ -245,6 +258,12 @@ type shard struct {
 	nfree   int    // guarded by mu; length of the free list
 	freeLow int    // guarded by mu; smallest nfree since the last trim — batches nothing needed
 }
+
+// stallGrace is how long queued paths wait for a write out on the shard
+// to come back before a worker is added for them. A write into a socket
+// with room in its send buffer returns in microseconds, so a write that
+// has not returned in a millisecond is blocked on its sink.
+const stallGrace = time.Millisecond
 
 // freeTrimWakes is how many generator wakes pass between trims of a
 // shard's batch free list: about a second of a 250 packets/s stream, long
@@ -370,15 +389,16 @@ func (sd *shard) readyAllLocked() {
 	sd.kickLocked(false)
 }
 
-// kickLocked keeps the worker invariant after a path may have been queued
-// (or as a worker leaves on a write): if paths are queued, some worker must
-// be on its way to them. Usually one is — running, or idle and
-// signalled here. Only when every worker is out with a path does the stock
-// grow by one, as the batch stock does on a lease miss; it shrinks again
-// as workers find nothing queued with another already idle. backlog says
-// paths were queued before the caller added its own — a whole tick went by
-// without the workers reaching them — and adds one worker as a hedge, while
-// fewer than GOMAXPROCS are free to run. Caller holds sd.mu.
+// kickLocked keeps the worker invariant after a path may have been queued:
+// if paths are queued, some worker must be on its way to them. Usually one
+// is — running, or idle and signalled here. Only when every worker is out
+// with a path does the stock grow by one, at once, as the batch stock does
+// on a lease miss; it shrinks again as workers find nothing queued with
+// another already idle. backlog says paths were queued before the caller
+// added its own — a whole tick went by without the workers reaching them —
+// and adds one worker as a hedge, while fewer than GOMAXPROCS are free to
+// run. A worker leaving on a write hands off through handOffLocked
+// instead, which waits for a stall before it adds one. Caller holds sd.mu.
 func (sd *shard) kickLocked(backlog bool) {
 	if !sd.queuedLocked() {
 		return
@@ -393,6 +413,72 @@ func (sd *shard) kickLocked(backlog bool) {
 	}
 }
 
+// handOffLocked is kickLocked for a worker about to leave on a write with
+// paths still queued: a free worker is left to take them (signalled if it
+// idles), and with every worker out the stall timer is armed instead of a
+// worker started — the writes out are most likely coming back within
+// microseconds, and the first to come back takes the next queued path.
+// Caller holds sd.mu.
+func (sd *shard) handOffLocked() {
+	if !sd.queuedLocked() {
+		return
+	}
+	if sd.workers > sd.busy {
+		if sd.idle {
+			sd.signalLocked()
+		}
+		return
+	}
+	if !sd.stallArmed {
+		sd.armStallLocked()
+	}
+}
+
+// armStallLocked sets the stall timer to fire stallGrace from now. Caller
+// holds sd.mu.
+func (sd *shard) armStallLocked() {
+	sd.stallArmed, sd.returned = true, false
+	sd.stallAt = time.Now().Add(stallGrace)
+	if sd.stall == nil {
+		sd.stall = time.AfterFunc(stallGrace, sd.stalled) // nolint:hotalloc once per shard lifetime; Reset re-arms it from then on
+		return
+	}
+	sd.stall.Reset(stallGrace)
+}
+
+// disarmStallLocked stops the stall timer: nothing is queued, or nothing
+// is left on the shard that could be. Caller holds sd.mu.
+func (sd *shard) disarmStallLocked() {
+	if sd.stallArmed {
+		sd.stallArmed = false
+		sd.stall.Stop()
+	}
+}
+
+// stalled is the stall timer's callback. It adds exactly one worker if
+// paths are still queued, every worker is still out and none of the
+// shard's writes has come back since the timer was armed: one of those
+// writes is blocked on its sink, and the queue must not wait for it. If a
+// write has come back the queue is moving, and the timer is armed again.
+// A firing that finds the timer disarmed, or re-armed for later (it was
+// stopped too late to keep this call from starting), does nothing.
+func (sd *shard) stalled() {
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	if !sd.stallArmed || time.Now().Before(sd.stallAt) {
+		return
+	}
+	sd.stallArmed = false
+	if !sd.queuedLocked() || sd.workers > sd.busy {
+		return
+	}
+	if sd.returned {
+		sd.armStallLocked()
+		return
+	}
+	sd.startWorkerLocked()
+}
+
 // signalLocked wakes the idle worker. Caller holds sd.mu and has seen
 // sd.idle set.
 func (sd *shard) signalLocked() {
@@ -403,11 +489,12 @@ func (sd *shard) signalLocked() {
 }
 
 // startWorkerLocked adds one worker to the shard. It is only reached with
-// a path queued: that path is unfinished and holds an h.wg
-// count, so this Add never starts from zero under a concurrent Wait.
+// a path queued — stalled included: that path is unfinished and holds an
+// h.wg count, so this Add never starts from zero under a concurrent Wait.
 // Caller holds sd.mu.
 func (sd *shard) startWorkerLocked() {
 	sd.workers++
+	sd.starts++
 	sd.h.wg.Add(1)
 	go sd.work()
 }
@@ -458,13 +545,16 @@ func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
 // stepLocked says outside the lock — each step is one blocking write, so a
 // throttled or stalled subscriber occupies this worker for as long as its
 // write takes, exactly the in-flight write it is — and come back for the
-// same path's next step until it parks or retires. The lease of a batch
-// write goes back to the shard under the next lock hold, so neither a
-// parked path nor an idle worker holds a workspace. On a failed write the
-// path retires with the absolute sequences it wrote most recently (oldest
-// first, the in-hand batch last): TCP may have buffered but never
-// delivered them, so finishPath queues them for the subscriber's other
-// paths.
+// same path's next step until it parks or retires. Leaving on a write with
+// paths still queued, it hands them off (handOffLocked): to a free worker,
+// or, with every worker out, to the stall timer, so the pool grows only
+// for a write that does not come back. A worker that finds nothing queued
+// disarms the timer. The lease of a batch write goes back to the shard
+// under the next lock hold, so neither a parked path nor an idle worker
+// holds a workspace. On a failed write the path retires with the absolute
+// sequences it wrote most recently (oldest first, the in-hand batch last):
+// TCP may have buffered but never delivered them, so finishPath queues
+// them for the subscriber's other paths.
 //
 // hotpath — the sender root; the loop body runs once per delivered batch.
 func (sd *shard) work() {
@@ -485,6 +575,7 @@ func (sd *shard) work() {
 		if out {
 			sd.busy--
 			out = false
+			sd.returned = true
 		}
 		if idling {
 			sd.idle, idling = false, false
@@ -501,6 +592,7 @@ func (sd *shard) work() {
 			}
 		}
 		if p == nil {
+			sd.disarmStallLocked()
 			if sd.idle || sd.live == 0 {
 				// Another worker is already waiting for a path to be queued,
 				// or no path is left that could be.
@@ -515,7 +607,7 @@ func (sd *shard) work() {
 		}
 		sd.busy++
 		out = true
-		sd.kickLocked(false)
+		sd.handOffLocked()
 		sd.mu.Unlock()
 
 		switch step {
@@ -965,8 +1057,13 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 		// long as the subscriber lives.
 		sub.links = slices.Delete(sub.links, i, i+1)
 	}
-	if sd.live--; sd.live == 0 && sd.idle {
-		sd.signalLocked() // nothing left that could be queued: let the idle worker go
+	if sd.live--; sd.live == 0 {
+		// Nothing left that could be queued: no stall to wait for, and the
+		// idle worker can go.
+		sd.disarmStallLocked()
+		if sd.idle {
+			sd.signalLocked()
+		}
 	}
 	abnormal := err != nil && !sub.evicted && !h.closed.Load()
 	if abnormal {

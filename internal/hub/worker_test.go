@@ -27,7 +27,8 @@ func workerCount(sd *shard) (workers, busy int) {
 
 // checkWorkersGone waits for the shard's workers to notice that its last
 // path has retired, then checks nothing is left behind: no path counted
-// live, none queued, no worker alive, busy or marked idle.
+// live, none queued, no worker alive, busy or marked idle, and no stall
+// timer armed.
 func checkWorkersGone(t *testing.T, sd *shard) {
 	t.Helper()
 	waitFor(t, "the shard's workers to exit", func() bool {
@@ -36,9 +37,9 @@ func checkWorkersGone(t *testing.T, sd *shard) {
 	})
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
-	if sd.live != 0 || sd.queuedLocked() || !sd.parked.empty() || !sd.held.empty() || sd.busy != 0 || sd.idle {
-		t.Fatalf("shard not quiesced: live %d, queued %v, parked %v, held %v, busy %d, idle %v",
-			sd.live, sd.queuedLocked(), !sd.parked.empty(), !sd.held.empty(), sd.busy, sd.idle)
+	if sd.live != 0 || sd.queuedLocked() || !sd.parked.empty() || !sd.held.empty() || sd.busy != 0 || sd.idle || sd.stallArmed {
+		t.Fatalf("shard not quiesced: live %d, queued %v, parked %v, held %v, busy %d, idle %v, stall timer armed %v",
+			sd.live, sd.queuedLocked(), !sd.parked.empty(), !sd.held.empty(), sd.busy, sd.idle, sd.stallArmed)
 	}
 	for _, sub := range sd.subs {
 		if len(sub.links) != 0 {
@@ -370,4 +371,118 @@ func TestBlockedWritersHoldOneWorkerEach(t *testing.T) {
 	h.Stop()
 	h.Wait()
 	checkQuiesced(t, h, blocked+healthy)
+}
+
+// TestPaceStartsNoWorkers: a shard whose writes never block keeps the
+// workers it has. At pace the idle worker takes the tick's paths one after
+// another; as it leaves on each write the rest are still queued with every
+// worker out, and that arms the stall timer — it does not start a worker,
+// because the writes come back in microseconds. The first publishes may
+// grow the stock while it settles; after them it stays put.
+func TestPaceStartsNoWorkers(t *testing.T) {
+	const paths, publishes, settle, slack = 64, 300, 20, 3
+	h := leaseHub(t, Config{})
+	sd := h.shards[0]
+	conns := make([]*leaseConn, paths)
+	for i := range conns {
+		conns[i] = newLeaseConn()
+		attach(t, h, conns[i])
+	}
+	atPace := func() bool { return placed(t, sd) == placement{parked: paths} }
+	waitFor(t, "the attached paths to park", atPace)
+	var base int64
+	for seq := int64(0); seq < publishes; seq++ {
+		if seq == settle {
+			base = h.Stats().WorkerStarts
+		}
+		publish(t, h, seq, seq+1)
+		for _, c := range conns {
+			c := c
+			waitFor(t, "a path's delivery", func() bool { return c.frames.Load() == seq+1 })
+		}
+		waitFor(t, "the tick's paths to park", atPace)
+	}
+	if grew := h.Stats().WorkerStarts - base; grew > slack {
+		t.Fatalf("%d workers started over %d publishes to %d paths whose writes never block, want at most %d",
+			grew, publishes-settle, paths, slack)
+	}
+	h.Stop()
+	h.Wait()
+	checkQuiesced(t, h, paths)
+}
+
+// TestStalledWriteStartsOneWorker: a write that blocks mid-stream adds one
+// worker, and only one, for the paths queued behind it — once it has been
+// out for stallGrace with no write on the shard coming back. From then on
+// the healthy paths share that worker, and a publish reaches all of them
+// within the grace plus scheduling noise (the median, so that a
+// descheduled test process does not fail it).
+func TestStalledWriteStartsOneWorker(t *testing.T) {
+	const healthy, publishes = 8, 50
+	h := leaseHub(t, Config{LagWindow: 256})
+	sd := h.shards[0]
+	slow := newLeaseConn()
+	slow.gate = make(chan struct{})
+	attach(t, h, slow)
+	fast := make([]*leaseConn, healthy)
+	for i := range fast {
+		fast[i] = newLeaseConn()
+		attach(t, h, fast[i])
+	}
+	waitFor(t, "the attached paths to park", func() bool { return placed(t, sd) == placement{parked: healthy + 1} })
+	base := h.Stats().WorkerStarts
+
+	var took []time.Duration
+	for seq := int64(0); seq < publishes; seq++ {
+		start := time.Now()
+		publish(t, h, seq, seq+1)
+		for _, c := range fast {
+			c := c
+			waitFor(t, "a healthy path's delivery", func() bool { return c.frames.Load() == seq+1 })
+		}
+		took = append(took, time.Since(start))
+		if seq == 0 {
+			select {
+			case <-slow.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the slow path never reached its write")
+			}
+		}
+		waitFor(t, "the healthy paths to park", func() bool { return placed(t, sd) == placement{parked: healthy, held: 1} })
+	}
+	if started := h.Stats().WorkerStarts - base; started != 1 {
+		t.Fatalf("%d workers started for one blocked write over %d publishes, want exactly 1", started, publishes)
+	}
+	slices.Sort(took)
+	if median, bound := took[len(took)/2], stallGrace+20*time.Millisecond; median > bound {
+		t.Fatalf("healthy paths waited %v (median; worst %v) for a packet behind one blocked write, want at most %v",
+			median, took[len(took)-1], bound)
+	}
+	close(slow.gate)
+	waitFor(t, "the slow path to catch up", func() bool { return slow.frames.Load() == publishes })
+	h.Stop()
+	h.Wait()
+	checkQuiesced(t, h, healthy+1)
+}
+
+// TestStatsWorkerStock: Stats reports the shard workers alive, how many
+// are out with a path and how many were ever started — at least the one
+// serving a path at pace, and none once the hub has wound down.
+func TestStatsWorkerStock(t *testing.T) {
+	h := leaseHub(t, Config{})
+	conn := newLeaseConn()
+	attach(t, h, conn)
+	publish(t, h, 0, 4)
+	waitFor(t, "delivery", func() bool { return conn.frames.Load() == 4 })
+	st := h.Stats()
+	if st.Workers < 1 || st.WorkersBusy > st.Workers || st.WorkerStarts < int64(st.Workers) {
+		t.Fatalf("workers %d (busy %d), started %d with one path at pace; want at least one alive, busy ≤ alive ≤ started",
+			st.Workers, st.WorkersBusy, st.WorkerStarts)
+	}
+	h.Stop()
+	h.Wait()
+	if st := h.Stats(); st.Workers != 0 || st.WorkersBusy != 0 || st.WorkerStarts < 1 {
+		t.Fatalf("workers %d (busy %d), started %d after Wait; want none alive and the ones started still counted",
+			st.Workers, st.WorkersBusy, st.WorkerStarts)
+	}
 }
