@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lockrank hotpaths fuzz soak bench-smoke bench-tick bench-receiver bench-deliver bench-fanout sim-tables
+.PHONY: all build test race lint lockrank hotpaths fuzz soak bench-smoke bench-tick bench-receiver bench-sender bench-deliver bench-fanout sim-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -38,15 +38,17 @@ lockrank:
 hotpaths:
 	$(GO) run ./cmd/dmplint -hotpaths
 
-# fuzz gives each wire-format target, the receiver's arrival log, the
-# emulator's lazily drawn episode schedule, the relay forwarder's first
-# commit and the hub's per-path resend record a short budget; CI runs the
-# same smoke. Raise FUZZTIME locally for a deeper session.
+# fuzz gives each wire-format target, the receiver's arrival log, the trace
+# file reader and the analysis behind it, the emulator's lazily drawn episode
+# schedule, the relay forwarder's first commit and the hub's per-path resend
+# record a short budget; CI runs the same smoke. Raise FUZZTIME locally for a
+# deeper session.
 fuzz:
 	$(GO) test -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFrameHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzArrivalLog -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzReadTraceCSV -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 	$(GO) test -fuzz=FuzzEpisodeSchedule -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 	$(GO) test -fuzz=FuzzForwarderSync -fuzztime=$(FUZZTIME) -run '^$$' ./internal/relay
@@ -91,6 +93,14 @@ bench-tick:
 REPLAYS ?= 5
 bench-receiver:
 	$(GO) test -run '^$$' -bench BenchmarkReceiverIngest -benchtime $(REPLAYS)x ./internal/core
+
+# bench-sender times one core path sender's render and write — frame headers
+# and payload fill into the render buffer, one Write into a discarding conn,
+# the resend ring — for a one-frame write at pace and a 32-frame catch-up.
+# allocs/op must read 0; ns/frame is the per-frame cost of the stage.
+SENDERTIME ?= 1s
+bench-sender:
+	$(GO) test -run '^$$' -bench BenchmarkSenderBatch -benchtime $(SENDERTIME) ./internal/core
 
 # bench-deliver times one hub worker delivery step by hand — lease and pin
 # (stepLocked), header patch and vectored write into a discarding conn

@@ -36,9 +36,9 @@ func (t *Trace) Missing() []uint32 {
 		seen.Add(a.Pkt)
 	}
 	var out []uint32
-	for pkt := uint32(0); int64(pkt) < t.Expected; pkt++ {
-		if !seen.Has(pkt) {
-			out = append(out, pkt)
+	for pkt := int64(0); pkt < t.Expected; pkt++ { // Expected may be 1<<32: count in int64
+		if !seen.Has(uint32(pkt)) {
+			out = append(out, uint32(pkt))
 		}
 	}
 	return out

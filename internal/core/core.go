@@ -456,75 +456,125 @@ func (sess *Session) sendLoop(k int, conn net.Conn, stop <-chan struct{}) error 
 		sess.fail(k, nil, nil)
 		return fmt.Errorf("core: path %d header: %w", k, err)
 	}
-	// ring holds the last cfg.ResendWindow packets written, oldest first
-	// once unrolled; next is the slot the next write lands in. Pre-sized
-	// so the per-frame append below never grows mid-stream.
-	ring := make([]queued, 0, s.cfg.ResendWindow) // nolint:hotalloc per-path resend ring, allocated once
-	next := 0
-	frameSize := frameHdr + s.cfg.PayloadSize
-	batch := make([]queued, sendBatch) // nolint:hotalloc per-path claim buffer, allocated once
-	// The render buffer starts at one frame, a batch at pace, and doubles
-	// only when a catch-up batch needs more, up to sendBatch frames.
-	buf := make([]byte, frameSize) // nolint:hotalloc per-path render buffer, allocated once before the loop
+	p := sess.newPathSender(k, conn)
 	for {
-		n, ok := s.popBatch(k, stop, batch)
+		n, ok := s.popBatch(k, stop, p.batch)
 		if !ok {
 			break
 		}
-		if n*frameSize > len(buf) {
-			frames := len(buf) / frameSize
-			for frames < n {
-				frames *= 2
-			}
-			buf = make([]byte, min(frames, sendBatch)*frameSize) // nolint:hotalloc grows at most log2(sendBatch) times per path, on a catch-up batch
-		}
-		for i := 0; i < n; i++ {
-			f := buf[i*frameSize : (i+1)*frameSize]
-			PutFrameHeader(f, batch[i].pkt, batch[i].gen)
-			if s.cfg.Fill != nil {
-				s.cfg.Fill(batch[i].pkt, f[frameHdr:])
-			}
-		}
-		wrote, err := sess.writeFrame(k, conn, buf[:n*frameSize])
-		if err != nil {
-			// Frames fully on the wire count as written (they join the
-			// resend ring like any other transmission, possibly stranded
-			// in dead buffers); the partially-written frame and everything
-			// after it never reached the peer and is requeued with its
-			// sent-count rolled back.
-			done := wrote / frameSize
-			for i := 0; i < done; i++ {
-				if w := s.cfg.ResendWindow; w > 0 {
-					if len(ring) < w {
-						ring = append(ring, batch[i])
-					} else {
-						ring[next%w] = batch[i]
-					}
-					next++
-				}
-			}
-			sess.fail(k, batch[done:n], unroll(ring, next))
-			return fmt.Errorf("core: path %d write: %w", k, err)
-		}
-		if w := s.cfg.ResendWindow; w > 0 {
-			for i := 0; i < n; i++ {
-				if len(ring) < w {
-					ring = append(ring, batch[i])
-				} else {
-					ring[next%w] = batch[i]
-				}
-				next++
-			}
+		if err := p.send(n); err != nil {
+			return err
 		}
 	}
 	// End marker: genNanos carries the generated count.
-	end := buf[:frameSize]
+	end := p.buf[:p.frameSize]
 	PutFrameHeader(end, EndMarker, s.Generated())
 	if _, err := sess.writeFrame(k, conn, end); err != nil {
-		sess.fail(k, nil, unroll(ring, next))
+		sess.fail(k, nil, unroll(p.ring, p.next))
 		return fmt.Errorf("core: path %d end marker: %w", k, err)
 	}
 	return nil
+}
+
+// pathSender is what one path's sender keeps between claims: the claim
+// buffer, the render buffer and the resend ring.
+type pathSender struct {
+	sess      *Session
+	k         int
+	conn      net.Conn
+	frameSize int
+	batch     []queued // the claim buffer, sendBatch long
+	// buf is the render buffer. It starts at one frame, a batch at pace,
+	// and doubles when a catch-up batch needs more, up to sendBatch frames.
+	// Once a whole run of sendBatch writes has used at most half of it, it
+	// goes back to one frame.
+	buf  []byte
+	run  int // writes since buf last changed size or was checked
+	peak int // the most frames one of those writes carried
+	// ring holds the last cfg.ResendWindow packets written, oldest first
+	// once unrolled; next is the slot the next write lands in.
+	ring []queued
+	next int
+}
+
+func (sess *Session) newPathSender(k int, conn net.Conn) pathSender {
+	cfg := sess.srv.cfg
+	frameSize := frameHdr + cfg.PayloadSize
+	return pathSender{
+		sess:      sess,
+		k:         k,
+		conn:      conn,
+		frameSize: frameSize,
+		batch:     make([]queued, sendBatch),           // nolint:hotalloc per-path claim buffer, allocated once
+		buf:       make([]byte, frameSize),             // nolint:hotalloc per-path render buffer, allocated once before the loop
+		ring:      make([]queued, 0, cfg.ResendWindow), // nolint:hotalloc per-path resend ring, allocated once; remember never grows it
+	}
+}
+
+// send renders the first n claimed packets into the render buffer and
+// writes them with one Write. On a terminal write error it marks the path
+// dead, hands back what may not have reached the peer, and returns the
+// error.
+func (p *pathSender) send(n int) error {
+	cfg := p.sess.srv.cfg
+	size := p.frameSize
+	grow := n*size > len(p.buf)
+	if grow {
+		frames := len(p.buf) / size
+		for frames < n {
+			frames *= 2
+		}
+		p.buf = make([]byte, min(frames, sendBatch)*size) // nolint:hotalloc grows at most log2(sendBatch) times per catch-up episode
+	}
+	for i, q := range p.batch[:n] {
+		f := p.buf[i*size : (i+1)*size]
+		PutFrameHeader(f, q.pkt, q.gen)
+		if cfg.Fill != nil {
+			cfg.Fill(q.pkt, f[frameHdr:])
+		}
+	}
+	wrote, err := p.sess.writeFrame(p.k, p.conn, p.buf[:n*size])
+	if err != nil {
+		// Frames fully on the wire count as written (they join the resend
+		// ring like any other transmission, possibly stranded in dead
+		// buffers); the partially-written frame and everything after it
+		// never reached the peer and is requeued with its sent-count
+		// rolled back.
+		done := wrote / size
+		p.remember(p.batch[:done])
+		p.sess.fail(p.k, p.batch[done:n], unroll(p.ring, p.next))
+		return fmt.Errorf("core: path %d write: %w", p.k, err)
+	}
+	p.remember(p.batch[:n])
+	if grow { // the run starts after the write that sized the buffer
+		p.run, p.peak = 0, 0
+		return nil
+	}
+	p.peak = max(p.peak, n)
+	if p.run++; p.run == sendBatch {
+		if 2*p.peak*size <= len(p.buf) {
+			p.buf = make([]byte, size) // nolint:hotalloc once per catch-up episode, a sendBatch run of writes after it
+		}
+		p.run, p.peak = 0, 0
+	}
+	return nil
+}
+
+// remember adds written packets to the resend ring, overwriting the oldest
+// once it holds cfg.ResendWindow.
+func (p *pathSender) remember(written []queued) {
+	w := p.sess.srv.cfg.ResendWindow
+	if w == 0 {
+		return
+	}
+	for _, q := range written {
+		if len(p.ring) < w {
+			p.ring = append(p.ring, q) // nolint:hotalloc newPathSender made ring with capacity w, so this never grows it
+		} else {
+			p.ring[p.next%w] = q
+		}
+		p.next++
+	}
 }
 
 // unroll returns the ring's contents oldest-first. next is the total number
@@ -621,8 +671,9 @@ func (s *Server) writeHeader(k int, conn net.Conn) error {
 }
 
 // Arrival is one received packet observation. The Receiver keeps each as a
-// record of varint deltas against the one before, ≈ 9.5 bytes a packet for
-// a CBR stream and never more than 30, and Trace decodes them back.
+// record of varint residuals against the arrivals before it, ≈ 7.4 bytes a
+// packet for a CBR stream and never more than 30, and Trace decodes them
+// back.
 type Arrival struct {
 	Pkt  uint32
 	Path int32
@@ -647,15 +698,18 @@ type Trace struct {
 // are per-packet generation time + τ (server and client share a clock in
 // this testbed; see DESIGN.md). Packets that never arrived count as late.
 // Only a packet's first arrival counts in either order: a resend neither
-// plays nor takes a playout slot.
+// plays nor takes a playout slot. An arrival numbered Expected or above is
+// not one of the stream's packets and counts for nothing, so both fractions
+// stay within [0, 1].
 func (t *Trace) LateFraction(tau float64) (playback, arrivalOrder float64) {
 	if t.Expected == 0 {
 		return 0, 0
 	}
+	inStream := func(a Arrival) bool { return int64(a.Pkt) < t.Expected }
 	tauN := int64(tau * 1e9)
 	var t0 int64 = 1<<63 - 1
 	for _, a := range t.Arrivals {
-		if a.Gen < t0 {
+		if a.Gen < t0 && inStream(a) {
 			t0 = a.Gen
 		}
 	}
@@ -663,7 +717,7 @@ func (t *Trace) LateFraction(tau float64) (playback, arrivalOrder float64) {
 	var seen PacketSet
 	period := 1e9 / t.Mu
 	for _, a := range t.Arrivals {
-		if !seen.Add(a.Pkt) {
+		if !inStream(a) || !seen.Add(a.Pkt) {
 			continue
 		}
 		if a.At > a.Gen+tauN {

@@ -70,8 +70,17 @@ func ReadTraceCSV(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("core: metadata field %q: %w", field, err)
 		}
 	}
-	if tr.Mu <= 0 {
+	// The bounds a trace's analysis can use: µ as core.Config accepts it,
+	// the wire's payload sizes, and at most one packet per 32-bit number.
+	switch {
+	case tr.Mu == 0:
 		return nil, fmt.Errorf("core: trace missing playback rate")
+	case !(tr.Mu*1e6 >= 1) || !(1e9/tr.Mu >= 1):
+		return nil, fmt.Errorf("core: trace playback rate %v packets/s: want finite, within [1e-6, 1e9]", tr.Mu)
+	case tr.PayloadSize < 0 || tr.PayloadSize > 1<<20:
+		return nil, fmt.Errorf("core: trace payload size %d out of range [0, %d]", tr.PayloadSize, 1<<20)
+	case tr.Expected < 0 || tr.Expected > 1<<32:
+		return nil, fmt.Errorf("core: trace expected count %d out of range [0, %d]", tr.Expected, int64(1)<<32)
 	}
 
 	cr := csv.NewReader(br)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,4 +115,105 @@ func TestPropertyTraceRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReadTraceCSVRejectsOutOfRange: metadata the analysis cannot use is
+// refused at the door — a rate core.Config would refuse, a payload size the
+// wire cannot carry, an expected count below zero or beyond one packet per
+// 32-bit number — and the edges of each range are accepted.
+func TestReadTraceCSVRejectsOutOfRange(t *testing.T) {
+	read := func(meta string) (*Trace, error) {
+		return ReadTraceCSV(strings.NewReader("# dmpstream-trace v1 " + meta + "\npkt,gen_ns,at_ns,path\n0,1,2,0\n"))
+	}
+	for _, meta := range []string{
+		"mu=50 expected=-1",
+		"mu=50 expected=99999999999999",
+		"mu=50 expected=4294967297",
+		"mu=NaN expected=1",
+		"mu=+Inf expected=1",
+		"mu=1e-7 expected=1",
+		"mu=2e9 expected=1",
+		"mu=50 payload=-1 expected=1",
+		"mu=50 payload=1048577 expected=1",
+	} {
+		if tr, err := read(meta); err == nil {
+			t.Errorf("%s: accepted as %+v", meta, *tr)
+		}
+	}
+	for _, tc := range []struct {
+		meta     string
+		mu       float64
+		payload  int
+		expected int64
+	}{
+		{"mu=1e-6 payload=0 expected=0", 1e-6, 0, 0},
+		{"mu=1e9 payload=1048576 expected=4294967296", 1e9, 1 << 20, 1 << 32},
+	} {
+		tr, err := read(tc.meta)
+		if err != nil {
+			t.Errorf("%s: %v", tc.meta, err)
+			continue
+		}
+		if tr.Mu != tc.mu || tr.PayloadSize != tc.payload || tr.Expected != tc.expected {
+			t.Errorf("%s: read as µ %v, payload %d, expected %d", tc.meta, tr.Mu, tr.PayloadSize, tr.Expected)
+		}
+		if pb, ao := tr.LateFraction(math.Inf(1)); !(pb >= 0 && pb <= 1 && ao >= 0 && ao <= 1) {
+			t.Errorf("%s: late fractions %v, %v outside [0, 1]", tc.meta, pb, ao)
+		}
+	}
+}
+
+// FuzzReadTraceCSV: every trace ReadTraceCSV accepts must write back out
+// through WriteCSV and read back the same, and its analysis must answer
+// without panicking, with late fractions within [0, 1]. Slacks and Missing
+// return a slice as long as the expected count, up to 2³² entries, so they
+// are run on traces of at most a million expected packets.
+func FuzzReadTraceCSV(f *testing.F) {
+	var buf bytes.Buffer
+	if err := synthTrace(20, 50, func(i int) int64 { return int64(i) * 1e7 }).WriteCSV(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("# dmpstream-trace v1 mu=10 future=stuff expected=1\npkt,gen_ns,at_ns,path\n0,1,2,0\n")
+	f.Add("# dmpstream-trace v1 mu=50 payload=8 expected=3\npkt,gen_ns,at_ns,path\n2,5,9,1\n2,5,12,0\n7,0,-1,-3\n")
+	f.Add("# dmpstream-trace v1 mu=50 expected=1\npkt,gen_ns,at_ns,path\n3,0,1,0\n4,0,1,0\n5,0,1,0\n") // none of them in the stream
+	f.Add("# dmpstream-trace v1 mu=1e-6 expected=4294967296\npkt,gen_ns,at_ns,path\n4294967295,-9223372036854775808,9223372036854775807,2147483647\n")
+	f.Add("# dmpstream-trace v1 mu=50 expected=-1\npkt,gen_ns,at_ns,path\n0,1,2,0\n")
+	f.Add("# dmpstream-trace v1 mu=NaN expected=1\npkt,gen_ns,at_ns,path\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := ReadTraceCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := tr.WriteCSV(&out); err != nil {
+			t.Fatalf("accepted trace does not write: %v", err)
+		}
+		back, err := ReadTraceCSV(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v\n%s", err, out.String())
+		}
+		if back.Mu != tr.Mu || back.PayloadSize != tr.PayloadSize || back.Expected != tr.Expected ||
+			!slices.Equal(back.Arrivals, tr.Arrivals) {
+			t.Fatalf("round trip changed the trace: %+v became %+v", *tr, *back)
+		}
+		for _, tau := range []float64{0, 1e-3, 1, 1e9} {
+			pb, ao := tr.LateFraction(tau)
+			if !(pb >= 0 && pb <= 1 && ao >= 0 && ao <= 1) {
+				t.Fatalf("LateFraction(%v) = %v, %v: outside [0, 1]", tau, pb, ao)
+			}
+		}
+		if tr.Expected > 1<<20 {
+			return
+		}
+		for _, q := range []float64{0, 1e-3, 0.5, 1} {
+			tr.RequiredDelay(q)
+		}
+		if n := len(tr.Slacks()); n < int(tr.Expected) {
+			t.Fatalf("%d slacks for %d expected packets", n, tr.Expected)
+		}
+		if n := len(tr.Missing()); n > int(tr.Expected) {
+			t.Fatalf("%d missing of %d expected packets", n, tr.Expected)
+		}
+	})
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -92,5 +94,42 @@ func TestPacketSetHostileStride(t *testing.T) {
 		if set.Len() != packets {
 			t.Fatalf("stride %d: holds %d of %d", stride, set.Len(), packets)
 		}
+	}
+}
+
+// TestPacketSetDensePrefix: a stream that arrives whole, reordered only
+// within a short window, keeps just that window's words. A million packets,
+// each delayed by up to 96 places, must never hold more than 4 map words,
+// while Add, Has and Len answer as for any set.
+func TestPacketSetDensePrefix(t *testing.T) {
+	const packets, window, maxWords = 1 << 20, 96, 4
+	rng := rand.New(rand.NewSource(1))
+	order := make([]uint32, packets)
+	due := make([]int, packets)
+	for i := range order {
+		order[i], due[i] = uint32(i), i+rng.Intn(window)
+	}
+	slices.SortStableFunc(order, func(a, b uint32) int { return cmp.Compare(due[a], due[b]) })
+	var set PacketSet
+	arrived := make([]bool, packets)
+	prefix, most := 0, 0 // packets [0, prefix) have all arrived
+	for i, pkt := range order {
+		if !set.Add(pkt) || set.Add(pkt) || !set.Has(pkt) {
+			t.Fatalf("packet %d (arrival %d): first Add, second Add or Has answered wrong", pkt, i)
+		}
+		for arrived[pkt] = true; prefix < packets && arrived[prefix]; prefix++ {
+		}
+		if prefix > 0 && !set.Has(uint32(prefix-1)) || prefix < packets && set.Has(uint32(prefix)) {
+			t.Fatalf("arrival %d: Has is wrong at the edge of the %d-packet prefix", i, prefix)
+		}
+		most = max(most, len(set.words))
+	}
+	if set.Len() != packets || !set.Has(0) || !set.Has(packets-1) || set.Has(packets) {
+		t.Fatalf("holds %d of %d; Has(0) %v, Has(last) %v, Has(next) %v",
+			set.Len(), packets, set.Has(0), set.Has(packets-1), set.Has(packets))
+	}
+	t.Logf("at most %d map words, %d at the end", most, len(set.words))
+	if most > maxWords {
+		t.Errorf("held up to %d map words for a dense stream, want at most %d", most, maxWords)
 	}
 }

@@ -246,3 +246,33 @@ func putUint64(b []byte, v uint64) {
 		b[i] = byte(v >> (56 - 8*i))
 	}
 }
+
+// BenchmarkPlayout times the playout buffer at pace: the slot τ·µ packets
+// behind the newest arrival taken and its buffer recycled, then the next
+// arrival copied into it. allocs/op must read 0.
+func BenchmarkPlayout(b *testing.B) {
+	const depth = 150 // τ·µ: 500 ms at 300 pkt/s
+	buf := playBuffer{slots: make(map[uint32][]byte)}
+	payload := make([]byte, 1000)
+	next := uint32(0)
+	for ; next < depth; next++ {
+		buf.put(next, payload)
+	}
+	play := func() {
+		data, ok := buf.take(next - depth)
+		if !ok {
+			b.Fatalf("slot %d empty", next-depth)
+		}
+		buf.recycle(data)
+		buf.put(next, payload)
+		next++
+	}
+	for i := 0; i < 4*depth; i++ { // until the slot map stops growing
+		play()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		play()
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"slices"
 	"time"
@@ -18,8 +19,8 @@ import (
 const logChunkSize = 4096
 
 // maxRecordLen is the longest one arrival's record can be: the head (a
-// 32-bit zigzag packet delta and the path-changed bit) and a 32-bit zigzag
-// path delta at most 5 varint bytes each, the generation and arrival deltas
+// 32-bit zigzag packet delta and the 2-bit path code) and a 32-bit zigzag
+// path delta at most 5 varint bytes each, the generation and delay residuals
 // at most 10 each. It is a constant, whatever the peer sends.
 const maxRecordLen = 2*binary.MaxVarintLen32 + 2*binary.MaxVarintLen64
 
@@ -49,11 +50,11 @@ type Receiver struct {
 	onPacket    func(pkt uint32, genNanos int64, payload []byte)
 
 	mu   lockrank.Mutex
-	log  [][]byte  // guarded by mu; chunks of logChunkSize capacity holding whole records
-	last Arrival   // guarded by mu; the last arrival recorded, what the next is coded against
-	n    int       // guarded by mu; arrivals in log
-	seen PacketSet // guarded by mu
-	dups int64     // guarded by mu
+	log  [][]byte    // guarded by mu; chunks of logChunkSize capacity holding whole records
+	enc  recordCoder // guarded by mu; what the next record is coded against
+	n    int         // guarded by mu; arrivals in log
+	seen PacketSet   // guarded by mu
+	dups int64       // guarded by mu
 }
 
 // NewReceiver builds an empty Receiver; attach paths with Run.
@@ -71,6 +72,10 @@ func (r *Receiver) frame(path int, pkt uint32, gen int64, payload []byte) {
 	if !r.seen.Add(pkt) {
 		r.dups++
 	} else {
+		if r.n == 0 {
+			mu, _ := r.Header()
+			r.enc.period = genPeriod(mu)
+		}
 		r.recordLocked(Arrival{Pkt: pkt, Path: int32(path), Gen: gen, At: time.Now().UnixNano()})
 		if r.onPacket != nil {
 			r.onPacket(pkt, gen, payload)
@@ -79,71 +84,141 @@ func (r *Receiver) frame(path int, pkt uint32, gen int64, payload []byte) {
 	r.mu.Unlock()
 }
 
-// recordLocked appends one arrival to the log, coded against the last one; a
-// record that does not fit in the last chunk starts a new one, so no record
+// recordLocked appends one arrival to the log, coded against r.enc; a record
+// that does not fit in the last chunk starts a new one, so no record
 // straddles two. Caller holds r.mu.
 func (r *Receiver) recordLocked(a Arrival) {
 	var buf [maxRecordLen]byte
-	rec := appendRecord(buf[:0], r.last, a)
+	rec := r.enc.appendRecord(buf[:0], a)
 	if len(r.log) == 0 || logChunkSize-len(r.log[len(r.log)-1]) < len(rec) {
 		r.log = append(r.log, make([]byte, 0, logChunkSize))
 	}
 	chunk := &r.log[len(r.log)-1]
 	*chunk = append(*chunk, rec...)
-	r.last = a
 	r.n++
-}
-
-// appendRecord appends a's record to dst: the varints zigzag(Δpkt)<<1 with
-// the low bit set when the path changed, zigzag(Δpath) only then,
-// zigzag(ΔGen) and zigzag(ΔAt), every delta against prev. The deltas wrap,
-// so any value round-trips through readRecord, a clock stepping back
-// included.
-func appendRecord(dst []byte, prev, a Arrival) []byte {
-	head := zigzag(int64(int32(a.Pkt-prev.Pkt))) << 1
-	if a.Path != prev.Path {
-		head |= 1
-	}
-	dst = binary.AppendUvarint(dst, head)
-	if a.Path != prev.Path {
-		dst = binary.AppendUvarint(dst, zigzag(int64(a.Path-prev.Path)))
-	}
-	dst = binary.AppendUvarint(dst, zigzag(a.Gen-prev.Gen))
-	return binary.AppendUvarint(dst, zigzag(a.At-prev.At))
-}
-
-// readRecord decodes the record appendRecord wrote at the head of src
-// against prev, and returns the arrival and the record's length.
-func readRecord(src []byte, prev Arrival) (Arrival, int) {
-	a := prev
-	head, n := binary.Uvarint(src)
-	a.Pkt += uint32(unzigzag(head >> 1))
-	if head&1 != 0 {
-		d, m := binary.Uvarint(src[n:])
-		a.Path += int32(unzigzag(d))
-		n += m
-	}
-	d, m := binary.Uvarint(src[n:])
-	a.Gen += unzigzag(d)
-	n += m
-	d, m = binary.Uvarint(src[n:])
-	a.At += unzigzag(d)
-	return a, n + m
 }
 
 // decodeLocked appends the log's arrivals to dst in recorded order. Caller
 // holds r.mu.
 func (r *Receiver) decodeLocked(dst []Arrival) []Arrival {
-	var a Arrival
+	dec := recordCoder{period: r.enc.period}
 	for _, chunk := range r.log {
 		for off := 0; off < len(chunk); {
-			var n int
-			a, n = readRecord(chunk[off:], a)
+			a, n := dec.readRecord(chunk[off:])
 			dst = append(dst, a)
 			off += n
 		}
 	}
 	return dst
+}
+
+// genPeriod is the generation period, in nanoseconds, of a stream whose
+// header announces mu packets a second: round(1e9/µ), 0 before a header.
+func genPeriod(mu float64) int64 {
+	if mu <= 0 {
+		return 0
+	}
+	return int64(math.Round(1e9 / mu))
+}
+
+// Path codes, the low two bits of a record's head.
+const (
+	pathSame   = 0 // the path of the previous record
+	pathBefore = 1 // the last path recorded other than that one
+	pathDelta  = 2 // a zigzag delta against the previous record's path follows
+)
+
+// pathSlots is how many paths the coder keeps per-path state for. A path
+// shares slot uint32(path)%pathSlots with every path congruent to it, which
+// costs bytes when two of them interleave, never exactness.
+const pathSlots = 8
+
+// pathSlot is what the last arrival coded on a path leaves for the next.
+type pathSlot struct {
+	pkt   uint32
+	delay int64 // At − Gen
+}
+
+// recordCoder is the state an arrival's record is coded against. The
+// encoder and the decoder start from the same state — the zero value with
+// the same period — and advance it the same way a record at a time, so
+// every value round-trips, a backward clock step included.
+//
+// A record is the varints
+//
+//	zigzag(pkt − slot.pkt)<<2 | path code
+//	zigzag(path − last.Path)                   only for pathDelta
+//	zigzag(Gen − (last.Gen + Δpkt·period))     Δpkt = pkt − last.Pkt
+//	zigzag((At − Gen) − slot.delay)
+//
+// where last is the previous record and slot the path's. Every difference
+// wraps (int32 for the packet number and path, int64 for the stamps and the
+// predictor's product).
+type recordCoder struct {
+	period int64 // generation period in ns; 0 codes Gen as a plain delta
+	last   Arrival
+	other  int32 // the last path recorded other than last.Path
+	slots  [pathSlots]pathSlot
+}
+
+// genGuess is where the generation stamp of pkt falls if the stream kept
+// its period since the previous record.
+func (c *recordCoder) genGuess(pkt uint32) int64 {
+	return c.last.Gen + int64(int32(pkt-c.last.Pkt))*c.period
+}
+
+// advance makes a, just coded into slot s, the arrival the next record is
+// coded against.
+func (c *recordCoder) advance(a Arrival, s *pathSlot) {
+	if a.Path != c.last.Path {
+		c.other = c.last.Path
+	}
+	c.last = a
+	*s = pathSlot{pkt: a.Pkt, delay: a.At - a.Gen}
+}
+
+// appendRecord appends a's record to dst and advances c past it.
+func (c *recordCoder) appendRecord(dst []byte, a Arrival) []byte {
+	code := uint64(pathDelta)
+	switch a.Path {
+	case c.last.Path:
+		code = pathSame
+	case c.other:
+		code = pathBefore
+	}
+	s := &c.slots[uint32(a.Path)%pathSlots]
+	dst = binary.AppendUvarint(dst, zigzag(int64(int32(a.Pkt-s.pkt)))<<2|code)
+	if code == pathDelta {
+		dst = binary.AppendUvarint(dst, zigzag(int64(a.Path-c.last.Path)))
+	}
+	dst = binary.AppendUvarint(dst, zigzag(a.Gen-c.genGuess(a.Pkt)))
+	dst = binary.AppendUvarint(dst, zigzag(a.At-a.Gen-s.delay))
+	c.advance(a, s)
+	return dst
+}
+
+// readRecord decodes the record appendRecord wrote at the head of src,
+// advances c past it, and returns the arrival and the record's length.
+func (c *recordCoder) readRecord(src []byte) (Arrival, int) {
+	head, n := binary.Uvarint(src)
+	a := Arrival{Path: c.last.Path}
+	switch head & 3 {
+	case pathBefore:
+		a.Path = c.other
+	case pathDelta:
+		d, m := binary.Uvarint(src[n:])
+		a.Path += int32(unzigzag(d))
+		n += m
+	}
+	s := &c.slots[uint32(a.Path)%pathSlots]
+	a.Pkt = s.pkt + uint32(unzigzag(head>>2))
+	d, m := binary.Uvarint(src[n:])
+	a.Gen = c.genGuess(a.Pkt) + unzigzag(d)
+	n += m
+	d, m = binary.Uvarint(src[n:])
+	a.At = a.Gen + s.delay + unzigzag(d)
+	c.advance(a, s)
+	return a, n + m
 }
 
 // zigzag maps small negative and positive deltas alike to small unsigned

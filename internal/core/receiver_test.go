@@ -25,8 +25,9 @@ type replayConn struct {
 func (c *replayConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
 func (c *replayConn) SetReadDeadline(time.Time) error { return nil }
 
-// renderPaths renders a stream into one byte string per path: pkts[k] is
-// what path k carries, in order, followed by an end marker announcing
+// renderPaths renders a 1000 pkt/s stream into one byte string per path:
+// pkts[k] is what path k carries, in order, each stamped at its slot on the
+// generation schedule (replayGen), followed by an end marker announcing
 // expected packets.
 func renderPaths(payload int, expected int64, pkts ...[]uint32) [][]byte {
 	out := make([][]byte, len(pkts))
@@ -36,7 +37,7 @@ func renderPaths(payload int, expected int64, pkts ...[]uint32) [][]byte {
 		b.Grow(headerSize + (len(pkts[k])+1)*len(frame))
 		WriteStreamHeader(&b, k, len(pkts), payload, 1000)
 		for _, pkt := range pkts[k] {
-			PutFrameHeader(frame, pkt, int64(pkt))
+			PutFrameHeader(frame, pkt, replayGen(pkt))
 			b.Write(frame)
 		}
 		PutFrameHeader(frame, EndMarker, expected)
@@ -45,6 +46,9 @@ func renderPaths(payload int, expected int64, pkts ...[]uint32) [][]byte {
 	}
 	return out
 }
+
+// replayGen is the generation stamp renderPaths gives pkt: 1 ms a packet.
+func replayGen(pkt uint32) int64 { return int64(pkt) * int64(time.Millisecond) }
 
 // alternate deals packets 0..n-1 over two paths in turn.
 func alternate(n int) (even, odd []uint32) {
@@ -81,8 +85,9 @@ func replay(tb testing.TB, r *Receiver, paths [][]byte) {
 // TestReceiverFootprint pins what the whole receiver keeps per packet for as
 // long as the stream lives — the arrival log and the duplicate filter — with
 // 100 000 packets replayed over two paths. The replay is a flattering case
-// for the log: its arrivals are stamped nanoseconds apart, so their deltas
-// code in a byte or two. TestReceiverLogFootprint is the schedule that pins
+// for the log: its generation stamps keep the period exactly and its
+// arrivals are stamped nanoseconds apart, so their residuals code in a byte
+// or two. TestReceiverLogFootprint is the schedule that pins
 // the log's cost; this one pins that nothing else the receiver keeps grows
 // with the stream.
 func TestReceiverFootprint(t *testing.T) {
@@ -130,16 +135,20 @@ func cbrSchedule(n int) []Arrival {
 }
 
 // TestReceiverLogFootprint pins what the arrival log costs a packet of a
-// stream like the paper's: 100 000 arrivals of cbrSchedule must take no
-// more than 10 B of live heap each, and come back out of Trace exactly.
-// Their deltas are a packet or two, a path change about one time in two, and
-// generation and arrival gaps of milliseconds: four-byte varints.
+// stream like the paper's: 100 000 arrivals of cbrSchedule, recorded with
+// the period its header would announce, must take no more than 8 B of live
+// heap each, and come back out of Trace exactly. A packet is a step or two
+// on from the last one on its path, and the path is the previous record's
+// or the one before it: a one-byte head. What is left to code is jitter —
+// the generation stamp's off the period's schedule, the delay's off the
+// path's last — tens to hundreds of microseconds: three-byte varints.
 func TestReceiverLogFootprint(t *testing.T) {
-	const packets, perPacketBudget = 100_000, 10
+	const packets, perPacketBudget = 100_000, 8
 	sched := cbrSchedule(packets)
 	heap0 := liveHeap()
 
 	r := NewReceiver(ReceiverOptions{})
+	r.enc.period = genPeriod(300)
 	for _, a := range sched {
 		r.recordLocked(a)
 	}
@@ -154,27 +163,36 @@ func TestReceiverLogFootprint(t *testing.T) {
 }
 
 // TestReceiverLogHostile bounds the log's cost a packet whatever the values:
-// packet numbers one per 64-packet word and 2²⁷ apart, path indices and
-// stamps jumping between extremes, so that every record takes maxRecordLen
-// bytes. A peer controls only the packet number and the generation stamp;
-// the path index and the clock are pushed too, for the worst case of every
-// field. A chunk then holds ⌊4096/30⌋ records and leaves 16 bytes unused,
-// ≈ 30.1 B a packet; the bound is 32. The duplicate filter's own hostile
-// cost is TestPacketSetHostileStride's.
+// three paths far apart taken in turn, so that each record names its path
+// with a full delta; packet numbers one per 64-packet word and 2²⁷ apart on
+// a path; generation stamps a third of the int64 range apart; and a delay
+// that moves by half that range between two records on a path, so that
+// every record after the first three takes maxRecordLen bytes. A peer
+// controls only the packet number and the generation stamp; the path index
+// and the clock are pushed too, for the worst case of every field. A chunk
+// then holds ⌊4096/30⌋ records and leaves 16 bytes unused, ≈ 30.1 B a
+// packet; the bound is 32. The duplicate filter's own hostile cost is
+// TestPacketSetHostileStride's.
 func TestReceiverLogHostile(t *testing.T) {
 	const packets, perPacketBudget = 40_000, 32
+	const third, step = 0x5555_5555_5555_5555, 0x2AAA_AAAA_AAAA_AAAB // 3·step wraps to math.MinInt64+1
+	paths := [3]int32{0, 0x5555_5555, -0x5555_5555}
+	gens := [3]int64{0, third, -third}
 	sched := make([]Arrival, packets)
 	for i := range sched {
-		odd := int64(i % 2)
+		delay := int64(i) * step
 		sched[i] = Arrival{
 			Pkt:  uint32(i) * 64 * (1<<21 + 1),
-			Path: int32(odd) * math.MinInt32,
-			Gen:  odd * math.MinInt64,
-			At:   math.MaxInt64 + odd*math.MinInt64,
+			Path: paths[i%3],
+			Gen:  gens[i%3],
+			At:   gens[i%3] + delay,
 		}
 	}
-	if n := len(appendRecord(nil, sched[1], sched[2])); n != maxRecordLen {
-		t.Fatalf("schedule's record is %d B, want the worst case %d", n, maxRecordLen)
+	var enc recordCoder
+	for i, a := range sched {
+		if n := len(enc.appendRecord(nil, a)); i >= 3 && n != maxRecordLen {
+			t.Fatalf("record %d is %d B, want the worst case %d", i, n, maxRecordLen)
+		}
 	}
 	heap0 := liveHeap()
 
@@ -282,18 +300,20 @@ func TestReceiverLogBlockBoundary(t *testing.T) {
 	}
 	var seen PacketSet
 	for i, a := range tr.Arrivals {
-		if !seen.Add(a.Pkt) || a.Gen != int64(a.Pkt) || a.Path != int32(a.Pkt%2) {
+		if !seen.Add(a.Pkt) || a.Gen != replayGen(a.Pkt) || a.Path != int32(a.Pkt%2) {
 			t.Fatalf("arrival %d is %+v", i, a)
 		}
 	}
 }
 
 // FuzzArrivalLog: any sequence of arrivals must come back out of the log
-// exactly — packet numbers in any order and stride, negative paths, stamps
-// at math.MinInt64 and math.MaxInt64, the clock going backwards. The input
-// is cut into 24-byte arrivals (packet, path, generation and arrival stamps,
-// little-endian), recorded, and recorded again from the start until the log
-// spans more than one chunk.
+// exactly, whatever the generation period the coder predicts with —
+// packet numbers in any order and stride, negative paths, paths that share
+// a coder slot, stamps at math.MinInt64 and math.MaxInt64, the clock going
+// backwards, a period whose product with a packet delta overflows. The
+// input is cut into 24-byte arrivals (packet, path, generation and arrival
+// stamps, little-endian), recorded, and recorded again from the start until
+// the log spans more than one chunk.
 // Decoded in recorded order it must equal the input; Trace must equal the
 // input stably sorted by arrival stamp.
 func FuzzArrivalLog(f *testing.F) {
@@ -307,21 +327,45 @@ func FuzzArrivalLog(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(encode(cbrSchedule(8)...))
-	f.Add(encode(
+	period := genPeriod(300)
+	f.Add(int64(0), encode(cbrSchedule(8)...))
+	f.Add(period, encode(cbrSchedule(8)...))
+	f.Add(int64(0), encode(
 		Arrival{Pkt: 0, Path: 0, Gen: math.MinInt64, At: math.MaxInt64},
 		Arrival{Pkt: math.MaxUint32, Path: -1, Gen: math.MaxInt64, At: math.MinInt64},
 		Arrival{Pkt: 64, Path: math.MinInt32, Gen: 0, At: -1},
 		Arrival{Pkt: 1 << 31, Path: math.MaxInt32, Gen: 1, At: 0},
 	))
-	f.Add(encode( // strided numbers, a clock stepping back and ties
+	f.Add(period, encode( // strided numbers, a clock stepping back and ties
 		Arrival{Pkt: 0, Path: 1, Gen: 1e18, At: 1e18 + 5e6},
 		Arrival{Pkt: 4096, Path: 0, Gen: 1e18 + 3e6, At: 1e18 + 1e6},
 		Arrival{Pkt: 8192, Path: 1, Gen: 1e18 + 6e6, At: 1e18 + 1e6},
 		Arrival{Pkt: 2, Path: -7, Gen: 1e18 - 3e6, At: 1e18 + 9e6},
 	))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(period, encode( // four paths: each new one by delta, then back and forth
+		Arrival{Pkt: 0, Path: 0, Gen: 1e18, At: 1e18 + 1e6},
+		Arrival{Pkt: 1, Path: 1, Gen: 1e18 + period, At: 1e18 + period + 8e6},
+		Arrival{Pkt: 2, Path: 2, Gen: 1e18 + 2*period, At: 1e18 + 2*period + 3e6},
+		Arrival{Pkt: 3, Path: 3, Gen: 1e18 + 3*period, At: 1e18 + 3*period + 5e6},
+		Arrival{Pkt: 5, Path: 2, Gen: 1e18 + 5*period, At: 1e18 + 5*period + 3e6},
+		Arrival{Pkt: 4, Path: 0, Gen: 1e18 + 4*period, At: 1e18 + 5*period + 4e6},
+		Arrival{Pkt: 6, Path: 2, Gen: 1e18 + 6*period, At: 1e18 + 6*period + 3e6},
+	))
+	f.Add(period, encode( // paths congruent mod 8 share a slot
+		Arrival{Pkt: 0, Path: 0, Gen: 1e18, At: 1e18 + 1e6},
+		Arrival{Pkt: 1, Path: 8, Gen: 1e18 + period, At: 1e18 + period + 8e6},
+		Arrival{Pkt: 2, Path: -8, Gen: 1e18 + 2*period, At: 1e18 + 2*period + 2e6},
+		Arrival{Pkt: 3, Path: 0, Gen: 1e18 + 3*period, At: 1e18 + 3*period + 1e6},
+		Arrival{Pkt: 4, Path: 16, Gen: 1e18 + 4*period, At: 1e18 + 4*period + 9e6},
+	))
+	f.Add(int64(math.MaxInt64/3), encode( // Δpkt·period overflows int64
+		Arrival{Pkt: 0, Path: 0, Gen: 0, At: 1},
+		Arrival{Pkt: math.MaxInt32, Path: 1, Gen: math.MaxInt64, At: math.MinInt64},
+		Arrival{Pkt: 1 << 31, Path: 0, Gen: math.MinInt64, At: 0},
+		Arrival{Pkt: 7, Path: 1, Gen: -5, At: math.MaxInt64},
+	))
+	f.Add(int64(0), []byte{})
+	f.Fuzz(func(t *testing.T, period int64, data []byte) {
 		var cycle []Arrival
 		for ; len(data) >= 24; data = data[24:] {
 			cycle = append(cycle, Arrival{
@@ -332,16 +376,16 @@ func FuzzArrivalLog(f *testing.F) {
 			})
 		}
 		r := NewReceiver(ReceiverOptions{})
+		r.enc.period = period
 		var in []Arrival
-		var prev Arrival
 		for i := 0; i < len(cycle) || (len(cycle) > 0 && len(r.log) < 2); i++ {
 			a := cycle[i%len(cycle)]
-			if n := len(appendRecord(nil, prev, a)); n > maxRecordLen {
+			probe := r.enc
+			if n := len(probe.appendRecord(nil, a)); n > maxRecordLen {
 				t.Fatalf("arrival %d: %d-byte record, longest allowed %d", i, n, maxRecordLen)
 			}
 			r.recordLocked(a)
 			in = append(in, a)
-			prev = a
 		}
 		for i, chunk := range r.log {
 			if cap(chunk) != logChunkSize {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"slices"
 	"sync"
@@ -235,6 +237,121 @@ func TestSenderCatchUpBatchAfterSiblingDies(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sinkConn is a sender's conn that takes every write whole and keeps
+// nothing.
+type sinkConn struct{ net.Conn }
+
+func (sinkConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestSenderRenderBufferShrinks: a sender that caught up in one 32-frame
+// write holds a 32-frame render buffer. Once a whole run of sendBatch writes
+// at pace has used at most half of it, the sender must hand it back and
+// render into one frame again; a run with one write past half keeps it. A
+// later catch-up grows it again. Every frame of every write must carry its
+// own packet's header and payload.
+func TestSenderRenderBufferShrinks(t *testing.T) {
+	const payload = 48
+	fill := func(pkt uint32, buf []byte) {
+		for i := range buf {
+			buf[i] = byte(pkt*31) + byte(i)
+		}
+	}
+	srv, err := NewServer(Config{Mu: 100, PayloadSize: payload, Fill: fill})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &writeLog{Conn: sinkConn{}, first: make(chan struct{})}
+	p := (&Session{srv: srv}).newPathSender(0, conn)
+	frameSize := frameHdr + payload
+	next := uint32(0)
+	send := func(n int) {
+		t.Helper()
+		for i := range p.batch[:n] {
+			p.batch[i] = queued{pkt: next, gen: int64(next)*7 + 1}
+			next++
+		}
+		if err := p.send(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := func() int { return len(p.buf) / frameSize }
+	paced := func(writes int) {
+		t.Helper()
+		for i := 0; i < writes; i++ {
+			if frames() != sendBatch {
+				t.Fatalf("render buffer down to %d frames after %d writes at pace, want %d until a run of %d", frames(), i, sendBatch, sendBatch)
+			}
+			send(1)
+		}
+	}
+
+	send(1)
+	if frames() != 1 {
+		t.Fatalf("render buffer of %d frames at pace, want 1", frames())
+	}
+	send(sendBatch)
+	paced(sendBatch)
+	if frames() != 1 {
+		t.Fatalf("render buffer still %d frames after a run of %d writes at pace, want 1", frames(), sendBatch)
+	}
+
+	send(3) // grows to 4 frames
+	send(sendBatch)
+	paced(sendBatch / 2)
+	send(sendBatch/2 + 1) // past half: the run keeps the buffer
+	paced(sendBatch/2 - 1)
+	paced(sendBatch)
+	if frames() != 1 {
+		t.Fatalf("render buffer still %d frames after a run of %d writes at pace, want 1", frames(), sendBatch)
+	}
+	send(1)
+
+	stream := bytes.Join(conn.writes, nil)
+	if len(stream) != int(next)*frameSize {
+		t.Fatalf("%d B written, want %d frames of %d B", len(stream), next, frameSize)
+	}
+	want := make([]byte, payload)
+	for pkt := uint32(0); pkt < next; pkt++ {
+		f := stream[int(pkt)*frameSize : int(pkt+1)*frameSize]
+		got, gen, err := ParseFrameHeader(f)
+		if fill(pkt, want); err != nil || got != pkt || gen != int64(pkt)*7+1 || !bytes.Equal(f[frameHdr:], want) {
+			t.Fatalf("frame %d: packet %d stamped %d (%v), or another payload", pkt, got, gen, err)
+		}
+	}
+}
+
+// BenchmarkSenderBatch times one path sender's render and write — frame
+// headers and payload fill into the render buffer, one Write into a
+// discarding conn, the resend ring — for a one-frame write at pace and a
+// 32-frame catch-up. allocs/op must read 0 once the buffer has grown;
+// ns/frame is the per-frame cost of the stage.
+func BenchmarkSenderBatch(b *testing.B) {
+	for _, frames := range []int{1, sendBatch} {
+		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
+			srv, err := NewServer(Config{Mu: 300, PayloadSize: 1000, ResendWindow: sendBatch,
+				Fill: func(pkt uint32, buf []byte) { binary.LittleEndian.PutUint32(buf, pkt) }})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := (&Session{srv: srv}).newPathSender(0, sinkConn{})
+			for i := range p.batch[:frames] {
+				p.batch[i] = queued{pkt: uint32(i), gen: int64(i)}
+			}
+			if err := p.send(frames); err != nil { // grows the render buffer
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.send(frames); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+		})
 	}
 }
 
