@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lockrank hotpaths fuzz soak bench-smoke bench-tick bench-receiver bench-sender bench-deliver bench-fanout sim-tables
+.PHONY: all build test race lint lockrank allocs fuzz soak bench-smoke bench-tick bench-receiver bench-sender bench-deliver bench-fanout sim-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -20,8 +20,8 @@ race:
 	$(GO) test -race ./...
 
 # lint is the repo-invariant gate: go vet plus the dmplint suite
-# (detsim, lockguard, hotalloc, exhaustenum — see DESIGN.md "Enforced
-# invariants"). Any finding exits non-zero.
+# (detsim, lockguard, exhaustenum — see DESIGN.md "Enforced invariants").
+# Any finding exits non-zero.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dmplint ./...
@@ -33,10 +33,15 @@ lint:
 lockrank:
 	$(GO) test -tags lockrank ./internal/hub ./internal/relay ./internal/registry ./internal/chaos
 
-# hotpaths dumps the `// hotpath` annotated roots and the transitive
-# callee closure the hotalloc analyzer polices.
-hotpaths:
-	$(GO) run ./cmd/dmplint -hotpaths
+# allocs runs every allocation gate by name, uncached: the AllocsPerRun
+# tests that hold the core producer and path sender, the hub's generator
+# tick, ingest, wake, governor and shard worker, and the registry's routed
+# write and re-attach to exact allocation counts (see DESIGN.md "Enforced
+# invariants"). AllocsPerRun cannot measure under the race detector or the
+# lockrank build, so the gates are built out of both.
+ALLOC_GATES = AllocFree|AllocsFlat|ReattachAllocs|OneAlloc|AllocMeasurement
+allocs:
+	$(GO) test -count=1 -run '$(ALLOC_GATES)' ./internal/core ./internal/hub ./internal/registry
 
 # fuzz gives each wire-format target, the receiver's arrival log, the trace
 # file reader and the analysis behind it, the emulator's lazily drawn episode

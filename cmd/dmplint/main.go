@@ -4,16 +4,11 @@
 //
 //	go run ./cmd/dmplint ./...
 //
-// Patterns select which packages are analyzed (go-tool style: a package
-// path relative to the module root, or a prefix ending in /... for a
-// subtree; default ./...). The full module is always parsed so
-// cross-package inference and the hot-path closure work regardless of
-// the pattern.
-//
-// One dump replaces the gate run:
-//
-//	-hotpaths    the `// hotpath` annotated roots and their transitive
-//	             callee closure, with discovery chains
+// Its arguments are patterns selecting which packages are analyzed
+// (go-tool style: a package path relative to the module root, or a prefix
+// ending in /... for a subtree; default ./...). The full module is always
+// parsed so cross-package inference works regardless of the pattern.
+// dmplint has no flags.
 //
 // Findings are suppressed with an inline `// nolint:<analyzer> <reason>`
 // on the offending line, the line above it, or the enclosing function's
@@ -21,7 +16,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,13 +27,6 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
-	hotpaths := flag.Bool("hotpaths", false, "dump the hotpath roots and transitive closure and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dmplint [flags] [packages]\n\npackages default to ./...\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
 	root, err := moduleRoot()
 	if err != nil {
 		return fatal(err)
@@ -49,12 +36,8 @@ func run() int {
 		return fatal(err)
 	}
 	idx := lint.BuildIndex(module, pkgs)
-	if *hotpaths {
-		fmt.Print(lint.Hotpaths(idx))
-		return 0
-	}
 
-	patterns := flag.Args()
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

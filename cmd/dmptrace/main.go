@@ -26,9 +26,13 @@ func main() {
 		paths   = flag.Int("paths", 2, "number of paths for per-path reports")
 	)
 	flag.Parse()
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "dmptrace: -in is required")
-		os.Exit(2)
+	switch {
+	case *in == "":
+		usage("-in is required")
+	case *paths < 1:
+		usage(fmt.Sprintf("-paths %d: want at least 1", *paths))
+	case !(*quality >= 0 && *quality <= 1):
+		usage(fmt.Sprintf("-quality %g: want a late fraction in [0, 1]", *quality))
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -67,6 +71,12 @@ func report(trace *dmpstream.Trace, quality float64, paths int) {
 	for k := 0; k < paths; k++ {
 		fmt.Printf("path %d: %d packets, %.1f pkts/s goodput\n", k, counts[k], gp[k])
 	}
+}
+
+// usage reports a flag no trace can be analysed with and exits 2.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "dmptrace:", msg)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -46,17 +46,21 @@ func (t *Trace) Missing() []uint32 {
 
 // RequiredDelay returns the smallest startup delay that would have kept the
 // fraction of late packets at or below quality, computed exactly from the
-// recorded trace (it is the (1-quality) slack quantile). ok is false when
-// missing packets alone exceed the quality budget.
+// recorded trace (it is the (1-quality) slack quantile). A negative or NaN
+// quality allows no late packet, as 0 does. ok is false when missing
+// packets alone exceed the quality budget.
 func (t *Trace) RequiredDelay(quality float64) (delay time.Duration, ok bool) {
 	slacks := t.Slacks()
 	if len(slacks) == 0 {
 		return 0, true
 	}
 	sort.Float64s(slacks)
+	if !(quality > 0) {
+		quality = 0
+	}
 	// Allow floor(quality * n) late packets: the answer is the slack of the
 	// last packet that must be on time.
-	budget := int(quality * float64(len(slacks)))
+	budget := int(min(quality, 1) * float64(len(slacks)))
 	idx := len(slacks) - 1 - budget
 	if idx < 0 {
 		return 0, true

@@ -47,17 +47,22 @@ func TestRequiredDelayExact(t *testing.T) {
 		slacks[i] = float64(i + 1)
 	}
 	tr := mkTrace(10, slacks)
-	d, ok := tr.RequiredDelay(0) // all packets on time → max slack
-	if !ok || d != 10*time.Second {
-		t.Fatalf("RequiredDelay(0) = %v, %v", d, ok)
-	}
-	d, ok = tr.RequiredDelay(0.1) // one packet may be late
-	if !ok || d != 9*time.Second {
-		t.Fatalf("RequiredDelay(0.1) = %v, %v", d, ok)
-	}
-	d, ok = tr.RequiredDelay(0.95) // nearly everything may be late
-	if !ok || d > time.Second {
-		t.Fatalf("RequiredDelay(0.95) = %v, %v", d, ok)
+	for _, tc := range []struct {
+		quality float64
+		want    time.Duration
+	}{
+		{0, 10 * time.Second},  // all packets on time → max slack
+		{0.1, 9 * time.Second}, // one packet may be late
+		{0.95, time.Second},    // nearly everything may be late
+		{1, 0},                 // everything may be late
+		{math.Inf(1), 0},       // ... however far past 1
+		{-1, 10 * time.Second}, // below 0 allows no late packet, as 0 does
+		{math.Inf(-1), 10 * time.Second},
+		{math.NaN(), 10 * time.Second}, // so does no quality at all
+	} {
+		if d, ok := tr.RequiredDelay(tc.quality); !ok || d != tc.want {
+			t.Errorf("RequiredDelay(%v) = %v, %v; want %v, true", tc.quality, d, ok, tc.want)
+		}
 	}
 }
 

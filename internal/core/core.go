@@ -335,9 +335,6 @@ func (sess *Session) Wait() (int64, error) {
 }
 
 // generate produces packets on the CBR schedule until Count or Stop.
-//
-// hotpath — the single-stream producer root; the loop body runs once
-// per generated packet.
 func (s *Server) generate() {
 	period := time.Duration(float64(time.Second) / s.cfg.Mu)
 	base := time.Now()
@@ -355,7 +352,7 @@ func (s *Server) generate() {
 			s.mu.Unlock()
 			break
 		}
-		s.queue = append(s.queue, queued{pkt: uint32(n), gen: time.Now().UnixNano()}) // nolint:hotalloc amortized queue growth; pop compacts and reuses the backing array
+		s.queue = append(s.queue, queued{pkt: uint32(n), gen: time.Now().UnixNano()}) // amortized: popLocked compacts and reuses the backing array
 		s.generated++
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -447,9 +444,6 @@ const sendBatch = 32
 // the last Config.ResendWindow packets it wrote, which may be stranded
 // in dead kernel/relay buffers — back to the server queue, marks the
 // path dead, and exits; the surviving paths absorb the returned packets.
-//
-// hotpath — the per-path sender root; the loop body runs once per
-// transmitted batch.
 func (sess *Session) sendLoop(k int, conn net.Conn, stop <-chan struct{}) error {
 	s := sess.srv
 	if err := s.writeHeader(k, conn); err != nil {
@@ -505,9 +499,9 @@ func (sess *Session) newPathSender(k int, conn net.Conn) pathSender {
 		k:         k,
 		conn:      conn,
 		frameSize: frameSize,
-		batch:     make([]queued, sendBatch),           // nolint:hotalloc per-path claim buffer, allocated once
-		buf:       make([]byte, frameSize),             // nolint:hotalloc per-path render buffer, allocated once before the loop
-		ring:      make([]queued, 0, cfg.ResendWindow), // nolint:hotalloc per-path resend ring, allocated once; remember never grows it
+		batch:     make([]queued, sendBatch),
+		buf:       make([]byte, frameSize),
+		ring:      make([]queued, 0, cfg.ResendWindow),
 	}
 }
 
@@ -524,7 +518,7 @@ func (p *pathSender) send(n int) error {
 		for frames < n {
 			frames *= 2
 		}
-		p.buf = make([]byte, min(frames, sendBatch)*size) // nolint:hotalloc grows at most log2(sendBatch) times per catch-up episode
+		p.buf = make([]byte, min(frames, sendBatch)*size)
 	}
 	for i, q := range p.batch[:n] {
 		f := p.buf[i*size : (i+1)*size]
@@ -553,7 +547,7 @@ func (p *pathSender) send(n int) error {
 	p.peak = max(p.peak, n)
 	if p.run++; p.run == sendBatch {
 		if 2*p.peak*size <= len(p.buf) {
-			p.buf = make([]byte, size) // nolint:hotalloc once per catch-up episode, a sendBatch run of writes after it
+			p.buf = make([]byte, size)
 		}
 		p.run, p.peak = 0, 0
 	}
@@ -569,7 +563,7 @@ func (p *pathSender) remember(written []queued) {
 	}
 	for _, q := range written {
 		if len(p.ring) < w {
-			p.ring = append(p.ring, q) // nolint:hotalloc newPathSender made ring with capacity w, so this never grows it
+			p.ring = append(p.ring, q) // within the capacity newPathSender gave it
 		} else {
 			p.ring[p.next%w] = q
 		}

@@ -323,6 +323,22 @@ func TestSenderRenderBufferShrinks(t *testing.T) {
 	}
 }
 
+// batchSender returns a path sender of 1000-byte payloads, with a resend
+// ring of sendBatch, whose claim buffer holds the first frames packets.
+func batchSender(tb testing.TB, frames int, conn net.Conn) *pathSender {
+	tb.Helper()
+	srv, err := NewServer(Config{Mu: 300, PayloadSize: 1000, ResendWindow: sendBatch,
+		Fill: func(pkt uint32, buf []byte) { binary.LittleEndian.PutUint32(buf, pkt) }})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := (&Session{srv: srv}).newPathSender(0, conn)
+	for i := range p.batch[:frames] {
+		p.batch[i] = queued{pkt: uint32(i), gen: int64(i)}
+	}
+	return &p
+}
+
 // BenchmarkSenderBatch times one path sender's render and write — frame
 // headers and payload fill into the render buffer, one Write into a
 // discarding conn, the resend ring — for a one-frame write at pace and a
@@ -331,15 +347,7 @@ func TestSenderRenderBufferShrinks(t *testing.T) {
 func BenchmarkSenderBatch(b *testing.B) {
 	for _, frames := range []int{1, sendBatch} {
 		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
-			srv, err := NewServer(Config{Mu: 300, PayloadSize: 1000, ResendWindow: sendBatch,
-				Fill: func(pkt uint32, buf []byte) { binary.LittleEndian.PutUint32(buf, pkt) }})
-			if err != nil {
-				b.Fatal(err)
-			}
-			p := (&Session{srv: srv}).newPathSender(0, sinkConn{})
-			for i := range p.batch[:frames] {
-				p.batch[i] = queued{pkt: uint32(i), gen: int64(i)}
-			}
+			p := batchSender(b, frames, sinkConn{})
 			if err := p.send(frames); err != nil { // grows the render buffer
 				b.Fatal(err)
 			}

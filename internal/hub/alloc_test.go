@@ -1,14 +1,15 @@
-// Alloc-budget guard for the hub frame hot path: publish → wake →
-// popBatchLocked → writeBatch must not allocate in steady state, or fan-out
-// throughput decays into GC pressure exactly when the subscriber count
-// makes it matter. The static side of the same contract is enforced by
-// dmplint's hotalloc analyzer over the `// hotpath` closure; this is the
-// runtime check that catches what escape analysis does behind the
-// analyzer's back.
+// Alloc-budget gates for the hub's frame loops: the generator's tick, an
+// upstream packet's ingest (PublishAt), every shard's wake with its lag
+// policy, the byte-budget governor's accounting, shedding and eviction, and
+// the shard worker's lease → pin → vectored write → release must not
+// allocate in steady state, or fan-out throughput decays into GC pressure
+// exactly when the subscriber count makes it matter. AllocsPerRun counts
+// what escape analysis decides, so these gates are exact; each also checks
+// that the path it exists for ran, so none can pass vacuously.
 //
 // AllocsPerRun is unreliable under the race detector (instrumentation
 // allocates), and the lockrank build's check allocates on every Lock, so
-// the guard is built out of race and lockrank runs.
+// the gates are built out of race and lockrank runs.
 //
 //go:build !race && !lockrank
 
@@ -132,6 +133,311 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 				writeBatchFrames, allocs, 2*writeBatchFrames)
 		}
 	})
+}
+
+// TestHubGenerateAllocFree: the hub's generator running a stream to its
+// end — each tick of its schedule a publish, the shard's wake with the lag
+// policy applied to a subscriber that never reads, a governor pass, and a
+// catch-up burst whenever a sleep overran — allocates nothing once the
+// payload pool holds a ring's worth, even with the pool's poison-on-put
+// debug mode on. A per-tick allocation would read one for each of the
+// run's ticks.
+func TestHubGenerateAllocFree(t *testing.T) {
+	const packets = 2000
+	h := newExternalHub(t, Config{
+		Stream:     core.Config{Mu: 1e6, PayloadSize: 64, Count: packets},
+		LagWindow:  64,
+		Shards:     1,
+		MaxBytes:   1 << 30,
+		PoisonPool: true,
+	})
+	t.Cleanup(h.Close)
+	sd := h.shards[0]
+	addSub(sd, &subscriber{token: core.Token{1}, shard: sd, window: h.cfg.LagWindow})
+	run := func() {
+		generated, dropped := h.generated.Load(), h.totalDropped.Load()
+		h.generate()
+		if got := h.generated.Load() - generated; got != packets {
+			t.Fatalf("generated %d packets, want %d", got, packets)
+		}
+		if h.totalDropped.Load() == dropped {
+			t.Fatal("the lag policy dropped nothing for a subscriber that never reads")
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("generating %d packets allocates %.2f times, want 0", packets, allocs)
+	}
+}
+
+// hookConn is a sinkConn that runs the hook it points at, once, inside
+// its next write.
+type hookConn struct {
+	sinkConn
+	hook *func()
+}
+
+func (c hookConn) Write(p []byte) (int, error) {
+	if f := *c.hook; f != nil {
+		*c.hook = nil
+		f()
+	}
+	return len(p), nil
+}
+
+// TestShardWorkAllocFree runs the shard worker itself — shard.work, on the
+// test's goroutine, as the shard's one worker — over what a stream delivers
+// in steady state, published with the worker idle:
+//
+//   - a generator tick far behind its schedule (publishTick): a burst of a
+//     ring's worth, which every subscriber takes in one write — and while
+//     the first of those writes is out, a second burst laps the ring under
+//     its pins (the write's release hands the buffers to the pool), and the
+//     lag policy drops the first burst for the subscriber still queued;
+//   - an upstream packet past a gap wider than the lag window: the lag
+//     policy drops the first packet each subscriber lost, the pin skips
+//     the gap slots;
+//   - a tick on schedule (period 0), then, before the worker has been
+//     round, an upstream packet past a gap of one: the second wake finds
+//     the first one's paths still queued and applies the lag policy to
+//     them, and each write stops at the gap;
+//   - a late duplicate from upstream, refused;
+//   - resends queued on a subscriber's paths, as a sibling's death queues
+//     them: both of one subscriber's are in the ring and are sent, the
+//     other's, lapped and a gap, are counted as drops.
+//
+// The two-path subscriber's paths take turns, and the worker leaving on a
+// write with a path still queued arms the stall timer. Once every path has
+// written its header and spilled its resend record and the batch has grown
+// to the burst, none of it allocates.
+func TestShardWorkAllocFree(t *testing.T) {
+	const payload, lag, runs = 64, 16, 300
+	h := newExternalHub(t, Config{
+		Stream:    core.Config{Mu: 250, PayloadSize: payload, WriteStallTimeout: time.Second},
+		LagWindow: lag,
+		Shards:    1,
+		MaxBytes:  1 << 30,
+	})
+	t.Cleanup(h.Close)
+	sd := h.shards[0]
+	var duringWrite func()
+	attach := func(tok byte, paths int) *subscriber {
+		sub := &subscriber{token: core.Token{tok}, shard: sd, window: lag}
+		sd.mu.Lock()
+		defer sd.mu.Unlock()
+		sd.registerLocked(sub)
+		for i := 0; i < paths; i++ {
+			p := &path{sub: sub, conn: hookConn{hook: &duringWrite}, idx: int32(i), numPaths: int32(paths)}
+			sub.links = append(sub.links, p)
+			sd.parked.push(p)
+		}
+		return sub
+	}
+	multi, solo := attach(1, 2), attach(2, 1)
+	t.Cleanup(func() {
+		// The paths hold no h.wg count for Close's workers to retire.
+		sd.mu.Lock()
+		defer sd.mu.Unlock()
+		for _, sub := range []*subscriber{multi, solo} {
+			for _, p := range sub.links {
+				p.unlink()
+			}
+		}
+	})
+
+	// work runs the worker, counted in sd.workers and h.wg as
+	// startWorkerLocked counts one, until nothing is queued. The hand-built
+	// paths are not counted in sd.live, so it returns instead of idling.
+	work := func() {
+		sd.mu.Lock()
+		sd.workers++
+		sd.mu.Unlock()
+		h.wg.Add(1)
+		sd.work()
+	}
+	// publish runs pub with workers counted on the shard, so its wake
+	// finds one free and starts none: the worker this test stands in for,
+	// or, with paths queued, as many as a backlog could want.
+	publish := func(workers int, pub func()) {
+		sd.mu.Lock()
+		sd.workers += workers
+		sd.mu.Unlock()
+		pub()
+		sd.mu.Lock()
+		sd.workers -= workers
+		sd.mu.Unlock()
+	}
+	buf := make([]byte, payload)
+	feed := func(gap int64) func() {
+		return func() {
+			if seq := h.ring.headSeq() + gap; !h.PublishAt(seq, seq, buf) {
+				t.Fatalf("PublishAt(%d) refused", seq)
+			}
+		}
+	}
+	feedPastWindow, feedPastOne := feed(lag), feed(1)
+	behind := time.Now().Add(-time.Hour)
+	burst := func() { h.publishTick(0, behind, time.Millisecond) }
+	tick := func() { h.publishTick(0, time.Time{}, 0) }
+	backlog := runtime.GOMAXPROCS(0) + 1
+	burstBehind := func() { publish(backlog, burst) }
+	multiResend, soloResend := make([]int64, 2), make([]int64, 2)
+	cycle := func() {
+		duringWrite = burstBehind
+		publish(1, burst)
+		work()
+		publish(1, feedPastWindow)
+		work()
+		publish(1, tick)
+		publish(backlog, feedPastOne)
+		work()
+
+		head := h.ring.headSeq()
+		if h.PublishAt(head-1, head-1, buf) {
+			t.Fatalf("late duplicate %d accepted at head %d", head-1, head)
+		}
+		multiResend[0], multiResend[1] = head-3, head-1   // the tick's packet and the feed's
+		soloResend[0], soloResend[1] = head-lag-1, head-2 // lapped, and the gap
+		setResend(sd, multi, multiResend)
+		setResend(sd, solo, soloResend)
+		sd.mu.Lock()
+		sd.readyLocked(multi)
+		sd.readyLocked(solo)
+		sd.mu.Unlock()
+		work()
+	}
+	for i := 0; i < lag+1; i++ {
+		cycle()
+	}
+	sent, resent, dropped := h.totalSent.Load(), h.totalResent.Load(), h.totalDropped.Load()
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("shard worker deliveries allocate %.2f times per cycle, want 0", allocs)
+	}
+	// Per cycle: 2·lag+3 frames for each subscriber (two bursts, the tick,
+	// the packets past the window and past the gap of one) less the burst
+	// one of them loses to the lag policy, and two resends. Dropped: that
+	// burst; for each subscriber lag past the window (the lag policy's one
+	// and the gap slots) and the gap of one; two resends lapped or a gap.
+	n := int64(runs + 1)
+	if got, want := h.totalSent.Load()-sent, (2*(2*lag+3)-lag+2)*n; got != want {
+		t.Errorf("%d frames sent over %d cycles, want %d", got, n, want)
+	}
+	if got, want := h.totalResent.Load()-resent, 2*n; got != want {
+		t.Errorf("%d resends over %d cycles, want %d", got, n, want)
+	}
+	if got, want := h.totalDropped.Load()-dropped, (lag+2*(lag+1)+2)*n; got != want {
+		t.Errorf("%d drops over %d cycles, want %d", got, n, want)
+	}
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	if sd.stall == nil || sd.stallArmed || sd.workers != 0 || sd.queuedLocked() {
+		t.Errorf("stall timer %v (armed %v), %d workers, paths queued %v: want one made and disarmed, none, none",
+			sd.stall != nil, sd.stallArmed, sd.workers, sd.queuedLocked())
+	}
+}
+
+// TestGovernorShedAllocFree: the byte-budget governor under overload. One
+// subscriber that never reads is 17 frames behind after each publish, one
+// frame over a budget of 16, and holds a resend older than that, so every
+// PublishAt sheds one degradation-ladder step: clip at the window (nothing
+// to clip), halve it to 16 — twice from the lag window, or once, to the
+// floor, from 24 — and clip one packet and the resend. The cycle resets
+// the window and the resend for the next. Accounting, ranking and shedding
+// must not allocate.
+func TestGovernorShedAllocFree(t *testing.T) {
+	const payload, lag, runs = 64, 64, 200
+	frame := int64(payload + core.FrameHeaderSize)
+	h := newExternalHub(t, Config{
+		Stream:    core.Config{Mu: 250, PayloadSize: payload},
+		LagWindow: lag,
+		Shards:    1,
+		MaxBytes:  16*frame + 38,
+	})
+	t.Cleanup(h.Close)
+	sd := h.shards[0]
+	sub := &subscriber{token: core.Token{1}, shard: sd, window: lag}
+	addSub(sd, sub)
+
+	buf := make([]byte, payload)
+	resend := make([]int64, 1)
+	var seq int64
+	cycle := func() {
+		sd.mu.Lock()
+		sub.window = lag
+		if seq%2 == 1 {
+			sub.window = 3 * minShedWindow / 2
+		}
+		sd.mu.Unlock()
+		resend[0] = max(seq-19, 0) // three behind the cursor once published
+		setResend(sd, sub, resend)
+		if !h.PublishAt(seq, seq, buf) {
+			t.Fatalf("PublishAt(%d) refused", seq)
+		}
+		seq++
+	}
+	for seq < 2*lag { // the ring laps once: the pool is full
+		cycle()
+	}
+	sheds, dropped := h.shedCount.Load(), h.totalDropped.Load()
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("a governor pass that sheds allocates %.2f times, want 0", allocs)
+	}
+	if got := h.shedCount.Load() - sheds; got < runs {
+		t.Fatalf("%d ladder steps over %d publishes, want one each", got, runs)
+	}
+	if got, want := h.totalDropped.Load()-dropped, int64(2*(runs+1)); got != want {
+		t.Fatalf("%d packets shed over %d publishes, want a packet and a resend each", got, runs+1)
+	}
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	if lagged := h.ring.headSeq() - sub.cur; sub.window != minShedWindow || lagged != minShedWindow || len(sub.resend) != 0 || sub.evicted {
+		t.Fatalf("subscriber %d behind with %d resends at window %d (evicted %v), want %d with none at %d",
+			lagged, len(sub.resend), sub.window, sub.evicted, minShedWindow, minShedWindow)
+	}
+}
+
+// TestGovernorEvictAllocFree: the ladder's last step. A subscriber at the
+// floor window, 9 frames behind after each publish against a budget of 8,
+// has nothing to clip, so every PublishAt evicts it: condemned and taken
+// out of the totals and the orphans. The cycle re-registers it for the
+// next. An eviction storm must not allocate.
+func TestGovernorEvictAllocFree(t *testing.T) {
+	const payload, lag, runs = 64, 64, 200
+	frame := int64(payload + core.FrameHeaderSize)
+	h := newExternalHub(t, Config{
+		Stream:    core.Config{Mu: 250, PayloadSize: payload},
+		LagWindow: lag,
+		Shards:    1,
+		MaxBytes:  8*frame + 38,
+	})
+	t.Cleanup(h.Close)
+	sd := h.shards[0]
+	sub := &subscriber{token: core.Token{1}, shard: sd, window: minShedWindow}
+	addSub(sd, sub)
+
+	buf := make([]byte, payload)
+	var seq int64
+	cycle := func() {
+		sd.mu.Lock()
+		sd.removeLocked(sub)
+		sub.evicted, sub.window, sub.cur = false, minShedWindow, max(seq-8, 0)
+		sd.registerLocked(sub)
+		sd.orphanLocked(sub)
+		sd.mu.Unlock()
+		if !h.PublishAt(seq, seq, buf) {
+			t.Fatalf("PublishAt(%d) refused", seq)
+		}
+		seq++
+	}
+	for seq < 2*lag {
+		cycle()
+	}
+	evicted := h.evictedCount.Load()
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("a governor pass that evicts allocates %.2f times, want 0", allocs)
+	}
+	if got := h.evictedCount.Load() - evicted; got != runs+1 {
+		t.Fatalf("%d evictions over %d publishes, want one each", got, runs+1)
+	}
 }
 
 // TestParkedPathFootprint pins what an attached, caught-up path costs:

@@ -441,9 +441,6 @@ func (h *Hub) HasSubscriber(tok core.Token) bool {
 // generate produces packets on the CBR schedule into the ring, waking the
 // shards (which apply the slow-subscriber policy to their own laggards)
 // and re-running the byte-budget governor once per tick.
-//
-// hotpath — the ring-advance root; everything below the publishTick call
-// runs once per generated packet.
 func (h *Hub) generate() {
 	period := time.Duration(float64(time.Second) / h.cfg.Stream.Mu)
 	base := time.Now()
@@ -522,9 +519,6 @@ func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 // policy + ready list), one governor pass — so every downstream
 // guarantee (lag window, byte budget, degradation ladder) holds at every
 // tier of a relay tree.
-//
-// hotpath — the relay-ingest ring-advance root; runs once per upstream
-// frame.
 //
 // payload is copied into a private pool buffer inside ring.publishAt
 // before any reader can alias the slot; it is never retained.

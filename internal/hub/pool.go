@@ -44,10 +44,9 @@ func (pb *payloadBuf) fill(fill func(pkt uint32, buf []byte), pkt uint32) {
 // fillFrom copies an externally received payload in place — the
 // external-source ingest analogue of fill, called by ring.publishAt on a
 // buffer it exclusively owns (fresh from the pool, not yet published).
-//
-// hotpath — the one sanctioned ingest copy per republished
-// frame: the upstream's bytes become pool-private before any reader can
-// alias the slot. src is copied out inside the call, never retained.
+// It is the one sanctioned ingest copy per republished frame: the
+// upstream's bytes become pool-private before any reader can alias the
+// slot. src is copied out inside the call, never retained.
 func (pb *payloadBuf) fillFrom(src []byte) {
 	copy(pb.data, src)
 }
@@ -121,11 +120,11 @@ func (p *bufPool) get() *payloadBuf {
 	}
 	p.news++
 	p.mu.Unlock()
-	pb := &payloadBuf{data: make([]byte, p.size)} // nolint:hotalloc pool miss: one make per buffer per hub lifetime, then recycled through the freelist
+	pb := &payloadBuf{data: make([]byte, p.size)}
 	pb.refs.Store(1)
 	if p.poison {
 		p.mu.Lock()
-		p.all = append(p.all, pb) // nolint:hotalloc poison mode only: one entry per pool miss
+		p.all = append(p.all, pb)
 		p.mu.Unlock()
 	}
 	return pb
@@ -150,7 +149,7 @@ func (p *bufPool) put(pb *payloadBuf) {
 	}
 	pb.pooled = true
 	p.puts++
-	p.free = append(p.free, pb) // nolint:hotalloc freelist growth is amortized: capacity stabilizes at ring size plus in-flight pins
+	p.free = append(p.free, pb)
 	p.mu.Unlock()
 }
 

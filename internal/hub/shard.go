@@ -127,7 +127,7 @@ func (p *path) extendRuns(w uint32, win int) bool {
 
 // spill moves the inline runs, oldest first, into a new win-slot ring.
 func (p *path) spill(win int) {
-	r := &resendRing{slots: make([]uint32, win)} // nolint:hotalloc once per path lifetime, when its writes first fragment past the inline runs
+	r := &resendRing{slots: make([]uint32, win)}
 	for _, run := range p.runs {
 		for i := uint32(0); i < run.n; i++ {
 			r.slots[r.wrote] = run.from + i
@@ -440,7 +440,7 @@ func (sd *shard) armStallLocked() {
 	sd.stallArmed, sd.returned = true, false
 	sd.stallAt = time.Now().Add(stallGrace)
 	if sd.stall == nil {
-		sd.stall = time.AfterFunc(stallGrace, sd.stalled) // nolint:hotalloc once per shard lifetime; Reset re-arms it from then on
+		sd.stall = time.AfterFunc(stallGrace, sd.stalled)
 		return
 	}
 	sd.stall.Reset(stallGrace)
@@ -555,8 +555,6 @@ func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
 // sequences it wrote most recently (oldest first, the in-hand batch last):
 // TCP may have buffered but never delivered them, so finishPath queues
 // them for the subscriber's other paths.
-//
-// hotpath — the sender root; the loop body runs once per delivered batch.
 func (sd *shard) work() {
 	h := sd.h
 	defer h.wg.Done()
@@ -974,7 +972,9 @@ func (sd *shard) popBatchLocked(sub *subscriber) *batch {
 		}
 		b := sd.leaseLocked()
 		if ready := len(sub.resend) + int(max(head-sub.cur, 0)); ready > len(b.bufs) && len(b.bufs) < sd.h.batchFrames {
-			b.grow(min(1<<bits.Len(uint(ready-1)), sd.h.batchFrames)) // nolint:hotalloc a lease grows once per size its stock has not held since the last trim; at pace none does
+			// Once per size the stock has not held since the last trim; at
+			// pace, never.
+			b.grow(min(1<<bits.Len(uint(ready-1)), sd.h.batchFrames))
 		}
 		sd.fillLocked(sub, b)
 		b.peak = max(b.peak, b.n)

@@ -206,3 +206,8 @@ func Exhaustenum() *Analyzer {
 		},
 	}
 }
+
+// trimModule drops the module prefix, so findings name "internal/core.PathState".
+func trimModule(module, node string) string {
+	return strings.TrimPrefix(strings.TrimPrefix(node, module+"/"), module+".")
+}

@@ -11,9 +11,6 @@
 //	            dependent results in the deterministic model packages
 //	lockguard   fields documented `guarded by <mu>` are only touched by
 //	            functions that lock that mutex first
-//	hotalloc    no heap allocation inside `// hotpath` functions or
-//	            their transitive callees (see hotpath.go; `dmplint
-//	            -hotpaths` dumps the closure)
 //	exhaustenum switches over repo enum types cover every member or
 //	            carry a commented default
 //
@@ -23,9 +20,11 @@
 // and byte order (the parsers' fuzz seed corpora), missing write
 // deadlines (the stall-timeout tests), stray payload copies
 // (TestZeroCopyDeliveryAliasesRing in internal/hub), lock-order
-// inversions (the internal/lockrank check, `go test -tags lockrank`) and
+// inversions (the internal/lockrank check, `go test -tags lockrank`),
 // retained payload aliases (the alias scan of a PoisonPool hub's
-// PoolCheck). A dropped Close error was a style rule and is not checked.
+// PoolCheck) and heap allocations in the per-frame loops of the sender,
+// the hub and the registry (the AllocsPerRun gates, `make allocs`). A
+// dropped Close error was a style rule and is not checked.
 //
 // Any finding can be suppressed with an inline escape hatch:
 //
@@ -319,7 +318,7 @@ func DefaultAnalyzers(module string) []*Analyzer {
 	det.Scope = pkgIn(module,
 		"internal/sim", "internal/tcpsim", "internal/netsim", "internal/dmpmodel",
 		"internal/markov", "internal/simstream", "internal/exps")
-	return []*Analyzer{det, Lockguard(), Hotalloc(), Exhaustenum()}
+	return []*Analyzer{det, Lockguard(), Exhaustenum()}
 }
 
 func pkgIn(module string, rels ...string) func(*Package) bool {

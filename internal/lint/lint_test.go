@@ -94,7 +94,6 @@ func checkFixture(t *testing.T, a *Analyzer, dir string) {
 
 func TestDetsimFixture(t *testing.T)      { checkFixture(t, Detsim(), "detsim") }
 func TestLockguardFixture(t *testing.T)   { checkFixture(t, Lockguard(), "lockguard") }
-func TestHotallocFixture(t *testing.T)    { checkFixture(t, Hotalloc(), "hotalloc") }
 func TestExhaustenumFixture(t *testing.T) { checkFixture(t, Exhaustenum(), "exhaustenum") }
 
 // loadRepo parses the whole module and indexes it.
@@ -128,7 +127,7 @@ func TestRepoSelfClean(t *testing.T) {
 	for _, a := range analyzers {
 		names = append(names, a.Name)
 	}
-	want := "detsim lockguard hotalloc exhaustenum"
+	want := "detsim lockguard exhaustenum"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("default suite = %s, want %s", got, want)
 	}
@@ -200,8 +199,9 @@ func unrelatedSuppression() {
 }
 
 // TestDefaultBuildConstraint pins which files Load keeps: those a plain
-// `go build` compiles. A file that needs a tag (the lockrank checker)
-// would otherwise pull its Lock into the hot-path closure.
+// `go build` compiles. Without the filter, lockrank's build-tag twins
+// on.go and off.go, which declare the same types, would both enter the
+// type index.
 func TestDefaultBuildConstraint(t *testing.T) {
 	for src, want := range map[string]bool{
 		"package p\n":                                             true,

@@ -79,12 +79,9 @@ type Index struct {
 	funcResults   map[string]map[string][]*TypeRef          // pkg → func → results
 	methodResults map[string]map[string]map[string][]*TypeRef
 
-	// pkgs is every loaded package; the hot-path closure (hotpath.go)
-	// follows calls across all of them regardless of which packages an
-	// analyzer is invoked on. It is computed once, for hotalloc.
-	pkgs    []*Package
-	hotOnce sync.Once
-	hotIdx  *hotIndex
+	// pkgs is every loaded package; the enum table below is built over
+	// all of them regardless of which packages an analyzer is invoked on.
+	pkgs []*Package
 
 	// Enum member table (exhaustenum.go): module named integer types with
 	// two or more typed constants.

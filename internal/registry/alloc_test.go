@@ -1,11 +1,12 @@
-// Alloc-budget guard for vectored delivery through a registry: the
-// counting wrapper every routed connection gets must forward the hub's
-// batch write without allocating, or "0 allocs/frame" holds for a bare
-// hub and reads 1.0 behind Route.
+// Alloc-budget gates for a registry: the counting wrapper every routed
+// connection gets must forward the hub's batch write without allocating,
+// or "0 allocs/frame" holds for a bare hub and reads 1.0 behind Route; and
+// Route itself, which a redialing path storm runs once per reconnect, costs
+// an exact, pinned number of allocations.
 //
 // AllocsPerRun is unreliable under the race detector (instrumentation
 // allocates), and the lockrank build's check allocates on every Lock, so
-// the guard is built out of race and lockrank runs.
+// the gates are built out of race and lockrank runs.
 //
 //go:build !race && !lockrank
 
@@ -83,5 +84,43 @@ func TestRoutedVectoredWriteAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Errorf("routed vectored write allocates %.2f times per frame, want 0", allocs)
+	}
+}
+
+// TestRouteReattachAllocs pins what admitting a re-attach costs. The
+// registry is full (one subscriber, the cap), so Route counts the streams'
+// subscribers and exempts the join because the stream knows its token;
+// then it wraps the conn to count it and the hub adds a path. The wrapper
+// and the path are Route's two allocations, the sink and its channel the
+// test's own: 4 a join, and every join admitted. (The subscriber's path
+// list grows as the paths pile up, by doubling: less than one allocation
+// a join, which AllocsPerRun's whole-allocation average does not count.)
+func TestRouteReattachAllocs(t *testing.T) {
+	const runs = 100
+	r, err := New(Config{MaxSubscribers: 1, Hub: hub.Config{
+		Stream:         core.Config{Mu: 500, PayloadSize: 64},
+		Shards:         1,
+		ExternalSource: true,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	h, err := r.Create("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := core.Join{StreamID: "live", Token: newToken(t)}
+	route := func() {
+		if err := r.Route(&vecSink{frames: make(chan int, 1)}, join); err != nil {
+			t.Fatal(err)
+		}
+	}
+	route() // the subscription's first path
+	if allocs := testing.AllocsPerRun(runs, route); allocs != 4 {
+		t.Errorf("a routed re-attach allocates %.2f times, want 4", allocs)
+	}
+	if got, want := r.ConnCount(), runs+2; got != want || h.SubscriberCount() != 1 {
+		t.Fatalf("%d paths of %d subscribers attached, want %d of 1", got, h.SubscriberCount(), want)
 	}
 }

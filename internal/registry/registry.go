@@ -359,10 +359,8 @@ func (r *Registry) Attach(conn net.Conn) error { return r.acc.Attach(conn) }
 // stream up, apply the registry-wide caps, and hand the connection to the
 // owning hub. The registry lock covers only the lookup and cap check —
 // never a reject write or the hub attach — so refused or slow clients on
-// one stream cannot stall routing for the others.
-//
-// hotpath — the per-join admission root; a redialing path storm lands
-// here once per reconnect attempt.
+// one stream cannot stall routing for the others. A redialing path storm
+// lands here once per reconnect attempt.
 func (r *Registry) Route(conn net.Conn, j core.Join) error {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		// The hub's own TCP tuning can't reach through the counting
@@ -420,7 +418,7 @@ func (r *Registry) Route(conn net.Conn, j core.Join) error {
 	}
 	r.connCount.Add(1)
 	r.mu.Unlock()
-	return h.AttachJoined(&countedConn{Conn: conn, r: r}, j) // nolint:hotalloc one wrapper per admitted connection; the hub attach below is its own domain
+	return h.AttachJoined(&countedConn{Conn: conn, r: r}, j)
 }
 
 // Serve accepts connections on ln and routes each join to its stream,
