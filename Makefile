@@ -20,11 +20,14 @@ race:
 	$(GO) test -race ./...
 
 # lint is the repo-invariant gate: go vet plus the dmplint suite
-# (detsim, lockguard, exhaustenum — see DESIGN.md "Enforced invariants").
-# Any finding exits non-zero.
+# (detsim, lockguard, exhaustenum — see DESIGN.md "Enforced invariants"),
+# type-checked on go/types. The benchmark is a nested module that ./...
+# stops at, so dmplint runs a second time inside it. Any finding exits
+# non-zero.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/dmplint ./...
+	$(GO) -C benchmark run dmpstream/cmd/dmplint ./...
 
 # lockrank runs the packages that nest the hub's locks with the lock-rank
 # check built in (internal/lockrank): any executed nesting that inverts the

@@ -38,6 +38,9 @@ func main() {
 		fatal(err)
 	}
 	m := dmpstream.Model{Paths: paths, PlaybackRate: *mu, Budget: *budget, Seed: *seed}
+	if err := m.Validate(); err != nil {
+		fatal(err)
+	}
 
 	agg, err := m.AggregateThroughput()
 	if err != nil {

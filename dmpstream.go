@@ -648,6 +648,14 @@ func (m Model) toInternal() (dmpmodel.Model, dmpmodel.Options) {
 		dmpmodel.Options{Seed: seed, MaxConsumptions: m.Budget}
 }
 
+// Validate reports whether the model can be evaluated: at least one path,
+// a finite positive playback rate, and per path a loss rate in (0,1) and
+// a finite positive RTT and timeout ratio.
+func (m Model) Validate() error {
+	im, _ := m.toInternal()
+	return im.Validate()
+}
+
 // FractionLate predicts the stationary fraction of late packets for the
 // given startup delay.
 func (m Model) FractionLate(startupDelay time.Duration) (float64, error) {

@@ -102,8 +102,19 @@ func TestModelValidation(t *testing.T) {
 		{Paths: nil, PlaybackRate: 10},
 		{Paths: []dmpstream.PathParams{{LossRate: 0.02, RTT: time.Second, TimeoutRatio: 4}}, PlaybackRate: 0},
 		{Paths: []dmpstream.PathParams{{LossRate: 0, RTT: time.Second, TimeoutRatio: 4}}, PlaybackRate: 10},
+		// Non-finite inputs used to pass: a NaN rate never consumes, so
+		// FractionLate spun forever.
+		{Paths: []dmpstream.PathParams{{LossRate: 0.02, RTT: time.Second, TimeoutRatio: 4}}, PlaybackRate: math.NaN()},
+		{Paths: []dmpstream.PathParams{{LossRate: 0.02, RTT: time.Second, TimeoutRatio: 4}}, PlaybackRate: math.Inf(1)},
+		{Paths: []dmpstream.PathParams{{LossRate: math.NaN(), RTT: time.Second, TimeoutRatio: 4}}, PlaybackRate: 10},
+		{Paths: []dmpstream.PathParams{{LossRate: 0.02, RTT: 0, TimeoutRatio: 4}}, PlaybackRate: 10},
+		{Paths: []dmpstream.PathParams{{LossRate: 0.02, RTT: -time.Second, TimeoutRatio: 4}}, PlaybackRate: 10},
+		{Paths: []dmpstream.PathParams{{LossRate: 0.02, RTT: time.Second, TimeoutRatio: math.Inf(1)}}, PlaybackRate: 10},
 	}
 	for i, m := range bad {
+		if err := m.Validate(); err == nil {
+			t.Errorf("model %d passed Validate", i)
+		}
 		if _, err := m.FractionLate(5 * time.Second); err == nil {
 			t.Errorf("model %d accepted", i)
 		}

@@ -35,21 +35,25 @@ type Model struct {
 	Mu    float64 // playback rate, packets per second
 }
 
-// Validate checks the model's parameters.
+// Validate checks the model's parameters. Each check is written so that
+// NaN fails it.
 func (m *Model) Validate() error {
 	if len(m.Paths) == 0 {
 		return fmt.Errorf("dmpmodel: no paths")
 	}
-	if m.Mu <= 0 {
-		return fmt.Errorf("dmpmodel: playback rate %v <= 0", m.Mu)
+	if !finitePositive(m.Mu) {
+		return fmt.Errorf("dmpmodel: playback rate %v is not finite and > 0", m.Mu)
 	}
 	for i, p := range m.Paths {
-		if _, err := tcpmodel.Throughput(p); err != nil {
+		if _, err := Sigma(p); err != nil {
 			return fmt.Errorf("dmpmodel: path %d: %w", i, err)
 		}
 	}
 	return nil
 }
+
+// finitePositive reports whether x lies in (0, +Inf); NaN does not.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // AggregateThroughput returns σ_a = Σ σ_k from the exact per-flow solve.
 func (m *Model) AggregateThroughput() (float64, error) {
@@ -179,8 +183,8 @@ func (m *Model) fractionLate(tau float64, o Options, thresh float64) (Result, er
 	if err := m.Validate(); err != nil {
 		return Result{}, err
 	}
-	if tau <= 0 {
-		return Result{}, fmt.Errorf("dmpmodel: startup delay %v <= 0", tau)
+	if !finitePositive(tau) {
+		return Result{}, fmt.Errorf("dmpmodel: startup delay %v is not finite and > 0", tau)
 	}
 	nmax := m.nmaxFor(tau)
 	o = o.withDefaults(nmax)
@@ -324,7 +328,7 @@ func (m *Model) CompareToThreshold(tau, thresh float64, o Options) (Verdict, Res
 // the quantity plotted in the paper's Figs 9-11. It exploits that f is
 // non-increasing in τ. Returns +Inf if even maxTau misses the threshold.
 func (m *Model) RequiredStartupDelay(thresh, step, maxTau float64, o Options) (float64, error) {
-	if step <= 0 || maxTau <= step {
+	if !finitePositive(step) || !(maxTau > step) || math.IsInf(maxTau, 1) {
 		return 0, fmt.Errorf("dmpmodel: bad search grid step=%v maxTau=%v", step, maxTau)
 	}
 	v, _, err := m.CompareToThreshold(maxTau, thresh, o)
@@ -382,7 +386,7 @@ func (m *Model) TransientFractionLate(tau, videoSeconds float64, stored bool, o 
 	if err := m.Validate(); err != nil {
 		return TransientResult{}, err
 	}
-	if tau <= 0 || videoSeconds <= tau {
+	if !(0 < tau && tau < videoSeconds) || math.IsInf(videoSeconds, 1) {
 		return TransientResult{}, fmt.Errorf("dmpmodel: need 0 < tau < videoSeconds, got %v, %v", tau, videoSeconds)
 	}
 	nmax := m.nmaxFor(tau)
@@ -603,6 +607,10 @@ var sigmaCache sync.Map // tcpmodel.Params (R normalized to 1) -> float64
 // Sigma returns the achievable throughput σ(par), using the R-scaling
 // σ = σ̂(p, T_O, Wmax)/R and caching σ̂.
 func Sigma(par tcpmodel.Params) (float64, error) {
+	// σ̂ is solved at R = 1, so R is checked here.
+	if !finitePositive(par.R) {
+		return 0, fmt.Errorf("dmpmodel: RTT %v is not finite and > 0", par.R)
+	}
 	key := par
 	key.R = 1
 	if v, ok := sigmaCache.Load(key); ok {

@@ -265,22 +265,64 @@ func TestDeterministicGivenSeed(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	good := tcpmodel.Params{P: 0.02, R: 0.2, TO: 4}
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []Model{
 		{Paths: nil, Mu: 10},
 		{Paths: []tcpmodel.Params{good}, Mu: 0},
+		{Paths: []tcpmodel.Params{good}, Mu: nan},
+		{Paths: []tcpmodel.Params{good}, Mu: inf},
+		{Paths: []tcpmodel.Params{good}, Mu: -inf},
 		{Paths: []tcpmodel.Params{{P: 2, R: 0.1, TO: 4}}, Mu: 10},
+		{Paths: []tcpmodel.Params{{P: nan, R: 0.1, TO: 4}}, Mu: 10},
+		{Paths: []tcpmodel.Params{{P: 0.02, R: 0, TO: 4}}, Mu: 10},
+		{Paths: []tcpmodel.Params{{P: 0.02, R: -0.1, TO: 4}}, Mu: 10},
+		{Paths: []tcpmodel.Params{{P: 0.02, R: nan, TO: 4}}, Mu: 10},
+		{Paths: []tcpmodel.Params{{P: 0.02, R: inf, TO: 4}}, Mu: 10},
+		{Paths: []tcpmodel.Params{{P: 0.02, R: 0.1, TO: nan}}, Mu: 10},
+		{Paths: []tcpmodel.Params{{P: 0.02, R: 0.1, TO: inf}}, Mu: 10},
 	}
 	for i, m := range cases {
 		if err := m.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
+			t.Errorf("case %d (%+v) accepted", i, m)
 		}
 	}
 	m := Model{Paths: []tcpmodel.Params{good}, Mu: 10}
-	if _, err := m.FractionLate(0, Options{}); err == nil {
-		t.Error("tau=0 accepted")
+	for _, tau := range []float64{0, -1, nan, inf} {
+		if _, err := m.FractionLate(tau, Options{}); err == nil {
+			t.Errorf("tau=%v accepted", tau)
+		}
 	}
 	if _, err := m.RequiredStartupDelay(1e-4, 0, 10, Options{}); err == nil {
 		t.Error("zero step accepted")
+	}
+	if _, err := m.RequiredStartupDelay(1e-4, nan, 10, Options{}); err == nil {
+		t.Error("NaN step accepted")
+	}
+	if _, err := m.TransientFractionLate(nan, 60, false, Options{}); err == nil {
+		t.Error("NaN transient tau accepted")
+	}
+}
+
+// TestSigmaRefusesBadRTT: σ = σ̂/R is solved at R = 1, so Sigma checks R
+// itself; an R of 0 used to come back as σ = +Inf and a NaN R as a
+// negative or NaN σ.
+func TestSigmaRefusesBadRTT(t *testing.T) {
+	for _, r := range []float64{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if s, err := Sigma(tcpmodel.Params{P: 0.02, R: r, TO: 4}); err == nil {
+			t.Errorf("R=%v accepted: sigma=%v", r, s)
+		}
+	}
+	for _, par := range []tcpmodel.Params{
+		{P: math.NaN(), R: 0.1, TO: 4},
+		{P: 0.02, R: 0.1, TO: math.NaN()},
+		{P: 0.02, R: 0.1, TO: math.Inf(1)},
+	} {
+		if s, err := Sigma(par); err == nil {
+			t.Errorf("%+v accepted: sigma=%v", par, s)
+		}
+	}
+	if s, err := Sigma(tcpmodel.Params{P: 0.02, R: 0.1, TO: 4}); err != nil || !(s > 0) {
+		t.Errorf("good params: sigma=%v, err=%v", s, err)
 	}
 }
 

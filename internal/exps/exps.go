@@ -129,6 +129,8 @@ func register(e Experiment) {
 // All returns the registered experiments sorted by id.
 func All() []Experiment {
 	out := make([]Experiment, 0, len(registry))
+	// nolint:detsim out is sorted by the unique ID right below, so the
+	// result is independent of map iteration order.
 	for _, e := range registry {
 		out = append(out, e)
 	}

@@ -155,6 +155,31 @@ func TestCorrelatedSimBothFlowsSimilar(t *testing.T) {
 	})
 }
 
+// TestSimModelVerdict pins the fig4b/fig5b/correlated match column. The
+// rows are taken from committed quick seed-1 tables.
+func TestSimModelVerdict(t *testing.T) {
+	for _, c := range []struct {
+		simMean, simCI, modelF, modelCI float64
+		want                            string
+	}{
+		{0.1799, 0.1241, 0.1391, 0.005, "within CI"},  // fig4b tau=4
+		{0.0112, 0.0220, 1.25e-5, 1e-5, "unresolved"}, // fig4b tau=10: sim CI spans zero
+		{0.0747, 0.0747, 0.0426, 0.002, "unresolved"}, // half-width equal to the mean
+		{0.1, 0.01, 0.1, 0.2, "unresolved"},           // the model side spans zero
+		{0.7891, 0.0548, 0.8594, 0.01, "within 10x"},  // correlated-1 tau=4
+		{0.2624, 0.1301, 0.0204, 0.001, "no"},         // correlated-2 tau=8
+		{0, 0, 8.10e-3, 1e-4, "no"},                   // correlated-3 tau=7
+		{0, 0, 2.43e-4, 1e-5, "both small"},           // correlated-3 tau=10
+		{0, 0, 0, 0, "within CI"},                     // correlated-4: nothing late on either side
+		{0.05, 0.01, 0.05, 0, "within CI"},            // a model CI of 0 (too few batches) is resolved
+	} {
+		if got := simModelVerdict(c.simMean, c.simCI, c.modelF, c.modelCI); got != c.want {
+			t.Errorf("simModelVerdict(%g, %g, %g, %g) = %q, want %q",
+				c.simMean, c.simCI, c.modelF, c.modelCI, got, c.want)
+		}
+	}
+}
+
 func TestToy73ClaimHolds(t *testing.T) {
 	tables, err := runToy73(Quick, 0)
 	if err != nil {

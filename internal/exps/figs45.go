@@ -134,7 +134,7 @@ func runSimVsModelFig(id string, st setting, correlated bool, f Fidelity, seed i
 	t := Table{
 		ID:      id,
 		Title:   fmt.Sprintf("Fraction of late packets, ns-substitute vs model (Setting %s)", st.name),
-		Columns: []string{"tau (s)", "sim mean", "sim 95% CI", "model", "model/sim", "match"},
+		Columns: []string{"tau (s)", "sim mean", "sim 95% CI", "model", "model 95% CI", "model/sim", "match"},
 	}
 	for _, tau := range taus {
 		mean, ci := stats.MeanCI95(simF[tau])
@@ -146,31 +146,44 @@ func runSimVsModelFig(id string, st setting, correlated bool, f Fidelity, seed i
 		if mean > 0 && res.F > 0 {
 			ratio = res.F / mean
 		}
-		// The paper's acceptance criterion: the model lies within the sim's
-		// confidence interval, or within one order of magnitude.
-		match := "no"
-		switch {
-		case res.F >= mean-ci && res.F <= mean+ci:
-			match = "within CI"
-		case ratio > 0.1 && ratio < 10:
-			match = "within 10x"
-		case mean == 0 && res.F < 1e-3:
-			match = "both small"
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%g", tau),
 			fmtF(mean),
 			fmtF(ci),
 			fmtF(res.F),
+			fmtF(res.CI95),
 			fmt.Sprintf("%.2f", ratio),
-			match,
+			simModelVerdict(mean, ci, res.F, res.CI95),
 		})
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("model inputs measured from the simulation: p=(%.3f,%.3f) R=(%.0f,%.0f)ms TO=(%.1f,%.1f)",
 			params[0].P, params[1].P, params[0].R*1e3, params[1].R*1e3, params[0].TO, params[1].TO),
-		"paper's acceptance criterion: model within the sim CI or within 10x")
+		"paper's acceptance criterion: model within the sim CI or within 10x",
+		"unresolved: the sim's or the model's 95% half-width is at least its non-zero estimate, so no verdict")
 	return []Table{t}, nil
+}
+
+// simModelVerdict applies the paper's acceptance criterion at one τ: the
+// model lies within the sim's 95% CI, or within one order of magnitude of
+// the sim, or both are small. A side whose 95% half-width is at least its
+// non-zero estimate is unresolved — its interval reaches zero, so it
+// cannot confirm or refute the other — and then no verdict is given. An
+// estimate of exactly zero (no late packet seen) is resolved.
+func simModelVerdict(simMean, simCI, modelF, modelCI float64) string {
+	unresolved := func(f, ci float64) bool { return f > 0 && ci >= f }
+	ratio := modelF / simMean
+	switch {
+	case unresolved(simMean, simCI) || unresolved(modelF, modelCI):
+		return "unresolved"
+	case modelF >= simMean-simCI && modelF <= simMean+simCI:
+		return "within CI"
+	case ratio > 0.1 && ratio < 10:
+		return "within 10x"
+	case simMean == 0 && modelF < 1e-3:
+		return "both small"
+	}
+	return "no"
 }
 
 // runCorrelatedValidation covers Section 5.3: the same sim-vs-model check

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -12,117 +13,65 @@ import (
 // (append, compound assignment, printing). The paper-validation numbers
 // (Tables 2-3, Figs 4-5) must be bit-reproducible run to run.
 func Detsim() *Analyzer {
-	return &Analyzer{
-		Name: "detsim",
-		Run:  runDetsim,
-	}
+	return &Analyzer{Name: "detsim", Run: runDetsim}
 }
 
-// Global math/rand functions that draw from the process-wide source.
-var globalRandFns = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
-	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
-	// math/rand/v2 spellings
-	"IntN": true, "Int32": true, "Int32N": true, "Int64": true, "Int64N": true,
-	"UintN": true, "Uint32N": true, "Uint64N": true, "N": true,
-}
-
-func runDetsim(pkg *Package, idx *Index) []Finding {
+func runDetsim(pkg *Package) []Finding {
 	var out []Finding
-	for _, file := range pkg.Files {
-		if file.Test {
-			continue
-		}
-		var timeName, randName string
-		for local, path := range file.Imports {
-			switch path {
-			case "time":
-				timeName = local
-			case "math/rand", "math/rand/v2":
-				randName = local
-			}
-		}
-		for _, decl := range file.AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			e := funcEnv(idx, pkg, file, fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					sel, ok := n.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					x, ok := sel.X.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					switch {
-					case timeName != "" && x.Name == timeName && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since"):
+	eachFunc(pkg, func(file *ast.File, fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				path, name := pkgFunc(pkg.Info, n)
+				switch rand := isRand(path); {
+				case path == "time" && (name == "Now" || name == "Since"):
+					out = append(out, finding(file, n.Pos(), "detsim",
+						"time.%s in deterministic package %s; thread simulated time instead",
+						name, pkg.ImportPath))
+				case rand && name == "New":
+					if !isSeededSource(pkg.Info, n) {
 						out = append(out, finding(file, n.Pos(), "detsim",
-							"time.%s in deterministic package %s; thread simulated time instead",
-							sel.Sel.Name, pkg.ImportPath))
-					case randName != "" && x.Name == randName && globalRandFns[sel.Sel.Name]:
-						out = append(out, finding(file, n.Pos(), "detsim",
-							"global math/rand.%s draws from the shared unseeded source; use rand.New(rand.NewSource(seed))",
-							sel.Sel.Name))
-					case randName != "" && x.Name == randName && sel.Sel.Name == "New":
-						if !isSeededSource(randName, n) {
-							out = append(out, finding(file, n.Pos(), "detsim",
-								"rand.New without an explicit rand.NewSource(seed) argument"))
-						}
+							"rand.New without an explicit rand.NewSource(seed) argument"))
 					}
-				case *ast.RangeStmt:
-					t := e.typeOf(n.X)
-					if t == nil || !t.Map {
-						return true
-					}
-					if feed, what := ordersResult(n.Body); feed {
-						out = append(out, finding(file, n.Pos(), "detsim",
-							"iteration over map %s feeds an order-dependent result (%s); iterate a sorted key slice or reduce order-independently",
-							selectorPath(n.X), what))
-					}
+				case rand && !strings.HasPrefix(name, "New"): // the process-wide source
+					out = append(out, finding(file, n.Pos(), "detsim",
+						"global math/rand.%s draws from the shared unseeded source; use rand.New(rand.NewSource(seed))",
+						name))
 				}
-				return true
-			})
-		}
-	}
+			case *ast.RangeStmt:
+				if _, ok := pkg.Info.TypeOf(n.X).Underlying().(*types.Map); !ok {
+					return true
+				}
+				if feed, what := ordersResult(pkg.Info, n.Body); feed {
+					out = append(out, finding(file, n.Pos(), "detsim",
+						"iteration over map %s feeds an order-dependent result (%s); iterate a sorted key slice or reduce order-independently",
+						types.ExprString(n.X), what))
+				}
+			}
+			return true
+		})
+	})
 	return out
 }
 
-// isSeededSource reports whether rand.New's argument is itself a
-// rand.NewSource/NewPCG/NewChaCha8 call (an explicitly seeded source).
-func isSeededSource(randName string, call *ast.CallExpr) bool {
-	if len(call.Args) == 0 {
-		return false
-	}
+func isRand(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
+
+// isSeededSource reports whether rand.New's argument is itself a rand
+// constructor call: NewSource, NewPCG or NewChaCha8, the only ones whose
+// result type-checks as a Source (an explicitly seeded source).
+func isSeededSource(info *types.Info, call *ast.CallExpr) bool {
 	inner, ok := call.Args[0].(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	sel, ok := inner.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	x, ok := sel.X.(*ast.Ident)
-	if !ok || x.Name != randName {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "NewSource", "NewPCG", "NewChaCha8", "NewZipf":
-		return true
-	}
-	return false
+	path, name := pkgFunc(info, inner)
+	return isRand(path) && strings.HasPrefix(name, "New")
 }
 
 // ordersResult reports whether a map-range body produces something that
 // depends on iteration order: growing a slice, compound-assignment
 // accumulation (float sums are not associative), or direct output.
-func ordersResult(body *ast.BlockStmt) (bool, string) {
+func ordersResult(info *types.Info, body *ast.BlockStmt) (bool, string) {
 	found := ""
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found != "" {
@@ -135,20 +84,11 @@ func ordersResult(body *ast.BlockStmt) (bool, string) {
 				found = "compound assignment " + n.Tok.String()
 			}
 		case *ast.CallExpr:
-			switch fun := n.Fun.(type) {
-			case *ast.Ident:
-				if fun.Name == "append" {
-					found = "append"
-				}
-			case *ast.SelectorExpr:
-				if x, ok := fun.X.(*ast.Ident); ok && x.Name == "fmt" &&
-					strings.HasPrefix(fun.Sel.Name, "Print") {
-					found = "fmt." + fun.Sel.Name
-				}
-				if x, ok := fun.X.(*ast.Ident); ok && x.Name == "fmt" &&
-					strings.HasPrefix(fun.Sel.Name, "Fprint") {
-					found = "fmt." + fun.Sel.Name
-				}
+			switch path, name := pkgFunc(info, n); {
+			case path == "" && name == "append":
+				found = "append"
+			case path == "fmt" && (strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")):
+				found = "fmt." + name
 			}
 		}
 		return true

@@ -8,103 +8,53 @@
 // position — a silently skipped new state is how a degradation ladder
 // quietly stops degrading.
 //
-// An enum is a module named type with two or more typed package-level
-// constants (iota runs count through continuation specs). For every
+// An enum is a named type declared in the switching package's module with
+// two or more package-level constants of exactly that type; the members
+// are read from the type checker's scope of the declaring package. For every
 // `switch` whose tag resolves to an enum, the analyzer requires either
 // every member covered by a case, or an explicit `default` carrying a
 // comment that says why the remainder is safe. A case expression it
-// cannot resolve to a member (a call, a local, a constant from a third
-// package) makes the switch opaque and the analyzer stays quiet, per
+// cannot resolve to a member (a call, a local, a constant of another
+// type) makes the switch opaque and the analyzer stays quiet, per
 // the suite convention; `// nolint:exhaustenum reason` waives a switch.
 package lint
 
 import (
 	"go/ast"
 	"go/token"
-	"sort"
+	"go/types"
+	"slices"
 	"strings"
 )
 
-// enumInfo is one module enum type's member set.
-type enumInfo struct {
-	members []string // declaration order, deduplicated
-	set     map[string]bool
-}
-
-// enums lazily builds the module-wide enum table, keyed "pkgpath.Type".
-func (idx *Index) enums() map[string]*enumInfo {
-	idx.enumOnce.Do(func() {
-		idx.enumIdx = buildEnumIndex(idx)
-	})
-	return idx.enumIdx
-}
-
-func buildEnumIndex(idx *Index) map[string]*enumInfo {
-	enums := map[string]*enumInfo{}
-	add := func(key, member string) {
-		info := enums[key]
-		if info == nil {
-			info = &enumInfo{set: map[string]bool{}}
-			enums[key] = info
-		}
-		if !info.set[member] {
-			info.set[member] = true
-			info.members = append(info.members, member)
+// enumMembers returns t's members, sorted by name, if t is an enum of
+// module; nil otherwise.
+func enumMembers(module string, t types.Type) []*types.Const {
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return nil
+	}
+	if p := named.Obj().Pkg().Path(); p != module && !strings.HasPrefix(p, module+"/") {
+		return nil
+	}
+	scope := named.Obj().Pkg().Scope()
+	var members []*types.Const
+	for _, name := range scope.Names() {
+		if c, ok := scope.Lookup(name).(*types.Const); ok && types.Identical(c.Type(), named) {
+			members = append(members, c)
 		}
 	}
-	for _, pkg := range idx.pkgs {
-		for _, file := range pkg.Files {
-			if file.Test {
-				continue
-			}
-			for _, decl := range file.AST.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.CONST {
-					continue
-				}
-				// Track the "current type" through an iota run: an
-				// explicit Type starts one, specs with neither Type nor
-				// Values continue it, untyped values end it.
-				cur := ""
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					if vs.Type != nil {
-						cur = ""
-						t := resolveType(file, pkg.ImportPath, vs.Type)
-						if t != nil && t.Path != "" && !t.Ptr && !t.Slice && !t.Array && !t.Map {
-							cur = t.Path + "." + t.Name
-						}
-					} else if len(vs.Values) > 0 {
-						cur = ""
-					}
-					if cur == "" {
-						continue
-					}
-					for _, name := range vs.Names {
-						if name.Name != "_" {
-							add(cur, name.Name)
-						}
-					}
-				}
-			}
-		}
+	if len(members) < 2 {
+		return nil
 	}
-	for key, info := range enums {
-		if len(info.members) < 2 {
-			delete(enums, key)
-		}
-	}
-	return enums
+	return members
 }
 
 // defaultCommented reports whether a default clause carries a comment —
 // inside the clause, or trailing on the `default:` line. The clause is
 // bounded by the next case or the switch's closing brace, not by
 // cc.End(): a comment-only body sits past the last statement.
-func defaultCommented(fset *token.FileSet, file *File, sw *ast.SwitchStmt, cc *ast.CaseClause) bool {
+func defaultCommented(fset *token.FileSet, file *ast.File, sw *ast.SwitchStmt, cc *ast.CaseClause) bool {
 	end := sw.Body.Rbrace
 	for _, stmt := range sw.Body.List {
 		if stmt.Pos() > cc.Pos() && stmt.Pos() < end {
@@ -112,7 +62,7 @@ func defaultCommented(fset *token.FileSet, file *File, sw *ast.SwitchStmt, cc *a
 		}
 	}
 	defLine := fset.Position(cc.Case).Line
-	for _, cg := range file.AST.Comments {
+	for _, cg := range file.Comments {
 		if cg.Pos() >= cc.Pos() && cg.End() <= end {
 			return true
 		}
@@ -127,68 +77,44 @@ func defaultCommented(fset *token.FileSet, file *File, sw *ast.SwitchStmt, cc *a
 func Exhaustenum() *Analyzer {
 	return &Analyzer{
 		Name: "exhaustenum",
-		Run: func(pkg *Package, idx *Index) []Finding {
-			enums := idx.enums()
+		Run: func(pkg *Package) []Finding {
 			var out []Finding
-			eachFunc(pkg, func(file *File, fd *ast.FuncDecl) {
-				e := funcEnv(idx, pkg, file, fd)
+			eachFunc(pkg, func(file *ast.File, fd *ast.FuncDecl) {
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					sw, ok := n.(*ast.SwitchStmt)
 					if !ok || sw.Tag == nil {
 						return true
 					}
-					t := e.typeOf(sw.Tag)
-					if t == nil || t.Ptr || t.Slice || t.Array || t.Map || t.Path == "" {
+					members := enumMembers(pkg.Module, pkg.Info.TypeOf(sw.Tag))
+					if members == nil {
 						return true
 					}
-					info := enums[t.Path+"."+t.Name]
-					if info == nil {
-						return true
-					}
-					covered := map[string]bool{}
+					covered := map[*types.Const]bool{}
 					var def *ast.CaseClause
 					for _, stmt := range sw.Body.List {
-						cc, ok := stmt.(*ast.CaseClause)
-						if !ok {
-							continue
-						}
+						cc := stmt.(*ast.CaseClause)
 						if cc.List == nil {
 							def = cc
 							continue
 						}
 						for _, ce := range cc.List {
-							switch ce := ce.(type) {
-							case *ast.Ident:
-								if t.Path != pkg.ImportPath || !info.set[ce.Name] {
-									return true // opaque case: stay quiet
-								}
-								covered[ce.Name] = true
-							case *ast.SelectorExpr:
-								x, ok := ce.X.(*ast.Ident)
-								if !ok {
-									return true
-								}
-								imp, ok := file.Imports[x.Name]
-								if !ok || imp != t.Path || !info.set[ce.Sel.Name] {
-									return true
-								}
-								covered[ce.Sel.Name] = true
-							default:
-								return true
+							c, _ := used(pkg.Info, ce).(*types.Const)
+							if !slices.Contains(members, c) {
+								return true // opaque case: stay quiet
 							}
+							covered[c] = true
 						}
 					}
 					var missing []string
-					for _, m := range info.members {
+					for _, m := range members {
 						if !covered[m] {
-							missing = append(missing, m)
+							missing = append(missing, m.Name())
 						}
 					}
 					if len(missing) == 0 {
 						return true
 					}
-					sort.Strings(missing)
-					name := trimModule(idx.Module, t.Path+"."+t.Name)
+					name := trimModule(pkg.Module, types.TypeString(members[0].Type(), nil))
 					switch {
 					case def == nil:
 						out = append(out, finding(file, sw.Switch, "exhaustenum",

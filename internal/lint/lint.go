@@ -1,9 +1,12 @@
 // Package lint implements dmplint, the repo-invariant static-analysis
-// suite. It is built on the standard library only (go/parser + go/ast +
-// go/token): packages are loaded by walking the module tree and parsing
-// every file, and each analyzer works syntactically on the ASTs with a
-// best-effort type-inference layer (see types.go) — no go/types loader, no
-// external driver, so the module keeps zero dependencies.
+// suite. It is built on the standard library and the go command only:
+// Load asks `go list -deps -export` which files a default build compiles
+// (so a build-tagged twin such as lockrank's on.go stays out), parses
+// them, and type-checks every non-standard package with go/types, reading
+// standard packages from the export data the go command built. Each
+// analyzer works on the ASTs and asks the exact type checker (types.Info)
+// what an identifier or expression is — no external driver, so the module
+// keeps zero dependencies.
 //
 // Analyzers (see DESIGN.md "Enforced invariants"):
 //
@@ -15,16 +18,13 @@
 //	            carry a commented default
 //
 // Defect classes a cheaper gate already convicts have no analyzer here:
-// goroutine leaks (the chaos harness's leak check), mixed atomic access
-// (`go vet` copylocks and the race detector), unchecked wire indexing
-// and byte order (the parsers' fuzz seed corpora), missing write
-// deadlines (the stall-timeout tests), stray payload copies
-// (TestZeroCopyDeliveryAliasesRing in internal/hub), lock-order
-// inversions (the internal/lockrank check, `go test -tags lockrank`),
-// retained payload aliases (the alias scan of a PoisonPool hub's
-// PoolCheck) and heap allocations in the per-frame loops of the sender,
-// the hub and the registry (the AllocsPerRun gates, `make allocs`). A
-// dropped Close error was a style rule and is not checked.
+// goroutine leaks (chaos leak check), mixed atomic access (vet, race
+// detector), wire indexing and byte order (fuzz corpora), missing write
+// deadlines (stall-timeout tests), stray payload copies and retained
+// aliases (TestZeroCopyDeliveryAliasesRing, the PoisonPool alias scan),
+// lock-order inversions (`go test -tags lockrank`) and per-frame heap
+// allocations (`make allocs`). A dropped Close error was a style rule and
+// is not checked.
 //
 // Any finding can be suppressed with an inline escape hatch:
 //
@@ -35,37 +35,31 @@
 package lint
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
-	"go/build/constraint"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
-	"sort"
 	"strings"
 )
 
-// File is one parsed source file.
-type File struct {
-	Path string // path relative to the module root
-	AST  *ast.File
-	Test bool // *_test.go
-
-	// Imports maps the local name of each import to its path
-	// ("rand" → "math/rand").
-	Imports map[string]string
-}
-
-// Package is one directory's worth of parsed files.
+// Package is one type-checked package.
 type Package struct {
-	Dir        string // absolute directory
-	ImportPath string // module-qualified import path
+	ImportPath string
+	Module     string // path of the module the package belongs to
 	Fset       *token.FileSet
-	Files      []*File
+	Files      []*ast.File
+	Info       *types.Info
 }
 
 // Finding is one diagnostic.
@@ -75,7 +69,7 @@ type Finding struct {
 	Message  string
 
 	pos  token.Pos // set by analyzers; resolved into Pos by Run
-	file *File
+	file *ast.File
 }
 
 func (f Finding) String() string {
@@ -83,158 +77,154 @@ func (f Finding) String() string {
 }
 
 // finding is the constructor analyzers use.
-func finding(file *File, pos token.Pos, analyzer, format string, args ...any) Finding {
+func finding(file *ast.File, pos token.Pos, analyzer, format string, args ...any) Finding {
 	return Finding{pos: pos, file: file, Analyzer: analyzer, Message: fmt.Sprintf(format, args...)}
 }
 
 // Analyzer is one named check over a package.
 type Analyzer struct {
-	Name string
-	// Scope reports whether the analyzer applies to pkg. nil = all
-	// packages.
-	Scope func(pkg *Package) bool
-	Run   func(pkg *Package, idx *Index) []Finding
+	Name  string
+	Scope func(pkg *Package) bool // whether the analyzer applies; nil = all
+	Run   func(pkg *Package) []Finding
 }
 
-// Load walks the module rooted at root, parses every package, and returns
-// the packages plus the module path from go.mod. Directories named
-// testdata or vendor, and names starting with "." or "_", are skipped —
-// same convention as the go tool — and so are files whose //go:build line
-// leaves them out of the default build (the lockrank build's checker).
-func Load(root string) ([]*Package, string, error) {
-	modBytes, err := os.ReadFile(filepath.Join(root, "go.mod"))
+// listed is the part of `go list -json` output Load reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+	Module     *struct{ Path string }
+	Error      *struct{ Err string }
+}
+
+// Load type-checks the packages the go command resolves patterns to in
+// dir, and returns them in dependency order. Their non-standard
+// dependencies are checked from source too but not returned; standard
+// packages are read from export data. File names are relative to dir.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json", "-export", "-deps", "--"}, patterns...)...)
+	cmd.Dir, cmd.Stderr = dir, os.Stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, "", fmt.Errorf("lint: %s is not a module root: %w", root, err)
+		return nil, fmt.Errorf("lint: go list: %w", err)
 	}
-	module := ""
-	for _, line := range strings.Split(string(modBytes), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			module = strings.TrimSpace(rest)
-			break
-		}
-	}
-	if module == "" {
-		return nil, "", fmt.Errorf("lint: no module line in %s/go.mod", root)
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
 	}
 
 	fset := token.NewFileSet()
+	exports := map[string]string{}
+	checked := map[string]*types.Package{}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+
 	var pkgs []*Package
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listed
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("lint: go list: %w", err)
 		}
-		if !d.IsDir() {
-			return nil
+		if lp.Error != nil {
+			return nil, fmt.Errorf("lint: %s", lp.Error.Err)
 		}
-		name := d.Name()
-		if path != root && (name == "testdata" || name == "vendor" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
+		if lp.Standard {
+			exports[lp.ImportPath] = lp.Export
+			continue
 		}
-		pkg, err := loadDir(fset, root, module, path)
-		if err != nil {
-			return err
+		pkg := &Package{ImportPath: lp.ImportPath, Fset: fset}
+		for _, name := range lp.GoFiles {
+			path := filepath.Join(lp.Dir, name)
+			if rel, err := filepath.Rel(abs, path); err == nil {
+				path = rel
+			}
+			af, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return nil, fmt.Errorf("lint: %w", err)
+			}
+			pkg.Files = append(pkg.Files, af)
 		}
-		if pkg != nil {
+		if lp.Module != nil {
+			pkg.Module = lp.Module.Path
+		}
+		if !lp.DepOnly {
+			pkg.Info = &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}
 			pkgs = append(pkgs, pkg)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	return pkgs, module, nil
-}
-
-func loadDir(fset *token.FileSet, root, module, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := filepath.Rel(root, dir)
-	if err != nil {
-		return nil, err
-	}
-	importPath := module
-	if rel != "." {
-		importPath = module + "/" + filepath.ToSlash(rel)
-	}
-	pkg := &Package{Dir: dir, ImportPath: importPath, Fset: fset}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		af, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
+		if checked[lp.ImportPath], err = conf.Check(lp.ImportPath, fset, pkg.Files, pkg.Info); err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
-		if !defaultBuild(af) {
-			continue
-		}
-		relName := name
-		if rel != "." {
-			relName = filepath.ToSlash(rel) + "/" + name
-		}
-		pkg.Files = append(pkg.Files, NewFile(relName, af))
 	}
-	if len(pkg.Files) == 0 {
-		return nil, nil
-	}
-	return pkg, nil
+	return pkgs, nil
 }
 
-// defaultBuild reports whether af's //go:build line, if any, holds with
-// no tags beyond the host's default build context: GOOS, GOARCH, the
-// compiler and the release tags.
-func defaultBuild(af *ast.File) bool {
-	for _, cg := range af.Comments {
-		if cg.Pos() > af.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// eachFunc invokes fn for every function declaration with a body in pkg.
+func eachFunc(pkg *Package, fn func(file *ast.File, decl *ast.FuncDecl)) {
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn(file, fd)
 			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				return true
-			}
-			ctx := build.Default
-			return expr.Eval(func(tag string) bool {
-				return tag == ctx.GOOS || tag == ctx.GOARCH || tag == ctx.Compiler || slices.Contains(ctx.ReleaseTags, tag)
-			})
 		}
 	}
-	return true
 }
 
-// NewFile wraps a parsed AST as a lint File, deriving the import table.
-// Exposed for tests that build fixture packages by hand.
-func NewFile(path string, af *ast.File) *File {
-	f := &File{Path: path, AST: af, Test: strings.HasSuffix(path, "_test.go"), Imports: map[string]string{}}
-	for _, imp := range af.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		local := p[strings.LastIndex(p, "/")+1:]
-		if imp.Name != nil {
-			local = imp.Name.Name
-		}
-		f.Imports[local] = p
+// used returns the object an identifier or a selector's final identifier
+// (pkg.F, x.f) refers to, or nil.
+func used(info *types.Info, e ast.Expr) types.Object {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return info.Uses[e]
+	case *ast.SelectorExpr:
+		return info.Uses[e.Sel]
 	}
-	return f
+	return nil
+}
+
+// pkgFunc returns the package path and name of the package-level function
+// or builtin (path "") call invokes; name is "" for anything else: a
+// method, a function value, a conversion.
+func pkgFunc(info *types.Info, call *ast.CallExpr) (path, name string) {
+	switch obj := used(info, call.Fun).(type) {
+	case *types.Builtin:
+		return "", obj.Name()
+	case *types.Func:
+		if obj.Pkg() != nil && obj.Type().(*types.Signature).Recv() == nil {
+			return obj.Pkg().Path(), obj.Name()
+		}
+	}
+	return "", ""
 }
 
 // Run applies each analyzer to each in-scope package, drops findings
 // covered by a nolint comment, and returns the rest sorted by position.
-func Run(pkgs []*Package, idx *Index, analyzers []*Analyzer) []Finding {
+func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if a.Scope != nil && !a.Scope(pkg) {
 				continue
 			}
-			for _, f := range a.Run(pkg, idx) {
+			for _, f := range a.Run(pkg) {
 				f.Pos = pkg.Fset.Position(f.pos)
 				if !suppressed(pkg.Fset, f) {
 					out = append(out, f)
@@ -242,30 +232,13 @@ func Run(pkgs []*Package, idx *Index, analyzers []*Analyzer) []Finding {
 			}
 		}
 	}
-	sortFindings(out)
-	return out
-}
-
-// sortFindings orders findings for output. The comparator is a total
-// order over every reported field (file, line, analyzer, column,
-// message), so sort.Slice's instability cannot reorder ties.
-func sortFindings(out []Finding) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Message < b.Message
+	// A total order over every reported field, so ties cannot reorder.
+	slices.SortFunc(out, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			strings.Compare(a.Analyzer, b.Analyzer), cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Message, b.Message))
 	})
+	return out
 }
 
 var nolintRe = regexp.MustCompile(`nolint:([A-Za-z0-9_,]+)`)
@@ -276,7 +249,7 @@ var nolintRe = regexp.MustCompile(`nolint:([A-Za-z0-9_,]+)`)
 // function's doc comment.
 func suppressed(fset *token.FileSet, f Finding) bool {
 	line := f.Pos.Line
-	for _, cg := range f.file.AST.Comments {
+	for _, cg := range f.file.Comments {
 		end := fset.Position(cg.End()).Line
 		if end != line && end != line-1 {
 			continue
@@ -288,12 +261,9 @@ func suppressed(fset *token.FileSet, f Finding) bool {
 		}
 	}
 	// Enclosing function doc comment.
-	for _, decl := range f.file.AST.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil {
-			continue
-		}
-		if fd.Pos() <= f.pos && f.pos <= fd.End() && nolintMatches(fd.Doc.Text(), f.Analyzer) {
+	for _, decl := range f.file.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= f.pos && f.pos <= fd.End() &&
+			nolintMatches(fd.Doc.Text(), f.Analyzer) {
 			return true
 		}
 	}
@@ -302,29 +272,26 @@ func suppressed(fset *token.FileSet, f Finding) bool {
 
 func nolintMatches(comment, analyzer string) bool {
 	for _, m := range nolintRe.FindAllStringSubmatch(comment, -1) {
-		for _, name := range strings.Split(m[1], ",") {
-			if name == analyzer {
-				return true
-			}
+		if slices.Contains(strings.Split(m[1], ","), analyzer) {
+			return true
 		}
 	}
 	return false
 }
 
 // DefaultAnalyzers returns the full suite with repo scoping applied.
-// module is the module path from Load.
-func DefaultAnalyzers(module string) []*Analyzer {
+func DefaultAnalyzers() []*Analyzer {
 	det := Detsim()
-	det.Scope = pkgIn(module,
-		"internal/sim", "internal/tcpsim", "internal/netsim", "internal/dmpmodel",
+	det.Scope = pkgIn("internal/sim", "internal/tcpsim", "internal/netsim", "internal/dmpmodel",
 		"internal/markov", "internal/simstream", "internal/exps")
 	return []*Analyzer{det, Lockguard(), Exhaustenum()}
 }
 
-func pkgIn(module string, rels ...string) func(*Package) bool {
-	set := map[string]bool{}
-	for _, r := range rels {
-		set[module+"/"+r] = true
+// pkgIn scopes an analyzer to the packages at the given paths relative
+// to their module root.
+func pkgIn(rels ...string) func(*Package) bool {
+	return func(p *Package) bool {
+		rel, ok := strings.CutPrefix(p.ImportPath, p.Module+"/")
+		return ok && slices.Contains(rels, rel)
 	}
-	return func(p *Package) bool { return set[p.ImportPath] }
 }

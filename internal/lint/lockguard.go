@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"regexp"
 	"strings"
 )
@@ -22,57 +23,55 @@ import (
 // functions whose doc comment says the caller holds the mutex, are exempt
 // — they encode the lock-is-already-held convention.
 //
-// This is a heuristic lexical check, not an escape/alias analysis: it
-// sees accesses through receivers, parameters and resolvable selector
-// chains. It is sound enough to catch the common regressions — a new
-// method touching shared hub/session state without the lock, or touching
-// it again after releasing.
+// Accesses are found by the type checker's field selections, through any
+// expression: receivers, parameters, package-level variables, call
+// results. The hold is lexical, not an escape/alias analysis, but sound
+// enough to catch the common regressions — a new method touching shared
+// hub/session state without the lock, or touching it again after
+// releasing.
 func Lockguard() *Analyzer {
-	return &Analyzer{
-		Name: "lockguard",
-		Run:  runLockguard,
-	}
+	return &Analyzer{Name: "lockguard", Run: runLockguard}
 }
 
 var guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_.]*)`)
 
-// guardedKey records one annotated field.
-type guardedKey struct{ typeName, field string }
+// guard records one annotated field: the struct that declares it and the
+// name of its mutex.
+type guard struct{ typeName, mu string }
 
-func runLockguard(pkg *Package, idx *Index) []Finding {
+func runLockguard(pkg *Package) []Finding {
 	guarded := collectGuarded(pkg)
 	if len(guarded) == 0 {
 		return nil
 	}
 	var out []Finding
-	eachFunc(pkg, func(file *File, fd *ast.FuncDecl) {
+	eachFunc(pkg, func(file *ast.File, fd *ast.FuncDecl) {
 		callerHolds := strings.HasSuffix(fd.Name.Name, "Locked") ||
-			(fd.Doc != nil && strings.Contains(strings.ToLower(fd.Doc.Text()), "holds"))
+			strings.Contains(strings.ToLower(fd.Doc.Text()), "holds")
 		if callerHolds {
 			return
 		}
-		e := funcEnv(idx, pkg, file, fd)
 		scopes := collectLockScopes(fd)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			base := e.typeOf(sel.X)
-			if base == nil || base.Path != pkg.ImportPath {
+			s := pkg.Info.Selections[sel]
+			if s == nil || s.Kind() != types.FieldVal {
 				return true
 			}
-			mu, ok := guarded[guardedKey{base.Name, sel.Sel.Name}]
+			g, ok := guarded[s.Obj().(*types.Var).Origin()]
 			if !ok {
 				return true
 			}
 			sc := innermostScope(scopes, sel.Pos())
-			if sc == nil || sc.heldByName(mu, sel.Pos()) {
+			if sc == nil || sc.heldByName(g.mu, sel.Pos()) {
 				return true
 			}
 			out = append(out, finding(file, sel.Pos(), "lockguard",
 				"%s.%s is guarded by %s but %s does not hold it at this access",
-				base.Name, sel.Sel.Name, mu, sc.fnName))
+				g.typeName, sel.Sel.Name, g.mu, sc.fnName))
 			return true
 		})
 	})
@@ -82,13 +81,10 @@ func runLockguard(pkg *Package, idx *Index) []Finding {
 // collectGuarded finds `guarded by <mu>` annotations on struct fields.
 // The mutex is identified by the final path element, so "guarded by mu"
 // and "guarded by h.mu" both demand a <chain>.mu.Lock() call.
-func collectGuarded(pkg *Package) map[guardedKey]string {
-	guarded := map[guardedKey]string{}
+func collectGuarded(pkg *Package) map[*types.Var]guard {
+	guarded := map[*types.Var]guard{}
 	for _, file := range pkg.Files {
-		if file.Test {
-			continue
-		}
-		ast.Inspect(file.AST, func(n ast.Node) bool {
+		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
 				return true
@@ -98,23 +94,13 @@ func collectGuarded(pkg *Package) map[guardedKey]string {
 				return true
 			}
 			for _, f := range st.Fields.List {
-				text := ""
-				if f.Doc != nil {
-					text += f.Doc.Text()
-				}
-				if f.Comment != nil {
-					text += f.Comment.Text()
-				}
-				m := guardedRe.FindStringSubmatch(text)
+				m := guardedRe.FindStringSubmatch(f.Doc.Text() + f.Comment.Text())
 				if m == nil {
 					continue
 				}
-				mu := m[1]
-				if i := strings.LastIndex(mu, "."); i >= 0 {
-					mu = mu[i+1:]
-				}
+				mu := m[1][strings.LastIndex(m[1], ".")+1:]
 				for _, name := range f.Names {
-					guarded[guardedKey{ts.Name.Name, name.Name}] = mu
+					guarded[pkg.Info.Defs[name].(*types.Var)] = guard{ts.Name.Name, mu}
 				}
 			}
 			return true

@@ -68,6 +68,18 @@ func waived(s state) string {
 	return "?"
 }
 
+// current is package-level: its type comes from the declaration, not
+// from anything in the switching function.
+var current state
+
+func describeCurrent() string {
+	switch current { // want "not exhaustive: missing stateB, stateC"
+	case stateA:
+		return "a"
+	}
+	return "?"
+}
+
 func nonEnum(n int) string {
 	switch n { // int is not an enum type
 	case 1:

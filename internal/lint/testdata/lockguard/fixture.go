@@ -94,6 +94,19 @@ func (b *Box) LitLocksItself() func() {
 	}
 }
 
+// global is package-level: reading its guarded field needs the lock too.
+var global Box
+
+func readGlobal() int {
+	return global.n // want "guarded by mu"
+}
+
+func readGlobalLocked() int {
+	global.mu.Lock()
+	defer global.mu.Unlock()
+	return global.n // ok: held
+}
+
 type RBox struct {
 	mu sync.RWMutex
 	v  int // guarded by mu

@@ -50,16 +50,18 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// validate refuses parameters the chain cannot be built from. Each check
+// is written so that NaN fails it.
 func (p Params) validate() error {
 	p = p.withDefaults()
-	if p.P <= 0 || p.P >= 1 {
+	if !(0 < p.P && p.P < 1) {
 		return fmt.Errorf("tcpmodel: loss probability %v outside (0,1)", p.P)
 	}
-	if p.R <= 0 {
-		return fmt.Errorf("tcpmodel: RTT %v <= 0", p.R)
+	if !(p.R > 0) || math.IsInf(p.R, 1) {
+		return fmt.Errorf("tcpmodel: RTT %v is not finite and > 0", p.R)
 	}
-	if p.TO <= 0 {
-		return fmt.Errorf("tcpmodel: timeout ratio %v <= 0", p.TO)
+	if !(p.TO > 0) || math.IsInf(p.TO, 1) {
+		return fmt.Errorf("tcpmodel: timeout ratio %v is not finite and > 0", p.TO)
 	}
 	if p.Wmax < 4 {
 		return fmt.Errorf("tcpmodel: Wmax %d < 4", p.Wmax)

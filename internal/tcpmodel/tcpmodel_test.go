@@ -153,8 +153,21 @@ func TestValidation(t *testing.T) {
 		{P: 0.01, R: 0, TO: 4},
 		{P: 0.01, R: 0.1, TO: 0},
 		{P: 0.01, R: 0.1, TO: 4, Wmax: 2},
+		{P: math.NaN(), R: 0.1, TO: 4},
+		{P: math.Inf(1), R: 0.1, TO: 4},
+		{P: 0.01, R: -0.1, TO: 4},
+		{P: 0.01, R: math.NaN(), TO: 4},
+		{P: 0.01, R: math.Inf(1), TO: 4},
+		{P: 0.01, R: math.Inf(-1), TO: 4},
+		{P: 0.01, R: 0.1, TO: math.NaN()},
+		{P: 0.01, R: 0.1, TO: math.Inf(1)},
 	}
 	for _, par := range bad {
+		// validate itself must refuse: a NaN that slips past it can still
+		// fail later in the solve, for the wrong reason.
+		if err := par.validate(); err == nil {
+			t.Errorf("params %+v passed validate", par)
+		}
 		if _, err := Throughput(par); err == nil {
 			t.Errorf("params %+v accepted", par)
 		}
