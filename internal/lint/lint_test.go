@@ -80,6 +80,11 @@ func TestDetsimFixture(t *testing.T)      { checkFixture(t, Detsim(), "detsim") 
 func TestLockguardFixture(t *testing.T)   { checkFixture(t, Lockguard(), "lockguard") }
 func TestExhaustenumFixture(t *testing.T) { checkFixture(t, Exhaustenum(), "exhaustenum") }
 
+// TestNolintPlacement pins the three supported suppression positions:
+// trailing same-line, full line above (multi-line group), and enclosing
+// function doc; a nolint for another analyzer must still flag.
+func TestNolintPlacement(t *testing.T) { checkFixture(t, Detsim(), "nolint") }
+
 // TestRepoSelfClean is the gate the CI lint job re-runs via the driver:
 // the full default suite over the whole module must report nothing. Any
 // new finding means either a real regression or a missing nolint with

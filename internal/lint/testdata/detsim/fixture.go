@@ -72,26 +72,6 @@ func packageMapSum() float64 {
 	return sum
 }
 
-func trailing() {
-	_ = time.Now() // nolint:detsim fixture: suppressed on the same line
-}
-
-func above() {
-	// nolint:detsim fixture: this reason spans
-	// a second comment line
-	_ = time.Now()
-}
-
-// docSuppressed reads the clock for a log line.
-// nolint:detsim fixture: the whole function is logging
-func docSuppressed() {
-	_ = time.Now()
-}
-
-func wrongAnalyzer() {
-	_ = time.Now() // nolint:lockguard wrong analyzer // want "time.Now in deterministic package"
-}
-
 func sliceAccumulate(xs []float64) float64 {
 	var sum float64
 	for _, v := range xs { // ok: slices iterate in order
