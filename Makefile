@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lockrank allocs fuzz soak bench-smoke bench-tick bench-receiver bench-sender bench-deliver bench-fanout sim-tables
+.PHONY: all build test race lint lockrank allocs fuzz soak bench-smoke bench-tick bench-receiver bench-sender bench-deliver bench-fanout bench-forwarder sim-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -38,18 +38,18 @@ lockrank:
 
 # allocs runs every allocation gate by name, uncached: the AllocsPerRun
 # tests that hold the core producer and path sender, the hub's generator
-# tick, ingest, wake, governor and shard worker, and the registry's routed
-# write and re-attach to exact allocation counts (see DESIGN.md "Enforced
-# invariants"). AllocsPerRun cannot measure under the race detector or the
+# tick, ingest, wake, governor and shard worker, the relay forwarder's
+# ingest, and the registry's routed write and re-attach to exact allocation
+# counts (see DESIGN.md "Enforced invariants"). AllocsPerRun cannot measure under the race detector or the
 # lockrank build, so the gates are built out of both.
 ALLOC_GATES = AllocFree|AllocsFlat|ReattachAllocs|OneAlloc|AllocMeasurement
 allocs:
-	$(GO) test -count=1 -run '$(ALLOC_GATES)' ./internal/core ./internal/hub ./internal/registry
+	$(GO) test -count=1 -run '$(ALLOC_GATES)' ./internal/core ./internal/hub ./internal/relay ./internal/registry
 
 # fuzz gives each wire-format target, the receiver's arrival log, the trace
 # file reader and the analysis behind it, the emulator's lazily drawn episode
-# schedule, the relay forwarder's first commit and the hub's per-path resend
-# record a short budget; CI runs the same smoke. Raise FUZZTIME locally for a
+# schedule, the relay forwarder's first commit and its reorder rule against a
+# reference model, and the hub's per-path resend record a short budget; CI runs the same smoke. Raise FUZZTIME locally for a
 # deeper session.
 fuzz:
 	$(GO) test -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 	$(GO) test -fuzz=FuzzEpisodeSchedule -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 	$(GO) test -fuzz=FuzzForwarderSync -fuzztime=$(FUZZTIME) -run '^$$' ./internal/relay
+	$(GO) test -fuzz=FuzzForwarderSeqs -fuzztime=$(FUZZTIME) -run '^$$' ./internal/relay
 	$(GO) test -fuzz=FuzzResendRecord -fuzztime=$(FUZZTIME) -run '^$$' ./internal/hub
 
 # bench-smoke runs four short workloads of the repository benchmark
@@ -127,6 +128,15 @@ bench-deliver:
 FANOUTTICKS ?= 2000
 bench-fanout:
 	$(GO) test -run '^$$' -bench BenchmarkTickFanout -benchtime $(FANOUTTICKS)x ./internal/hub
+
+# bench-forwarder times the relay's ingest stage — the forwarder's reorder
+# step, PublishAt into a local hub with no subscribers, the reorder ring's
+# recycling — over 8-packet cycles of 256-byte packets, in order and with
+# every 8th packet reordered. ns/packet is the per-packet cost of the stage;
+# allocs/op must read 0 in both.
+FORWARDERTIME ?= 1s
+bench-forwarder:
+	$(GO) test -run '^$$' -bench BenchmarkForwarderIngest -benchtime $(FORWARDERTIME) ./internal/relay
 
 # sim-tables prints the quick, seed-1 tables of every packet-simulator
 # experiment with dmpbench's "# ... finished in" timing lines stripped, so

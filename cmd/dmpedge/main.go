@@ -46,7 +46,7 @@ func main() {
 		paths     = flag.Int("paths", 2, "upstream path connections")
 		tokenHex  = flag.String("token", "", "upstream subscription token, 32 hex chars (empty = random; reuse to re-attach after a restart)")
 		orphan    = flag.Duration("orphan-grace", relay.DefaultOrphanGrace, "how long to tolerate zero live upstream paths before declaring the feed lost")
-		reorder   = flag.Int("reorder-window", relay.DefaultReorderWindow, "upstream reorder buffer in packets")
+		reorder   = flag.Int("reorder-window", relay.DefaultReorderWindow, "upstream reorder span: a gap is abandoned once a packet arrives more than this many sequences past it")
 		lag       = flag.Int("lag", 0, "local ring size in packets (0 = hub default)")
 		maxSubs   = flag.Int("max-subs", 0, "downstream subscriber cap (0 = unlimited)")
 		maxConns  = flag.Int("max-conns", 0, "downstream connection cap (0 = unlimited)")

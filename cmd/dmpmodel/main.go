@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -23,61 +24,70 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// run evaluates the model the command line args describe, printing to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("dmpmodel", flag.ExitOnError)
 	var (
-		pathSpec  = flag.String("paths", "0.02:150:4,0.02:150:4", "comma-separated loss:rtt_ms:TO per path")
-		mu        = flag.Float64("mu", 50, "playback rate, packets per second")
-		tau       = flag.Float64("tau", 0, "startup delay in seconds (prints fraction late)")
-		threshold = flag.Float64("threshold", 0, "quality bar (prints required startup delay)")
-		budget    = flag.Int64("budget", 2_000_000, "Monte-Carlo consumption budget")
-		seed      = flag.Int64("seed", 1, "random seed")
+		pathSpec  = fs.String("paths", "0.02:150:4,0.02:150:4", "comma-separated loss:rtt_ms:TO per path")
+		mu        = fs.Float64("mu", 50, "playback rate, packets per second")
+		tau       = fs.Float64("tau", 0, "startup delay in seconds (prints fraction late)")
+		threshold = fs.Float64("threshold", 0, "quality bar (prints required startup delay)")
+		budget    = fs.Int64("budget", 2_000_000, "Monte-Carlo consumption budget")
+		seed      = fs.Int64("seed", 1, "random seed")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2
 
 	paths, err := parsePaths(*pathSpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m := dmpstream.Model{Paths: paths, PlaybackRate: *mu, Budget: *budget, Seed: *seed}
 	if err := m.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 
 	agg, err := m.AggregateThroughput()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("paths: %d, mu = %g pkts/s\n", len(paths), *mu)
+	fmt.Fprintf(out, "paths: %d, mu = %g pkts/s\n", len(paths), *mu)
 	for i, p := range paths {
 		sigma, err := dmpstream.PathThroughput(p)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("  path %d: p=%g rtt=%v TO=%g  sigma=%.1f pkts/s\n",
+		fmt.Fprintf(out, "  path %d: p=%g rtt=%v TO=%g  sigma=%.1f pkts/s\n",
 			i, p.LossRate, p.RTT, p.TimeoutRatio, sigma)
 	}
-	fmt.Printf("aggregate achievable throughput sigma_a = %.1f pkts/s (sigma_a/mu = %.2f)\n", agg, agg/(*mu))
+	fmt.Fprintf(out, "aggregate achievable throughput sigma_a = %.1f pkts/s (sigma_a/mu = %.2f)\n", agg, agg/(*mu))
 
 	if *tau > 0 {
 		f, err := m.FractionLate(time.Duration(*tau * float64(time.Second)))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("fraction of late packets at tau=%gs: %.3g\n", *tau, f)
+		fmt.Fprintf(out, "fraction of late packets at tau=%gs: %.3g\n", *tau, f)
 	}
 	if *threshold > 0 {
 		d, ok, err := m.RequiredStartupDelay(*threshold, 120*time.Second)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if !ok {
-			fmt.Printf("no startup delay up to 120s achieves late fraction < %g\n", *threshold)
+			fmt.Fprintf(out, "no startup delay up to 120s achieves late fraction < %g\n", *threshold)
 		} else {
-			fmt.Printf("required startup delay for late fraction < %g: %v\n", *threshold, d)
+			fmt.Fprintf(out, "required startup delay for late fraction < %g: %v\n", *threshold, d)
 		}
 	}
 	if *tau == 0 && *threshold == 0 {
-		fmt.Println("(pass -tau or -threshold for performance predictions)")
+		fmt.Fprintln(out, "(pass -tau or -threshold for performance predictions)")
 	}
+	return nil
 }
 
 func parsePaths(spec string) ([]dmpstream.PathParams, error) {

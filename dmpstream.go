@@ -511,8 +511,9 @@ type RelayConfig struct {
 	// before declaring the feed lost (default 10s). Once orphaned, live
 	// subscribers get a clean end marker and new joins ErrUpstreamLost.
 	OrphanGrace time.Duration
-	// ReorderWindow bounds the upstream reorder buffer in packets
-	// (default 256).
+	// ReorderWindow is the upstream reorder span in sequences (default
+	// 256, below 2^20): a gap is abandoned once a packet arrives more than
+	// this many sequences past it.
 	ReorderWindow int
 	// Downstream configures the local re-fan hub. Rate, PayloadSize, Count
 	// and Fill are ignored: the relay's source is the upstream feed.
@@ -669,7 +670,9 @@ func (m Model) FractionLate(startupDelay time.Duration) (float64, error) {
 
 // RequiredStartupDelay returns the smallest startup delay (0.5 s grid) that
 // brings the fraction of late packets below threshold, searching up to
-// maxDelay. It returns false when no delay up to maxDelay suffices.
+// maxDelay. It returns false when no delay up to maxDelay suffices, and an
+// error when the rate is so high that the model's default warm-up stops the
+// search short of maxDelay without an answer.
 func (m Model) RequiredStartupDelay(threshold float64, maxDelay time.Duration) (time.Duration, bool, error) {
 	im, opts := m.toInternal()
 	tau, err := im.RequiredStartupDelay(threshold, 0.5, maxDelay.Seconds(), opts)

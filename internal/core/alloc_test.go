@@ -212,21 +212,21 @@ func TestSendLoopAllocsFlat(t *testing.T) {
 // that is not kept (a resend of a packet already waiting for its slot).
 func TestPlayBufferAllocFreeAtPace(t *testing.T) {
 	const depth = 100
-	b := playBuffer{slots: make(map[uint32][]byte)}
+	b := NewSeqRing(2 * depth)
 	payload := make([]byte, 1024)
-	next := uint32(0)
+	next := int64(0)
 	for ; next < depth; next++ {
-		b.put(next, payload)
+		b.Put(next, 0, payload)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		slot := next - depth
-		data, ok := b.take(slot)
+		_, data, ok := b.Take(slot)
 		if !ok {
 			t.Fatalf("slot %d empty", slot)
 		}
-		b.recycle(data)
-		b.put(next, payload)
-		b.put(next, payload) // resent: the first copy stands
+		b.Recycle(data)
+		b.Put(next, 0, payload)
+		b.Put(next, 0, payload) // resent: the first copy stands
 		next++
 	})
 	if allocs != 0 {

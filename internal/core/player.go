@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -30,6 +31,7 @@ type PlayerStats struct {
 	Played       int64 // slots played on time
 	Glitches     int64 // slots whose packet was missing at playback time
 	LateArrivals int64 // packets that arrived after their slot had passed
+	Early        int64 // packets that arrived past the hold span (holdSpan); dropped
 	Expected     int64 // packets the server generated
 }
 
@@ -43,50 +45,12 @@ func (ps PlayerStats) GlitchFraction() float64 {
 	return float64(ps.Glitches) / float64(total)
 }
 
-// playFreeMax caps the playout buffer's free list. A sender writes up to
-// sendBatch frames at once, so at pace that many slots play out between two
-// bursts of arrivals and their buffers must wait for the next burst; more
-// than that is the residue of a catch-up burst and goes back to the collector.
-const playFreeMax = sendBatch
-
-// playBuffer holds arrived payloads until their playback slot and recycles
-// the buffers of played-out slots, so a stream at pace allocates nothing per
-// packet. Not safe for concurrent use; Play guards it with its mutex.
-type playBuffer struct {
-	slots map[uint32][]byte
-	free  [][]byte
-}
-
-// put copies payload into the slot for pkt unless the slot is already
-// filled (a resend overlapping delivered content); the first copy stands.
-func (b *playBuffer) put(pkt uint32, payload []byte) {
-	if _, dup := b.slots[pkt]; dup {
-		return
-	}
-	var data []byte
-	if n := len(b.free); n > 0 {
-		data, b.free = b.free[n-1], b.free[:n-1]
-	}
-	if cap(data) < len(payload) { // nothing to reuse, or a path with larger payloads
-		data = make([]byte, len(payload))
-	}
-	data = data[:len(payload)]
-	copy(data, payload)
-	b.slots[pkt] = data
-}
-
-// take removes and returns the payload waiting in slot, if any.
-func (b *playBuffer) take(slot uint32) ([]byte, bool) {
-	data, ok := b.slots[slot]
-	delete(b.slots, slot)
-	return data, ok
-}
-
-// recycle hands a played-out buffer back for the next arrival.
-func (b *playBuffer) recycle(data []byte) {
-	if len(b.free) < playFreeMax {
-		b.free = append(b.free, data)
-	}
+// holdSpan is how many packets from the slot playing Play holds: at pace an
+// arrival leads its slot by about µτ, plus its header's head start; 2τ + 1 s
+// of playout (at most MaxSeqSpan packets) covers both, and one further ahead
+// is bogus, so a frame numbered far ahead cannot make Play hold the gap.
+func holdSpan(mu float64, tau time.Duration) int {
+	return int(max(1, min(MaxSeqSpan, math.Ceil(mu*(2*tau.Seconds()+1)))))
 }
 
 // Play consumes a DMP-streaming session from the given path connections and
@@ -94,7 +58,8 @@ func (b *playBuffer) recycle(data []byte) {
 // until the stream ends and every slot up to the last generated packet has
 // been played or declared a glitch. A packet that arrives after its slot
 // has passed counts as a late arrival only if the slot glitched; another
-// copy of a packet that already played is a duplicate.
+// copy of a packet that already played is a duplicate. A packet more than
+// 2τ + 1 s of playout ahead of the slot playing is dropped as early.
 func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 	if len(conns) == 0 {
 		return PlayerStats{}, errors.New("core: no paths")
@@ -104,13 +69,20 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 	}
 
 	var mu sync.Mutex
-	buffer := playBuffer{slots: make(map[uint32][]byte)}
+	var buffer *SeqRing                 // guarded by mu; every arrival in [played, played+span), set at the first header
+	var span int64                      // guarded by mu; holdSpan of the first header
 	missed := make(map[uint32]struct{}) // guarded by mu; glitched slots whose packet has not come
-	var lateArrivals int64              // guarded by mu
+	var lateArrivals, early int64       // guarded by mu
 	played := uint32(0)                 // guarded by mu; next slot to play
 	header := make(chan float64, 1)     // the first agreed header's µ
 	pr := NewPathReader(cfg.EndGrace,
 		func(m float64, _ int) error {
+			mu.Lock()
+			if buffer == nil {
+				span = int64(holdSpan(m, cfg.StartupDelay))
+				buffer = NewSeqRing(int(span))
+			}
+			mu.Unlock()
 			select {
 			case header <- m:
 			default:
@@ -119,8 +91,10 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 		},
 		func(_ int, pkt uint32, _ int64, payload []byte) {
 			mu.Lock()
-			if pkt >= played {
-				buffer.put(pkt, payload)
+			if d := int64(pkt) - int64(played); d >= span {
+				early++
+			} else if d >= 0 {
+				buffer.Put(int64(pkt), 0, payload)
 			} else if _, ok := missed[pkt]; ok {
 				delete(missed, pkt)
 				lateArrivals++ // slot already passed; discard
@@ -165,7 +139,7 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 			<-clock.C
 		}
 		mu.Lock()
-		data, ok := buffer.take(slot)
+		_, data, ok := buffer.Take(int64(slot))
 		if !ok {
 			missed[slot] = struct{}{}
 		}
@@ -177,7 +151,7 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 				cfg.OnPacket(slot, data)
 			}
 			mu.Lock()
-			buffer.recycle(data)
+			buffer.Recycle(data)
 			mu.Unlock()
 		} else {
 			stats.Glitches++
@@ -191,10 +165,10 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 			select {
 			case <-done:
 				mu.Lock()
-				empty, late := len(buffer.slots) == 0, lateArrivals
+				empty, late, ahead := buffer.Len() == 0, lateArrivals, early
 				mu.Unlock()
 				if empty {
-					stats.Expected, stats.LateArrivals = int64(slot)+1, late
+					stats.Expected, stats.LateArrivals, stats.Early = int64(slot)+1, late, ahead
 					return stats, errors.Join(errs...)
 				}
 			default:
@@ -205,7 +179,7 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 	<-done
 	stats.Expected = pr.Expected()
 	mu.Lock()
-	stats.LateArrivals = lateArrivals
+	stats.LateArrivals, stats.Early = lateArrivals, early
 	mu.Unlock()
 	return stats, errors.Join(errs...)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -164,35 +165,100 @@ func TestPlayResendIsNotLate(t *testing.T) {
 }
 
 // TestPlayBufferRecycles: a played-out buffer is the next arrival's storage,
-// a resend of a waiting packet neither replaces it nor takes a buffer, and
-// the free list stops growing at its cap however far occupancy falls.
+// a resend of a waiting packet neither replaces it nor takes a buffer, a
+// packet a span past what the ring holds is refused without growing it,
+// and the free list stops growing at its cap however far occupancy falls.
 func TestPlayBufferRecycles(t *testing.T) {
-	b := playBuffer{slots: make(map[uint32][]byte)}
-	b.put(0, []byte("first"))
-	b.put(0, []byte("again"))
-	first, ok := b.take(0)
+	b := NewSeqRing(10)
+	take := func(seq int64) ([]byte, bool) {
+		gen, data, ok := b.Take(seq)
+		if ok && gen != seq {
+			t.Fatalf("slot %d stamped %d", seq, gen)
+		}
+		return data, ok
+	}
+	b.Put(0, 0, []byte("first"))
+	if b.Put(0, 0, []byte("again")) {
+		t.Fatal("a resend replaced the waiting copy")
+	}
+	first, ok := take(0)
 	if !ok || string(first) != "first" {
 		t.Fatalf("slot 0 holds %q, want the first copy", first)
 	}
-	if _, ok := b.take(0); ok {
+	if _, ok := take(0); ok {
 		t.Fatal("slot 0 played twice")
 	}
-	b.recycle(first)
-	b.put(1, []byte("next!"))
-	if next, _ := b.take(1); string(next) != "next!" || &next[0] != &first[0] {
+	b.Recycle(first)
+	b.Put(1, 1, []byte("next!"))
+	if next, _ := take(1); string(next) != "next!" || &next[0] != &first[0] {
 		t.Fatalf("slot 1 holds %q in fresh storage, want the recycled buffer", next)
 	}
 	// A buffer too small for the payload is dropped, not sliced past its end.
-	b.recycle(make([]byte, 2))
-	b.put(2, []byte("longer"))
-	if got, _ := b.take(2); string(got) != "longer" {
+	b.Recycle(make([]byte, 2))
+	b.Put(2, 2, []byte("longer"))
+	if got, _ := take(2); string(got) != "longer" {
 		t.Fatalf("slot 2 holds %q", got)
 	}
-	for i := 0; i < 3*playFreeMax; i++ {
-		b.recycle(make([]byte, 8))
+	// 3 and 3+len(slots) share a slot: the far one is refused, 12 (a span
+	// of 10 from 3) is not, and the ring stays the size the span set.
+	b.Put(3, 3, []byte("three"))
+	if far := 3 + int64(len(b.slots)); b.Put(far, far, []byte("far")) || b.Holds(far) {
+		t.Fatalf("%d parked over 3", far)
 	}
-	if len(b.free) != playFreeMax {
-		t.Fatalf("free list holds %d buffers, cap %d", len(b.free), playFreeMax)
+	if !b.Put(12, 12, []byte("twelve")) || len(b.slots) != 16 {
+		t.Fatalf("12 refused, or the ring has %d slots, want 16", len(b.slots))
+	}
+	if got, _ := take(3); string(got) != "three" || b.Len() != 1 {
+		t.Fatalf("slot 3 holds %q with %d parked, want three and 1", got, b.Len())
+	}
+	if got, _ := take(12); string(got) != "twelve" || b.Len() != 0 {
+		t.Fatalf("slot 12 holds %q", got)
+	}
+	for i := 0; i < 3*ringFreeMax; i++ {
+		b.Recycle(make([]byte, 8))
+	}
+	if len(b.free) != ringFreeMax {
+		t.Fatalf("free list holds %d buffers, cap %d", len(b.free), ringFreeMax)
+	}
+}
+
+// TestPlayDropsFarPacket: a frame numbered 2^31 past the playout point (a
+// bogus or hostile sender) is dropped as early, not held: the buffer stays
+// at the size the header's µ and τ set, the slots around it play, and the
+// drop is counted.
+func TestPlayDropsFarPacket(t *testing.T) {
+	const mu, payload = 100.0, 8 // 10ms slots
+	c, s := tcpPair(t)
+	defer c.Close()
+	defer s.Close()
+	s.Write(headerBytes(0, 1, payload, mu))
+	s.Write(frameBytes(0, payload))
+	s.Write(frameBytes(1<<31, payload)) // shares slot 0's low bits
+	s.Write(frameBytes(1<<31+1, payload))
+	for pkt := uint32(1); pkt < 4; pkt++ {
+		s.Write(frameBytes(pkt, payload))
+	}
+	end := frameBytes(EndMarker, payload)
+	putUint64(end[4:12], 4)
+	s.Write(end)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stats, err := Play([]net.Conn{c}, PlayerConfig{StartupDelay: 20 * time.Millisecond})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Played != 4 || stats.Glitches != 0 || stats.Early != 2 {
+		t.Fatalf("played %d, %d glitches, %d early; want 4, 0, 2", stats.Played, stats.Glitches, stats.Early)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("Play allocated %d B for a 4-packet stream", got)
+	}
+	if got := holdSpan(mu, 20*time.Millisecond); got != 104 {
+		t.Fatalf("holdSpan(100, 20ms) = %d, want 104", got)
+	}
+	if got := holdSpan(1.8e13, time.Hour); got != MaxSeqSpan {
+		t.Fatalf("holdSpan of a huge µτ = %d, want MaxSeqSpan", got)
 	}
 }
 
@@ -252,22 +318,22 @@ func putUint64(b []byte, v uint64) {
 // arrival copied into it. allocs/op must read 0.
 func BenchmarkPlayout(b *testing.B) {
 	const depth = 150 // τ·µ: 500 ms at 300 pkt/s
-	buf := playBuffer{slots: make(map[uint32][]byte)}
+	buf := NewSeqRing(holdSpan(300, 500*time.Millisecond))
 	payload := make([]byte, 1000)
-	next := uint32(0)
+	next := int64(0)
 	for ; next < depth; next++ {
-		buf.put(next, payload)
+		buf.Put(next, 0, payload)
 	}
 	play := func() {
-		data, ok := buf.take(next - depth)
+		_, data, ok := buf.Take(next - depth)
 		if !ok {
 			b.Fatalf("slot %d empty", next-depth)
 		}
-		buf.recycle(data)
-		buf.put(next, payload)
+		buf.Recycle(data)
+		buf.Put(next, 0, payload)
 		next++
 	}
-	for i := 0; i < 4*depth; i++ { // until the slot map stops growing
+	for i := 0; i < 4*depth; i++ { // until the free list is stocked
 		play()
 	}
 	b.ReportAllocs()

@@ -72,7 +72,7 @@ func (m *Model) AggregateThroughput() (float64, error) {
 type Options struct {
 	Seed            int64
 	MaxConsumptions int64 // sampling budget (default 2_000_000)
-	Warmup          int64 // consumptions discarded before counting (default max(20_000, 20·Nmax))
+	Warmup          int64 // consumptions discarded before counting (default max(20_000, 20·Nmax); a τ past maxDefaultTau is refused)
 	BatchSize       int64 // consumptions per batch for the CI (default 20_000)
 
 	// FloorN, when non-nil, disables consumption at N = *FloorN. It exists to
@@ -80,6 +80,18 @@ type Options struct {
 	// estimates leave it nil (N is unbounded below).
 	FloorN *int64
 }
+
+// maxDefaultWarmup bounds the default warm-up, reached at µτ = 5·10⁶: a few
+// seconds of sampling (BenchmarkFractionLateJumpChain times a consumption).
+// A µτ past it is refused rather than estimated from a shorter warm-up,
+// which would start the chain's full buffer too close to the counted
+// window; µ = 10¹² at τ = 1 s would otherwise ask for 2·10¹³ consumptions
+// and never return. A startup-delay search stops at maxDefaultTau instead.
+const maxDefaultWarmup = 100_000_000
+
+// maxDefaultTau is the longest startup delay the default warm-up can pay at
+// playback rate mu.
+func maxDefaultTau(mu float64) float64 { return maxDefaultWarmup / 20 / mu }
 
 func (o Options) withDefaults(nmax int64) Options {
 	if o.MaxConsumptions == 0 {
@@ -185,6 +197,10 @@ func (m *Model) fractionLate(tau float64, o Options, thresh float64) (Result, er
 	}
 	if !finitePositive(tau) {
 		return Result{}, fmt.Errorf("dmpmodel: startup delay %v is not finite and > 0", tau)
+	}
+	if o.Warmup == 0 && tau > maxDefaultTau(m.Mu) {
+		return Result{}, fmt.Errorf("dmpmodel: µτ = %g needs a warm-up of %.3g consumptions, over the default's cap of %d",
+			m.Mu*tau, 20*m.Mu*tau, int64(maxDefaultWarmup))
 	}
 	nmax := m.nmaxFor(tau)
 	o = o.withDefaults(nmax)
@@ -327,18 +343,45 @@ func (m *Model) CompareToThreshold(tau, thresh float64, o Options) (Verdict, Res
 // `step` seconds) for which the fraction of late packets is below thresh —
 // the quantity plotted in the paper's Figs 9-11. It exploits that f is
 // non-increasing in τ. Returns +Inf if even maxTau misses the threshold.
+// Under the default warm-up the search stops at maxDefaultTau: a miss
+// there is an error naming that delay, not +Inf.
 func (m *Model) RequiredStartupDelay(thresh, step, maxTau float64, o Options) (float64, error) {
+	return searchDelay(m.Mu, step, maxTau, o, func(tau float64) (bool, error) {
+		v, _, err := m.CompareToThreshold(tau, thresh, o)
+		return v == Below, err
+	})
+}
+
+// searchDelay bisects the grid of step seconds up to maxTau for the
+// smallest τ whose below(τ) holds, below being monotone in τ; mu sets how
+// far the default warm-up reaches (see RequiredStartupDelay).
+func searchDelay(mu, step, maxTau float64, o Options, below func(tau float64) (bool, error)) (float64, error) {
 	if !finitePositive(step) || !(maxTau > step) || math.IsInf(maxTau, 1) {
 		return 0, fmt.Errorf("dmpmodel: bad search grid step=%v maxTau=%v", step, maxTau)
 	}
-	v, _, err := m.CompareToThreshold(maxTau, thresh, o)
+	top := maxTau
+	if limit := maxDefaultTau(mu); o.Warmup == 0 && limit < maxTau {
+		top = math.Floor(limit/step) * step
+		if top > limit { // the product rounded up
+			top -= step
+		}
+		if top < step {
+			return 0, fmt.Errorf("dmpmodel: at µ = %g a %gs startup delay needs a warm-up over the default's cap of %d consumptions",
+				mu, step, int64(maxDefaultWarmup))
+		}
+	}
+	ok, err := below(top)
 	if err != nil {
 		return 0, err
 	}
-	if v == Above {
+	if !ok {
+		if top < maxTau {
+			return 0, fmt.Errorf("dmpmodel: no startup delay up to %gs is enough, and at µ = %g a longer one needs a warm-up over the default's cap of %d consumptions",
+				top, mu, int64(maxDefaultWarmup))
+		}
 		return math.Inf(1), nil
 	}
-	lo, hi := 0.0, maxTau // f(lo) ≥ thresh (vacuously), f(hi) < thresh
+	lo, hi := 0.0, top // below(lo) fails (vacuously), below(hi) holds
 	for hi-lo > step+1e-9 {
 		mid := math.Round((lo+hi)/2/step) * step
 		if mid <= lo {
@@ -347,11 +390,11 @@ func (m *Model) RequiredStartupDelay(thresh, step, maxTau float64, o Options) (f
 		if mid >= hi {
 			mid = hi - step
 		}
-		v, _, err := m.CompareToThreshold(mid, thresh, o)
+		ok, err := below(mid)
 		if err != nil {
 			return 0, err
 		}
-		if v == Below {
+		if ok {
 			hi = mid
 		} else {
 			lo = mid
@@ -722,38 +765,8 @@ func StaticFractionLate(paths []tcpmodel.Params, mu, tau float64, o Options) (Re
 
 // StaticRequiredStartupDelay is RequiredStartupDelay for the static scheme.
 func StaticRequiredStartupDelay(paths []tcpmodel.Params, mu, thresh, step, maxTau float64, o Options) (float64, error) {
-	check := func(tau float64) (bool, error) {
+	return searchDelay(mu, step, maxTau, o, func(tau float64) (bool, error) {
 		res, err := StaticFractionLate(paths, mu, tau, o)
-		if err != nil {
-			return false, err
-		}
-		return res.F < thresh, nil
-	}
-	ok, err := check(maxTau)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return math.Inf(1), nil
-	}
-	lo, hi := 0.0, maxTau
-	for hi-lo > step+1e-9 {
-		mid := math.Round((lo+hi)/2/step) * step
-		if mid <= lo {
-			mid = lo + step
-		}
-		if mid >= hi {
-			mid = hi - step
-		}
-		ok, err := check(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
+		return res.F < thresh, err
+	})
 }

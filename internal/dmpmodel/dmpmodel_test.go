@@ -2,7 +2,9 @@ package dmpmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"dmpstream/internal/tcpmodel"
 )
@@ -380,5 +382,79 @@ func BenchmarkFractionLateJumpChain(b *testing.B) {
 		if _, err := m.FractionLate(5, Options{Seed: int64(i), MaxConsumptions: 100_000}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDefaultWarmupBounded: a µτ whose default warm-up (20·µτ consumptions)
+// is past maxDefaultWarmup is refused at once, naming µτ (µ = 10¹² at
+// τ = 1 s would otherwise sample for hours), an explicit warm-up still
+// runs, and a model under the cap gives bit-identical results to the
+// warm-up the default has always set.
+func TestDefaultWarmupBounded(t *testing.T) {
+	p := tcpmodel.Params{P: 0.02, R: 0.2, TO: 4}
+	huge := Model{Paths: []tcpmodel.Params{p}, Mu: 1e12}
+	start := time.Now()
+	_, err := huge.FractionLate(1, Options{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "µτ = 1e+12") {
+		t.Fatalf("FractionLate = %v, want a refusal naming µτ = 1e+12", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("the refusal took %v", d)
+	}
+	if _, err := huge.FractionLate(1, Options{Seed: 1, Warmup: 1000, MaxConsumptions: 20_000}); err != nil {
+		t.Fatalf("an explicit warm-up refused: %v", err)
+	}
+
+	m := Model{Paths: []tcpmodel.Params{p, p}, Mu: 2000}
+	const tau = 30 // 20·µτ = 1.2·10⁶, past the 20 000 floor
+	def, err := m.FractionLate(tau, Options{Seed: 3, MaxConsumptions: 100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := m.FractionLate(tau, Options{Seed: 3, MaxConsumptions: 100_000, Warmup: 20 * 2000 * tau})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.F != set.F || def.CI95 != set.CI95 || def.Late != set.Late || def.Consumptions != set.Consumptions {
+		t.Fatalf("default warm-up gave %+v, the formula's %+v", def, set)
+	}
+}
+
+// TestSearchDelayStopsAtWarmupCap: under the default warm-up a search
+// starts at the largest grid delay maxDefaultTau allows (100 s at µ = 5·10⁴)
+// rather than at maxTau, a miss there is an error naming it, a µ at which
+// not even one step fits is refused, and an explicit warm-up searches the
+// whole grid.
+func TestSearchDelayStopsAtWarmupCap(t *testing.T) {
+	search := func(mu float64, o Options, answer float64) (float64, []float64, error) {
+		var probes []float64
+		tau, err := searchDelay(mu, 0.5, 120, o, func(tau float64) (bool, error) {
+			probes = append(probes, tau)
+			return tau >= answer, nil
+		})
+		return tau, probes, err
+	}
+	tau, probes, err := search(5e4, Options{}, 2)
+	if err != nil || tau != 2 || probes[0] != 100 {
+		t.Fatalf("search = %v, %v after probes %v; want 2 with the first probe at 100", tau, err, probes)
+	}
+	for _, p := range probes {
+		if p > maxDefaultTau(5e4) {
+			t.Fatalf("probed %vs, past maxDefaultTau", p)
+		}
+	}
+	if _, _, err := search(5e4, Options{}, 110); err == nil || !strings.Contains(err.Error(), "up to 100s") {
+		t.Fatalf("a miss at the cap gave %v, want an error naming 100s", err)
+	}
+	if _, _, err := search(1e12, Options{}, 1); err == nil {
+		t.Fatal("µ = 1e12 searched")
+	}
+	tau, probes, err = search(5e4, Options{Warmup: 1000}, 110)
+	if err != nil || tau != 110 || probes[0] != 120 {
+		t.Fatalf("explicit warm-up: %v, %v after probes %v; want 110 from 120", tau, err, probes)
+	}
+	tau, _, err = search(50, Options{}, 200)
+	if err != nil || !math.IsInf(tau, 1) {
+		t.Fatalf("a miss under the cap gave %v, %v; want +Inf", tau, err)
 	}
 }

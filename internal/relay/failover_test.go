@@ -1,7 +1,10 @@
 package relay
 
 import (
+	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -156,5 +159,52 @@ func TestRelayFailoverRoundRobin(t *testing.T) {
 			t.Fatalf("relay failovers stuck at %d, want >= 4", r.Stats().Failovers)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRelayFailoverLogsNextCandidate: the path-down log line names the
+// candidate the path rotated to, the one Stats reports, not the path index.
+func TestRelayFailoverLogsNextCandidate(t *testing.T) {
+	origin, oln := newOrigin(t, "live", 200.0, 16, 0, 0)
+	defer origin.Close()
+	defer oln.Close()
+	var mu sync.Mutex
+	var lines []string
+	r, rln := newRelay(t, Config{
+		Upstreams:   []string{oln.Addr().String(), oln.Addr().String()},
+		StreamID:    "live",
+		Paths:       1,
+		OrphanGrace: 5 * time.Second,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	defer r.Close()
+	defer rln.Close()
+	select {
+	case <-r.Ready():
+	case <-time.After(5 * time.Second):
+		t.Fatal("relay never published a packet")
+	}
+
+	for _, c := range r.fwd.Conns() { // cut path 0
+		_ = c.Close()
+	}
+	var logged int
+	waitFor(t, "the path-down log line", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, l := range lines {
+			if strings.HasPrefix(l, "relay: path 0 down") {
+				_, err := fmt.Sscanf(l[strings.LastIndex(l, "next candidate"):], "next candidate %d", &logged)
+				return err == nil
+			}
+		}
+		return false
+	})
+	if st := r.Stats(); logged != st.Candidates[0] || st.Failovers != 1 {
+		t.Fatalf("logged next candidate %d; path 0 is on candidate %d after %d failovers, want 1", logged, st.Candidates[0], st.Failovers)
 	}
 }

@@ -1,65 +1,37 @@
 package relay
 
 import (
+	"math"
 	"net"
-	"sort"
+	"slices"
 	"time"
 
 	"dmpstream/internal/core"
 	"dmpstream/internal/lockrank"
 )
 
-// syncDepth is the fallback commit: with this many packets parked the
-// forwarder starts from their minimum even though some upstream path has
-// not delivered a packet yet. It only decides when a path never connects
-// (a dead candidate); a relay whose paths all speak commits earlier, on
-// the rule in ingest.
+// syncDepth parked packets commit though an upstream path is still silent:
+// the fallback for a path that never connects (a dead candidate).
 const syncDepth = 8
 
-// heldFrame is one out-of-order upstream packet parked in the reorder
-// buffer until the sequences before it arrive (or are given up on).
-type heldFrame struct {
-	gen     int64
-	payload []byte // private copy taken at ingest
-}
-
-// forwarder is the relay's upstream sink: core.Client's redial engine
-// hands it every (re)attached upstream path connection, its core.PathReader
-// reads them (header agreement, end markers, end-grace deadlines), and it
-// republishes the received feed — in strictly ascending absolute sequence
-// order, exactly once per sequence — into the local hub ring via
-// Hub.PublishAt. Out-of-order arrivals (multipath interleave, failover
-// replays overtaking live frames) park in a bounded reorder buffer;
-// sequences the upstream replayed twice are dropped here, so the
-// downstream tier never sees a duplicate. A gap that stays open past the
-// reorder window is abandoned (the head jumps past it downstream), which
-// bounds the relay's memory no matter how the upstream misbehaves.
+// forwarder is the relay's upstream sink and the reorder rule's locked
+// shell: core.Client's redial engine hands it every (re)attached upstream
+// path, its core.PathReader reads them (header agreement, end markers, end
+// grace), and it publishes what the rule releases via Hub.PublishAt.
 type forwarder struct {
 	*core.PathReader // Conns, Expected and the path reading under the core.Sink half (Run, Done)
 	r                *Relay
 
 	mu        lockrank.Mutex
-	next      int64               // guarded by mu; next sequence to publish; -1 until synced
-	heard     []bool              // guarded by mu; per upstream path: delivered a packet before the commit
-	unheard   int                 // guarded by mu; count of false entries in heard
-	pending   map[int64]heldFrame // guarded by mu; out-of-order arrivals by sequence
-	forwarded int64               // guarded by mu; packets accepted by PublishAt
-	lateDrops int64               // guarded by mu; duplicates and too-late arrivals discarded
-	reordered int64               // guarded by mu; packets that had to park in the buffer
-	gapSkips  int64               // guarded by mu; sequences abandoned (window overflow)
-	refused   int64               // guarded by mu; publishes the hub refused (stopped/draining)
+	order     reorder // guarded by mu
+	forwarded int64   // guarded by mu; packets accepted by PublishAt
+	refused   int64   // guarded by mu; publishes the hub refused (stopped/draining)
 }
 
 // newForwarder builds r's upstream sink; grace is the end-grace deadline
 // the first upstream end marker arms on silent sibling paths.
 func newForwarder(r *Relay, grace time.Duration) *forwarder {
-	f := &forwarder{
-		r:       r,
-		next:    -1,
-		heard:   make([]bool, r.cfg.Paths),
-		unheard: r.cfg.Paths,
-		pending: make(map[int64]heldFrame),
-	}
+	f := &forwarder{r: r, order: newReorder(r.cfg.Paths, r.cfg.ReorderWindow)}
 	f.mu.Init(lockrank.Forwarder)
 	f.PathReader = core.NewPathReader(grace, r.onHeader, f.ingest)
 	return f
@@ -83,163 +55,156 @@ func (f *forwarder) Run(path int, conn net.Conn) error {
 // of it. Whether the stream itself ended is PathReader.Done.
 func (f *forwarder) Done() <-chan struct{} { return f.r.stopCh }
 
-// ingest routes one upstream packet: publish it if it is the next
-// sequence, drop it if it is a duplicate or arrived too late, park it if
-// it ran ahead. Holding the forwarder lock across the publish is what
-// makes "strictly ascending, exactly once" true under concurrent paths —
-// and it pins the relay tier's lock-order edge: forwarder.mu ≺
-// hub.Hub.govMu (lockrank.Forwarder ≺ lockrank.Governor).
-//
-// Until the first commit every packet parks, and the forwarder commits to
-// the smallest parked sequence as soon as each of the relay's paths has
-// delivered one. That is exact, not a guess at path skew: a hub writes
-// each path connection in ascending order and serves a subscription oldest
-// first (its resend queue, then its cursor), so the smallest sequence a
-// subscription will ever send is the first packet of one of its paths.
-// Once every path has spoken, that packet is parked, for each subscription
-// the relay holds — one, or two when its paths are dual-homed on two hubs.
-// A path that never connects would stall the rule, so syncDepth parked
-// packets commit regardless.
-//
-// payload is either copied into a private heldFrame buffer or lent onward
-// to Hub.PublishAt (which copies before returning); never retained past
-// the call.
+// ingest hands one upstream packet to the reorder rule and publishes what
+// it releases. Holding the lock across the publish makes "strictly
+// ascending, exactly once" true under concurrent paths, and pins the relay
+// tier's lock-order edge forwarder.mu ≺ hub.Hub.govMu (lockrank.Forwarder ≺
+// lockrank.Governor). payload is copied into the reorder ring or lent to
+// PublishAt (which copies before returning), never retained.
 func (f *forwarder) ingest(path int, pkt uint32, gen int64, payload []byte) {
-	seq := int64(pkt)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.next < 0 {
-		if _, dup := f.pending[seq]; dup {
-			f.lateDrops++
-		} else {
-			f.holdLocked(seq, gen, payload)
-		}
-		if path < len(f.heard) && !f.heard[path] {
-			f.heard[path] = true
-			f.unheard--
-		}
-		if f.unheard == 0 || len(f.pending) >= syncDepth {
-			f.syncLocked()
-		}
-		return
-	}
-	switch {
-	case seq < f.next:
-		f.lateDrops++
-	case seq == f.next:
-		f.publishLocked(seq, gen, payload)
-		f.next = seq + 1
-		f.drainPendingLocked()
-	default:
-		if _, dup := f.pending[seq]; dup {
-			f.lateDrops++
-			return
-		}
-		f.holdLocked(seq, gen, payload)
-		f.reordered++
-		if len(f.pending) > f.r.cfg.ReorderWindow {
-			// The blocking gap has outstayed the window: abandon it so the
-			// buffer stays bounded. Downstream sees a head jump — the same
-			// observable as a DropOldest skip.
-			f.skipLocked()
-		}
-	}
+	f.publishLocked(f.order.step(path, int64(pkt), gen, payload))
 }
 
-// holdLocked parks a private copy of one out-of-order payload. Caller
-// holds f.mu.
-func (f *forwarder) holdLocked(seq, gen int64, payload []byte) {
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	f.pending[seq] = heldFrame{gen: gen, payload: buf}
-}
-
-// syncLocked commits the starting sequence to the smallest parked one and
-// drains the run it begins. Caller holds f.mu.
-func (f *forwarder) syncLocked() {
-	f.next = f.minPendingLocked()
-	f.drainPendingLocked()
-}
-
-// minPendingLocked returns the smallest parked sequence; only valid with
-// a non-empty buffer. Caller holds f.mu.
-func (f *forwarder) minPendingLocked() int64 {
-	first := true
-	var min int64
-	for seq := range f.pending {
-		if first || seq < min {
-			min = seq
-			first = false
-		}
-	}
-	return min
-}
-
-// drainPendingLocked publishes the contiguous run of parked packets
-// starting at next. Caller holds f.mu.
-func (f *forwarder) drainPendingLocked() {
-	for {
-		hf, ok := f.pending[f.next]
-		if !ok {
-			return
-		}
-		delete(f.pending, f.next)
-		f.publishLocked(f.next, hf.gen, hf.payload)
-		f.next++
-	}
-}
-
-// skipLocked abandons the gap blocking the reorder buffer: next jumps to
-// the smallest parked sequence and the run from there drains. Caller
-// holds f.mu.
-func (f *forwarder) skipLocked() {
-	min := f.minPendingLocked()
-	f.gapSkips += min - f.next
-	f.next = min
-	f.drainPendingLocked()
-}
-
-// publishLocked hands one in-order packet to the local hub ring. Caller
-// holds f.mu. PublishAt copies payload into a pool buffer before
-// returning.
-func (f *forwarder) publishLocked(seq, gen int64, payload []byte) {
-	if h := f.r.local.Load(); h != nil && h.PublishAt(seq, gen, payload) {
-		f.forwarded++
-		if f.forwarded == 1 {
-			f.r.markReady()
-		}
-	} else {
-		f.refused++
-	}
-}
-
-// flush publishes whatever the reorder buffer still holds, in ascending
-// order, gaps and all. Called once the upstream is finished for good (end
-// marker, orphaned, or cancelled) — nothing can fill the gaps anymore, so
-// parked packets go out as-is before the hub ends the stream downstream.
+// flush publishes whatever is parked, gaps and all, once the upstream is
+// over for good (end marker, orphaned, cancelled) and nothing can fill them.
 func (f *forwarder) flush() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.pending) == 0 {
-		return
-	}
-	seqs := make([]int64, 0, len(f.pending))
-	for seq := range f.pending {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	if f.next < 0 {
-		f.next = seqs[0]
-	}
-	for _, seq := range seqs {
-		hf := f.pending[seq]
-		delete(f.pending, seq)
-		if seq < f.next {
-			f.lateDrops++
-			continue
+	f.publishLocked(f.order.flush())
+}
+
+// publishLocked hands released packets to the local hub ring in order and
+// their parked buffers back to the reorder ring. Caller holds f.mu.
+func (f *forwarder) publishLocked(rel []release) {
+	h := f.r.local.Load()
+	for _, p := range rel {
+		if h != nil && h.PublishAt(p.seq, p.gen, p.payload) {
+			f.forwarded++
+			if f.forwarded == 1 {
+				f.r.markReady()
+			}
+		} else {
+			f.refused++
 		}
-		f.gapSkips += seq - f.next
-		f.publishLocked(seq, hf.gen, hf.payload)
-		f.next = seq + 1
+		if p.parked {
+			f.order.ring.Recycle(p.payload)
+		}
 	}
+}
+
+// reorder is the forwarder's sync, reorder, late-drop and gap-skip rule: a
+// pure step over a core.SeqRing (no lock, no hub) from one arrival to the
+// packets it makes due downstream, strictly ascending, each at most once.
+//
+// Until the first commit every packet parks; the rule commits to the
+// smallest once each path has delivered one. That is exact: a hub writes
+// each path in ascending order and serves a subscription oldest first, so
+// a subscription's smallest sequence is the first packet of one of its
+// paths. syncDepth parked packets commit regardless (a dead path), and a
+// parked spread wider than the window commits at once to its smallest.
+//
+// Then a packet below next or already parked is a late drop, next goes out
+// with the parked run it completes, and a later one parks. The span rule
+// bounds the ring: a gap is abandoned once a packet arrives more than
+// window sequences past it (downstream sees a head jump, as on a
+// DropOldest skip), so whatever is parked lies within window of next.
+type reorder struct {
+	ring      *core.SeqRing // sized for window + 1: the spread parked before the commit
+	window    int64         // ReorderWindow
+	next      int64         // next sequence due downstream; -1 until the commit
+	lo, hi    int64         // smallest parked before the commit; largest parked
+	heard     []bool        // per upstream path: delivered a packet before the commit
+	out       []release     // what the last step released, reused
+	lateDrops int64         // duplicates and too-late arrivals discarded
+	reordered int64         // packets that parked after the commit
+	gapSkips  int64         // sequences abandoned
+}
+
+// release is one packet due downstream: a parked one, recycled once
+// published, or the arrival itself.
+type release struct {
+	seq, gen int64
+	payload  []byte
+	parked   bool
+}
+
+func newReorder(paths, window int) reorder {
+	return reorder{ring: core.NewSeqRing(window + 1), window: int64(window), next: -1, lo: math.MaxInt64, hi: -1, heard: make([]bool, paths)}
+}
+
+// step routes one arrival on path. The result is valid until the next step.
+func (w *reorder) step(path int, seq, gen int64, payload []byte) []release {
+	w.out = w.out[:0]
+	if w.next < 0 && !w.ring.Holds(seq) && max(w.hi, seq)-min(w.lo, seq) > w.window {
+		w.next = min(w.lo, seq) // the parked spread outgrew the window
+	}
+	switch {
+	case seq < w.next || w.ring.Holds(seq):
+		w.lateDrops++
+	case seq == w.next:
+		w.out = append(w.out, release{seq: seq, gen: gen, payload: payload})
+		w.next++
+		w.slide(w.hi - w.window) // moves only after a commit below the parked spread
+		w.drain()
+	case w.next >= 0:
+		w.slide(seq - w.window)
+		w.ring.Put(seq, gen, payload)
+		w.hi = max(w.hi, seq)
+		w.reordered++
+		w.drain()
+	default:
+		w.ring.Put(seq, gen, payload)
+		w.lo, w.hi = min(w.lo, seq), max(w.hi, seq)
+	}
+	if w.next < 0 {
+		if path < len(w.heard) {
+			w.heard[path] = true
+		}
+		if !slices.Contains(w.heard, false) || w.ring.Len() >= syncDepth {
+			w.next = w.lo
+			w.drain()
+		}
+	}
+	return w.out
+}
+
+// slide moves next up to to: what is parked below to goes out in order,
+// and the sequences missing there are abandoned.
+func (w *reorder) slide(to int64) {
+	n := len(w.out) // whatever is parked lies in [hi − window, hi]
+	for s := max(w.next, w.hi-w.window); s < min(to, w.hi+1); s++ {
+		w.take(s)
+	}
+	w.gapSkips += max(to-w.next, 0) - int64(len(w.out)-n)
+	w.next = max(w.next, to)
+}
+
+// drain releases the parked run starting at next.
+func (w *reorder) drain() {
+	for w.take(w.next) {
+		w.next++
+	}
+}
+
+// take releases the packet parked under seq, if any.
+func (w *reorder) take(seq int64) bool {
+	gen, data, ok := w.ring.Take(seq)
+	if ok {
+		w.out = append(w.out, release{seq: seq, gen: gen, payload: data, parked: true})
+	}
+	return ok
+}
+
+// flush releases everything parked, in ascending order, gaps and all.
+func (w *reorder) flush() []release {
+	w.out = w.out[:0]
+	if w.ring.Len() > 0 {
+		if w.next < 0 {
+			w.next = w.lo
+		}
+		w.slide(w.hi + 1)
+	}
+	return w.out
 }

@@ -63,10 +63,12 @@ import (
 // upstream paths before declaring the upstream lost.
 const DefaultOrphanGrace = 10 * time.Second
 
-// DefaultReorderWindow bounds the forwarder's reorder buffer: a gap still
-// open after this many newer packets have parked is abandoned. It must
-// comfortably exceed the upstream's resend window plus in-flight path
-// skew, or failover replays arrive "too late" and turn into gaps.
+// DefaultReorderWindow is the forwarder's reorder span: a gap is abandoned
+// once a packet arrives more than this many sequences past it, so whatever
+// the reorder ring parks lies within this many sequences of the next one
+// due. It must comfortably exceed the upstream's resend window plus
+// in-flight path skew, or failover replays arrive "too late" and turn into
+// gaps.
 const DefaultReorderWindow = 256
 
 // DefaultDialTimeout bounds one upstream candidate dial.
@@ -139,8 +141,9 @@ type Config struct {
 	// before declaring the upstream lost and failing its local hub with
 	// RejectUpstreamLost. 0 selects DefaultOrphanGrace.
 	OrphanGrace time.Duration
-	// ReorderWindow bounds the upstream reorder buffer (see
-	// DefaultReorderWindow). 0 selects the default.
+	// ReorderWindow is the upstream reorder span in sequences (see
+	// DefaultReorderWindow), below core.MaxSeqSpan: the reorder ring is
+	// sized for it at New. 0 selects the default.
 	ReorderWindow int
 	// Hub configures the local downstream fan-out (lag window, policy,
 	// delivery, admission caps, byte budget, grace windows — everything a
@@ -193,8 +196,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ReorderWindow == 0 {
 		c.ReorderWindow = DefaultReorderWindow
 	}
-	if c.ReorderWindow < 0 {
-		return c, fmt.Errorf("relay: reorder window %d < 0", c.ReorderWindow)
+	if c.ReorderWindow < 0 || c.ReorderWindow >= core.MaxSeqSpan {
+		return c, fmt.Errorf("relay: reorder window %d outside [0, %d)", c.ReorderWindow, core.MaxSeqSpan)
 	}
 	// The local hub is built at the first upstream header, which only sets
 	// its rate and payload size: a setting no hub takes fails here, not
@@ -396,9 +399,9 @@ func (r *Relay) pathDown(k int, err error) {
 		r.failovers++
 	}
 	arm := r.live == 0
-	live := r.live
+	live, next := r.live, r.cand[k]
 	r.mu.Unlock()
-	r.logf("relay: path %d down (%v), %d live, next candidate %d", k, err, live, k)
+	r.logf("relay: path %d down (%v), %d live, next candidate %d", k, err, live, next)
 	if arm {
 		r.armOrphanTimer()
 	}
@@ -679,11 +682,11 @@ func (r *Relay) Stats() Stats {
 	f := r.fwd
 	f.mu.Lock()
 	st.Forwarded = f.forwarded
-	st.LateDrops = f.lateDrops
-	st.Reordered = f.reordered
-	st.GapSkips = f.gapSkips
+	st.LateDrops = f.order.lateDrops
+	st.Reordered = f.order.reordered
+	st.GapSkips = f.order.gapSkips
 	st.Refused = f.refused
-	st.Held = len(f.pending)
+	st.Held = f.order.ring.Len()
 	f.mu.Unlock()
 	if exp := f.Expected(); exp >= 0 {
 		st.Ended, st.Expected = true, exp

@@ -538,3 +538,16 @@ func TestConfigRejectsBadRedial(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigRejectsBadReorderWindow: the reorder ring is sized for the
+// window at New, so a window whose span no core.SeqRing takes is refused
+// before any dial.
+func TestConfigRejectsBadReorderWindow(t *testing.T) {
+	for _, w := range []int{-1, core.MaxSeqSpan, math.MaxInt} {
+		r, err := New(Config{Upstreams: []string{"127.0.0.1:1"}, Paths: 1, ReorderWindow: w})
+		if err == nil {
+			r.Close()
+			t.Errorf("reorder window %d accepted", w)
+		}
+	}
+}
