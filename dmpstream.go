@@ -56,7 +56,9 @@ type StreamConfig struct {
 	PayloadSize int
 	// Count is the number of packets to stream; 0 streams until Stop.
 	Count int64
-	// Fill, if non-nil, fills each packet's payload with content.
+	// Fill, if non-nil, fills each packet's payload with content. It must
+	// be a pure function of the packet number, safe to call concurrently:
+	// a packet's payload is rendered at every write, resends included.
 	Fill func(pkt uint32, buf []byte)
 	// WriteStallTimeout bounds each per-path write; a path stalling longer
 	// enters the health state machine (stalled → dead) instead of blocking
@@ -229,7 +231,10 @@ type HubConfig struct {
 	PayloadSize int
 	// Count is the number of packets to stream; 0 streams until Stop/Close.
 	Count int64
-	// Fill, if non-nil, fills each packet's payload with content.
+	// Fill, if non-nil, fills each packet's payload with content. It must
+	// be a pure function of the packet number, safe to call concurrently:
+	// the hub keeps only the payloads its subscribers still need and renders
+	// a packet again for a late catch-up or a resend.
 	Fill func(pkt uint32, buf []byte)
 	// StreamID names the stream clients join (default "live").
 	StreamID string

@@ -33,6 +33,11 @@ type Config struct {
 	PayloadSize int     // payload bytes per packet (default 1000)
 	Count       int64   // packets to generate; 0 = run until Stop
 	// Fill, if set, fills each packet's payload (e.g. with encoded media).
+	// It must be a pure function of the packet number — the same bytes on
+	// every call for one packet — and safe to call concurrently: a sender
+	// renders the payload at every write of a packet, resends included, and
+	// a hub renders a packet again when a catch-up or a resend needs one its
+	// ring no longer keeps.
 	Fill func(pkt uint32, buf []byte)
 	// WriteStallTimeout bounds each per-path Write: a path whose connection
 	// stalls longer fails with a timeout error instead of blocking

@@ -432,6 +432,13 @@ func (m *Model) TransientFractionLate(tau, videoSeconds float64, stored bool, o 
 	if !(0 < tau && tau < videoSeconds) || math.IsInf(videoSeconds, 1) {
 		return TransientResult{}, fmt.Errorf("dmpmodel: need 0 < tau < videoSeconds, got %v, %v", tau, videoSeconds)
 	}
+	// At least three replications of µ·videoSeconds consumptions each run
+	// whatever MaxConsumptions says; past the default warm-up's cap that
+	// would not return.
+	if n := 3 * m.Mu * videoSeconds; n > maxDefaultWarmup {
+		return TransientResult{}, fmt.Errorf("dmpmodel: a %v s video at µ = %g needs %.3g consumptions (3 replications), over the cap of %d",
+			videoSeconds, m.Mu, n, int64(maxDefaultWarmup))
+	}
 	nmax := m.nmaxFor(tau)
 	o = o.withDefaults(nmax)
 	perRep := int64(m.Mu * videoSeconds)

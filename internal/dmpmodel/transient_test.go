@@ -1,7 +1,9 @@
 package dmpmodel
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"dmpstream/internal/tcpmodel"
 )
@@ -128,5 +130,20 @@ func TestPathSharesFollowThroughput(t *testing.T) {
 	ratio := res.PathShares[0] / res.PathShares[1]
 	if ratio < 1.5 || ratio > 2.6 {
 		t.Fatalf("fast/slow share ratio %.2f, want ≈2", ratio)
+	}
+}
+
+// TestTransientBounded: a video whose three replications alone are past the
+// default warm-up's cap (µ = 10⁹ for 60 s is 1.8·10¹¹ consumptions, hours of
+// sampling) is refused at once, with the count in the error.
+func TestTransientBounded(t *testing.T) {
+	m := Model{Paths: []tcpmodel.Params{{P: 0.02, R: 0.2, TO: 4}}, Mu: 1e9}
+	start := time.Now()
+	_, err := m.TransientFractionLate(1, 60, false, Options{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "1.8e+11 consumptions") {
+		t.Fatalf("TransientFractionLate = %v, want a refusal naming 1.8e+11 consumptions", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("the refusal took %v", d)
 	}
 }

@@ -97,7 +97,8 @@ func TestShedSkipsDrainedSubscriber(t *testing.T) {
 	// Rank: the subscriber holds 60 frames and is the worst (the only) one.
 	h.govMu.Lock()
 	defer h.govMu.Unlock()
-	_, ranked, worst, worstShard := h.accountLocked(head, true)
+	_, bh, worstShard := h.accountLocked(head, true)
+	ranked, worst := bh.worstHeld, bh.worst
 	if worst != sub || worstShard != sd || ranked != 60*(payload+core.FrameHeaderSize) {
 		t.Fatalf("ranked %p (shard %p) at %d bytes", worst, worstShard, ranked)
 	}

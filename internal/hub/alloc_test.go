@@ -76,7 +76,7 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 		var conn net.Conn = sinkConn{}
 		var b *batch
 		cycle := func() {
-			head := h.ring.publish(h.cfg.Stream.Fill)
+			head := h.ring.publish(0)
 			sd.wake(head)
 			if b = popBatch(sd, sub, b); b == nil {
 				t.Fatal("no batch to lease in steady state")
@@ -121,7 +121,7 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 		deliver(behind, 1)
 		lap := func() {
 			for i := 0; i < writeBatchFrames; i++ {
-				sd.wake(h.ring.publish(h.cfg.Stream.Fill))
+				sd.wake(h.ring.publish(0))
 				deliver(pace, 1)
 			}
 			deliver(behind, writeBatchFrames)
@@ -203,7 +203,12 @@ func (c hookConn) Write(p []byte) (int, error) {
 //   - a late duplicate from upstream, refused;
 //   - resends queued on a subscriber's paths, as a sibling's death queues
 //     them: both of one subscriber's are in the ring and are sent, the
-//     other's, lapped and a gap, are counted as drops.
+//     other's, lapped and a gap, are counted as drops;
+//   - a burst of a ring's worth and two ticks on schedule, each taken by
+//     everybody, after which the ring keeps only the two newest payloads;
+//     then a catch-up from the ring's tail, as an absolute join starts, and
+//     resends the ring has released: each packet below the two newest is
+//     rendered again from Fill.
 //
 // The two-path subscriber's paths take turns, and the worker leaving on a
 // write with a path still queued arms the stall timer. Once every path has
@@ -211,8 +216,10 @@ func (c hookConn) Write(p []byte) (int, error) {
 // to the burst, none of it allocates.
 func TestShardWorkAllocFree(t *testing.T) {
 	const payload, lag, runs = 64, 16, 300
+	var fills int64
 	h := newExternalHub(t, Config{
-		Stream:    core.Config{Mu: 250, PayloadSize: payload, WriteStallTimeout: time.Second},
+		Stream: core.Config{Mu: 250, PayloadSize: payload, WriteStallTimeout: time.Second,
+			Fill: func(pkt uint32, buf []byte) { fills++ }},
 		LagWindow: lag,
 		Shards:    1,
 		MaxBytes:  1 << 30,
@@ -304,25 +311,50 @@ func TestShardWorkAllocFree(t *testing.T) {
 		sd.readyLocked(solo)
 		sd.mu.Unlock()
 		work()
+
+		for _, pub := range []func(){burst, tick, tick} {
+			publish(1, pub)
+			work()
+		}
+		head = h.ring.headSeq()
+		for seq := head - lag; seq < head-2; seq++ {
+			if !released(h, seq) {
+				t.Fatalf("packet %d still holds its payload, want the ring to keep only the newest two", seq)
+			}
+		}
+		multiResend[0], multiResend[1] = head-lag, head-3
+		setResend(sd, multi, multiResend)
+		sd.mu.Lock()
+		sd.advanceLocked(solo, head-lag)
+		sd.readyLocked(multi)
+		sd.readyLocked(solo)
+		sd.mu.Unlock()
+		work()
 	}
 	for i := 0; i < lag+1; i++ {
 		cycle()
 	}
-	sent, resent, dropped := h.totalSent.Load(), h.totalResent.Load(), h.totalDropped.Load()
+	sent, resent, dropped, filled := h.totalSent.Load(), h.totalResent.Load(), h.totalDropped.Load(), fills
 	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
 		t.Errorf("shard worker deliveries allocate %.2f times per cycle, want 0", allocs)
 	}
-	// Per cycle: 2·lag+3 frames for each subscriber (two bursts, the tick,
-	// the packets past the window and past the gap of one) less the burst
-	// one of them loses to the lag policy, and two resends. Dropped: that
-	// burst; for each subscriber lag past the window (the lag policy's one
-	// and the gap slots) and the gap of one; two resends lapped or a gap.
+	// Per cycle: 3·lag+5 frames for each subscriber (three bursts, three
+	// ticks, the packets past the window and past the gap of one) less the
+	// burst one of them loses to the lag policy, the catch-up's lag, and
+	// four resends. Dropped: that burst; for each subscriber lag past the
+	// window (the lag policy's one and the gap slots) and the gap of one;
+	// two resends lapped or a gap. Filled: the 3·lag+3 packets the
+	// generator's ticks publish, and the lag−2 packets of the catch-up and
+	// the two resends that the ring had released.
 	n := int64(runs + 1)
-	if got, want := h.totalSent.Load()-sent, (2*(2*lag+3)-lag+2)*n; got != want {
+	if got, want := h.totalSent.Load()-sent, (2*(3*lag+5)-lag+lag+4)*n; got != want {
 		t.Errorf("%d frames sent over %d cycles, want %d", got, n, want)
 	}
-	if got, want := h.totalResent.Load()-resent, 2*n; got != want {
+	if got, want := h.totalResent.Load()-resent, 4*n; got != want {
 		t.Errorf("%d resends over %d cycles, want %d", got, n, want)
+	}
+	if got, want := fills-filled, (3*lag+3+lag)*n; got != want {
+		t.Errorf("%d packets filled over %d cycles, want %d", got, n, want)
 	}
 	if got, want := h.totalDropped.Load()-dropped, (lag+2*(lag+1)+2)*n; got != want {
 		t.Errorf("%d drops over %d cycles, want %d", got, n, want)

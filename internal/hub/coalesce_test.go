@@ -68,13 +68,12 @@ func TestPoolChurnRace(t *testing.T) {
 		pinners   = 4
 	)
 	pool := newBufPool(64, true)
-	r := newRing(ringSize, pool)
-	fill := func(pkt uint32, buf []byte) {
+	r := newRing(ringSize, pool, func(pkt uint32, buf []byte) {
 		for i := range buf {
 			buf[i] = byte(pkt)
 		}
-	}
-	r.publish(fill) // seed so pinners always have a live seq
+	})
+	r.publish(0) // seed so pinners always have a live seq
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -96,14 +95,12 @@ func TestPoolChurnRace(t *testing.T) {
 				// Read through the borrow; the poison check on the pool's
 				// next get would trip if this raced a recycle.
 				_ = pb.data[0]
-				if pb.refs.Add(-1) == 0 {
-					pool.put(pb)
-				}
+				pool.unref(pb)
 			}
 		}()
 	}
 	for i := 1; i < publishes; i++ {
-		r.publish(fill)
+		r.publish(0)
 	}
 	close(done)
 	wg.Wait()

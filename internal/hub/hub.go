@@ -347,6 +347,9 @@ type Hub struct {
 	// observe held bytes between a publish (or resend merge) and the
 	// governor pass that settles them back under budget.
 	govMu lockrank.Mutex
+	// low is the ring's low-water mark from the generator's last tick: the
+	// next publish releases the payloads below it.
+	low int64 // guarded by govMu
 
 	// Admission accounting: incremented only under mu (so the caps are
 	// strict), decremented atomically wherever a subscriber or path retires.
@@ -388,7 +391,7 @@ func New(cfg Config) (*Hub, error) {
 		cfg:         cfg,
 		batchFrames: writeBatchFrames,
 		pool:        pool,
-		ring:        newRing(cfg.LagWindow, pool),
+		ring:        newRing(cfg.LagWindow, pool, cfg.Stream.Fill),
 		start:       time.Now(),
 		stopCh:      make(chan struct{}),
 	}
@@ -471,7 +474,9 @@ func (h *Hub) generate() {
 // this way means a tick that catches up k overdue packets still wakes
 // each subscriber at most once per shard, instead of k times; on
 // schedule, k is 1 and the cadence is identical to the historical
-// per-packet wake. It returns how many packets it published.
+// per-packet wake. The governor's walk also gives the ring's low-water
+// mark, which the next tick's first publish releases to. It returns how
+// many packets it published.
 func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 	k := int64(1)
 	if period > 0 {
@@ -493,13 +498,13 @@ func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 	h.govMu.Lock()
 	var head int64
 	for i := int64(0); i < k; i++ {
-		head = h.ring.publish(h.cfg.Stream.Fill)
+		head = h.ring.publish(h.low)
 	}
 	h.generated.Add(k)
 	for _, sd := range h.shards {
 		sd.wake(head)
 	}
-	h.governLocked(head)
+	h.low = min(h.governLocked(head), head-1)
 	h.govMu.Unlock()
 	return k
 }
@@ -518,7 +523,8 @@ func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 // The call mirrors publishTick's cycle — publish, wake the shards (lag
 // policy + ready list), one governor pass — so every downstream
 // guarantee (lag window, byte budget, degradation ladder) holds at every
-// tier of a relay tree.
+// tier of a relay tree. The governor's walk runs only for a budget: an
+// upstream's packet cannot be rendered again, so no low-water mark is set.
 //
 // payload is copied into a private pool buffer inside ring.publishAt
 // before any reader can alias the slot; it is never retained.
@@ -543,7 +549,9 @@ func (h *Hub) PublishAt(seq, gen int64, payload []byte) bool {
 	for _, sd := range h.shards {
 		sd.wake(head)
 	}
-	h.governLocked(head)
+	if h.cfg.MaxBytes > 0 {
+		h.governLocked(head)
+	}
 	h.govMu.Unlock()
 	return true
 }
@@ -568,10 +576,11 @@ func (h *Hub) signalStopLocked() {
 }
 
 // accountLocked computes the subscriber-attributable buffered bytes at
-// live edge head under the shared-buffer ownership model, plus the
-// laggiest subscriber for the governor to shed. Ring payload bytes are
-// held once no matter how many subscribers still need them — the span
-// from the oldest packet any live subscriber still needs (cursor or
+// live edge head under the shared-buffer ownership model, with the oldest
+// sequence any subscriber still needs and the laggiest subscriber for the
+// governor to shed (bh), and the shard that subscriber is on. Ring payload
+// bytes are held once no matter how many subscribers still need them — the
+// span from the oldest packet any live subscriber still needs (cursor or
 // pending resend, clamped to what the ring actually retains) up to the
 // head — while the per-subscriber cost is the FrameHeaderSize header
 // patch for every frame it has yet to take. The worst laggard is still
@@ -587,25 +596,26 @@ func (h *Hub) signalStopLocked() {
 // exact says whether that walk includes the paths the last tick woke and no
 // worker has reached yet. With it set the result is what a scan over every
 // subscriber returns; without it the woken subscribers are accounted by the
-// bound they share, total is an upper bound on the exact figure (equal to it
-// on a tick that found everybody at pace) and worst is not to be used.
+// bound they share, bh.need is at or below the exact figure, total is an
+// upper bound on the exact one (both equal to it on a tick that found
+// everybody at pace) and bh.worst is not to be used.
 // Caller holds h.govMu; shard locks are taken one at a time underneath it.
-func (h *Hub) accountLocked(head int64, exact bool) (total, worstHeld int64, worst *subscriber, worstShard *shard) {
+func (h *Hub) accountLocked(head int64, exact bool) (total int64, bh behind, worstShard *shard) {
 	tail := max(head-h.ring.size(), 0)
-	minNeed := head
+	bh.need = head
 	var hdrFrames int64
 	for _, sd := range h.shards {
 		sd.mu.Lock()
 		hdrFrames += sd.nsubs*head - sd.curSum + sd.resendSum
-		bh := sd.behindLocked(head, tail, exact)
+		sb := sd.behindLocked(head, tail, exact)
 		sd.mu.Unlock()
-		minNeed = min(minNeed, bh.need)
-		if bh.worstHeld > worstHeld {
-			worst, worstHeld, worstShard = bh.worst, bh.worstHeld, sd
+		bh.need = min(bh.need, sb.need)
+		if sb.worstHeld > bh.worstHeld {
+			bh.worst, bh.worstHeld, worstShard = sb.worst, sb.worstHeld, sd
 		}
 	}
-	total = (head-minNeed)*int64(h.cfg.Stream.PayloadSize) + hdrFrames*core.FrameHeaderSize
-	return total, worstHeld, worst, worstShard
+	total = (head-bh.need)*int64(h.cfg.Stream.PayloadSize) + hdrFrames*core.FrameHeaderSize
+	return total, bh, worstShard
 }
 
 // governLocked enforces the global MaxBytes budget over subscriber
@@ -616,22 +626,22 @@ func (h *Hub) accountLocked(head int64, exact bool) (total, worstHeld int64, wor
 // none of the paths the tick has just woken; only when that cannot show the
 // hub within its budget does the governor pay for the exact one — then for
 // every step, because whom to shed and when to stop must be what a scan
-// over every subscriber would say. Caller holds h.govMu; shard locks are
-// taken one at a time underneath it.
-func (h *Hub) governLocked(head int64) {
-	if h.cfg.MaxBytes <= 0 {
-		return
-	}
-	if total, _, _, _ := h.accountLocked(head, false); total <= h.cfg.MaxBytes {
-		return
+// over every subscriber would say. It returns the bounded account's oldest
+// needed sequence (at or below the true one, which sheds only raise), so it
+// walks with no budget too. Caller holds h.govMu; shard locks are taken one
+// at a time underneath it.
+func (h *Hub) governLocked(head int64) (need int64) {
+	total, bh, _ := h.accountLocked(head, false)
+	if h.cfg.MaxBytes <= 0 || total <= h.cfg.MaxBytes {
+		return bh.need
 	}
 	for {
-		total, worstHeld, worst, worstShard := h.accountLocked(head, true)
-		if total <= h.cfg.MaxBytes || worst == nil || worstHeld == 0 {
-			return
+		total, worst, worstShard := h.accountLocked(head, true)
+		if total <= h.cfg.MaxBytes || worst.worst == nil || worst.worstHeld == 0 {
+			return bh.need
 		}
 		worstShard.mu.Lock()
-		worstShard.shedLocked(worst, head, worstHeld)
+		worstShard.shedLocked(worst.worst, head, worst.worstHeld)
 		worstShard.mu.Unlock()
 	}
 }
@@ -739,12 +749,13 @@ func (h *Hub) writeBatch(conn net.Conn, sub *subscriber, b *batch) error {
 }
 
 // releaseBatch drops the batch's pins, returning buffers whose refcount
-// reached zero to the pool, and clears the vectored-write slots that
-// aliased them — a released batch holds no borrow, which is what lets the
-// worker hand it back to the shard for another subscriber's frames.
-// Entries are nil'd as they release, so a second call over the same batch
-// is a no-op.
+// reached zero to the pool under one lock, and clears the vectored-write
+// slots that aliased them — a released batch holds no borrow, which is what
+// lets the worker hand it back to the shard for another subscriber's
+// frames. Entries are nil'd as they release, so a second call over the
+// same batch is a no-op.
 func (h *Hub) releaseBatch(b *batch) {
+	last := 0 // b.bufs[:last] gathers the buffers whose last reference dropped
 	for i := 0; i < b.n; i++ {
 		pb := b.bufs[i]
 		if pb == nil {
@@ -753,9 +764,11 @@ func (h *Hub) releaseBatch(b *batch) {
 		b.bufs[i] = nil
 		b.wb[2*i+1] = nil
 		if pb.refs.Add(-1) == 0 {
-			h.pool.put(pb)
+			b.bufs[last] = pb
+			last++
 		}
 	}
+	h.pool.putAll(b.bufs[:last])
 }
 
 // writeEndMarker ends p's stream: the marker carries the number of
@@ -1051,7 +1064,7 @@ func (h *Hub) TotalDropped() int64 {
 func (h *Hub) BytesHeld() int64 {
 	h.govMu.Lock()
 	defer h.govMu.Unlock()
-	total, _, _, _ := h.accountLocked(h.ring.headSeq(), true)
+	total, _, _ := h.accountLocked(h.ring.headSeq(), true)
 	return total
 }
 

@@ -17,11 +17,10 @@ import (
 // change what a later pin returns.
 func TestRingCopyAtIngest(t *testing.T) {
 	const payloadSize = 8
-	r := newRing(4, newBufPool(payloadSize, false))
 	source := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	fill := func(pkt uint32, buf []byte) { copy(buf, source) }
+	r := newRing(4, newBufPool(payloadSize, false), func(pkt uint32, buf []byte) { copy(buf, source) })
 
-	head := r.publish(fill)
+	head := r.publish(0)
 	seq := head - 1
 	want := append([]byte(nil), source...)
 
@@ -121,8 +120,9 @@ func TestPayloadAliasScan(t *testing.T) {
 		t.Fatalf("a clean hub counts %d aliases: %+v", ps.Aliases, ps)
 	}
 
+	// The newest packet's payload: the one the generator's ring always keeps.
 	h.ring.mu.RLock()
-	pb := h.ring.slots[0].payload
+	pb := h.ring.slots[(h.ring.head-1)%h.ring.n].payload
 	h.ring.mu.RUnlock()
 	p := &path{sub: sub}
 	one := newBatch() // a one-frame workspace, its slices over its inline frame
@@ -257,7 +257,7 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 	// Lap the whole ring: every slot's buffer reference drops; unpinned
 	// buffers return to the pool and are poisoned there.
 	for i := 0; i < 4; i++ {
-		h.ring.publish(ownFill)
+		h.ring.publish(0)
 	}
 
 	// The slow sibling's pins must still hold the original bytes.

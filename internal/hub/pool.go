@@ -75,8 +75,8 @@ func (pb *payloadBuf) poisonIntact() bool {
 // A freelist rather than sync.Pool on purpose: sync.Pool drops its
 // contents under GC pressure and would re-allocate on the hot path,
 // breaking the zero-allocs-per-frame budget; the freelist keeps steady
-// state allocation-free with a capacity that stabilizes at the ring size
-// plus in-flight pins.
+// state allocation-free with a capacity that stabilizes at the payloads
+// the ring keeps plus in-flight pins and renders.
 //
 // Integrity counters make misuse observable: chaos asserts DoublePuts,
 // PoisonTrips and Aliases stay zero across a full churn run.
@@ -105,43 +105,69 @@ func newBufPool(size int, poison bool) *bufPool {
 // recycled freelist entry or a fresh allocation on a miss.
 func (p *bufPool) get() *payloadBuf {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.getLocked()
+}
+
+// take fills every nil entry of bufs as get would, under one lock hold.
+func (p *bufPool) take(bufs []*payloadBuf) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, pb := range bufs {
+		if pb == nil {
+			bufs[i] = p.getLocked()
+		}
+	}
+}
+
+// getLocked is get's body. Caller holds p.mu.
+func (p *bufPool) getLocked() *payloadBuf {
 	p.gets++
+	var pb *payloadBuf
 	if n := len(p.free); n > 0 {
-		pb := p.free[n-1]
+		pb = p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		pb.pooled = false
 		if p.poison && !pb.poisonIntact() {
 			p.poisonTrips++
 		}
-		p.mu.Unlock()
-		pb.refs.Store(1)
-		return pb
+	} else {
+		p.news++
+		pb = &payloadBuf{data: make([]byte, p.size)}
+		if p.poison {
+			p.all = append(p.all, pb)
+		}
 	}
-	p.news++
-	p.mu.Unlock()
-	pb := &payloadBuf{data: make([]byte, p.size)}
 	pb.refs.Store(1)
-	if p.poison {
-		p.mu.Lock()
-		p.all = append(p.all, pb)
-		p.mu.Unlock()
-	}
 	return pb
 }
 
-// put returns a buffer whose refcount reached zero to the freelist. A
-// buffer already on the freelist is counted as a double put and left
-// alone (the freelist must never hold the same entry twice). The ring's
-// lapped-slot reference and the senders' released pins all end here.
-func (p *bufPool) put(pb *payloadBuf) {
+// putAll returns buffers whose refcount reached zero to the freelist,
+// under one lock hold, and clears the entries.
+func (p *bufPool) putAll(bufs []*payloadBuf) {
+	if len(bufs) == 0 {
+		return
+	}
+	p.mu.Lock()
+	for i, pb := range bufs {
+		p.putLocked(pb)
+		bufs[i] = nil
+	}
+	p.mu.Unlock()
+}
+
+// putLocked returns one buffer to the freelist. A buffer already on the
+// freelist is counted as a double put and left alone (the freelist must
+// never hold the same entry twice). The ring's lapped and released slot
+// references and the senders' released pins all end here. Caller holds
+// p.mu.
+func (p *bufPool) putLocked(pb *payloadBuf) {
 	if pb == nil || len(pb.data) != p.size {
 		return // foreign or mis-sized buffer: drop it rather than corrupt the freelist
 	}
-	p.mu.Lock()
 	if pb.pooled {
 		p.doublePuts++
-		p.mu.Unlock()
 		return
 	}
 	if p.poison {
@@ -150,7 +176,16 @@ func (p *bufPool) put(pb *payloadBuf) {
 	pb.pooled = true
 	p.puts++
 	p.free = append(p.free, pb)
-	p.mu.Unlock()
+}
+
+// unref drops one reference to pb, returning it to the freelist when that
+// was the last. A nil pb (an empty ring slot) is a no-op.
+func (p *bufPool) unref(pb *payloadBuf) {
+	if pb != nil && pb.refs.Add(-1) == 0 {
+		p.mu.Lock()
+		p.putLocked(pb)
+		p.mu.Unlock()
+	}
 }
 
 // PoolStats is a point-in-time integrity snapshot of the payload pool.

@@ -88,8 +88,12 @@ type propSub struct {
 }
 
 type propWorld struct {
-	t      *testing.T
-	h      *Hub
+	t *testing.T
+	h *Hub
+	// gen makes the ticks the generator's (publishTick: no source gaps, and
+	// the ring releases what nobody needs) instead of an upstream's
+	// (PublishAt).
+	gen    bool
 	rng    *rand.Rand
 	subs   []*propSub
 	manual *subscriber // hand-built, no path: fetched for by hand ("pop")
@@ -99,6 +103,8 @@ type propWorld struct {
 	// How many shard states the checks saw with woken paths no worker had
 	// reached, and with a ready-list backlog.
 	unserved, backlogged int
+	// How many released packets the checks saw in the ring's window.
+	released int
 }
 
 // settle waits until nothing moves: no path queued, and every path a
@@ -142,6 +148,7 @@ func (w *propWorld) check(step string) {
 	}
 	head := h.ring.headSeq()
 	tail := max(head-h.ring.size(), 0)
+	minCur := head
 	fail := func(format string, args ...any) {
 		w.t.Helper()
 		w.t.Errorf("after step %d (%s): %s", w.nsteps, step, fmt.Sprintf(format, args...))
@@ -156,6 +163,9 @@ func (w *propWorld) check(step string) {
 		for _, sub := range sd.subs {
 			if sub.cur > head {
 				fail("shard %d: subscriber %s has its cursor at %d, past the live edge %d", i, sub.token, sub.cur, head)
+			}
+			if !sub.evicted {
+				minCur = min(minCur, max(sub.cur, tail))
 			}
 		}
 		// The walk over the subscribers behind against the same scan: exact,
@@ -207,6 +217,21 @@ func (w *propWorld) check(step string) {
 			fail("shard %d: %d orphans listed, %d subscribers without a path", i, len(sd.orphans), orphans)
 		}
 	}
+	// The ring still holds the payload of every packet from the oldest
+	// cursor on. A mark of the need the last tick found never passes a
+	// cursor: cursors only move forward, and a join starts at or past the
+	// newest packet, which the mark never passes either. (A path death may
+	// queue resends below the mark; those are rendered again when served.)
+	h.ring.mu.RLock()
+	for seq := tail; seq < head; seq++ {
+		if s := h.ring.slots[seq%h.ring.n]; s.seq == seq && s.payload == nil {
+			if seq >= minCur {
+				fail("packet %d is released, but a cursor is at %d", seq, minCur)
+			}
+			w.released++
+		}
+	}
+	h.ring.mu.RUnlock()
 	for i := len(h.shards) - 1; i >= 0; i-- {
 		h.shards[i].mu.Mutex.Unlock()
 	}
@@ -214,8 +239,9 @@ func (w *propWorld) check(step string) {
 	// grace timer may move something in between, and when the scans agree
 	// none did.
 	refTotal, _, refWorst := scanAccount(h, head)
-	got, gotWorst, _, _ := h.accountLocked(head, true)
-	upper, _, _, _ := h.accountLocked(head, false)
+	got, bh, _ := h.accountLocked(head, true)
+	gotWorst := bh.worstHeld
+	upper, _, _ := h.accountLocked(head, false)
 	again, _, _ := scanAccount(h, head)
 	h.govMu.Unlock()
 	if refTotal == again && (got != refTotal || gotWorst != refWorst || upper < refTotal) {
@@ -226,13 +252,28 @@ func (w *propWorld) check(step string) {
 	}
 }
 
-// tickUnserved is PublishAt's cycle — publish, wake the shards, one
-// governor pass — without the kick that puts a worker on the woken paths.
+// tick publishes the next packet as the world's source does.
+func (w *propWorld) tick(payload []byte) {
+	if w.gen {
+		w.h.publishTick(0, time.Time{}, 0)
+	} else if !w.h.PublishAt(w.seq, w.seq, payload) {
+		w.t.Fatalf("PublishAt(%d) refused", w.seq)
+	}
+}
+
+// tickUnserved is tick's cycle — publish, wake the shards, one governor
+// pass (for the generator, the ring's low-water mark from it) — without the
+// kick that puts a worker on the woken paths.
 func (w *propWorld) tickUnserved(payload []byte) {
 	h := w.h
 	h.govMu.Lock()
 	defer h.govMu.Unlock()
-	head, ok := h.ring.publishAt(w.seq, w.seq, payload)
+	head, ok := int64(0), true
+	if w.gen {
+		head = h.ring.publish(h.low)
+	} else {
+		head, ok = h.ring.publishAt(w.seq, w.seq, payload)
+	}
 	if !ok {
 		w.t.Fatalf("publishAt(%d) refused", w.seq)
 	}
@@ -242,7 +283,9 @@ func (w *propWorld) tickUnserved(payload []byte) {
 		sd.wakeLocked(head)
 		sd.mu.Unlock()
 	}
-	h.governLocked(head)
+	if need := h.governLocked(head); w.gen {
+		h.low = min(need, head-1)
+	}
 }
 
 // kick puts a worker on whatever is queued, as wake does.
@@ -299,9 +342,11 @@ func (w *propWorld) step() string {
 		for n := 1 + rng.Intn(6); n > 0; n-- {
 			switch rng.Intn(12) {
 			case 0:
-				w.seq += int64(1 + rng.Intn(4))
+				if !w.gen {
+					w.seq += int64(1 + rng.Intn(4))
+				}
 			case 1:
-				if rng.Intn(4) == 0 {
+				if rng.Intn(4) == 0 && !w.gen {
 					w.seq += h.ring.size() + int64(rng.Intn(8))
 				}
 			}
@@ -309,9 +354,7 @@ func (w *propWorld) step() string {
 			// paths they woke stay queued — and are the next tick's backlog —
 			// until something else puts a worker on them.
 			if rng.Intn(4) > 0 {
-				if !h.PublishAt(w.seq, w.seq, payload) {
-					w.t.Fatalf("PublishAt(%d) refused", w.seq)
-				}
+				w.tick(payload)
 			} else {
 				w.tickUnserved(payload)
 			}
@@ -398,9 +441,15 @@ func TestMaintainedStateMatchesScan(t *testing.T) {
 	for _, tc := range []struct {
 		policy Policy
 		seed   int64
-	}{{DropOldest, 1}, {DropOldest, 2}, {Evict, 3}, {DropOldest, 4}, {Evict, 5}} {
+		gen    bool // the hub's own generator ticks instead of an upstream's packets
+	}{{DropOldest, 1, false}, {DropOldest, 2, false}, {Evict, 3, false}, {DropOldest, 4, false}, {Evict, 5, false},
+		{DropOldest, 6, true}, {Evict, 7, true}} {
 		tc := tc
-		t.Run(fmt.Sprintf("%s/seed %d", tc.policy, tc.seed), func(t *testing.T) {
+		name := fmt.Sprintf("%s/seed %d", tc.policy, tc.seed)
+		if tc.gen {
+			name += "/generator"
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			h := newExternalHub(t, Config{
 				Shards:        2,
@@ -412,7 +461,7 @@ func TestMaintainedStateMatchesScan(t *testing.T) {
 				PoisonPool:    true,
 			})
 			defer h.Close()
-			w := &propWorld{t: t, h: h, rng: rand.New(rand.NewSource(tc.seed)), steps: map[string]int{}}
+			w := &propWorld{t: t, h: h, gen: tc.gen, rng: rand.New(rand.NewSource(tc.seed)), steps: map[string]int{}}
 			w.manual = &subscriber{token: newToken(t), window: h.cfg.LagWindow}
 			w.manual.shard = h.shardFor(w.manual.token)
 			addSub(w.manual.shard, w.manual)
@@ -423,11 +472,14 @@ func TestMaintainedStateMatchesScan(t *testing.T) {
 				w.steps[step]++
 				w.check(step)
 			}
+			if released := w.released > 0; released != tc.gen {
+				t.Errorf("the checks saw %d released packets in the window; a generator's ring releases, an upstream's never does", w.released)
+			}
 			if w.unserved == 0 || w.backlogged == 0 {
 				t.Errorf("the checks saw %d shard states with unserved woken paths and %d with a backlog: the walk's woken and ready branches went unchecked", w.unserved, w.backlogged)
 			}
-			t.Logf("steps: %v; %d unserved and %d backlogged shard states checked; hub: %d sent, %d dropped, %d evicted, %d shed, %d resent, %d reattached",
-				w.steps, w.unserved, w.backlogged, h.totalSent.Load(), h.totalDropped.Load(), h.evictedCount.Load(), h.shedCount.Load(),
+			t.Logf("steps: %v; %d unserved and %d backlogged shard states checked, %d released packets seen; hub: %d sent, %d dropped, %d evicted, %d shed, %d resent, %d reattached",
+				w.steps, w.unserved, w.backlogged, w.released, h.totalSent.Load(), h.totalDropped.Load(), h.evictedCount.Load(), h.shedCount.Load(),
 				h.totalResent.Load(), h.reattached.Load())
 			for _, s := range w.subs {
 				for _, c := range s.conns {

@@ -19,13 +19,15 @@ type slot struct {
 	seq int64
 	gen int64 // generation timestamp, UnixNano
 	// payload is the refcounted shared buffer holding the filled content;
-	// nil only before the slot's first publish. The ring holds one
+	// nil before the slot's first publish and, on the generator's ring, once
+	// the slot is below the low-water mark (publish). The ring holds one
 	// reference for as long as the buffer sits in the slot; publish drops
-	// that reference when the head laps, so a zero-copy sender that pinned
-	// the buffer keeps valid bytes until its own release. Any reference
-	// that leaves the ring's lock scope without a pin is a borrow with
-	// frame-scoped lifetime.
-	payload *payloadBuf // slot buffer, recycled through the pool when the head laps
+	// it when the head laps or the mark passes the slot, so a zero-copy
+	// sender that pinned the buffer keeps valid bytes until its own release.
+	// A released slot keeps its seq and gen, and a pin renders its packet
+	// again (render). Any reference that leaves the ring's lock scope without
+	// a pin is a borrow with frame-scoped lifetime.
+	payload *payloadBuf
 }
 
 // ring is the shared packet store every shard fans out from: a fixed
@@ -39,16 +41,24 @@ type slot struct {
 // sequence under the lock hold, so a reader can never observe a torn
 // overwrite or pin a recycled buffer.
 //
+// The window is what a subscriber may still ask for, not what the ring
+// stores: the generator's ring keeps payloads from the oldest packet a
+// subscriber needs (and the newest, where a rebased join starts), and a pin
+// below that renders the packet again from Fill; an external source's ring
+// (publishAt) keeps them all until the head laps them.
+//
 // head is mirrored into an atomic so shards compute lag and cursor math
 // (sub.cur < head) without touching the ring lock at all; only the pin
 // itself takes the read lock.
 type ring struct {
 	n    int64 // capacity in packets; immutable after newRing
 	pool *bufPool
+	fill func(pkt uint32, buf []byte) // the stream's Fill, a pure function of the packet number
 
 	mu    lockrank.RWMutex
 	slots []slot // guarded by mu
 	head  int64  // guarded by mu; absolute sequence of the next packet to publish
+	low   int64  // guarded by mu; the generator's low-water mark: no slot below it holds the ring's reference
 
 	headA atomic.Int64 // mirror of head, published after each write
 }
@@ -57,8 +67,8 @@ type ring struct {
 // position can never masquerade as a published packet.
 // nolint:lockguard constructor — the ring has not been published to any
 // reader yet, so the slot init needs no lock
-func newRing(n int, pool *bufPool) *ring {
-	r := &ring{n: int64(n), pool: pool, slots: make([]slot, n)}
+func newRing(n int, pool *bufPool, fill func(pkt uint32, buf []byte)) *ring {
+	r := &ring{n: int64(n), pool: pool, fill: fill, slots: make([]slot, n)}
 	r.mu.Init(lockrank.Ring)
 	for i := range r.slots {
 		r.slots[i].seq = -1 // no slot is valid before its first publish
@@ -73,21 +83,26 @@ func (r *ring) size() int64 { return r.n }
 // packet to be published. Lock-free.
 func (r *ring) headSeq() int64 { return r.headA.Load() }
 
-// publish writes the next packet into the ring and advances the head,
-// returning the new head sequence. Only the generator calls publish.
+// publish renders the next packet from Fill into the ring and advances the
+// head, returning the new head sequence. Only the generator calls publish.
 // The fresh buffer is acquired from the pool and filled before the lock
 // is taken — it is private until the swap below, and only the generator
-// advances the head, so the exclusive critical section shrinks to a
-// pointer swap. The lapped occupant's ring reference is dropped after
-// the swap; if no sender still pins it, it returns to the pool here. fill
-// writes the payload in place while the buffer is still private, before
-// any reader can alias the slot.
-func (r *ring) publish(fill func(pkt uint32, buf []byte)) int64 {
+// advances the head, so no reader can alias it while fill writes. Inside
+// the exclusive section the ring drops its reference on every slot below
+// low, the caller's low-water mark (the oldest packet a subscriber still
+// needs, at most the newest); the lapped occupant's after the swap.
+func (r *ring) publish(low int64) int64 {
 	pb := r.pool.get()
-	pb.fill(fill, uint32(r.headA.Load()))
+	pb.fill(r.fill, uint32(r.headA.Load()))
 	gen := time.Now().UnixNano()
 	r.mu.Lock()
-	s := &r.slots[r.head%int64(len(r.slots))]
+	for seq := max(r.low, r.head-r.n); seq < low; seq++ {
+		s := &r.slots[seq%r.n]
+		r.pool.unref(s.payload)
+		s.payload = nil
+	}
+	r.low = max(r.low, low)
+	s := &r.slots[r.head%r.n]
 	old := s.payload
 	s.seq = r.head
 	s.gen = gen
@@ -96,9 +111,7 @@ func (r *ring) publish(fill func(pkt uint32, buf []byte)) int64 {
 	head := r.head
 	r.headA.Store(head)
 	r.mu.Unlock()
-	if old != nil && old.refs.Add(-1) == 0 {
-		r.pool.put(old)
-	}
+	r.pool.unref(old)
 	return head
 }
 
@@ -118,12 +131,10 @@ func (r *ring) publishAt(seq, gen int64, payload []byte) (head int64, ok bool) {
 	r.mu.Lock()
 	if seq < r.head {
 		r.mu.Unlock()
-		if pb.refs.Add(-1) == 0 {
-			r.pool.put(pb)
-		}
+		r.pool.unref(pb)
 		return r.headA.Load(), false
 	}
-	s := &r.slots[seq%int64(len(r.slots))]
+	s := &r.slots[seq%r.n]
 	old := s.payload
 	s.seq = seq
 	s.gen = gen
@@ -131,33 +142,28 @@ func (r *ring) publishAt(seq, gen int64, payload []byte) (head int64, ok bool) {
 	r.head = seq + 1
 	r.headA.Store(r.head)
 	r.mu.Unlock()
-	if old != nil && old.refs.Add(-1) == 0 {
-		r.pool.put(old)
-	}
+	r.pool.unref(old)
 	return seq + 1, true
 }
 
 // pin acquires a reference on ring packet seq for zero-copy delivery,
 // returning the shared buffer and the slot's generation timestamp.
-// ok=false means seq was already lapped. The refcount is raised under
-// the read lock — publish recycles a lapped slot only under the
-// exclusive lock, so a successful pin can never hand out a buffer that
-// is back in the pool. The caller must drop the reference (releaseBatch)
-// once its write completes.
+// ok=false means seq was already lapped, or is an external-source gap. The
+// refcount is raised under the read lock — publish recycles a slot only
+// under the exclusive lock, so a successful pin can never hand out a buffer
+// that is back in the pool. A released slot pins as a nil buffer for the
+// caller to render. The caller must drop the reference (releaseBatch) once
+// its write completes.
 func (r *ring) pin(seq int64) (pb *payloadBuf, gen int64, ok bool) {
 	r.mu.RLock()
-	if seq < r.head-int64(len(r.slots)) || seq >= r.head {
+	if seq < r.head-r.n || seq >= r.head || r.slots[seq%r.n].seq != seq {
 		r.mu.RUnlock()
 		return nil, 0, false
 	}
-	s := &r.slots[seq%int64(len(r.slots))]
-	if s.seq != seq || s.payload == nil {
-		// An external-source gap; reads as a drop, like a lapped slot.
-		r.mu.RUnlock()
-		return nil, 0, false
+	s := &r.slots[seq%r.n]
+	if pb = s.payload; pb != nil {
+		pb.refs.Add(1)
 	}
-	pb = s.payload
-	pb.refs.Add(1)
 	gen = s.gen
 	r.mu.RUnlock()
 	return pb, gen, true
@@ -169,29 +175,27 @@ func (r *ring) pin(seq int64) (pb *payloadBuf, gen int64, ok bool) {
 // gap slots the head advanced past (the caller counts both as drops). The
 // batch stops early at an interior gap; the next call's leading-skip pass
 // accounts for it. The pinned buffers, sequences and generation stamps
-// land in b's preallocated slots starting at b.n.
+// land in b's preallocated slots starting at b.n; a released slot's entry
+// is left nil, as pin leaves it.
 func (r *ring) pinBatch(start int64, max int, b *batch) (pinned int, skipped int64) {
 	r.mu.RLock()
-	if tail := r.head - int64(len(r.slots)); start < tail {
+	if tail := r.head - r.n; start < tail {
 		skipped = tail - start
 		start = tail
 	}
-	for start < r.head {
-		s := &r.slots[start%int64(len(r.slots))]
-		if s.seq == start && s.payload != nil {
-			break
-		}
+	for start < r.head && r.slots[start%r.n].seq != start {
 		skipped++
 		start++
 	}
 	for pinned < max && start < r.head {
-		s := &r.slots[start%int64(len(r.slots))]
-		if s.seq != start || s.payload == nil {
+		s := &r.slots[start%r.n]
+		if s.seq != start {
 			break // interior gap: stop the batch; the next call skips it
 		}
-		pb := s.payload
-		pb.refs.Add(1)
-		b.bufs[b.n] = pb
+		if pb := s.payload; pb != nil {
+			pb.refs.Add(1)
+		}
+		b.bufs[b.n] = s.payload
 		b.gens[b.n] = s.gen
 		b.seqs[b.n] = start
 		b.n++
@@ -200,4 +204,28 @@ func (r *ring) pinBatch(start int64, max int, b *batch) (pinned int, skipped int
 	}
 	r.mu.RUnlock()
 	return pinned, skipped
+}
+
+// render draws each packet b's pins left nil — released below the
+// low-water mark — again from Fill, into a fresh pool buffer that the batch
+// alone owns (refs 1) and that is never installed in the slot. The buffers
+// are taken under one pool lock. Fill is a pure function of the packet
+// number, so the bytes are the ones publish wrote. It runs without r.mu:
+// user Fill never runs under the ring lock.
+func (r *ring) render(b *batch) {
+	var drawn uint64 // bit i: entry i is rendered; a batch holds at most writeBatchFrames (32) frames
+	for i := 0; i < b.n; i++ {
+		if b.bufs[i] == nil {
+			drawn |= 1 << i
+		}
+	}
+	if drawn == 0 {
+		return
+	}
+	r.pool.take(b.bufs[:b.n])
+	for i := 0; i < b.n; i++ {
+		if drawn&(1<<i) != 0 {
+			b.bufs[i].fill(r.fill, uint32(b.seqs[i]))
+		}
+	}
 }

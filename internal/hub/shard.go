@@ -986,8 +986,9 @@ func (sd *shard) popBatchLocked(sub *subscriber) *batch {
 }
 
 // fillLocked pins the subscriber's ready frames into b: the resend queue
-// oldest first, then consecutive cursor packets, up to b's capacity.
-// Packets that left the ring are counted as drops. Caller holds sd.mu.
+// oldest first, then consecutive cursor packets, up to b's capacity, and
+// has the ones the ring has released rendered. Packets that left the ring
+// are counted as drops. Caller holds sd.mu.
 func (sd *shard) fillLocked(sub *subscriber, b *batch) {
 	h := sd.h
 	b.n = 0
@@ -1020,6 +1021,7 @@ func (sd *shard) fillLocked(sub *subscriber, b *batch) {
 		sub.sent += int64(pinned)
 		h.totalSent.Add(int64(pinned))
 	}
+	h.ring.render(b)
 }
 
 // finishPath retires one path, called by the worker that holds it with no

@@ -211,7 +211,7 @@ func TestCatchUpBurstShedsEvenly(t *testing.T) {
 				t.Fatalf("the burst left %d bytes held, inside the %d budget: nothing to govern", before, tc.budget)
 			}
 			h.governLocked(head)
-			total, _, _, _ := h.accountLocked(head, true)
+			total, _, _ := h.accountLocked(head, true)
 			ref, _, _ := scanAccount(h, head)
 			h.govMu.Unlock()
 
