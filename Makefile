@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lockrank allocs fuzz soak bench-smoke bench-tick bench-receiver bench-sender bench-deliver bench-fanout bench-forwarder sim-tables
+.PHONY: all build test race lint layers lockrank allocs fuzz soak bench-smoke bench-tick bench-receiver bench-sender bench-deliver bench-fanout bench-forwarder sim-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -29,6 +29,15 @@ lint:
 	$(GO) run ./cmd/dmplint ./...
 	$(GO) -C benchmark run dmpstream/cmd/dmplint ./...
 
+# layers is the package layering gate: the broadcast hub and the registry
+# speak the wire format (internal/wire) and must not depend on the paper's
+# sender and client (internal/core), so that core can be rebuilt on a hub.
+layers:
+	@deps=$$($(GO) list -deps ./internal/hub ./internal/registry) || exit 1; \
+	if echo "$$deps" | grep -qx 'dmpstream/internal/core'; then \
+		echo "layers: internal/hub or internal/registry depends on dmpstream/internal/core"; exit 1; \
+	fi
+
 # lockrank runs the packages that nest the hub's locks with the lock-rank
 # check built in (internal/lockrank): any executed nesting that inverts the
 # rank table, nests two locks of one rank, or takes an unranked lock panics
@@ -37,14 +46,14 @@ lockrank:
 	$(GO) test -tags lockrank ./internal/hub ./internal/relay ./internal/registry ./internal/chaos
 
 # allocs runs every allocation gate by name, uncached: the AllocsPerRun
-# tests that hold the core producer and path sender, the hub's generator
+# tests that hold the wire codec, the core producer and path sender, the hub's generator
 # tick, ingest, wake, governor and shard worker, the relay forwarder's
 # ingest, and the registry's routed write and re-attach to exact allocation
 # counts (see DESIGN.md "Enforced invariants"). AllocsPerRun cannot measure under the race detector or the
 # lockrank build, so the gates are built out of both.
 ALLOC_GATES = AllocFree|AllocsFlat|ReattachAllocs|OneAlloc|AllocMeasurement
 allocs:
-	$(GO) test -count=1 -run '$(ALLOC_GATES)' ./internal/core ./internal/hub ./internal/relay ./internal/registry
+	$(GO) test -count=1 -run '$(ALLOC_GATES)' ./internal/wire ./internal/core ./internal/hub ./internal/relay ./internal/registry
 
 # fuzz gives each wire-format target, the receiver's arrival log, the trace
 # file reader and the analysis behind it, the emulator's lazily drawn episode
@@ -52,9 +61,9 @@ allocs:
 # reference model, and the hub's per-path resend record a short budget; CI runs the same smoke. Raise FUZZTIME locally for a
 # deeper session.
 fuzz:
-	$(GO) test -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
-	$(GO) test -fuzz=FuzzParseHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
-	$(GO) test -fuzz=FuzzParseFrameHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire
+	$(GO) test -fuzz=FuzzParseHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire
+	$(GO) test -fuzz=FuzzParseFrameHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzArrivalLog -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzReadTraceCSV -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
@@ -83,15 +92,19 @@ bench-smoke:
 	@out=$$(bash benchmark/run.sh --workload tree_edge --seconds 5 --trace 0); status=$$?; \
 	echo "$$out"; [ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": *true'
 
-# bench-tick times the generator tick's critical section (PublishAt: ring
-# publish, every shard's wake, the governor pass) over 1k, 4k and 16k
-# parked subscribers, with and without a byte budget — the root-module
-# reproducer of "a tick over a population at pace costs O(shards)": the
-# tick-ns/op column must not grow with the population. ns/op also counts the
-# wait for the previous tick to be served; read tick-ns/op.
+# bench-tick times the tick's critical section (PublishAt: ring publish,
+# every shard's wake, the governor pass) over 1k, 4k and 16k parked
+# subscribers, with and without a byte budget — the root-module reproducer
+# of "a tick over a population at pace costs O(shards)": the tick-ns/op
+# column must not grow with the population. BenchmarkGeneratorTick times a
+# generator hub's own tick (publishTick: the rendered publish with its ring
+# release and the governor walk every such tick makes) over 1k subscribers
+# at pace and with a tenth of them held behind; allocs/op must read 0.
+# ns/op also counts the wait for the previous tick to be served; read
+# tick-ns/op.
 TICKS ?= 300
 bench-tick:
-	$(GO) test -run '^$$' -bench BenchmarkPublishTick -benchtime $(TICKS)x ./internal/hub
+	$(GO) test -run '^$$' -bench 'BenchmarkPublishTick|BenchmarkGeneratorTick' -benchtime $(TICKS)x ./internal/hub
 
 # bench-receiver replays a 200 000-packet stream from memory over two paths
 # into a core.Receiver: ns/frame is what recording a packet costs with both

@@ -33,9 +33,9 @@ import (
 	"syscall"
 	"time"
 
-	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
 	"dmpstream/internal/relay"
+	"dmpstream/internal/wire"
 )
 
 func main() {
@@ -86,8 +86,8 @@ func main() {
 	}
 	if *tokenHex != "" {
 		raw, err := hex.DecodeString(*tokenHex)
-		if err != nil || len(raw) != len(core.Token{}) {
-			fmt.Fprintf(os.Stderr, "dmpedge: -token must be %d hex chars\n", 2*len(core.Token{}))
+		if err != nil || len(raw) != len(wire.Token{}) {
+			fmt.Fprintf(os.Stderr, "dmpedge: -token must be %d hex chars\n", 2*len(wire.Token{}))
 			os.Exit(2)
 		}
 		copy(cfg.Token[:], raw)

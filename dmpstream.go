@@ -44,6 +44,7 @@ import (
 	"dmpstream/internal/simstream"
 	"dmpstream/internal/tcpmodel"
 	"dmpstream/internal/tcpsim"
+	"dmpstream/internal/wire"
 )
 
 // ---------- Real streaming over TCP ----------
@@ -61,12 +62,9 @@ type StreamConfig struct {
 	// a packet's payload is rendered at every write, resends included.
 	Fill func(pkt uint32, buf []byte)
 	// WriteStallTimeout bounds each per-path write; a path stalling longer
-	// enters the health state machine (stalled → dead) instead of blocking
-	// the stream forever. 0 keeps blocking writes.
+	// is dead (its unsent window goes to the other paths) instead of
+	// blocking the stream forever. 0 keeps blocking writes.
 	WriteStallTimeout time.Duration
-	// StallRetries is how many consecutive stalled writes a path may absorb
-	// before it is declared dead (0 = the first stall kills it).
-	StallRetries int
 	// ResendWindow, when positive, requeues the last N packets a dead path
 	// wrote so surviving paths retransmit them; the receiver deduplicates.
 	ResendWindow int
@@ -77,13 +75,12 @@ type Server struct{ inner *core.Server }
 
 // NewServer validates cfg and creates a streaming server.
 func NewServer(cfg StreamConfig) (*Server, error) {
-	inner, err := core.NewServer(core.Config{
+	inner, err := core.NewServer(wire.Config{
 		Mu:                cfg.Rate,
 		PayloadSize:       cfg.PayloadSize,
 		Count:             cfg.Count,
 		Fill:              cfg.Fill,
 		WriteStallTimeout: cfg.WriteStallTimeout,
-		StallRetries:      cfg.StallRetries,
 		ResendWindow:      cfg.ResendWindow,
 	})
 	if err != nil {
@@ -121,13 +118,12 @@ func (sess *Session) RemovePath(k int) { sess.inner.RemovePath(k) }
 func (sess *Session) Wait() (int64, error) { return sess.inner.Wait() }
 
 // PathState is one path's position in the health state machine:
-// active → stalled → dead → removed.
+// active → dead → removed.
 type PathState = core.PathState
 
 // Path health states (see Session.PathStates).
 const (
 	PathActive  = core.PathActive
-	PathStalled = core.PathStalled
 	PathDead    = core.PathDead
 	PathRemoved = core.PathRemoved
 )
@@ -194,7 +190,7 @@ func NewStreamClient(addrs []string, streamID string, policy RedialPolicy) (*Cli
 	if err := core.ValidateRedialPolicy(policy); err != nil {
 		return nil, err
 	}
-	tok, err := core.NewToken()
+	tok, err := wire.NewToken()
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +199,7 @@ func NewStreamClient(addrs []string, streamID string, policy RedialPolicy) (*Cli
 	return &Client{
 		Dial:   func(k int) (net.Conn, error) { return net.Dial("tcp", dests[k]) },
 		Paths:  len(dests),
-		Join:   &core.Join{StreamID: streamID, Token: tok},
+		Join:   &wire.Join{StreamID: streamID, Token: tok},
 		Policy: policy,
 	}, nil
 }
@@ -284,7 +280,7 @@ type HubSubscriberStats = hub.SubscriberStats
 // toInternal maps the façade hub configuration onto the internal one.
 func (cfg HubConfig) toInternal() hub.Config {
 	return hub.Config{
-		Stream: core.Config{
+		Stream: wire.Config{
 			Mu:                cfg.Rate,
 			PayloadSize:       cfg.PayloadSize,
 			Count:             cfg.Count,
@@ -483,19 +479,19 @@ func (r *Registry) Stats() RegistryStats { return r.inner.Stats() }
 // through Receive, Play and Client.Run wrapping intact.
 var (
 	// ErrRejected matches every reject, whatever the code.
-	ErrRejected = core.ErrRejected
+	ErrRejected = wire.ErrRejected
 	// ErrServerFull: the subscriber, connection or handshake cap is reached.
-	ErrServerFull = core.ErrServerFull
+	ErrServerFull = wire.ErrServerFull
 	// ErrUnknownStream: the stream id in the join is not served here.
-	ErrUnknownStream = core.ErrUnknownStream
+	ErrUnknownStream = wire.ErrUnknownStream
 	// ErrStreamOver: the stream already ended.
-	ErrStreamOver = core.ErrStreamOver
+	ErrStreamOver = wire.ErrStreamOver
 	// ErrDraining: the hub is shutting down and admits no new subscribers.
-	ErrDraining = core.ErrDraining
+	ErrDraining = wire.ErrDraining
 	// ErrEvicted: the resource governor removed this subscriber.
-	ErrEvicted = core.ErrEvicted
+	ErrEvicted = wire.ErrEvicted
 	// ErrUpstreamLost: the hub is an edge relay whose upstream feed is gone.
-	ErrUpstreamLost = core.ErrUpstreamLost
+	ErrUpstreamLost = wire.ErrUpstreamLost
 )
 
 // ---------- Edge relay ----------
@@ -579,12 +575,12 @@ func (r *Relay) Stats() RelayStats { return r.inner.Stats() }
 // session — hand them to Receive or Play. The hex token is returned for
 // correlation with HubStats.
 func JoinStream(conns []net.Conn, streamID string) (string, error) {
-	tok, err := core.NewToken()
+	tok, err := wire.NewToken()
 	if err != nil {
 		return "", err
 	}
 	for _, conn := range conns {
-		if err := core.WriteJoin(conn, core.Join{StreamID: streamID, Token: tok}); err != nil {
+		if err := wire.WriteJoin(conn, wire.Join{StreamID: streamID, Token: tok}); err != nil {
 			return "", fmt.Errorf("dmpstream: join: %w", err)
 		}
 	}
@@ -744,8 +740,8 @@ func SimulateStreaming(paths []SimPath, rate float64, duration time.Duration, se
 	if duration <= 0 {
 		return nil, fmt.Errorf("dmpstream: duration %v must be positive", duration)
 	}
-	if n := rate * duration.Seconds(); !(n < float64(core.EndMarker)) {
-		return nil, fmt.Errorf("dmpstream: %g packets (rate × duration) do not fit below %d", n, core.EndMarker)
+	if n := rate * duration.Seconds(); !(n < float64(wire.EndMarker)) {
+		return nil, fmt.Errorf("dmpstream: %g packets (rate × duration) do not fit below %d", n, wire.EndMarker)
 	}
 	for i, p := range paths {
 		switch {

@@ -45,6 +45,7 @@ import (
 	"dmpstream/internal/hub"
 	"dmpstream/internal/registry"
 	"dmpstream/internal/relay"
+	"dmpstream/internal/wire"
 )
 
 // Config parameterizes one soak run. The zero value of every field picks
@@ -142,7 +143,7 @@ type slot struct {
 	name      string
 	addr      string   // stable listen address, rebound on restart
 	upstreams []string // ranked candidates, stable across restarts
-	token     core.Token
+	token     wire.Token
 	seed      int64
 	r         *relay.Relay
 	ln        net.Listener
@@ -195,7 +196,7 @@ func Run(cfg Config) (*Report, error) {
 
 	reg, err := registry.New(registry.Config{
 		Hub: hub.Config{
-			Stream:          core.Config{Mu: rate, PayloadSize: payload, Count: 1 << 40, Fill: fill},
+			Stream:          wire.Config{Mu: rate, PayloadSize: payload, Count: 1 << 40, Fill: fill},
 			LagWindow:       lagWindow,
 			Policy:          hub.DropOldest,
 			PathWriteBuffer: 4096,
@@ -310,7 +311,7 @@ func Run(cfg Config) (*Report, error) {
 	if err == nil {
 		_ = conn.Close()
 	}
-	if !errors.Is(err, core.ErrDraining) {
+	if !errors.Is(err, wire.ErrDraining) {
 		r.violatef("join while draining: got %v, want ErrDraining", err)
 	}
 	if hog != nil {
@@ -407,9 +408,9 @@ func (r *runner) exec(ev Event) {
 // subscribe starts one conserving two-path subscriber on stream id.
 func (r *runner) subscribe(name, id string, absolute bool, seed int64, dial func(int) (net.Conn, error)) {
 	s := &sub{name: name, absolute: absolute, out: make(chan outcome, 1)}
-	join := &core.Join{StreamID: id, Token: newToken()}
+	join := &wire.Join{StreamID: id, Token: newToken()}
 	if absolute {
-		join.Flags = core.JoinFlagAbsolute
+		join.Flags = wire.JoinFlagAbsolute
 	}
 	cl := &core.Client{
 		Paths: 2,
@@ -435,12 +436,12 @@ func (r *runner) join(id string) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := core.WriteJoin(conn, core.Join{StreamID: id, Token: newToken()}); err != nil {
+	if err := wire.WriteJoin(conn, wire.Join{StreamID: id, Token: newToken()}); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := core.ReadStreamHeader(conn); err != nil {
+	if _, _, err := wire.ReadStreamHeader(conn); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
@@ -459,7 +460,7 @@ func (r *runner) probeJoin(id string, hold time.Duration, wantEnded bool) {
 	}
 	switch {
 	case wantEnded:
-		if !errors.Is(err, core.ErrStreamOver) {
+		if !errors.Is(err, wire.ErrStreamOver) {
 			r.violatef("join to ended %s: got %v, want ErrStreamOver", id, err)
 			return
 		}
@@ -476,7 +477,7 @@ func (r *runner) probeJoin(id string, hold time.Duration, wantEnded bool) {
 			}
 			r.leaves.Add(1)
 		}
-	case errors.Is(err, core.ErrRejected):
+	case errors.Is(err, wire.ErrRejected):
 		r.rejected.Add(1)
 	default:
 		r.violatef("join to %s got an untyped outcome: %v", id, err)
@@ -605,8 +606,8 @@ func poll(timeout time.Duration, cond func() bool) bool {
 }
 
 // newToken draws a token, panicking only if the OS entropy pool is broken.
-func newToken() core.Token {
-	tok, err := core.NewToken()
+func newToken() wire.Token {
+	tok, err := wire.NewToken()
 	if err != nil {
 		panic(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"dmpstream/internal/wire"
 )
 
 // RedialPolicy says how a Client reacts when a path connection dies before
@@ -93,7 +95,7 @@ type Client struct {
 	Paths int
 	// Join, when set, is written on every new connection before reading the
 	// stream header — the hub handshake. Leave nil for a plain Server.
-	Join *Join
+	Join *wire.Join
 	// Policy governs redialing; the zero value never redials.
 	Policy RedialPolicy
 	// Receiver tunes the underlying Receiver (end-of-stream grace).
@@ -199,7 +201,7 @@ func (c *Client) runPath(r Sink, k int) error {
 		if c.OnPathDown != nil {
 			c.OnPathDown(k, err)
 		}
-		var rej *RejectError
+		var rej *wire.RejectError
 		if errors.As(err, &rej) {
 			// The server answered with a typed reject (full, draining,
 			// evicted, ended): a verdict, not a transient fault — redialing
@@ -236,7 +238,7 @@ func (c *Client) attachOnce(r Sink, k, attempt int) error {
 	}
 	defer conn.Close()
 	if c.Join != nil {
-		if err := WriteJoin(conn, *c.Join); err != nil {
+		if err := wire.WriteJoin(conn, *c.Join); err != nil {
 			return fmt.Errorf("core: path %d join: %w", k, err)
 		}
 	}

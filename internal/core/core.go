@@ -15,6 +15,13 @@
 // number and records a timestamped arrival trace, from which the fraction of
 // late packets is computed for any startup delay in both playback order and
 // arrival order (the paper's two accounting modes).
+//
+// The byte format both ends speak is internal/wire's. forward.go
+// re-exports the 14 names of it the frozen benchmark module spells core.X
+// — Config, Token, Join, RejectCode, RejectError, RejectServerFull,
+// EndMarker, FrameHeaderSize, PutFrameHeader, ParseFrameHeader,
+// WriteStreamHeader, ReadStreamHeader, WriteJoin and WriteReject — until
+// the benchmark imports internal/wire.
 package core
 
 import (
@@ -25,85 +32,12 @@ import (
 	"time"
 
 	"dmpstream/internal/lockrank"
+	"dmpstream/internal/wire"
 )
-
-// Config describes the video source.
-type Config struct {
-	Mu          float64 // generation/playback rate, packets per second
-	PayloadSize int     // payload bytes per packet (default 1000)
-	Count       int64   // packets to generate; 0 = run until Stop
-	// Fill, if set, fills each packet's payload (e.g. with encoded media).
-	// It must be a pure function of the packet number — the same bytes on
-	// every call for one packet — and safe to call concurrently: a sender
-	// renders the payload at every write of a packet, resends included, and
-	// a hub renders a packet again when a catch-up or a resend needs one its
-	// ring no longer keeps.
-	Fill func(pkt uint32, buf []byte)
-	// WriteStallTimeout bounds each per-path Write: a path whose connection
-	// stalls longer fails with a timeout error instead of blocking
-	// Session.Wait forever. 0 (the default) keeps blocking writes.
-	WriteStallTimeout time.Duration
-	// StallRetries is how many consecutive stalled writes a path may absorb
-	// before it is declared dead. While retrying, the path is in the
-	// PathStalled state; a write completing moves it back to PathActive.
-	// 0 (the default) declares the path dead on the first stall, matching
-	// the pre-state-machine behavior.
-	StallRetries int
-	// ResendWindow, when positive, keeps the last ResendWindow packets each
-	// path wrote; when a path dies, that window is returned to the server
-	// queue so a surviving path retransmits it. This closes the in-flight
-	// loss hole a dead TCP connection leaves (bytes acknowledged to the
-	// sender's kernel but never delivered). Packets the client had in fact
-	// already received arrive twice and are deduplicated by the Receiver.
-	// 0 (the default) requeues only the single packet in the sender's hand.
-	ResendWindow int
-}
-
-func (c Config) withDefaults() Config {
-	if c.PayloadSize == 0 {
-		c.PayloadSize = 1000
-	}
-	return c
-}
-
-func (c Config) validate() error {
-	// The stream header carries µ in micro-packets/s and the generators
-	// sleep time.Second/µ per packet, so a rate below 1e-6 goes on the
-	// wire as 0 and one above 1e9 paces nothing (NaN fails both).
-	if !(c.Mu*1e6 >= 1) || !(float64(time.Second)/c.Mu >= 1) {
-		return fmt.Errorf("core: rate %v packets/s: want finite, within [1e-6, 1e9]", c.Mu)
-	}
-	if c.PayloadSize < 0 || c.PayloadSize > 1<<20 {
-		return fmt.Errorf("core: payload size %d out of range", c.PayloadSize)
-	}
-	if c.Count < 0 {
-		return fmt.Errorf("core: count %d < 0", c.Count)
-	}
-	if c.WriteStallTimeout < 0 {
-		return fmt.Errorf("core: write stall timeout %v < 0", c.WriteStallTimeout)
-	}
-	if c.StallRetries < 0 {
-		return fmt.Errorf("core: stall retries %d < 0", c.StallRetries)
-	}
-	if c.ResendWindow < 0 || c.ResendWindow > 1<<16 {
-		return fmt.Errorf("core: resend window %d out of range", c.ResendWindow)
-	}
-	return nil
-}
-
-// Normalized applies defaults and validates, for embedders of Config (such
-// as internal/hub) that build their own sender machinery.
-func (c Config) Normalized() (Config, error) {
-	c = c.withDefaults()
-	if err := c.validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
-}
 
 // Server streams a live CBR source over multiple paths.
 type Server struct {
-	cfg Config
+	cfg wire.Config
 
 	mu      lockrank.Mutex
 	cond    *sync.Cond
@@ -122,9 +56,9 @@ type queued struct {
 }
 
 // NewServer validates the configuration and builds a server.
-func NewServer(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+func NewServer(cfg wire.Config) (*Server, error) {
+	cfg, err := cfg.Normalized()
+	if err != nil {
 		return nil, err
 	}
 	s := &Server{cfg: cfg}
@@ -173,20 +107,18 @@ func (s *Server) Serve(conns []net.Conn) (int64, error) {
 
 // PathState is one path's position in the health state machine:
 //
-//	Active ⇄ Stalled → Dead
-//	   └──────┴─────────┴──→ Removed
+//	Active ──→ Dead
+//	  └─────────┴──→ Removed
 //
-// A path is Active while writes complete, Stalled while a write-stall
-// timeout is being retried (Config.StallRetries), Dead once its sender hit a
-// terminal error (its unsent window went back to the server queue), and
-// Removed after RemovePath retired it administratively.
+// A path is Active while writes complete, Dead once its sender hit a
+// terminal error — a timed-out write (Config.WriteStallTimeout) is one —
+// and its unsent window went back to the server queue, and Removed after
+// RemovePath retired it administratively.
 type PathState int32
 
 const (
 	// PathActive: the sender is fetching and writing normally.
 	PathActive PathState = iota
-	// PathStalled: the last write timed out; the sender is retrying.
-	PathStalled
 	// PathDead: the sender exited on an error; in-flight packets were
 	// returned to the server queue for the surviving paths.
 	PathDead
@@ -198,8 +130,6 @@ func (s PathState) String() string {
 	switch s {
 	case PathActive:
 		return "active"
-	case PathStalled:
-		return "stalled"
 	case PathDead:
 		return "dead"
 	case PathRemoved:
@@ -272,20 +202,6 @@ func (sess *Session) AddPath(conn net.Conn) int {
 		}
 	}()
 	return k
-}
-
-// setState moves path k through the health state machine. Dead and Removed
-// are terminal except that a dead path may still be Removed; stale
-// transitions out of a terminal state are ignored so a racing sender cannot
-// resurrect a removed path.
-func (sess *Session) setState(k int, st PathState) {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	cur := sess.states[k]
-	if cur == PathRemoved || (cur == PathDead && st != PathRemoved) {
-		return
-	}
-	sess.states[k] = st
 }
 
 // PathStates snapshots every path's health state, indexed by the path index
@@ -467,8 +383,8 @@ func (sess *Session) sendLoop(k int, conn net.Conn, stop <-chan struct{}) error 
 	}
 	// End marker: genNanos carries the generated count.
 	end := p.buf[:p.frameSize]
-	PutFrameHeader(end, EndMarker, s.Generated())
-	if _, err := sess.writeFrame(k, conn, end); err != nil {
+	wire.PutFrameHeader(end, wire.EndMarker, s.Generated())
+	if _, err := sess.writeFrame(conn, end); err != nil {
 		sess.fail(k, nil, unroll(p.ring, p.next))
 		return fmt.Errorf("core: path %d end marker: %w", k, err)
 	}
@@ -498,7 +414,7 @@ type pathSender struct {
 
 func (sess *Session) newPathSender(k int, conn net.Conn) pathSender {
 	cfg := sess.srv.cfg
-	frameSize := frameHdr + cfg.PayloadSize
+	frameSize := wire.FrameHeaderSize + cfg.PayloadSize
 	return pathSender{
 		sess:      sess,
 		k:         k,
@@ -527,12 +443,12 @@ func (p *pathSender) send(n int) error {
 	}
 	for i, q := range p.batch[:n] {
 		f := p.buf[i*size : (i+1)*size]
-		PutFrameHeader(f, q.pkt, q.gen)
+		wire.PutFrameHeader(f, q.pkt, q.gen)
 		if cfg.Fill != nil {
-			cfg.Fill(q.pkt, f[frameHdr:])
+			cfg.Fill(q.pkt, f[wire.FrameHeaderSize:])
 		}
 	}
-	wrote, err := p.sess.writeFrame(p.k, p.conn, p.buf[:n*size])
+	wrote, err := p.sess.writeFrame(p.conn, p.buf[:n*size])
 	if err != nil {
 		// Frames fully on the wire count as written (they join the resend
 		// ring like any other transmission, possibly stranded in dead
@@ -591,48 +507,35 @@ func unroll(ring []queued, next int) []queued {
 // fail marks path k dead and returns its undelivered window to the queue:
 // the recently-written ring (possibly stranded in dead buffers) followed by
 // the unsent tail of the failing batch (claimed but never fully written).
+// Only an active path dies: one RemovePath retired stays removed.
 func (sess *Session) fail(k int, unsent []queued, ring []queued) {
-	sess.setState(k, PathDead)
+	sess.mu.Lock()
+	if sess.states[k] == PathActive {
+		sess.states[k] = PathDead
+	}
+	sess.mu.Unlock()
 	sess.srv.requeue(k, unsent, ring)
 }
 
 // writeFrame writes one or more contiguous frames, arming the optional
 // stall deadline before every attempt, and returns how many bytes hit the
 // wire (meaningful on error: the caller divides by the frame size to tell
-// delivered frames from ones to requeue). A timed-out write moves the path
-// to PathStalled and is retried — resuming at the partial-write offset so
-// framing survives — up to Config.StallRetries consecutive stalls; a write
-// completing returns the path to PathActive. frame is only lent to
-// conn.Write (re-sliced across stall retries); writeFrame must never
-// retain or rewrite it.
-func (sess *Session) writeFrame(k int, conn net.Conn, frame []byte) (int, error) {
+// delivered frames from ones to requeue). A short write is resumed at its
+// offset so framing survives; any error, a timed-out write included, is
+// terminal for the path. frame is only lent to conn.Write; writeFrame must
+// never retain or rewrite it.
+func (sess *Session) writeFrame(conn net.Conn, frame []byte) (int, error) {
 	s := sess.srv
-	stalls, off := 0, 0
+	off := 0
 	for {
 		if s.cfg.WriteStallTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteStallTimeout))
 		}
 		n, err := conn.Write(frame[off:])
 		off += n
-		if err != nil {
-			// Stall classification lives in this terminating block, off the
-			// steady state: errors.As boxes its target into an interface, a
-			// cost only error frames should ever pay.
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && stalls < s.cfg.StallRetries {
-				stalls++
-				sess.setState(k, PathStalled)
-				continue
-			}
+		if err != nil || off == len(frame) {
 			return off, err
 		}
-		if off < len(frame) {
-			continue
-		}
-		if stalls > 0 {
-			sess.setState(k, PathActive)
-		}
-		return off, nil
 	}
 }
 
@@ -666,7 +569,7 @@ func (s *Server) writeHeader(k int, conn net.Conn) error {
 	s.mu.Lock()
 	numPaths := len(s.pathSent)
 	s.mu.Unlock()
-	return WriteStreamHeader(conn, k, numPaths, s.cfg.PayloadSize, s.cfg.Mu)
+	return wire.WriteStreamHeader(conn, k, numPaths, s.cfg.PayloadSize, s.cfg.Mu)
 }
 
 // Arrival is one received packet observation. The Receiver keeps each as a

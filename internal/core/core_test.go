@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"math"
 	"net"
 	"slices"
 	"strings"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"dmpstream/internal/emunet"
+	"dmpstream/internal/wire"
 )
 
 // tcpPair returns both ends of a loopback TCP connection.
@@ -38,7 +38,7 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 }
 
 // runSession streams cfg over n loopback paths and returns the trace.
-func runSession(t *testing.T, cfg Config, n int) (*Server, *Trace) {
+func runSession(t *testing.T, cfg wire.Config, n int) (*Server, *Trace) {
 	t.Helper()
 	srv, err := NewServer(cfg)
 	if err != nil {
@@ -74,7 +74,7 @@ func runSession(t *testing.T, cfg Config, n int) (*Server, *Trace) {
 }
 
 func TestEndToEndTwoPaths(t *testing.T) {
-	cfg := Config{Mu: 400, PayloadSize: 200, Count: 600}
+	cfg := wire.Config{Mu: 400, PayloadSize: 200, Count: 600}
 	srv, tr := runSession(t, cfg, 2)
 	if tr.Expected != 600 {
 		t.Fatalf("expected = %d", tr.Expected)
@@ -99,7 +99,7 @@ func TestEndToEndTwoPaths(t *testing.T) {
 }
 
 func TestSinglePath(t *testing.T) {
-	_, tr := runSession(t, Config{Mu: 500, PayloadSize: 64, Count: 250}, 1)
+	_, tr := runSession(t, wire.Config{Mu: 500, PayloadSize: 64, Count: 250}, 1)
 	if int64(len(tr.Arrivals)) != tr.Expected {
 		t.Fatalf("got %d/%d", len(tr.Arrivals), tr.Expected)
 	}
@@ -109,7 +109,7 @@ func TestSinglePath(t *testing.T) {
 }
 
 func TestStopEndsLiveStream(t *testing.T) {
-	srv, err := NewServer(Config{Mu: 500, PayloadSize: 32}) // Count=0: live
+	srv, err := NewServer(wire.Config{Mu: 500, PayloadSize: 32}) // Count=0: live
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestStopEndsLiveStream(t *testing.T) {
 }
 
 func TestFillPayload(t *testing.T) {
-	srv, err := NewServer(Config{
+	srv, err := NewServer(wire.Config{
 		Mu: 1000, PayloadSize: 8, Count: 3,
 		Fill: func(pkt uint32, buf []byte) {
 			binary.BigEndian.PutUint32(buf, pkt*7)
@@ -157,17 +157,17 @@ func TestFillPayload(t *testing.T) {
 		srv.Serve([]net.Conn{sConn})
 		sConn.Close()
 	}()
-	var h [headerSize]byte
+	var h [wire.HeaderSize]byte
 	if _, err := io.ReadFull(cConn, h[:]); err != nil {
 		t.Fatal(err)
 	}
-	frame := make([]byte, frameHdr+8)
+	frame := make([]byte, wire.FrameHeaderSize+8)
 	for i := 0; i < 3; i++ {
 		if _, err := io.ReadFull(cConn, frame); err != nil {
 			t.Fatal(err)
 		}
 		pkt := binary.BigEndian.Uint32(frame[0:4])
-		val := binary.BigEndian.Uint32(frame[frameHdr : frameHdr+4])
+		val := binary.BigEndian.Uint32(frame[wire.FrameHeaderSize : wire.FrameHeaderSize+4])
 		if val != pkt*7 {
 			t.Fatalf("pkt %d payload %d", pkt, val)
 		}
@@ -178,7 +178,7 @@ func TestFillPayload(t *testing.T) {
 func TestBadMagicRejected(t *testing.T) {
 	cConn, sConn := tcpPair(t)
 	go func() {
-		sConn.Write([]byte(strings.Repeat("x", headerSize)))
+		sConn.Write([]byte(strings.Repeat("x", wire.HeaderSize)))
 		sConn.Close()
 	}()
 	if _, err := Receive([]net.Conn{cConn}); err == nil {
@@ -188,7 +188,7 @@ func TestBadMagicRejected(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
+	bad := []wire.Config{
 		{Mu: 0},
 		{Mu: -5},
 		{Mu: 10, Count: -1},
@@ -197,50 +197,6 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range bad {
 		if _, err := NewServer(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
-		}
-	}
-}
-
-// TestConfigRateBounds pins the rates a Config accepts: finite, at least
-// the header's unit of 1e-6 packets/s (below it µ encodes as 0, which
-// every ReadStreamHeader refuses) and at most 1e9 packets/s (above it the
-// generator's period rounds to 0 and it publishes without sleeping).
-func TestConfigRateBounds(t *testing.T) {
-	for _, tc := range []struct {
-		mu float64
-		ok bool
-	}{
-		{math.NaN(), false},
-		{math.Inf(1), false},
-		{math.Inf(-1), false},
-		{0, false},
-		{-5, false},
-		{1e-300, false},
-		{1e-7, false},
-		{1e-6, true},
-		{1, true},
-		{250, true},
-		{1e9, true},
-		{1.000001e9, false},
-		{2e9, false},
-	} {
-		cfg, err := Config{Mu: tc.mu}.Normalized()
-		if (err == nil) != tc.ok {
-			t.Errorf("µ = %v: error %v, want accepted %v", tc.mu, err, tc.ok)
-			continue
-		}
-		if !tc.ok {
-			continue
-		}
-		if period := time.Duration(float64(time.Second) / cfg.Mu); period < 1 {
-			t.Errorf("µ = %v accepted with a generator period of %v", tc.mu, period)
-		}
-		var hdr bytes.Buffer
-		if err := WriteStreamHeader(&hdr, 0, 1, cfg.PayloadSize, cfg.Mu); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := ReadStreamHeader(&hdr); err != nil {
-			t.Errorf("µ = %v accepted, but its stream header reads back as %v", tc.mu, err)
 		}
 	}
 }
@@ -285,7 +241,7 @@ func TestAsymmetricPathsShiftLoad(t *testing.T) {
 		sConns[i] = c
 		cConns[i] = <-acc
 	}
-	srv, err := NewServer(Config{Mu: 300, PayloadSize: 500, Count: 900}) // ~1.2Mbit/s
+	srv, err := NewServer(wire.Config{Mu: 300, PayloadSize: 500, Count: 900}) // ~1.2Mbit/s
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dmpstream/internal/wire"
 )
 
 // TestQueueCompaction pins the fix for unbounded server-queue growth: the
 // consumed prefix must be reclaimed while the queue is still non-empty, not
 // only when it fully drains.
 func TestQueueCompaction(t *testing.T) {
-	s, err := NewServer(Config{Mu: 1000, PayloadSize: 16})
+	s, err := NewServer(wire.Config{Mu: 1000, PayloadSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestQueueCompaction(t *testing.T) {
 // peer stops reading fails with a timeout error instead of blocking
 // Session.Wait forever.
 func TestWriteStallTimeout(t *testing.T) {
-	srv, err := NewServer(Config{
+	srv, err := NewServer(wire.Config{
 		Mu: 5000, PayloadSize: 8192, Count: 100, // ~820 KB, instantly generated
 		WriteStallTimeout: 300 * time.Millisecond,
 	})
@@ -90,7 +92,7 @@ func TestWriteStallTimeout(t *testing.T) {
 
 // TestWriteStallTimeoutConfigValidation rejects negative timeouts.
 func TestWriteStallTimeoutConfigValidation(t *testing.T) {
-	if _, err := NewServer(Config{Mu: 10, WriteStallTimeout: -time.Second}); err == nil {
+	if _, err := NewServer(wire.Config{Mu: 10, WriteStallTimeout: -time.Second}); err == nil {
 		t.Fatal("negative stall timeout accepted")
 	}
 }
@@ -99,7 +101,7 @@ func TestWriteStallTimeoutConfigValidation(t *testing.T) {
 // concurrent goroutines on a live session; run under -race this pins the
 // locking of dynamic path membership.
 func TestSessionConcurrentMembership(t *testing.T) {
-	srv, err := NewServer(Config{Mu: 2000, PayloadSize: 32}) // live until Stop
+	srv, err := NewServer(wire.Config{Mu: 2000, PayloadSize: 32}) // live until Stop
 	if err != nil {
 		t.Fatal(err)
 	}

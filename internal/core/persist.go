@@ -70,7 +70,7 @@ func ReadTraceCSV(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("core: metadata field %q: %w", field, err)
 		}
 	}
-	// The bounds a trace's analysis can use: µ as core.Config accepts it,
+	// The bounds a trace's analysis can use: µ as wire.Config accepts it,
 	// the wire's payload sizes, and at most one packet per 32-bit number.
 	switch {
 	case tr.Mu == 0:

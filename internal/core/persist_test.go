@@ -118,7 +118,7 @@ func TestPropertyTraceRoundTrip(t *testing.T) {
 }
 
 // TestReadTraceCSVRejectsOutOfRange: metadata the analysis cannot use is
-// refused at the door — a rate core.Config would refuse, a payload size the
+// refused at the door — a rate wire.Config would refuse, a payload size the
 // wire cannot carry, an expected count below zero or beyond one packet per
 // 32-bit number — and the edges of each range are accepted.
 func TestReadTraceCSVRejectsOutOfRange(t *testing.T) {

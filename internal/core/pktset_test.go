@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"dmpstream/internal/wire"
 )
 
 // TestPacketSetMatchesMapOracle drives the bitmap and a map[uint32]bool with
@@ -27,7 +29,7 @@ func TestPacketSetMatchesMapOracle(t *testing.T) {
 			case 2: // sparse
 				return rng.Uint32()
 			default: // the last numbers before the end marker
-				return EndMarker - 1 - uint32(rng.Intn(200))
+				return wire.EndMarker - 1 - uint32(rng.Intn(200))
 			}
 		}
 		for i := 0; i < 5000; i++ {
@@ -53,10 +55,10 @@ func TestPacketSetMatchesMapOracle(t *testing.T) {
 
 func TestPacketSetZeroValue(t *testing.T) {
 	var set PacketSet
-	if set.Has(0) || set.Has(EndMarker) || set.Len() != 0 {
+	if set.Has(0) || set.Has(wire.EndMarker) || set.Len() != 0 {
 		t.Fatal("empty set holds something")
 	}
-	if !set.Add(EndMarker) || set.Add(EndMarker) || !set.Has(EndMarker) || set.Has(EndMarker-1) || set.Len() != 1 {
+	if !set.Add(wire.EndMarker) || set.Add(wire.EndMarker) || !set.Has(wire.EndMarker) || set.Has(wire.EndMarker-1) || set.Len() != 1 {
 		t.Fatal("the largest number is not an ordinary member")
 	}
 }

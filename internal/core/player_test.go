@@ -6,10 +6,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dmpstream/internal/wire"
 )
 
 func TestPlayerCleanStream(t *testing.T) {
-	srv, err := NewServer(Config{Mu: 500, PayloadSize: 64, Count: 400})
+	srv, err := NewServer(wire.Config{Mu: 500, PayloadSize: 64, Count: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestPlayerGlitchesOnStalledPath(t *testing.T) {
 	// the player must glitch through the gap, then resume.
 	cConn, sConn := tcpPair(t)
 	go func() {
-		srv, _ := NewServer(Config{Mu: 200, PayloadSize: 32, Count: 100})
+		srv, _ := NewServer(wire.Config{Mu: 200, PayloadSize: 32, Count: 100})
 		sess := srv.Start()
 		sess.AddPath(sConn)
 		sess.Wait()
@@ -95,7 +97,7 @@ func TestPlayerCountsGlitchesWithManualFrames(t *testing.T) {
 		// stops exactly at the generated count.
 		time.Sleep(320 * time.Millisecond)
 		sConn.Write(frameBytes(1, payload))
-		end := frameBytes(EndMarker, payload)
+		end := frameBytes(wire.EndMarker, payload)
 		putUint64(end[4:12], 4)
 		sConn.Write(end)
 		sConn.Close()
@@ -131,7 +133,7 @@ func TestPlayResendIsNotLate(t *testing.T) {
 	defer b.Close()
 	defer sa.Close()
 	defer sb.Close()
-	end := frameBytes(EndMarker, payload)
+	end := frameBytes(wire.EndMarker, payload)
 	putUint64(end[4:12], 10)
 	sa.Write(headerBytes(0, 2, payload, mu))
 	for pkt := uint32(0); pkt < 10; pkt++ {
@@ -238,7 +240,7 @@ func TestPlayDropsFarPacket(t *testing.T) {
 	for pkt := uint32(1); pkt < 4; pkt++ {
 		s.Write(frameBytes(pkt, payload))
 	}
-	end := frameBytes(EndMarker, payload)
+	end := frameBytes(wire.EndMarker, payload)
 	putUint64(end[4:12], 4)
 	s.Write(end)
 	var before, after runtime.MemStats
@@ -286,8 +288,8 @@ func TestPlayerAllPathsFailBeforeHeader(t *testing.T) {
 // --- helpers to hand-craft wire data ---
 
 func headerBytes(pathIdx, numPaths uint8, payload int, mu float64) []byte {
-	h := make([]byte, headerSize)
-	copy(h[0:4], magic[:])
+	h := make([]byte, wire.HeaderSize)
+	copy(h[0:4], "DMPS")
 	h[4] = 1
 	h[5] = pathIdx
 	h[6] = numPaths
@@ -297,7 +299,7 @@ func headerBytes(pathIdx, numPaths uint8, payload int, mu float64) []byte {
 }
 
 func frameBytes(pkt uint32, payload int) []byte {
-	f := make([]byte, frameHdr+payload)
+	f := make([]byte, wire.FrameHeaderSize+payload)
 	putUint32(f[0:4], pkt)
 	putUint64(f[4:12], uint64(time.Now().UnixNano()))
 	return f

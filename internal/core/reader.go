@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dmpstream/internal/lockrank"
+	"dmpstream/internal/wire"
 )
 
 // DefaultEndGrace bounds how long the remaining paths may keep delivering
@@ -78,7 +79,7 @@ func (pr *PathReader) Run(path int, conn net.Conn) error {
 		pr.mu.Unlock()
 	}()
 
-	mu, payload, err := ReadStreamHeader(conn)
+	mu, payload, err := wire.ReadStreamHeader(conn)
 	if err != nil {
 		return fmt.Errorf("core: path %d: %w", path, err)
 	}
@@ -90,7 +91,7 @@ func (pr *PathReader) Run(path int, conn net.Conn) error {
 			return err
 		}
 	}
-	frame := make([]byte, frameHdr+payload)
+	frame := make([]byte, wire.FrameHeaderSize+payload)
 	for {
 		// Client-side read loop: bounded by the server's end marker plus the
 		// EndGrace deadline armed once any path ends, and by the owner
@@ -98,12 +99,12 @@ func (pr *PathReader) Run(path int, conn net.Conn) error {
 		if _, err := io.ReadFull(conn, frame); err != nil {
 			return fmt.Errorf("core: path %d read: %w", path, err)
 		}
-		pkt, v, _ := ParseFrameHeader(frame) // frame is never shorter than a header
-		if pkt == EndMarker {
+		pkt, v, _ := wire.ParseFrameHeader(frame) // frame is never shorter than a header
+		if pkt == wire.EndMarker {
 			pr.finish(v, conn)
 			return nil
 		}
-		pr.onFrame(path, pkt, v, frame[frameHdr:])
+		pr.onFrame(path, pkt, v, frame[wire.FrameHeaderSize:])
 	}
 }
 

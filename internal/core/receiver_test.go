@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dmpstream/internal/wire"
 )
 
 // replayConn serves a path rendered into memory beforehand.
@@ -31,16 +33,16 @@ func (c *replayConn) SetReadDeadline(time.Time) error { return nil }
 // expected packets.
 func renderPaths(payload int, expected int64, pkts ...[]uint32) [][]byte {
 	out := make([][]byte, len(pkts))
-	frame := make([]byte, frameHdr+payload)
+	frame := make([]byte, wire.FrameHeaderSize+payload)
 	for k := range pkts {
 		var b bytes.Buffer
-		b.Grow(headerSize + (len(pkts[k])+1)*len(frame))
-		WriteStreamHeader(&b, k, len(pkts), payload, 1000)
+		b.Grow(wire.HeaderSize + (len(pkts[k])+1)*len(frame))
+		wire.WriteStreamHeader(&b, k, len(pkts), payload, 1000)
 		for _, pkt := range pkts[k] {
-			PutFrameHeader(frame, pkt, replayGen(pkt))
+			wire.PutFrameHeader(frame, pkt, replayGen(pkt))
 			b.Write(frame)
 		}
-		PutFrameHeader(frame, EndMarker, expected)
+		wire.PutFrameHeader(frame, wire.EndMarker, expected)
 		b.Write(frame)
 		out[k] = b.Bytes()
 	}

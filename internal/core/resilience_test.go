@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dmpstream/internal/emunet"
+	"dmpstream/internal/wire"
 )
 
 // host serves a Session behind a real listener, attaching every accepted
@@ -32,7 +33,7 @@ type host struct {
 	wg sync.WaitGroup
 }
 
-func startHost(t *testing.T, cfg Config, useJoin bool, kills int) *host {
+func startHost(t *testing.T, cfg wire.Config, useJoin bool, kills int) *host {
 	t.Helper()
 	srv, err := NewServer(cfg)
 	if err != nil {
@@ -59,7 +60,7 @@ func (h *host) acceptLoop() {
 		}
 		if h.useJoin {
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if _, err := ReadJoin(conn); err != nil {
+			if _, err := wire.ReadJoin(conn); err != nil {
 				conn.Close()
 				continue
 			}
@@ -90,7 +91,7 @@ func (h *host) finish() (int64, error) {
 // own fault-capable relay, consumed by a redialing Client.
 type faultCase struct {
 	name    string
-	cfg     Config
+	cfg     wire.Config
 	policy  RedialPolicy
 	useJoin bool
 	kills   int
@@ -103,7 +104,7 @@ type faultCase struct {
 }
 
 func TestFaultScenarios(t *testing.T) {
-	base := Config{Mu: 200, PayloadSize: 100, Count: 600, // 3 s of stream
+	base := wire.Config{Mu: 200, PayloadSize: 100, Count: 600, // 3 s of stream
 		WriteStallTimeout: 2 * time.Second, ResendWindow: 128}
 	cases := []faultCase{
 		{
@@ -195,11 +196,11 @@ func runFaultScenario(t *testing.T, fc faultCase) {
 		OnPathDown: func(int, error) { downs.Add(1) },
 	}
 	if fc.useJoin {
-		tok, err := NewToken()
+		tok, err := wire.NewToken()
 		if err != nil {
 			t.Fatal(err)
 		}
-		client.Join = &Join{StreamID: "live", Token: tok}
+		client.Join = &wire.Join{StreamID: "live", Token: tok}
 	}
 
 	tr, err := client.Run()
@@ -241,7 +242,7 @@ func TestSeverRedialAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("15s real-time scenario")
 	}
-	cfg := Config{Mu: 40, PayloadSize: 200, Count: 600, // 15 s of stream
+	cfg := wire.Config{Mu: 40, PayloadSize: 200, Count: 600, // 15 s of stream
 		WriteStallTimeout: 2 * time.Second, ResendWindow: 128}
 
 	type outcome struct {
@@ -352,7 +353,7 @@ func TestSeverRedialAcceptance(t *testing.T) {
 // meaningful under -race, where any unguarded state in the path lifecycle
 // machinery shows up.
 func TestSessionChurnRace(t *testing.T) {
-	srv, err := NewServer(Config{Mu: 500, PayloadSize: 50, ResendWindow: 32,
+	srv, err := NewServer(wire.Config{Mu: 500, PayloadSize: 50, ResendWindow: 32,
 		WriteStallTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +459,7 @@ func TestSessionChurnRace(t *testing.T) {
 	// Every path must have landed in a coherent terminal-or-live state.
 	for k, st := range sess.PathStates() {
 		switch st {
-		case PathActive, PathStalled, PathDead, PathRemoved:
+		case PathActive, PathDead, PathRemoved:
 		default:
 			t.Fatalf("path %d in impossible state %v", k, st)
 		}

@@ -9,10 +9,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dmpstream/internal/wire"
 )
 
 func TestSessionAddPathMidStream(t *testing.T) {
-	srv, err := NewServer(Config{Mu: 400, PayloadSize: 100, Count: 800}) // ~2s stream
+	srv, err := NewServer(wire.Config{Mu: 400, PayloadSize: 100, Count: 800}) // ~2s stream
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestSessionAddPathMidStream(t *testing.T) {
 }
 
 func TestSessionSurvivesPathFailure(t *testing.T) {
-	srv, err := NewServer(Config{Mu: 400, PayloadSize: 100, Count: 800})
+	srv, err := NewServer(wire.Config{Mu: 400, PayloadSize: 100, Count: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +147,11 @@ func TestSenderCatchUpBatchAfterSiblingDies(t *testing.T) {
 			buf[i] = byte(pkt*31) + byte(i)
 		}
 	}
-	srv, err := NewServer(Config{Mu: 100, PayloadSize: payload, Count: count, ResendWindow: window, Fill: fill})
+	srv, err := NewServer(wire.Config{Mu: 100, PayloadSize: payload, Count: count, ResendWindow: window, Fill: fill})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frameSize := frameHdr + payload
+	frameSize := wire.FrameHeaderSize + payload
 	want := make([]byte, payload)
 	var badPayloads int // guarded by the receiver's lock, under which OnPacket runs
 	r := NewReceiver(ReceiverOptions{OnPacket: func(pkt uint32, _ int64, p []byte) {
@@ -220,11 +222,11 @@ func TestSenderCatchUpBatchAfterSiblingDies(t *testing.T) {
 		}
 		for off := 0; off < len(w); off += frameSize {
 			f := w[off : off+frameSize]
-			pkt, g, err := ParseFrameHeader(f)
+			pkt, g, err := wire.ParseFrameHeader(f)
 			switch {
 			case err != nil:
 				t.Fatalf("write %d, frame at %d: %v", i, off, err)
-			case pkt == EndMarker:
+			case pkt == wire.EndMarker:
 				if i != len(writes)-1 || off+frameSize != len(w) || g != count {
 					t.Fatalf("write %d: end marker at %d announcing %d", i, off, g)
 				}
@@ -232,7 +234,7 @@ func TestSenderCatchUpBatchAfterSiblingDies(t *testing.T) {
 				t.Fatalf("write %d: packet %d stamped %d, generated at %d", i, pkt, g, gen[pkt])
 			default:
 				fill(pkt, want)
-				if !bytes.Equal(f[frameHdr:], want) {
+				if !bytes.Equal(f[wire.FrameHeaderSize:], want) {
 					t.Fatalf("write %d: packet %d carries another payload", i, pkt)
 				}
 			}
@@ -259,13 +261,13 @@ func TestSenderRenderBufferShrinks(t *testing.T) {
 			buf[i] = byte(pkt*31) + byte(i)
 		}
 	}
-	srv, err := NewServer(Config{Mu: 100, PayloadSize: payload, Fill: fill})
+	srv, err := NewServer(wire.Config{Mu: 100, PayloadSize: payload, Fill: fill})
 	if err != nil {
 		t.Fatal(err)
 	}
 	conn := &writeLog{Conn: sinkConn{}, first: make(chan struct{})}
 	p := (&Session{srv: srv}).newPathSender(0, conn)
-	frameSize := frameHdr + payload
+	frameSize := wire.FrameHeaderSize + payload
 	next := uint32(0)
 	send := func(n int) {
 		t.Helper()
@@ -316,8 +318,8 @@ func TestSenderRenderBufferShrinks(t *testing.T) {
 	want := make([]byte, payload)
 	for pkt := uint32(0); pkt < next; pkt++ {
 		f := stream[int(pkt)*frameSize : int(pkt+1)*frameSize]
-		got, gen, err := ParseFrameHeader(f)
-		if fill(pkt, want); err != nil || got != pkt || gen != int64(pkt)*7+1 || !bytes.Equal(f[frameHdr:], want) {
+		got, gen, err := wire.ParseFrameHeader(f)
+		if fill(pkt, want); err != nil || got != pkt || gen != int64(pkt)*7+1 || !bytes.Equal(f[wire.FrameHeaderSize:], want) {
 			t.Fatalf("frame %d: packet %d stamped %d (%v), or another payload", pkt, got, gen, err)
 		}
 	}
@@ -327,7 +329,7 @@ func TestSenderRenderBufferShrinks(t *testing.T) {
 // ring of sendBatch, whose claim buffer holds the first frames packets.
 func batchSender(tb testing.TB, frames int, conn net.Conn) *pathSender {
 	tb.Helper()
-	srv, err := NewServer(Config{Mu: 300, PayloadSize: 1000, ResendWindow: sendBatch,
+	srv, err := NewServer(wire.Config{Mu: 300, PayloadSize: 1000, ResendWindow: sendBatch,
 		Fill: func(pkt uint32, buf []byte) { binary.LittleEndian.PutUint32(buf, pkt) }})
 	if err != nil {
 		tb.Fatal(err)
@@ -364,7 +366,7 @@ func BenchmarkSenderBatch(b *testing.B) {
 }
 
 func TestAddPathAfterWaitPanics(t *testing.T) {
-	srv, err := NewServer(Config{Mu: 1000, PayloadSize: 10, Count: 5})
+	srv, err := NewServer(wire.Config{Mu: 1000, PayloadSize: 10, Count: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +394,7 @@ func TestAddPathAfterWaitPanics(t *testing.T) {
 }
 
 func TestSessionRemovePathDrains(t *testing.T) {
-	srv, err := NewServer(Config{Mu: 400, PayloadSize: 100, Count: 1200}) // 3s stream
+	srv, err := NewServer(wire.Config{Mu: 400, PayloadSize: 100, Count: 1200}) // 3s stream
 	if err != nil {
 		t.Fatal(err)
 	}

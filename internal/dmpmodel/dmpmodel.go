@@ -538,7 +538,10 @@ type Composite struct {
 // ExactGenerator builds the composed CTMC over two paths with early-packet
 // cap nmax and truncation floor floorN (consumption disabled at the floor).
 // Tags: consumption transitions carry -1; flow transitions carry the
-// delivered-packet count.
+// delivered-packet count. With floorN = nmax nothing is ever consumed (N
+// never exceeds the cap), which is the chain before playback starts: flows
+// fill the buffer toward the cap, as markov.TransientSolver needs for the
+// exact distribution at playback start (t = τ).
 func ExactGenerator(p1, p2 tcpmodel.Params, mu float64, nmax, floorN int32) markov.Generator[Composite] {
 	g1 := tcpmodel.Generator(p1)
 	g2 := tcpmodel.Generator(p2)
@@ -550,41 +553,6 @@ func ExactGenerator(p1, p2 tcpmodel.Params, mu float64, nmax, floorN int32) mark
 				Next: Composite{F1: c.F1, F2: c.F2, N: c.N - 1},
 			})
 		}
-		if c.N < nmax {
-			for _, tr := range g1(c.F1) {
-				n := c.N + tr.Tag
-				if n > nmax {
-					n = nmax
-				}
-				out = append(out, markov.Transition[Composite]{
-					Rate: tr.Rate, Tag: tr.Tag,
-					Next: Composite{F1: tr.Next, F2: c.F2, N: n},
-				})
-			}
-			for _, tr := range g2(c.F2) {
-				n := c.N + tr.Tag
-				if n > nmax {
-					n = nmax
-				}
-				out = append(out, markov.Transition[Composite]{
-					Rate: tr.Rate, Tag: tr.Tag,
-					Next: Composite{F1: c.F1, F2: tr.Next, N: n},
-				})
-			}
-		}
-		return out
-	}
-}
-
-// ExactBuildupGenerator is the composed chain before playback starts: flows
-// fill the buffer toward the cap, nothing is consumed. Used with
-// markov.TransientSolver to compute the exact distribution at playback
-// start (t = τ) when cross-validating the transient estimator.
-func ExactBuildupGenerator(p1, p2 tcpmodel.Params, nmax int32) markov.Generator[Composite] {
-	g1 := tcpmodel.Generator(p1)
-	g2 := tcpmodel.Generator(p2)
-	return func(c Composite) []markov.Transition[Composite] {
-		var out []markov.Transition[Composite]
 		if c.N < nmax {
 			for _, tr := range g1(c.F1) {
 				n := c.N + tr.Tag

@@ -26,8 +26,8 @@ func TestTransientMatchesUniformization(t *testing.T) {
 	)
 	tau := float64(nmax) / mu
 
-	// Phase 1: buffer buildup from empty, no consumption.
-	buildup := ExactBuildupGenerator(p, p, nmax)
+	// Phase 1: buffer buildup from empty, no consumption (floor at the cap).
+	buildup := ExactGenerator(p, p, 0, nmax, nmax)
 	init := Composite{F1: tcpmodel.Initial(p), F2: tcpmodel.Initial(p), N: 0}
 	ts1, err := markov.NewTransientSolver(buildup, init, 500_000)
 	if err != nil {

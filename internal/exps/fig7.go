@@ -12,6 +12,7 @@ import (
 	"dmpstream/internal/emunet"
 	"dmpstream/internal/stats"
 	"dmpstream/internal/tcpmodel"
+	"dmpstream/internal/wire"
 )
 
 func init() {
@@ -95,7 +96,7 @@ func emuScale(f Fidelity) (dur time.Duration, runs int) {
 // relays and returns the client trace.
 func runEmuScenario(sc emuScenario, dur time.Duration, seed int64) (*core.Trace, error) {
 	count := int64(sc.mu * dur.Seconds())
-	srv, err := core.NewServer(core.Config{Mu: sc.mu, PayloadSize: sc.payload, Count: count})
+	srv, err := core.NewServer(wire.Config{Mu: sc.mu, PayloadSize: sc.payload, Count: count})
 	if err != nil {
 		return nil, err
 	}

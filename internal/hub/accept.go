@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dmpstream/internal/core"
 	"dmpstream/internal/lockrank"
+	"dmpstream/internal/wire"
 )
 
 // DefaultJoinTimeout bounds how long an accepted connection may take to
@@ -41,8 +41,8 @@ type Acceptor struct {
 	joinTimeout time.Duration
 	limit       int
 	closedErr   error
-	refuse      func() core.RejectCode
-	route       func(conn net.Conn, j core.Join) error
+	refuse      func() wire.RejectCode
+	route       func(conn net.Conn, j wire.Join) error
 
 	stopCh chan struct{}  // closed by Close: ends a backoff wait
 	wg     sync.WaitGroup // handshake goroutines
@@ -62,7 +62,7 @@ type Acceptor struct {
 // selects DefaultHandshakeLimit), Serve returns closedErr once Close has
 // run, and refuse (optional) and route are the owner's hooks.
 func NewAcceptor(joinTimeout time.Duration, limit int, closedErr error,
-	refuse func() core.RejectCode, route func(conn net.Conn, j core.Join) error) *Acceptor {
+	refuse func() wire.RejectCode, route func(conn net.Conn, j wire.Join) error) *Acceptor {
 	if joinTimeout == 0 {
 		joinTimeout = DefaultJoinTimeout
 	}
@@ -86,12 +86,12 @@ func NewAcceptor(joinTimeout time.Duration, limit int, closedErr error,
 // connection. The courtesy write gets a short deadline so a refused client
 // that never reads cannot pin a goroutine. Every written reject is counted
 // once in Rejected. It returns the typed error the client will see.
-func (a *Acceptor) Reject(conn net.Conn, code core.RejectCode) error {
+func (a *Acceptor) Reject(conn net.Conn, code wire.RejectCode) error {
 	a.rejected.Add(1)
 	conn.SetWriteDeadline(time.Now().Add(rejectWriteTimeout))
-	_ = core.WriteReject(conn, code)
+	_ = wire.WriteReject(conn, code)
 	_ = conn.Close()
-	return &core.RejectError{Code: code}
+	return &wire.RejectError{Code: code}
 }
 
 // Attach reads conn's join request under the join timeout and routes it.
@@ -107,9 +107,9 @@ func (a *Acceptor) Attach(conn net.Conn) error {
 
 // readJoin reads conn's join request under the join timeout, closing conn
 // if it fails.
-func (a *Acceptor) readJoin(conn net.Conn) (core.Join, error) {
+func (a *Acceptor) readJoin(conn net.Conn) (wire.Join, error) {
 	conn.SetReadDeadline(time.Now().Add(a.joinTimeout))
-	j, err := core.ReadJoin(conn)
+	j, err := wire.ReadJoin(conn)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		_ = conn.Close()
@@ -177,7 +177,7 @@ func (a *Acceptor) Serve(ln net.Listener) error {
 			// Too many handshakes in flight — likely a slowloris herd. Shed
 			// the newcomer; Reject writes under a deadline, so drop mu first.
 			a.mu.Unlock()
-			a.Reject(conn, core.RejectServerFull)
+			a.Reject(conn, wire.RejectServerFull)
 			continue
 		}
 		a.pending[conn] = struct{}{}
@@ -200,7 +200,7 @@ func (a *Acceptor) handshake(conn net.Conn) {
 	a.mu.Unlock()
 }
 
-func (a *Acceptor) refused() core.RejectCode {
+func (a *Acceptor) refused() wire.RejectCode {
 	if a.refuse == nil {
 		return 0
 	}

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
 	"dmpstream/internal/registry"
+	"dmpstream/internal/wire"
 )
 
 // The accept loop is written once (hub.Acceptor) and served by a Hub and a
@@ -28,7 +28,7 @@ var owners = []struct {
 }{
 	{"hub", func(t *testing.T, id string, joinTimeout time.Duration, limit int) served {
 		h, err := hub.New(hub.Config{
-			Stream:         core.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30},
+			Stream:         wire.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30},
 			StreamID:       id,
 			JoinTimeout:    joinTimeout,
 			HandshakeLimit: limit,
@@ -44,7 +44,7 @@ var owners = []struct {
 	}},
 	{"registry", func(t *testing.T, id string, joinTimeout time.Duration, limit int) served {
 		r, err := registry.New(registry.Config{
-			Hub:            hub.Config{Stream: core.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30}},
+			Hub:            hub.Config{Stream: wire.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30}},
 			JoinTimeout:    joinTimeout,
 			HandshakeLimit: limit,
 		})
@@ -71,15 +71,15 @@ func join(t *testing.T, addr, id string) error {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	tok, err := core.NewToken()
+	tok, err := wire.NewToken()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.WriteJoin(c, core.Join{StreamID: id, Token: tok}); err != nil {
+	if err := wire.WriteJoin(c, wire.Join{StreamID: id, Token: tok}); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, _, err = core.ReadStreamHeader(c)
+	_, _, err = wire.ReadStreamHeader(c)
 	return err
 }
 
@@ -159,7 +159,7 @@ func TestHubSlowlorisJoin(t *testing.T) {
 			}
 			defer over.Close()
 			over.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if _, _, err := core.ReadStreamHeader(over); !errors.Is(err, core.ErrServerFull) {
+			if _, _, err := wire.ReadStreamHeader(over); !errors.Is(err, wire.ErrServerFull) {
 				t.Fatalf("overflow conn: %v, want ErrServerFull", err)
 			}
 
@@ -167,9 +167,9 @@ func TestHubSlowlorisJoin(t *testing.T) {
 			// is owed to a connection that never spoke the protocol).
 			for i, c := range stallers {
 				c.SetReadDeadline(time.Now().Add(5 * time.Second))
-				if _, _, err := core.ReadStreamHeader(c); err == nil {
+				if _, _, err := wire.ReadStreamHeader(c); err == nil {
 					t.Fatalf("staller %d got a stream header", i)
-				} else if errors.Is(err, core.ErrRejected) {
+				} else if errors.Is(err, wire.ErrRejected) {
 					t.Fatalf("staller %d got a courtesy reject: %v", i, err)
 				}
 			}

@@ -3,7 +3,7 @@ package hub
 import (
 	"testing"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // TestBytesHeldSharedAccounting pins the shared-buffer accounting
@@ -26,7 +26,7 @@ func TestBytesHeldSharedAccounting(t *testing.T) {
 	sd := h.shards[0]
 
 	mk := func(cur int64, resend []int64) *subscriber {
-		tok, err := core.NewToken()
+		tok, err := wire.NewToken()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestBytesHeldSharedAccounting(t *testing.T) {
 
 	check := func(step string, wantPayloadFrames, wantHdrFrames int64) {
 		t.Helper()
-		want := wantPayloadFrames*payload + wantHdrFrames*core.FrameHeaderSize
+		want := wantPayloadFrames*payload + wantHdrFrames*wire.FrameHeaderSize
 		if got := h.BytesHeld(); got != want {
 			t.Fatalf("%s: BytesHeld = %d, want %d (%d shared payloads + %d headers)",
 				step, got, want, wantPayloadFrames, wantHdrFrames)
@@ -99,7 +99,7 @@ func TestShedSkipsDrainedSubscriber(t *testing.T) {
 	defer h.govMu.Unlock()
 	_, bh, worstShard := h.accountLocked(head, true)
 	ranked, worst := bh.worstHeld, bh.worst
-	if worst != sub || worstShard != sd || ranked != 60*(payload+core.FrameHeaderSize) {
+	if worst != sub || worstShard != sd || ranked != 60*(payload+wire.FrameHeaderSize) {
 		t.Fatalf("ranked %p (shard %p) at %d bytes", worst, worstShard, ranked)
 	}
 

@@ -25,7 +25,7 @@ import (
 	"testing"
 	"time"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // quietHub builds a hub whose generator publishes its single scheduled
@@ -33,7 +33,7 @@ import (
 func quietHub(t *testing.T, lagWindow int) *Hub {
 	t.Helper()
 	h, err := New(Config{
-		Stream: core.Config{
+		Stream: wire.Config{
 			Mu: 500, PayloadSize: 64, Count: 1,
 			Fill: func(pkt uint32, buf []byte) { buf[0] = byte(pkt) },
 		},
@@ -69,7 +69,7 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 		h := quietHub(t, 8)
 		sd := h.shards[0]
 
-		var tok core.Token
+		var tok wire.Token
 		sub := &subscriber{token: tok, shard: sd, window: h.cfg.LagWindow}
 		addSub(sd, sub)
 
@@ -96,8 +96,8 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 	t.Run("one-frame and catch-up", func(t *testing.T) {
 		h := quietHub(t, 2*writeBatchFrames)
 		sd := h.shards[0]
-		pace := &subscriber{token: core.Token{1}, shard: sd, window: h.cfg.LagWindow}
-		behind := &subscriber{token: core.Token{2}, shard: sd, window: h.cfg.LagWindow}
+		pace := &subscriber{token: wire.Token{1}, shard: sd, window: h.cfg.LagWindow}
+		behind := &subscriber{token: wire.Token{2}, shard: sd, window: h.cfg.LagWindow}
 		addSub(sd, pace)
 		addSub(sd, behind)
 
@@ -145,7 +145,7 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 func TestHubGenerateAllocFree(t *testing.T) {
 	const packets = 2000
 	h := newExternalHub(t, Config{
-		Stream:     core.Config{Mu: 1e6, PayloadSize: 64, Count: packets},
+		Stream:     wire.Config{Mu: 1e6, PayloadSize: 64, Count: packets},
 		LagWindow:  64,
 		Shards:     1,
 		MaxBytes:   1 << 30,
@@ -153,7 +153,7 @@ func TestHubGenerateAllocFree(t *testing.T) {
 	})
 	t.Cleanup(h.Close)
 	sd := h.shards[0]
-	addSub(sd, &subscriber{token: core.Token{1}, shard: sd, window: h.cfg.LagWindow})
+	addSub(sd, &subscriber{token: wire.Token{1}, shard: sd, window: h.cfg.LagWindow})
 	run := func() {
 		generated, dropped := h.generated.Load(), h.totalDropped.Load()
 		h.generate()
@@ -218,7 +218,7 @@ func TestShardWorkAllocFree(t *testing.T) {
 	const payload, lag, runs = 64, 16, 300
 	var fills int64
 	h := newExternalHub(t, Config{
-		Stream: core.Config{Mu: 250, PayloadSize: payload, WriteStallTimeout: time.Second,
+		Stream: wire.Config{Mu: 250, PayloadSize: payload, WriteStallTimeout: time.Second,
 			Fill: func(pkt uint32, buf []byte) { fills++ }},
 		LagWindow: lag,
 		Shards:    1,
@@ -228,7 +228,7 @@ func TestShardWorkAllocFree(t *testing.T) {
 	sd := h.shards[0]
 	var duringWrite func()
 	attach := func(tok byte, paths int) *subscriber {
-		sub := &subscriber{token: core.Token{tok}, shard: sd, window: lag}
+		sub := &subscriber{token: wire.Token{tok}, shard: sd, window: lag}
 		sd.mu.Lock()
 		defer sd.mu.Unlock()
 		sd.registerLocked(sub)
@@ -377,16 +377,16 @@ func TestShardWorkAllocFree(t *testing.T) {
 // must not allocate.
 func TestGovernorShedAllocFree(t *testing.T) {
 	const payload, lag, runs = 64, 64, 200
-	frame := int64(payload + core.FrameHeaderSize)
+	frame := int64(payload + wire.FrameHeaderSize)
 	h := newExternalHub(t, Config{
-		Stream:    core.Config{Mu: 250, PayloadSize: payload},
+		Stream:    wire.Config{Mu: 250, PayloadSize: payload},
 		LagWindow: lag,
 		Shards:    1,
 		MaxBytes:  16*frame + 38,
 	})
 	t.Cleanup(h.Close)
 	sd := h.shards[0]
-	sub := &subscriber{token: core.Token{1}, shard: sd, window: lag}
+	sub := &subscriber{token: wire.Token{1}, shard: sd, window: lag}
 	addSub(sd, sub)
 
 	buf := make([]byte, payload)
@@ -434,16 +434,16 @@ func TestGovernorShedAllocFree(t *testing.T) {
 // next. An eviction storm must not allocate.
 func TestGovernorEvictAllocFree(t *testing.T) {
 	const payload, lag, runs = 64, 64, 200
-	frame := int64(payload + core.FrameHeaderSize)
+	frame := int64(payload + wire.FrameHeaderSize)
 	h := newExternalHub(t, Config{
-		Stream:    core.Config{Mu: 250, PayloadSize: payload},
+		Stream:    wire.Config{Mu: 250, PayloadSize: payload},
 		LagWindow: lag,
 		Shards:    1,
 		MaxBytes:  8*frame + 38,
 	})
 	t.Cleanup(h.Close)
 	sd := h.shards[0]
-	sub := &subscriber{token: core.Token{1}, shard: sd, window: minShedWindow}
+	sub := &subscriber{token: wire.Token{1}, shard: sd, window: minShedWindow}
 	addSub(sd, sub)
 
 	buf := make([]byte, payload)
@@ -487,7 +487,7 @@ func TestGovernorEvictAllocFree(t *testing.T) {
 func TestParkedPathFootprint(t *testing.T) {
 	const paths, perPathBudget = 2000, 448
 	h, err := New(Config{
-		Stream:         core.Config{Mu: 250, PayloadSize: 256},
+		Stream:         wire.Config{Mu: 250, PayloadSize: 256},
 		StreamID:       "live",
 		ExternalSource: true,
 	})
@@ -512,10 +512,10 @@ func TestParkedPathFootprint(t *testing.T) {
 	heap0, stacks0 := live()
 	goroutines0 := runtime.NumGoroutine()
 
-	var tok core.Token
+	var tok wire.Token
 	for i := 0; i < paths; i++ {
 		binary.BigEndian.PutUint32(tok[:], uint32(i)+1)
-		if err := h.AttachJoined(sinkConn{}, core.Join{StreamID: "live", Token: tok}); err != nil {
+		if err := h.AttachJoined(sinkConn{}, wire.Join{StreamID: "live", Token: tok}); err != nil {
 			t.Fatal(err)
 		}
 	}

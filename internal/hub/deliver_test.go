@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // discardBuffers is a sinkConn that takes vectored writes natively, as a
@@ -38,7 +38,7 @@ func BenchmarkDeliverBatch(b *testing.B) {
 	for _, frames := range []int{1, writeBatchFrames} {
 		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
 			h, err := New(Config{
-				Stream:         core.Config{Mu: 250, PayloadSize: payload},
+				Stream:         wire.Config{Mu: 250, PayloadSize: payload},
 				ExternalSource: true,
 				LagWindow:      lag,
 				Shards:         1,
@@ -52,7 +52,7 @@ func BenchmarkDeliverBatch(b *testing.B) {
 				h.PublishAt(seq, seq, buf)
 			}
 			sd := h.shards[0]
-			sub := &subscriber{token: core.Token{1}, shard: sd, window: lag}
+			sub := &subscriber{token: wire.Token{1}, shard: sd, window: lag}
 			addSub(sd, sub)
 			p := &path{sub: sub, conn: discardBuffers{}, started: true}
 			head := h.ring.headSeq()
@@ -118,14 +118,14 @@ func (c fanoutConn) WriteBuffers(bufs net.Buffers) (int64, error) {
 func BenchmarkTickFanout(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("paths=%d", n), func(b *testing.B) {
-			cfg := Config{Stream: core.Config{Mu: 250, PayloadSize: 1200}, LagWindow: 64}
+			cfg := Config{Stream: wire.Config{Mu: 250, PayloadSize: 1200}, LagWindow: 64}
 			h := newExternalHub(b, cfg)
 			defer h.Close()
 			sink := &fanoutSink{done: make(chan struct{}, 1)}
-			var tok core.Token
+			var tok wire.Token
 			for i := 0; i < n; i++ {
 				binary.BigEndian.PutUint64(tok[:8], uint64(i)+1)
-				if err := h.AttachJoined(fanoutConn{s: sink}, core.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+				if err := h.AttachJoined(fanoutConn{s: sink}, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // newExternalHub builds an ExternalSource hub for direct PublishAt tests.
@@ -75,7 +76,7 @@ func TestExternalPublishAt(t *testing.T) {
 // external mode only, exact payload size, non-negative sequence, and
 // nothing after the stream is over.
 func TestExternalPublishAtValidation(t *testing.T) {
-	gen, err := New(Config{Stream: core.Config{Mu: 1000, PayloadSize: 32, Count: 1}, StreamID: "gen"})
+	gen, err := New(Config{Stream: wire.Config{Mu: 1000, PayloadSize: 32, Count: 1}, StreamID: "gen"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +229,8 @@ func TestAbsoluteJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	j := core.Join{StreamID: "abs", Token: newToken(t), Flags: core.JoinFlagAbsolute}
-	if err := core.WriteJoin(c, j); err != nil {
+	j := wire.Join{StreamID: "abs", Token: newToken(t), Flags: wire.JoinFlagAbsolute}
+	if err := wire.WriteJoin(c, j); err != nil {
 		t.Fatal(err)
 	}
 	waitSubscribers(t, h, 1)
@@ -265,8 +266,8 @@ func TestFailRejectsWithCode(t *testing.T) {
 	if !h.PublishAt(0, 0, make([]byte, 32)) {
 		t.Fatal("publish refused")
 	}
-	h.Fail(core.RejectUpstreamLost)
-	h.Fail(core.RejectServerFull) // loses: first verdict stands
+	h.Fail(wire.RejectUpstreamLost)
+	h.Fail(wire.RejectServerFull) // loses: first verdict stands
 	h.Wait()
 
 	c, err := net.Dial("tcp", ln.Addr().String())
@@ -274,15 +275,15 @@ func TestFailRejectsWithCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := core.WriteJoin(c, core.Join{StreamID: "lost", Token: newToken(t)}); err != nil {
+	if err := wire.WriteJoin(c, wire.Join{StreamID: "lost", Token: newToken(t)}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = core.ReadStreamHeader(c)
-	if !errors.Is(err, core.ErrUpstreamLost) {
+	_, _, err = wire.ReadStreamHeader(c)
+	if !errors.Is(err, wire.ErrUpstreamLost) {
 		t.Fatalf("join after Fail: %v, want errors.Is ErrUpstreamLost", err)
 	}
-	var rej *core.RejectError
-	if !errors.As(err, &rej) || rej.Code != core.RejectUpstreamLost {
+	var rej *wire.RejectError
+	if !errors.As(err, &rej) || rej.Code != wire.RejectUpstreamLost {
 		t.Fatalf("join after Fail: %v, want RejectUpstreamLost frame", err)
 	}
 }

@@ -51,7 +51,7 @@
 // subscriber cannot make the generator or its peers late — the per-packet
 // cost of a slow client is bounded by the ring, not by the stream.
 //
-// Joining is a 40-byte wire handshake (core.Join): each path connection
+// Joining is a 40-byte wire handshake (wire.Join): each path connection
 // carries the stream id and a subscriber token, so a client's 2nd..Kth
 // connections attach to the same subscription. After the join, each path
 // speaks the unchanged v1 stream format, with packet numbers rebased to the
@@ -83,8 +83,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dmpstream/internal/core"
 	"dmpstream/internal/lockrank"
+	"dmpstream/internal/wire"
 )
 
 // Policy selects what happens to a subscriber whose lag exceeds the window.
@@ -145,7 +145,7 @@ const DefaultResendWindow = 64
 // Config describes a broadcast hub.
 type Config struct {
 	// Stream is the live source (rate, payload, count, fill, stall timeout).
-	Stream core.Config
+	Stream wire.Config
 	// ExternalSource disables the internal CBR generator: frames are
 	// injected by the hub's owner through PublishAt at absolute sequences —
 	// the edge-relay mode, where the frame source is an upstream
@@ -239,7 +239,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.StreamID == "" {
 		c.StreamID = "live"
 	}
-	if err := core.ValidateStreamID(c.StreamID); err != nil {
+	if err := wire.ValidateStreamID(c.StreamID); err != nil {
 		return c, fmt.Errorf("hub: %w", err)
 	}
 	if c.LagWindow == 0 {
@@ -414,7 +414,7 @@ func New(cfg Config) (*Hub, error) {
 
 // shardFor pins a token to its shard. Tokens are random, so the first
 // eight bytes hash the population evenly.
-func (h *Hub) shardFor(tok core.Token) *shard {
+func (h *Hub) shardFor(tok wire.Token) *shard {
 	return h.shards[binary.BigEndian.Uint64(tok[:8])%uint64(len(h.shards))]
 }
 
@@ -433,7 +433,7 @@ func (h *Hub) ConnCount() int { return int(h.pathConns.Load()) }
 // inside a re-attach grace). Registries use it to exempt re-attaches of
 // live tokens from their global subscriber caps, mirroring the hub's own
 // fresh-token-only admission rule.
-func (h *Hub) HasSubscriber(tok core.Token) bool {
+func (h *Hub) HasSubscriber(tok wire.Token) bool {
 	sd := h.shardFor(tok)
 	sd.mu.Lock()
 	_, ok := sd.subs[tok]
@@ -614,7 +614,7 @@ func (h *Hub) accountLocked(head int64, exact bool) (total int64, bh behind, wor
 			bh.worst, bh.worstHeld, worstShard = sb.worst, sb.worstHeld, sd
 		}
 	}
-	total = (head-bh.need)*int64(h.cfg.Stream.PayloadSize) + hdrFrames*core.FrameHeaderSize
+	total = (head-bh.need)*int64(h.cfg.Stream.PayloadSize) + hdrFrames*wire.FrameHeaderSize
 	return total, bh, worstShard
 }
 
@@ -681,7 +681,7 @@ type oneFrame struct {
 	bufs [1]*payloadBuf
 	seqs [1]int64
 	gens [1]int64
-	hdrs [core.FrameHeaderSize]byte
+	hdrs [wire.FrameHeaderSize]byte
 	wb   [2][]byte
 }
 
@@ -704,7 +704,7 @@ func (b *batch) grow(n int) {
 	b.bufs = make([]*payloadBuf, n)
 	b.seqs = make([]int64, n)
 	b.gens = make([]int64, n)
-	b.hdrs = make([]byte, n*core.FrameHeaderSize)
+	b.hdrs = make([]byte, n*wire.FrameHeaderSize)
 	b.wb = make([][]byte, 2*n)
 	b.vec = nil
 }
@@ -727,8 +727,8 @@ type BuffersWriter interface {
 // releaseBatch.
 func (h *Hub) writeBatch(conn net.Conn, sub *subscriber, b *batch) error {
 	for i := 0; i < b.n; i++ {
-		hdr := b.hdrs[i*core.FrameHeaderSize : (i+1)*core.FrameHeaderSize]
-		core.PutFrameHeader(hdr, uint32(b.seqs[i]-sub.first), b.gens[i])
+		hdr := b.hdrs[i*wire.FrameHeaderSize : (i+1)*wire.FrameHeaderSize]
+		wire.PutFrameHeader(hdr, uint32(b.seqs[i]-sub.first), b.gens[i])
 		b.wb[2*i] = hdr
 		b.wb[2*i+1] = b.bufs[i].data
 	}
@@ -742,7 +742,7 @@ func (h *Hub) writeBatch(conn net.Conn, sub *subscriber, b *batch) error {
 	} else {
 		_, err = b.vec.WriteTo(conn)
 	}
-	h.bytesCopied.Add(int64(b.n) * core.FrameHeaderSize)
+	h.bytesCopied.Add(int64(b.n) * wire.FrameHeaderSize)
 	h.writevs.Add(1)
 	h.framesBatched.Add(int64(b.n))
 	return err
@@ -775,8 +775,8 @@ func (h *Hub) releaseBatch(b *batch) {
 // packets from the subscriber's first (the newest at its join) to the
 // live edge, matching its rebased numbering.
 func (h *Hub) writeEndMarker(p *path) error {
-	frame := make([]byte, core.FrameHeaderSize+h.cfg.Stream.PayloadSize)
-	core.PutFrameHeader(frame, core.EndMarker, h.ring.headSeq()-p.sub.first)
+	frame := make([]byte, wire.FrameHeaderSize+h.cfg.Stream.PayloadSize)
+	wire.PutFrameHeader(frame, wire.EndMarker, h.ring.headSeq()-p.sub.first)
 	if err := h.writeFrame(p.conn, frame); err != nil {
 		return fmt.Errorf("hub: path %d end marker: %w", p.idx, err)
 	}
@@ -797,13 +797,13 @@ func (h *Hub) writeFrame(conn net.Conn, frame []byte) error {
 // Attach performs the server side of the join handshake on conn and queues
 // a path for the joined subscription. It closes conn on any error;
 // admission refusals additionally answer with the typed reject frame, and
-// the returned error unwraps to the matching core sentinel
-// (core.ErrServerFull, core.ErrDraining, ...).
+// the returned error unwraps to the matching wire sentinel
+// (wire.ErrServerFull, wire.ErrDraining, ...).
 func (h *Hub) Attach(conn net.Conn) error { return h.acc.Attach(conn) }
 
 // refuse is the accept loop's inline verdict: once the stream is over,
 // every joiner gets the end code without a handshake.
-func (h *Hub) refuse() core.RejectCode {
+func (h *Hub) refuse() wire.RejectCode {
 	if h.stopped.Load() || h.genDone.Load() {
 		return h.endCode()
 	}
@@ -816,10 +816,10 @@ func (h *Hub) refuse() core.RejectCode {
 // conn is closed on any error, refusals answer with the typed reject
 // frame, and on success the path is on its shard's ready list, stream
 // header first, and is served until the stream ends.
-func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
+func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 	if j.StreamID != h.cfg.StreamID {
 		return fmt.Errorf("hub: join for stream %q (serving %q): %w",
-			j.StreamID, h.cfg.StreamID, h.acc.Reject(conn, core.RejectUnknownStream))
+			j.StreamID, h.cfg.StreamID, h.acc.Reject(conn, wire.RejectUnknownStream))
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -834,7 +834,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 		h.mu.Unlock()
 		code := h.endCode()
 		err := h.acc.Reject(conn, code)
-		if code != core.RejectStreamEnded {
+		if code != wire.RejectStreamEnded {
 			return fmt.Errorf("hub: stream over: %w", err)
 		}
 		return ErrStreamEnded
@@ -845,12 +845,12 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 		// A fresh token asks for admission; re-attaches of live tokens are
 		// exempt so a drain or a full house never strands a subscription
 		// that is only trying to heal a flapped path.
-		var code core.RejectCode
+		var code wire.RejectCode
 		switch {
 		case h.draining:
-			code = core.RejectDraining
+			code = wire.RejectDraining
 		case h.cfg.MaxSubscribers > 0 && int(h.subCount.Load()) >= h.cfg.MaxSubscribers:
-			code = core.RejectServerFull
+			code = wire.RejectServerFull
 		}
 		if code != 0 {
 			sd.mu.Unlock()
@@ -862,7 +862,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 		sd.mu.Unlock()
 		h.mu.Unlock()
 		return fmt.Errorf("hub: %d connections attached: %w",
-			h.cfg.MaxConns, h.acc.Reject(conn, core.RejectServerFull))
+			h.cfg.MaxConns, h.acc.Reject(conn, wire.RejectServerFull))
 	}
 	if sub == nil {
 		// A rebased subscription starts on the newest packet the hub holds,
@@ -871,7 +871,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 		head := h.ring.headSeq()
 		first := max(head-1, 0)
 		cur := first
-		if j.Flags&core.JoinFlagAbsolute != 0 {
+		if j.Flags&wire.JoinFlagAbsolute != 0 {
 			// Absolute subscription: no rebase (frames carry origin
 			// numbering — first stays 0) and the cursor starts at the ring
 			// tail, so the joiner catches up on everything the hub still
@@ -889,7 +889,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j core.Join) error {
 	if sub.evicted {
 		sd.mu.Unlock()
 		h.mu.Unlock()
-		return fmt.Errorf("hub: subscriber %s: %w", j.Token, h.acc.Reject(conn, core.RejectEvicted))
+		return fmt.Errorf("hub: subscriber %s: %w", j.Token, h.acc.Reject(conn, wire.RejectEvicted))
 	}
 	h.pathConns.Add(1)
 	p := &path{sub: sub, conn: conn, idx: sub.nextPath, numPaths: int32(len(sub.links) + 1)}
@@ -986,7 +986,7 @@ func (h *Hub) Drain(timeout time.Duration) bool {
 // to propagate RejectUpstreamLost downstream — live subscribers get
 // everything the hub ever held plus a clean end marker, while new joiners
 // learn the stream is gone for a reason. The first failure code sticks.
-func (h *Hub) Fail(code core.RejectCode) {
+func (h *Hub) Fail(code wire.RejectCode) {
 	if code != 0 {
 		h.failCode.CompareAndSwap(0, uint32(code))
 	}
@@ -995,11 +995,11 @@ func (h *Hub) Fail(code core.RejectCode) {
 
 // endCode is the verdict a stopped hub rejects joins with: the Fail code
 // when one was recorded, RejectStreamEnded otherwise.
-func (h *Hub) endCode() core.RejectCode {
+func (h *Hub) endCode() wire.RejectCode {
 	if c := h.failCode.Load(); c != 0 {
-		return core.RejectCode(c)
+		return wire.RejectCode(c)
 	}
-	return core.RejectStreamEnded
+	return wire.RejectStreamEnded
 }
 
 // Stop ends generation. Every path drains the remaining ring contents and

@@ -10,10 +10,11 @@ import (
 
 	"dmpstream/internal/core"
 	"dmpstream/internal/emunet"
+	"dmpstream/internal/wire"
 )
 
 // dial connects one path to addr and writes the join handshake.
-func dial(t *testing.T, addr, streamID string, tok core.Token, rcvBuf int) net.Conn {
+func dial(t *testing.T, addr, streamID string, tok wire.Token, rcvBuf int) net.Conn {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -22,15 +23,15 @@ func dial(t *testing.T, addr, streamID string, tok core.Token, rcvBuf int) net.C
 	if rcvBuf > 0 {
 		c.(*net.TCPConn).SetReadBuffer(rcvBuf)
 	}
-	if err := core.WriteJoin(c, core.Join{StreamID: streamID, Token: tok}); err != nil {
+	if err := wire.WriteJoin(c, wire.Join{StreamID: streamID, Token: tok}); err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-func newToken(t *testing.T) core.Token {
+func newToken(t *testing.T) wire.Token {
 	t.Helper()
-	tok, err := core.NewToken()
+	tok, err := wire.NewToken()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestHubFanout(t *testing.T) {
 		payload = 200
 	)
 	h, err := New(Config{
-		Stream:          core.Config{Mu: mu, PayloadSize: payload, Count: count},
+		Stream:          wire.Config{Mu: mu, PayloadSize: payload, Count: count},
 		StreamID:        "fanout",
 		LagWindow:       256,
 		Policy:          DropOldest,
@@ -215,7 +216,7 @@ func TestHubFanout(t *testing.T) {
 func TestHubEvictPolicy(t *testing.T) {
 	const count = 800
 	h, err := New(Config{
-		Stream:          core.Config{Mu: 400, PayloadSize: 100, Count: count},
+		Stream:          wire.Config{Mu: 400, PayloadSize: 100, Count: count},
 		LagWindow:       128,
 		Policy:          Evict,
 		PathWriteBuffer: 4096,
@@ -292,7 +293,7 @@ func TestHubEvictPolicy(t *testing.T) {
 // stays to the end.
 func TestHubChurn(t *testing.T) {
 	h, err := New(Config{
-		Stream:    core.Config{Mu: 1000, PayloadSize: 64}, // live until Stop
+		Stream:    wire.Config{Mu: 1000, PayloadSize: 64}, // live until Stop
 		LagWindow: 2048,
 	})
 	if err != nil {
@@ -365,7 +366,7 @@ func TestHubChurn(t *testing.T) {
 // TestHubJoinValidation covers the join handshake edges: wrong stream id,
 // join after the stream ended, garbage instead of a join.
 func TestHubJoinValidation(t *testing.T) {
-	h, err := New(Config{Stream: core.Config{Mu: 2000, PayloadSize: 16, Count: 10}})
+	h, err := New(Config{Stream: wire.Config{Mu: 2000, PayloadSize: 16, Count: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestHubJoinValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := accept(t, ln)
-	if err := core.WriteJoin(c, core.Join{StreamID: "other"}); err != nil {
+	if err := wire.WriteJoin(c, wire.Join{StreamID: "other"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Attach(s); err == nil {
@@ -416,7 +417,7 @@ func TestHubJoinValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s3 := accept(t, ln)
-	if err := core.WriteJoin(c3, core.Join{StreamID: "live"}); err != nil {
+	if err := wire.WriteJoin(c3, wire.Join{StreamID: "live"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Attach(s3); err == nil {
@@ -436,20 +437,20 @@ func accept(t *testing.T, ln net.Listener) net.Conn {
 
 func TestHubConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Stream: core.Config{Mu: 0}},
-		{Stream: core.Config{Mu: 10}, LagWindow: -1},
+		{Stream: wire.Config{Mu: 0}},
+		{Stream: wire.Config{Mu: 10}, LagWindow: -1},
 		// The ring's slots are allocated up front: past the bound New
 		// refuses rather than dies in the ring's constructor.
-		{Stream: core.Config{Mu: 10}, LagWindow: MaxLagWindow + 1},
-		{Stream: core.Config{Mu: 10}, LagWindow: 1 << 40},
-		{Stream: core.Config{Mu: 10}, Policy: Policy(9)},
-		{Stream: core.Config{Mu: 10}, StreamID: "this-stream-id-is-far-too-long"},
-		{Stream: core.Config{Mu: 10}, PathWriteBuffer: -1},
-		{Stream: core.Config{Mu: 10}, MaxSubscribers: -1},
-		{Stream: core.Config{Mu: 10}, MaxConns: -1},
-		{Stream: core.Config{Mu: 10}, MaxBytes: -1},
-		{Stream: core.Config{Mu: 10}, JoinTimeout: -time.Second},
-		{Stream: core.Config{Mu: 10}, HandshakeLimit: -1},
+		{Stream: wire.Config{Mu: 10}, LagWindow: MaxLagWindow + 1},
+		{Stream: wire.Config{Mu: 10}, LagWindow: 1 << 40},
+		{Stream: wire.Config{Mu: 10}, Policy: Policy(9)},
+		{Stream: wire.Config{Mu: 10}, StreamID: "this-stream-id-is-far-too-long"},
+		{Stream: wire.Config{Mu: 10}, PathWriteBuffer: -1},
+		{Stream: wire.Config{Mu: 10}, MaxSubscribers: -1},
+		{Stream: wire.Config{Mu: 10}, MaxConns: -1},
+		{Stream: wire.Config{Mu: 10}, MaxBytes: -1},
+		{Stream: wire.Config{Mu: 10}, JoinTimeout: -time.Second},
+		{Stream: wire.Config{Mu: 10}, HandshakeLimit: -1},
 	}
 	for i, cfg := range bad {
 		if h, err := New(cfg); err == nil {
@@ -457,7 +458,7 @@ func TestHubConfigValidation(t *testing.T) {
 			t.Errorf("config %d accepted", i)
 		}
 	}
-	if err := (Config{Stream: core.Config{Mu: 10}, LagWindow: MaxLagWindow}).Validate(); err != nil {
+	if err := (Config{Stream: wire.Config{Mu: 10}, LagWindow: MaxLagWindow}).Validate(); err != nil {
 		t.Errorf("lag window at the bound refused: %v", err)
 	}
 }
@@ -467,7 +468,7 @@ func TestHubConfigValidation(t *testing.T) {
 // join.
 func TestHubLateJoiner(t *testing.T) {
 	const count = 600
-	h, err := New(Config{Stream: core.Config{Mu: 600, PayloadSize: 64, Count: count}})
+	h, err := New(Config{Stream: wire.Config{Mu: 600, PayloadSize: 64, Count: count}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"time"
 	"unsafe"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // Lease lifecycle: a zero-copy sender borrows its batch workspace from the
@@ -25,11 +25,14 @@ const leasePayload = 32
 
 // leaseConn is an in-process path connection that takes vectored writes
 // natively. A non-nil gate blocks every vectored write until it is closed
-// (or the conn is); failAt > 0 fails the failAt-th vectored write.
+// (or the conn is); failAt > 0 fails the failAt-th vectored write. A lost
+// conn is one whose peer is gone: its vectored writes are taken but never
+// delivered, and its end-marker write fails.
 type leaseConn struct {
 	gate    chan struct{}
 	entered chan struct{} // one token per vectored write that reached the conn
 	failAt  int64
+	lost    bool
 
 	writes atomic.Int64 // vectored writes that reached the conn
 	frames atomic.Int64 // frames carried by the ones that succeeded
@@ -68,6 +71,10 @@ func (c *leaseConn) WriteBuffers(bufs net.Buffers) (int64, error) {
 	var written int64
 	for i := 1; i < len(bufs); i += 2 {
 		p := bufs[i]
+		if c.lost {
+			written += int64(len(bufs[i-1]) + len(p))
+			continue
+		}
 		for j := range p {
 			if p[j]-p[0] != byte(j) { // ownFill: byte j is pkt*16+j
 				c.torn.Add(1)
@@ -76,7 +83,9 @@ func (c *leaseConn) WriteBuffers(bufs net.Buffers) (int64, error) {
 		}
 		written += int64(len(bufs[i-1]) + len(p))
 	}
-	c.frames.Add(int64(len(bufs) / 2))
+	if !c.lost {
+		c.frames.Add(int64(len(bufs) / 2))
+	}
 	return written, nil
 }
 
@@ -86,8 +95,11 @@ func (c *leaseConn) Write(p []byte) (int, error) {
 		return 0, net.ErrClosed
 	default:
 	}
-	if len(p) == core.FrameHeaderSize+leasePayload {
-		if pkt, _, err := core.ParseFrameHeader(p); err == nil && pkt == core.EndMarker {
+	if len(p) == wire.FrameHeaderSize+leasePayload {
+		if pkt, _, err := wire.ParseFrameHeader(p); err == nil && pkt == wire.EndMarker {
+			if c.lost {
+				return 0, errLeaseConnWrite
+			}
 			c.ended.Store(true)
 		}
 	}
@@ -105,7 +117,7 @@ func (c *leaseConn) SetWriteDeadline(time.Time) error { return nil }
 // through PublishAt, so every sender parks between publishes.
 func leaseHub(t *testing.T, cfg Config) *Hub {
 	t.Helper()
-	cfg.Stream = core.Config{Mu: 1000, PayloadSize: leasePayload}
+	cfg.Stream = wire.Config{Mu: 1000, PayloadSize: leasePayload}
 	cfg.ExternalSource = true
 	cfg.Shards = 1
 	cfg.PoisonPool = true
@@ -132,10 +144,10 @@ func publish(t *testing.T, h *Hub, from, to int64) {
 	}
 }
 
-func attach(t *testing.T, h *Hub, conn net.Conn) core.Token {
+func attach(t *testing.T, h *Hub, conn net.Conn) wire.Token {
 	t.Helper()
 	tok := newToken(t)
-	if err := h.AttachJoined(conn, core.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+	if err := h.AttachJoined(conn, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
 		t.Fatal(err)
 	}
 	return tok
@@ -241,7 +253,7 @@ func TestLeaseGracefulDrain(t *testing.T) {
 
 // blockedWriter attaches a path whose vectored write blocks and publishes
 // until that write is in flight, holding a lease.
-func blockedWriter(t *testing.T, h *Hub) (*leaseConn, core.Token) {
+func blockedWriter(t *testing.T, h *Hub) (*leaseConn, wire.Token) {
 	t.Helper()
 	slow := newLeaseConn()
 	slow.gate = make(chan struct{})
@@ -315,7 +327,7 @@ func TestLeaseWriteErrorRecentIsCopy(t *testing.T) {
 	tok := newToken(t)
 	// An absolute join starts at the ring tail, so the first batch carries
 	// packets 0..2 in one write.
-	if err := h.AttachJoined(conn, core.Join{StreamID: h.cfg.StreamID, Token: tok, Flags: core.JoinFlagAbsolute}); err != nil {
+	if err := h.AttachJoined(conn, wire.Join{StreamID: h.cfg.StreamID, Token: tok, Flags: wire.JoinFlagAbsolute}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "first batch", func() bool { return conn.frames.Load() == 3 })
@@ -446,7 +458,7 @@ func TestLeaseStockDecays(t *testing.T) {
 // trip or a double put.
 func TestLeaseChurnRace(t *testing.T) {
 	h, err := New(Config{
-		Stream:     core.Config{Mu: 4000, PayloadSize: leasePayload, Fill: ownFill},
+		Stream:     wire.Config{Mu: 4000, PayloadSize: leasePayload, Fill: ownFill},
 		LagWindow:  64,
 		Shards:     1,
 		PoisonPool: true,
@@ -477,7 +489,7 @@ func TestLeaseChurnRace(t *testing.T) {
 				}
 			}()
 		}
-		if err := h.AttachJoined(c, core.Join{StreamID: h.cfg.StreamID, Token: newToken(t)}); err != nil {
+		if err := h.AttachJoined(c, wire.Join{StreamID: h.cfg.StreamID, Token: newToken(t)}); err != nil {
 			t.Error(err)
 		}
 		mu.Lock()
@@ -533,7 +545,7 @@ func batchBytes(b *batch) uintptr {
 	n := unsafe.Sizeof(*b)
 	if &b.bufs[0] != &b.one.bufs[0] {
 		perFrame := unsafe.Sizeof(b.bufs[0]) + unsafe.Sizeof(b.seqs[0]) + unsafe.Sizeof(b.gens[0]) +
-			core.FrameHeaderSize + 2*unsafe.Sizeof(b.wb[0])
+			wire.FrameHeaderSize + 2*unsafe.Sizeof(b.wb[0])
 		n += uintptr(len(b.bufs)) * perFrame
 	}
 	return n
@@ -600,7 +612,7 @@ func TestBatchStockFootprint(t *testing.T) {
 		publish(t, h, 0, behind)
 		conn := newLeaseConn()
 		// An absolute join starts at the ring tail: 32 frames behind.
-		if err := h.AttachJoined(conn, core.Join{StreamID: h.cfg.StreamID, Token: newToken(t), Flags: core.JoinFlagAbsolute}); err != nil {
+		if err := h.AttachJoined(conn, wire.Join{StreamID: h.cfg.StreamID, Token: newToken(t), Flags: wire.JoinFlagAbsolute}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "the catch-up", func() bool { return conn.frames.Load() == behind && stock(t, sd) == 1 })

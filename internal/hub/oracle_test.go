@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // The reference side of the maintained state: full scans over sd.subs, the
@@ -72,7 +72,7 @@ func scanAccount(h *Hub, head int64) (total, minNeed, worstHeld int64) {
 		minNeed, worstHeld = min(minNeed, sc.need), max(worstHeld, sc.worstHeld)
 		hdrFrames += sc.nsubs*head - sc.curSum + sc.resendSum
 	}
-	total = (head-minNeed)*int64(h.cfg.Stream.PayloadSize) + hdrFrames*core.FrameHeaderSize
+	total = (head-minNeed)*int64(h.cfg.Stream.PayloadSize) + hdrFrames*wire.FrameHeaderSize
 	return total, minNeed, worstHeld
 }
 

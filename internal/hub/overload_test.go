@@ -9,15 +9,16 @@ import (
 	"time"
 
 	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // joinOK dials one path, writes the join and requires the stream header
 // back: the join was admitted.
-func joinOK(t *testing.T, addr, streamID string, tok core.Token, rcvBuf int) net.Conn {
+func joinOK(t *testing.T, addr, streamID string, tok wire.Token, rcvBuf int) net.Conn {
 	t.Helper()
 	c := dial(t, addr, streamID, tok, rcvBuf)
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := core.ReadStreamHeader(c); err != nil {
+	if _, _, err := wire.ReadStreamHeader(c); err != nil {
 		c.Close()
 		t.Fatalf("join not admitted: %v", err)
 	}
@@ -28,12 +29,12 @@ func joinOK(t *testing.T, addr, streamID string, tok core.Token, rcvBuf int) net
 // joinErr dials one path, writes the join and returns the typed error the
 // hub answered with (nil means the join was, unexpectedly, admitted — the
 // connection is closed either way).
-func joinErr(t *testing.T, addr, streamID string, tok core.Token) error {
+func joinErr(t *testing.T, addr, streamID string, tok wire.Token) error {
 	t.Helper()
 	c := dial(t, addr, streamID, tok, 0)
 	defer c.Close()
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, _, err := core.ReadStreamHeader(c)
+	_, _, err := wire.ReadStreamHeader(c)
 	return err
 }
 
@@ -51,11 +52,11 @@ func waitStats(t *testing.T, h *Hub, what string, pred func(Stats) bool) {
 
 // TestHubAdmissionRejects walks every admission refusal over the wire:
 // each refused join must carry the matching DMPR code (surfacing as the
-// typed core sentinel client-side), increment Stats.Rejected exactly once,
+// typed wire sentinel client-side), increment Stats.Rejected exactly once,
 // and leave admitted subscribers untouched.
 func TestHubAdmissionRejects(t *testing.T) {
 	h, err := New(Config{
-		Stream:         core.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30},
+		Stream:         wire.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30},
 		StreamID:       "adm",
 		MaxSubscribers: 1,
 		MaxConns:       3,
@@ -77,13 +78,13 @@ func TestHubAdmissionRejects(t *testing.T) {
 	defer a1.Close()
 
 	var wantRejected int64
-	expectReject := func(name, streamID string, tok core.Token, sentinel error) {
+	expectReject := func(name, streamID string, tok wire.Token, sentinel error) {
 		t.Helper()
 		err := joinErr(t, addr, streamID, tok)
 		if err == nil {
 			t.Fatalf("%s: join admitted", name)
 		}
-		if !errors.Is(err, core.ErrRejected) {
+		if !errors.Is(err, wire.ErrRejected) {
 			t.Fatalf("%s: not a typed reject: %v", name, err)
 		}
 		if !errors.Is(err, sentinel) {
@@ -97,8 +98,8 @@ func TestHubAdmissionRejects(t *testing.T) {
 
 	// A second subscriber is over MaxSubscribers; a wrong stream id is
 	// refused regardless of capacity.
-	expectReject("fresh token past MaxSubscribers", "adm", newToken(t), core.ErrServerFull)
-	expectReject("unknown stream id", "not-adm", newToken(t), core.ErrUnknownStream)
+	expectReject("fresh token past MaxSubscribers", "adm", newToken(t), wire.ErrServerFull)
+	expectReject("unknown stream id", "not-adm", newToken(t), wire.ErrUnknownStream)
 
 	// Additional paths of the admitted token are exempt from the
 	// subscriber cap...
@@ -107,21 +108,21 @@ func TestHubAdmissionRejects(t *testing.T) {
 	a3 := joinOK(t, addr, "adm", tokA, 0)
 	defer a3.Close()
 	// ...but not from MaxConns: the fourth connection overall is refused.
-	expectReject("admitted token past MaxConns", "adm", tokA, core.ErrServerFull)
+	expectReject("admitted token past MaxConns", "adm", tokA, wire.ErrServerFull)
 
 	// The full client stack surfaces the same typed error from Run.
 	cl := &core.Client{
 		Dial: func(int) (net.Conn, error) { return net.Dial("tcp", addr) },
-		Join: &core.Join{StreamID: "adm", Token: newToken(t)},
+		Join: &wire.Join{StreamID: "adm", Token: newToken(t)},
 	}
-	if _, err := cl.Run(); !errors.Is(err, core.ErrServerFull) {
+	if _, err := cl.Run(); !errors.Is(err, wire.ErrServerFull) {
 		t.Fatalf("client Run past MaxSubscribers: %v, want ErrServerFull", err)
 	}
 	wantRejected++
 
 	// Draining closes admission for fresh tokens before any capacity check.
 	h.BeginDrain()
-	expectReject("fresh token while draining", "adm", newToken(t), core.ErrDraining)
+	expectReject("fresh token while draining", "adm", newToken(t), wire.ErrDraining)
 
 	st := h.Stats()
 	if st.Rejected != wantRejected {
@@ -151,7 +152,7 @@ func TestHubOverloadDegradation(t *testing.T) {
 		maxBytes = 16384 // ~146 frames of 112 bytes
 	)
 	h, err := New(Config{
-		Stream:          core.Config{Mu: mu, PayloadSize: payload, Count: count},
+		Stream:          wire.Config{Mu: mu, PayloadSize: payload, Count: count},
 		StreamID:        "over",
 		LagWindow:       lagWin,
 		Policy:          DropOldest,
@@ -184,7 +185,7 @@ func TestHubOverloadDegradation(t *testing.T) {
 	resCh := make(chan result, 1)
 	cl := &core.Client{
 		Dial: func(int) (net.Conn, error) { return net.Dial("tcp", addr) },
-		Join: &core.Join{StreamID: "over", Token: newToken(t)},
+		Join: &wire.Join{StreamID: "over", Token: newToken(t)},
 	}
 	go func() {
 		tr, err := cl.Run()
@@ -196,7 +197,7 @@ func TestHubOverloadDegradation(t *testing.T) {
 
 	// Excess joiners: both must get the typed server-full verdict.
 	for i := 0; i < 2; i++ {
-		if err := joinErr(t, addr, "over", newToken(t)); !errors.Is(err, core.ErrServerFull) {
+		if err := joinErr(t, addr, "over", newToken(t)); !errors.Is(err, wire.ErrServerFull) {
 			t.Fatalf("excess joiner %d: %v, want ErrServerFull", i, err)
 		}
 	}
@@ -255,7 +256,7 @@ func TestHubOverloadDegradation(t *testing.T) {
 // everyone within the deadline.
 func TestHubDrainGraceful(t *testing.T) {
 	h, err := New(Config{
-		Stream:   core.Config{Mu: 300, PayloadSize: 48, Count: 1 << 30},
+		Stream:   wire.Config{Mu: 300, PayloadSize: 48, Count: 1 << 30},
 		StreamID: "drain",
 	})
 	if err != nil {
@@ -280,7 +281,7 @@ func TestHubDrainGraceful(t *testing.T) {
 	cl := &core.Client{
 		Dial:  func(int) (net.Conn, error) { return net.Dial("tcp", addr) },
 		Paths: 2,
-		Join:  &core.Join{StreamID: "drain", Token: newToken(t)},
+		Join:  &wire.Join{StreamID: "drain", Token: newToken(t)},
 	}
 	go func() {
 		tr, err := cl.Run()
@@ -316,7 +317,7 @@ func TestHubDrainGraceful(t *testing.T) {
 		t.Fatal("Draining() false after BeginDrain")
 	}
 	// Fresh tokens are refused...
-	if err := joinErr(t, addr, "drain", newToken(t)); !errors.Is(err, core.ErrDraining) {
+	if err := joinErr(t, addr, "drain", newToken(t)); !errors.Is(err, wire.ErrDraining) {
 		t.Fatalf("fresh join while draining: %v, want ErrDraining", err)
 	}
 	// ...but a live token may still add (heal) a path mid-drain.
@@ -341,7 +342,7 @@ func TestHubDrainGraceful(t *testing.T) {
 	drainers.Wait()
 
 	// The hub is stopped now: late joins get the stream-ended verdict.
-	if err := joinErr(t, addr, "drain", newToken(t)); !errors.Is(err, core.ErrStreamOver) {
+	if err := joinErr(t, addr, "drain", newToken(t)); !errors.Is(err, wire.ErrStreamOver) {
 		t.Fatalf("join after drain: %v, want ErrStreamOver", err)
 	}
 }
@@ -350,7 +351,7 @@ func TestHubDrainGraceful(t *testing.T) {
 // Drain reports the missed deadline and force-closes.
 func TestHubDrainTimeout(t *testing.T) {
 	h, err := New(Config{
-		Stream:          core.Config{Mu: 800, PayloadSize: 1024, Count: 1 << 30},
+		Stream:          wire.Config{Mu: 800, PayloadSize: 1024, Count: 1 << 30},
 		StreamID:        "stuck",
 		PathWriteBuffer: 4096,
 	})

@@ -8,7 +8,7 @@ import (
 	"time"
 	"unsafe"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // TestRingCopyAtIngest pins the ingest half of the buffer-ownership
@@ -104,7 +104,7 @@ func TestResendRingRetainsNoPayloadAliases(t *testing.T) {
 func TestPayloadAliasScan(t *testing.T) {
 	h := ownershipHub(t, 8, 8, 4)
 	sd := h.shards[0]
-	tok, err := core.NewToken()
+	tok, err := wire.NewToken()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func ownWant(pkt uint32, n int) []byte {
 func ownershipHub(t *testing.T, count int64, payloadSize, lagWindow int) *Hub {
 	t.Helper()
 	h, err := New(Config{
-		Stream:     core.Config{Mu: 5000, PayloadSize: payloadSize, Count: count, Fill: ownFill},
+		Stream:     wire.Config{Mu: 5000, PayloadSize: payloadSize, Count: count, Fill: ownFill},
 		LagWindow:  lagWindow,
 		Shards:     1,
 		PoisonPool: true,
@@ -213,7 +213,7 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 	sd := h.shards[0]
 
 	mkSub := func(cur int64) *subscriber {
-		tok, err := core.NewToken()
+		tok, err := wire.NewToken()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestReattachResendReplayFromPool(t *testing.T) {
 	// now holds 8..11.
 	h := ownershipHub(t, 12, payloadSize, 4)
 	sd := h.shards[0]
-	tok, err := core.NewToken()
+	tok, err := wire.NewToken()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,21 +329,21 @@ func TestReattachResendReplayFromPool(t *testing.T) {
 	}
 	h.releaseBatch(b)
 
-	wire := conn.buf.Bytes()
-	frameSize := core.FrameHeaderSize + payloadSize
-	if len(wire) != 2*frameSize {
-		t.Fatalf("writeBatch wrote %d bytes, want %d", len(wire), 2*frameSize)
+	out := conn.buf.Bytes()
+	frameSize := wire.FrameHeaderSize + payloadSize
+	if len(out) != 2*frameSize {
+		t.Fatalf("writeBatch wrote %d bytes, want %d", len(out), 2*frameSize)
 	}
 	for i, seq := range []int64{9, 10} {
-		frame := wire[i*frameSize : (i+1)*frameSize]
-		pkt, _, err := core.ParseFrameHeader(frame)
+		frame := out[i*frameSize : (i+1)*frameSize]
+		pkt, _, err := wire.ParseFrameHeader(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := uint32(seq - sub.first); pkt != want {
 			t.Fatalf("replayed seq %d renumbered to %d, want %d", seq, pkt, want)
 		}
-		if got, want := frame[core.FrameHeaderSize:], ownWant(uint32(seq), payloadSize); !bytes.Equal(got, want) {
+		if got, want := frame[wire.FrameHeaderSize:], ownWant(uint32(seq), payloadSize); !bytes.Equal(got, want) {
 			t.Fatalf("replayed seq %d payload %v, want %v (byte-exact conservation)", seq, got, want)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // The oracle property test: a seeded random interleaving of everything
@@ -83,7 +83,7 @@ func (c *propConn) SetWriteDeadline(time.Time) error { return nil }
 
 // propSub is the test's record of one subscription it created.
 type propSub struct {
-	tok   core.Token
+	tok   wire.Token
 	conns []*propConn // every conn ever attached under the token, dead ones included
 }
 
@@ -325,7 +325,7 @@ func (w *propWorld) attach(s *propSub) {
 		c.set(true, false) // stalled from the start: even its stream header blocks
 	}
 	// A refusal (evicted token) is a legitimate outcome, not a failure.
-	if err := w.h.AttachJoined(c, core.Join{StreamID: w.h.cfg.StreamID, Token: s.tok}); err == nil {
+	if err := w.h.AttachJoined(c, wire.Join{StreamID: w.h.cfg.StreamID, Token: s.tok}); err == nil {
 		s.conns = append(s.conns, c)
 	}
 }

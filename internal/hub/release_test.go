@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // The generator's ring keeps a payload only from the oldest packet a
@@ -87,26 +87,26 @@ func (c *frameConn) seqs(t *testing.T, first int64, payload int) []int64 {
 	c.mu.Lock()
 	r := bytes.NewReader(append([]byte(nil), c.buf.Bytes()...))
 	c.mu.Unlock()
-	if _, _, err := core.ReadStreamHeader(r); err != nil {
+	if _, _, err := wire.ReadStreamHeader(r); err != nil {
 		t.Fatal(err)
 	}
 	var out []int64
-	frame := make([]byte, core.FrameHeaderSize+payload)
+	frame := make([]byte, wire.FrameHeaderSize+payload)
 	want := make([]byte, payload)
 	for r.Len() > 0 {
 		if _, err := r.Read(frame); err != nil {
 			t.Fatal(err)
 		}
-		pkt, _, err := core.ParseFrameHeader(frame)
+		pkt, _, err := wire.ParseFrameHeader(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pkt == core.EndMarker {
+		if pkt == wire.EndMarker {
 			break
 		}
 		seq := first + int64(pkt)
-		if fillNumbered(uint32(seq), want); !bytes.Equal(frame[core.FrameHeaderSize:], want) {
-			t.Fatalf("frame %d carries %x, want %x", seq, frame[core.FrameHeaderSize:], want)
+		if fillNumbered(uint32(seq), want); !bytes.Equal(frame[wire.FrameHeaderSize:], want) {
+			t.Fatalf("frame %d carries %x, want %x", seq, frame[wire.FrameHeaderSize:], want)
 		}
 		out = append(out, seq)
 	}
@@ -149,12 +149,12 @@ func TestGeneratorRingHoldsWhatIsNeeded(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	heap0 := heap()
-	h, err := New(Config{Stream: core.Config{Mu: 300, PayloadSize: 1000}, LagWindow: 150})
+	h, err := New(Config{Stream: wire.Config{Mu: 300, PayloadSize: 1000}, LagWindow: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if err := h.AttachJoined(sinkConn{}, core.Join{StreamID: "live", Token: newToken(t)}); err != nil {
+	if err := h.AttachJoined(sinkConn{}, wire.Join{StreamID: "live", Token: newToken(t)}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "600 packets", func() bool { return h.Generated() >= 600 })
@@ -179,7 +179,7 @@ func TestReleasedPacketsRenderOnce(t *testing.T) {
 		// rendered twice.
 		const count = 600
 		cf := newCountingFill()
-		h, err := New(Config{Stream: core.Config{Mu: 1000, PayloadSize: payload, Count: count, Fill: cf.fill}, LagWindow: 1024, Shards: 2})
+		h, err := New(Config{Stream: wire.Config{Mu: 1000, PayloadSize: payload, Count: count, Fill: cf.fill}, LagWindow: 1024, Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestReleasedPacketsRenderOnce(t *testing.T) {
 			waitFor(t, "the join point", func() bool { return h.Generated() >= at })
 			c := &frameConn{}
 			tok := newToken(t)
-			if err := h.AttachJoined(c, core.Join{StreamID: "live", Token: tok}); err != nil {
+			if err := h.AttachJoined(c, wire.Join{StreamID: "live", Token: tok}); err != nil {
 				t.Fatal(err)
 			}
 			sd := h.shardFor(tok)
@@ -220,7 +220,7 @@ func TestReleasedPacketsRenderOnce(t *testing.T) {
 	// settle in between.
 	hand := func(t *testing.T, cf *countingFill) *Hub {
 		h := newExternalHub(t, Config{
-			Stream:        core.Config{Mu: 250, PayloadSize: payload, Fill: cf.fill},
+			Stream:        wire.Config{Mu: 250, PayloadSize: payload, Fill: cf.fill},
 			LagWindow:     lag,
 			Shards:        1,
 			ReattachGrace: time.Minute,
@@ -241,7 +241,7 @@ func TestReleasedPacketsRenderOnce(t *testing.T) {
 		h.publishTick(0, time.Time{}, 0)
 		settle(t, h)
 	}
-	sub := func(h *Hub, tok core.Token) *subscriber {
+	sub := func(h *Hub, tok wire.Token) *subscriber {
 		sd := h.shardFor(tok)
 		sd.mu.Lock()
 		defer sd.mu.Unlock()
@@ -279,7 +279,7 @@ func TestReleasedPacketsRenderOnce(t *testing.T) {
 			tick(t, h)
 		}
 		c := &frameConn{gate: make(chan struct{})}
-		if err := h.AttachJoined(c, core.Join{StreamID: "live", Token: newToken(t)}); err != nil {
+		if err := h.AttachJoined(c, wire.Join{StreamID: "live", Token: newToken(t)}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "the header write", func() bool { return placed(t, h.shards[0]).held == 1 })
@@ -311,7 +311,7 @@ func TestReleasedPacketsRenderOnce(t *testing.T) {
 			}
 		}
 		c := &frameConn{}
-		if err := h.AttachJoined(c, core.Join{StreamID: "live", Token: newToken(t), Flags: core.JoinFlagAbsolute}); err != nil {
+		if err := h.AttachJoined(c, wire.Join{StreamID: "live", Token: newToken(t), Flags: wire.JoinFlagAbsolute}); err != nil {
 			t.Fatal(err)
 		}
 		settle(t, h)
@@ -327,7 +327,7 @@ func TestReleasedPacketsRenderOnce(t *testing.T) {
 		h := hand(t, cf)
 		tok := newToken(t)
 		a := &frameConn{}
-		if err := h.AttachJoined(a, core.Join{StreamID: "live", Token: tok}); err != nil {
+		if err := h.AttachJoined(a, wire.Join{StreamID: "live", Token: tok}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2*lag; i++ {
@@ -351,7 +351,7 @@ func TestReleasedPacketsRenderOnce(t *testing.T) {
 			}
 		}
 		b := &frameConn{}
-		if err := h.AttachJoined(b, core.Join{StreamID: "live", Token: tok}); err != nil {
+		if err := h.AttachJoined(b, wire.Join{StreamID: "live", Token: tok}); err != nil {
 			t.Fatal(err)
 		}
 		settle(t, h)
@@ -367,7 +367,7 @@ func TestReleasedPacketsRenderOnce(t *testing.T) {
 		tok := newToken(t)
 		a, b := &frameConn{}, &frameConn{}
 		for _, c := range []*frameConn{a, b} {
-			if err := h.AttachJoined(c, core.Join{StreamID: "live", Token: tok}); err != nil {
+			if err := h.AttachJoined(c, wire.Join{StreamID: "live", Token: tok}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -402,11 +402,11 @@ func TestReleasedPacketsRenderOnce(t *testing.T) {
 		// An upstream's packets cannot be rendered again: the ring keeps each
 		// one until the head laps it, however far its subscribers are, and
 		// its gaps still read as drops.
-		h := newExternalHub(t, Config{Stream: core.Config{PayloadSize: payload}, LagWindow: lag, Shards: 1})
+		h := newExternalHub(t, Config{Stream: wire.Config{PayloadSize: payload}, LagWindow: lag, Shards: 1})
 		t.Cleanup(h.Close)
 		sd := h.shards[0]
-		pace := &subscriber{token: core.Token{1}, shard: sd, window: lag}
-		behind := &subscriber{token: core.Token{2}, shard: sd, window: lag, cur: 2 * lag}
+		pace := &subscriber{token: wire.Token{1}, shard: sd, window: lag}
+		behind := &subscriber{token: wire.Token{2}, shard: sd, window: lag, cur: 2 * lag}
 		addSub(sd, pace)
 		buf := make([]byte, payload)
 		for seq := int64(0); seq < 3*lag; seq++ {

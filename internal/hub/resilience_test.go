@@ -8,6 +8,7 @@ import (
 
 	"dmpstream/internal/core"
 	"dmpstream/internal/emunet"
+	"dmpstream/internal/wire"
 )
 
 // TestHubReattachWithinGrace: a subscriber path is severed mid-stream; the
@@ -21,7 +22,7 @@ func TestHubReattachWithinGrace(t *testing.T) {
 		payload = 100
 	)
 	h, err := New(Config{
-		Stream:        core.Config{Mu: mu, PayloadSize: payload, Count: count, WriteStallTimeout: 2 * time.Second},
+		Stream:        wire.Config{Mu: mu, PayloadSize: payload, Count: count, WriteStallTimeout: 2 * time.Second},
 		StreamID:      "flap",
 		ReattachGrace: 5 * time.Second,
 		ResendWindow:  128,
@@ -53,7 +54,7 @@ func TestHubReattachWithinGrace(t *testing.T) {
 	client := &core.Client{
 		Dial:   func(k int) (net.Conn, error) { return net.Dial("tcp", addrs[k]) },
 		Paths:  2,
-		Join:   &core.Join{StreamID: "flap", Token: tok},
+		Join:   &wire.Join{StreamID: "flap", Token: tok},
 		Policy: core.RedialPolicy{Base: 400 * time.Millisecond, Multiplier: 1, Budget: 3, Seed: 11},
 	}
 	tr, err := client.Run()
@@ -85,7 +86,7 @@ func TestHubReattachWithinGrace(t *testing.T) {
 // back must be reaped after the grace window, not retained forever.
 func TestHubGraceExpires(t *testing.T) {
 	h, err := New(Config{
-		Stream:        core.Config{Mu: 200, PayloadSize: 50, WriteStallTimeout: time.Second}, // live until Stop
+		Stream:        wire.Config{Mu: 200, PayloadSize: 50, WriteStallTimeout: time.Second}, // live until Stop
 		StreamID:      "reap",
 		ReattachGrace: 200 * time.Millisecond,
 	})
@@ -128,7 +129,7 @@ func TestHubGraceExpires(t *testing.T) {
 // subscribers and no goroutine left behind.
 func TestHubReattachRacesStop(t *testing.T) {
 	h, err := New(Config{
-		Stream:        core.Config{Mu: 400, PayloadSize: 50, WriteStallTimeout: time.Second}, // live until Stop
+		Stream:        wire.Config{Mu: 400, PayloadSize: 50, WriteStallTimeout: time.Second}, // live until Stop
 		StreamID:      "race",
 		ReattachGrace: 5 * time.Second,
 		ResendWindow:  32,
@@ -146,7 +147,7 @@ func TestHubReattachRacesStop(t *testing.T) {
 	// Eight single-path subscribers; kill every path so each subscription
 	// sits in its grace window.
 	const subs = 8
-	toks := make([]core.Token, subs)
+	toks := make([]wire.Token, subs)
 	for i := range toks {
 		toks[i] = newToken(t)
 		conn := dial(t, ln.Addr().String(), "race", toks[i], 0)
@@ -179,14 +180,14 @@ func TestHubReattachRacesStop(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := range toks {
 		wg.Add(1)
-		go func(tok core.Token) {
+		go func(tok wire.Token) {
 			defer wg.Done()
 			c, err := net.Dial("tcp", ln.Addr().String())
 			if err != nil {
 				return
 			}
 			defer c.Close()
-			if err := core.WriteJoin(c, core.Join{StreamID: "race", Token: tok}); err != nil {
+			if err := wire.WriteJoin(c, wire.Join{StreamID: "race", Token: tok}); err != nil {
 				return
 			}
 			// Drain whatever the hub sends (stream or an immediate close).
@@ -226,7 +227,7 @@ func TestFinishPathDropsClosedConn(t *testing.T) {
 	// The dying path is the later attach: the slice's last element, the one
 	// a shrink-by-append leaves behind in the vacated tail slot.
 	for _, c := range []net.Conn{staying, dying} {
-		if err := h.AttachJoined(c, core.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+		if err := h.AttachJoined(c, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,7 +279,7 @@ func TestGraceExpired(t *testing.T) {
 
 	back := orphan()
 	conn := newLeaseConn()
-	if err := h.AttachJoined(conn, core.Join{StreamID: h.cfg.StreamID, Token: back.token}); err != nil {
+	if err := h.AttachJoined(conn, wire.Join{StreamID: h.cfg.StreamID, Token: back.token}); err != nil {
 		t.Fatal(err)
 	}
 	sd.graceExpired(back, 2)

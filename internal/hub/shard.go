@@ -8,8 +8,8 @@ import (
 	"slices"
 	"time"
 
-	"dmpstream/internal/core"
 	"dmpstream/internal/lockrank"
+	"dmpstream/internal/wire"
 )
 
 // subscriber is one multipath subscription: a cursor into the ring plus the
@@ -19,7 +19,7 @@ import (
 // and resend queues (see shard), so cur and resend change only through
 // advanceLocked and the resend helpers.
 type subscriber struct {
-	token core.Token
+	token wire.Token
 	shard *shard // owning shard, fixed by the token hash
 	first int64  // absolute sequence at join; frames are rebased to it
 
@@ -211,7 +211,7 @@ type shard struct {
 	h *Hub
 
 	mu    lockrank.Mutex
-	subs  map[core.Token]*subscriber // guarded by mu
+	subs  map[wire.Token]*subscriber // guarded by mu
 	wakes int64                      // guarded by mu; generator wakes (the coalescing tests' counter hook)
 	// walked counts the subscribers wake's lag walk has visited, once per
 	// path that led to one (the tick-cost tests' counter hook).
@@ -273,7 +273,7 @@ const freeTrimWakes = 256
 
 // nolint:lockguard constructor — the shard has not been shared yet
 func newShard(h *Hub) *shard {
-	sd := &shard{h: h, subs: make(map[core.Token]*subscriber), kick: make(chan struct{}, 1)}
+	sd := &shard{h: h, subs: make(map[wire.Token]*subscriber), kick: make(chan struct{}, 1)}
 	sd.mu.Init(lockrank.Shard)
 	sd.parked.init()
 	sd.woken.init()
@@ -610,13 +610,20 @@ func (sd *shard) work() {
 
 		switch step {
 		case stepHeader:
-			if err := core.WriteStreamHeader(p.conn, int(p.idx), int(p.numPaths), h.cfg.Stream.PayloadSize, h.cfg.Stream.Mu); err != nil {
+			if err := wire.WriteStreamHeader(p.conn, int(p.idx), int(p.numPaths), h.cfg.Stream.PayloadSize, h.cfg.Stream.Mu); err != nil {
 				sd.retire(p, nil, fmt.Errorf("hub: path %d header: %w", p.idx, err))
 				p = nil
 			}
 			continue
 		case stepEnd:
-			sd.retire(p, nil, h.writeEndMarker(p))
+			// A marker that fails may leave the last batches in a dead
+			// buffer too: the record goes to a sibling still writing.
+			var recent []int64
+			err := h.writeEndMarker(p)
+			if err != nil {
+				recent = p.lastWritten()
+			}
+			sd.retire(p, recent, err)
 			p = nil
 			continue
 		case stepRetire:
@@ -849,7 +856,7 @@ func (sd *shard) behindLocked(head, tail int64, exact bool) behind {
 // ranking the worst laggard reflects the payload span only it keeps
 // alive. Caller holds sd.mu.
 func (sd *shard) heldLocked(sub *subscriber, head int64) int64 {
-	frame := int64(core.FrameHeaderSize + sd.h.cfg.Stream.PayloadSize)
+	frame := int64(wire.FrameHeaderSize + sd.h.cfg.Stream.PayloadSize)
 	return (head - sub.cur + int64(len(sub.resend))) * frame
 }
 

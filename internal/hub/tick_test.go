@@ -4,10 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // What a generator tick costs: wake walks the subscribers that can be
@@ -31,10 +32,10 @@ func (sinkConn) SetWriteDeadline(time.Time) error { return nil }
 // tokens numbered from base so they spread evenly over the shards.
 func attachSinks(tb testing.TB, h *Hub, base, n int) {
 	tb.Helper()
-	var tok core.Token
+	var tok wire.Token
 	for i := 0; i < n; i++ {
 		binary.BigEndian.PutUint64(tok[:8], uint64(base+i)+1)
-		if err := h.AttachJoined(sinkConn{}, core.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+		if err := h.AttachJoined(sinkConn{}, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -169,7 +170,7 @@ func TestCatchUpBurstShedsEvenly(t *testing.T) {
 		n       = 40
 		burst   = maxTickBurst
 		payload = 32
-		hdr     = core.FrameHeaderSize
+		hdr     = wire.FrameHeaderSize
 	)
 	for _, tc := range []struct {
 		name      string
@@ -185,7 +186,7 @@ func TestCatchUpBurstShedsEvenly(t *testing.T) {
 		{"all at the floor", minShedWindow*payload + n*minShedWindow*hdr, 2 * n, map[int]int{minShedWindow: n}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newExternalHub(t, Config{Shards: 2, LagWindow: burst, MaxBytes: tc.budget, Stream: core.Config{PayloadSize: payload}})
+			h := newExternalHub(t, Config{Shards: 2, LagWindow: burst, MaxBytes: tc.budget, Stream: wire.Config{PayloadSize: payload}})
 			defer h.Close()
 			buf := make([]byte, payload)
 			seq := int64(0)
@@ -268,7 +269,7 @@ func BenchmarkPublishTick(b *testing.B) {
 				name += "/budget"
 			}
 			b.Run(name, func(b *testing.B) {
-				cfg := Config{Stream: core.Config{Mu: 250, PayloadSize: 1200}}
+				cfg := Config{Stream: wire.Config{Mu: 250, PayloadSize: 1200}}
 				if budget {
 					cfg.MaxBytes = 1 << 40
 				}
@@ -298,5 +299,85 @@ func BenchmarkPublishTick(b *testing.B) {
 				b.ReportMetric(float64(in.Nanoseconds())/float64(b.N), "tick-ns/op")
 			})
 		}
+	}
+}
+
+// BenchmarkGeneratorTick times a generator hub's tick — publishTick: the
+// rendered publish that releases the ring below the low-water mark, every
+// shard's wake, and the governor's bounded walk, which a generator tick
+// makes every time to find that mark — over 1 000 subscribers parked at
+// pace. It drives publishTick by hand on a hub with no generator
+// goroutine, as TestShardWorkAllocFree does; the shards' own workers serve
+// each tick before the next. In the behind case a tenth of the subscribers
+// are held in a write that never returns, so every tick's walks visit
+// them, the lag policy drops their oldest packets, and the mark stays at
+// the oldest packet they still need. Read tick-ns/op: ns/op also counts
+// the wait for the workers. allocs/op must read 0.
+func BenchmarkGeneratorTick(b *testing.B) {
+	const subs, lag = 1000, 64
+	for _, behind := range []int{0, subs / 10} {
+		name := "1k"
+		if behind > 0 {
+			name += "/10pct-behind"
+		}
+		b.Run(name, func(b *testing.B) {
+			h := newExternalHub(b, Config{
+				Stream:    wire.Config{Mu: 250, PayloadSize: 1200, Fill: func(uint32, []byte) {}},
+				LagWindow: lag,
+			})
+			defer h.Close()
+			gate := make(chan struct{})
+			defer close(gate)
+			attachSinks(b, h, 0, subs-behind)
+			var tok wire.Token
+			for i := 0; i < behind; i++ {
+				binary.BigEndian.PutUint64(tok[:8], uint64(subs+i)+1)
+				c := newLeaseConn()
+				c.gate = gate
+				if err := h.AttachJoined(c, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			waitParked(b, h, subs)
+			// served reports, without allocating, whether the workers are
+			// done with the last tick: nothing queued, and no worker out
+			// but the ones held in the behind subscribers' writes.
+			held := 0
+			served := func() bool {
+				out := 0
+				for _, sd := range h.shards {
+					sd.mu.Lock()
+					queued := sd.queuedLocked()
+					out += sd.busy
+					sd.mu.Unlock()
+					if queued {
+						return false
+					}
+				}
+				return out == held
+			}
+			var n int64
+			tick := func() time.Duration {
+				for !served() {
+					runtime.Gosched()
+				}
+				t0 := time.Now()
+				n += h.publishTick(n, time.Time{}, 0)
+				took := time.Since(t0)
+				held = behind // from the first tick on, each is out on a write
+				return took
+			}
+			for i := 0; i < 2*lag; i++ {
+				tick() // the lag policy starts dropping, pools fill, workers start
+			}
+			var in time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				in += tick()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(in.Nanoseconds())/float64(b.N), "tick-ns/op")
+		})
 	}
 }

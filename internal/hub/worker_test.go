@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // Path and worker lifecycle: a path is an entry that is parked, queued on
@@ -139,7 +139,7 @@ func TestPathExitRoutes(t *testing.T) {
 		}
 		// The token survived: a redial resumes the subscription.
 		again := newLeaseConn()
-		if err := h.AttachJoined(again, core.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+		if err := h.AttachJoined(again, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
 			t.Fatal(err)
 		}
 		publish(t, h, 0, 2)
@@ -165,7 +165,7 @@ func TestPathExitRoutes(t *testing.T) {
 			t.Fatal("subscription did not outlive its last path")
 		}
 		second := newLeaseConn()
-		if err := h.AttachJoined(second, core.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+		if err := h.AttachJoined(second, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
 			t.Fatal(err)
 		}
 		// Everything the dead path wrote last, plus the packet in its hand,
@@ -200,7 +200,7 @@ func TestTwoPathsTakeTurns(t *testing.T) {
 		return func() bool { return a.frames.Load()+b.frames.Load() == n && parkedAll() }
 	}
 	for i, c := range []net.Conn{a, b} {
-		if err := h.AttachJoined(c, core.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+		if err := h.AttachJoined(c, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "the attached path to park", func() bool { return h.ConnCount() == i+1 && parkedAll() })
@@ -259,7 +259,7 @@ func TestDrainDeathResendsOnSibling(t *testing.T) {
 	b.failAt = 1
 	tok := newToken(t)
 	for i, c := range []net.Conn{a, b} {
-		if err := h.AttachJoined(c, core.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+		if err := h.AttachJoined(c, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "the attached path to park", func() bool { return h.ConnCount() == i+1 && placed(t, sd).parked == i+1 })
@@ -290,6 +290,52 @@ func TestDrainDeathResendsOnSibling(t *testing.T) {
 	}
 	if st := h.Stats(); st.PathErrors != 1 || st.Resent != 1 {
 		t.Fatalf("path errors %d, resent %d; want the one injected failure and its one packet", st.PathErrors, st.Resent)
+	}
+	checkQuiesced(t, h, 2)
+}
+
+// TestEndMarkerFailureResendsOnSibling: a path whose end-marker write fails
+// may have lost its last batches with it, taken by a dead buffer and never
+// delivered, so its resend record goes to a sibling that is still writing,
+// which serves it before its own marker. Path a's last batch is swallowed
+// and its marker write fails while b is held in its last data write.
+func TestEndMarkerFailureResendsOnSibling(t *testing.T) {
+	h := leaseHub(t, Config{})
+	sd := h.shards[0]
+	a, b := newLeaseConn(), newLeaseConn()
+	a.gate, b.gate = make(chan struct{}), make(chan struct{})
+	a.lost = true
+	tok := newToken(t)
+	for i, c := range []net.Conn{a, b} {
+		if err := h.AttachJoined(c, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the attached path to park", func() bool { return h.ConnCount() == i+1 && placed(t, sd).parked == i+1 })
+	}
+	entered := func(c *leaseConn) {
+		t.Helper()
+		select {
+		case <-c.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a path never reached its write")
+		}
+	}
+	// a takes packet 0 and b packet 1; both block, and the stream stops.
+	publish(t, h, 0, 1)
+	entered(a)
+	publish(t, h, 1, 2)
+	entered(b)
+	h.Stop()
+	close(a.gate) // packet 0 is swallowed, then a's end marker fails
+	waitFor(t, "the failed path to retire", func() bool { return h.ConnCount() == 1 })
+	close(b.gate)
+	h.Wait()
+	if !b.ended.Load() || b.frames.Load() != 2 || b.torn.Load() != 0 {
+		t.Fatalf("the sibling delivered %d of 2 frames (end marker %v, torn %d): packets the failed path wrote last are missing",
+			b.frames.Load(), b.ended.Load(), b.torn.Load())
+	}
+	if st := h.Stats(); st.PathErrors != 1 || st.Resent != 1 {
+		t.Fatalf("path errors %d, resent %d; want the failed marker and its one packet", st.PathErrors, st.Resent)
 	}
 	checkQuiesced(t, h, 2)
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // keptFrame is one [header, payload] pair a vectored write carried: the
@@ -70,7 +70,7 @@ func TestZeroCopyDeliveryAliasesRing(t *testing.T) {
 	}
 	h.ring.mu.RLock()
 	for _, f := range kept {
-		pkt, _, err := core.ParseFrameHeader(f.hdr)
+		pkt, _, err := wire.ParseFrameHeader(f.hdr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,9 +85,9 @@ func TestZeroCopyDeliveryAliasesRing(t *testing.T) {
 	h.ring.mu.RUnlock()
 
 	copied, _, batched := h.DeliveryCounters()
-	if batched != frames || copied != frames*core.FrameHeaderSize {
+	if batched != frames || copied != frames*wire.FrameHeaderSize {
 		t.Errorf("delivery copied %d bytes for %d frames, want %d (headers only)",
-			copied, batched, frames*core.FrameHeaderSize)
+			copied, batched, frames*wire.FrameHeaderSize)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestZeroCopyDeliveryAliasesRing(t *testing.T) {
 // so a peer that stops reading cannot pin a shard worker forever.
 func TestWritevArmsStallDeadline(t *testing.T) {
 	h, err := New(Config{
-		Stream:         core.Config{Mu: 1000, PayloadSize: leasePayload, WriteStallTimeout: time.Minute},
+		Stream:         wire.Config{Mu: 1000, PayloadSize: leasePayload, WriteStallTimeout: time.Minute},
 		ExternalSource: true,
 		Shards:         1,
 		LagWindow:      32,

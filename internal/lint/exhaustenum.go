@@ -1,7 +1,7 @@
 // Exhaustive-switch analysis over the repo's enum types.
 //
 // The module's behavior ladders are iota enums: core.PathState drives
-// the path health machine, core.RejectCode the DMPR overload protocol,
+// the path health machine, wire.RejectCode the DMPR overload protocol,
 // emunet.FaultKind the scripted fault injector, hub.Policy the lag
 // ladder, chaos.Kind the soak schedule's events. Adding a member to any of
 // them must force every switch that dispatches on the type to take a

@@ -17,8 +17,8 @@ import (
 	"testing"
 	"time"
 
-	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
+	"dmpstream/internal/wire"
 )
 
 // vecSink is a net.Conn that takes vectored writes natively, like the
@@ -50,7 +50,7 @@ func (s *vecSink) SetWriteDeadline(time.Time) error { return nil }
 func TestRoutedVectoredWriteAllocFree(t *testing.T) {
 	const payloadSize, lagWindow = 64, 8
 	r, err := New(Config{Hub: hub.Config{
-		Stream:         core.Config{Mu: 500, PayloadSize: payloadSize},
+		Stream:         wire.Config{Mu: 500, PayloadSize: payloadSize},
 		LagWindow:      lagWindow,
 		Shards:         1,
 		ExternalSource: true,
@@ -64,7 +64,7 @@ func TestRoutedVectoredWriteAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &vecSink{frames: make(chan int, 1)}
-	if err := r.Route(sink, core.Join{StreamID: "live", Token: newToken(t)}); err != nil {
+	if err := r.Route(sink, wire.Join{StreamID: "live", Token: newToken(t)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,7 +98,7 @@ func TestRoutedVectoredWriteAllocFree(t *testing.T) {
 func TestRouteReattachAllocs(t *testing.T) {
 	const runs = 100
 	r, err := New(Config{MaxSubscribers: 1, Hub: hub.Config{
-		Stream:         core.Config{Mu: 500, PayloadSize: 64},
+		Stream:         wire.Config{Mu: 500, PayloadSize: 64},
 		Shards:         1,
 		ExternalSource: true,
 	}})
@@ -110,7 +110,7 @@ func TestRouteReattachAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	join := core.Join{StreamID: "live", Token: newToken(t)}
+	join := wire.Join{StreamID: "live", Token: newToken(t)}
 	route := func() {
 		if err := r.Route(&vecSink{frames: make(chan int, 1)}, join); err != nil {
 			t.Fatal(err)

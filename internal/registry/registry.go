@@ -37,9 +37,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
 	"dmpstream/internal/lockrank"
+	"dmpstream/internal/wire"
 )
 
 // Sentinel errors for stream lifecycle misuse.
@@ -187,7 +187,7 @@ func writeBuffersTo(w io.Writer, bufs net.Buffers) (int64, error) {
 // returns ErrStreamEnded, so late joiners of the old stream can still be
 // told it ended rather than be spliced into an unrelated successor.
 func (r *Registry) Create(id string) (*hub.Hub, error) {
-	if err := core.ValidateStreamID(id); err != nil {
+	if err := wire.ValidateStreamID(id); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
 	r.mu.Lock()
@@ -352,7 +352,7 @@ func (r *Registry) allHubsLocked() []*hub.Hub {
 // Attach performs the join handshake on conn and routes the connection to
 // the stream its join names. It closes conn on any error; refusals answer
 // with the typed reject frame and the returned error unwraps to the
-// matching core sentinel.
+// matching wire sentinel.
 func (r *Registry) Attach(conn net.Conn) error { return r.acc.Attach(conn) }
 
 // Route admits a connection whose join has already been read: look the
@@ -361,7 +361,7 @@ func (r *Registry) Attach(conn net.Conn) error { return r.acc.Attach(conn) }
 // never a reject write or the hub attach — so refused or slow clients on
 // one stream cannot stall routing for the others. A redialing path storm
 // lands here once per reconnect attempt.
-func (r *Registry) Route(conn net.Conn, j core.Join) error {
+func (r *Registry) Route(conn net.Conn, j wire.Join) error {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		// The hub's own TCP tuning can't reach through the counting
 		// wrapper, so apply it here, from the same template every hub got.
@@ -374,7 +374,7 @@ func (r *Registry) Route(conn net.Conn, j core.Join) error {
 	if r.closed.Load() {
 		r.mu.Unlock()
 		r.streamEnded.Add(1)
-		r.acc.Reject(conn, core.RejectStreamEnded)
+		r.acc.Reject(conn, wire.RejectStreamEnded)
 		return ErrClosed
 	}
 	h, live := r.streams[j.StreamID]
@@ -384,23 +384,23 @@ func (r *Registry) Route(conn net.Conn, j core.Join) error {
 		if ended {
 			r.streamEnded.Add(1)
 			return fmt.Errorf("%w: %s: %s", ErrStreamEnded, j.StreamID,
-				r.acc.Reject(conn, core.RejectStreamEnded))
+				r.acc.Reject(conn, wire.RejectStreamEnded))
 		}
 		r.unknownStream.Add(1)
 		return fmt.Errorf("%w: %q: %s", ErrUnknownStream, j.StreamID,
-			r.acc.Reject(conn, core.RejectUnknownStream))
+			r.acc.Reject(conn, wire.RejectUnknownStream))
 	}
 	if r.draining && !h.HasSubscriber(j.Token) {
 		// Draining answers before any capacity check, like the hub's own
 		// admission order: a fresh token during drain is told the truth
 		// (draining), not a coincidental server-full.
 		r.mu.Unlock()
-		return fmt.Errorf("registry: draining: %w", r.acc.Reject(conn, core.RejectDraining))
+		return fmt.Errorf("registry: draining: %w", r.acc.Reject(conn, wire.RejectDraining))
 	}
 	if r.cfg.MaxConns > 0 && int(r.connCount.Load()) >= r.cfg.MaxConns {
 		r.mu.Unlock()
 		return fmt.Errorf("registry: %d connections attached: %w",
-			r.cfg.MaxConns, r.acc.Reject(conn, core.RejectServerFull))
+			r.cfg.MaxConns, r.acc.Reject(conn, wire.RejectServerFull))
 	}
 	if r.cfg.MaxSubscribers > 0 {
 		total := 0
@@ -413,7 +413,7 @@ func (r *Registry) Route(conn net.Conn, j core.Join) error {
 		if total >= r.cfg.MaxSubscribers && !h.HasSubscriber(j.Token) {
 			r.mu.Unlock()
 			return fmt.Errorf("registry: %d subscribers attached: %w",
-				total, r.acc.Reject(conn, core.RejectServerFull))
+				total, r.acc.Reject(conn, wire.RejectServerFull))
 		}
 	}
 	r.connCount.Add(1)

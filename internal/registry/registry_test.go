@@ -8,24 +8,25 @@ import (
 
 	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
+	"dmpstream/internal/wire"
 )
 
 // dial connects one path to addr and writes the join handshake.
-func dial(t *testing.T, addr, streamID string, tok core.Token) net.Conn {
+func dial(t *testing.T, addr, streamID string, tok wire.Token) net.Conn {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.WriteJoin(c, core.Join{StreamID: streamID, Token: tok}); err != nil {
+	if err := wire.WriteJoin(c, wire.Join{StreamID: streamID, Token: tok}); err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-func newToken(t *testing.T) core.Token {
+func newToken(t *testing.T) wire.Token {
 	t.Helper()
-	tok, err := core.NewToken()
+	tok, err := wire.NewToken()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +35,11 @@ func newToken(t *testing.T) core.Token {
 
 // joinOK dials one path, writes the join and requires the stream header
 // back: the join was admitted and routed.
-func joinOK(t *testing.T, addr, streamID string, tok core.Token) net.Conn {
+func joinOK(t *testing.T, addr, streamID string, tok wire.Token) net.Conn {
 	t.Helper()
 	c := dial(t, addr, streamID, tok)
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := core.ReadStreamHeader(c); err != nil {
+	if _, _, err := wire.ReadStreamHeader(c); err != nil {
 		c.Close()
 		t.Fatalf("join %q not admitted: %v", streamID, err)
 	}
@@ -48,12 +49,12 @@ func joinOK(t *testing.T, addr, streamID string, tok core.Token) net.Conn {
 
 // joinErr dials one path, writes the join and returns the typed error the
 // registry (or the routed hub) answered with.
-func joinErr(t *testing.T, addr, streamID string, tok core.Token) error {
+func joinErr(t *testing.T, addr, streamID string, tok wire.Token) error {
 	t.Helper()
 	c := dial(t, addr, streamID, tok)
 	defer c.Close()
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, _, err := core.ReadStreamHeader(c)
+	_, _, err := wire.ReadStreamHeader(c)
 	return err
 }
 
@@ -99,7 +100,7 @@ func waitFor(t *testing.T, what string, pred func() bool) {
 func TestRegistryRouting(t *testing.T) {
 	const count = 300
 	cfg := Config{Hub: hub.Config{
-		Stream: core.Config{Mu: 400, PayloadSize: 48, Count: count},
+		Stream: wire.Config{Mu: 400, PayloadSize: 48, Count: count},
 	}}
 	r, addr := newRegistry(t, cfg, "alpha", "beta", "gamma", "delta")
 
@@ -125,17 +126,17 @@ func TestRegistryRouting(t *testing.T) {
 		streamID string
 		sentinel error
 	}{
-		{"ended stream", "beta", core.ErrStreamOver},
-		{"unknown stream", "nope", core.ErrUnknownStream},
-		{"empty id", "", core.ErrUnknownStream},
-		{"ended stream, second ask", "beta", core.ErrStreamOver},
+		{"ended stream", "beta", wire.ErrStreamOver},
+		{"unknown stream", "nope", wire.ErrUnknownStream},
+		{"empty id", "", wire.ErrUnknownStream},
+		{"ended stream, second ask", "beta", wire.ErrStreamOver},
 	}
 	for _, tc := range rejects {
 		err := joinErr(t, addr, tc.streamID, newToken(t))
 		if err == nil {
 			t.Fatalf("%s: join admitted", tc.name)
 		}
-		if !errors.Is(err, core.ErrRejected) || !errors.Is(err, tc.sentinel) {
+		if !errors.Is(err, wire.ErrRejected) || !errors.Is(err, tc.sentinel) {
 			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.sentinel)
 		}
 	}
@@ -188,7 +189,7 @@ func TestRegistryRouting(t *testing.T) {
 // ending streams that do not exist.
 func TestRegistryLifecycle(t *testing.T) {
 	r, err := New(Config{
-		Hub:        hub.Config{Stream: core.Config{Mu: 200, PayloadSize: 16, Count: 1 << 30}},
+		Hub:        hub.Config{Stream: wire.Config{Mu: 200, PayloadSize: 16, Count: 1 << 30}},
 		MaxStreams: 2,
 	})
 	if err != nil {
@@ -245,7 +246,7 @@ func TestRegistryLifecycle(t *testing.T) {
 // stream already knows.
 func TestRegistryAdmissionCaps(t *testing.T) {
 	cfg := Config{
-		Hub:            hub.Config{Stream: core.Config{Mu: 200, PayloadSize: 16, Count: 1 << 30}},
+		Hub:            hub.Config{Stream: wire.Config{Mu: 200, PayloadSize: 16, Count: 1 << 30}},
 		MaxSubscribers: 2,
 		MaxConns:       3,
 	}
@@ -259,7 +260,7 @@ func TestRegistryAdmissionCaps(t *testing.T) {
 
 	// Two subscribers across two streams fill MaxSubscribers: a fresh token
 	// on either stream is refused...
-	if err := joinErr(t, addr, "one", newToken(t)); !errors.Is(err, core.ErrServerFull) {
+	if err := joinErr(t, addr, "one", newToken(t)); !errors.Is(err, wire.ErrServerFull) {
 		t.Fatalf("fresh token past MaxSubscribers: %v, want ErrServerFull", err)
 	}
 	// ...but a second path of an admitted token is exempt.
@@ -268,7 +269,7 @@ func TestRegistryAdmissionCaps(t *testing.T) {
 
 	// Three connections fill MaxConns; even an admitted token's extra path
 	// is refused now.
-	if err := joinErr(t, addr, "two", tokB); !errors.Is(err, core.ErrServerFull) {
+	if err := joinErr(t, addr, "two", tokB); !errors.Is(err, wire.ErrServerFull) {
 		t.Fatalf("join past MaxConns: %v, want ErrServerFull", err)
 	}
 	if got := r.ConnCount(); got != 3 {
@@ -294,7 +295,7 @@ func TestRegistryAdmissionCaps(t *testing.T) {
 // receiving, and Drain delivers end markers to all of them.
 func TestRegistryDrain(t *testing.T) {
 	cfg := Config{Hub: hub.Config{
-		Stream: core.Config{Mu: 400, PayloadSize: 32, Count: 1 << 30},
+		Stream: wire.Config{Mu: 400, PayloadSize: 32, Count: 1 << 30},
 	}}
 	r, addr := newRegistry(t, cfg, "x", "y")
 
@@ -308,7 +309,7 @@ func TestRegistryDrain(t *testing.T) {
 	}
 
 	r.BeginDrain()
-	if err := joinErr(t, addr, "x", newToken(t)); !errors.Is(err, core.ErrDraining) {
+	if err := joinErr(t, addr, "x", newToken(t)); !errors.Is(err, wire.ErrDraining) {
 		t.Fatalf("fresh token while draining: %v, want ErrDraining", err)
 	}
 	if _, err := r.Create("z"); !errors.Is(err, ErrClosed) {
@@ -341,7 +342,7 @@ func TestRegistryDrain(t *testing.T) {
 func TestRegistryAbsoluteJoin(t *testing.T) {
 	const count = 400
 	cfg := Config{Hub: hub.Config{
-		Stream: core.Config{Mu: 800, PayloadSize: 32, Count: count},
+		Stream: wire.Config{Mu: 800, PayloadSize: 32, Count: count},
 		// A small ring so the tail has visibly moved by the time we join:
 		// an absolute join starts at the tail, not at packet zero.
 		LagWindow: 16,
@@ -355,8 +356,8 @@ func TestRegistryAbsoluteJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	join := core.Join{StreamID: "live", Token: newToken(t), Flags: core.JoinFlagAbsolute}
-	if err := core.WriteJoin(c, join); err != nil {
+	join := wire.Join{StreamID: "live", Token: newToken(t), Flags: wire.JoinFlagAbsolute}
+	if err := wire.WriteJoin(c, join); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := core.Receive([]net.Conn{c})

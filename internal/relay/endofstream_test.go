@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dmpstream/internal/core"
+	"dmpstream/internal/wire"
 )
 
 // The end-of-stream contract of core.PathReader, held by each of its three
@@ -23,18 +24,18 @@ const (
 // mu, packets pkts and, when end >= 0, an end marker announcing end.
 func writePath(t *testing.T, w net.Conn, mu float64, pkts []uint32, end int64) {
 	t.Helper()
-	if err := core.WriteStreamHeader(w, 0, 1, eosPayload, mu); err != nil {
+	if err := wire.WriteStreamHeader(w, 0, 1, eosPayload, mu); err != nil {
 		t.Fatal(err)
 	}
-	frame := make([]byte, core.FrameHeaderSize+eosPayload)
+	frame := make([]byte, wire.FrameHeaderSize+eosPayload)
 	for _, pkt := range pkts {
-		core.PutFrameHeader(frame, pkt, time.Now().UnixNano())
+		wire.PutFrameHeader(frame, pkt, time.Now().UnixNano())
 		if _, err := w.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if end >= 0 {
-		core.PutFrameHeader(frame, core.EndMarker, end)
+		wire.PutFrameHeader(frame, wire.EndMarker, end)
 		if _, err := w.Write(frame); err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
 	"dmpstream/internal/lockrank"
+	"dmpstream/internal/wire"
 )
 
 // testRelay is a Relay with only what the forwarder and the shutdown paths
@@ -43,7 +44,7 @@ func newForwarderInto(t testing.TB, cfg Config, payload int) *forwarder {
 	t.Helper()
 	r := testRelay(cfg)
 	r.fwd = newForwarder(r, 0)
-	h, err := hub.New(hub.Config{ExternalSource: true, Stream: core.Config{Mu: 100, PayloadSize: payload}})
+	h, err := hub.New(hub.Config{ExternalSource: true, Stream: wire.Config{Mu: 100, PayloadSize: payload}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestForwarderCommitEndToEnd(t *testing.T) {
 		{"a dead candidate", true, 2, 1, []int64{0, 0, 0, 0, 0, 0, 0, 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			origin, err := hub.New(hub.Config{ExternalSource: true, StreamID: "e2e", Stream: core.Config{Mu: 100, PayloadSize: 8}})
+			origin, err := hub.New(hub.Config{ExternalSource: true, StreamID: "e2e", Stream: wire.Config{Mu: 100, PayloadSize: 8}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,7 @@
 // paths, the DMPJ join carries a stable re-attach token (so the upstream
 // subscription — and its resend window — survives path flaps, candidate
 // failover and even a relay restart that preserved the token), and the
-// join sets core.JoinFlagAbsolute, so packet numbering is origin-absolute
+// join sets wire.JoinFlagAbsolute, so packet numbering is origin-absolute
 // at every tier. Absolute numbering is what makes the tree's failure
 // story compose: a replayed resend window, a failover to another upstream
 // address, or a restarted mid-tier hub all re-deliver packets under the
@@ -57,6 +57,7 @@ import (
 	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
 	"dmpstream/internal/lockrank"
+	"dmpstream/internal/wire"
 )
 
 // DefaultOrphanGrace is how long the relay tolerates having zero live
@@ -130,7 +131,7 @@ type Config struct {
 	// incarnation's subscription after a restart (within the upstream's
 	// re-attach grace), so its resend window replays instead of the
 	// stream gapping.
-	Token core.Token
+	Token wire.Token
 	// Redial is the upstream redial policy. A zero Base selects a capped
 	// exponential default (50ms base, 1s cap, unlimited budget); a policy
 	// core.ValidateRedialPolicy rejects is an error.
@@ -163,7 +164,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.StreamID == "" {
 		c.StreamID = "live"
 	}
-	if err := core.ValidateStreamID(c.StreamID); err != nil {
+	if err := wire.ValidateStreamID(c.StreamID); err != nil {
 		return c, fmt.Errorf("relay: %w", err)
 	}
 	if c.Paths == 0 {
@@ -225,7 +226,7 @@ func (c Config) localHub(mu float64, payload int) hub.Config {
 // republished through a local hub.
 type Relay struct {
 	cfg    Config
-	token  core.Token
+	token  wire.Token
 	fwd    *forwarder
 	client *core.Client
 	wg     sync.WaitGroup
@@ -266,8 +267,8 @@ func New(cfg Config) (*Relay, error) {
 		return nil, err
 	}
 	tok := cfg.Token
-	if tok == (core.Token{}) {
-		if tok, err = core.NewToken(); err != nil {
+	if tok == (wire.Token{}) {
+		if tok, err = wire.NewToken(); err != nil {
 			return nil, fmt.Errorf("relay: %w", err)
 		}
 	}
@@ -292,7 +293,7 @@ func New(cfg Config) (*Relay, error) {
 	r.client = &core.Client{
 		Paths:      cfg.Paths,
 		Dial:       r.dialUpstream,
-		Join:       &core.Join{StreamID: cfg.StreamID, Token: tok, Flags: core.JoinFlagAbsolute},
+		Join:       &wire.Join{StreamID: cfg.StreamID, Token: tok, Flags: wire.JoinFlagAbsolute},
 		Policy:     cfg.Redial,
 		OnPathUp:   r.pathUp,
 		OnPathDown: r.pathDown,
@@ -312,7 +313,7 @@ func New(cfg Config) (*Relay, error) {
 
 // Token returns the upstream subscription token — persist it to re-attach
 // a restarted relay to the same upstream subscription.
-func (r *Relay) Token() core.Token { return r.token }
+func (r *Relay) Token() wire.Token { return r.token }
 
 // Hub returns the local downstream hub, or nil until Ready is closed.
 func (r *Relay) Hub() *hub.Hub {
@@ -358,7 +359,7 @@ func (r *Relay) dialUpstream(k int) (net.Conn, error) {
 	if r.cancelled || r.upstreamEnded() {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("relay: upstream detached: %w",
-			&core.RejectError{Code: core.RejectStreamEnded})
+			&wire.RejectError{Code: wire.RejectStreamEnded})
 	}
 	addr := r.cfg.Upstreams[r.cand[k]%len(r.cfg.Upstreams)]
 	r.mu.Unlock()
@@ -458,7 +459,7 @@ func (r *Relay) orphanFire(gen int64) {
 	r.logf("relay: orphaned: no live upstream path for %v", r.cfg.OrphanGrace)
 	r.fwd.flush()
 	if h != nil {
-		h.Fail(core.RejectUpstreamLost)
+		h.Fail(wire.RejectUpstreamLost)
 		r.markReady()
 	}
 	for _, c := range r.fwd.Conns() {
@@ -525,7 +526,7 @@ func (r *Relay) onUpstreamDone(errs []error) {
 		r.mu.Lock()
 		r.orphaned = true
 		r.mu.Unlock()
-		h.Fail(core.RejectUpstreamLost)
+		h.Fail(wire.RejectUpstreamLost)
 	}
 	if h != nil {
 		// A feed that ended before its first packet still has a verdict

@@ -10,6 +10,7 @@ import (
 
 	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
+	"dmpstream/internal/wire"
 )
 
 // fillPattern is the origin's deterministic payload content: leaf
@@ -26,7 +27,7 @@ func fillPattern(pkt uint32, buf []byte) {
 func newOrigin(t *testing.T, streamID string, mu float64, payload int, count int64, grace time.Duration) (*hub.Hub, net.Listener) {
 	t.Helper()
 	h, err := hub.New(hub.Config{
-		Stream:        core.Config{Mu: mu, PayloadSize: payload, Count: count, Fill: fillPattern},
+		Stream:        wire.Config{Mu: mu, PayloadSize: payload, Count: count, Fill: fillPattern},
 		StreamID:      streamID,
 		ReattachGrace: grace,
 	})
@@ -71,7 +72,7 @@ type leafCheck struct {
 
 func newLeaf(t *testing.T, addr, streamID string, chk *leafCheck) *core.Client {
 	t.Helper()
-	tok, err := core.NewToken()
+	tok, err := wire.NewToken()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func newLeaf(t *testing.T, addr, streamID string, chk *leafCheck) *core.Client {
 		Dial: func(int) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 2*time.Second)
 		},
-		Join:   &core.Join{StreamID: streamID, Token: tok, Flags: core.JoinFlagAbsolute},
+		Join:   &wire.Join{StreamID: streamID, Token: tok, Flags: wire.JoinFlagAbsolute},
 		Policy: core.RedialPolicy{Base: 20 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.2, Seed: 11},
 		Receiver: core.ReceiverOptions{
 			OnPacket: func(pkt uint32, _ int64, payload []byte) {
@@ -184,7 +185,7 @@ func TestRelayTwoTier(t *testing.T) {
 // counted dropped, and the relay's hub records no source gap.
 func TestRelayLeafNumberedFromFirstPublish(t *testing.T) {
 	const start = 1000 // where the origin's stream is when the relay commits
-	origin, err := hub.New(hub.Config{ExternalSource: true, StreamID: "mid", Stream: core.Config{Mu: 100, PayloadSize: 8}})
+	origin, err := hub.New(hub.Config{ExternalSource: true, StreamID: "mid", Stream: wire.Config{Mu: 100, PayloadSize: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +205,11 @@ func TestRelayLeafNumberedFromFirstPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leaf.Close()
-	tok, err := core.NewToken()
+	tok, err := wire.NewToken()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.WriteJoin(leaf, core.Join{StreamID: "mid", Token: tok}); err != nil {
+	if err := wire.WriteJoin(leaf, wire.Join{StreamID: "mid", Token: tok}); err != nil {
 		t.Fatal(err)
 	}
 	// A relay that served from its first header attaches the leaf now,
@@ -269,11 +270,11 @@ func TestRelayDrainOneBudget(t *testing.T) {
 	stall := func(t *testing.T, h *hub.Hub, id string) {
 		leaf, conn := net.Pipe()
 		t.Cleanup(func() { leaf.Close() })
-		tok, err := core.NewToken()
+		tok, err := wire.NewToken()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.AttachJoined(conn, core.Join{StreamID: id, Token: tok}); err != nil {
+		if err := h.AttachJoined(conn, wire.Join{StreamID: id, Token: tok}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +309,7 @@ func TestRelayDrainOneBudget(t *testing.T) {
 		{"upstream manager never finishes", func(t *testing.T) *Relay {
 			r := testRelay(Config{StreamID: "stuck"})
 			r.fwd = newForwarder(r, 0)
-			h, err := hub.New(hub.Config{ExternalSource: true, StreamID: "stuck", Stream: core.Config{Mu: 100, PayloadSize: 8}})
+			h, err := hub.New(hub.Config{ExternalSource: true, StreamID: "stuck", Stream: wire.Config{Mu: 100, PayloadSize: 8}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -436,10 +437,10 @@ func TestRelayUpstreamLostPropagates(t *testing.T) {
 	late := newLeaf(t, rln.Addr().String(), "live", &lateChk)
 	late.Policy = core.RedialPolicy{} // a verdict, not a flake: no redial
 	_, err := late.Run()
-	if !errors.Is(err, core.ErrUpstreamLost) {
+	if !errors.Is(err, wire.ErrUpstreamLost) {
 		t.Fatalf("post-orphan join: %v, want errors.Is ErrUpstreamLost", err)
 	}
-	if !errors.Is(err, core.ErrRejected) {
+	if !errors.Is(err, wire.ErrRejected) {
 		t.Fatalf("post-orphan join: %v should also match ErrRejected", err)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"dmpstream/internal/sim"
 	"dmpstream/internal/tcpsim"
 	"dmpstream/internal/trafficgen"
+	"dmpstream/internal/wire"
 )
 
 // VideoConfig describes the live CBR source.
@@ -51,13 +52,13 @@ type Stream struct {
 // New builds a stream over pre-wired connections (one per path). Call Start,
 // then run the simulator past cfg.Duration plus drain time. It panics unless
 // the rate is positive and µ × Duration packet numbers fit below
-// core.EndMarker.
+// wire.EndMarker.
 func New(s *sim.Simulator, cfg VideoConfig, conns []*tcpsim.Conn) *Stream {
 	if !(cfg.Mu > 0) {
 		panic(fmt.Sprintf("simstream: non-positive rate %v", cfg.Mu))
 	}
 	total := cfg.Duration.Seconds() * cfg.Mu
-	if !(total < float64(core.EndMarker)) {
+	if !(total < float64(wire.EndMarker)) {
 		panic(fmt.Sprintf("simstream: %v packets do not fit below the end marker", total))
 	}
 	if len(conns) == 0 {

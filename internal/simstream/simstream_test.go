@@ -12,6 +12,7 @@ import (
 	"dmpstream/internal/netsim"
 	"dmpstream/internal/sim"
 	"dmpstream/internal/tcpsim"
+	"dmpstream/internal/wire"
 )
 
 // twoPathStream builds a stream over two independent lossless paths with the
@@ -365,7 +366,7 @@ func TestNewRejectsUnnumberableStreams(t *testing.T) {
 		{Mu: 0, Duration: sim.Second},
 		{Mu: math.NaN(), Duration: sim.Second},
 		{Mu: 1e300, Duration: sim.Second},
-		{Mu: float64(core.EndMarker), Duration: sim.Second},
+		{Mu: float64(wire.EndMarker), Duration: sim.Second},
 	} {
 		func() {
 			defer func() {

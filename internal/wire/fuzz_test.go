@@ -1,4 +1,4 @@
-package core
+package wire
 
 import (
 	"bytes"
@@ -14,7 +14,7 @@ import (
 //
 // Run continuously with:
 //
-//	go test -fuzz=FuzzParseJoin -fuzztime=10s ./internal/core
+//	go test -fuzz=FuzzParseJoin -fuzztime=10s ./internal/wire
 
 func FuzzParseJoin(f *testing.F) {
 	var valid bytes.Buffer
@@ -76,7 +76,7 @@ func FuzzParseJoin(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(rej.Bytes())
-	f.Add(append(rej.Bytes(), bytes.Repeat([]byte{0}, joinSize-headerSize)...))
+	f.Add(append(rej.Bytes(), bytes.Repeat([]byte{0}, joinSize-HeaderSize)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		j, err := ReadJoin(bytes.NewReader(data))
 		if err != nil {
@@ -132,7 +132,7 @@ func FuzzParseHeader(f *testing.F) {
 			if errors.As(err, &rej) {
 				// A parsed reject must be a well-formed frame: full header
 				// size with our magic and version.
-				if len(data) < headerSize || [4]byte(data[0:4]) != rejectMagic || data[4] != 1 {
+				if len(data) < HeaderSize || [4]byte(data[0:4]) != rejectMagic || data[4] != 1 {
 					t.Fatalf("reject parsed from malformed input %x", data)
 				}
 				if !errors.Is(err, ErrRejected) {

@@ -1,22 +1,16 @@
-package core
-
-import (
-	"crypto/rand"
-	"encoding/binary"
-	"encoding/hex"
-	"errors"
-	"fmt"
-	"io"
-	"strings"
-)
-
-// Wire format. Every path of a session carries the same byte stream shape:
+// Package wire is the byte format the paper's server and client meet at,
+// with the subscriber token and Config, the stream both ends agree on. It
+// imports nothing of the module, so the hub and the registry depend on it
+// and not on the paper's sender and client (internal/core). Its errors
+// keep the "core:" prefix clients and logs match on.
+//
+// Every path of a session carries the same byte stream shape:
 // a 20-byte stream header (server → client) followed by fixed-size frames.
 // A broadcast hub additionally expects a 40-byte join request
 // (client → server) *before* the stream header; the stream header and frame
 // layout are unchanged, so any v1 receiver works on a hub path once the join
-// has been written. A plain single-client Server (Serve/Start) neither reads
-// nor expects a join, which keeps the original header backward compatible.
+// has been written. The paper's own server (core.Server) neither reads nor
+// expects a join, which keeps the original header backward compatible.
 //
 // A hub that refuses a join answers with a reject frame instead of the
 // stream header: same 20-byte size, "DMPR" magic, a one-byte reason code,
@@ -34,8 +28,21 @@ import (
 // written as zero before they existed). Bit 0 (JoinFlagAbsolute) asks the
 // hub for origin-absolute packet numbering instead of the default
 // join-point rebase — the relay-tier handshake (see internal/relay).
+package wire
+
+import (
+	"crypto/rand"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+)
+
 const (
-	headerSize = 20
+	// HeaderSize is the size of a stream header and of a reject frame.
+	HeaderSize = 20
 	frameHdr   = 12 // pktNum uint32 + genNanos int64
 	joinSize   = 40
 
@@ -145,7 +152,7 @@ func (e *RejectError) Unwrap() []error {
 // WriteReject writes the header-sized reject frame a hub answers a refused
 // join with.
 func WriteReject(w io.Writer, code RejectCode) error {
-	var b [headerSize]byte
+	var b [HeaderSize]byte
 	copy(b[0:4], rejectMagic[:])
 	b[4] = 1 // version
 	b[5] = byte(code)
@@ -155,7 +162,7 @@ func WriteReject(w io.Writer, code RejectCode) error {
 
 // WriteStreamHeader writes the v1 per-path stream header.
 func WriteStreamHeader(w io.Writer, pathIdx, numPaths, payloadSize int, mu float64) error {
-	var h [headerSize]byte
+	var h [HeaderSize]byte
 	copy(h[0:4], magic[:])
 	h[4] = 1 // version
 	h[5] = uint8(pathIdx)
@@ -171,7 +178,7 @@ func WriteStreamHeader(w io.Writer, pathIdx, numPaths, payloadSize int, mu float
 // when the server answered with a reject frame. It lets a client learn a
 // join's outcome without committing to consume the stream.
 func ReadStreamHeader(r io.Reader) (mu float64, payload int, err error) {
-	var h [headerSize]byte
+	var h [HeaderSize]byte
 	if _, err = io.ReadFull(r, h[:]); err != nil {
 		return 0, 0, fmt.Errorf("core: header read: %w", err)
 	}
