@@ -1,6 +1,7 @@
-package hub
+package hub_test
 
 import (
+	"dmpstream/internal/hub"
 	"errors"
 	"net"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 // newExternalHub builds an ExternalSource hub for direct PublishAt tests.
-func newExternalHub(t testing.TB, cfg Config) *Hub {
+func newExternalHub(t testing.TB, cfg hub.Config) *hub.Hub {
 	t.Helper()
 	cfg.ExternalSource = true
 	if cfg.Stream.Mu == 0 {
@@ -20,7 +21,7 @@ func newExternalHub(t testing.TB, cfg Config) *Hub {
 	if cfg.Stream.PayloadSize == 0 {
 		cfg.Stream.PayloadSize = 32
 	}
-	h, err := New(cfg)
+	h, err := hub.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func newExternalHub(t testing.TB, cfg Config) *Hub {
 // duplicates are refused, and head jumps record the skipped span as
 // source gaps.
 func TestExternalPublishAt(t *testing.T) {
-	h := newExternalHub(t, Config{StreamID: "ext", LagWindow: 64})
+	h := newExternalHub(t, hub.Config{StreamID: "ext", LagWindow: 64})
 	defer h.Close()
 
 	payload := make([]byte, 32)
@@ -62,7 +63,7 @@ func TestExternalPublishAt(t *testing.T) {
 	}
 
 	// A source joined mid-stream starts where its first packet is: no gap.
-	mid := newExternalHub(t, Config{StreamID: "ext", LagWindow: 64})
+	mid := newExternalHub(t, hub.Config{StreamID: "ext", LagWindow: 64})
 	defer mid.Close()
 	if !mid.PublishAt(100, 0, payload) {
 		t.Fatal("first publish at seq 100 refused")
@@ -76,7 +77,7 @@ func TestExternalPublishAt(t *testing.T) {
 // external mode only, exact payload size, non-negative sequence, and
 // nothing after the stream is over.
 func TestExternalPublishAtValidation(t *testing.T) {
-	gen, err := New(Config{Stream: wire.Config{Mu: 1000, PayloadSize: 32, Count: 1}, StreamID: "gen"})
+	gen, err := hub.New(hub.Config{Stream: wire.Config{Mu: 1000, PayloadSize: 32, Count: 1}, StreamID: "gen"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestExternalPublishAtValidation(t *testing.T) {
 		t.Fatal("PublishAt must refuse a generator-sourced hub")
 	}
 
-	h := newExternalHub(t, Config{StreamID: "ext", LagWindow: 64})
+	h := newExternalHub(t, hub.Config{StreamID: "ext", LagWindow: 64})
 	defer h.Close()
 	if h.PublishAt(0, 0, make([]byte, 31)) {
 		t.Fatal("PublishAt must refuse a short payload (poison residue risk)")
@@ -106,7 +107,7 @@ func TestExternalPublishAtValidation(t *testing.T) {
 // counts drops for the skipped span — it must never be handed another
 // packet's bytes — and still receives everything that was published.
 func TestExternalGapReadsAsDrop(t *testing.T) {
-	h := newExternalHub(t, Config{StreamID: "ext", LagWindow: 64, PoisonPool: true})
+	h := newExternalHub(t, hub.Config{StreamID: "ext", LagWindow: 64, PoisonPool: true})
 	ln := listenLoopback(t)
 	defer ln.Close()
 	go h.Serve(ln)
@@ -162,7 +163,7 @@ func TestExternalGapReadsAsDrop(t *testing.T) {
 // frames plus gaps add up to its end marker.
 func TestRebasedJoinStartsOnNewestPacket(t *testing.T) {
 	const k, more = 6, 4
-	h := newExternalHub(t, Config{StreamID: "ext", LagWindow: 64})
+	h := newExternalHub(t, hub.Config{StreamID: "ext", LagWindow: 64})
 	defer h.Close()
 	ln := listenLoopback(t)
 	defer ln.Close()
@@ -212,7 +213,7 @@ func TestRebasedJoinStartsOnNewestPacket(t *testing.T) {
 // numbering (first=0) and starts at the ring tail — the catch-up join an
 // edge relay's leaves use.
 func TestAbsoluteJoin(t *testing.T) {
-	h := newExternalHub(t, Config{StreamID: "abs", LagWindow: 64})
+	h := newExternalHub(t, hub.Config{StreamID: "abs", LagWindow: 64})
 	ln := listenLoopback(t)
 	defer ln.Close()
 	go h.Serve(ln)
@@ -257,7 +258,7 @@ func TestAbsoluteJoin(t *testing.T) {
 // answers later joins with the given verdict instead of stream-ended —
 // and the first code wins over both later Fails and plain Stops.
 func TestFailRejectsWithCode(t *testing.T) {
-	h := newExternalHub(t, Config{StreamID: "lost", LagWindow: 64})
+	h := newExternalHub(t, hub.Config{StreamID: "lost", LagWindow: 64})
 	defer h.Close()
 	ln := listenLoopback(t)
 	defer ln.Close()
@@ -298,7 +299,7 @@ func listenLoopback(t *testing.T) net.Listener {
 	return ln
 }
 
-func waitSubscribers(t *testing.T, h *Hub, want int) {
+func waitSubscribers(t *testing.T, h *hub.Hub, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for h.SubscriberCount() != want {

@@ -1,6 +1,7 @@
-package hub
+package hub_test
 
 import (
+	"dmpstream/internal/hub"
 	"io"
 	"math/rand"
 	"net"
@@ -66,11 +67,11 @@ func TestHubFanout(t *testing.T) {
 		count   = 900 // ~3s of stream
 		payload = 200
 	)
-	h, err := New(Config{
+	h, err := hub.New(hub.Config{
 		Stream:          wire.Config{Mu: mu, PayloadSize: payload, Count: count},
 		StreamID:        "fanout",
 		LagWindow:       256,
-		Policy:          DropOldest,
+		Policy:          hub.DropOldest,
 		PathWriteBuffer: 4096,
 	})
 	if err != nil {
@@ -134,10 +135,10 @@ func TestHubFanout(t *testing.T) {
 	// Mid-stream, the stalled subscriber must have been skipped ahead
 	// (drops counted) while the healthy ones track the live edge.
 	deadline := time.Now().Add(8 * time.Second)
-	var mid Stats
+	var mid hub.Stats
 	for {
 		mid = h.Stats()
-		var st *SubscriberStats
+		var st *hub.SubscriberStats
 		for i := range mid.Subs {
 			if mid.Subs[i].Token == stTok.String() {
 				st = &mid.Subs[i]
@@ -215,10 +216,10 @@ func TestHubFanout(t *testing.T) {
 // Evict while a healthy subscriber is untouched.
 func TestHubEvictPolicy(t *testing.T) {
 	const count = 800
-	h, err := New(Config{
+	h, err := hub.New(hub.Config{
 		Stream:          wire.Config{Mu: 400, PayloadSize: 100, Count: count},
 		LagWindow:       128,
-		Policy:          Evict,
+		Policy:          hub.Evict,
 		PathWriteBuffer: 4096,
 	})
 	if err != nil {
@@ -292,7 +293,7 @@ func TestHubEvictPolicy(t *testing.T) {
 // the race detector: abrupt leavers must not disturb a subscriber that
 // stays to the end.
 func TestHubChurn(t *testing.T) {
-	h, err := New(Config{
+	h, err := hub.New(hub.Config{
 		Stream:    wire.Config{Mu: 1000, PayloadSize: 64}, // live until Stop
 		LagWindow: 2048,
 	})
@@ -366,7 +367,7 @@ func TestHubChurn(t *testing.T) {
 // TestHubJoinValidation covers the join handshake edges: wrong stream id,
 // join after the stream ended, garbage instead of a join.
 func TestHubJoinValidation(t *testing.T) {
-	h, err := New(Config{Stream: wire.Config{Mu: 2000, PayloadSize: 16, Count: 10}})
+	h, err := hub.New(hub.Config{Stream: wire.Config{Mu: 2000, PayloadSize: 16, Count: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,14 +437,14 @@ func accept(t *testing.T, ln net.Listener) net.Conn {
 }
 
 func TestHubConfigValidation(t *testing.T) {
-	bad := []Config{
+	bad := []hub.Config{
 		{Stream: wire.Config{Mu: 0}},
 		{Stream: wire.Config{Mu: 10}, LagWindow: -1},
 		// The ring's slots are allocated up front: past the bound New
 		// refuses rather than dies in the ring's constructor.
-		{Stream: wire.Config{Mu: 10}, LagWindow: MaxLagWindow + 1},
+		{Stream: wire.Config{Mu: 10}, LagWindow: hub.MaxLagWindow + 1},
 		{Stream: wire.Config{Mu: 10}, LagWindow: 1 << 40},
-		{Stream: wire.Config{Mu: 10}, Policy: Policy(9)},
+		{Stream: wire.Config{Mu: 10}, Policy: hub.Policy(9)},
 		{Stream: wire.Config{Mu: 10}, StreamID: "this-stream-id-is-far-too-long"},
 		{Stream: wire.Config{Mu: 10}, PathWriteBuffer: -1},
 		{Stream: wire.Config{Mu: 10}, MaxSubscribers: -1},
@@ -453,12 +454,12 @@ func TestHubConfigValidation(t *testing.T) {
 		{Stream: wire.Config{Mu: 10}, HandshakeLimit: -1},
 	}
 	for i, cfg := range bad {
-		if h, err := New(cfg); err == nil {
+		if h, err := hub.New(cfg); err == nil {
 			h.Close()
 			t.Errorf("config %d accepted", i)
 		}
 	}
-	if err := (Config{Stream: wire.Config{Mu: 10}, LagWindow: MaxLagWindow}).Validate(); err != nil {
+	if err := (hub.Config{Stream: wire.Config{Mu: 10}, LagWindow: hub.MaxLagWindow}).Validate(); err != nil {
 		t.Errorf("lag window at the bound refused: %v", err)
 	}
 }
@@ -468,7 +469,7 @@ func TestHubConfigValidation(t *testing.T) {
 // join.
 func TestHubLateJoiner(t *testing.T) {
 	const count = 600
-	h, err := New(Config{Stream: wire.Config{Mu: 600, PayloadSize: 64, Count: count}})
+	h, err := hub.New(hub.Config{Stream: wire.Config{Mu: 600, PayloadSize: 64, Count: count}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-package hub
+package hub_test
 
 import (
+	"dmpstream/internal/hub"
 	"errors"
 	"io"
 	"net"
@@ -39,7 +40,7 @@ func joinErr(t *testing.T, addr, streamID string, tok wire.Token) error {
 }
 
 // waitStats polls the hub until pred holds or the deadline passes.
-func waitStats(t *testing.T, h *Hub, what string, pred func(Stats) bool) {
+func waitStats(t *testing.T, h *hub.Hub, what string, pred func(hub.Stats) bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !pred(h.Stats()) {
@@ -55,7 +56,7 @@ func waitStats(t *testing.T, h *Hub, what string, pred func(Stats) bool) {
 // typed wire sentinel client-side), increment Stats.Rejected exactly once,
 // and leave admitted subscribers untouched.
 func TestHubAdmissionRejects(t *testing.T) {
-	h, err := New(Config{
+	h, err := hub.New(hub.Config{
 		Stream:         wire.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30},
 		StreamID:       "adm",
 		MaxSubscribers: 1,
@@ -151,11 +152,11 @@ func TestHubOverloadDegradation(t *testing.T) {
 		lagWin   = 512
 		maxBytes = 16384 // ~146 frames of 112 bytes
 	)
-	h, err := New(Config{
+	h, err := hub.New(hub.Config{
 		Stream:          wire.Config{Mu: mu, PayloadSize: payload, Count: count},
 		StreamID:        "over",
 		LagWindow:       lagWin,
-		Policy:          DropOldest,
+		Policy:          hub.DropOldest,
 		PathWriteBuffer: 4096,
 		MaxSubscribers:  2,
 		MaxBytes:        maxBytes,
@@ -191,7 +192,7 @@ func TestHubOverloadDegradation(t *testing.T) {
 		tr, err := cl.Run()
 		resCh <- result{tr, err}
 	}()
-	waitStats(t, h, "both subscribers admitted", func(st Stats) bool {
+	waitStats(t, h, "both subscribers admitted", func(st hub.Stats) bool {
 		return st.Subscribers == 2
 	})
 
@@ -255,7 +256,7 @@ func TestHubOverloadDegradation(t *testing.T) {
 // (and healing) live subscriptions, and Drain delivers end markers to
 // everyone within the deadline.
 func TestHubDrainGraceful(t *testing.T) {
-	h, err := New(Config{
+	h, err := hub.New(hub.Config{
 		Stream:   wire.Config{Mu: 300, PayloadSize: 48, Count: 1 << 30},
 		StreamID: "drain",
 	})
@@ -297,7 +298,7 @@ func TestHubDrainGraceful(t *testing.T) {
 		defer drainers.Done()
 		_, _ = io.Copy(io.Discard, raw1)
 	}()
-	waitStats(t, h, "both subscribers admitted", func(st Stats) bool {
+	waitStats(t, h, "both subscribers admitted", func(st hub.Stats) bool {
 		return st.Subscribers == 2
 	})
 	// Let some stream flow first, so the drained clients end with a
@@ -350,7 +351,7 @@ func TestHubDrainGraceful(t *testing.T) {
 // TestHubDrainTimeout: a stalled subscriber cannot hold shutdown hostage —
 // Drain reports the missed deadline and force-closes.
 func TestHubDrainTimeout(t *testing.T) {
-	h, err := New(Config{
+	h, err := hub.New(hub.Config{
 		Stream:          wire.Config{Mu: 800, PayloadSize: 1024, Count: 1 << 30},
 		StreamID:        "stuck",
 		PathWriteBuffer: 4096,
