@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint layers lockrank allocs fuzz soak bench-smoke bench-tick bench-receiver bench-sender bench-deliver bench-fanout bench-forwarder sim-tables
+.PHONY: all build test race lint layers lockrank allocs fuzz examples soak bench-smoke bench-tick bench-receiver bench-deliver bench-fanout bench-forwarder sim-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -31,25 +31,26 @@ lint:
 
 # layers is the package layering gate: the broadcast hub and the registry
 # speak the wire format (internal/wire) and must not depend on the paper's
-# sender and client (internal/core), so that core can be rebuilt on a hub.
+# server and client (internal/core), which is built on the hub: core.Server
+# is a hub with one subscriber.
 layers:
 	@deps=$$($(GO) list -deps ./internal/hub ./internal/registry) || exit 1; \
 	if echo "$$deps" | grep -qx 'dmpstream/internal/core'; then \
 		echo "layers: internal/hub or internal/registry depends on dmpstream/internal/core"; exit 1; \
 	fi
 
-# lockrank runs the packages that nest the hub's locks with the lock-rank
-# check built in (internal/lockrank): any executed nesting that inverts the
-# rank table, nests two locks of one rank, or takes an unranked lock panics
-# with both acquisition stacks.
+# lockrank runs the packages that nest the hub's locks — core's server is a
+# hub — with the lock-rank check built in (internal/lockrank): any executed
+# nesting that inverts the rank table, nests two locks of one rank, or takes
+# an unranked lock panics with both acquisition stacks.
 lockrank:
-	$(GO) test -tags lockrank ./internal/hub ./internal/relay ./internal/registry ./internal/chaos
+	$(GO) test -tags lockrank ./internal/hub ./internal/relay ./internal/registry ./internal/chaos ./internal/core
 
 # allocs runs every allocation gate by name, uncached: the AllocsPerRun
-# tests that hold the wire codec, the core producer and path sender, the hub's generator
-# tick, ingest, wake, governor and shard worker, the relay forwarder's
-# ingest, and the registry's routed write and re-attach to exact allocation
-# counts (see DESIGN.md "Enforced invariants"). AllocsPerRun cannot measure under the race detector or the
+# tests that hold the wire codec, core's player, the hub's generator tick,
+# ingest, wake, governor and shard worker (core's server runs the same), the
+# relay forwarder's ingest, and the registry's routed write and re-attach to
+# exact allocation counts (see DESIGN.md "Enforced invariants"). AllocsPerRun cannot measure under the race detector or the
 # lockrank build, so the gates are built out of both.
 ALLOC_GATES = AllocFree|AllocsFlat|ReattachAllocs|OneAlloc|AllocMeasurement
 allocs:
@@ -116,15 +117,8 @@ REPLAYS ?= 5
 bench-receiver:
 	$(GO) test -run '^$$' -bench BenchmarkReceiverIngest -benchtime $(REPLAYS)x ./internal/core
 
-# bench-sender times one core path sender's render and write — frame headers
-# and payload fill into the render buffer, one Write into a discarding conn,
-# the resend ring — for a one-frame write at pace and a 32-frame catch-up.
-# allocs/op must read 0; ns/frame is the per-frame cost of the stage.
-SENDERTIME ?= 1s
-bench-sender:
-	$(GO) test -run '^$$' -bench BenchmarkSenderBatch -benchtime $(SENDERTIME) ./internal/core
-
-# bench-deliver times one hub worker delivery step by hand — lease and pin
+# bench-deliver times one hub worker delivery step by hand — the sender of
+# every hub path and of core's server alike — lease and pin
 # (stepLocked), header patch and vectored write into a discarding conn
 # (writeBatch), unpin (releaseBatch) and hand-back (returnLocked) — for a
 # one-frame write at pace and a 32-frame catch-up. allocs/op must read 0;
@@ -161,6 +155,17 @@ sim-tables:
 	@for e in $(SIM_EXPS); do \
 		out=$$($(GO) run ./cmd/dmpbench -exp $$e -fidelity quick -seed 1) || exit 1; \
 		printf '%s\n\n' "$$out" | sed '/^# .* finished in /d'; \
+	done
+
+# examples runs the examples that stream through the root package's Server
+# and Client end to end (about a minute in all: quickstart 5 s, hot-add 13 s,
+# path-failover 20 s, path-flap 15 s). Each exits non-zero if its trace is
+# missing a packet: the gate that a path held behind, added late, congested
+# for seconds or flapped loses nothing.
+EXAMPLES = quickstart hot-add path-failover path-flap
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== $$e"; $(GO) run ./examples/$$e || exit 1; \
 	done
 
 # soak runs the randomized chaos harness under the race detector in each

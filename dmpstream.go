@@ -59,7 +59,8 @@ type StreamConfig struct {
 	Count int64
 	// Fill, if non-nil, fills each packet's payload with content. It must
 	// be a pure function of the packet number, safe to call concurrently:
-	// a packet's payload is rendered at every write, resends included.
+	// a packet's payload is rendered when it is generated, and again when
+	// a resend or a catch-up needs it after the server has let it go.
 	Fill func(pkt uint32, buf []byte)
 	// WriteStallTimeout bounds each per-path write; a path stalling longer
 	// is dead (its unsent window goes to the other paths) instead of
@@ -109,8 +110,8 @@ func (s *Server) Start() *Session { return &Session{inner: s.inner.Start()} }
 // AddPath attaches a connection as a new path, returning its index.
 func (sess *Session) AddPath(conn net.Conn) int { return sess.inner.AddPath(conn) }
 
-// RemovePath gracefully drains a path: its sender stops fetching and emits
-// an end marker; the remaining paths absorb the load.
+// RemovePath gracefully drains a path: it stops fetching, emits an end
+// marker and is closed; the remaining paths absorb the load.
 func (sess *Session) RemovePath(k int) { sess.inner.RemovePath(k) }
 
 // Wait blocks until the stream completes; it returns the number of packets

@@ -116,4 +116,7 @@ func main() {
 	}
 	fmt.Println("\nLateness concentrates in the single-path prefix; once path 1 joined,")
 	fmt.Println("the queue drained and the rest of the stream arrived on time.")
+	if missing := trace.Missing(); len(missing) > 0 {
+		log.Fatalf("%d of %d packets never arrived", len(missing), trace.Expected)
+	}
 }

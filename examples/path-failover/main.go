@@ -104,4 +104,7 @@ func main() {
 	}
 	fmt.Println("\nNo probing, no signaling: the congested path's full send buffer")
 	fmt.Println("simply stopped it from fetching packets from the server queue.")
+	if missing := trace.Missing(); len(missing) > 0 {
+		log.Fatalf("%d of %d packets never arrived", len(missing), trace.Expected)
+	}
 }

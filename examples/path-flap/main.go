@@ -99,4 +99,7 @@ func main() {
 	}
 	fmt.Println("\nThe token in the re-sent join is the whole recovery protocol:")
 	fmt.Println("same subscription, same rebased numbering, no wire change.")
+	if missing := trace.Missing(); len(missing) > 0 {
+		log.Fatalf("%d of %d packets never arrived", len(missing), trace.Expected)
+	}
 }

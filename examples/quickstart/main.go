@@ -77,4 +77,7 @@ func main() {
 		fmt.Printf("startup delay %4.1fs: late fraction %.4f (playback order), %.4f (arrival order)\n",
 			tau, playback, arrival)
 	}
+	if missing := trace.Missing(); len(missing) > 0 {
+		log.Fatalf("%d of %d packets never arrived", len(missing), trace.Expected)
+	}
 }

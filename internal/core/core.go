@@ -2,14 +2,17 @@
 // connections — the paper's Section 3 scheme, as deployed in its Internet
 // experiments (Section 6).
 //
-// A Server generates CBR video packets into a shared server queue. One
-// sender goroutine per path pops packets from the head of the queue and
-// writes them to that path's connection with a blocking Write. The pop is
-// serialized by the queue lock (the paper's "access to the server queue");
-// a sender blocked inside Write holds no lock, so other paths keep fetching.
+// A Server generates CBR video packets into a shared server queue, and each
+// path takes packets from the head of that queue with a blocking Write. The
+// queue and the senders are a broadcast hub's (internal/hub) with one
+// subscriber: the hub's ring is the queue, its cursor the queue head, and
+// every path is attached to the one subscription, so the claim under the
+// subscriber's lock is the paper's "access to the server queue" and a path
+// blocked inside Write holds no lock while its siblings keep fetching.
 // Kernel (or relay) send-buffer backpressure therefore allocates packets to
 // paths in proportion to their instantaneous achievable throughput — no
-// probing, exactly as the paper argues.
+// probing, exactly as the paper argues. The Server adds what the hub does
+// not keep: path indices, per-path packet counts, states and errors.
 //
 // The Client reads frames from all paths concurrently, reassembles by packet
 // number and records a timestamped arrival trace, from which the fraction of
@@ -27,67 +30,81 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
-	"sync"
-	"time"
+	"sync/atomic"
+	"syscall"
 
+	"dmpstream/internal/hub"
 	"dmpstream/internal/lockrank"
 	"dmpstream/internal/wire"
 )
 
 // Server streams a live CBR source over multiple paths.
 type Server struct {
-	cfg wire.Config
-
-	mu      lockrank.Mutex
-	cond    *sync.Cond
-	queue   []queued // guarded by mu
-	qhead   int      // guarded by mu
-	stopped bool     // guarded by mu
-	genDone bool     // guarded by mu
-
-	generated int64   // guarded by mu
-	pathSent  []int64 // guarded by mu
-}
-
-type queued struct {
-	pkt uint32
-	gen int64 // UnixNano generation timestamp
+	cfg     hub.Config
+	stopped atomic.Bool
+	sess    atomic.Pointer[Session] // the running session, nil before Start
 }
 
 // NewServer validates the configuration and builds a server.
+//
+// The server's queue is the hub's ring, sized so that a backlogged stream
+// loses nothing: a finite stream's ring holds all Count packets (up to
+// hub.MaxLagWindow), so no path, however far behind, is ever skipped past a
+// packet; a live stream's holds the hub's default window, and a session
+// more than that behind loses the oldest packets rather than growing the
+// queue without bound. A subscription whose paths have all died waits for
+// the next AddPath for as long as the stream runs.
 func NewServer(cfg wire.Config) (*Server, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg}
-	s.mu.Init(lockrank.Server)
-	s.cond = sync.NewCond(&s.mu)
-	return s, nil
+	hc := hub.Config{
+		Stream:        cfg,
+		LagWindow:     int(min(cfg.Count, hub.MaxLagWindow)),
+		Shards:        1,
+		ReattachGrace: math.MaxInt64,
+		ResendWindow:  cfg.ResendWindow,
+	}
+	if hc.ResendWindow == 0 {
+		hc.ResendWindow = -1 // only the write in hand is resent
+	}
+	if err := hc.Validate(); err != nil {
+		return nil, err
+	}
+	return &Server{cfg: hc}, nil
 }
 
-// Stop ends generation; senders drain the queue and emit end markers.
+// Stop ends generation; paths drain the queue and emit end markers.
 func (s *Server) Stop() {
-	s.mu.Lock()
-	s.stopped = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.stopped.Store(true)
+	if sess := s.sess.Load(); sess != nil {
+		sess.hub.Stop()
+	}
 }
 
 // Generated returns the number of packets generated so far.
 func (s *Server) Generated() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.generated
+	if sess := s.sess.Load(); sess != nil {
+		return sess.hub.Generated()
+	}
+	return 0
 }
 
 // PathCounts returns how many packets each path carried (valid after Serve).
 func (s *Server) PathCounts() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int64, len(s.pathSent))
-	copy(out, s.pathSent)
+	sess := s.sess.Load()
+	if sess == nil {
+		return nil
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	out := make([]int64, len(sess.conns))
+	for k, c := range sess.conns {
+		out[k] = c.sent.Load()
+	}
 	return out
 }
 
@@ -110,17 +127,17 @@ func (s *Server) Serve(conns []net.Conn) (int64, error) {
 //	Active ──→ Dead
 //	  └─────────┴──→ Removed
 //
-// A path is Active while writes complete, Dead once its sender hit a
-// terminal error — a timed-out write (Config.WriteStallTimeout) is one —
-// and its unsent window went back to the server queue, and Removed after
-// RemovePath retired it administratively.
+// A path is Active while writes complete, Dead once a write to it failed —
+// a timed-out write (Config.WriteStallTimeout) is one — and its unsent
+// window went back to the server queue, and Removed after RemovePath
+// retired it administratively.
 type PathState int32
 
 const (
 	// PathActive: the sender is fetching and writing normally.
 	PathActive PathState = iota
-	// PathDead: the sender exited on an error; in-flight packets were
-	// returned to the server queue for the surviving paths.
+	// PathDead: a write failed; in-flight packets were returned to the
+	// server queue for the surviving paths.
 	PathDead
 	// PathRemoved: RemovePath drained and retired the path.
 	PathRemoved
@@ -141,66 +158,74 @@ func (s PathState) String() string {
 
 // Session is a running stream whose path membership can change while it is
 // live: paths can be added mid-stream (e.g. a second interface coming up)
-// and a failing path's sender stops fetching — after handing its unsent
-// window back to the server queue — leaving the remaining paths to carry
-// the stream. Every path moves through the PathState machine; query it with
-// PathStates.
+// and a failing path stops fetching — after handing its unsent window back
+// to the server queue — leaving the remaining paths to carry the stream.
+// Every path moves through the PathState machine; query it with PathStates.
+//
+// The session is one subscription of its hub, under a fixed token; every
+// path attaches to it as an absolute join, so frames carry the stream's own
+// packet numbers. mu is never held across a hub call, and the hub calls
+// back into the session (pathConn's writes) holding none of its locks.
 type Session struct {
 	srv *Server
+	hub *hub.Hub
 
 	mu     lockrank.Mutex
-	wg     sync.WaitGroup
-	errs   []error         // guarded by mu
-	stops  []chan struct{} // guarded by mu
-	waited bool            // guarded by mu
-	states []PathState     // guarded by mu
+	conns  []*pathConn // guarded by mu; indexed by path
+	states []PathState // guarded by mu
+	errs   []error     // guarded by mu
+	waited bool        // guarded by mu
 }
 
+// sessionToken is every session's subscriber token: a session's hub has
+// no other subscriber to tell it from.
+var sessionToken wire.Token
+
 // Start begins packet generation in the background and returns a Session to
-// attach paths to. The caller must eventually call Wait.
+// attach paths to. The caller must eventually call Wait, and must call
+// Start once.
 func (s *Server) Start() *Session {
-	sess := &Session{srv: s}
+	h, err := hub.New(s.cfg)
+	if err != nil {
+		panic(err) // NewServer validated the configuration
+	}
+	sess := &Session{srv: s, hub: h}
 	sess.mu.Init(lockrank.Session)
-	sess.wg.Add(1) // generation
-	go func() {
-		defer sess.wg.Done()
-		s.generate()
-	}()
+	s.sess.Store(sess)
+	if s.stopped.Load() {
+		h.Stop()
+	}
 	return sess
 }
 
 // AddPath attaches a connection as a new path and starts its sender. It
 // returns the path index. AddPath must not be called after Wait has
-// returned.
+// returned. A path added once the stream is over is refused with the
+// stream-ended reject frame.
 func (sess *Session) AddPath(conn net.Conn) int {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
+	}
 	sess.mu.Lock()
 	if sess.waited {
 		sess.mu.Unlock()
 		panic("core: AddPath after Wait returned")
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	sess.srv.mu.Lock()
-	k := len(sess.srv.pathSent)
-	sess.srv.pathSent = append(sess.srv.pathSent, 0)
-	sess.srv.mu.Unlock()
-	sess.errs = append(sess.errs, nil)
+	k := len(sess.conns)
+	pc := &pathConn{Conn: conn, sess: sess, k: k, frame: int64(wire.FrameHeaderSize + sess.srv.cfg.Stream.PayloadSize)}
+	_, pc.vectored = conn.(syscall.Conn)
+	sess.conns = append(sess.conns, pc)
 	sess.states = append(sess.states, PathActive)
-	stop := make(chan struct{})
-	sess.stops = append(sess.stops, stop)
-	sess.wg.Add(1)
+	sess.errs = append(sess.errs, nil)
 	sess.mu.Unlock()
 
-	go func() {
-		defer sess.wg.Done()
-		err := sess.sendLoop(k, conn, stop)
-		if err != nil {
-			sess.mu.Lock()
-			sess.errs[k] = err
-			sess.mu.Unlock()
-		}
-	}()
+	err := sess.hub.AttachJoined(pc, wire.Join{StreamID: sess.hub.StreamID(), Token: sessionToken, Flags: wire.JoinFlagAbsolute})
+	if err != nil && !errors.Is(err, hub.ErrStreamEnded) {
+		sess.fail(k, err)
+	}
+	if sess.PathState(k) == PathRemoved {
+		sess.hub.RemovePath(sessionToken, pc) // removed while it attached
+	}
 	return k
 }
 
@@ -225,351 +250,95 @@ func (sess *Session) PathState(k int) PathState {
 	return sess.states[k]
 }
 
-// RemovePath gracefully drains path k: its sender finishes the packet in
+// RemovePath gracefully drains path k: its sender finishes the write in
 // hand, emits an end marker, and stops fetching; remaining paths absorb the
-// load. The connection itself is left open for the caller to close. Removing
-// an unknown or already-removed path is a no-op.
+// load. The hub then closes the connection. Removing an unknown or
+// already-removed path is a no-op.
 func (sess *Session) RemovePath(k int) {
 	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if k < 0 || k >= len(sess.stops) || sess.states[k] == PathRemoved {
+	if k < 0 || k >= len(sess.conns) || sess.states[k] == PathRemoved {
+		sess.mu.Unlock()
 		return
 	}
 	sess.states[k] = PathRemoved
-	close(sess.stops[k])
-	// Wake a sender that is blocked waiting for queue content.
-	sess.srv.mu.Lock()
-	sess.srv.cond.Broadcast()
-	sess.srv.mu.Unlock()
+	pc := sess.conns[k]
+	sess.mu.Unlock()
+	sess.hub.RemovePath(sessionToken, pc)
 }
 
 // Wait blocks until generation has finished and every path has drained or
 // failed. It returns the number of packets generated and the joined errors
 // of any failed paths.
 func (sess *Session) Wait() (int64, error) {
-	sess.wg.Wait()
+	sess.hub.Wait()
 	sess.mu.Lock()
 	sess.waited = true
 	err := errors.Join(sess.errs...)
 	sess.mu.Unlock()
-	return sess.srv.Generated(), err
+	return sess.hub.Generated(), err
 }
 
-// generate produces packets on the CBR schedule until Count or Stop.
-func (s *Server) generate() {
-	period := time.Duration(float64(time.Second) / s.cfg.Mu)
-	base := time.Now()
-	for n := int64(0); ; n++ {
-		if s.cfg.Count > 0 && n >= s.cfg.Count {
-			break
-		}
-		// Drift-free schedule: packet n is due at base + n/µ.
-		due := base.Add(time.Duration(n) * period)
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		s.mu.Lock()
-		if s.stopped {
-			s.mu.Unlock()
-			break
-		}
-		s.queue = append(s.queue, queued{pkt: uint32(n), gen: time.Now().UnixNano()}) // amortized: popLocked compacts and reuses the backing array
-		s.generated++
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-	s.mu.Lock()
-	s.genDone = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// pop fetches the head-of-queue packet, blocking while the queue is empty
-// and generation continues. ok=false means the stream is over or the path
-// was removed.
-func (s *Server) pop(k int, stop <-chan struct{}) (queued, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		// Inline non-blocking stop check: a closure here would be a heap
-		// allocation on every pop, i.e. one per frame per path.
-		select {
-		case <-stop:
-			return queued{}, false
-		default:
-		}
-		if s.qhead < len(s.queue) {
-			return s.popLocked(k), true
-		}
-		if s.genDone || s.stopped {
-			return queued{}, false // queue empty and no more production
-		}
-		s.cond.Wait()
-	}
-}
-
-// popLocked pulls the head-of-queue packet and charges it to path k. The
-// caller holds s.mu and has checked the queue is non-empty.
-func (s *Server) popLocked(k int) queued {
-	q := s.queue[s.qhead]
-	s.qhead++
-	if s.qhead == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.qhead = 0
-	} else if s.qhead > 32 && s.qhead*2 > len(s.queue) {
-		// Compact once the consumed prefix dominates the slice, so a
-		// persistent path deficit on a long live stream does not
-		// retain every packet ever sent.
-		n := copy(s.queue, s.queue[s.qhead:])
-		s.queue = s.queue[:n]
-		s.qhead = 0
-	}
-	s.pathSent[k]++
-	return q
-}
-
-// popBatch fetches up to len(out) packets: a blocking pop for the head,
-// then one more lock hold draining whatever the generator has already
-// queued. A sender that fell behind (its connection briefly stalled, or
-// a dead sibling's window was requeued) catches up with one syscall per
-// batch instead of one per packet, while a sender keeping pace with the
-// CBR schedule degenerates to batches of one — backpressure allocation
-// across paths is untouched because packets are still claimed under the
-// same queue lock, just amortized.
-func (s *Server) popBatch(k int, stop <-chan struct{}, out []queued) (int, bool) {
-	q, ok := s.pop(k, stop)
-	if !ok {
-		return 0, false
-	}
-	out[0] = q
-	n := 1
-	s.mu.Lock()
-	for n < len(out) && s.qhead < len(s.queue) {
-		out[n] = s.popLocked(k)
-		n++
-	}
-	s.mu.Unlock()
-	return n, true
-}
-
-// sendBatch bounds how many queued packets one sender claims and renders
-// into its contiguous write buffer per fetch. A sender at pace sees
-// batches of one; a sender catching up after a stall or a sibling's
-// requeued window coalesces up to this many frames into a single Write.
-const sendBatch = 32
-
-// sendLoop is one path's sender: header, frames fetched from the shared
-// queue, end marker. Batches claimed by popBatch are rendered into one
-// contiguous buffer and written with a single Write call. On a terminal
-// write error it hands the frames that never fully hit the wire — plus
-// the last Config.ResendWindow packets it wrote, which may be stranded
-// in dead kernel/relay buffers — back to the server queue, marks the
-// path dead, and exits; the surviving paths absorb the returned packets.
-func (sess *Session) sendLoop(k int, conn net.Conn, stop <-chan struct{}) error {
-	s := sess.srv
-	if err := s.writeHeader(k, conn); err != nil {
-		sess.fail(k, nil, nil)
-		return fmt.Errorf("core: path %d header: %w", k, err)
-	}
-	p := sess.newPathSender(k, conn)
-	for {
-		n, ok := s.popBatch(k, stop, p.batch)
-		if !ok {
-			break
-		}
-		if err := p.send(n); err != nil {
-			return err
-		}
-	}
-	// End marker: genNanos carries the generated count.
-	end := p.buf[:p.frameSize]
-	wire.PutFrameHeader(end, wire.EndMarker, s.Generated())
-	if _, err := sess.writeFrame(conn, end); err != nil {
-		sess.fail(k, nil, unroll(p.ring, p.next))
-		return fmt.Errorf("core: path %d end marker: %w", k, err)
-	}
-	return nil
-}
-
-// pathSender is what one path's sender keeps between claims: the claim
-// buffer, the render buffer and the resend ring.
-type pathSender struct {
-	sess      *Session
-	k         int
-	conn      net.Conn
-	frameSize int
-	batch     []queued // the claim buffer, sendBatch long
-	// buf is the render buffer. It starts at one frame, a batch at pace,
-	// and doubles when a catch-up batch needs more, up to sendBatch frames.
-	// Once a whole run of sendBatch writes has used at most half of it, it
-	// goes back to one frame.
-	buf  []byte
-	run  int // writes since buf last changed size or was checked
-	peak int // the most frames one of those writes carried
-	// ring holds the last cfg.ResendWindow packets written, oldest first
-	// once unrolled; next is the slot the next write lands in.
-	ring []queued
-	next int
-}
-
-func (sess *Session) newPathSender(k int, conn net.Conn) pathSender {
-	cfg := sess.srv.cfg
-	frameSize := wire.FrameHeaderSize + cfg.PayloadSize
-	return pathSender{
-		sess:      sess,
-		k:         k,
-		conn:      conn,
-		frameSize: frameSize,
-		batch:     make([]queued, sendBatch),
-		buf:       make([]byte, frameSize),
-		ring:      make([]queued, 0, cfg.ResendWindow),
-	}
-}
-
-// send renders the first n claimed packets into the render buffer and
-// writes them with one Write. On a terminal write error it marks the path
-// dead, hands back what may not have reached the peer, and returns the
-// error.
-func (p *pathSender) send(n int) error {
-	cfg := p.sess.srv.cfg
-	size := p.frameSize
-	grow := n*size > len(p.buf)
-	if grow {
-		frames := len(p.buf) / size
-		for frames < n {
-			frames *= 2
-		}
-		p.buf = make([]byte, min(frames, sendBatch)*size)
-	}
-	for i, q := range p.batch[:n] {
-		f := p.buf[i*size : (i+1)*size]
-		wire.PutFrameHeader(f, q.pkt, q.gen)
-		if cfg.Fill != nil {
-			cfg.Fill(q.pkt, f[wire.FrameHeaderSize:])
-		}
-	}
-	wrote, err := p.sess.writeFrame(p.conn, p.buf[:n*size])
-	if err != nil {
-		// Frames fully on the wire count as written (they join the resend
-		// ring like any other transmission, possibly stranded in dead
-		// buffers); the partially-written frame and everything after it
-		// never reached the peer and is requeued with its sent-count
-		// rolled back.
-		done := wrote / size
-		p.remember(p.batch[:done])
-		p.sess.fail(p.k, p.batch[done:n], unroll(p.ring, p.next))
-		return fmt.Errorf("core: path %d write: %w", p.k, err)
-	}
-	p.remember(p.batch[:n])
-	if grow { // the run starts after the write that sized the buffer
-		p.run, p.peak = 0, 0
-		return nil
-	}
-	p.peak = max(p.peak, n)
-	if p.run++; p.run == sendBatch {
-		if 2*p.peak*size <= len(p.buf) {
-			p.buf = make([]byte, size)
-		}
-		p.run, p.peak = 0, 0
-	}
-	return nil
-}
-
-// remember adds written packets to the resend ring, overwriting the oldest
-// once it holds cfg.ResendWindow.
-func (p *pathSender) remember(written []queued) {
-	w := p.sess.srv.cfg.ResendWindow
-	if w == 0 {
-		return
-	}
-	for _, q := range written {
-		if len(p.ring) < w {
-			p.ring = append(p.ring, q) // within the capacity newPathSender gave it
-		} else {
-			p.ring[p.next%w] = q
-		}
-		p.next++
-	}
-}
-
-// unroll returns the ring's contents oldest-first. next is the total number
-// of packets ever written through the ring.
-func unroll(ring []queued, next int) []queued {
-	if len(ring) == 0 || next <= len(ring) {
-		return ring
-	}
-	start := next % len(ring)
-	out := make([]queued, 0, len(ring))
-	out = append(out, ring[start:]...)
-	return append(out, ring[:start]...)
-}
-
-// fail marks path k dead and returns its undelivered window to the queue:
-// the recently-written ring (possibly stranded in dead buffers) followed by
-// the unsent tail of the failing batch (claimed but never fully written).
-// Only an active path dies: one RemovePath retired stays removed.
-func (sess *Session) fail(k int, unsent []queued, ring []queued) {
+// fail records path k's first error and marks it dead; a removed path
+// stays removed.
+func (sess *Session) fail(k int, err error) {
 	sess.mu.Lock()
+	defer sess.mu.Unlock()
 	if sess.states[k] == PathActive {
 		sess.states[k] = PathDead
 	}
-	sess.mu.Unlock()
-	sess.srv.requeue(k, unsent, ring)
-}
-
-// writeFrame writes one or more contiguous frames, arming the optional
-// stall deadline before every attempt, and returns how many bytes hit the
-// wire (meaningful on error: the caller divides by the frame size to tell
-// delivered frames from ones to requeue). A short write is resumed at its
-// offset so framing survives; any error, a timed-out write included, is
-// terminal for the path. frame is only lent to conn.Write; writeFrame must
-// never retain or rewrite it.
-func (sess *Session) writeFrame(conn net.Conn, frame []byte) (int, error) {
-	s := sess.srv
-	off := 0
-	for {
-		if s.cfg.WriteStallTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteStallTimeout))
-		}
-		n, err := conn.Write(frame[off:])
-		off += n
-		if err != nil || off == len(frame) {
-			return off, err
-		}
+	if sess.errs[k] == nil {
+		sess.errs[k] = fmt.Errorf("core: path %d: %w", k, err)
 	}
 }
 
-// requeue returns a dead path's undelivered packets to the head of the
-// server queue, oldest first, so surviving senders retransmit them ahead of
-// fresh content. Unsent packets were counted sent at claim time but never
-// hit the wire, so their counts are rolled back; ring packets were genuinely
-// transmitted once already and keep their count.
-func (s *Server) requeue(k int, unsent []queued, ring []queued) {
-	n := len(ring) + len(unsent)
-	if n == 0 {
-		return
+// pathConn is a path's connection as the hub sees it: it counts the frames
+// that reach the connection whole and reports the first failed write to
+// the session. The hub writes one path at a time, so the write-side fields
+// have one user at a time.
+type pathConn struct {
+	net.Conn
+	sess     *Session
+	k        int
+	frame    int64 // bytes a frame takes on the wire
+	vectored bool  // the conn is a kernel socket: a frame batch is one writev
+	sent     atomic.Int64
+
+	vec net.Buffers // the batch in flight; a field so WriteTo's pointer receiver does not move it to the heap
+	buf []byte      // a batch gathered for a conn with no vectored write
+}
+
+func (c *pathConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	if err != nil {
+		c.sess.fail(c.k, err)
 	}
-	pkts := make([]queued, 0, n)
-	pkts = append(pkts, ring...)
-	pkts = append(pkts, unsent...)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pathSent[k] -= int64(len(unsent))
-	if s.qhead >= len(pkts) {
-		s.qhead -= len(pkts)
-		copy(s.queue[s.qhead:], pkts)
+	return n, err
+}
+
+// WriteBuffers takes one batch of [header, payload] frames. A socket gets
+// them in one writev; any other conn in one Write of the gathered frames,
+// as a sender rendering its frames into one buffer would write them.
+func (c *pathConn) WriteBuffers(bufs net.Buffers) (int64, error) {
+	var n int64
+	var err error
+	if c.vectored {
+		c.vec = bufs
+		n, err = c.vec.WriteTo(c.Conn)
+		c.vec = nil
 	} else {
-		s.queue = append(pkts, s.queue[s.qhead:]...)
-		s.qhead = 0
+		c.buf = c.buf[:0]
+		for _, b := range bufs {
+			c.buf = append(c.buf, b...)
+		}
+		var m int
+		m, err = c.Conn.Write(c.buf)
+		n = int64(m)
 	}
-	s.cond.Broadcast()
-}
-
-func (s *Server) writeHeader(k int, conn net.Conn) error {
-	s.mu.Lock()
-	numPaths := len(s.pathSent)
-	s.mu.Unlock()
-	return wire.WriteStreamHeader(conn, k, numPaths, s.cfg.PayloadSize, s.cfg.Mu)
+	c.sent.Add(n / c.frame)
+	if err != nil {
+		c.sess.fail(c.k, err)
+	}
+	return n, err
 }
 
 // Arrival is one received packet observation. The Receiver keeps each as a

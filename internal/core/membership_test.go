@@ -12,44 +12,6 @@ import (
 	"dmpstream/internal/wire"
 )
 
-// TestQueueCompaction pins the fix for unbounded server-queue growth: the
-// consumed prefix must be reclaimed while the queue is still non-empty, not
-// only when it fully drains.
-func TestQueueCompaction(t *testing.T) {
-	s, err := NewServer(wire.Config{Mu: 1000, PayloadSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 10000
-	s.mu.Lock()
-	for i := 0; i < n; i++ {
-		s.queue = append(s.queue, queued{pkt: uint32(i)})
-	}
-	s.pathSent = append(s.pathSent, 0)
-	s.mu.Unlock()
-
-	stop := make(chan struct{})
-	for i := 0; i < 6000; i++ {
-		q, ok := s.pop(0, stop)
-		if !ok || q.pkt != uint32(i) {
-			t.Fatalf("pop %d: got %v ok=%v", i, q.pkt, ok)
-		}
-	}
-	s.mu.Lock()
-	qlen, qhead := len(s.queue), s.qhead
-	s.mu.Unlock()
-	// Without compaction the slice would still hold all 10000 entries with
-	// qhead at 6000; with it, the consumed prefix has been copied away.
-	if qlen > n/2+1 || qhead >= qlen {
-		t.Fatalf("queue not compacted: len=%d qhead=%d", qlen, qhead)
-	}
-	// Remaining packets still come out in order: nothing was lost.
-	q, ok := s.pop(0, stop)
-	if !ok || q.pkt != 6000 {
-		t.Fatalf("post-compaction pop: got %v ok=%v", q.pkt, ok)
-	}
-}
-
 // TestWriteStallTimeout: with Config.WriteStallTimeout set, a path whose
 // peer stops reading fails with a timeout error instead of blocking
 // Session.Wait forever.

@@ -2,9 +2,9 @@ package core
 
 import "math/bits"
 
-// ringFreeMax caps a SeqRing's free list: a sender writes up to sendBatch
-// frames at once, so that many buffers wait for the next burst at pace.
-const ringFreeMax = sendBatch
+// ringFreeMax caps a SeqRing's free list: a hub path writes up to 32 frames
+// at once, so that many buffers wait for the next burst at pace.
+const ringFreeMax = 32
 
 // MaxSeqSpan bounds a SeqRing's span, and so its slots (40 B each): 2^20
 // sequences is about an hour of a 300 pkt/s stream.

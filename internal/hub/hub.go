@@ -917,6 +917,34 @@ func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 	return nil
 }
 
+// RemovePath ends path conn of subscriber tok gracefully, as the stream's
+// end would: the path finishes the write in hand, writes its end marker and
+// retires, and the subscriber's other paths carry the stream on. Nothing it
+// wrote is resent — it all went out ahead of the marker. The hub closes conn
+// once the marker is out, as for any path it retires. It reports whether
+// conn was attached under tok.
+func (h *Hub) RemovePath(tok wire.Token, conn net.Conn) bool {
+	sd := h.shardFor(tok)
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	sub := sd.subs[tok]
+	if sub == nil {
+		return false
+	}
+	for _, p := range sub.links {
+		if p.conn == conn {
+			p.removed = true
+			if !p.held {
+				p.unlink()
+				sd.ready.push(p)
+				sd.kickLocked(false)
+			}
+			return true
+		}
+	}
+	return false
+}
+
 // mergeSeqs folds newly dead sequences into a sorted, deduplicated resend
 // queue so retransmits go out oldest first and at most once.
 func mergeSeqs(have, add []int64) []int64 {

@@ -65,6 +65,7 @@ type path struct {
 
 	next, prev *path // guarded by mu (the shard's); links of the list the path is on
 	held       bool  // guarded by mu; on the shard's held list: a worker has it
+	removed    bool  // guarded by mu; RemovePath asked it to end: its end marker is next
 
 	// Owned by whichever worker holds the path; the shard mutex orders one
 	// holder's accesses before the next one's.
@@ -506,14 +507,14 @@ const (
 	stepPark   pathStep = iota // nothing to send: the path is parked again
 	stepHeader                 // write the stream header
 	stepWrite                  // write the leased batch
-	stepEnd                    // stream over and drained: write the end marker, then retire
+	stepEnd                    // stream over and drained, or the path removed: write the end marker, then retire
 	stepRetire                 // evicted or force-closed: retire without writing
 )
 
 // stepLocked decides what the worker holding p does next, in the order a
 // sender always has: teardown first, then the stream header, then frames —
 // resends before new content — and the end marker once the stream is over
-// and drained. A path with none of these is parked: it holds its
+// and drained, or at once for a removed path. A path with none of these is parked: it holds its
 // subscription and its resend record, no workspace and no goroutine. The
 // batch is non-nil for stepWrite only; the worker owns its pins and drops
 // them with releaseBatch after the write. Caller holds sd.mu.
@@ -525,6 +526,9 @@ func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
 	if !p.started {
 		p.started = true
 		return stepHeader, nil
+	}
+	if p.removed {
+		return stepEnd, nil
 	}
 	sub := p.sub
 	if b := sd.popBatchLocked(sub); b != nil {

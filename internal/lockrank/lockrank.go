@@ -14,7 +14,7 @@
 // parses the goroutine id from runtime.Stack, which costs microseconds
 // per acquisition, so it is for tests only:
 //
-//	go test -tags lockrank ./internal/hub ./internal/relay ./internal/registry ./internal/chaos
+//	go test -tags lockrank ./internal/hub ./internal/relay ./internal/registry ./internal/chaos ./internal/core
 //
 // The order covers every edge a test executes, however many calls lie
 // between the two acquisitions.
@@ -39,7 +39,6 @@ const (
 	Ring                   // hub.ring.mu
 	Pool                   // hub.bufPool.mu
 	Session                // core.Session.mu
-	Server                 // core.Server.mu
 	Receiver               // core.Receiver.mu
 	PathReader             // core.PathReader.mu: a leaf, never held across a consumer hook
 	Acceptor               // hub.Acceptor.mu: a leaf, never held across an owner hook
@@ -56,7 +55,6 @@ var names = [...]string{
 	Ring:       "hub.ring.mu",
 	Pool:       "hub.bufPool.mu",
 	Session:    "core.Session.mu",
-	Server:     "core.Server.mu",
 	Receiver:   "core.Receiver.mu",
 	PathReader: "core.PathReader.mu",
 	Acceptor:   "hub.Acceptor.mu",

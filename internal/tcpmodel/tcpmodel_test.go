@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"dmpstream/internal/markov"
-	"dmpstream/internal/pftk"
 )
 
 func TestStateSpaceIsFiniteAndModest(t *testing.T) {
@@ -107,7 +106,7 @@ func TestThroughputAgreesWithPFTK(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := pftk.Throughput(p, r, to*r, 2, 32)
+			want := pftkThroughput(p, r, to*r, 2, 32)
 			if got < want/2 || got > want*2 {
 				t.Errorf("p=%v TO=%v: chain σ=%.2f, PFTK σ=%.2f (ratio %.2f)",
 					p, to, got, want, got/want)

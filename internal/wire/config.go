@@ -6,21 +6,20 @@ import (
 )
 
 // Config describes the video source: the stream both ends of a path agree
-// on. Its two consumers read different parts of it:
-//   - the paper's sender (core.Server) reads every field;
-//   - a broadcast hub (hub.Config.Stream) reads Mu, PayloadSize, Count,
-//     Fill and WriteStallTimeout, and ignores ResendWindow: a hub keeps
-//     its own, hub.Config.ResendWindow.
+// on. A broadcast hub (hub.Config.Stream) reads Mu, PayloadSize, Count,
+// Fill and WriteStallTimeout, and ignores ResendWindow: a hub keeps its
+// own, hub.Config.ResendWindow. The paper's server (core.Server) is a hub
+// with one subscriber; it reads every field, and hands ResendWindow to its
+// hub as the hub's own.
 type Config struct {
 	Mu          float64 // generation/playback rate, packets per second
 	PayloadSize int     // payload bytes per packet (default 1000)
 	Count       int64   // packets to generate; 0 = run until Stop
 	// Fill, if set, fills each packet's payload (e.g. with encoded media).
 	// It must be a pure function of the packet number — the same bytes on
-	// every call for one packet — and safe to call concurrently: a sender
-	// renders the payload at every write of a packet, resends included, and
-	// a hub renders a packet again when a catch-up or a resend needs one its
-	// ring no longer keeps.
+	// every call for one packet — and safe to call concurrently: a hub
+	// renders a packet when it generates it, and again when a catch-up or a
+	// resend needs one its ring no longer keeps.
 	Fill func(pkt uint32, buf []byte)
 	// WriteStallTimeout bounds each per-path Write: a path whose connection
 	// stalls longer fails with a timeout error, which is terminal for the
@@ -33,7 +32,7 @@ type Config struct {
 	// loss hole a dead TCP connection leaves (bytes acknowledged to the
 	// sender's kernel but never delivered). Packets the client had in fact
 	// already received arrive twice and are deduplicated by the Receiver.
-	// 0 (the default) requeues only the single packet in the sender's hand.
+	// 0 (the default) requeues only the packets of the write in hand.
 	ResendWindow int
 }
 
