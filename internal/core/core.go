@@ -3,16 +3,12 @@
 // experiments (Section 6).
 //
 // A Server generates CBR video packets into a shared server queue, and each
-// path takes packets from the head of that queue with a blocking Write. The
-// queue and the senders are a broadcast hub's (internal/hub) with one
-// subscriber: the hub's ring is the queue, its cursor the queue head, and
-// every path is attached to the one subscription, so the claim under the
-// subscriber's lock is the paper's "access to the server queue" and a path
-// blocked inside Write holds no lock while its siblings keep fetching.
-// Kernel (or relay) send-buffer backpressure therefore allocates packets to
-// paths in proportion to their instantaneous achievable throughput — no
-// probing, exactly as the paper argues. The Server adds what the hub does
-// not keep: path indices, per-path packet counts, states and errors.
+// path takes packets from its head with a blocking Write. The queue and
+// senders are a broadcast hub's (internal/hub) with one subscriber: the
+// ring is the queue, the subscriber's cursor its head, and a path blocked
+// in Write holds no lock while its siblings keep fetching. Send-buffer
+// backpressure therefore allocates packets to paths in proportion to their
+// achievable throughput — no probing, exactly as the paper argues.
 //
 // The Client reads frames from all paths concurrently, reassembles by packet
 // number and records a timestamped arrival trace, from which the fraction of
@@ -44,30 +40,25 @@ import (
 type Server struct {
 	cfg     hub.Config
 	stopped atomic.Bool
-	sess    atomic.Pointer[Session] // the running session, nil before Start
+	sess    atomic.Pointer[Session] // nil before Start
 }
 
-// NewServer validates the configuration and builds a server.
-//
-// The server's queue is the hub's ring, sized so that a backlogged stream
-// loses nothing: a finite stream's ring holds all Count packets (up to
-// hub.MaxLagWindow), so no path, however far behind, is ever skipped past a
-// packet; a live stream's holds the hub's default window, and a session
-// more than that behind loses the oldest packets rather than growing the
-// queue without bound. A subscription whose paths have all died waits for
-// the next AddPath for as long as the stream runs.
+// NewServer validates the configuration and builds a server. Its queue is
+// the hub's ring: a finite stream's holds all Count packets (at most
+// hub.MaxLagWindow), so a backlogged path loses nothing; a live stream's
+// holds one second of it (and at least ResendWindow packets), past which
+// the oldest are dropped rather than the queue growing without bound.
 func NewServer(cfg wire.Config) (*Server, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	hc := hub.Config{
-		Stream:        cfg,
-		LagWindow:     int(min(cfg.Count, hub.MaxLagWindow)),
-		Shards:        1,
-		ReattachGrace: math.MaxInt64,
-		ResendWindow:  cfg.ResendWindow,
+	window := cfg.Count
+	if window == 0 {
+		window = max(int64(math.Ceil(cfg.Mu)), int64(cfg.ResendWindow))
 	}
+	hc := hub.Config{Stream: cfg, LagWindow: int(min(window, hub.MaxLagWindow)), Shards: 1,
+		ReattachGrace: math.MaxInt64, ResendWindow: cfg.ResendWindow} // a pathless session waits for AddPath
 	if hc.ResendWindow == 0 {
 		hc.ResendWindow = -1 // only the write in hand is resent
 	}
@@ -101,8 +92,8 @@ func (s *Server) PathCounts() []int64 {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	out := make([]int64, len(sess.conns))
-	for k, c := range sess.conns {
+	out := make([]int64, len(sess.paths))
+	for k, c := range sess.paths {
 		out[k] = c.sent.Load()
 	}
 	return out
@@ -127,20 +118,15 @@ func (s *Server) Serve(conns []net.Conn) (int64, error) {
 //	Active ──→ Dead
 //	  └─────────┴──→ Removed
 //
-// A path is Active while writes complete, Dead once a write to it failed —
-// a timed-out write (Config.WriteStallTimeout) is one — and its unsent
-// window went back to the server queue, and Removed after RemovePath
-// retired it administratively.
+// A path is Active while writes complete, Dead once a write failed — a
+// timed-out write (Config.WriteStallTimeout) is one — and its unsent window
+// went back to the server queue, and Removed after RemovePath retired it.
 type PathState int32
 
 const (
-	// PathActive: the sender is fetching and writing normally.
-	PathActive PathState = iota
-	// PathDead: a write failed; in-flight packets were returned to the
-	// server queue for the surviving paths.
-	PathDead
-	// PathRemoved: RemovePath drained and retired the path.
-	PathRemoved
+	PathActive  PathState = iota // writing normally
+	PathDead                     // a write failed; its window went to the surviving paths
+	PathRemoved                  // RemovePath drained and retired the path
 )
 
 func (s PathState) String() string {
@@ -156,34 +142,24 @@ func (s PathState) String() string {
 	}
 }
 
-// Session is a running stream whose path membership can change while it is
-// live: paths can be added mid-stream (e.g. a second interface coming up)
-// and a failing path stops fetching — after handing its unsent window back
-// to the server queue — leaving the remaining paths to carry the stream.
-// Every path moves through the PathState machine; query it with PathStates.
-//
-// The session is one subscription of its hub, under a fixed token; every
-// path attaches to it as an absolute join, so frames carry the stream's own
-// packet numbers. mu is never held across a hub call, and the hub calls
-// back into the session (pathConn's writes) holding none of its locks.
+// Session is a running stream whose paths can be added and removed while
+// it is live, and survive each other's failure. It is its hub's one
+// subscription; every path attaches as an absolute join under one token.
+// mu is never held across a hub call, and the hub reaches the session (its
+// pathConns' writes) holding no lock.
 type Session struct {
-	srv *Server
-	hub *hub.Hub
-
+	srv    *Server
+	hub    *hub.Hub
 	mu     lockrank.Mutex
-	conns  []*pathConn // guarded by mu; indexed by path
-	states []PathState // guarded by mu
-	errs   []error     // guarded by mu
+	paths  []*pathConn // guarded by mu; indexed by path
 	waited bool        // guarded by mu
 }
 
-// sessionToken is every session's subscriber token: a session's hub has
-// no other subscriber to tell it from.
-var sessionToken wire.Token
+// token is every session's subscriber token: its hub has no other.
+var token wire.Token
 
 // Start begins packet generation in the background and returns a Session to
-// attach paths to. The caller must eventually call Wait, and must call
-// Start once.
+// attach paths to. Call it once; the caller must eventually call Wait.
 func (s *Server) Start() *Session {
 	h, err := hub.New(s.cfg)
 	if err != nil {
@@ -198,44 +174,40 @@ func (s *Server) Start() *Session {
 	return sess
 }
 
-// AddPath attaches a connection as a new path and starts its sender. It
-// returns the path index. AddPath must not be called after Wait has
-// returned. A path added once the stream is over is refused with the
-// stream-ended reject frame.
+// AddPath attaches a connection as a new path and returns its index. It
+// must not be called after Wait has returned; a path added once the stream
+// is over gets the stream-ended reject frame.
 func (sess *Session) AddPath(conn net.Conn) int {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	pc := &pathConn{Conn: conn, sess: sess, frame: int64(wire.FrameHeaderSize + sess.srv.cfg.Stream.PayloadSize)}
+	_, pc.vectored = conn.(syscall.Conn)
 	sess.mu.Lock()
 	if sess.waited {
 		sess.mu.Unlock()
 		panic("core: AddPath after Wait returned")
 	}
-	k := len(sess.conns)
-	pc := &pathConn{Conn: conn, sess: sess, k: k, frame: int64(wire.FrameHeaderSize + sess.srv.cfg.Stream.PayloadSize)}
-	_, pc.vectored = conn.(syscall.Conn)
-	sess.conns = append(sess.conns, pc)
-	sess.states = append(sess.states, PathActive)
-	sess.errs = append(sess.errs, nil)
+	pc.k = len(sess.paths)
+	sess.paths = append(sess.paths, pc)
 	sess.mu.Unlock()
-
-	err := sess.hub.AttachJoined(pc, wire.Join{StreamID: sess.hub.StreamID(), Token: sessionToken, Flags: wire.JoinFlagAbsolute})
-	if err != nil && !errors.Is(err, hub.ErrStreamEnded) {
-		sess.fail(k, err)
+	if err := sess.hub.AttachJoined(pc, wire.Join{StreamID: sess.hub.StreamID(), Token: token, Flags: wire.JoinFlagAbsolute}); err != nil && !errors.Is(err, hub.ErrStreamEnded) {
+		pc.fail(err)
 	}
-	if sess.PathState(k) == PathRemoved {
-		sess.hub.RemovePath(sessionToken, pc) // removed while it attached
+	if sess.PathState(pc.k) == PathRemoved {
+		sess.hub.RemovePath(token, pc) // removed while it attached
 	}
-	return k
+	return pc.k
 }
 
-// PathStates snapshots every path's health state, indexed by the path index
-// AddPath returned.
+// PathStates snapshots every path's health state, indexed by path.
 func (sess *Session) PathStates() []PathState {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	out := make([]PathState, len(sess.states))
-	copy(out, sess.states)
+	out := make([]PathState, len(sess.paths))
+	for k, c := range sess.paths {
+		out[k] = c.state
+	}
 	return out
 }
 
@@ -244,26 +216,25 @@ func (sess *Session) PathStates() []PathState {
 func (sess *Session) PathState(k int) PathState {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if k < 0 || k >= len(sess.states) {
+	if k < 0 || k >= len(sess.paths) {
 		return PathRemoved
 	}
-	return sess.states[k]
+	return sess.paths[k].state
 }
 
-// RemovePath gracefully drains path k: its sender finishes the write in
-// hand, emits an end marker, and stops fetching; remaining paths absorb the
-// load. The hub then closes the connection. Removing an unknown or
-// already-removed path is a no-op.
+// RemovePath gracefully drains path k: it finishes the write in hand, emits
+// an end marker and is closed; the remaining paths absorb the load.
+// Removing an unknown or already-removed path is a no-op.
 func (sess *Session) RemovePath(k int) {
 	sess.mu.Lock()
-	if k < 0 || k >= len(sess.conns) || sess.states[k] == PathRemoved {
+	if k < 0 || k >= len(sess.paths) || sess.paths[k].state == PathRemoved {
 		sess.mu.Unlock()
 		return
 	}
-	sess.states[k] = PathRemoved
-	pc := sess.conns[k]
+	pc := sess.paths[k]
+	pc.state = PathRemoved
 	sess.mu.Unlock()
-	sess.hub.RemovePath(sessionToken, pc)
+	sess.hub.RemovePath(token, pc)
 }
 
 // Wait blocks until generation has finished and every path has drained or
@@ -272,55 +243,54 @@ func (sess *Session) RemovePath(k int) {
 func (sess *Session) Wait() (int64, error) {
 	sess.hub.Wait()
 	sess.mu.Lock()
-	sess.waited = true
-	err := errors.Join(sess.errs...)
-	sess.mu.Unlock()
-	return sess.hub.Generated(), err
-}
-
-// fail records path k's first error and marks it dead; a removed path
-// stays removed.
-func (sess *Session) fail(k int, err error) {
-	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.states[k] == PathActive {
-		sess.states[k] = PathDead
+	sess.waited = true
+	var errs []error
+	for _, c := range sess.paths {
+		errs = append(errs, c.err)
 	}
-	if sess.errs[k] == nil {
-		sess.errs[k] = fmt.Errorf("core: path %d: %w", k, err)
-	}
+	return sess.hub.Generated(), errors.Join(errs...)
 }
 
 // pathConn is a path's connection as the hub sees it: it counts the frames
-// that reach the connection whole and reports the first failed write to
-// the session. The hub writes one path at a time, so the write-side fields
-// have one user at a time.
+// that reach the connection whole and marks the path dead at its first
+// failed write. The hub writes a path from one worker at a time.
 type pathConn struct {
 	net.Conn
 	sess     *Session
 	k        int
-	frame    int64 // bytes a frame takes on the wire
-	vectored bool  // the conn is a kernel socket: a frame batch is one writev
+	frame    int64 // a frame's bytes on the wire
+	vectored bool  // a kernel socket: a batch is one writev
 	sent     atomic.Int64
+	state    PathState // guarded by mu (the session's)
+	err      error     // guarded by mu; the first failed write
 
-	vec net.Buffers // the batch in flight; a field so WriteTo's pointer receiver does not move it to the heap
-	buf []byte      // a batch gathered for a conn with no vectored write
+	vec net.Buffers // a field, so WriteTo's pointer receiver does not move it to the heap
+	buf []byte      // a batch gathered into one Write for a conn with no writev
+}
+
+func (c *pathConn) fail(err error) {
+	c.sess.mu.Lock()
+	defer c.sess.mu.Unlock()
+	if c.state == PathActive {
+		c.state = PathDead
+	}
+	if c.err == nil {
+		c.err = fmt.Errorf("core: path %d: %w", c.k, err)
+	}
 }
 
 func (c *pathConn) Write(b []byte) (int, error) {
 	n, err := c.Conn.Write(b)
 	if err != nil {
-		c.sess.fail(c.k, err)
+		c.fail(err)
 	}
 	return n, err
 }
 
-// WriteBuffers takes one batch of [header, payload] frames. A socket gets
-// them in one writev; any other conn in one Write of the gathered frames,
-// as a sender rendering its frames into one buffer would write them.
-func (c *pathConn) WriteBuffers(bufs net.Buffers) (int64, error) {
-	var n int64
-	var err error
+// WriteBuffers writes a batch of [header, payload] frames in one call, as
+// a sender rendering the batch into one buffer would.
+func (c *pathConn) WriteBuffers(bufs net.Buffers) (n int64, err error) {
 	if c.vectored {
 		c.vec = bufs
 		n, err = c.vec.WriteTo(c.Conn)
@@ -336,7 +306,7 @@ func (c *pathConn) WriteBuffers(bufs net.Buffers) (int64, error) {
 	}
 	c.sent.Add(n / c.frame)
 	if err != nil {
-		c.sess.fail(c.k, err)
+		c.fail(err)
 	}
 	return n, err
 }
