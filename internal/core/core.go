@@ -57,8 +57,15 @@ func NewServer(cfg wire.Config) (*Server, error) {
 	if window == 0 {
 		window = max(int64(math.Ceil(cfg.Mu)), int64(cfg.ResendWindow))
 	}
-	hc := hub.Config{Stream: cfg, LagWindow: int(min(window, hub.MaxLagWindow)), Shards: 1,
-		ReattachGrace: math.MaxInt64, ResendWindow: cfg.ResendWindow} // a pathless session waits for AddPath
+	hc := hub.Config{
+		Stream:    cfg,
+		LagWindow: int(min(window, hub.MaxLagWindow)),
+		Shards:    1,
+		// A session whose paths have all died waits for the next AddPath
+		// for as long as the stream runs.
+		ReattachGrace: math.MaxInt64,
+		ResendWindow:  cfg.ResendWindow,
+	}
 	if hc.ResendWindow == 0 {
 		hc.ResendWindow = -1 // only the write in hand is resent
 	}

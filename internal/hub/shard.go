@@ -514,10 +514,11 @@ const (
 // stepLocked decides what the worker holding p does next, in the order a
 // sender always has: teardown first, then the stream header, then frames —
 // resends before new content — and the end marker once the stream is over
-// and drained, or at once for a removed path. A path with none of these is parked: it holds its
-// subscription and its resend record, no workspace and no goroutine. The
-// batch is non-nil for stepWrite only; the worker owns its pins and drops
-// them with releaseBatch after the write. Caller holds sd.mu.
+// and drained, or at once for a removed path. A path with none of these is
+// parked: it holds its subscription and its resend record, no workspace
+// and no goroutine. The batch is non-nil for stepWrite only; the worker
+// owns its pins and drops them with releaseBatch after the write. Caller
+// holds sd.mu.
 func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
 	h := sd.h
 	if p.sub.evicted || h.closed.Load() {
