@@ -295,8 +295,10 @@ func (c *pathConn) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// WriteBuffers writes a batch of [header, payload] frames in one call, as
-// a sender rendering the batch into one buffer would.
+// WriteBuffers writes a batch of [header, payload] frames in one call: a
+// socket takes it as one writev, any other conn as one Write of the frames
+// gathered, where net.Buffers would make a Write of every header and every
+// payload.
 func (c *pathConn) WriteBuffers(bufs net.Buffers) (n int64, err error) {
 	if c.vectored {
 		c.vec = bufs
