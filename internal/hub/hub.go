@@ -1,12 +1,12 @@
 // Package hub fans a single live DMP source out to many multipath
 // subscribers.
 //
-// The paper's server (internal/core) serves exactly one client: one CBR
-// generator, one queue, one session. A broadcast hub keeps the single
-// generator but replaces the queue with a shared ring of the most recent
-// LagWindow packets; every subscriber owns a cursor into that ring, so one
-// generation goroutine serves all subscribers without per-subscriber copies
-// of the queue. Each subscriber is its own DMP multipath session: its path
+// The paper's server serves exactly one client: one CBR generator, one
+// queue, one session (internal/core runs it as a hub with one subscriber).
+// A broadcast hub keeps the single generator but replaces the queue with a
+// shared ring of the most recent LagWindow packets; every subscriber owns a
+// cursor into that ring, so one generation goroutine serves all subscribers
+// without per-subscriber copies of the queue. Each subscriber is its own DMP multipath session: its path
 // connections take packets from the subscriber's cursor one blocking Write
 // at a time, so send-buffer backpressure allocates packets across that
 // subscriber's paths exactly as in the single-client scheme — and
