@@ -68,7 +68,7 @@ func TestPoolChurnRace(t *testing.T) {
 		pinners   = 4
 	)
 	pool := newBufPool(64, true)
-	r := newRing(ringSize, pool, func(pkt uint32, buf []byte) {
+	r := newRing(ringSize, ringSize, pool, func(pkt uint32, buf []byte) {
 		for i := range buf {
 			buf[i] = byte(pkt)
 		}

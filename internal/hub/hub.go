@@ -76,6 +76,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"sort"
@@ -96,6 +97,17 @@ const (
 	DropOldest Policy = iota
 	// Evict disconnects the subscriber.
 	Evict
+	// Keep holds every packet a subscriber may still take, as the paper's
+	// server queue does: the ring stores the span from the oldest packet
+	// any subscriber, resend queue or path's resend record still needs to
+	// the live edge, growing with that backlog up to LagWindow; past it the
+	// oldest are dropped as under DropOldest. Before the first subscriber
+	// joins the ring holds the stream from its first packet, and an absolute
+	// join starts at the oldest packet stored. Each tick walks every path,
+	// so Keep suits a hub with few of them: internal/core's one-subscriber
+	// server. An ExternalSource hub stores its whole window whatever the
+	// policy.
+	Keep
 )
 
 func (p Policy) String() string {
@@ -104,6 +116,8 @@ func (p Policy) String() string {
 		return "drop-oldest"
 	case Evict:
 		return "evict"
+	case Keep:
+		return "keep"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -124,8 +138,8 @@ const maxTickBurst = 64
 const MaxShards = 64
 
 // MaxLagWindow bounds Config.LagWindow. The ring's slots are allocated up
-// front, 24 B each: 1<<24 packets is 400 MB of slots before any payload,
-// and 18 hours of a 250 packets/s stream.
+// front, 24 B each, except under Keep: 1<<24 packets is 400 MB of slots
+// before any payload, and 18 hours of a 250 packets/s stream.
 const MaxLagWindow = 1 << 24
 
 // minShedWindow is the floor of the degradation ladder: the resource
@@ -251,7 +265,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.LagWindow > MaxLagWindow {
 		return c, fmt.Errorf("hub: lag window %d > %d", c.LagWindow, MaxLagWindow)
 	}
-	if c.Policy != DropOldest && c.Policy != Evict {
+	if c.Policy != DropOldest && c.Policy != Evict && c.Policy != Keep {
 		return c, fmt.Errorf("hub: unknown policy %d", int(c.Policy))
 	}
 	if c.Shards < 0 {
@@ -334,6 +348,7 @@ type Hub struct {
 	stopped atomic.Bool // generation ordered to end
 	genDone atomic.Bool // generator exited
 	closed  atomic.Bool // force-closed
+	joined  atomic.Bool // a subscriber has registered (Keep holds the stream for the first)
 
 	// mu is the control plane: drain state and admission. It is never
 	// taken on the frame hot path.
@@ -387,11 +402,16 @@ func New(cfg Config) (*Hub, error) {
 		return nil, err
 	}
 	pool := newBufPool(cfg.Stream.PayloadSize, cfg.PoisonPool)
+	slots := cfg.LagWindow
+	if cfg.Policy == Keep && !cfg.ExternalSource {
+		// A tick's burst to start with; publish grows the ring from there.
+		slots = min(slots, maxTickBurst)
+	}
 	h := &Hub{
 		cfg:         cfg,
 		batchFrames: writeBatchFrames,
 		pool:        pool,
-		ring:        newRing(cfg.LagWindow, pool, cfg.Stream.Fill),
+		ring:        newRing(cfg.LagWindow, slots, pool, cfg.Stream.Fill),
 		start:       time.Now(),
 		stopCh:      make(chan struct{}),
 	}
@@ -475,7 +495,9 @@ func (h *Hub) generate() {
 // each subscriber at most once per shard, instead of k times; on
 // schedule, k is 1 and the cadence is identical to the historical
 // per-packet wake. The governor's walk also gives the ring's low-water
-// mark, which the next tick's first publish releases to. It returns how
+// mark, which the next tick's first publish releases to — under Keep also
+// the oldest packet the ring must not lap, which the walk of every path in
+// keptLocked lowers to what a path may still hand back. It returns how
 // many packets it published.
 func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 	k := int64(1)
@@ -505,8 +527,28 @@ func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 		sd.wake(head)
 	}
 	h.low = min(h.governLocked(head), head-1)
+	if h.cfg.Policy == Keep {
+		h.low = min(h.low, h.keptLocked(head))
+	}
 	h.govMu.Unlock()
 	return k
+}
+
+// keptLocked is the oldest sequence a Keep hub's ring must still store at
+// live edge head: the first packet until a subscriber has joined, then the
+// oldest any subscriber's cursor or resend queue, or any path's batch in
+// hand or resend record, still holds. Caller holds h.govMu; shard locks are
+// taken one at a time underneath it.
+func (h *Hub) keptLocked(head int64) int64 {
+	if !h.joined.Load() {
+		return 0
+	}
+	for _, sd := range h.shards {
+		sd.mu.Lock()
+		head = min(head, sd.keptLocked(head))
+		sd.mu.Unlock()
+	}
+	return head
 }
 
 // PublishAt injects one externally received packet at absolute sequence
@@ -815,7 +857,9 @@ func (h *Hub) refuse() wire.RejectCode {
 // the stream id. It behaves exactly like Attach past the handshake read:
 // conn is closed on any error, refusals answer with the typed reject
 // frame, and on success the path is on its shard's ready list, stream
-// header first, and is served until the stream ends.
+// header first, and is served until the stream ends. Once the stream is
+// over only a path of a live subscription that still has packets to take
+// is admitted; it drains them and ends with the marker.
 func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 	if j.StreamID != h.cfg.StreamID {
 		return fmt.Errorf("hub: join for stream %q (serving %q): %w",
@@ -830,7 +874,10 @@ func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 
 	sd := h.shardFor(j.Token)
 	h.mu.Lock()
-	if h.closed.Load() || h.stopped.Load() || h.genDone.Load() {
+	sd.mu.Lock()
+	sub := sd.subs[j.Token]
+	if h.closed.Load() || (h.stopped.Load() || h.genDone.Load()) && !sd.owedLocked(sub) {
+		sd.mu.Unlock()
 		h.mu.Unlock()
 		code := h.endCode()
 		err := h.acc.Reject(conn, code)
@@ -839,8 +886,6 @@ func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 		}
 		return ErrStreamEnded
 	}
-	sd.mu.Lock()
-	sub := sd.subs[j.Token]
 	if sub == nil {
 		// A fresh token asks for admission; re-attaches of live tokens are
 		// exempt so a drain or a full house never strands a subscription
@@ -879,12 +924,11 @@ func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 			// identity across tiers is what lets the client-side dedup
 			// collapse failover replays and restart re-joins.
 			first = 0
-			if cur = head - h.ring.size(); cur < 0 {
-				cur = 0
-			}
+			cur = h.ring.tail()
 		}
 		sub = &subscriber{token: j.Token, shard: sd, first: first, cur: cur, window: h.cfg.LagWindow}
 		sd.registerLocked(sub)
+		h.joined.Store(true)
 	}
 	if sub.evicted {
 		sd.mu.Unlock()
@@ -892,7 +936,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 		return fmt.Errorf("hub: subscriber %s: %w", j.Token, h.acc.Reject(conn, wire.RejectEvicted))
 	}
 	h.pathConns.Add(1)
-	p := &path{sub: sub, conn: conn, idx: sub.nextPath, numPaths: int32(len(sub.links) + 1)}
+	p := &path{sub: sub, conn: conn, idx: sub.nextPath, numPaths: int32(len(sub.links) + 1), owe: math.MaxInt64}
 	sub.nextPath++
 	if len(sub.links) == 0 {
 		// No orphan any more, if it was one: a path is back within the grace.

@@ -18,7 +18,7 @@ import (
 func TestRingCopyAtIngest(t *testing.T) {
 	const payloadSize = 8
 	source := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	r := newRing(4, newBufPool(payloadSize, false), func(pkt uint32, buf []byte) { copy(buf, source) })
+	r := newRing(4, 4, newBufPool(payloadSize, false), func(pkt uint32, buf []byte) { copy(buf, source) })
 
 	head := r.publish(0)
 	seq := head - 1

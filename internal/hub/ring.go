@@ -45,17 +45,24 @@ type slot struct {
 // stores: the generator's ring keeps payloads from the oldest packet a
 // subscriber needs (and the newest, where a rebased join starts), and a pin
 // below that renders the packet again from Fill; an external source's ring
-// (publishAt) keeps them all until the head laps them.
+// (publishAt) keeps them all until the head laps them. A Keep hub's ring
+// stores no more slots than that span has needed: it starts small and
+// grows with the backlog (publish), so a queue of any depth up to the
+// window loses nothing and costs slots only for the packets it held.
 //
 // head is mirrored into an atomic so shards compute lag and cursor math
 // (sub.cur < head) without touching the ring lock at all; only the pin
 // itself takes the read lock.
 type ring struct {
-	n    int64 // capacity in packets; immutable after newRing
+	n    int64 // the window in packets; immutable after newRing
 	pool *bufPool
 	fill func(pkt uint32, buf []byte) // the stream's Fill, a pure function of the packet number
 
-	mu    lockrank.RWMutex
+	mu lockrank.RWMutex
+	// slots holds the newest len(slots) packets, at index seq % len(slots).
+	// A ring that keeps the window has all n from the start; one that keeps
+	// only what is needed (newRing's slots below n) grows as publish finds
+	// the packet it would overwrite still needed, doubling up to n.
 	slots []slot // guarded by mu
 	head  int64  // guarded by mu; absolute sequence of the next packet to publish
 	low   int64  // guarded by mu; the generator's low-water mark: no slot below it holds the ring's reference
@@ -63,21 +70,46 @@ type ring struct {
 	headA atomic.Int64 // mirror of head, published after each write
 }
 
-// newRing builds the ring with every slot invalid (seq -1) so a gap
+// newRing builds a ring of window n that stores slots packets to start
+// with (n to keep the whole window), every slot invalid (seq -1) so a gap
 // position can never masquerade as a published packet.
 // nolint:lockguard constructor — the ring has not been published to any
 // reader yet, so the slot init needs no lock
-func newRing(n int, pool *bufPool, fill func(pkt uint32, buf []byte)) *ring {
-	r := &ring{n: int64(n), pool: pool, fill: fill, slots: make([]slot, n)}
+func newRing(n, slots int, pool *bufPool, fill func(pkt uint32, buf []byte)) *ring {
+	r := &ring{n: int64(n), pool: pool, fill: fill, slots: newSlots(slots)}
 	r.mu.Init(lockrank.Ring)
-	for i := range r.slots {
-		r.slots[i].seq = -1 // no slot is valid before its first publish
-	}
 	return r
 }
 
-// size returns the ring capacity in packets.
+// newSlots returns n slots, none valid.
+func newSlots(n int) []slot {
+	s := make([]slot, n)
+	for i := range s {
+		s[i].seq = -1 // no slot is valid before its first publish
+	}
+	return s
+}
+
+// size returns the ring's window in packets.
 func (r *ring) size() int64 { return r.n }
+
+// tail returns the oldest sequence the ring stores.
+func (r *ring) tail() int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return max(r.head-int64(len(r.slots)), 0)
+}
+
+// growLocked doubles the stored slots, up to the window, moving each
+// packet to its index in the larger ring. Caller holds mu exclusively.
+func (r *ring) growLocked() {
+	old, oc := r.slots, int64(len(r.slots))
+	r.slots = newSlots(int(min(2*oc, r.n)))
+	nc := int64(len(r.slots))
+	for seq := max(r.head-oc, 0); seq < r.head; seq++ {
+		r.slots[seq%nc] = old[seq%oc]
+	}
+}
 
 // headSeq returns the live edge: the absolute sequence of the next
 // packet to be published. Lock-free.
@@ -90,19 +122,26 @@ func (r *ring) headSeq() int64 { return r.headA.Load() }
 // advances the head, so no reader can alias it while fill writes. Inside
 // the exclusive section the ring drops its reference on every slot below
 // low, the caller's low-water mark (the oldest packet a subscriber still
-// needs, at most the newest); the lapped occupant's after the swap.
+// needs, at most the newest); the lapped occupant's after the swap. A ring
+// storing less than its window grows first if the packet it would lap is
+// at or above low, still needed.
 func (r *ring) publish(low int64) int64 {
 	pb := r.pool.get()
 	pb.fill(r.fill, uint32(r.headA.Load()))
 	gen := time.Now().UnixNano()
 	r.mu.Lock()
-	for seq := max(r.low, r.head-r.n); seq < low; seq++ {
-		s := &r.slots[seq%r.n]
+	c := int64(len(r.slots))
+	for seq := max(r.low, r.head-c); seq < low; seq++ {
+		s := &r.slots[seq%c]
 		r.pool.unref(s.payload)
 		s.payload = nil
 	}
 	r.low = max(r.low, low)
-	s := &r.slots[r.head%r.n]
+	if lapped := r.head - c; lapped >= 0 && lapped >= low && c < r.n {
+		r.growLocked()
+		c = int64(len(r.slots))
+	}
+	s := &r.slots[r.head%c]
 	old := s.payload
 	s.seq = r.head
 	s.gen = gen
@@ -134,7 +173,7 @@ func (r *ring) publishAt(seq, gen int64, payload []byte) (head int64, ok bool) {
 		r.pool.unref(pb)
 		return r.headA.Load(), false
 	}
-	s := &r.slots[seq%r.n]
+	s := &r.slots[seq%int64(len(r.slots))]
 	old := s.payload
 	s.seq = seq
 	s.gen = gen
@@ -156,11 +195,12 @@ func (r *ring) publishAt(seq, gen int64, payload []byte) (head int64, ok bool) {
 // its write completes.
 func (r *ring) pin(seq int64) (pb *payloadBuf, gen int64, ok bool) {
 	r.mu.RLock()
-	if seq < r.head-r.n || seq >= r.head || r.slots[seq%r.n].seq != seq {
+	c := int64(len(r.slots))
+	if seq < r.head-c || seq >= r.head || r.slots[seq%c].seq != seq {
 		r.mu.RUnlock()
 		return nil, 0, false
 	}
-	s := &r.slots[seq%r.n]
+	s := &r.slots[seq%c]
 	if pb = s.payload; pb != nil {
 		pb.refs.Add(1)
 	}
@@ -179,16 +219,17 @@ func (r *ring) pin(seq int64) (pb *payloadBuf, gen int64, ok bool) {
 // is left nil, as pin leaves it.
 func (r *ring) pinBatch(start int64, max int, b *batch) (pinned int, skipped int64) {
 	r.mu.RLock()
-	if tail := r.head - r.n; start < tail {
+	c := int64(len(r.slots))
+	if tail := r.head - c; start < tail {
 		skipped = tail - start
 		start = tail
 	}
-	for start < r.head && r.slots[start%r.n].seq != start {
+	for start < r.head && r.slots[start%c].seq != start {
 		skipped++
 		start++
 	}
 	for pinned < max && start < r.head {
-		s := &r.slots[start%r.n]
+		s := &r.slots[start%c]
 		if s.seq != start {
 			break // interior gap: stop the batch; the next call skips it
 		}

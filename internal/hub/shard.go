@@ -2,6 +2,7 @@ package hub
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"net"
 	"runtime"
@@ -66,6 +67,10 @@ type path struct {
 	next, prev *path // guarded by mu (the shard's); links of the list the path is on
 	held       bool  // guarded by mu; on the shard's held list: a worker has it
 	removed    bool  // guarded by mu; RemovePath asked it to end: its end marker is next
+	// owe is, under Keep, the oldest sequence the path may still hand back
+	// for resending — its batch in hand and its resend record — or
+	// math.MaxInt64; its holder sets it at every step (stepLocked).
+	owe int64 // guarded by mu
 
 	// Owned by whichever worker holds the path; the shard mutex orders one
 	// holder's accesses before the next one's.
@@ -165,6 +170,24 @@ func (p *path) lastWritten() []int64 {
 		}
 	}
 	return out
+}
+
+// oldestWritten returns the oldest sequence in the resend record,
+// math.MaxInt64 if it is empty. Only the path's holder calls it.
+func (p *path) oldestWritten() int64 {
+	oldest := int64(math.MaxInt64)
+	if r := p.ring; r != nil {
+		for _, w := range r.slots[:min(r.wrote, len(r.slots))] {
+			oldest = min(oldest, p.sub.first+int64(w))
+		}
+		return oldest
+	}
+	for _, r := range p.runs {
+		if r.n > 0 {
+			oldest = min(oldest, p.sub.first+int64(r.from))
+		}
+	}
+	return oldest
 }
 
 // shard owns one slice of the subscriber population. Each subscriber is
@@ -532,8 +555,17 @@ func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
 		return stepEnd, nil
 	}
 	sub := p.sub
+	keep := h.cfg.Policy == Keep
+	if keep {
+		p.owe = p.oldestWritten()
+	}
 	if b := sd.popBatchLocked(sub); b != nil {
 		sub.writer = p
+		if keep {
+			for _, seq := range b.seqs[:b.n] {
+				p.owe = min(p.owe, seq)
+			}
+		}
 		return stepWrite, b
 	}
 	if sub.evicted {
@@ -783,7 +815,7 @@ func (sd *shard) enforceLagLocked(sub *subscriber, head int64) {
 		return
 	}
 	switch sd.h.cfg.Policy {
-	case DropOldest:
+	case DropOldest, Keep:
 		skipped := oldest - sub.cur
 		sub.dropped += skipped
 		sd.h.totalDropped.Add(skipped)
@@ -791,6 +823,33 @@ func (sd *shard) enforceLagLocked(sub *subscriber, head int64) {
 	case Evict:
 		sd.condemnLocked(sub)
 	}
+}
+
+// owedLocked reports whether sub is a live subscription with packets still
+// to take: ones behind its cursor or in its resend queue. Caller holds
+// sd.mu.
+func (sd *shard) owedLocked(sub *subscriber) bool {
+	return sub != nil && !sub.evicted && (sub.cur < sd.h.ring.headSeq() || len(sub.resend) > 0)
+}
+
+// keptLocked is the oldest sequence, at most head, that a subscriber of the
+// shard may still take: its cursor, its resend queue, or what one of its
+// paths may hand back (path.owe). It visits every path: the Keep policy's
+// walk. Caller holds sd.mu.
+func (sd *shard) keptLocked(head int64) int64 {
+	for _, sub := range sd.subs {
+		if sub.evicted {
+			continue
+		}
+		head = min(head, sub.cur)
+		if len(sub.resend) > 0 {
+			head = min(head, sub.resend[0])
+		}
+		for _, p := range sub.links {
+			head = min(head, p.owe)
+		}
+	}
+	return head
 }
 
 // behind is what one walk over a shard's can-be-behind subscribers finds
@@ -1044,7 +1103,9 @@ func (sd *shard) fillLocked(sub *subscriber, b *batch) {
 // and, if it was the subscriber's last path mid-stream, starts the
 // re-attach grace countdown: the subscription stays in the shard so a
 // redialing client's token still resolves, and is reaped only if the
-// window expires (or the stream ends) with no path back.
+// window expires (or the stream ends) with no path back. A removed path
+// (RemovePath) that was the last mid-stream starts the same countdown,
+// with nothing to resend.
 func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	_ = p.conn.Close()
 	h, sub := sd.h, p.sub
@@ -1099,20 +1160,7 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 				sd.kickLocked(false)
 			}
 		case h.cfg.ReattachGrace > 0:
-			sd.orphanLocked(sub)
-			sub.graceGen++
-			gen := sub.graceGen
-			h.wg.Add(1)
-			go func() {
-				defer h.wg.Done()
-				t := time.NewTimer(h.cfg.ReattachGrace)
-				select {
-				case <-t.C:
-				case <-h.stopCh: // stream over: no re-attach can succeed
-					t.Stop()
-				}
-				sd.graceExpired(sub, gen)
-			}()
+			sd.graceLocked(sub)
 		default:
 			sd.removeLocked(sub)
 		}
@@ -1123,12 +1171,38 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 		return
 	}
 	if len(sub.links) == 0 {
-		sd.removeLocked(sub)
+		// A removal that leaves the subscription no path mid-stream keeps it
+		// for the next one as a death does, cursor and all.
+		if p.removed && !sub.evicted && !h.closed.Load() && !h.stopped.Load() && !h.genDone.Load() && h.cfg.ReattachGrace > 0 {
+			sd.graceLocked(sub)
+		} else {
+			sd.removeLocked(sub)
+		}
 	}
 	sd.mu.Unlock()
 	if govern {
 		h.governLocked(h.ring.headSeq())
 	}
+}
+
+// graceLocked lists sub, left with no path mid-stream, among the orphans
+// and starts its re-attach countdown. Caller holds sd.mu.
+func (sd *shard) graceLocked(sub *subscriber) {
+	h := sd.h
+	sd.orphanLocked(sub)
+	sub.graceGen++
+	gen := sub.graceGen
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		t := time.NewTimer(h.cfg.ReattachGrace)
+		select {
+		case <-t.C:
+		case <-h.stopCh: // stream over: no re-attach can succeed
+			t.Stop()
+		}
+		sd.graceExpired(sub, gen)
+	}()
 }
 
 // graceExpired ends the re-attach grace countdown gen of sub: the
