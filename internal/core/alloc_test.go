@@ -1,6 +1,7 @@
-// Alloc-budget gates for the client side: the player's arrive/play/recycle
-// cycle must not allocate per packet, or a CBR stream at wire rate turns
-// into steady GC pressure. The sender's gates are the hub's
+// Alloc-budget gates: the player's arrive/play/recycle cycle must not
+// allocate per packet, or a CBR stream at wire rate turns into steady GC
+// pressure, and neither must the connection wrapper a Server's paths write
+// through. The rest of the sender's gates are the hub's
 // (internal/hub/alloc_test.go): a Server's queue and path writes are a
 // one-subscriber hub's.
 //
@@ -12,7 +13,16 @@
 
 package core
 
-import "testing"
+import (
+	"fmt"
+	"io"
+	"net"
+	"syscall"
+	"testing"
+	"time"
+
+	"dmpstream/internal/wire"
+)
 
 // TestPlayBufferAllocFreeAtPace: a player at pace holds a steady τ·µ packets,
 // so every arrival can take the buffer the last playout handed back. The
@@ -54,5 +64,57 @@ func TestAllocMeasurementSensitivity(t *testing.T) {
 	})
 	if allocs < 1 {
 		t.Fatalf("seeded allocation measured as %.2f allocs/run; the alloc budget harness is blind", allocs)
+	}
+}
+
+// discardConn is a connection with no writev: a pathConn gathers each
+// batch into one Write to it.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestPathConnWriteAllocFree: every frame a Server's path carries goes
+// through pathConn.WriteBuffers, a socket's batch as one writev and any
+// other conn's gathered into one Write. Neither allocates once the path
+// has written a batch of that size, and each counts the frames it wrote.
+func TestPathConnWriteAllocFree(t *testing.T) {
+	const payload = 100
+	frame := wire.FrameHeaderSize + payload
+	for _, vectored := range []bool{true, false} {
+		for _, frames := range []int{1, 32} {
+			t.Run(fmt.Sprintf("vectored=%v/frames=%d", vectored, frames), func(t *testing.T) {
+				var conn net.Conn = discardConn{}
+				if vectored {
+					client, server := tcpPair(t)
+					go io.Copy(io.Discard, client)
+					conn = server
+				}
+				c := &pathConn{Conn: conn, frame: int64(frame)}
+				_, c.vectored = conn.(syscall.Conn)
+				if c.vectored != vectored {
+					t.Fatalf("vectored %v, want %v", c.vectored, vectored)
+				}
+				hdr, data := make([]byte, wire.FrameHeaderSize), make([]byte, payload)
+				bufs := make(net.Buffers, 2*frames)
+				write := func() {
+					// A writev consumes the slices it is handed, so they are
+					// set again for each write, as the hub's writeBatch does.
+					for i := 0; i < frames; i++ {
+						bufs[2*i], bufs[2*i+1] = hdr, data
+					}
+					if n, err := c.WriteBuffers(bufs); err != nil || n != int64(frames*frame) {
+						t.Fatalf("wrote %d bytes, error %v; want %d", n, err, frames*frame)
+					}
+				}
+				const runs = 200
+				if allocs := testing.AllocsPerRun(runs, write); allocs != 0 {
+					t.Errorf("a %d-frame write allocates %.2f times, want 0", frames, allocs)
+				}
+				if sent, want := c.sent.Load(), int64((runs+1)*frames); sent != want {
+					t.Errorf("counted %d frames, want %d", sent, want)
+				}
+			})
+		}
 	}
 }

@@ -44,22 +44,19 @@ type Server struct {
 }
 
 // NewServer validates the configuration and builds a server. Its queue is
-// the hub's ring: a finite stream's holds all Count packets (at most
-// hub.MaxLagWindow), so a backlogged path loses nothing; a live stream's
-// holds one second of it (and at least ResendWindow packets), past which
-// the oldest are dropped rather than the queue growing without bound.
+// the hub's ring under hub.Keep: it holds every packet not yet taken, and
+// every packet a path may still hand back, growing with that backlog up to
+// hub.MaxLagWindow packets, so a backlogged path loses nothing short of
+// that.
 func NewServer(cfg wire.Config) (*Server, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	window := cfg.Count
-	if window == 0 {
-		window = max(int64(math.Ceil(cfg.Mu)), int64(cfg.ResendWindow))
-	}
 	hc := hub.Config{
 		Stream:    cfg,
-		LagWindow: int(min(window, hub.MaxLagWindow)),
+		LagWindow: hub.MaxLagWindow,
+		Policy:    hub.Keep,
 		Shards:    1,
 		// A session whose paths have all died waits for the next AddPath
 		// for as long as the stream runs.
@@ -182,8 +179,9 @@ func (s *Server) Start() *Session {
 }
 
 // AddPath attaches a connection as a new path and returns its index. It
-// must not be called after Wait has returned; a path added once the stream
-// is over gets the stream-ended reject frame.
+// must not be called after Wait has returned. A path added once the stream
+// is over drains what the queue still holds; with nothing left it gets the
+// stream-ended reject frame and is dead, with that error.
 func (sess *Session) AddPath(conn net.Conn) int {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -198,7 +196,7 @@ func (sess *Session) AddPath(conn net.Conn) int {
 	pc.k = len(sess.paths)
 	sess.paths = append(sess.paths, pc)
 	sess.mu.Unlock()
-	if err := sess.hub.AttachJoined(pc, wire.Join{StreamID: sess.hub.StreamID(), Token: token, Flags: wire.JoinFlagAbsolute}); err != nil && !errors.Is(err, hub.ErrStreamEnded) {
+	if err := sess.hub.AttachJoined(pc, wire.Join{StreamID: sess.hub.StreamID(), Token: token, Flags: wire.JoinFlagAbsolute}); err != nil {
 		pc.fail(err)
 	}
 	if sess.PathState(pc.k) == PathRemoved {

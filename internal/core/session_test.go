@@ -219,3 +219,128 @@ func TestSessionBackloggedPathLosesNothing(t *testing.T) {
 		t.Fatalf("expected %d, %d arrivals, %d missing", tr.Expected, len(tr.Arrivals), len(missing))
 	}
 }
+
+// TestLiveSessionBackloggedPathLosesNothing is the live twin of the test
+// above: a live stream's queue grows with its backlog too. The only path is
+// held while more than a second of the stream, and more than the hub's
+// default 1024-packet ring, is generated; released, and the stream
+// stopped, it must deliver every packet.
+func TestLiveSessionBackloggedPathLosesNothing(t *testing.T) {
+	const mu, held = 1000, 1500
+	srv, err := NewServer(wire.Config{Mu: mu, PayloadSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	sess := srv.Start()
+	sess.AddPath(server)
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Generated() < held {
+		if time.Now().After(deadline) {
+			t.Fatalf("generated %d of %d", srv.Generated(), held)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if sent := srv.PathCounts()[0]; sent != 0 {
+		t.Fatalf("the held path took %d packets", sent)
+	}
+	srv.Stop()
+	tr, err := Receive([]net.Conn{client})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := sess.Wait()
+	if n < held || err != nil {
+		t.Fatalf("generated %d, error %v", n, err)
+	}
+	if missing := tr.Missing(); tr.Expected != n || len(missing) != 0 || int64(len(tr.Arrivals)) != n {
+		t.Fatalf("expected %d of %d, %d arrivals, %d missing", tr.Expected, n, len(tr.Arrivals), len(missing))
+	}
+}
+
+// TestAddPathAfterGenerationDrains: a path added once generation has ended
+// takes what the queue still holds. The only path is held while the whole
+// stream is generated; a second path added then delivers all of it, and
+// the held one, closed, is the one that fails.
+func TestAddPathAfterGenerationDrains(t *testing.T) {
+	const count = 1500
+	srv, err := NewServer(wire.Config{Mu: 5000, PayloadSize: 64, Count: count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, s0 := net.Pipe()
+	sess := srv.Start()
+	sess.AddPath(s0)
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Generated() < count {
+		if time.Now().After(deadline) {
+			t.Fatalf("generated %d of %d", srv.Generated(), count)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // the generator has exited
+	c1, s1 := tcpPair(t)
+	if k := sess.AddPath(s1); k != 1 {
+		t.Fatalf("second path index %d", k)
+	}
+	tr, err := Receive([]net.Conn{c1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0.Close()
+	if n, err := sess.Wait(); n != count || err == nil {
+		t.Fatalf("generated %d, error %v; want the held path's error", n, err)
+	}
+	if missing := tr.Missing(); tr.Expected != count || len(missing) != 0 || len(tr.Arrivals) != count {
+		t.Fatalf("expected %d, %d arrivals, %d missing", tr.Expected, len(tr.Arrivals), len(missing))
+	}
+	if got := sess.PathStates(); got[0] != PathDead || got[1] != PathActive {
+		t.Fatalf("path states %v, want [dead active]", got)
+	}
+}
+
+// TestRemoveThenAddPathResumes: removing a session's only path leaves its
+// queue in place, so the next path added carries on where the removed one
+// stopped — nothing sent twice, nothing lost.
+func TestRemoveThenAddPathResumes(t *testing.T) {
+	srv, err := NewServer(wire.Config{Mu: 500, PayloadSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, s0 := tcpPair(t)
+	c1, s1 := tcpPair(t)
+	sess := srv.Start()
+	k0 := sess.AddPath(s0)
+
+	var tr *Trace
+	var rErr error
+	var rwg sync.WaitGroup
+	rwg.Add(1)
+	go func() {
+		defer rwg.Done()
+		tr, rErr = Receive([]net.Conn{c0, c1})
+	}()
+	time.Sleep(300 * time.Millisecond)
+	sess.RemovePath(k0)
+	time.Sleep(300 * time.Millisecond) // the queue builds with no path
+	sess.AddPath(s1)
+	time.Sleep(300 * time.Millisecond)
+	srv.Stop()
+	n, err := sess.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rwg.Wait()
+	if rErr != nil {
+		t.Fatal(rErr)
+	}
+	if tr.Duplicates != 0 {
+		t.Fatalf("%d packets sent twice", tr.Duplicates)
+	}
+	if missing := tr.Missing(); tr.Expected != n || len(missing) != 0 || int64(len(tr.Arrivals)) != n {
+		t.Fatalf("expected %d of %d, %d arrivals, %d missing", tr.Expected, n, len(tr.Arrivals), len(missing))
+	}
+	if got := srv.PathCounts(); got[0] == 0 || got[1] == 0 || got[0]+got[1] != n {
+		t.Fatalf("path counts %v, want both carrying %d between them", got, n)
+	}
+}
