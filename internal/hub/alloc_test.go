@@ -76,7 +76,7 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 		var conn net.Conn = sinkConn{}
 		var b *batch
 		cycle := func() {
-			head := h.ring.publish(0)
+			head := h.ring.publish(0, 0)
 			sd.wake(head)
 			if b = popBatch(sd, sub, b); b == nil {
 				t.Fatal("no batch to lease in steady state")
@@ -121,7 +121,7 @@ func TestZeroCopyHotPathAllocFree(t *testing.T) {
 		deliver(behind, 1)
 		lap := func() {
 			for i := 0; i < writeBatchFrames; i++ {
-				sd.wake(h.ring.publish(0))
+				sd.wake(h.ring.publish(0, 0))
 				deliver(pace, 1)
 			}
 			deliver(behind, writeBatchFrames)

@@ -73,7 +73,7 @@ func TestPoolChurnRace(t *testing.T) {
 			buf[i] = byte(pkt)
 		}
 	})
-	r.publish(0) // seed so pinners always have a live seq
+	r.publish(0, 0) // seed so pinners always have a live seq
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -100,7 +100,7 @@ func TestPoolChurnRace(t *testing.T) {
 		}()
 	}
 	for i := 1; i < publishes; i++ {
-		r.publish(0)
+		r.publish(0, 0)
 	}
 	close(done)
 	wg.Wait()

@@ -173,8 +173,9 @@ type Config struct {
 	// Default "live".
 	StreamID string
 	// LagWindow is the ring size: the number of most recent packets a
-	// subscriber may lag behind the generator before Policy applies.
-	// Default 1024, at most MaxLagWindow.
+	// subscriber may lag behind the generator before Policy applies (under
+	// Keep, the size the ring may grow to). Default 1024, at most
+	// MaxLagWindow.
 	LagWindow int
 	// Policy is the slow-subscriber policy (default DropOldest).
 	Policy Policy
@@ -363,8 +364,12 @@ type Hub struct {
 	// governor pass that settles them back under budget.
 	govMu lockrank.Mutex
 	// low is the ring's low-water mark from the generator's last tick: the
-	// next publish releases the payloads below it.
-	low int64 // guarded by govMu
+	// next publish releases the payloads below it. keep is the oldest
+	// packet the next publish must not lap: low, or under Keep the oldest a
+	// path may still hand back (keptLocked), whose payload is rendered
+	// again if it is.
+	low  int64 // guarded by govMu
+	keep int64 // guarded by govMu
 
 	// Admission accounting: incremented only under mu (so the caps are
 	// strict), decremented atomically wherever a subscriber or path retires.
@@ -495,9 +500,9 @@ func (h *Hub) generate() {
 // each subscriber at most once per shard, instead of k times; on
 // schedule, k is 1 and the cadence is identical to the historical
 // per-packet wake. The governor's walk also gives the ring's low-water
-// mark, which the next tick's first publish releases to — under Keep also
-// the oldest packet the ring must not lap, which the walk of every path in
-// keptLocked lowers to what a path may still hand back. It returns how
+// mark, which the next tick's first publish releases to, and the oldest
+// packet it must not lap — under Keep lowered, by the walk of every path in
+// keptLocked, to what a path may still hand back. It returns how
 // many packets it published.
 func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 	k := int64(1)
@@ -520,15 +525,16 @@ func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 	h.govMu.Lock()
 	var head int64
 	for i := int64(0); i < k; i++ {
-		head = h.ring.publish(h.low)
+		head = h.ring.publish(h.low, h.keep)
 	}
 	h.generated.Add(k)
 	for _, sd := range h.shards {
 		sd.wake(head)
 	}
 	h.low = min(h.governLocked(head), head-1)
+	h.keep = h.low
 	if h.cfg.Policy == Keep {
-		h.low = min(h.low, h.keptLocked(head))
+		h.keep = min(h.low, h.keptLocked(head))
 	}
 	h.govMu.Unlock()
 	return k

@@ -20,7 +20,7 @@ func TestRingCopyAtIngest(t *testing.T) {
 	source := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	r := newRing(4, 4, newBufPool(payloadSize, false), func(pkt uint32, buf []byte) { copy(buf, source) })
 
-	head := r.publish(0)
+	head := r.publish(0, 0)
 	seq := head - 1
 	want := append([]byte(nil), source...)
 
@@ -257,7 +257,7 @@ func TestPinnedBufferSurvivesPoolReturn(t *testing.T) {
 	// Lap the whole ring: every slot's buffer reference drops; unpinned
 	// buffers return to the pool and are poisoned there.
 	for i := 0; i < 4; i++ {
-		h.ring.publish(0)
+		h.ring.publish(0, 0)
 	}
 
 	// The slow sibling's pins must still hold the original bytes.

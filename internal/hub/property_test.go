@@ -270,7 +270,7 @@ func (w *propWorld) tickUnserved(payload []byte) {
 	defer h.govMu.Unlock()
 	head, ok := int64(0), true
 	if w.gen {
-		head = h.ring.publish(h.low)
+		head = h.ring.publish(h.low, h.keep)
 	} else {
 		head, ok = h.ring.publishAt(w.seq, w.seq, payload)
 	}

@@ -124,8 +124,9 @@ func (r *ring) headSeq() int64 { return r.headA.Load() }
 // low, the caller's low-water mark (the oldest packet a subscriber still
 // needs, at most the newest); the lapped occupant's after the swap. A ring
 // storing less than its window grows first if the packet it would lap is
-// at or above low, still needed.
-func (r *ring) publish(low int64) int64 {
+// at or above keep (at most low), a packet someone may still ask for: its
+// slot keeps the sequence and stamp a render needs.
+func (r *ring) publish(low, keep int64) int64 {
 	pb := r.pool.get()
 	pb.fill(r.fill, uint32(r.headA.Load()))
 	gen := time.Now().UnixNano()
@@ -137,7 +138,7 @@ func (r *ring) publish(low int64) int64 {
 		s.payload = nil
 	}
 	r.low = max(r.low, low)
-	if lapped := r.head - c; lapped >= 0 && lapped >= low && c < r.n {
+	if lapped := r.head - c; lapped >= 0 && lapped >= keep && c < r.n {
 		r.growLocked()
 		c = int64(len(r.slots))
 	}

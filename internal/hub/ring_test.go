@@ -21,14 +21,15 @@ func storedSlots(r *ring) int {
 }
 
 // TestRingGrowsWithBacklog: a ring that starts below its window grows only
-// when the packet it would lap is still needed (at or above publish's low),
-// doubling up to the window, and every needed packet stays pinnable with
-// its own bytes; one that stores its window never grows.
+// when the packet it would lap is still needed (at or above publish's
+// keep), doubling up to the window, and every needed packet stays pinnable
+// — with its own bytes, or released below low for a render; one that
+// stores its window never grows.
 func TestRingGrowsWithBacklog(t *testing.T) {
 	t.Run("needed", func(t *testing.T) {
 		r := newRing(1024, 4, newBufPool(8, false), fillByte)
 		for range 100 {
-			r.publish(0) // packet 0 is needed throughout
+			r.publish(0, 0) // packet 0 is needed throughout
 		}
 		if got := storedSlots(r); got != 128 {
 			t.Fatalf("stores %d slots for a 100-packet backlog, want 128", got)
@@ -41,10 +42,22 @@ func TestRingGrowsWithBacklog(t *testing.T) {
 			r.pool.unref(pb)
 		}
 	})
+	t.Run("kept without payloads", func(t *testing.T) {
+		r := newRing(1024, 4, newBufPool(8, false), fillByte)
+		for range 100 {
+			r.publish(r.headSeq(), 0) // payloads released, slots kept
+		}
+		if got := storedSlots(r); got != 128 {
+			t.Fatalf("stores %d slots for a 100-packet backlog, want 128", got)
+		}
+		if pb, _, ok := r.pin(0); !ok || pb != nil {
+			t.Fatalf("packet 0: pinned %v, ok %v; want a released slot to render", pb, ok)
+		}
+	})
 	t.Run("not needed", func(t *testing.T) {
 		r := newRing(1024, 4, newBufPool(8, false), fillByte)
 		for range 10000 {
-			r.publish(r.headSeq()) // nothing older than the newest is needed
+			r.publish(r.headSeq(), r.headSeq()) // nothing older than the newest is needed
 		}
 		if got := storedSlots(r); got != 4 {
 			t.Fatalf("stores %d slots with no backlog, want 4", got)
@@ -56,7 +69,7 @@ func TestRingGrowsWithBacklog(t *testing.T) {
 	t.Run("window", func(t *testing.T) {
 		r := newRing(16, 4, newBufPool(8, false), fillByte)
 		for range 100 {
-			r.publish(0)
+			r.publish(0, 0)
 		}
 		if got := storedSlots(r); got != 16 {
 			t.Fatalf("stores %d slots, want the window's 16", got)
@@ -68,7 +81,7 @@ func TestRingGrowsWithBacklog(t *testing.T) {
 	t.Run("fixed", func(t *testing.T) {
 		r := newRing(16, 16, newBufPool(8, false), fillByte)
 		for range 100 {
-			r.publish(0)
+			r.publish(0, 0)
 		}
 		if got := storedSlots(r); got != 16 {
 			t.Fatalf("stores %d slots, want 16", got)
