@@ -99,9 +99,11 @@ const (
 	Evict
 	// Keep holds every packet a subscriber may still take, as the paper's
 	// server queue does: the ring stores the span from the oldest packet
-	// any subscriber, resend queue or path's resend record still needs to
-	// the live edge, growing with that backlog up to LagWindow; past it the
-	// oldest are dropped as under DropOldest. Before the first subscriber
+	// any subscriber, resend queue or path's batch in hand or resend record
+	// still needs to the live edge, growing with that backlog up to
+	// LagWindow; past it the oldest are dropped as under DropOldest. Below
+	// the cursors and resend queues a slot keeps only the sequence and
+	// stamp, and a resend renders the payload again from Fill. Before the first subscriber
 	// joins the ring holds the stream from its first packet, and an absolute
 	// join starts at the oldest packet stored. Each tick walks every path,
 	// so Keep suits a hub with few of them: internal/core's one-subscriber
