@@ -47,7 +47,8 @@ lockrank:
 	$(GO) test -tags lockrank ./internal/hub ./internal/relay ./internal/registry ./internal/chaos ./internal/core
 
 # allocs runs every allocation gate by name, uncached: the AllocsPerRun
-# tests that hold the wire codec, core's player, the hub's generator tick,
+# tests that hold the wire codec, core's player and its playout step, the
+# hub's generator tick,
 # ingest, wake, governor and shard worker (core's server runs the same), the
 # relay forwarder's ingest, and the registry's routed write and re-attach to
 # exact allocation counts (see DESIGN.md "Enforced invariants"). AllocsPerRun cannot measure under the race detector or the
@@ -57,16 +58,20 @@ allocs:
 	$(GO) test -count=1 -run '$(ALLOC_GATES)' ./internal/wire ./internal/core ./internal/hub ./internal/relay ./internal/registry
 
 # fuzz gives each wire-format target, the receiver's arrival log, the trace
-# file reader and the analysis behind it, the emulator's lazily drawn episode
-# schedule, the relay forwarder's first commit and its reorder rule against a
-# reference model, and the hub's per-path resend record a short budget; CI runs the same smoke. Raise FUZZTIME locally for a
-# deeper session.
+# file reader and the analysis behind it, the player's playout step against
+# the trace's late count, the path reader's end-of-stream rule against a
+# reference model, the emulator's lazily drawn episode schedule, the relay
+# forwarder's first commit and its reorder rule against a reference model,
+# and the hub's per-path resend record a short budget; CI runs the same
+# smoke. Raise FUZZTIME locally for a deeper session.
 fuzz:
 	$(GO) test -fuzz=FuzzParseJoin -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzParseHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzParseFrameHeader -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzArrivalLog -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzReadTraceCSV -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzPlayoutMatchesTrace -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzPathReaderTranscript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzParseFaultScript -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 	$(GO) test -fuzz=FuzzEpisodeSchedule -fuzztime=$(FUZZTIME) -run '^$$' ./internal/emunet
 	$(GO) test -fuzz=FuzzForwarderSync -fuzztime=$(FUZZTIME) -run '^$$' ./internal/relay

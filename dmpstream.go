@@ -156,9 +156,11 @@ type PlayerConfig = core.PlayerConfig
 type PlayerStats = core.PlayerStats
 
 // Play consumes a session in real time: packets are handed to the
-// application at their playback slots (startup delay τ after stream start)
-// and missing packets surface as glitches — the live counterpart of the
-// trace analysis Receive enables.
+// application at their playback slots (packet 0 a startup delay τ after the
+// first stream header arrives) and missing packets surface as glitches —
+// the live counterpart of the trace analysis Receive enables: on a CBR
+// stream the glitches are the trace's late packets at τ + d0, d0 the
+// header's arrival minus packet 0's generation.
 func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 	return core.Play(conns, cfg)
 }

@@ -1,7 +1,7 @@
-// Alloc-budget gates: the player's arrive/play/recycle cycle must not
-// allocate per packet, or a CBR stream at wire rate turns into steady GC
-// pressure, and neither must the connection wrapper a Server's paths write
-// through. The rest of the sender's gates are the hub's
+// Alloc-budget gates: the player's arrive/play/recycle cycle, in its ring
+// and in its playout step, must not allocate per packet, or a CBR stream at
+// wire rate turns into steady GC pressure, and neither must the connection
+// wrapper a Server's paths write through. The rest of the sender's gates are the hub's
 // (internal/hub/alloc_test.go): a Server's queue and path writes are a
 // one-subscriber hub's.
 //
@@ -48,6 +48,39 @@ func TestPlayBufferAllocFreeAtPace(t *testing.T) {
 		next++
 	})
 	if allocs != 0 {
+		t.Errorf("playout at pace allocates %.2f times per packet, want 0", allocs)
+	}
+}
+
+// TestPlayoutAllocFree: the playout step at pace, τ·µ packets ahead of the
+// slot playing, parks each arrival in the buffer the last slot played
+// handed back, and marks it in its first-arrival set. The arrive, tick and
+// recycle cycle must not allocate, and neither must a duplicate.
+func TestPlayoutAllocFree(t *testing.T) {
+	const depth = 150 // τ·µ: 500 ms at 300 pkt/s
+	p := &playout{tau: int64(500 * time.Millisecond)}
+	p.header(300, 0)
+	payload := make([]byte, 1024)
+	next := uint32(0)
+	for ; next < depth; next++ {
+		p.arrive(next, 0, payload)
+	}
+	cycle := func() {
+		if got := p.arrive(next, 0, payload); got != playParked {
+			t.Fatalf("packet %d: answer %d, want parked", next, got)
+		}
+		p.arrive(next, 0, payload) // resent: a duplicate
+		next++
+		slot, data, ok := p.tick()
+		if !ok {
+			t.Fatalf("slot %d empty", slot)
+		}
+		p.buf.Recycle(data)
+	}
+	for range 4 * depth { // until the free list is stocked
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Errorf("playout at pace allocates %.2f times per packet, want 0", allocs)
 	}
 }

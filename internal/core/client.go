@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"dmpstream/internal/wire"
@@ -65,15 +64,11 @@ func (p RedialPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 		mult = 2
 	}
 	d := float64(p.Base)
-	for i := 0; i < attempt; i++ {
+	for i := 0; i < attempt && (p.Max <= 0 || d < float64(p.Max)); i++ {
 		d *= mult
-		if p.Max > 0 && d >= float64(p.Max) {
-			d = float64(p.Max)
-			break
-		}
 	}
-	if p.Max > 0 && d > float64(p.Max) {
-		d = float64(p.Max)
+	if p.Max > 0 {
+		d = min(d, float64(p.Max))
 	}
 	if p.Jitter > 0 {
 		d *= 1 - p.Jitter*rng.Float64()
@@ -141,16 +136,10 @@ func (c *Client) Run() (*Trace, error) {
 	if tr.Expected > 0 && int64(len(tr.Arrivals)) >= tr.Expected {
 		return tr, nil
 	}
-	var pathErrs []error
-	for _, err := range errs {
-		if err != nil {
-			pathErrs = append(pathErrs, err)
-		}
+	if err := errors.Join(errs...); err != nil {
+		return tr, err
 	}
-	if len(pathErrs) == 0 {
-		pathErrs = append(pathErrs, fmt.Errorf("core: stream incomplete: %d of %d packets", len(tr.Arrivals), tr.Expected))
-	}
-	return tr, errors.Join(pathErrs...)
+	return tr, fmt.Errorf("core: stream incomplete: %d of %d packets", len(tr.Arrivals), tr.Expected)
 }
 
 // RunWith is the redial engine under Run, decoupled from the Receiver: it
@@ -177,16 +166,7 @@ func (c *Client) RunWith(sink Sink) []error {
 		}
 		return errs
 	}
-	var wg sync.WaitGroup
-	for k := 0; k < paths; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			errs[k] = c.runPath(sink, k)
-		}(k)
-	}
-	wg.Wait()
-	return errs
+	return forEach(paths, func(k int) error { return c.runPath(sink, k) })
 }
 
 // runPath drives one path through connect → consume → (die → backoff →

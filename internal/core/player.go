@@ -5,13 +5,14 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // PlayerConfig drives real-time playout of a multipath stream.
 type PlayerConfig struct {
 	// StartupDelay is τ: playback of packet 0 begins this long after the
-	// first packet arrives.
+	// first stream header arrives (the one every path must agree with).
 	StartupDelay time.Duration
 	// OnPacket, if set, receives each packet's payload at its playback slot,
 	// in packet-number order. The buffer is reused; copy to retain.
@@ -53,13 +54,101 @@ func holdSpan(mu float64, tau time.Duration) int {
 	return int(max(1, min(MaxSeqSpan, math.Ceil(mu*(2*tau.Seconds()+1)))))
 }
 
+// playout is Play's rule, a pure step (no lock, timer or conn) over one
+// stream's events at explicit times, nanoseconds on the caller's clock. The
+// first header starts the slot clock: slot s plays τ + s/µ after it. An
+// arrival parks its packet until the slot's tick plays it; a tick with
+// nothing parked glitches. A first arrival after its slot's time or tick is
+// late, Trace.LateFraction's rule at τ + d0 on a CBR stream (d0: the
+// header's arrival minus Gen_0); any other copy is a duplicate.
+type playout struct {
+	tau, start, period int64       // slot s plays at start + s·period
+	span               int64       // holdSpan of the header
+	buf                *SeqRing    // what waits for its slot, in [next, next+span); nil until the header
+	seen               PacketSet   // every arrival but the early ones: about a bit a packet
+	next               uint32      // the next slot to play
+	stats              PlayerStats // all but Expected, which result fills
+}
+
+// The answers of playout.arrive.
+const (
+	playParked = iota // waits for its slot
+	playLate          // a first arrival too late for its slot, which glitched
+	playDuplicate
+	playEarly // holdSpan or more ahead of the next slot: dropped
+)
+
+// header starts the slot clock at the first header's arrival at and reports
+// whether it did; a later path's header changes nothing.
+func (p *playout) header(mu float64, at int64) bool {
+	if p.buf != nil {
+		return false
+	}
+	p.start, p.period = at+p.tau, int64(float64(time.Second)/mu)
+	p.span = int64(holdSpan(mu, time.Duration(p.tau)))
+	p.buf = NewSeqRing(int(p.span))
+	return true
+}
+
+// arrive routes packet pkt arriving at at.
+func (p *playout) arrive(pkt uint32, at int64, payload []byte) int {
+	switch {
+	case int64(pkt)-int64(p.next) >= p.span:
+		p.stats.Early++
+		return playEarly
+	case !p.seen.Add(pkt):
+		return playDuplicate
+	case pkt < p.next || at > p.start+int64(pkt)*p.period:
+		p.stats.LateArrivals++
+		return playLate
+	}
+	p.buf.Put(int64(pkt), 0, payload)
+	return playParked
+}
+
+// tick plays the next slot: its packet (ok), which the caller hands back to
+// buf.Recycle when done, or a glitch.
+func (p *playout) tick() (slot uint32, data []byte, ok bool) {
+	slot = p.next
+	if _, data, ok = p.buf.Take(int64(slot)); ok {
+		p.stats.Played++
+	} else {
+		p.stats.Glitches++
+	}
+	p.next++
+	return slot, data, ok
+}
+
+// due is the slot clock and the end rule: when the next slot plays, or over
+// once every slot below the stream's count, expected, has played, or, with
+// no end marker (expected < 0), once every path's reader has returned
+// (closed) and nothing is left parked.
+func (p *playout) due(expected int64, closed bool) (at int64, over bool) {
+	if expected >= 0 {
+		over = int64(p.next) >= expected
+	} else {
+		over = closed && p.buf.Len() == 0
+	}
+	return p.start + int64(p.next)*p.period, over
+}
+
+// result is what the playout counted; with no end marker the stream's count
+// is the slots played.
+func (p *playout) result(expected int64) PlayerStats {
+	st := p.stats
+	if st.Expected = expected; expected < 0 {
+		st.Expected = int64(p.next)
+	}
+	return st
+}
+
 // Play consumes a DMP-streaming session from the given path connections and
 // plays it back in real time with the configured startup delay. It blocks
 // until the stream ends and every slot up to the last generated packet has
-// been played or declared a glitch. A packet that arrives after its slot
-// has passed counts as a late arrival only if the slot glitched; another
-// copy of a packet that already played is a duplicate. A packet more than
-// 2τ + 1 s of playout ahead of the slot playing is dropped as early.
+// been played or declared a glitch. A packet's first arrival after its slot
+// is a late arrival, any other copy a duplicate, and a packet more than
+// 2τ + 1 s of playout ahead of the slot playing is dropped as early. Play
+// is playout's shell: the step's lock, its slot clock's timer, the reader.
 func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 	if len(conns) == 0 {
 		return PlayerStats{}, errors.New("core: no paths")
@@ -69,117 +158,68 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 	}
 
 	var mu sync.Mutex
-	var buffer *SeqRing                 // guarded by mu; every arrival in [played, played+span), set at the first header
-	var span int64                      // guarded by mu; holdSpan of the first header
-	missed := make(map[uint32]struct{}) // guarded by mu; glitched slots whose packet has not come
-	var lateArrivals, early int64       // guarded by mu
-	played := uint32(0)                 // guarded by mu; next slot to play
-	header := make(chan float64, 1)     // the first agreed header's µ
+	p := &playout{tau: int64(cfg.StartupDelay)} // guarded by mu
+	base := time.Now()                          // the step's clock reads time since base
+	started := make(chan struct{})              // closed at the first agreed header
 	pr := NewPathReader(cfg.EndGrace,
 		func(m float64, _ int) error {
 			mu.Lock()
-			if buffer == nil {
-				span = int64(holdSpan(m, cfg.StartupDelay))
-				buffer = NewSeqRing(int(span))
-			}
-			mu.Unlock()
-			select {
-			case header <- m:
-			default:
+			defer mu.Unlock()
+			if p.header(m, int64(time.Since(base))) {
+				close(started)
 			}
 			return nil
 		},
 		func(_ int, pkt uint32, _ int64, payload []byte) {
 			mu.Lock()
-			if d := int64(pkt) - int64(played); d >= span {
-				early++
-			} else if d >= 0 {
-				buffer.Put(int64(pkt), 0, payload)
-			} else if _, ok := missed[pkt]; ok {
-				delete(missed, pkt)
-				lateArrivals++ // slot already passed; discard
-			}
+			p.arrive(pkt, int64(time.Since(base)), payload)
 			mu.Unlock()
 		})
 
 	var errs []error
-	done := make(chan struct{}) // closed once every path's reader has returned
+	var returned atomic.Bool    // every path's reader has returned
+	done := make(chan struct{}) // closed with it
 	go func() {
 		errs = pr.RunAll(conns)
+		returned.Store(true)
 		close(done)
 	}()
-
-	var m float64
 	select {
-	case m = <-header:
+	case <-started:
 	case <-done:
-		// Every reader failed before producing a header.
-		select {
-		case m = <-header:
-		default:
+		if p.buf == nil { // no reader is left to start the clock
 			return PlayerStats{}, errors.Join(append(errs, errors.New("core: no usable session header"))...)
 		}
 	}
-	period := time.Duration(float64(time.Second) / m)
 
-	var stats PlayerStats
-	start := time.Now().Add(cfg.StartupDelay)
-	var clock *time.Timer // the slot clock, reset for every slot; always drained
-	for slot := uint32(0); ; slot++ {
+	clock := time.NewTimer(math.MaxInt64) // the slot clock, idle until the first Reset
+	for {
+		closed := returned.Load() // first: once every reader has returned, the count is final
 		exp := pr.Expected()
-		if exp >= 0 && int64(slot) >= exp {
+		mu.Lock()
+		at, over := p.due(exp, closed)
+		mu.Unlock()
+		if over {
 			break
 		}
-		if d := time.Until(start.Add(time.Duration(slot) * period)); d > 0 {
-			if clock == nil {
-				clock = time.NewTimer(d)
-			} else {
-				clock.Reset(d)
-			}
+		if d := time.Until(base.Add(time.Duration(at))); d > 0 {
+			clock.Reset(d)
 			<-clock.C
 		}
 		mu.Lock()
-		_, data, ok := buffer.Take(int64(slot))
-		if !ok {
-			missed[slot] = struct{}{}
-		}
-		played = slot + 1
+		slot, data, ok := p.tick()
 		mu.Unlock()
 		if ok {
-			stats.Played++
 			if cfg.OnPacket != nil {
 				cfg.OnPacket(slot, data)
 			}
 			mu.Lock()
-			buffer.Recycle(data)
+			p.buf.Recycle(data)
 			mu.Unlock()
-		} else {
-			stats.Glitches++
-			if cfg.OnGlitch != nil {
-				cfg.OnGlitch(slot)
-			}
-		}
-		// Safety: without an end marker (all paths failed), stop once the
-		// buffer is drained and every reader has exited.
-		if exp < 0 {
-			select {
-			case <-done:
-				mu.Lock()
-				empty, late, ahead := buffer.Len() == 0, lateArrivals, early
-				mu.Unlock()
-				if empty {
-					stats.Expected, stats.LateArrivals, stats.Early = int64(slot)+1, late, ahead
-					return stats, errors.Join(errs...)
-				}
-			default:
-			}
+		} else if cfg.OnGlitch != nil {
+			cfg.OnGlitch(slot)
 		}
 	}
-
-	<-done
-	stats.Expected = pr.Expected()
-	mu.Lock()
-	stats.LateArrivals, stats.Early = lateArrivals, early
-	mu.Unlock()
-	return stats, errors.Join(errs...)
+	<-done // every reader has returned: p is the loop's alone
+	return p.result(pr.Expected()), errors.Join(errs...)
 }

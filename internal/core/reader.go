@@ -19,25 +19,56 @@ const DefaultEndGrace = 10 * time.Second
 
 // PathReader is the client end of a multipath session: every path
 // connection of one stream is read here into one consumer, the paper's
-// single reassembly point. It owns what the paths share — the stream header
-// they must agree on, the expected count (the max over every end marker),
-// the end-grace deadline the first end marker arms on silent siblings, and
-// the set of connections being read — and hands each frame to the consumer
-// once, outside its own lock. It keeps nothing per packet: deduplication,
-// reassembly and playout are the consumer's (Receiver, Play, an edge
-// relay's forwarder).
+// single reassembly point. It is the locked shell of endRule, which holds
+// what the paths share, and owns the set of connections being read and
+// the end-grace deadlines the rule arms on them; it hands each frame to the
+// consumer once, outside its own lock. It keeps nothing per packet:
+// deduplication, reassembly and playout are the consumer's (Receiver,
+// Play, an edge relay's forwarder).
 type PathReader struct {
 	grace    time.Duration
 	onHeader func(mu float64, payload int) error
 	onFrame  func(path int, pkt uint32, gen int64, payload []byte)
 
-	mu       lockrank.Mutex
-	active   map[net.Conn]struct{} // guarded by mu; conns currently in Run
-	muRate   float64               // guarded by mu; 0 until the first header
-	payload  int                   // guarded by mu
-	expected int64                 // guarded by mu; -1 until an end marker
-	endSeen  bool                  // guarded by mu
-	done     chan struct{}         // closed on the first end marker
+	mu     lockrank.Mutex
+	rule   endRule               // guarded by mu
+	active map[net.Conn]struct{} // guarded by mu; conns currently in Run
+	done   chan struct{}         // closed on the first end marker
+}
+
+// endRule is the client's end-of-stream rule over the paths of one stream,
+// a pure step (no lock, conn or clock). A path's header answers consume
+// (nil) or refuse, and its end marker finish; a read error, EOF or the end
+// grace expiring refuses the path and changes nothing here. Frames never
+// reach the rule: the frame loop takes no lock.
+type endRule struct {
+	mu       float64 // the rate every path must announce; 0 until the first header
+	payload  int     // the payload size every path must announce
+	expected int64   // the stream's count, the max over the end markers; -1 until the first
+}
+
+// header agrees a path's header with the first one, which sets what every
+// sibling must announce.
+func (e *endRule) header(path int, mu float64, payload int) error {
+	switch {
+	case e.mu == 0:
+		e.mu, e.payload = mu, payload
+	case e.mu != mu:
+		return fmt.Errorf("core: path %d announces µ=%v, another path %v", path, mu, e.mu)
+	case e.payload != payload:
+		return fmt.Errorf("core: path %d announces %d-byte payloads, another path %d", path, payload, e.payload)
+	}
+	return nil
+}
+
+// end records an end marker announcing count; the stream's count is the
+// max over every path's (a live hub subscription's paths drain at slightly
+// different times). On the first, arm the end grace on every other path in
+// flight.
+func (e *endRule) end(count int64) (arm bool) {
+	arm = e.expected < 0
+	e.expected = max(e.expected, count)
+	return arm
 }
 
 // NewPathReader builds a reader that hands every frame to onFrame. grace is
@@ -55,8 +86,8 @@ func NewPathReader(grace time.Duration, onHeader func(mu float64, payload int) e
 		grace:    grace,
 		onHeader: onHeader,
 		onFrame:  onFrame,
+		rule:     endRule{expected: -1},
 		active:   make(map[net.Conn]struct{}),
-		expected: -1,
 		done:     make(chan struct{}),
 	}
 	pr.mu.Init(lockrank.PathReader)
@@ -69,7 +100,7 @@ func NewPathReader(grace time.Duration, onHeader func(mu float64, payload int) e
 func (pr *PathReader) Run(path int, conn net.Conn) error {
 	pr.mu.Lock()
 	pr.active[conn] = struct{}{}
-	if pr.endSeen && pr.grace > 0 {
+	if pr.rule.expected >= 0 && pr.grace > 0 { // the stream ended: the end grace at once
 		conn.SetReadDeadline(time.Now().Add(pr.grace))
 	}
 	pr.mu.Unlock()
@@ -83,7 +114,10 @@ func (pr *PathReader) Run(path int, conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("core: path %d: %w", path, err)
 	}
-	if err := pr.agree(path, mu, payload); err != nil {
+	pr.mu.Lock()
+	err = pr.rule.header(path, mu, payload)
+	pr.mu.Unlock()
+	if err != nil {
 		return err
 	}
 	if pr.onHeader != nil {
@@ -111,47 +145,33 @@ func (pr *PathReader) Run(path int, conn net.Conn) error {
 // RunAll runs conns[k] as path k, each on its own goroutine, and returns
 // every path's error once all have returned.
 func (pr *PathReader) RunAll(conns []net.Conn) []error {
-	errs := make([]error, len(conns))
+	return forEach(len(conns), func(k int) error { return pr.Run(k, conns[k]) })
+}
+
+// forEach runs f(k) for every k < n, each on its own goroutine, and returns
+// every call's error once all have returned.
+func forEach(n int, f func(k int) error) []error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for k, conn := range conns {
+	for k := range n {
 		wg.Add(1)
-		go func(k int, conn net.Conn) {
+		go func() {
 			defer wg.Done()
-			errs[k] = pr.Run(k, conn)
-		}(k, conn)
+			errs[k] = f(k)
+		}()
 	}
 	wg.Wait()
 	return errs
 }
 
-// agree checks a path's header against the first one, which sets what every
-// sibling must announce.
-func (pr *PathReader) agree(path int, mu float64, payload int) error {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	switch {
-	case pr.muRate == 0:
-		pr.muRate, pr.payload = mu, payload
-	case pr.muRate != mu:
-		return fmt.Errorf("core: path %d announces µ=%v, another path %v", path, mu, pr.muRate)
-	case pr.payload != payload:
-		return fmt.Errorf("core: path %d announces %d-byte payloads, another path %d", path, payload, pr.payload)
-	}
-	return nil
-}
-
-// finish records an end marker: the expected count is the max announced by
-// any path (paths of a live hub subscription drain at slightly different
-// times), and on the first marker every other in-flight path gets the grace
-// deadline so a silent one cannot block reassembly forever.
+// finish runs the rule on a path's end marker and, on the first, closes
+// Done and arms the grace deadline on every other path in flight.
 func (pr *PathReader) finish(expected int64, self net.Conn) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	pr.expected = max(pr.expected, expected)
-	if pr.endSeen {
+	if !pr.rule.end(expected) {
 		return
 	}
-	pr.endSeen = true
 	close(pr.done)
 	if pr.grace > 0 {
 		dl := time.Now().Add(pr.grace)
@@ -172,7 +192,7 @@ func (pr *PathReader) Done() <-chan struct{} { return pr.done }
 func (pr *PathReader) Header() (mu float64, payload int) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	return pr.muRate, pr.payload
+	return pr.rule.mu, pr.rule.payload
 }
 
 // Expected returns the stream's packet count, the max over the end markers
@@ -180,7 +200,7 @@ func (pr *PathReader) Header() (mu float64, payload int) {
 func (pr *PathReader) Expected() int64 {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	return pr.expected
+	return pr.rule.expected
 }
 
 // Conns snapshots the connections currently being read — the set an owner

@@ -260,12 +260,6 @@ func ReceiveOpts(conns []net.Conn, opts ReceiverOptions) (*Trace, error) {
 		return nil, errors.New("core: no paths")
 	}
 	r := NewReceiver(opts)
-	var firstErr error
-	for _, err := range r.RunAll(conns) {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	return r.Trace(), firstErr
+	errs := r.RunAll(conns)
+	return r.Trace(), cmp.Or(errs...)
 }

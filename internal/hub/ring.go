@@ -46,23 +46,26 @@ type slot struct {
 // subscriber needs (and the newest, where a rebased join starts), and a pin
 // below that renders the packet again from Fill; an external source's ring
 // (publishAt) keeps them all until the head laps them. A Keep hub's ring
-// stores no more slots than that span has needed: it starts small and
-// grows with the backlog (publish), so a queue of any depth up to the
-// window loses nothing and costs slots only for the packets it held.
+// stores no more slots than that span needs: it starts small, grows with
+// the backlog and gives the slots back once the backlog drains (publish),
+// so a queue of any depth up to the window loses nothing and costs slots
+// only while it holds the packets.
 //
 // head is mirrored into an atomic so shards compute lag and cursor math
 // (sub.cur < head) without touching the ring lock at all; only the pin
 // itself takes the read lock.
 type ring struct {
-	n    int64 // the window in packets; immutable after newRing
-	pool *bufPool
-	fill func(pkt uint32, buf []byte) // the stream's Fill, a pure function of the packet number
+	n     int64 // the window in packets; immutable after newRing
+	floor int64 // the slots stored to start with; a shrink stops there
+	pool  *bufPool
+	fill  func(pkt uint32, buf []byte) // the stream's Fill, a pure function of the packet number
 
 	mu lockrank.RWMutex
 	// slots holds the newest len(slots) packets, at index seq % len(slots).
 	// A ring that keeps the window has all n from the start; one that keeps
 	// only what is needed (newRing's slots below n) grows as publish finds
-	// the packet it would overwrite still needed, doubling up to n.
+	// the packet it would overwrite still needed, doubling up to n, and
+	// halves back towards floor once what is needed fits in a quarter.
 	slots []slot // guarded by mu
 	head  int64  // guarded by mu; absolute sequence of the next packet to publish
 	low   int64  // guarded by mu; the generator's low-water mark: no slot below it holds the ring's reference
@@ -76,7 +79,7 @@ type ring struct {
 // nolint:lockguard constructor — the ring has not been published to any
 // reader yet, so the slot init needs no lock
 func newRing(n, slots int, pool *bufPool, fill func(pkt uint32, buf []byte)) *ring {
-	r := &ring{n: int64(n), pool: pool, fill: fill, slots: newSlots(slots)}
+	r := &ring{n: int64(n), floor: int64(slots), pool: pool, fill: fill, slots: newSlots(slots)}
 	r.mu.Init(lockrank.Ring)
 	return r
 }
@@ -100,14 +103,18 @@ func (r *ring) tail() int64 {
 	return max(r.head-int64(len(r.slots)), 0)
 }
 
-// growLocked doubles the stored slots, up to the window, moving each
-// packet to its index in the larger ring. Caller holds mu exclusively.
-func (r *ring) growLocked() {
+// resizeLocked stores the newest n packets in n slots, moving each to its
+// index in the new ring and dropping the ring's reference on any older one
+// a smaller ring lets go. Caller holds mu exclusively.
+func (r *ring) resizeLocked(n int64) {
 	old, oc := r.slots, int64(len(r.slots))
-	r.slots = newSlots(int(min(2*oc, r.n)))
-	nc := int64(len(r.slots))
+	r.slots = newSlots(int(n))
 	for seq := max(r.head-oc, 0); seq < r.head; seq++ {
-		r.slots[seq%nc] = old[seq%oc]
+		if seq >= r.head-n {
+			r.slots[seq%n] = old[seq%oc]
+		} else {
+			r.pool.unref(old[seq%oc].payload)
+		}
 	}
 }
 
@@ -125,7 +132,10 @@ func (r *ring) headSeq() int64 { return r.headA.Load() }
 // needs, at most the newest); the lapped occupant's after the swap. A ring
 // storing less than its window grows first if the packet it would lap is
 // at or above keep (at most low), a packet someone may still ask for: its
-// slot keeps the sequence and stamp a render needs.
+// slot keeps the sequence and stamp a render needs. One grown past its
+// starting slots halves once the span from keep to the head fits in a
+// quarter of them: between the two thresholds it stays put, so a backlog
+// hovering at one size does not resize it on every publish.
 func (r *ring) publish(low, keep int64) int64 {
 	pb := r.pool.get()
 	pb.fill(r.fill, uint32(r.headA.Load()))
@@ -139,9 +149,11 @@ func (r *ring) publish(low, keep int64) int64 {
 	}
 	r.low = max(r.low, low)
 	if lapped := r.head - c; lapped >= 0 && lapped >= keep && c < r.n {
-		r.growLocked()
-		c = int64(len(r.slots))
+		r.resizeLocked(min(2*c, r.n))
+	} else if c > r.floor && r.head-keep <= c/4 {
+		r.resizeLocked(max(c/2, r.floor))
 	}
+	c = int64(len(r.slots))
 	s := &r.slots[r.head%c]
 	old := s.payload
 	s.seq = r.head

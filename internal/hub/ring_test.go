@@ -89,6 +89,34 @@ func TestRingGrowsWithBacklog(t *testing.T) {
 	})
 }
 
+// TestRingShrinksAfterBacklog: a ring grown for a backlog gives its slots
+// back once the backlog has drained, halving down to the slots it started
+// with and no further, and what is still needed stays pinnable throughout.
+func TestRingShrinksAfterBacklog(t *testing.T) {
+	r := newRing(1024, maxTickBurst, newBufPool(8, false), fillByte)
+	for range 100 {
+		r.publish(0, 0) // packet 0 is needed throughout
+	}
+	if got := storedSlots(r); got != 128 {
+		t.Fatalf("stores %d slots for a 100-packet backlog, want 128", got)
+	}
+	for range 1000 {
+		head := r.headSeq()
+		r.publish(head, head) // nothing older than the newest is needed
+		if pb, _, ok := r.pin(head); !ok || pb == nil || pb.data[0] != byte(head) {
+			t.Fatalf("packet %d lost", head)
+		} else {
+			r.pool.unref(pb)
+		}
+	}
+	if got := storedSlots(r); got != maxTickBurst {
+		t.Fatalf("stores %d slots once the backlog drained, want %d", got, maxTickBurst)
+	}
+	if st := r.pool.stats(); st.News-int64(st.Free) != 1 {
+		t.Fatalf("%d buffers outside the pool, want the newest packet's 1", st.News-int64(st.Free))
+	}
+}
+
 // TestKeepHubStoresTheBacklog: a Keep hub holds the stream from its first
 // packet until a subscriber joins, in slots for that backlog only, where a
 // DropOldest hub stores its whole window from the start.

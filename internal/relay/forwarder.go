@@ -43,7 +43,7 @@ func newForwarder(r *Relay, grace time.Duration) *forwarder {
 func (f *forwarder) Run(path int, conn net.Conn) error {
 	err := f.PathReader.Run(path, conn)
 	if err == nil {
-		f.r.stop()
+		f.r.signalStop()
 	}
 	return err
 }

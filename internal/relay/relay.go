@@ -233,8 +233,10 @@ type Relay struct {
 
 	readyCh      chan struct{} // closed by markReady: local has something to serve
 	readyOnce    sync.Once     // closes readyCh
-	failCh       chan struct{} // closed if the relay gives up before a hub exists
-	stopCh       chan struct{} // closed once upstream consumption is over (cancel orphan timers and redial backoffs)
+	failCh       chan struct{} // closed by signalFail if the relay gives up before a hub exists
+	failOnce     sync.Once
+	stopCh       chan struct{} // closed by signalStop once upstream consumption is over (cancel orphan timers and redial backoffs)
+	stopOnce     sync.Once
 	upstreamDone chan struct{} // closed once the upstream manager (redial engine + flush) exited
 
 	// local is the downstream hub, nil until the first upstream header;
@@ -252,8 +254,6 @@ type Relay struct {
 	cancelled   bool   // guarded by mu; stop dialing upstream (Close/Drain/orphan)
 	orphanGen   int64  // guarded by mu; versions the pending orphan countdown
 	orphanArmed bool   // guarded by mu; a countdown is pending (don't re-arm per retry)
-	failSig     bool   // guarded by mu; failCh already closed
-	stopSig     bool   // guarded by mu; stopCh already closed
 }
 
 // New validates cfg, draws (or adopts) the upstream token and starts the
@@ -336,13 +336,6 @@ func (r *Relay) Ready() <-chan struct{} { return r.readyCh }
 
 // markReady closes Ready; only once local is stored.
 func (r *Relay) markReady() { r.readyOnce.Do(func() { close(r.readyCh) }) }
-
-// stop closes stopCh: upstream consumption is over.
-func (r *Relay) stop() {
-	r.mu.Lock()
-	r.signalStopLocked()
-	r.mu.Unlock()
-}
 
 func (r *Relay) logf(format string, args ...any) {
 	if r.cfg.Logf != nil {
@@ -450,10 +443,10 @@ func (r *Relay) orphanFire(gen int64) {
 	}
 	r.orphaned = true
 	r.cancelled = true
-	r.signalStopLocked()
+	r.signalStop()
 	h := r.local.Load()
 	if h == nil {
-		r.signalFailLocked()
+		r.signalFail()
 	}
 	r.mu.Unlock()
 	r.logf("relay: orphaned: no live upstream path for %v", r.cfg.OrphanGrace)
@@ -486,8 +479,8 @@ func (r *Relay) onHeader(mu float64, payload int) error {
 		// A hub that cannot be built from the upstream's own header will
 		// never build: give up rather than redial into the same wall.
 		r.cancelled = true
-		r.signalStopLocked()
-		r.signalFailLocked()
+		r.signalStop()
+		r.signalFail()
 		r.mu.Unlock()
 		return fmt.Errorf("relay: local hub: %w", err)
 	}
@@ -504,10 +497,10 @@ func (r *Relay) onUpstreamDone(errs []error) {
 	r.mu.Lock()
 	ended := r.upstreamEnded()
 	decided := r.cancelled || r.orphaned
-	r.signalStopLocked()
+	r.signalStop()
 	h := r.local.Load()
 	if h == nil {
-		r.signalFailLocked()
+		r.signalFail()
 	}
 	r.mu.Unlock()
 	switch {
@@ -541,31 +534,13 @@ func (r *Relay) onUpstreamDone(errs []error) {
 }
 
 // upstreamEnded reports whether an upstream path delivered the stream's
-// end marker.
-func (r *Relay) upstreamEnded() bool {
-	select {
-	case <-r.fwd.PathReader.Done():
-		return true
-	default:
-		return false
-	}
-}
+// end marker: the reader's end rule knows the stream's count.
+func (r *Relay) upstreamEnded() bool { return r.fwd.Expected() >= 0 }
 
-// signalFailLocked / signalStopLocked close their channel exactly once.
-// Caller holds r.mu.
-func (r *Relay) signalFailLocked() {
-	if !r.failSig {
-		r.failSig = true
-		close(r.failCh)
-	}
-}
-
-func (r *Relay) signalStopLocked() {
-	if !r.stopSig {
-		r.stopSig = true
-		close(r.stopCh)
-	}
-}
+// signalFail and signalStop close their channel exactly once; signalStop
+// says upstream consumption is over.
+func (r *Relay) signalFail() { r.failOnce.Do(func() { close(r.failCh) }) }
+func (r *Relay) signalStop() { r.stopOnce.Do(func() { close(r.stopCh) }) }
 
 // Serve accepts downstream subscribers on ln, blocking first until Ready
 // (the local hub needs the upstream header's rate and payload size, and a
@@ -619,7 +594,7 @@ func (r *Relay) Drain(timeout time.Duration) bool {
 func (r *Relay) cancelUpstream() {
 	r.mu.Lock()
 	r.cancelled = true
-	r.signalStopLocked()
+	r.signalStop()
 	r.mu.Unlock()
 	for _, c := range r.fwd.Conns() {
 		_ = c.Close()
