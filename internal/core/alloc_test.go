@@ -63,13 +63,13 @@ func TestPlayoutAllocFree(t *testing.T) {
 	payload := make([]byte, 1024)
 	next := uint32(0)
 	for ; next < depth; next++ {
-		p.arrive(next, 0, payload)
+		p.arrive(next, payload)
 	}
 	cycle := func() {
-		if got := p.arrive(next, 0, payload); got != playParked {
+		if got := p.arrive(next, payload); got != playParked {
 			t.Fatalf("packet %d: answer %d, want parked", next, got)
 		}
-		p.arrive(next, 0, payload) // resent: a duplicate
+		p.arrive(next, payload) // resent: a duplicate
 		next++
 		slot, data, ok := p.tick()
 		if !ok {

@@ -84,14 +84,23 @@ func (t *Trace) SlackQuantile(q float64) float64 {
 // PathGoodput returns each path's goodput in packets per second over the
 // trace, measured from first to last arrival on that path.
 func (t *Trace) PathGoodput(numPaths int) []float64 {
-	first, last, count := make([]int64, numPaths), make([]int64, numPaths), t.PathCounts(numPaths)
+	first := make([]int64, numPaths)
+	last := make([]int64, numPaths)
+	count := make([]int64, numPaths)
 	for i := range first {
 		first[i] = math.MaxInt64
 	}
 	for _, a := range t.Arrivals {
-		if a.Path >= 0 && int(a.Path) < numPaths {
-			first[a.Path], last[a.Path] = min(first[a.Path], a.At), max(last[a.Path], a.At)
+		if a.Path < 0 || int(a.Path) >= numPaths {
+			continue
 		}
+		if a.At < first[a.Path] {
+			first[a.Path] = a.At
+		}
+		if a.At > last[a.Path] {
+			last[a.Path] = a.At
+		}
+		count[a.Path]++
 	}
 	out := make([]float64, numPaths)
 	for i := range out {

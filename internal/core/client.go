@@ -64,11 +64,15 @@ func (p RedialPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 		mult = 2
 	}
 	d := float64(p.Base)
-	for i := 0; i < attempt && (p.Max <= 0 || d < float64(p.Max)); i++ {
+	for i := 0; i < attempt; i++ {
 		d *= mult
+		if p.Max > 0 && d >= float64(p.Max) {
+			d = float64(p.Max)
+			break
+		}
 	}
-	if p.Max > 0 {
-		d = min(d, float64(p.Max))
+	if p.Max > 0 && d > float64(p.Max) {
+		d = float64(p.Max)
 	}
 	if p.Jitter > 0 {
 		d *= 1 - p.Jitter*rng.Float64()

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -58,9 +57,10 @@ func holdSpan(mu float64, tau time.Duration) int {
 // stream's events at explicit times, nanoseconds on the caller's clock. The
 // first header starts the slot clock: slot s plays τ + s/µ after it. An
 // arrival parks its packet until the slot's tick plays it; a tick with
-// nothing parked glitches. A first arrival after its slot's time or tick is
-// late, Trace.LateFraction's rule at τ + d0 on a CBR stream (d0: the
-// header's arrival minus Gen_0); any other copy is a duplicate.
+// nothing parked glitches. A first arrival below the playhead is late, any
+// other copy a duplicate. Fed its events in time order, with an arrival at
+// its slot's very time before the tick, that is Trace.LateFraction's rule
+// at τ + d0 on a CBR stream (d0: the header's arrival minus Gen_0).
 type playout struct {
 	tau, start, period int64       // slot s plays at start + s·period
 	span               int64       // holdSpan of the header
@@ -90,15 +90,15 @@ func (p *playout) header(mu float64, at int64) bool {
 	return true
 }
 
-// arrive routes packet pkt arriving at at.
-func (p *playout) arrive(pkt uint32, at int64, payload []byte) int {
+// arrive routes an arrival of packet pkt.
+func (p *playout) arrive(pkt uint32, payload []byte) int {
 	switch {
 	case int64(pkt)-int64(p.next) >= p.span:
 		p.stats.Early++
 		return playEarly
 	case !p.seen.Add(pkt):
 		return playDuplicate
-	case pkt < p.next || at > p.start+int64(pkt)*p.period:
+	case pkt < p.next:
 		p.stats.LateArrivals++
 		return playLate
 	}
@@ -146,9 +146,10 @@ func (p *playout) result(expected int64) PlayerStats {
 // plays it back in real time with the configured startup delay. It blocks
 // until the stream ends and every slot up to the last generated packet has
 // been played or declared a glitch. A packet's first arrival after its slot
-// is a late arrival, any other copy a duplicate, and a packet more than
-// 2τ + 1 s of playout ahead of the slot playing is dropped as early. Play
-// is playout's shell: the step's lock, its slot clock's timer, the reader.
+// has played is a late arrival, any other copy a duplicate, and a packet
+// more than 2τ + 1 s of playout ahead of the slot playing is dropped as
+// early. Play is playout's shell: the step's lock, its slot clock's timer,
+// the reader.
 func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 	if len(conns) == 0 {
 		return PlayerStats{}, errors.New("core: no paths")
@@ -172,16 +173,14 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 		},
 		func(_ int, pkt uint32, _ int64, payload []byte) {
 			mu.Lock()
-			p.arrive(pkt, int64(time.Since(base)), payload)
+			p.arrive(pkt, payload)
 			mu.Unlock()
 		})
 
 	var errs []error
-	var returned atomic.Bool    // every path's reader has returned
-	done := make(chan struct{}) // closed with it
+	done := make(chan struct{}) // closed once every path's reader has returned
 	go func() {
 		errs = pr.RunAll(conns)
-		returned.Store(true)
 		close(done)
 	}()
 	select {
@@ -193,8 +192,14 @@ func Play(conns []net.Conn, cfg PlayerConfig) (PlayerStats, error) {
 	}
 
 	clock := time.NewTimer(math.MaxInt64) // the slot clock, idle until the first Reset
+	defer clock.Stop()
 	for {
-		closed := returned.Load() // first: once every reader has returned, the count is final
+		closed := false // first: once every reader has returned, the count is final
+		select {
+		case <-done:
+			closed = true
+		default:
+		}
 		exp := pr.Expected()
 		mu.Lock()
 		at, over := p.due(exp, closed)

@@ -122,6 +122,34 @@ func TestPlayerCountsGlitchesWithManualFrames(t *testing.T) {
 	}
 }
 
+// TestPlayClockStartsAtHeader: the slot clock runs from the first stream
+// header, not the first packet. Packets 0–4 and the end marker come 300ms
+// after the header; with τ 100ms and 10ms slots every slot has passed by
+// then, so all five are late arrivals and none plays.
+func TestPlayClockStartsAtHeader(t *testing.T) {
+	cConn, sConn := tcpPair(t)
+	defer cConn.Close()
+	const mu, payload = 100.0, 8
+	go func() {
+		sConn.Write(headerBytes(0, 1, payload, mu))
+		time.Sleep(300 * time.Millisecond)
+		for pkt := uint32(0); pkt < 5; pkt++ {
+			sConn.Write(frameBytes(pkt, payload))
+		}
+		end := frameBytes(wire.EndMarker, payload)
+		putUint64(end[4:12], 5)
+		sConn.Write(end)
+		sConn.Close()
+	}()
+	stats, err := Play([]net.Conn{cConn}, PlayerConfig{StartupDelay: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Played != 0 || stats.LateArrivals != 5 {
+		t.Fatalf("played %d, %d late arrivals; want 0, 5", stats.Played, stats.LateArrivals)
+	}
+}
+
 // TestPlayResendIsNotLate: packets 0–9 arrive on path A in time; after slot
 // 3 has played, path B resends packet 3. That copy is a duplicate of a
 // packet that played, not a late arrival.

@@ -24,10 +24,12 @@ type playArrival struct {
 // FuzzPlayoutMatchesTrace replays generated CBR arrivals through the
 // playout step at virtual times and holds it to two oracles. Answer by
 // answer, a model of the first-arrival rule decides each arrival and each
-// tick on the slot clock started at the first header. In sum, the glitch
-// count equals the trace's playback late count at τ + d0, d0 the first
-// header's arrival minus Gen_0, over the arrivals the step did not drop as
-// early, which it counts apart.
+// tick on the slot clock started at the first header; it judges lateness
+// by the arrival's time against its slot's, the step by the playhead
+// alone, which agree because a slot ticks before any later arrival. In
+// sum, the glitch count equals the trace's playback late count at τ + d0,
+// d0 the first header's arrival minus Gen_0, over the arrivals the step
+// did not drop as early, which it counts apart.
 //
 // Each arrival is two bytes a, b. a&1 is its path; path 1's header comes
 // hdr1 units after path 0's, and nothing arrives on a path before its
@@ -132,7 +134,7 @@ func FuzzPlayoutMatchesTrace(f *testing.F) {
 					want = playEarly
 				case seen[a.pkt]:
 					want = playDuplicate
-				case a.pkt < ticks || a.at > slotAt(a.pkt):
+				case a.pkt < ticks || a.at > slotAt(a.pkt): // the same once a slot ticks before a later arrival
 					want = playLate
 				}
 				if want != playEarly {
@@ -141,7 +143,7 @@ func FuzzPlayoutMatchesTrace(f *testing.F) {
 					}
 					kept = append(kept, Arrival{Pkt: a.pkt, Gen: (gen0 + int64(a.pkt)*period) * playUnit, At: a.at * playUnit})
 				}
-				if got := p.arrive(a.pkt, a.at*playUnit, []byte{byte(a.pkt)}); got != want {
+				if got := p.arrive(a.pkt, []byte{byte(a.pkt)}); got != want {
 					t.Fatalf("arrival %d (packet %d at %d, slot %d at %d): answer %d, want %d", i, a.pkt, a.at, ticks, at/playUnit, got, want)
 				}
 				i++
@@ -187,7 +189,7 @@ func TestPlayoutHolesCostBits(t *testing.T) {
 	payload := make([]byte, 16)
 	for slot := uint32(0); slot < slots; slot++ {
 		if slot%2 == 0 {
-			p.arrive(slot, 0, payload)
+			p.arrive(slot, payload)
 		}
 		if _, data, ok := p.tick(); ok {
 			p.buf.Recycle(data)

@@ -44,7 +44,8 @@ type PathReader struct {
 type endRule struct {
 	mu       float64 // the rate every path must announce; 0 until the first header
 	payload  int     // the payload size every path must announce
-	expected int64   // the stream's count, the max over the end markers; -1 until the first
+	expected int64   // the stream's count, the max over -1 and the end markers
+	ended    bool    // an end marker came; its count may be any int64 the wire carries
 }
 
 // header agrees a path's header with the first one, which sets what every
@@ -66,7 +67,8 @@ func (e *endRule) header(path int, mu float64, payload int) error {
 // different times). On the first, arm the end grace on every other path in
 // flight.
 func (e *endRule) end(count int64) (arm bool) {
-	arm = e.expected < 0
+	arm = !e.ended
+	e.ended = true
 	e.expected = max(e.expected, count)
 	return arm
 }
@@ -100,7 +102,7 @@ func NewPathReader(grace time.Duration, onHeader func(mu float64, payload int) e
 func (pr *PathReader) Run(path int, conn net.Conn) error {
 	pr.mu.Lock()
 	pr.active[conn] = struct{}{}
-	if pr.rule.expected >= 0 && pr.grace > 0 { // the stream ended: the end grace at once
+	if pr.rule.ended && pr.grace > 0 { // the stream ended: the end grace at once
 		conn.SetReadDeadline(time.Now().Add(pr.grace))
 	}
 	pr.mu.Unlock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -16,7 +17,7 @@ import (
 const (
 	trAttach = iota // a connection attaches to the path: Run starts on it
 	trHeader        // its stream header: µ 1000 or 500 by arg&1, 8- or 16-byte payloads by arg&2
-	trEnd           // its end marker, announcing arg packets
+	trEnd           // its end marker, announcing arg packets (14: -1, 15: a count with its top bit set)
 	trFail          // its connection fails: EOF, a broken link, the end grace expiring
 )
 
@@ -48,7 +49,8 @@ type trConn struct {
 // the endRule step beside it, through a transcript of per-path events and
 // checks both against a reference model that reads the transcript's
 // history: every path must announce the first accepted header; the
-// expected count is the max over every end marker so far; the first marker
+// expected count is the max over -1 and every end marker so far, whatever
+// counts they carry; the first marker
 // finishes its path and arms the end grace on every other path in flight,
 // and a path attaching after it gets the grace at once; a failure changes
 // nothing but its path.
@@ -71,6 +73,9 @@ func FuzzPathReaderTranscript(f *testing.F) {
 		ev(0, trAttach, 0), ev(0, trFail, 0)})
 	f.Add([]byte{ // TestReceiveEOFWithoutEndMarker, TestReceiveTruncatedFrameStream: frames, then EOF
 		ev(0, trAttach, 0), ev(0, trHeader, 0), ev(0, trFail, 0)})
+	f.Add([]byte{ // a marker whose count has its top bit set still ends the stream: a sibling's marker and a redial after it are not the first
+		ev(0, trAttach, 0), ev(1, trAttach, 0), ev(0, trHeader, 0), ev(1, trHeader, 0),
+		ev(0, trEnd, 15), ev(1, trEnd, 14), ev(0, trAttach, 0), ev(0, trHeader, 0), ev(0, trEnd, 4)})
 	f.Add([]byte{ // a path redialed after a failure carries the stream to its end
 		ev(0, trAttach, 0), ev(0, trHeader, 1), ev(0, trFail, 0), ev(0, trAttach, 0), ev(0, trHeader, 1), ev(0, trEnd, 7)})
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -99,7 +104,7 @@ func FuzzPathReaderTranscript(f *testing.F) {
 				c = &trConn{path: k, live: true, server: server, client: &armConn{Conn: client}, result: make(chan error, 1), armed: len(markers) > 0}
 				paths[k], conns = c, append(conns, c)
 				go func() { c.result <- pr.Run(k, c.client) }()
-				if got := rule.expected >= 0; got != c.armed {
+				if got := rule.ended; got != c.armed {
 					t.Fatalf("%s: the rule arms the grace %v, model %v", what, got, c.armed)
 				}
 			case event == trHeader && live && !c.reading:
@@ -126,15 +131,19 @@ func FuzzPathReaderTranscript(f *testing.F) {
 				}
 				c.reading = true
 			case event == trEnd && live && c.reading:
+				count := int64(arg)
+				if arg >= 14 {
+					count = []int64{-1, math.MinInt64 + 15}[arg-14]
+				}
 				arm := len(markers) == 0
-				markers = append(markers, int64(arg))
+				markers = append(markers, count)
 				for _, o := range conns {
 					o.armed = o.armed || arm && o.live && o != c
 				}
-				if got := rule.end(int64(arg)); got != arm {
+				if got := rule.end(count); got != arm {
 					t.Fatalf("%s: the rule arms %v, model %v", what, got, arm)
 				}
-				wire.PutFrameHeader(frame, wire.EndMarker, int64(arg))
+				wire.PutFrameHeader(frame, wire.EndMarker, count)
 				if _, err := c.server.Write(frame[:wire.FrameHeaderSize+int(first[1])]); err != nil {
 					t.Fatal(err)
 				}
@@ -147,7 +156,7 @@ func FuzzPathReaderTranscript(f *testing.F) {
 			}
 			want := int64(-1)
 			if len(markers) > 0 {
-				want = slices.Max(markers)
+				want = max(want, slices.Max(markers))
 			}
 			if rule.expected != want || pr.Expected() != want {
 				t.Fatalf("%s: expected count %d (reader %d), model %d", what, rule.expected, pr.Expected(), want)

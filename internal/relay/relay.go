@@ -534,8 +534,15 @@ func (r *Relay) onUpstreamDone(errs []error) {
 }
 
 // upstreamEnded reports whether an upstream path delivered the stream's
-// end marker: the reader's end rule knows the stream's count.
-func (r *Relay) upstreamEnded() bool { return r.fwd.Expected() >= 0 }
+// end marker.
+func (r *Relay) upstreamEnded() bool {
+	select {
+	case <-r.fwd.PathReader.Done():
+		return true
+	default:
+		return false
+	}
+}
 
 // signalFail and signalStop close their channel exactly once; signalStop
 // says upstream consumption is over.
