@@ -20,8 +20,11 @@ type served struct {
 	serve func(net.Listener) error
 	close func()
 	stats func() (handshaking int, retries, rejected int64)
+	limit int // handshakes it lets sit in the join at once
 }
 
+// owners open a hub, whose handshake limit is limit (0 for the default),
+// and a registry, whose limit is always the default.
 var owners = []struct {
 	name string
 	open func(t *testing.T, id string, joinTimeout time.Duration, limit int) served
@@ -37,16 +40,18 @@ var owners = []struct {
 			t.Fatal(err)
 		}
 		t.Cleanup(h.Close)
+		if limit == 0 {
+			limit = hub.DefaultHandshakeLimit
+		}
 		return served{h.Serve, h.Close, func() (int, int64, int64) {
 			st := h.Stats()
 			return st.Handshaking, st.AcceptRetries, st.Rejected
-		}}
+		}, limit}
 	}},
-	{"registry", func(t *testing.T, id string, joinTimeout time.Duration, limit int) served {
+	{"registry", func(t *testing.T, id string, joinTimeout time.Duration, _ int) served {
 		r, err := registry.New(registry.Config{
-			Hub:            hub.Config{Stream: wire.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30}},
-			JoinTimeout:    joinTimeout,
-			HandshakeLimit: limit,
+			Hub:         hub.Config{Stream: wire.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30}},
+			JoinTimeout: joinTimeout,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +63,7 @@ var owners = []struct {
 		return served{r.Serve, r.Close, func() (int, int64, int64) {
 			st := r.Stats()
 			return st.Handshaking, st.AcceptRetries, st.Rejected
-		}}
+		}, hub.DefaultHandshakeLimit}
 	}},
 }
 
@@ -139,9 +144,9 @@ func TestHubSlowlorisJoin(t *testing.T) {
 			addr := ln.Addr().String()
 			handshaking := func() int { n, _, _ := s.stats(); return n }
 
-			// Two silent connections fill both handshake slots.
+			// Silent connections fill every handshake slot.
 			var stallers []net.Conn
-			for i := 0; i < 2; i++ {
+			for i := 0; i < s.limit; i++ {
 				c, err := net.Dial("tcp", addr)
 				if err != nil {
 					t.Fatal(err)
@@ -149,7 +154,7 @@ func TestHubSlowlorisJoin(t *testing.T) {
 				defer c.Close()
 				stallers = append(stallers, c)
 			}
-			waitFor(t, "both handshake slots occupied", func() bool { return handshaking() == 2 })
+			waitFor(t, "every handshake slot occupied", func() bool { return handshaking() == s.limit })
 
 			// The overflow connection is shed immediately — before any join
 			// bytes.

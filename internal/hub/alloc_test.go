@@ -44,9 +44,7 @@ func quietHub(t *testing.T, lagWindow int) *Hub {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Close)
-	for !h.genDone.Load() {
-		time.Sleep(time.Millisecond)
-	}
+	<-h.stopCh // sealed at Count
 	return h
 }
 

@@ -15,12 +15,11 @@ import (
 // per tick no matter what k is.
 func TestTickCoalescesWakeups(t *testing.T) {
 	h := ownershipHub(t, 1, 8, 16)
-	// The quiesced generator published its single packet and exited; lift
-	// the generation cap and the done flag so the tick under test replays
-	// a backlog by hand against a parked (not drained) path.
+	// The quiesced generator published its single packet and sealed the
+	// stream; lift the generation cap and the seal so the tick under test
+	// replays a backlog by hand against a parked (not drained) path.
 	h.cfg.Stream.Count = 0
-	h.genDone.Store(false)
-	defer h.genDone.Store(true)
+	unseal(h)
 	sd := h.shards[0]
 
 	conn := newLeaseConn()

@@ -15,6 +15,18 @@ func newToken(t *testing.T) wire.Token {
 	return tok
 }
 
+// unseal reopens the stream of a hub its generator sealed at Count, so a
+// test can drive ticks by hand against paths that park instead of ending.
+// Close seals it again.
+func unseal(h *Hub) {
+	h.mu.Lock()
+	h.govMu.Lock()
+	h.end.Store(-1)
+	h.stopCh = make(chan struct{})
+	h.govMu.Unlock()
+	h.mu.Unlock()
+}
+
 // newExternalHub builds an ExternalSource hub for direct PublishAt tests.
 func newExternalHub(t testing.TB, cfg Config) *Hub {
 	t.Helper()

@@ -330,6 +330,10 @@ var ErrStreamEnded = errors.New("hub: stream ended")
 // ring.pinBatch) takes only shard.mu and ring.mu, and ring.mu only
 // shared; a worker holds no lock across a write, and retires a path
 // (finishPath, which may take govMu) only after releasing shard.mu.
+//
+// The stream ends once, at the seal (Stop; also Fail, Close and Count),
+// which takes Hub.mu, then govMu: it lands between two publishes, and every
+// end marker carries the count it seals.
 type Hub struct {
 	cfg Config
 
@@ -345,20 +349,19 @@ type Hub struct {
 	wg     sync.WaitGroup
 	start  time.Time
 
-	// Lifecycle flags. Read lock-free on the hot path; stores happen under
-	// mu so admission's check-then-register stays ordered against
-	// Close/Stop's wg.Wait.
-	stopped atomic.Bool // generation ordered to end
-	genDone atomic.Bool // generator exited
-	closed  atomic.Bool // force-closed
-	joined  atomic.Bool // a subscriber has registered (Keep holds the stream for the first)
+	// Lifecycle. Read lock-free on the hot path; stores happen under mu so
+	// admission's check-then-register stays ordered against Close/Stop's
+	// wg.Wait, and end's under govMu too (Stop).
+	end    atomic.Int64 // −1 while the stream runs; then the head it was sealed at
+	closed atomic.Bool  // force-closed
+	joined atomic.Bool  // a subscriber has registered (Keep holds the stream for the first)
 
 	// mu is the control plane: drain state and admission. It is never
 	// taken on the frame hot path.
 	mu       lockrank.Mutex
 	draining bool          // guarded by mu; admission closed, live subscriptions finishing
-	stopSig  bool          // guarded by mu; stopCh already closed
-	stopCh   chan struct{} // closed once the stream is over (Stop/Close/Count)
+	stopCh   chan struct{} // closed by the seal
+	wait     *time.Timer   // the generator's, for the next due time; made at its first wait
 
 	// govMu serializes the byte-budget governor with Stats' BytesHeld
 	// aggregation and with the generator's publish cycle, so no reader can
@@ -422,6 +425,7 @@ func New(cfg Config) (*Hub, error) {
 		start:       time.Now(),
 		stopCh:      make(chan struct{}),
 	}
+	h.end.Store(-1)
 	h.mu.Init(lockrank.Hub)
 	h.govMu.Init(lockrank.Governor)
 	h.acc = NewAcceptor(cfg.JoinTimeout, cfg.HandshakeLimit, ErrStreamEnded, h.refuse, h.AttachJoined)
@@ -434,6 +438,7 @@ func New(cfg Config) (*Hub, error) {
 		go func() {
 			defer h.wg.Done()
 			h.generate()
+			h.Stop() // at Count; a no-op seal after an earlier one
 		}()
 	}
 	return h, nil
@@ -470,29 +475,32 @@ func (h *Hub) HasSubscriber(tok wire.Token) bool {
 
 // generate produces packets on the CBR schedule into the ring, waking the
 // shards (which apply the slow-subscriber policy to their own laggards)
-// and re-running the byte-budget governor once per tick.
+// and re-running the byte-budget governor once per tick, until Count
+// packets are out or the stream is sealed. The wait for a due time ends
+// early on the seal, so Stop never waits out a tick.
 func (h *Hub) generate() {
 	period := time.Duration(float64(time.Second) / h.cfg.Stream.Mu)
 	base := time.Now()
-	for n := int64(0); ; {
-		if h.cfg.Stream.Count > 0 && n >= h.cfg.Stream.Count {
-			break
+	for n := int64(0); h.end.Load() < 0; {
+		if c := h.cfg.Stream.Count; c > 0 && n >= c {
+			return
 		}
 		// Drift-free schedule: packet n is due at base + n/µ.
-		due := base.Add(time.Duration(n) * period)
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		if h.stopped.Load() {
-			break
+		if d := time.Until(base.Add(time.Duration(n) * period)); d > 0 {
+			if h.wait == nil {
+				h.wait = time.NewTimer(d)
+			} else {
+				h.wait.Reset(d) // it fired and was drained: the only way here
+			}
+			select {
+			case <-h.wait.C:
+			case <-h.stopCh:
+				h.wait.Stop()
+				return
+			}
 		}
 		n += h.publishTick(n, base, period)
 	}
-	h.mu.Lock()
-	h.genDone.Store(true)
-	h.signalStopLocked()
-	h.mu.Unlock()
-	h.readyAll()
 }
 
 // publishTick publishes every packet due by now — at least one, at most
@@ -505,7 +513,7 @@ func (h *Hub) generate() {
 // mark, which the next tick's first publish releases to, and the oldest
 // packet it must not lap — under Keep lowered, by the walk of every path in
 // keptLocked, to what a path may still hand back. It returns how
-// many packets it published.
+// many packets it published: none once the stream is sealed.
 func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 	k := int64(1)
 	if period > 0 {
@@ -525,6 +533,10 @@ func (h *Hub) publishTick(n int64, base time.Time, period time.Duration) int64 {
 		k = s
 	}
 	h.govMu.Lock()
+	if h.end.Load() >= 0 {
+		h.govMu.Unlock()
+		return 0
+	}
 	var head int64
 	for i := int64(0); i < k; i++ {
 		head = h.ring.publish(h.low, h.keep)
@@ -568,7 +580,7 @@ func (h *Hub) keptLocked(head int64) int64 {
 // positions read as drops downstream, counted in SourceGaps. The first
 // packet may carry any sequence; it is where the stream starts, not a
 // gap. payload must be exactly PayloadSize bytes. It returns whether the
-// packet was accepted.
+// packet was accepted: none is once the stream is sealed.
 //
 // The call mirrors publishTick's cycle — publish, wake the shards (lag
 // policy + ready list), one governor pass — so every downstream
@@ -582,10 +594,11 @@ func (h *Hub) PublishAt(seq, gen int64, payload []byte) bool {
 	if !h.cfg.ExternalSource || len(payload) != h.cfg.Stream.PayloadSize || seq < 0 {
 		return false
 	}
-	if h.stopped.Load() || h.closed.Load() {
+	h.govMu.Lock()
+	if h.end.Load() >= 0 {
+		h.govMu.Unlock()
 		return false
 	}
-	h.govMu.Lock()
 	prev := h.ring.headSeq()
 	head, ok := h.ring.publishAt(seq, gen, payload)
 	if !ok {
@@ -604,25 +617,6 @@ func (h *Hub) PublishAt(seq, gen int64, payload []byte) bool {
 	}
 	h.govMu.Unlock()
 	return true
-}
-
-// readyAll queues every parked path of every shard, so each re-checks the
-// lifecycle flags that have just changed.
-func (h *Hub) readyAll() {
-	for _, sd := range h.shards {
-		sd.mu.Lock()
-		sd.readyAllLocked()
-		sd.mu.Unlock()
-	}
-}
-
-// signalStopLocked closes stopCh exactly once, waking pending grace timers
-// so Wait never blocks on a dead subscriber's countdown. Caller holds h.mu.
-func (h *Hub) signalStopLocked() {
-	if !h.stopSig {
-		h.stopSig = true
-		close(h.stopCh)
-	}
 }
 
 // accountLocked computes the subscriber-attributable buffered bytes at
@@ -823,10 +817,15 @@ func (h *Hub) releaseBatch(b *batch) {
 
 // writeEndMarker ends p's stream: the marker carries the number of
 // packets from the subscriber's first (the newest at its join) to the
-// live edge, matching its rebased numbering.
+// sealed end, matching its rebased numbering — or, for a path removed
+// while the stream runs, to the live edge.
 func (h *Hub) writeEndMarker(p *path) error {
+	end := h.end.Load()
+	if end < 0 {
+		end = h.ring.headSeq()
+	}
 	frame := make([]byte, wire.FrameHeaderSize+h.cfg.Stream.PayloadSize)
-	wire.PutFrameHeader(frame, wire.EndMarker, h.ring.headSeq()-p.sub.first)
+	wire.PutFrameHeader(frame, wire.EndMarker, end-p.sub.first)
 	if err := h.writeFrame(p.conn, frame); err != nil {
 		return fmt.Errorf("hub: path %d end marker: %w", p.idx, err)
 	}
@@ -854,7 +853,7 @@ func (h *Hub) Attach(conn net.Conn) error { return h.acc.Attach(conn) }
 // refuse is the accept loop's inline verdict: once the stream is over,
 // every joiner gets the end code without a handshake.
 func (h *Hub) refuse() wire.RejectCode {
-	if h.stopped.Load() || h.genDone.Load() {
+	if h.end.Load() >= 0 {
 		return h.endCode()
 	}
 	return 0
@@ -883,39 +882,37 @@ func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 	sd := h.shardFor(j.Token)
 	h.mu.Lock()
 	sd.mu.Lock()
-	sub := sd.subs[j.Token]
-	if h.closed.Load() || (h.stopped.Load() || h.genDone.Load()) && !sd.owedLocked(sub) {
-		sd.mu.Unlock()
-		h.mu.Unlock()
-		code := h.endCode()
-		err := h.acc.Reject(conn, code)
-		if code != wire.RejectStreamEnded {
-			return fmt.Errorf("hub: stream over: %w", err)
-		}
+	code := h.admitLocked(sd, conn, j)
+	sd.mu.Unlock()
+	h.mu.Unlock()
+	switch code {
+	case 0:
+		return nil
+	case wire.RejectStreamEnded:
+		_ = h.acc.Reject(conn, code) // the verdict is the same whether or not the frame lands
 		return ErrStreamEnded
 	}
-	if sub == nil {
-		// A fresh token asks for admission; re-attaches of live tokens are
-		// exempt so a drain or a full house never strands a subscription
-		// that is only trying to heal a flapped path.
-		var code wire.RejectCode
-		switch {
-		case h.draining:
-			code = wire.RejectDraining
-		case h.cfg.MaxSubscribers > 0 && int(h.subCount.Load()) >= h.cfg.MaxSubscribers:
-			code = wire.RejectServerFull
-		}
-		if code != 0 {
-			sd.mu.Unlock()
-			h.mu.Unlock()
-			return fmt.Errorf("hub: join refused: %w", h.acc.Reject(conn, code))
-		}
+	return fmt.Errorf("hub: join refused: %w", h.acc.Reject(conn, code))
+}
+
+// admitLocked is AttachJoined's verdict on a join for the shard sd: the
+// reject code it answers, or 0 once the path is on the shard's ready list.
+// Caller holds h.mu and sd.mu.
+func (h *Hub) admitLocked(sd *shard, conn net.Conn, j wire.Join) wire.RejectCode {
+	sub := sd.subs[j.Token]
+	if h.closed.Load() || h.end.Load() >= 0 && !sd.owedLocked(sub) {
+		return h.endCode()
 	}
-	if h.cfg.MaxConns > 0 && int(h.pathConns.Load()) >= h.cfg.MaxConns {
-		sd.mu.Unlock()
-		h.mu.Unlock()
-		return fmt.Errorf("hub: %d connections attached: %w",
-			h.cfg.MaxConns, h.acc.Reject(conn, wire.RejectServerFull))
+	// A fresh token asks for admission; re-attaches of live tokens are
+	// exempt so a drain or a full house never strands a subscription that
+	// is only trying to heal a flapped path.
+	switch {
+	case sub == nil && h.draining:
+		return wire.RejectDraining
+	case sub == nil && h.cfg.MaxSubscribers > 0 && int(h.subCount.Load()) >= h.cfg.MaxSubscribers:
+		return wire.RejectServerFull
+	case h.cfg.MaxConns > 0 && int(h.pathConns.Load()) >= h.cfg.MaxConns:
+		return wire.RejectServerFull
 	}
 	if sub == nil {
 		// A rebased subscription starts on the newest packet the hub holds,
@@ -939,9 +936,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 		h.joined.Store(true)
 	}
 	if sub.evicted {
-		sd.mu.Unlock()
-		h.mu.Unlock()
-		return fmt.Errorf("hub: subscriber %s: %w", j.Token, h.acc.Reject(conn, wire.RejectEvicted))
+		return wire.RejectEvicted
 	}
 	h.pathConns.Add(1)
 	p := &path{sub: sub, conn: conn, idx: sub.nextPath, numPaths: int32(len(sub.links) + 1), owe: math.MaxInt64}
@@ -964,9 +959,7 @@ func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 	sd.live++
 	sd.ready.push(p)
 	sd.kickLocked(false)
-	sd.mu.Unlock()
-	h.mu.Unlock()
-	return nil
+	return 0
 }
 
 // RemovePath ends path conn of subscriber tok gracefully, as the stream's
@@ -1082,17 +1075,30 @@ func (h *Hub) endCode() wire.RejectCode {
 	return wire.RejectStreamEnded
 }
 
-// Stop ends generation. Every path drains the remaining ring contents and
-// is sent its end marker; follow with Wait for a graceful shutdown.
+// Stop is the seal: it ends the stream at the current head, once. It takes
+// Hub.mu, then govMu, which a tick and a PublishAt hold across their whole
+// publish, so the head it reads is final and neither publishes again. Every
+// path then drains what the ring still holds and is sent its end marker,
+// which carries the sealed count; follow with Wait for a graceful shutdown.
+// Closing stopCh ends the generator's wait and every re-attach countdown,
+// so Wait never waits out a tick or a dead subscriber's grace.
 func (h *Hub) Stop() {
 	h.mu.Lock()
-	h.stopped.Store(true)
-	h.signalStopLocked()
+	h.govMu.Lock()
+	if h.end.Load() < 0 {
+		h.end.Store(h.ring.headSeq())
+		close(h.stopCh)
+	}
+	h.govMu.Unlock()
 	h.mu.Unlock()
-	h.readyAll()
+	for _, sd := range h.shards {
+		sd.mu.Lock()
+		sd.readyAllLocked()
+		sd.mu.Unlock()
+	}
 }
 
-// Wait blocks until generation has ended (Stop or Count), every path has
+// Wait blocks until the stream is sealed (Stop or Count), every path has
 // drained or failed and the shard workers have exited. A subscriber that
 // has stopped reading can hold Wait up indefinitely unless
 // Config.Stream.WriteStallTimeout is set or Close is used.
@@ -1100,16 +1106,15 @@ func (h *Hub) Wait() {
 	h.wg.Wait()
 }
 
-// Close force-stops the hub: generation ends, all listeners and subscriber
-// connections are closed, and new attaches are refused. It waits for every
-// path to retire and the shard workers to exit. Unlike Stop+Wait, paths are
-// NOT drained.
+// Close force-stops the hub: new attaches are refused, the stream is
+// sealed (Stop), and all listeners and subscriber connections are closed.
+// It waits for every path to retire and the shard workers to exit. Unlike
+// Stop+Wait, paths are NOT drained: none is sent its end marker.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	h.closed.Store(true)
-	h.stopped.Store(true)
-	h.signalStopLocked()
 	h.mu.Unlock()
+	h.Stop()
 	h.acc.Close()
 	for _, sd := range h.shards {
 		sd.mu.Lock()
@@ -1118,7 +1123,6 @@ func (h *Hub) Close() {
 				_ = p.conn.Close()
 			}
 		}
-		sd.readyAllLocked()
 		sd.mu.Unlock()
 	}
 	h.wg.Wait()

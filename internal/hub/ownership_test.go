@@ -189,12 +189,10 @@ func ownershipHub(t *testing.T, count int64, payloadSize, lagWindow int) *Hub {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Close)
-	deadline := time.Now().Add(5 * time.Second)
-	for !h.genDone.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("generator did not finish")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-h.stopCh: // sealed at Count
+	case <-time.After(5 * time.Second):
+		t.Fatal("generator did not finish")
 	}
 	return h
 }

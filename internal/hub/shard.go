@@ -405,9 +405,8 @@ func (sd *shard) parkLocked(p *path) {
 }
 
 // readyAllLocked queues every parked path of the shard, whether or not its
-// subscriber has frames: the lifecycle flags changed (Stop, Close, the
-// generator finishing) and each path has an end marker to write or a
-// teardown to go through. Caller holds sd.mu.
+// subscriber has frames: the stream is sealed (Stop) and each path has an
+// end marker to write or a teardown to go through. Caller holds sd.mu.
 func (sd *shard) readyAllLocked() {
 	sd.woken.take(&sd.parked)
 	sd.kickLocked(false)
@@ -554,6 +553,9 @@ func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
 	if p.removed {
 		return stepEnd, nil
 	}
+	// Read before the fetch: a sealed stream's head is final, so a fetch
+	// that finds nothing after this read means the path is drained.
+	end := h.end.Load()
 	sub := p.sub
 	keep := h.cfg.Policy == Keep
 	if keep {
@@ -571,7 +573,7 @@ func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
 	if sub.evicted {
 		return stepRetire, nil // the lag policy, applied at this fetch
 	}
-	if h.stopped.Load() || h.genDone.Load() {
+	if end >= 0 {
 		return stepEnd, nil
 	}
 	sd.parkLocked(p)
@@ -1144,7 +1146,9 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	if abnormal {
 		h.pathErrors.Add(1)
 	}
-	if abnormal && (len(sub.links) > 0 || (!h.stopped.Load() && !h.genDone.Load())) {
+	running := h.end.Load() < 0
+	died := abnormal && (len(sub.links) > 0 || running)
+	if died {
 		sub.deaths++
 		sub.deadPaths++
 		if len(recent) > 0 {
@@ -1152,32 +1156,20 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 			sub.resend = mergeSeqs(sub.resend, recent)
 			sd.resendSum += int64(len(sub.resend))
 		}
-		switch {
-		case len(sub.links) > 0:
-			if len(sub.resend) > 0 {
-				// Surviving paths serve the resends, the parked ones from now.
-				sd.readyLocked(sub)
-				sd.kickLocked(false)
-			}
-		case h.cfg.ReattachGrace > 0:
-			sd.graceLocked(sub)
-		default:
-			sd.removeLocked(sub)
-		}
-		sd.mu.Unlock()
-		if govern {
-			h.governLocked(h.ring.headSeq())
-		}
-		return
 	}
-	if len(sub.links) == 0 {
-		// A removal that leaves the subscription no path mid-stream keeps it
-		// for the next one as a death does, cursor and all.
-		if p.removed && !sub.evicted && !h.closed.Load() && !h.stopped.Load() && !h.genDone.Load() && h.cfg.ReattachGrace > 0 {
-			sd.graceLocked(sub)
-		} else {
-			sd.removeLocked(sub)
+	switch {
+	case len(sub.links) > 0:
+		if died && len(sub.resend) > 0 {
+			// Surviving paths serve the resends, the parked ones from now.
+			sd.readyLocked(sub)
+			sd.kickLocked(false)
 		}
+	case h.cfg.ReattachGrace > 0 && (died || p.removed && !sub.evicted && running):
+		// A death, or a removal, that leaves the subscription no path
+		// mid-stream keeps it for the next one, cursor and all.
+		sd.graceLocked(sub)
+	default:
+		sd.removeLocked(sub)
 	}
 	sd.mu.Unlock()
 	if govern {

@@ -82,10 +82,6 @@ type Config struct {
 	// JoinTimeout bounds how long an accepted connection may take to present
 	// its join request. 0 selects hub.DefaultJoinTimeout.
 	JoinTimeout time.Duration
-	// HandshakeLimit caps connections sitting in the join handshake
-	// concurrently across the registry's accept loops.
-	// 0 selects hub.DefaultHandshakeLimit.
-	HandshakeLimit int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -100,9 +96,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.JoinTimeout < 0 {
 		return c, fmt.Errorf("registry: join timeout %v < 0", c.JoinTimeout)
-	}
-	if c.HandshakeLimit < 0 {
-		return c, fmt.Errorf("registry: handshake limit %d < 0", c.HandshakeLimit)
 	}
 	return c, nil
 }
@@ -142,7 +135,7 @@ func New(cfg Config) (*Registry, error) {
 		ended:   make(map[string]struct{}),
 	}
 	r.mu.Init(lockrank.Registry)
-	r.acc = hub.NewAcceptor(cfg.JoinTimeout, cfg.HandshakeLimit, ErrClosed, nil, r.Route)
+	r.acc = hub.NewAcceptor(cfg.JoinTimeout, hub.DefaultHandshakeLimit, ErrClosed, nil, r.Route)
 	return r, nil
 }
 
@@ -302,10 +295,10 @@ func (r *Registry) Draining() bool {
 	return r.draining
 }
 
-// Drain is the registry-wide graceful shutdown: admission closes, every
-// stream's generation stops, and all paths get until timeout (shared, not
-// per stream) to drain their end markers; whatever remains is then
-// force-closed. It returns true when everything drained in time.
+// Drain is the registry-wide graceful shutdown: admission closes, and
+// every stream runs its hub's Drain at once, against one deadline timeout
+// from now (shared, not per stream); then the registry closes. It returns
+// true when everything drained in time.
 func (r *Registry) Drain(timeout time.Duration) bool {
 	r.BeginDrain()
 	r.mu.Lock()
@@ -316,26 +309,23 @@ func (r *Registry) Drain(timeout time.Duration) bool {
 	}
 	r.retired = r.retired[:0]
 	r.mu.Unlock()
+	deadline := time.Now().Add(timeout)
+	var (
+		wg   sync.WaitGroup
+		late atomic.Bool
+	)
 	for _, h := range hubs {
-		h.Stop()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !h.Drain(time.Until(deadline)) {
+				late.Store(true)
+			}
+		}()
 	}
-	done := make(chan struct{})
-	go func() {
-		for _, h := range hubs {
-			h.Wait()
-		}
-		close(done)
-	}()
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-done:
-		r.Close()
-		return true
-	case <-t.C:
-		r.Close()
-		return false
-	}
+	wg.Wait()
+	r.Close()
+	return !late.Load()
 }
 
 // allHubsLocked snapshots every hub the registry still owns, live and

@@ -136,8 +136,6 @@ type Config struct {
 	// exponential default (50ms base, 1s cap, unlimited budget); a policy
 	// core.ValidateRedialPolicy rejects is an error.
 	Redial core.RedialPolicy
-	// DialTimeout bounds one candidate dial. 0 selects DefaultDialTimeout.
-	DialTimeout time.Duration
 	// OrphanGrace is how long the relay tolerates zero live upstream paths
 	// before declaring the upstream lost and failing its local hub with
 	// RejectUpstreamLost. 0 selects DefaultOrphanGrace.
@@ -184,9 +182,6 @@ func (c Config) withDefaults() (Config, error) {
 			Jitter:     0.3,
 			Seed:       c.Redial.Seed,
 		}
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = DefaultDialTimeout
 	}
 	if c.OrphanGrace == 0 {
 		c.OrphanGrace = DefaultOrphanGrace
@@ -356,7 +351,7 @@ func (r *Relay) dialUpstream(k int) (net.Conn, error) {
 	}
 	addr := r.cfg.Upstreams[r.cand[k]%len(r.cfg.Upstreams)]
 	r.mu.Unlock()
-	return net.DialTimeout("tcp", addr, r.cfg.DialTimeout)
+	return net.DialTimeout("tcp", addr, DefaultDialTimeout)
 }
 
 // pathUp marks path k live: any pending orphan countdown is superseded.
