@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint layers lockrank allocs fuzz examples soak bench-smoke bench-tick bench-receiver bench-deliver bench-fanout bench-forwarder sim-tables
+.PHONY: all build test race lint layers lockrank allocs fuzz examples soak bench-smoke bench-tick bench-receiver bench-deliver bench-fanout bench-forwarder bench-pair sim-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -149,6 +149,22 @@ bench-fanout:
 FORWARDERTIME ?= 1s
 bench-forwarder:
 	$(GO) test -run '^$$' -bench BenchmarkForwarderIngest -benchtime $(FORWARDERTIME) ./internal/relay
+
+# bench-pair compares one package's Go benchmarks between the parent
+# revision PARENT and the working tree (cmd/dmppair): the parent's
+# committed files are exported under .bench_pair/ (git-ignored), both
+# sides are built with `go test -c` and run N times each in alternating
+# order, and every metric gets each side's median and quartiles, the pairs
+# the change read lower in, and a sign-test verdict — "no difference"
+# unless one side wins 9 pairs of 10 or better. BENCHTIME, when set, is
+# passed to every run as -benchtime.
+PARENT ?= HEAD
+PKG ?= ./internal/hub
+BENCH ?= .
+N ?= 10
+BENCHTIME ?=
+bench-pair:
+	$(GO) run ./cmd/dmppair -parent '$(PARENT)' -pkg '$(PKG)' -bench '$(BENCH)' -n $(N) $(if $(BENCHTIME),-benchtime $(BENCHTIME))
 
 # sim-tables prints the quick, seed-1 tables of every packet-simulator
 # experiment with dmpbench's "# ... finished in" timing lines stripped, so

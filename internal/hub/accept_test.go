@@ -20,35 +20,30 @@ type served struct {
 	serve func(net.Listener) error
 	close func()
 	stats func() (handshaking int, retries, rejected int64)
-	limit int // handshakes it lets sit in the join at once
 }
 
-// owners open a hub, whose handshake limit is limit (0 for the default),
-// and a registry, whose limit is always the default.
+// owners open a hub and a registry; each lets hub.DefaultHandshakeLimit
+// handshakes sit in the join at once.
 var owners = []struct {
 	name string
-	open func(t *testing.T, id string, joinTimeout time.Duration, limit int) served
+	open func(t *testing.T, id string, joinTimeout time.Duration) served
 }{
-	{"hub", func(t *testing.T, id string, joinTimeout time.Duration, limit int) served {
+	{"hub", func(t *testing.T, id string, joinTimeout time.Duration) served {
 		h, err := hub.New(hub.Config{
-			Stream:         wire.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30},
-			StreamID:       id,
-			JoinTimeout:    joinTimeout,
-			HandshakeLimit: limit,
+			Stream:      wire.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30},
+			StreamID:    id,
+			JoinTimeout: joinTimeout,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(h.Close)
-		if limit == 0 {
-			limit = hub.DefaultHandshakeLimit
-		}
 		return served{h.Serve, h.Close, func() (int, int64, int64) {
 			st := h.Stats()
 			return st.Handshaking, st.AcceptRetries, st.Rejected
-		}, limit}
+		}}
 	}},
-	{"registry", func(t *testing.T, id string, joinTimeout time.Duration, _ int) served {
+	{"registry", func(t *testing.T, id string, joinTimeout time.Duration) served {
 		r, err := registry.New(registry.Config{
 			Hub:         hub.Config{Stream: wire.Config{Mu: 200, PayloadSize: 32, Count: 1 << 30}},
 			JoinTimeout: joinTimeout,
@@ -63,7 +58,7 @@ var owners = []struct {
 		return served{r.Serve, r.Close, func() (int, int64, int64) {
 			st := r.Stats()
 			return st.Handshaking, st.AcceptRetries, st.Rejected
-		}, hub.DefaultHandshakeLimit}
+		}}
 	}},
 }
 
@@ -138,7 +133,7 @@ func TestHubSlowlorisJoin(t *testing.T) {
 	for _, o := range owners {
 		t.Run(o.name, func(t *testing.T) {
 			t.Parallel()
-			s := o.open(t, "slow", 300*time.Millisecond, 2)
+			s := o.open(t, "slow", 300*time.Millisecond)
 			ln := listen(t)
 			go s.serve(ln)
 			addr := ln.Addr().String()
@@ -146,7 +141,7 @@ func TestHubSlowlorisJoin(t *testing.T) {
 
 			// Silent connections fill every handshake slot.
 			var stallers []net.Conn
-			for i := 0; i < s.limit; i++ {
+			for i := 0; i < hub.DefaultHandshakeLimit; i++ {
 				c, err := net.Dial("tcp", addr)
 				if err != nil {
 					t.Fatal(err)
@@ -154,7 +149,7 @@ func TestHubSlowlorisJoin(t *testing.T) {
 				defer c.Close()
 				stallers = append(stallers, c)
 			}
-			waitFor(t, "every handshake slot occupied", func() bool { return handshaking() == s.limit })
+			waitFor(t, "every handshake slot occupied", func() bool { return handshaking() == hub.DefaultHandshakeLimit })
 
 			// The overflow connection is shed immediately — before any join
 			// bytes.
@@ -198,7 +193,7 @@ func TestHubServeAcceptBackoff(t *testing.T) {
 		t.Run(o.name, func(t *testing.T) {
 			t.Parallel()
 			const fails = 3
-			s := o.open(t, "flaky", 0, 0)
+			s := o.open(t, "flaky", 0)
 			ln := listen(t)
 			fl := &flakyListener{Listener: ln}
 			fl.fails.Store(fails)
@@ -228,7 +223,7 @@ func TestAcceptCloseCutsBackoff(t *testing.T) {
 	for _, o := range owners {
 		t.Run(o.name, func(t *testing.T) {
 			t.Parallel()
-			s := o.open(t, "storm", 0, 0)
+			s := o.open(t, "storm", 0)
 			fl := &flakyListener{Listener: listen(t)}
 			fl.fails.Store(1 << 30)
 			serveDone := make(chan error, 1)

@@ -235,10 +235,6 @@ type Config struct {
 	// its join request; a handshake stalled past it is cut and its slot
 	// freed (the slowloris guard). 0 selects DefaultJoinTimeout.
 	JoinTimeout time.Duration
-	// HandshakeLimit caps connections sitting in the join handshake
-	// concurrently; Serve sheds beyond it with a server-full reject.
-	// 0 selects DefaultHandshakeLimit.
-	HandshakeLimit int
 }
 
 // Validate reports the error New would return for c, without building a
@@ -310,9 +306,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.JoinTimeout < 0 {
 		return c, fmt.Errorf("hub: join timeout %v < 0", c.JoinTimeout)
-	}
-	if c.HandshakeLimit < 0 {
-		return c, fmt.Errorf("hub: handshake limit %d < 0", c.HandshakeLimit)
 	}
 	return c, nil
 }
@@ -428,7 +421,7 @@ func New(cfg Config) (*Hub, error) {
 	h.end.Store(-1)
 	h.mu.Init(lockrank.Hub)
 	h.govMu.Init(lockrank.Governor)
-	h.acc = NewAcceptor(cfg.JoinTimeout, cfg.HandshakeLimit, ErrStreamEnded, h.refuse, h.AttachJoined)
+	h.acc = NewAcceptor(cfg.JoinTimeout, DefaultHandshakeLimit, ErrStreamEnded, h.refuse, h.AttachJoined)
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
 		h.shards[i] = newShard(h)
@@ -944,6 +937,9 @@ func (h *Hub) admitLocked(sd *shard, conn net.Conn, j wire.Join) wire.RejectCode
 	if len(sub.links) == 0 {
 		// No orphan any more, if it was one: a path is back within the grace.
 		sd.unorphanLocked(sub)
+		if sub.grace != nil {
+			sub.grace.Stop()
+		}
 	}
 	sub.links = append(sub.links, p)
 	if sub.deadPaths > 0 {
@@ -1080,8 +1076,10 @@ func (h *Hub) endCode() wire.RejectCode {
 // publish, so the head it reads is final and neither publishes again. Every
 // path then drains what the ring still holds and is sent its end marker,
 // which carries the sealed count; follow with Wait for a graceful shutdown.
-// Closing stopCh ends the generator's wait and every re-attach countdown,
-// so Wait never waits out a tick or a dead subscriber's grace.
+// Closing stopCh ends the generator's wait, so Wait never waits out a
+// tick, and every subscriber in a re-attach grace — left with no path —
+// is removed with its timer stopped: no re-attach can succeed now, and
+// no later death starts a grace.
 func (h *Hub) Stop() {
 	h.mu.Lock()
 	h.govMu.Lock()
@@ -1094,6 +1092,11 @@ func (h *Hub) Stop() {
 	for _, sd := range h.shards {
 		sd.mu.Lock()
 		sd.readyAllLocked()
+		for _, sub := range sd.subs {
+			if len(sub.links) == 0 {
+				sd.removeLocked(sub)
+			}
+		}
 		sd.mu.Unlock()
 	}
 }

@@ -451,7 +451,6 @@ func TestHubConfigValidation(t *testing.T) {
 		{Stream: wire.Config{Mu: 10}, MaxConns: -1},
 		{Stream: wire.Config{Mu: 10}, MaxBytes: -1},
 		{Stream: wire.Config{Mu: 10}, JoinTimeout: -time.Second},
-		{Stream: wire.Config{Mu: 10}, HandshakeLimit: -1},
 	}
 	for i, cfg := range bad {
 		if h, err := hub.New(cfg); err == nil {

@@ -1,8 +1,11 @@
 package hub
 
 import (
+	"errors"
 	"net"
+	"runtime"
 	"testing"
+	"time"
 
 	"dmpstream/internal/wire"
 )
@@ -92,4 +95,81 @@ func TestGraceExpired(t *testing.T) {
 	if nsubs != 1 || orphans != 0 {
 		t.Fatalf("shard counts %d subscribers and %d orphans, want 1 and 0", nsubs, orphans)
 	}
+}
+
+// TestOrphansStartNoGoroutines: a subscriber left without a path is held
+// through its re-attach grace by a timer, not a goroutine, so a thousand
+// orphans cost the hub no goroutines; the seal settles them all, and no
+// grace timer is left pending.
+func TestOrphansStartNoGoroutines(t *testing.T) {
+	const n = 1000
+	h := leaseHub(t, Config{ReattachGrace: time.Minute})
+	sd := h.shards[0]
+	for i := 0; i < n; i++ {
+		c := newLeaseConn()
+		c.failAt = 1 // the first frame write fails
+		attach(t, h, c)
+	}
+	waitFor(t, "every path parked after its header", func() bool {
+		sd.mu.Lock()
+		defer sd.mu.Unlock()
+		return sd.ready.empty() && sd.held.empty()
+	})
+	before := runtime.NumGoroutine()
+	publish(t, h, 0, 1)
+	waitFor(t, "every subscriber orphaned", func() bool {
+		sd.mu.Lock()
+		defer sd.mu.Unlock()
+		return len(sd.orphans) == n
+	})
+	got := runtime.NumGoroutine()
+	t.Logf("%d goroutines before the paths died, %d with %d orphans", before, got, n)
+	if got > before+8 {
+		t.Fatalf("%d goroutines with %d orphans, %d before their paths died", got, n, before)
+	}
+
+	var timers []*time.Timer
+	sd.mu.Lock()
+	for _, o := range sd.orphans {
+		timers = append(timers, o.grace)
+	}
+	sd.mu.Unlock()
+	h.Stop()
+	if got := h.SubscriberCount(); got != 0 {
+		t.Fatalf("%d subscribers left after the seal, want 0", got)
+	}
+	pending := 0
+	for _, tm := range timers {
+		if tm == nil || tm.Stop() {
+			pending++
+		}
+	}
+	if pending > 0 {
+		t.Fatalf("%d of %d grace timers missing or still pending after the seal", pending, n)
+	}
+}
+
+// TestEvictedOrphanLeavesAtGraceEnd: an orphan the lag policy evicts keeps
+// its grace running — its token is refused as evicted until the grace
+// ends, and then the subscriber is removed and its admission slot freed.
+func TestEvictedOrphanLeavesAtGraceEnd(t *testing.T) {
+	h := leaseHub(t, Config{ReattachGrace: 50 * time.Millisecond, Policy: Evict})
+	sd := h.shards[0]
+	c := newLeaseConn()
+	c.failAt = 1
+	tok := attach(t, h, c)
+	publish(t, h, 0, 1)
+	waitFor(t, "the subscriber orphaned", func() bool {
+		sd.mu.Lock()
+		defer sd.mu.Unlock()
+		return len(sd.orphans) == 1
+	})
+	sd.mu.Lock()
+	sd.evictLocked(sd.subs[tok])
+	sd.mu.Unlock()
+	err := h.AttachJoined(newLeaseConn(), wire.Join{StreamID: h.cfg.StreamID, Token: tok})
+	if !errors.Is(err, wire.ErrEvicted) {
+		t.Fatalf("re-attach of an evicted orphan: %v, want ErrEvicted", err)
+	}
+	waitFor(t, "the evicted orphan removed at its grace end", func() bool { return h.SubscriberCount() == 0 })
 }

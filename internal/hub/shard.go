@@ -42,13 +42,14 @@ type subscriber struct {
 
 	// Path-death bookkeeping. resend holds absolute sequences a dead path
 	// may not have delivered, served (oldest first) before the cursor by any
-	// of the subscriber's paths. deaths counts abnormal path deaths. graceGen
-	// versions the pending grace timer so a timer from an earlier death
-	// cannot delete a subscriber that re-attached and died again.
-	resend   []int64 // guarded by mu; sorted ascending, deduplicated
-	deaths   int64   // guarded by mu
-	graceGen int64   // guarded by mu
-	orphan   int     // guarded by mu; place in the shard's orphans plus one, 0 while not an orphan
+	// of the subscriber's paths. deaths counts abnormal path deaths. grace is
+	// the last re-attach countdown, versioned by graceGen so that a firing
+	// Stop came too late for cannot delete a revived subscriber.
+	resend   []int64     // guarded by mu; sorted ascending, deduplicated
+	deaths   int64       // guarded by mu
+	graceGen int64       // guarded by mu
+	grace    *time.Timer // guarded by mu; armed by graceLocked, nil before the first
+	orphan   int         // guarded by mu; place in the shard's orphans plus one, 0 while not an orphan
 }
 
 // path is one attached path connection: what a worker needs to resume it —
@@ -1178,28 +1179,20 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 }
 
 // graceLocked lists sub, left with no path mid-stream, among the orphans
-// and starts its re-attach countdown. Caller holds sd.mu.
+// and arms its re-attach countdown: a timer, not a goroutine, which a
+// re-attach or the removal of sub stops. An eviction leaves it running:
+// the token is refused until the grace ends. Caller holds sd.mu.
 func (sd *shard) graceLocked(sub *subscriber) {
-	h := sd.h
 	sd.orphanLocked(sub)
 	sub.graceGen++
 	gen := sub.graceGen
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		t := time.NewTimer(h.cfg.ReattachGrace)
-		select {
-		case <-t.C:
-		case <-h.stopCh: // stream over: no re-attach can succeed
-			t.Stop()
-		}
-		sd.graceExpired(sub, gen)
-	}()
+	sub.grace = time.AfterFunc(sd.h.cfg.ReattachGrace, func() { sd.graceExpired(sub, gen) })
 }
 
 // graceExpired ends the re-attach grace countdown gen of sub: the
 // subscriber is removed unless a re-attach (a path is back) or a newer
-// death's countdown (graceGen moved on) has superseded this one.
+// death's countdown (graceGen moved on) has superseded this one — a
+// firing its timer's Stop came too late for.
 func (sd *shard) graceExpired(sub *subscriber, gen int64) {
 	sd.mu.Lock()
 	if len(sub.links) == 0 && sub.graceGen == gen {
@@ -1209,12 +1202,15 @@ func (sd *shard) graceExpired(sub *subscriber, gen int64) {
 }
 
 // removeLocked deletes sub from the shard if it is still the one
-// registered under its token, releasing its admission slot. Caller holds
-// sd.mu.
+// registered under its token, releasing its admission slot and stopping
+// its grace timer. Caller holds sd.mu.
 func (sd *shard) removeLocked(sub *subscriber) {
 	if sd.subs[sub.token] == sub {
 		delete(sd.subs, sub.token)
 		sd.h.subCount.Add(-1)
+		if sub.grace != nil {
+			sub.grace.Stop()
+		}
 		if !sub.evicted {
 			sd.uncountLocked(sub)
 		}

@@ -108,10 +108,8 @@ type Registry struct {
 	closed atomic.Bool // stored under mu, read lock-free
 
 	mu       lockrank.Mutex
-	streams  map[string]*hub.Hub // guarded by mu; live, join-routable
-	ended    map[string]struct{} // guarded by mu; tombstones of ended ids
-	retired  []*hub.Hub          // guarded by mu; ended hubs not yet force-closed
-	draining bool                // guarded by mu
+	streams  map[string]stream // guarded by mu; every id ever created
+	draining bool              // guarded by mu
 
 	// connCount is the registry-wide MaxConns account: incremented only
 	// under mu (strict cap), decremented exactly once per connection by the
@@ -123,17 +121,20 @@ type Registry struct {
 	created       atomic.Int64 // streams created over the registry's lifetime
 }
 
+// stream is one id's entry: live, it routes joins to h; ended, it is the
+// id's tombstone and keeps h until Close or Drain force-closes it.
+type stream struct {
+	h     *hub.Hub
+	ended bool
+}
+
 // New validates cfg and returns an empty registry; add streams with Create.
 func New(cfg Config) (*Registry, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	r := &Registry{
-		cfg:     cfg,
-		streams: make(map[string]*hub.Hub),
-		ended:   make(map[string]struct{}),
-	}
+	r := &Registry{cfg: cfg, streams: make(map[string]stream)}
 	r.mu.Init(lockrank.Registry)
 	r.acc = hub.NewAcceptor(cfg.JoinTimeout, hub.DefaultHandshakeLimit, ErrClosed, nil, r.Route)
 	return r, nil
@@ -188,14 +189,13 @@ func (r *Registry) Create(id string) (*hub.Hub, error) {
 	if r.closed.Load() || r.draining {
 		return nil, ErrClosed
 	}
-	if _, ok := r.ended[id]; ok {
+	if st, ok := r.streams[id]; ok && st.ended {
 		return nil, fmt.Errorf("%w: %s", ErrStreamEnded, id)
-	}
-	if _, ok := r.streams[id]; ok {
+	} else if ok {
 		return nil, fmt.Errorf("%w: %s", ErrStreamExists, id)
 	}
-	if r.cfg.MaxStreams > 0 && len(r.streams) >= r.cfg.MaxStreams {
-		return nil, fmt.Errorf("%w (%d live)", ErrMaxStreams, len(r.streams))
+	if live := r.liveLocked(); r.cfg.MaxStreams > 0 && len(live) >= r.cfg.MaxStreams {
+		return nil, fmt.Errorf("%w (%d live)", ErrMaxStreams, len(live))
 	}
 	hcfg := r.cfg.Hub
 	hcfg.StreamID = id
@@ -203,7 +203,7 @@ func (r *Registry) Create(id string) (*hub.Hub, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.streams[id] = h
+	r.streams[id] = stream{h: h}
 	r.created.Add(1)
 	return h, nil
 }
@@ -212,35 +212,48 @@ func (r *Registry) Create(id string) (*hub.Hub, error) {
 func (r *Registry) Hub(id string) *hub.Hub {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.streams[id]
+	if st := r.streams[id]; !st.ended {
+		return st.h
+	}
+	return nil
 }
 
 // Streams returns the live stream ids, sorted.
 func (r *Registry) Streams() []string {
 	r.mu.Lock()
 	ids := make([]string, 0, len(r.streams))
-	for id := range r.streams {
-		ids = append(ids, id)
+	for _, h := range r.liveLocked() {
+		ids = append(ids, h.StreamID())
 	}
 	r.mu.Unlock()
 	sort.Strings(ids)
 	return ids
 }
 
-// endLocked moves id from the live table to the tombstones and returns its
-// hub. Caller holds r.mu.
-func (r *Registry) endLocked(id string) (*hub.Hub, error) {
-	h, ok := r.streams[id]
-	if !ok {
-		if _, ended := r.ended[id]; ended {
-			return nil, fmt.Errorf("%w: %s", ErrStreamEnded, id)
+// liveLocked returns the live streams' hubs. Caller holds r.mu.
+func (r *Registry) liveLocked() []*hub.Hub {
+	var hubs []*hub.Hub
+	for _, st := range r.streams {
+		if !st.ended {
+			hubs = append(hubs, st.h)
 		}
-		return nil, fmt.Errorf("%w: %s", ErrUnknownStream, id)
 	}
-	delete(r.streams, id)
-	r.ended[id] = struct{}{}
-	r.retired = append(r.retired, h)
-	return h, nil
+	return hubs
+}
+
+// end turns id's entry into a tombstone and returns its hub.
+func (r *Registry) end(id string) (*hub.Hub, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st, ok := r.streams[id]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%w: %s", ErrUnknownStream, id)
+	case st.ended:
+		return nil, fmt.Errorf("%w: %s", ErrStreamEnded, id)
+	}
+	r.streams[id] = stream{h: st.h, ended: true}
+	return st.h, nil
 }
 
 // End gracefully ends one stream: generation stops, its attached paths
@@ -249,9 +262,7 @@ func (r *Registry) endLocked(id string) (*hub.Hub, error) {
 // unaffected. End does not wait for the drain; use the hub handle (from
 // Create or Hub, before End) or DrainStream for a bounded wait.
 func (r *Registry) End(id string) error {
-	r.mu.Lock()
-	h, err := r.endLocked(id)
-	r.mu.Unlock()
+	h, err := r.end(id)
 	if err != nil {
 		return err
 	}
@@ -263,9 +274,7 @@ func (r *Registry) End(id string) error {
 // ladder (stop admitting, stop generating, bounded wait, force-close the
 // stragglers) and reports whether every path drained within the timeout.
 func (r *Registry) DrainStream(id string, timeout time.Duration) (bool, error) {
-	r.mu.Lock()
-	h, err := r.endLocked(id)
-	r.mu.Unlock()
+	h, err := r.end(id)
 	if err != nil {
 		return false, err
 	}
@@ -278,10 +287,7 @@ func (r *Registry) DrainStream(id string, timeout time.Duration) (bool, error) {
 func (r *Registry) BeginDrain() {
 	r.mu.Lock()
 	r.draining = true
-	hubs := make([]*hub.Hub, 0, len(r.streams))
-	for _, h := range r.streams {
-		hubs = append(hubs, h)
-	}
+	hubs := r.liveLocked()
 	r.mu.Unlock()
 	for _, h := range hubs {
 		h.BeginDrain()
@@ -295,47 +301,37 @@ func (r *Registry) Draining() bool {
 	return r.draining
 }
 
-// Drain is the registry-wide graceful shutdown: admission closes, and
-// every stream runs its hub's Drain at once, against one deadline timeout
-// from now (shared, not per stream); then the registry closes. It returns
-// true when everything drained in time.
+// Drain is the registry-wide graceful shutdown: admission closes, every
+// stream is sealed at once, and each hub's Drain then waits against one
+// deadline timeout from now (shared, not per stream); then the registry
+// closes. It returns true when everything drained in time.
 func (r *Registry) Drain(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
 	r.BeginDrain()
 	r.mu.Lock()
-	hubs := r.allHubsLocked()
-	for id := range r.streams {
-		delete(r.streams, id)
-		r.ended[id] = struct{}{}
-	}
-	r.retired = r.retired[:0]
+	hubs := r.releaseLocked()
 	r.mu.Unlock()
-	deadline := time.Now().Add(timeout)
-	var (
-		wg   sync.WaitGroup
-		late atomic.Bool
-	)
 	for _, h := range hubs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !h.Drain(time.Until(deadline)) {
-				late.Store(true)
-			}
-		}()
+		h.Stop()
 	}
-	wg.Wait()
+	drained := true
+	for _, h := range hubs {
+		drained = h.Drain(time.Until(deadline)) && drained
+	}
 	r.Close()
-	return !late.Load()
+	return drained
 }
 
-// allHubsLocked snapshots every hub the registry still owns, live and
-// retired. Caller holds r.mu.
-func (r *Registry) allHubsLocked() []*hub.Hub {
-	hubs := make([]*hub.Hub, 0, len(r.streams)+len(r.retired))
-	for _, h := range r.streams {
-		hubs = append(hubs, h)
+// releaseLocked turns every entry into a tombstone without a hub and
+// returns the hubs the registry held, live and ended. Caller holds r.mu.
+func (r *Registry) releaseLocked() []*hub.Hub {
+	var hubs []*hub.Hub
+	for id, st := range r.streams {
+		if st.h != nil {
+			hubs = append(hubs, st.h)
+			r.streams[id] = stream{ended: true}
+		}
 	}
-	hubs = append(hubs, r.retired...)
 	return hubs
 }
 
@@ -367,11 +363,11 @@ func (r *Registry) Route(conn net.Conn, j wire.Join) error {
 		r.acc.Reject(conn, wire.RejectStreamEnded)
 		return ErrClosed
 	}
-	h, live := r.streams[j.StreamID]
-	if !live {
-		_, ended := r.ended[j.StreamID]
+	st, ok := r.streams[j.StreamID]
+	h := st.h
+	if !ok || st.ended {
 		r.mu.Unlock()
-		if ended {
+		if ok {
 			r.streamEnded.Add(1)
 			return fmt.Errorf("%w: %s: %s", ErrStreamEnded, j.StreamID,
 				r.acc.Reject(conn, wire.RejectStreamEnded))
@@ -394,8 +390,10 @@ func (r *Registry) Route(conn net.Conn, j wire.Join) error {
 	}
 	if r.cfg.MaxSubscribers > 0 {
 		total := 0
-		for _, lh := range r.streams {
-			total += lh.SubscriberCount()
+		for _, ls := range r.streams {
+			if !ls.ended {
+				total += ls.h.SubscriberCount()
+			}
 		}
 		// Re-attaches of tokens the stream already knows are exempt, like
 		// the hub's own fresh-token rule: a full house never strands a
@@ -424,12 +422,7 @@ func (r *Registry) Serve(ln net.Listener) error { return r.acc.Serve(ln) }
 func (r *Registry) Close() {
 	r.mu.Lock()
 	r.closed.Store(true)
-	hubs := r.allHubsLocked()
-	for id := range r.streams {
-		delete(r.streams, id)
-		r.ended[id] = struct{}{}
-	}
-	r.retired = r.retired[:0]
+	hubs := r.releaseLocked()
 	r.mu.Unlock()
 	r.acc.Close()
 	for _, h := range hubs {
@@ -474,12 +467,11 @@ func (r *Registry) Stats() Stats {
 	st.AcceptRetries, st.Rejected, _ = r.acc.Counters()
 	r.mu.Lock()
 	st.Draining = r.draining
-	hubs := make([]*hub.Hub, 0, len(r.streams))
-	for _, h := range r.streams {
-		hubs = append(hubs, h)
-	}
-	for id := range r.ended {
-		st.Ended = append(st.Ended, id)
+	hubs := r.liveLocked()
+	for id, s := range r.streams {
+		if s.ended {
+			st.Ended = append(st.Ended, id)
+		}
 	}
 	r.mu.Unlock()
 	for _, h := range hubs {

@@ -230,7 +230,7 @@ type Relay struct {
 	readyOnce    sync.Once     // closes readyCh
 	failCh       chan struct{} // closed by signalFail if the relay gives up before a hub exists
 	failOnce     sync.Once
-	stopCh       chan struct{} // closed by signalStop once upstream consumption is over (cancel orphan timers and redial backoffs)
+	stopCh       chan struct{} // closed by signalStop once upstream consumption is over (ends redial backoffs)
 	stopOnce     sync.Once
 	upstreamDone chan struct{} // closed once the upstream manager (redial engine + flush) exited
 
@@ -240,15 +240,45 @@ type Relay struct {
 	// readyCh is closed.
 	local atomic.Pointer[hub.Hub]
 
-	mu          lockrank.Mutex
-	up          []bool // guarded by mu; per-path liveness (header-delivering conns)
-	live        int    // guarded by mu; count of true entries in up
-	cand        []int  // guarded by mu; per-path current candidate index
-	failovers   int64  // guarded by mu; candidate rotations on multi-candidate configs
-	orphaned    bool   // guarded by mu
-	cancelled   bool   // guarded by mu; stop dialing upstream (Close/Drain/orphan)
-	orphanGen   int64  // guarded by mu; versions the pending orphan countdown
-	orphanArmed bool   // guarded by mu; a countdown is pending (don't re-arm per retry)
+	mu        lockrank.Mutex
+	up        []bool // guarded by mu; per-path liveness (header-delivering conns)
+	live      int    // guarded by mu; count of true entries in up
+	cand      []int  // guarded by mu; per-path current candidate index
+	failovers int64  // guarded by mu; candidate rotations on multi-candidate configs
+	fate      fate   // guarded by mu; decided once (decideLocked)
+
+	// The orphan countdown, armed from New and when the last path goes
+	// down, disarmed when one comes back or the fate is decided.
+	orphan   *time.Timer // guarded by mu
+	orphanAt time.Time   // guarded by mu; when the armed verdict is due, zero while disarmed
+}
+
+// fate is how upstream consumption ends: open until the upstream is lost
+// (orphaned) or it is over otherwise (cancelled: Close or Drain, no local
+// hub could be built, or every upstream path has retired).
+type fate int
+
+const (
+	fateOpen fate = iota
+	fateCancelled
+	fateOrphaned
+)
+
+// decideLocked settles the fate as f, or reports false if it was decided
+// already. A decided relay reads upstream no more (signalStop), disarms
+// the countdown and builds no hub it has not built (signalFail). Caller
+// holds r.mu.
+func (r *Relay) decideLocked(f fate) bool {
+	if r.fate != fateOpen {
+		return false
+	}
+	r.fate = f
+	r.disarmOrphanLocked()
+	r.signalStop()
+	if r.local.Load() == nil {
+		r.signalFail()
+	}
+	return true
 }
 
 // New validates cfg, draws (or adopts) the upstream token and starts the
@@ -282,6 +312,7 @@ func New(cfg Config) (*Relay, error) {
 		upstreamDone: make(chan struct{}),
 		up:           make([]bool, cfg.Paths),
 		cand:         cand,
+		orphanAt:     time.Now().Add(cfg.OrphanGrace),
 	}
 	r.mu.Init(lockrank.Relay)
 	r.fwd = newForwarder(r, core.DefaultEndGrace)
@@ -295,7 +326,9 @@ func New(cfg Config) (*Relay, error) {
 	}
 	// The initial orphan countdown: a relay that never reaches any
 	// candidate must not sit Connecting forever.
-	r.armOrphanTimer()
+	r.mu.Lock()
+	r.orphan = time.AfterFunc(cfg.OrphanGrace, func() { r.orphanFire(time.Now()) })
+	r.mu.Unlock()
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
@@ -344,7 +377,7 @@ func (r *Relay) logf(format string, args ...any) {
 // verdict and retires the path instead of backing off forever.
 func (r *Relay) dialUpstream(k int) (net.Conn, error) {
 	r.mu.Lock()
-	if r.cancelled || r.upstreamEnded() {
+	if r.fate != fateOpen || r.upstreamEnded() {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("relay: upstream detached: %w",
 			&wire.RejectError{Code: wire.RejectStreamEnded})
@@ -354,15 +387,14 @@ func (r *Relay) dialUpstream(k int) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, DefaultDialTimeout)
 }
 
-// pathUp marks path k live: any pending orphan countdown is superseded.
+// pathUp marks path k live and disarms any pending orphan countdown.
 // Called from the path's goroutine on every (re)attach.
 func (r *Relay) pathUp(k, attempt int) {
 	r.mu.Lock()
 	if !r.up[k] {
 		r.up[k] = true
 		r.live++
-		r.orphanGen++ // supersede any pending orphan countdown
-		r.orphanArmed = false
+		r.disarmOrphanLocked()
 	}
 	live, paths := r.live, r.cfg.Paths
 	r.mu.Unlock()
@@ -379,7 +411,7 @@ func (r *Relay) pathDown(k int, err error) {
 		r.up[k] = false
 		r.live--
 	}
-	if r.cancelled || r.upstreamEnded() || r.orphaned {
+	if r.fate != fateOpen || r.upstreamEnded() {
 		r.mu.Unlock()
 		return
 	}
@@ -387,62 +419,48 @@ func (r *Relay) pathDown(k int, err error) {
 	if len(r.cfg.Upstreams) > 1 {
 		r.failovers++
 	}
-	arm := r.live == 0
+	if r.live == 0 {
+		r.armOrphanLocked()
+	}
 	live, next := r.live, r.cand[k]
 	r.mu.Unlock()
 	r.logf("relay: path %d down (%v), %d live, next candidate %d", k, err, live, next)
-	if arm {
-		r.armOrphanTimer()
+}
+
+// armOrphanLocked starts the orphan countdown unless it is already armed —
+// every failed redial reports another pathDown, and re-arming per retry
+// would push the verdict out forever. Caller holds r.mu.
+func (r *Relay) armOrphanLocked() {
+	if r.orphanAt.IsZero() {
+		r.orphanAt = time.Now().Add(r.cfg.OrphanGrace)
+		r.orphan.Reset(r.cfg.OrphanGrace)
 	}
 }
 
-// armOrphanTimer starts an orphan countdown unless one is already
-// pending — every failed redial reports another pathDown, and re-arming
-// per retry would push the verdict out forever. The timer fires after
-// OrphanGrace unless a path comes up (orphanGen moves on, orphanArmed
-// clears) or the relay stops (stopCh).
-func (r *Relay) armOrphanTimer() {
+// disarmOrphanLocked stops the orphan countdown. Caller holds r.mu.
+func (r *Relay) disarmOrphanLocked() {
+	if !r.orphanAt.IsZero() {
+		r.orphanAt = time.Time{}
+		r.orphan.Stop()
+	}
+}
+
+// orphanFire is the orphan countdown's firing at time now. Unless the
+// countdown was disarmed or re-armed for later (a firing Stop came too
+// late for), or the stream ended, it delivers the verdict: the relay
+// detaches from the upstream for good and the local hub (if any) Fails
+// with RejectUpstreamLost.
+func (r *Relay) orphanFire(now time.Time) {
 	r.mu.Lock()
-	if r.orphanArmed || r.cancelled || r.upstreamEnded() || r.orphaned {
+	if r.orphanAt.IsZero() || now.Before(r.orphanAt) || r.upstreamEnded() || !r.decideLocked(fateOrphaned) {
 		r.mu.Unlock()
 		return
 	}
-	r.orphanArmed = true
-	r.orphanGen++
-	gen := r.orphanGen
-	r.mu.Unlock()
+	// Armed, the countdown outlives no upstream manager (onUpstreamDone
+	// disarms it), whose wg count keeps this Add off a Wait from zero.
 	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		t := time.NewTimer(r.cfg.OrphanGrace)
-		select {
-		case <-t.C:
-		case <-r.stopCh:
-			t.Stop()
-			return
-		}
-		r.orphanFire(gen)
-	}()
-}
-
-// orphanFire delivers the orphan verdict for countdown generation gen,
-// unless it was superseded: the relay detaches from the upstream for good
-// and the local hub (if any) Fails with RejectUpstreamLost — live
-// subscribers drain what the relay holds and get an end marker, new
-// joiners get the typed reject.
-func (r *Relay) orphanFire(gen int64) {
-	r.mu.Lock()
-	if r.orphanGen != gen || r.live > 0 || r.upstreamEnded() || r.cancelled || r.orphaned {
-		r.mu.Unlock()
-		return
-	}
-	r.orphaned = true
-	r.cancelled = true
-	r.signalStop()
+	defer r.wg.Done()
 	h := r.local.Load()
-	if h == nil {
-		r.signalFail()
-	}
 	r.mu.Unlock()
 	r.logf("relay: orphaned: no live upstream path for %v", r.cfg.OrphanGrace)
 	r.fwd.flush()
@@ -465,7 +483,7 @@ func (r *Relay) onHeader(mu float64, payload int) error {
 		r.mu.Unlock()
 		return nil
 	}
-	if r.cancelled || r.upstreamEnded() || r.orphaned {
+	if r.fate != fateOpen || r.upstreamEnded() {
 		r.mu.Unlock()
 		return fmt.Errorf("relay: stream already over")
 	}
@@ -473,9 +491,7 @@ func (r *Relay) onHeader(mu float64, payload int) error {
 	if err != nil {
 		// A hub that cannot be built from the upstream's own header will
 		// never build: give up rather than redial into the same wall.
-		r.cancelled = true
-		r.signalStop()
-		r.signalFail()
+		r.decideLocked(fateCancelled)
 		r.mu.Unlock()
 		return fmt.Errorf("relay: local hub: %w", err)
 	}
@@ -491,29 +507,20 @@ func (r *Relay) onUpstreamDone(errs []error) {
 	r.fwd.flush()
 	r.mu.Lock()
 	ended := r.upstreamEnded()
-	decided := r.cancelled || r.orphaned
-	r.signalStop()
 	h := r.local.Load()
-	if h == nil {
-		r.signalFail()
-	}
+	// Every path has retired. Without an end marker, a hub whose fate was
+	// still open has lost its feed for good (budget spent, upstream
+	// verdicts); any other open fate closes as cancelled.
+	lost := h != nil && !ended && r.decideLocked(fateOrphaned)
+	r.decideLocked(fateCancelled)
 	r.mu.Unlock()
 	switch {
-	case h == nil:
-		// Never got a single header: nothing downstream to settle.
-	case ended:
+	case h != nil && ended:
 		// Graceful end-of-stream: senders drain the ring and emit end
 		// markers carrying the absolute head.
 		r.logf("relay: upstream stream ended")
 		h.Stop()
-	case decided:
-		// Close/Drain/orphan already settled the hub.
-	default:
-		// Every path gave up (budget spent, upstream verdicts) without an
-		// end marker: the feed is lost for good.
-		r.mu.Lock()
-		r.orphaned = true
-		r.mu.Unlock()
+	case lost:
 		h.Fail(wire.RejectUpstreamLost)
 	}
 	if h != nil {
@@ -579,10 +586,12 @@ func (r *Relay) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	r.BeginDrain()
 	r.cancelUpstream()
+	t := time.NewTimer(timeout)
 	select {
 	case <-r.upstreamDone: // reorder buffer flushed
-	case <-time.After(timeout):
+	case <-t.C:
 	}
+	t.Stop()
 	ok := true
 	if h := r.local.Load(); h != nil {
 		ok = h.Drain(time.Until(deadline))
@@ -595,8 +604,7 @@ func (r *Relay) Drain(timeout time.Duration) bool {
 // engine gets a typed verdict) and the live upstream connections are cut.
 func (r *Relay) cancelUpstream() {
 	r.mu.Lock()
-	r.cancelled = true
-	r.signalStop()
+	r.decideLocked(fateCancelled)
 	r.mu.Unlock()
 	for _, c := range r.fwd.Conns() {
 		_ = c.Close()
@@ -644,7 +652,7 @@ func (r *Relay) Stats() Stats {
 		Failovers:  r.failovers,
 	}
 	switch {
-	case r.orphaned:
+	case r.fate == fateOrphaned:
 		st.State = StateOrphaned
 	case r.upstreamEnded():
 		st.State = StateEnded
