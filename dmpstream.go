@@ -374,7 +374,9 @@ type RegistryConfig struct {
 // stream is an independent Hub: created, ended and drained on its own, with
 // joins routed by the StreamID in the handshake. Joins naming no stream are
 // refused with ErrUnknownStream; joins naming an ended stream with
-// ErrStreamOver, forever — stream ids are single-use.
+// ErrStreamOver, forever — stream ids are single-use — but for the
+// re-attach of a subscriber the ended stream still owes packets, which
+// drains them and the end marker.
 type Registry struct{ inner *registry.Registry }
 
 // RegistryStats is a point-in-time snapshot of a Registry.
@@ -436,7 +438,9 @@ func (r *Registry) Stream(id string) *Hub {
 func (r *Registry) Streams() []string { return r.inner.Streams() }
 
 // EndStream stops id's generator and tombstones the id: subscribers drain
-// their backlog and end markers, and late joins are answered ErrStreamOver.
+// their backlog and end markers, a subscriber whose paths died re-attaches
+// to drain what it is still owed, and other late joins are answered
+// ErrStreamOver.
 func (r *Registry) EndStream(id string) error { return r.inner.End(id) }
 
 // DrainStream gracefully ends one stream: admission to it closes, the

@@ -243,10 +243,13 @@ func (sess *Session) RemovePath(k int) {
 }
 
 // Wait blocks until generation has finished and every path has drained or
-// failed. It returns the number of packets generated and the joined errors
-// of any failed paths.
+// failed, then closes the hub: a subscription whose paths all died still
+// owed packets waits in its unbounded re-attach grace until then. It
+// returns the number of packets generated and the joined errors of any
+// failed paths.
 func (sess *Session) Wait() (int64, error) {
 	sess.hub.Wait()
+	sess.hub.Close()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.waited = true

@@ -344,3 +344,27 @@ func TestRemoveThenAddPathResumes(t *testing.T) {
 		t.Fatalf("path counts %v, want both carrying %d between them", got, n)
 	}
 }
+
+// TestDeadSessionLeavesNoSubscriber: a session whose only path died and was
+// never replaced is still owed the rest of its stream when the stream
+// ends, so its subscription outlives the seal in an unbounded re-attach
+// grace. Wait closes the hub, which removes it and stops its timer.
+func TestDeadSessionLeavesNoSubscriber(t *testing.T) {
+	srv, err := NewServer(wire.Config{Mu: 1000, PayloadSize: 10, Count: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, s0 := tcpPair(t)
+	c0.Close()
+	sess := srv.Start()
+	sess.AddPath(s0)
+	if _, err := sess.Wait(); err == nil {
+		t.Fatal("expected the dead path's error")
+	}
+	if st := sess.PathState(0); st != PathDead {
+		t.Fatalf("path state %v, want dead", st)
+	}
+	if n := sess.hub.SubscriberCount(); n != 0 {
+		t.Fatalf("%d subscribers left after Wait, want 0", n)
+	}
+}

@@ -29,19 +29,16 @@ const maxAcceptBackoff = time.Second
 
 // Acceptor is the server end of the join handshake, written once for a Hub
 // and a stream registry: the accept loop (Serve), the join read (Attach)
-// and the typed reject (Reject). Its owner supplies two hooks — refuse,
-// asked for every accepted connection and answering a non-zero code to
-// turn it away at once, and route, which admits a connection whose join
-// has been read (or refuses it with Reject). The loop retries temporary
-// accept errors with capped backoff that Close cuts short, sheds
-// connections past the handshake cap with a server-full reject, bounds the
-// join read with the join timeout, and tracks the connections mid-handshake
-// so Close can cut them.
+// and the typed reject (Reject). Its owner supplies the route hook, which
+// admits a connection whose join has been read (or refuses it with
+// Reject): every accepted connection reaches it. The loop retries
+// temporary accept errors with capped backoff that Close cuts short, sheds
+// connections past DefaultHandshakeLimit with a server-full reject, bounds
+// the join read with the join timeout, and tracks the connections
+// mid-handshake so Close can cut them.
 type Acceptor struct {
 	joinTimeout time.Duration
-	limit       int
 	closedErr   error
-	refuse      func() wire.RejectCode
 	route       func(conn net.Conn, j wire.Join) error
 
 	stopCh chan struct{}  // closed by Close: ends a backoff wait
@@ -58,22 +55,15 @@ type Acceptor struct {
 }
 
 // NewAcceptor builds an accept loop: joins must arrive within joinTimeout
-// (0 selects DefaultJoinTimeout), at most limit handshakes run at once (0
-// selects DefaultHandshakeLimit), Serve returns closedErr once Close has
-// run, and refuse (optional) and route are the owner's hooks.
-func NewAcceptor(joinTimeout time.Duration, limit int, closedErr error,
-	refuse func() wire.RejectCode, route func(conn net.Conn, j wire.Join) error) *Acceptor {
+// (0 selects DefaultJoinTimeout), Serve returns closedErr once Close has
+// run, and route is the owner's hook.
+func NewAcceptor(joinTimeout time.Duration, closedErr error, route func(conn net.Conn, j wire.Join) error) *Acceptor {
 	if joinTimeout == 0 {
 		joinTimeout = DefaultJoinTimeout
 	}
-	if limit == 0 {
-		limit = DefaultHandshakeLimit
-	}
 	a := &Acceptor{
 		joinTimeout: joinTimeout,
-		limit:       limit,
 		closedErr:   closedErr,
-		refuse:      refuse,
 		route:       route,
 		stopCh:      make(chan struct{}),
 		pending:     make(map[net.Conn]struct{}),
@@ -118,8 +108,8 @@ func (a *Acceptor) readJoin(conn net.Conn) (wire.Join, error) {
 }
 
 // Serve accepts connections on ln and runs each one's handshake on its own
-// goroutine. It returns nil once ln fails after Close (or after refuse
-// started answering), and any other non-temporary accept error as is.
+// goroutine. It returns nil once ln fails after Close, and any other
+// non-temporary accept error as is.
 func (a *Acceptor) Serve(ln net.Listener) error {
 	a.mu.Lock()
 	closed := a.closed.Load()
@@ -135,7 +125,7 @@ func (a *Acceptor) Serve(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if a.closed.Load() || a.refused() != 0 {
+			if a.closed.Load() {
 				return nil
 			}
 			var ne net.Error
@@ -156,12 +146,6 @@ func (a *Acceptor) Serve(ln net.Listener) error {
 			continue
 		}
 		backoff = 0
-		if code := a.refused(); code != 0 {
-			// The owner would refuse anyway: answer inline rather than spawn
-			// a goroutine. The reject write is deadline-bounded.
-			a.Reject(conn, code)
-			continue
-		}
 		// The handshake goroutine is tracked and its conn registered so
 		// Close can cut a client that stalls mid-handshake instead of
 		// leaking the goroutine for up to the join timeout. Adding to wg
@@ -173,7 +157,7 @@ func (a *Acceptor) Serve(ln net.Listener) error {
 			_ = conn.Close()
 			continue
 		}
-		if len(a.pending) >= a.limit {
+		if len(a.pending) >= DefaultHandshakeLimit {
 			// Too many handshakes in flight — likely a slowloris herd. Shed
 			// the newcomer; Reject writes under a deadline, so drop mu first.
 			a.mu.Unlock()
@@ -198,13 +182,6 @@ func (a *Acceptor) handshake(conn net.Conn) {
 	a.mu.Lock()
 	delete(a.pending, conn)
 	a.mu.Unlock()
-}
-
-func (a *Acceptor) refused() wire.RejectCode {
-	if a.refuse == nil {
-		return 0
-	}
-	return a.refuse()
 }
 
 // Close stops every Serve loop: listeners and mid-handshake connections are

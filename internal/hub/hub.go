@@ -421,7 +421,7 @@ func New(cfg Config) (*Hub, error) {
 	h.end.Store(-1)
 	h.mu.Init(lockrank.Hub)
 	h.govMu.Init(lockrank.Governor)
-	h.acc = NewAcceptor(cfg.JoinTimeout, DefaultHandshakeLimit, ErrStreamEnded, h.refuse, h.AttachJoined)
+	h.acc = NewAcceptor(cfg.JoinTimeout, ErrStreamEnded, h.AttachJoined)
 	h.shards = make([]*shard, cfg.Shards)
 	for i := range h.shards {
 		h.shards[i] = newShard(h)
@@ -843,15 +843,6 @@ func (h *Hub) writeFrame(conn net.Conn, frame []byte) error {
 // (wire.ErrServerFull, wire.ErrDraining, ...).
 func (h *Hub) Attach(conn net.Conn) error { return h.acc.Attach(conn) }
 
-// refuse is the accept loop's inline verdict: once the stream is over,
-// every joiner gets the end code without a handshake.
-func (h *Hub) refuse() wire.RejectCode {
-	if h.end.Load() >= 0 {
-		return h.endCode()
-	}
-	return 0
-}
-
 // AttachJoined admits a connection whose join request has already been
 // read — the entry point a stream registry routes to after demultiplexing
 // the stream id. It behaves exactly like Attach past the handshake read:
@@ -1077,9 +1068,10 @@ func (h *Hub) endCode() wire.RejectCode {
 // path then drains what the ring still holds and is sent its end marker,
 // which carries the sealed count; follow with Wait for a graceful shutdown.
 // Closing stopCh ends the generator's wait, so Wait never waits out a
-// tick, and every subscriber in a re-attach grace — left with no path —
-// is removed with its timer stopped: no re-attach can succeed now, and
-// no later death starts a grace.
+// tick. A subscriber in a re-attach grace — left with no path — that the
+// sealed stream owes nothing (owedLocked) is removed with its timer
+// stopped; one still owed packets keeps its grace, so a redial with its
+// token takes the tail and the end marker.
 func (h *Hub) Stop() {
 	h.mu.Lock()
 	h.govMu.Lock()
@@ -1093,7 +1085,7 @@ func (h *Hub) Stop() {
 		sd.mu.Lock()
 		sd.readyAllLocked()
 		for _, sub := range sd.subs {
-			if len(sub.links) == 0 {
+			if len(sub.links) == 0 && !sd.owedLocked(sub) {
 				sd.removeLocked(sub)
 			}
 		}
@@ -1104,15 +1096,17 @@ func (h *Hub) Stop() {
 // Wait blocks until the stream is sealed (Stop or Count), every path has
 // drained or failed and the shard workers have exited. A subscriber that
 // has stopped reading can hold Wait up indefinitely unless
-// Config.Stream.WriteStallTimeout is set or Close is used.
+// Config.Stream.WriteStallTimeout is set or Close is used. An orphan still
+// owed packets outlives Wait in its re-attach grace; Close removes it.
 func (h *Hub) Wait() {
 	h.wg.Wait()
 }
 
 // Close force-stops the hub: new attaches are refused, the stream is
 // sealed (Stop), and all listeners and subscriber connections are closed.
-// It waits for every path to retire and the shard workers to exit. Unlike
-// Stop+Wait, paths are NOT drained: none is sent its end marker.
+// It waits for every path to retire and the shard workers to exit, then
+// removes every subscriber, stopping its grace timer. Unlike Stop+Wait,
+// paths are NOT drained: none is sent its end marker.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	h.closed.Store(true)
@@ -1129,6 +1123,13 @@ func (h *Hub) Close() {
 		sd.mu.Unlock()
 	}
 	h.wg.Wait()
+	for _, sd := range h.shards {
+		sd.mu.Lock()
+		for _, sub := range sd.subs {
+			sd.removeLocked(sub)
+		}
+		sd.mu.Unlock()
+	}
 }
 
 // Generated returns the number of packets generated so far.

@@ -1,7 +1,7 @@
 package hub_test
 
 import (
-	"dmpstream/internal/hub"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -9,6 +9,7 @@ import (
 
 	"dmpstream/internal/core"
 	"dmpstream/internal/emunet"
+	"dmpstream/internal/hub"
 	"dmpstream/internal/wire"
 )
 
@@ -213,5 +214,81 @@ func TestHubReattachRacesStop(t *testing.T) {
 
 	if st := h.Stats(); st.Subscribers != 0 {
 		t.Fatalf("%d subscribers left after Stop+Wait+Close", st.Subscribers)
+	}
+}
+
+// TestOwedOrphanRedialsAfterSeal: a subscription whose only path died with
+// packets still on their way is an orphan the seal keeps, because the
+// stream still owes it what it missed. A redial through Serve with its
+// token after Stop takes the tail and the end marker, and the two paths
+// together carry every packet of the sealed stream.
+func TestOwedOrphanRedialsAfterSeal(t *testing.T) {
+	const payload = 32
+	h := newExternalHub(t, hub.Config{
+		Stream:        wire.Config{PayloadSize: payload},
+		StreamID:      "tail",
+		Shards:        1,
+		ReattachGrace: time.Minute,
+	})
+	defer h.Close()
+	publish := func(from, to int64) {
+		for seq := from; seq < to; seq++ {
+			if !h.PublishAt(seq, seq, make([]byte, payload)) {
+				t.Fatalf("PublishAt(%d) refused", seq)
+			}
+		}
+	}
+
+	// The first path is a pipe: a frame whose write returned was read.
+	server, client := net.Pipe()
+	tok := newToken(t)
+	if err := h.AttachJoined(server, wire.Join{StreamID: "tail", Token: tok}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wire.ReadStreamHeader(client); err != nil {
+		t.Fatal(err)
+	}
+	publish(0, 10)
+	got := make(map[uint32]bool)
+	frame := make([]byte, wire.FrameHeaderSize+payload)
+	for i := 0; i < 5; i++ {
+		if _, err := io.ReadFull(client, frame); err != nil {
+			t.Fatal(err)
+		}
+		pkt, _, err := wire.ParseFrameHeader(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[pkt] = true
+	}
+	client.Close()
+	waitFor(t, "the path to die", func() bool { return h.ConnCount() == 0 })
+	publish(10, 20)
+	h.Stop()
+	if n := h.SubscriberCount(); n != 1 {
+		t.Fatalf("%d subscribers after the seal, want the owed orphan", n)
+	}
+
+	ln := listenLoopback(t)
+	defer ln.Close()
+	go h.Serve(ln)
+	tr, err := core.Receive([]net.Conn{dial(t, ln.Addr().String(), "tail", tok, 0)})
+	if err != nil {
+		t.Fatalf("redial after the seal: %v", err)
+	}
+	if tr.Expected != 20 {
+		t.Fatalf("end marker counts %d packets, want 20", tr.Expected)
+	}
+	for _, a := range tr.Arrivals {
+		got[a.Pkt] = true
+	}
+	for pkt := uint32(0); pkt < 20; pkt++ {
+		if !got[pkt] {
+			t.Fatalf("packet %d never arrived on either path", pkt)
+		}
+	}
+	h.Wait()
+	if n := h.SubscriberCount(); n != 0 {
+		t.Fatalf("%d subscribers after the redial drained, want 0", n)
 	}
 }

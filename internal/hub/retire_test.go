@@ -99,8 +99,9 @@ func TestGraceExpired(t *testing.T) {
 
 // TestOrphansStartNoGoroutines: a subscriber left without a path is held
 // through its re-attach grace by a timer, not a goroutine, so a thousand
-// orphans cost the hub no goroutines; the seal settles them all, and no
-// grace timer is left pending.
+// orphans cost the hub no goroutines. Each still owes the frame its path
+// died writing, so all of them outlive the seal and Wait in their grace;
+// Close removes them, and no grace timer is left pending.
 func TestOrphansStartNoGoroutines(t *testing.T) {
 	const n = 1000
 	h := leaseHub(t, Config{ReattachGrace: time.Minute})
@@ -135,8 +136,13 @@ func TestOrphansStartNoGoroutines(t *testing.T) {
 	}
 	sd.mu.Unlock()
 	h.Stop()
+	h.Wait()
+	if got := owedOrphans(h); got != n || h.SubscriberCount() != n {
+		t.Fatalf("%d subscribers, %d of them owed orphans, after the seal and Wait; want %d owed orphans", h.SubscriberCount(), got, n)
+	}
+	h.Close()
 	if got := h.SubscriberCount(); got != 0 {
-		t.Fatalf("%d subscribers left after the seal, want 0", got)
+		t.Fatalf("%d subscribers left after Close, want 0", got)
 	}
 	pending := 0
 	for _, tm := range timers {
@@ -145,8 +151,24 @@ func TestOrphansStartNoGoroutines(t *testing.T) {
 		}
 	}
 	if pending > 0 {
-		t.Fatalf("%d of %d grace timers missing or still pending after the seal", pending, n)
+		t.Fatalf("%d of %d grace timers missing or still pending after Close", pending, n)
 	}
+}
+
+// owedOrphans counts the subscribers with no path that the hub still owes
+// packets (owedLocked).
+func owedOrphans(h *Hub) int {
+	n := 0
+	for _, sd := range h.shards {
+		sd.mu.Lock()
+		for _, sub := range sd.subs {
+			if len(sub.links) == 0 && sd.owedLocked(sub) {
+				n++
+			}
+		}
+		sd.mu.Unlock()
+	}
+	return n
 }
 
 // TestEvictedOrphanLeavesAtGraceEnd: an orphan the lag policy evicts keeps
@@ -172,4 +194,58 @@ func TestEvictedOrphanLeavesAtGraceEnd(t *testing.T) {
 		t.Fatalf("re-attach of an evicted orphan: %v, want ErrEvicted", err)
 	}
 	waitFor(t, "the evicted orphan removed at its grace end", func() bool { return h.SubscriberCount() == 0 })
+}
+
+// TestDeathAfterSealRedialDrainsBatch: the last path of a subscription
+// dies after the seal with a batch in hand. The batch, and what was behind
+// it, is still owed, so the death merges its resend record and starts the
+// grace, and a redial takes every packet and the end marker.
+func TestDeathAfterSealRedialDrainsBatch(t *testing.T) {
+	h := leaseHub(t, Config{ReattachGrace: time.Minute})
+	slow, tok := blockedWriter(t, h) // in a write of the first frames of 0..3
+	h.Stop()
+	slow.Close()
+	waitFor(t, "the blocked path to die", func() bool { return h.ConnCount() == 0 })
+	if !h.HasSubscriber(tok) {
+		t.Fatal("a death after the seal dropped a subscription still owed its batch")
+	}
+	redial := newLeaseConn()
+	if err := h.AttachJoined(redial, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+		t.Fatalf("redial after the seal: %v", err)
+	}
+	h.Wait()
+	if got := redial.frames.Load(); got != 4 || !redial.ended.Load() {
+		t.Fatalf("redial took %d frames, end marker %v; want 4 and the marker", got, redial.ended.Load())
+	}
+	if st := h.Stats(); st.Reattached != 1 || st.Subscribers != 0 {
+		t.Fatalf("reattached %d, %d subscribers left; want 1 and 0", st.Reattached, st.Subscribers)
+	}
+	checkQuiesced(t, h, 2)
+}
+
+// TestSealRemovesOrphanOwedNothing: an orphan the sealed stream owes
+// nothing — its removed path had taken every packet — leaves at the seal,
+// with its grace timer stopped.
+func TestSealRemovesOrphanOwedNothing(t *testing.T) {
+	h := leaseHub(t, Config{ReattachGrace: time.Minute})
+	sd := h.shards[0]
+	c := newLeaseConn()
+	tok := attach(t, h, c)
+	publish(t, h, 0, 3)
+	waitFor(t, "the path to take every frame", func() bool { return c.frames.Load() == 3 })
+	h.RemovePath(tok, c)
+	waitFor(t, "the removed path to retire", func() bool { return h.ConnCount() == 0 })
+	sd.mu.Lock()
+	grace := sd.subs[tok].grace
+	sd.mu.Unlock()
+	if grace == nil {
+		t.Fatal("removing the last path mid-stream started no grace")
+	}
+	h.Stop()
+	if h.HasSubscriber(tok) {
+		t.Fatal("the seal kept an orphan it owes nothing")
+	}
+	if grace.Stop() {
+		t.Fatal("the removed orphan's grace timer is still pending")
+	}
 }

@@ -1099,16 +1099,16 @@ func (sd *shard) fillLocked(sub *subscriber, b *batch) {
 }
 
 // finishPath retires one path, called by the worker that holds it with no
-// lock held. A path that drained normally (or died after the stream ended)
-// just goes away, and the subscriber disappears with its last path. A path
-// that died abnormally instead queues its recent writes for retransmission
-// — mid-stream, or during a drain while a sibling can still send them —
-// and, if it was the subscriber's last path mid-stream, starts the
-// re-attach grace countdown: the subscription stays in the shard so a
+// lock held. A path that drained normally just goes away, and the
+// subscriber disappears with its last path. A path that died abnormally
+// instead queues its recent writes for retransmission, before or after
+// the seal, and if it was the subscriber's last path starts the re-attach
+// grace countdown while the stream runs or while the subscription is still
+// owed packets (owedLocked): the subscription stays in the shard so a
 // redialing client's token still resolves, and is reaped only if the
-// window expires (or the stream ends) with no path back. A removed path
-// (RemovePath) that was the last mid-stream starts the same countdown,
-// with nothing to resend.
+// window expires with no path back. A removed path (RemovePath) that was
+// the last starts the same countdown on the same terms, with nothing to
+// resend.
 func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	_ = p.conn.Close()
 	h, sub := sd.h, p.sub
@@ -1146,10 +1146,6 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	abnormal := err != nil && !sub.evicted && !h.closed.Load()
 	if abnormal {
 		h.pathErrors.Add(1)
-	}
-	running := h.end.Load() < 0
-	died := abnormal && (len(sub.links) > 0 || running)
-	if died {
 		sub.deaths++
 		sub.deadPaths++
 		if len(recent) > 0 {
@@ -1160,14 +1156,15 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	}
 	switch {
 	case len(sub.links) > 0:
-		if died && len(sub.resend) > 0 {
+		if abnormal && len(sub.resend) > 0 {
 			// Surviving paths serve the resends, the parked ones from now.
 			sd.readyLocked(sub)
 			sd.kickLocked(false)
 		}
-	case h.cfg.ReattachGrace > 0 && (died || p.removed && !sub.evicted && running):
-		// A death, or a removal, that leaves the subscription no path
-		// mid-stream keeps it for the next one, cursor and all.
+	case h.cfg.ReattachGrace > 0 && (abnormal || p.removed && !sub.evicted) &&
+		(h.end.Load() < 0 || sd.owedLocked(sub)):
+		// A death, or a removal, that leaves the subscription no path keeps
+		// it for the next one, cursor and all, while there is more to send.
 		sd.graceLocked(sub)
 	default:
 		sd.removeLocked(sub)
@@ -1178,10 +1175,11 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	}
 }
 
-// graceLocked lists sub, left with no path mid-stream, among the orphans
-// and arms its re-attach countdown: a timer, not a goroutine, which a
-// re-attach or the removal of sub stops. An eviction leaves it running:
-// the token is refused until the grace ends. Caller holds sd.mu.
+// graceLocked lists sub, left with no path while the stream runs or owes it
+// packets, among the orphans and arms its re-attach countdown: a timer, not
+// a goroutine, which a re-attach or the removal of sub stops. An eviction
+// leaves it running: the token is refused until the grace ends. Caller
+// holds sd.mu.
 func (sd *shard) graceLocked(sub *subscriber) {
 	sd.orphanLocked(sub)
 	sub.graceGen++

@@ -6,10 +6,12 @@
 // incoming join by the StreamID already carried in the DMPJ handshake: the
 // accept loop reads the 40-byte join, looks the id up, and hands the
 // connection to the owning hub's AttachJoined. A join naming no stream is
-// answered with a DMPR unknown-stream reject; a join naming a stream that
-// has ended keeps getting a stream-ended reject from the registry's
-// tombstone long after the hub itself is gone, while sibling streams keep
-// serving untouched.
+// answered with a DMPR unknown-stream reject. A join naming a stream that
+// has ended still goes to its hub while the registry holds it, which
+// admits only a subscription the sealed stream still owes packets and
+// answers any other join stream-ended; once Close or Drain has dropped the
+// hub, the registry's tombstone answers stream-ended itself for the
+// registry's lifetime. Sibling streams keep serving untouched.
 //
 // Streams have independent lifecycles: Create starts a stream's generator,
 // End stops one gracefully (its paths drain their end markers),
@@ -47,8 +49,9 @@ var (
 	// ErrUnknownStream: the id names no live stream.
 	ErrUnknownStream = errors.New("registry: unknown stream")
 	// ErrStreamEnded: the id belongs to a stream that has ended; ids are
-	// not reusable, so joins (and Creates) for it are refused for the
-	// registry's lifetime.
+	// not reusable, so Creates for it are refused for the registry's
+	// lifetime, and so are joins, but for a re-attach the ended stream's hub
+	// still owes packets to.
 	ErrStreamEnded = errors.New("registry: stream ended")
 	// ErrStreamExists: Create was asked for an id already serving.
 	ErrStreamExists = errors.New("registry: stream exists")
@@ -118,11 +121,13 @@ type Registry struct {
 
 	unknownStream atomic.Int64 // joins refused because the id named no stream
 	streamEnded   atomic.Int64 // ... because the id's stream had ended
+	hubEnded      atomic.Int64 // of those, the ones an ended stream's hub refused, with its own reject
 	created       atomic.Int64 // streams created over the registry's lifetime
 }
 
 // stream is one id's entry: live, it routes joins to h; ended, it is the
-// id's tombstone and keeps h until Close or Drain force-closes it.
+// id's tombstone and still routes joins to h, which admits only what it
+// owes, until Close or Drain force-closes it.
 type stream struct {
 	h     *hub.Hub
 	ended bool
@@ -136,7 +141,7 @@ func New(cfg Config) (*Registry, error) {
 	}
 	r := &Registry{cfg: cfg, streams: make(map[string]stream)}
 	r.mu.Init(lockrank.Registry)
-	r.acc = hub.NewAcceptor(cfg.JoinTimeout, hub.DefaultHandshakeLimit, ErrClosed, nil, r.Route)
+	r.acc = hub.NewAcceptor(cfg.JoinTimeout, ErrClosed, r.Route)
 	return r, nil
 }
 
@@ -258,9 +263,10 @@ func (r *Registry) end(id string) (*hub.Hub, error) {
 
 // End gracefully ends one stream: generation stops, its attached paths
 // drain the ring and receive end markers, and from this moment joins for
-// id are answered with a stream-ended reject. Sibling streams are
-// unaffected. End does not wait for the drain; use the hub handle (from
-// Create or Hub, before End) or DrainStream for a bounded wait.
+// id are answered with a stream-ended reject — but for the re-attach of a
+// subscription the hub still owes packets, which drains. Sibling streams
+// are unaffected. End does not wait for the drain; use the hub handle
+// (from Create or Hub, before End) or DrainStream for a bounded wait.
 func (r *Registry) End(id string) error {
 	h, err := r.end(id)
 	if err != nil {
@@ -343,10 +349,12 @@ func (r *Registry) Attach(conn net.Conn) error { return r.acc.Attach(conn) }
 
 // Route admits a connection whose join has already been read: look the
 // stream up, apply the registry-wide caps, and hand the connection to the
-// owning hub. The registry lock covers only the lookup and cap check —
-// never a reject write or the hub attach — so refused or slow clients on
-// one stream cannot stall routing for the others. A redialing path storm
-// lands here once per reconnect attempt.
+// owning hub — an ended stream's too, while the registry holds it, whose
+// own admission rule refuses anything but a subscription it still owes.
+// The registry lock covers only the lookup and cap check — never a reject
+// write or the hub attach — so refused or slow clients on one stream
+// cannot stall routing for the others. A redialing path storm lands here
+// once per reconnect attempt.
 func (r *Registry) Route(conn net.Conn, j wire.Join) error {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		// The hub's own TCP tuning can't reach through the counting
@@ -365,7 +373,7 @@ func (r *Registry) Route(conn net.Conn, j wire.Join) error {
 	}
 	st, ok := r.streams[j.StreamID]
 	h := st.h
-	if !ok || st.ended {
+	if h == nil {
 		r.mu.Unlock()
 		if ok {
 			r.streamEnded.Add(1)
@@ -376,7 +384,10 @@ func (r *Registry) Route(conn net.Conn, j wire.Join) error {
 		return fmt.Errorf("%w: %q: %s", ErrUnknownStream, j.StreamID,
 			r.acc.Reject(conn, wire.RejectUnknownStream))
 	}
-	if r.draining && !h.HasSubscriber(j.Token) {
+	// Draining and the subscriber cap turn fresh tokens away from a live
+	// stream. An ended stream's hub admits no fresh token and answers it
+	// stream-ended itself, so neither applies to it.
+	if r.draining && !st.ended && !h.HasSubscriber(j.Token) {
 		// Draining answers before any capacity check, like the hub's own
 		// admission order: a fresh token during drain is told the truth
 		// (draining), not a coincidental server-full.
@@ -388,7 +399,7 @@ func (r *Registry) Route(conn net.Conn, j wire.Join) error {
 		return fmt.Errorf("registry: %d connections attached: %w",
 			r.cfg.MaxConns, r.acc.Reject(conn, wire.RejectServerFull))
 	}
-	if r.cfg.MaxSubscribers > 0 {
+	if r.cfg.MaxSubscribers > 0 && !st.ended {
 		total := 0
 		for _, ls := range r.streams {
 			if !ls.ended {
@@ -406,7 +417,13 @@ func (r *Registry) Route(conn net.Conn, j wire.Join) error {
 	}
 	r.connCount.Add(1)
 	r.mu.Unlock()
-	return h.AttachJoined(&countedConn{Conn: conn, r: r}, j)
+	err := h.AttachJoined(&countedConn{Conn: conn, r: r}, j)
+	if errors.Is(err, hub.ErrStreamEnded) {
+		r.streamEnded.Add(1)
+		r.hubEnded.Add(1)
+		return fmt.Errorf("%w: %s", ErrStreamEnded, j.StreamID)
+	}
+	return err
 }
 
 // Serve accepts connections on ln and routes each join to its stream,
@@ -465,6 +482,7 @@ func (r *Registry) Stats() Stats {
 		Handshaking:   r.acc.Handshaking(),
 	}
 	st.AcceptRetries, st.Rejected, _ = r.acc.Counters()
+	st.Rejected += r.hubEnded.Load()
 	r.mu.Lock()
 	st.Draining = r.draining
 	hubs := r.liveLocked()

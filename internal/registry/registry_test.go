@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -181,6 +182,77 @@ func TestRegistryRouting(t *testing.T) {
 	}
 	if len(st.Ended) != 1 || st.Ended[0] != "beta" {
 		t.Fatalf("ended = %v, want [beta]", st.Ended)
+	}
+}
+
+// TestEndedStreamDrainsOwedRedial: a subscription whose only path died just
+// before its stream was ended is still owed packets, so after End the
+// registry routes its token's redial to the ended stream's hub, which
+// drains the tail and the end marker. A fresh token on the ended id is
+// still answered stream-ended — Attach returns ErrStreamEnded — and
+// counted.
+func TestEndedStreamDrainsOwedRedial(t *testing.T) {
+	const payload = 48
+	r, addr := newRegistry(t, Config{Hub: hub.Config{
+		Stream: wire.Config{Mu: 400, PayloadSize: payload}, // live until End
+	}}, "s")
+	h := r.Hub("s")
+
+	// The first path is a pipe: a frame whose write returned was read.
+	server, client := net.Pipe()
+	tok := newToken(t)
+	if err := r.Route(server, wire.Join{StreamID: "s", Token: tok}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wire.ReadStreamHeader(client); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[uint32]bool)
+	frame := make([]byte, wire.FrameHeaderSize+payload)
+	for i := 0; i < 20; i++ {
+		if _, err := io.ReadFull(client, frame); err != nil {
+			t.Fatal(err)
+		}
+		pkt, _, err := wire.ParseFrameHeader(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[pkt] = true
+	}
+	client.Close()
+	waitFor(t, "the path to die", func() bool { return h.ConnCount() == 0 })
+	if err := r.End("s"); err != nil {
+		t.Fatal(err)
+	}
+
+	tr, err := core.Receive([]net.Conn{dial(t, addr, "s", tok)})
+	if err != nil {
+		t.Fatalf("redial after End: %v", err)
+	}
+	for _, a := range tr.Arrivals {
+		got[a.Pkt] = true
+	}
+	for pkt := uint32(0); int64(pkt) < tr.Expected; pkt++ {
+		if !got[pkt] {
+			t.Fatalf("packet %d of %d never arrived on either path", pkt, tr.Expected)
+		}
+	}
+
+	if err := joinErr(t, addr, "s", newToken(t)); !errors.Is(err, wire.ErrStreamOver) {
+		t.Fatalf("fresh token on the ended id: %v, want stream ended", err)
+	}
+	server, client = net.Pipe()
+	defer client.Close()
+	fresh := newToken(t)
+	go func() {
+		wire.WriteJoin(client, wire.Join{StreamID: "s", Token: fresh})
+		io.Copy(io.Discard, client) // the reject frame
+	}()
+	if err := r.Attach(server); !errors.Is(err, ErrStreamEnded) {
+		t.Fatalf("Attach of a fresh token on the ended id: %v, want ErrStreamEnded", err)
+	}
+	if st := r.Stats(); st.StreamEnded != 2 || st.Rejected != 2 {
+		t.Fatalf("stream-ended %d, rejected %d; want 2 and 2", st.StreamEnded, st.Rejected)
 	}
 }
 
