@@ -204,11 +204,12 @@ type Config struct {
 	// DefaultReattachGrace; negative disables the grace (a subscriber dies
 	// with its last path, the pre-resilience behavior).
 	ReattachGrace time.Duration
-	// ResendWindow is how many of a path's most recently written packets are
-	// queued for retransmission to the subscriber's other paths when that
-	// path dies — TCP acknowledges bytes to the hub's kernel without telling
-	// the hub the client saw them, so the tail of a dead path must be resent
-	// to conserve the stream. Duplicates are deduplicated client-side;
+	// ResendWindow is how many of a path's most recently written new
+	// packets are queued for retransmission to the subscriber's other paths
+	// when that path dies, with the resends it served that fewer new packets
+	// have followed — TCP acknowledges bytes to the hub's kernel without
+	// telling the hub the client saw them, so the tail of a dead path must be
+	// resent to conserve the stream. Duplicates are deduplicated client-side;
 	// resends whose packet has already fallen out of the ring are counted as
 	// drops. 0 selects DefaultResendWindow; negative disables resends.
 	ResendWindow int
@@ -394,6 +395,11 @@ type Hub struct {
 	bytesCopied   atomic.Int64
 	writevs       atomic.Int64
 	framesBatched atomic.Int64
+
+	// stallGrace is how long the shards wait for a stalled write before
+	// adding a worker: the stallGrace constant, unless a test set it after
+	// New. Last, like shard.walk, so the fields above keep their cache lines.
+	stallGrace time.Duration
 }
 
 // New validates cfg, starts the live generator and returns the hub.
@@ -413,6 +419,7 @@ func New(cfg Config) (*Hub, error) {
 	h := &Hub{
 		cfg:         cfg,
 		batchFrames: writeBatchFrames,
+		stallGrace:  stallGrace,
 		pool:        pool,
 		ring:        newRing(cfg.LagWindow, slots, pool, cfg.Stream.Fill),
 		start:       time.Now(),
@@ -700,16 +707,17 @@ func (h *Hub) governLocked(head int64) (need int64) {
 // past half back to its inline frame (trimFreeLocked). In between the
 // storage is reused: the hot loop only writes indexed slots, never appends.
 type batch struct {
-	n    int           // filled entries
-	bufs []*payloadBuf // pinned shared payloads; len is the batch capacity
-	seqs []int64       // absolute sequences (resend bookkeeping on a write error)
-	gens []int64       // generation timestamps for the header patch
-	hdrs []byte        // capacity × FrameHeaderSize patched header bytes
-	wb   [][]byte      // 2 × capacity vectored-write slots: header, payload, ...
-	vec  net.Buffers   // reusable view of wb[:2n] — a field so WriteTo's pointer receiver never forces a per-call heap escape
-	next *batch        // guarded by mu (the shard's); free-list link, nil while leased
-	peak int           // guarded by mu; most frames one lease carried since the last trim
-	one  oneFrame      // the inline one-frame workspace the slices start on
+	n       int           // filled entries
+	bufs    []*payloadBuf // pinned shared payloads; len is the batch capacity
+	seqs    []int64       // absolute sequences (resend bookkeeping on a write error)
+	gens    []int64       // generation timestamps for the header patch
+	hdrs    []byte        // capacity × FrameHeaderSize patched header bytes
+	wb      [][]byte      // 2 × capacity vectored-write slots: header, payload, ...
+	vec     net.Buffers   // reusable view of wb[:2n] — a field so WriteTo's pointer receiver never forces a per-call heap escape
+	next    *batch        // guarded by mu (the shard's); free-list link, nil while leased
+	peak    int32         // guarded by mu; most frames one lease carried since the last trim
+	resends int32         // how many of the n entries lead as served resends
+	one     oneFrame      // the inline one-frame workspace the slices start on
 }
 
 // oneFrame is a batch's inline storage for one frame. The alias scan
@@ -848,9 +856,8 @@ func (h *Hub) Attach(conn net.Conn) error { return h.acc.Attach(conn) }
 // the stream id. It behaves exactly like Attach past the handshake read:
 // conn is closed on any error, refusals answer with the typed reject
 // frame, and on success the path is on its shard's ready list, stream
-// header first, and is served until the stream ends. Once the stream is
-// over only a path of a live subscription that still has packets to take
-// is admitted; it drains them and ends with the marker.
+// header first, and is served until the stream ends. Who is admitted is
+// verdict's rule (join and re-attach).
 func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 	if j.StreamID != h.cfg.StreamID {
 		return fmt.Errorf("hub: join for stream %q (serving %q): %w",
@@ -879,24 +886,21 @@ func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 	return fmt.Errorf("hub: join refused: %w", h.acc.Reject(conn, code))
 }
 
-// admitLocked is AttachJoined's verdict on a join for the shard sd: the
-// reject code it answers, or 0 once the path is on the shard's ready list.
-// Caller holds h.mu and sd.mu.
+// admitLocked is AttachJoined's shell around verdict for a join to the
+// shard sd: the reject code it answers, or 0 once the path is on the
+// shard's ready list. Caller holds h.mu and sd.mu.
 func (h *Hub) admitLocked(sd *shard, conn net.Conn, j wire.Join) wire.RejectCode {
 	sub := sd.subs[j.Token]
-	if h.closed.Load() || h.end.Load() >= 0 && !sd.owedLocked(sub) {
-		return h.endCode()
+	ev := event{kind: evReattach, connsFull: h.cfg.MaxConns > 0 && int(h.pathConns.Load()) >= h.cfg.MaxConns}
+	if sub == nil {
+		ev.kind, ev.draining = evJoin, h.draining
+		ev.subsFull = h.cfg.MaxSubscribers > 0 && int(h.subCount.Load()) >= h.cfg.MaxSubscribers
 	}
-	// A fresh token asks for admission; re-attaches of live tokens are
-	// exempt so a drain or a full house never strands a subscription that
-	// is only trying to heal a flapped path.
-	switch {
-	case sub == nil && h.draining:
-		return wire.RejectDraining
-	case sub == nil && h.cfg.MaxSubscribers > 0 && int(h.subCount.Load()) >= h.cfg.MaxSubscribers:
-		return wire.RejectServerFull
-	case h.cfg.MaxConns > 0 && int(h.pathConns.Load()) >= h.cfg.MaxConns:
-		return wire.RejectServerFull
+	if act, code := sd.judgeLocked(sub, ev); act&actAdmit == 0 {
+		if code == wire.RejectStreamEnded {
+			return h.endCode()
+		}
+		return code
 	}
 	if sub == nil {
 		// A rebased subscription starts on the newest packet the hub holds,
@@ -919,18 +923,12 @@ func (h *Hub) admitLocked(sd *shard, conn net.Conn, j wire.Join) wire.RejectCode
 		sd.registerLocked(sub)
 		h.joined.Store(true)
 	}
-	if sub.evicted {
-		return wire.RejectEvicted
-	}
 	h.pathConns.Add(1)
 	p := &path{sub: sub, conn: conn, idx: sub.nextPath, numPaths: int32(len(sub.links) + 1), owe: math.MaxInt64}
 	sub.nextPath++
-	if len(sub.links) == 0 {
-		// No orphan any more, if it was one: a path is back within the grace.
-		sd.unorphanLocked(sub)
-		if sub.grace != nil {
-			sub.grace.Stop()
-		}
+	sd.unorphanLocked(sub) // its grace, if it was in one, is over
+	if sub.grace != nil {
+		sub.grace.Stop()
 	}
 	sub.links = append(sub.links, p)
 	if sub.deadPaths > 0 {
@@ -1068,10 +1066,7 @@ func (h *Hub) endCode() wire.RejectCode {
 // path then drains what the ring still holds and is sent its end marker,
 // which carries the sealed count; follow with Wait for a graceful shutdown.
 // Closing stopCh ends the generator's wait, so Wait never waits out a
-// tick. A subscriber in a re-attach grace — left with no path — that the
-// sealed stream owes nothing (owedLocked) is removed with its timer
-// stopped; one still owed packets keeps its grace, so a redial with its
-// token takes the tail and the end marker.
+// tick. What the seal does to each subscription is verdict's.
 func (h *Hub) Stop() {
 	h.mu.Lock()
 	h.govMu.Lock()
@@ -1083,11 +1078,10 @@ func (h *Hub) Stop() {
 	h.mu.Unlock()
 	for _, sd := range h.shards {
 		sd.mu.Lock()
-		sd.readyAllLocked()
+		sd.woken.take(&sd.parked) // each has an end marker to write or a teardown to go through
+		sd.kickLocked(false)
 		for _, sub := range sd.subs {
-			if len(sub.links) == 0 && !sd.owedLocked(sub) {
-				sd.removeLocked(sub)
-			}
+			sd.judgeLocked(sub, event{kind: evSeal})
 		}
 		sd.mu.Unlock()
 	}
@@ -1096,8 +1090,8 @@ func (h *Hub) Stop() {
 // Wait blocks until the stream is sealed (Stop or Count), every path has
 // drained or failed and the shard workers have exited. A subscriber that
 // has stopped reading can hold Wait up indefinitely unless
-// Config.Stream.WriteStallTimeout is set or Close is used. An orphan still
-// owed packets outlives Wait in its re-attach grace; Close removes it.
+// Config.Stream.WriteStallTimeout is set or Close is used. A subscription
+// verdict keeps in its re-attach grace outlives Wait; Close removes it.
 func (h *Hub) Wait() {
 	h.wg.Wait()
 }
@@ -1105,8 +1099,8 @@ func (h *Hub) Wait() {
 // Close force-stops the hub: new attaches are refused, the stream is
 // sealed (Stop), and all listeners and subscriber connections are closed.
 // It waits for every path to retire and the shard workers to exit, then
-// removes every subscriber, stopping its grace timer. Unlike Stop+Wait,
-// paths are NOT drained: none is sent its end marker.
+// has verdict close every subscription. Unlike Stop+Wait, paths are NOT
+// drained: none is sent its end marker.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	h.closed.Store(true)
@@ -1126,7 +1120,7 @@ func (h *Hub) Close() {
 	for _, sd := range h.shards {
 		sd.mu.Lock()
 		for _, sub := range sd.subs {
-			sd.removeLocked(sub)
+			sd.judgeLocked(sub, event{kind: evClose})
 		}
 		sd.mu.Unlock()
 	}

@@ -73,7 +73,7 @@ func TestResendRingRetainsNoPayloadAliases(t *testing.T) {
 	} {
 		p := &path{sub: &subscriber{first: tc.first}}
 		for _, batch := range tc.write {
-			p.remember(batch, tc.slots)
+			p.remember(batch, 0, tc.slots)
 		}
 		got := p.lastWritten()
 		if !reflect.DeepEqual(got, tc.want) {
@@ -90,7 +90,7 @@ func TestResendRingRetainsNoPayloadAliases(t *testing.T) {
 		t.Errorf("a path that never wrote unrolls to %v, want nil", got)
 	}
 	p := &path{sub: &subscriber{}}
-	p.remember([]int64{1, 2, 3}, 0)
+	p.remember([]int64{1, 2, 3}, 0, 0)
 	if got := p.lastWritten(); got != nil {
 		t.Errorf("with resends disabled a path unrolls to %v, want nil", got)
 	}

@@ -139,7 +139,8 @@ func released(h *Hub, seq int64) bool {
 // subscriber at pace on a discarding connection needs only the newest
 // packet, so once the ring has lapped it holds two payloads (the newest, and
 // the one the last tick published before it) rather than the window, and
-// the pool has made no more than a few buffers.
+// the pool has made no more than a few buffers. The generator's ticks are
+// driven by hand, a packet each, with the subscriber served in between.
 func TestGeneratorRingHoldsWhatIsNeeded(t *testing.T) {
 	heap := func() uint64 {
 		var ms runtime.MemStats
@@ -149,18 +150,19 @@ func TestGeneratorRingHoldsWhatIsNeeded(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	heap0 := heap()
-	h, err := New(Config{Stream: wire.Config{Mu: 300, PayloadSize: 1000}, LagWindow: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newExternalHub(t, Config{Stream: wire.Config{Mu: 300, PayloadSize: 1000, Fill: fillNumbered}, LagWindow: 150})
 	defer h.Close()
 	if err := h.AttachJoined(sinkConn{}, wire.Join{StreamID: "live", Token: newToken(t)}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "600 packets", func() bool { return h.Generated() >= 600 })
-	// The mark trails the head by one tick, so a late tick of two packets
-	// leaves three held until the next one.
-	waitFor(t, "the ring to hold at most 2 payloads", func() bool { return ringHeld(h) <= 2 })
+	for n := 0; n < 600; n++ {
+		waitParked(t, h, 1)
+		h.publishTick(0, time.Time{}, 0)
+	}
+	waitParked(t, h, 1)
+	if held := ringHeld(h); held > 2 {
+		t.Errorf("the ring holds %d payloads for a subscriber at pace, want at most 2", held)
+	}
 	news := h.PoolCheck().News
 	t.Logf("the hub holds %d B of live heap after %d packets; the pool made %d buffers", int64(heap()-heap0), h.Generated(), news)
 	if news > 16 {

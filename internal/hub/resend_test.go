@@ -1,52 +1,67 @@
 package hub
 
 import (
+	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
+
+	"dmpstream/internal/wire"
 )
 
-// refRing is the resend record as a plain ring of wire numbers, one slot
-// per sequence of the window: what path.remember and path.lastWritten must
-// answer as, runs or spilled.
-type refRing struct {
-	first  int64
-	recent []uint32
-	wrote  int // sequences ever recorded; recent[wrote%len] is next to overwrite
+// refRecord is the resend record as a plain log of every write: what
+// path.remember and path.lastWritten must answer as, runs, spilled or with
+// served resends kept apart. A write stays in the record until win new
+// packets have followed it; a new packet counts itself.
+type refRecord struct {
+	first int64
+	win   int
+	log   []refWrite // oldest first
 }
 
-func (r *refRing) remember(seqs []int64) {
-	win := len(r.recent)
-	if win == 0 {
-		return
-	}
-	for _, seq := range seqs {
-		r.recent[r.wrote%win] = uint32(seq - r.first)
-		r.wrote++
+type refWrite struct {
+	w      uint32 // the wire number, uint32(seq − first)
+	resent bool
+}
+
+func (r *refRecord) remember(seqs []int64, resends int) {
+	for i, seq := range seqs {
+		r.log = append(r.log, refWrite{uint32(seq - r.first), i < resends})
 	}
 }
 
-func (r *refRing) lastWritten() []int64 {
-	n := min(r.wrote, len(r.recent))
-	if n == 0 {
+// lastWritten unrolls the record as path.lastWritten does: the new packets
+// oldest first, then the served resends oldest first.
+func (r *refRecord) lastWritten() []int64 {
+	var news, resent []int64
+	after := 0 // new packets written after the entry
+	for i := len(r.log) - 1; i >= 0; i-- {
+		e := r.log[i]
+		if after >= r.win {
+			break
+		}
+		seq := r.first + int64(e.w)
+		if e.resent {
+			resent = append([]int64{seq}, resent...)
+			continue
+		}
+		news = append([]int64{seq}, news...)
+		after++
+	}
+	if len(news)+len(resent) == 0 {
 		return nil
 	}
-	out := make([]int64, 0, n)
-	at := r.wrote % n // the oldest entry once the ring has wrapped, 0 before
-	for i := 0; i < n; i++ {
-		out = append(out, r.first+int64(r.recent[at]))
-		if at++; at == n {
-			at = 0
-		}
-	}
-	return out
+	return append(news, resent...)
 }
 
-// FuzzResendRecord drives a path's resend record and the reference ring
+// FuzzResendRecord drives a path's resend record and the reference log
 // with the same batches — runs of consecutive sequences, skips ahead (a
-// sibling path's stripe, a lag skip), out-of-order resends and jumps of
-// about a full wire-number cycle — under every window from 0 to 64, and
-// requires the same answer from both after every batch, with room to
-// append the batch in hand.
+// sibling path's stripe, a lag skip), served resends of older sequences
+// and jumps of about a full wire-number cycle — under every window from 0
+// to 64, and requires the same answer from both after every batch, with
+// room to append the batch in hand.
 func FuzzResendRecord(f *testing.F) {
 	// ops is read in pairs: a kind, then its argument.
 	f.Add(int64(0), uint32(0), uint8(64), []byte{0, 31, 0, 31, 0, 31})                   // one run, wrapped
@@ -63,20 +78,22 @@ func FuzzResendRecord(f *testing.F) {
 		}
 		win := int(window) % (DefaultResendWindow + 1)
 		p := &path{sub: &subscriber{first: first}}
-		ref := &refRing{first: first, recent: make([]uint32, win)}
+		ref := &refRecord{first: first, win: win}
 		cur := first + int64(start)
 		var batch []int64
 		for i := 0; i+1 < len(ops); i += 2 {
 			kind, arg := ops[i]%4, int64(ops[i+1])
 			batch = batch[:0]
+			resends := 0
 			switch kind {
 			case 0: // the next consecutive sequences
 			case 1: // skip ahead first
 				cur += 1 + arg
-			case 2: // resend older sequences, then carry on from the cursor
+			case 2: // serve resends of older sequences, then carry on from the cursor
 				for seq := cur - 1 - arg>>3; seq < cur && len(batch) < 1+int(arg&7); seq++ {
 					batch = append(batch, seq)
 				}
+				resends = len(batch)
 			case 3: // about a full wire-number cycle ahead
 				cur += 1<<32 - arg
 			}
@@ -84,8 +101,8 @@ func FuzzResendRecord(f *testing.F) {
 				batch = append(batch, cur)
 				cur++
 			}
-			p.remember(batch, win)
-			ref.remember(batch)
+			p.remember(batch, resends, win)
+			ref.remember(batch, resends)
 			got, want := p.lastWritten(), ref.lastWritten()
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("after batch %d (%v), window %d: the record unrolls to %v, the reference ring to %v", i/2, batch, win, got, want)
@@ -95,4 +112,72 @@ func FuzzResendRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestResendBurstKeepsOwnWrites drives a subscriber's two paths by hand,
+// one worker step at a time as shard.work takes them: path A writes 0–7,
+// path B writes a full record's worth after them (8–23) and dies, A serves
+// B's record as resends with 24–27 behind them, and then A dies too. A's
+// own writes from before the burst were not followed by ResendWindow new
+// packets, so they are still in its record and queued for the next path —
+// a record counting the resends would have let the burst push them out.
+func TestResendBurstKeepsOwnWrites(t *testing.T) {
+	const win = 16
+	h := newExternalHub(t, Config{LagWindow: 128, ResendWindow: win, Shards: 1, ReattachGrace: time.Minute})
+	t.Cleanup(h.Close)
+	sd := h.shards[0]
+	sub := &subscriber{token: wire.Token{1}, shard: sd, window: 128}
+	a := &path{sub: sub, conn: discardBuffers{}, started: true, owe: math.MaxInt64}
+	b := &path{sub: sub, conn: discardBuffers{}, idx: 1, started: true, owe: math.MaxInt64}
+	sd.mu.Lock()
+	sd.registerLocked(sub)
+	for _, p := range []*path{a, b} {
+		// Held, as by a worker each, so that nothing here queues them.
+		sub.links = append(sub.links, p)
+		p.held = true
+		sd.held.push(p)
+		sd.live++
+		h.pathConns.Add(1)
+	}
+	sd.mu.Unlock()
+	publish := func(from, to int64) {
+		for seq := from; seq < to; seq++ {
+			h.PublishAt(seq, seq, make([]byte, h.cfg.Stream.PayloadSize))
+		}
+	}
+	deliver := func(p *path, want int) {
+		t.Helper()
+		sd.mu.Lock()
+		st, bt := sd.stepLocked(p)
+		sd.mu.Unlock()
+		if st != stepWrite || bt.n != want {
+			t.Fatalf("path %d: step %d, want a write of %d frames", p.idx, st, want)
+		}
+		if err := h.writeBatch(p.conn, sub, bt); err != nil {
+			t.Fatal(err)
+		}
+		h.releaseBatch(bt)
+		p.remember(bt.seqs[:bt.n], int(bt.resends), win)
+		sd.mu.Lock()
+		sd.returnLocked(bt)
+		sd.mu.Unlock()
+	}
+	die := func(p *path) { sd.finishPath(p, p.lastWritten(), errors.New("connection reset")) }
+
+	publish(0, 8)
+	deliver(a, 8)
+	publish(8, 8+win)
+	deliver(b, win)
+	die(b)
+	publish(8+win, 12+win)
+	deliver(a, win+4) // b's record, then 24–27
+	die(a)
+	sd.mu.Lock()
+	resend := append([]int64(nil), sub.resend...)
+	sd.mu.Unlock()
+	for seq := int64(0); seq < 12+win; seq++ {
+		if !slices.Contains(resend, seq) {
+			t.Fatalf("packet %d, written by a dead path, is not queued for resending: %v", seq, resend)
+		}
+	}
 }

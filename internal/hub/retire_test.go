@@ -62,6 +62,7 @@ func TestGraceExpired(t *testing.T) {
 		addSub(sd, sub)
 		sd.mu.Lock()
 		sub.graceGen = 2 // a second death restarted the countdown
+		sub.armed = true
 		sd.mu.Unlock()
 		return sub
 	}
@@ -174,26 +175,46 @@ func owedOrphans(h *Hub) int {
 // TestEvictedOrphanLeavesAtGraceEnd: an orphan the lag policy evicts keeps
 // its grace running — its token is refused as evicted until the grace
 // ends, and then the subscriber is removed and its admission slot freed.
+// A subscription evicted with a path gets the same grace once that path
+// has retired, rather than leaving its token free to join afresh.
 func TestEvictedOrphanLeavesAtGraceEnd(t *testing.T) {
-	h := leaseHub(t, Config{ReattachGrace: 50 * time.Millisecond, Policy: Evict})
-	sd := h.shards[0]
-	c := newLeaseConn()
-	c.failAt = 1
-	tok := attach(t, h, c)
-	publish(t, h, 0, 1)
-	waitFor(t, "the subscriber orphaned", func() bool {
-		sd.mu.Lock()
-		defer sd.mu.Unlock()
-		return len(sd.orphans) == 1
-	})
-	sd.mu.Lock()
-	sd.evictLocked(sd.subs[tok])
-	sd.mu.Unlock()
-	err := h.AttachJoined(newLeaseConn(), wire.Join{StreamID: h.cfg.StreamID, Token: tok})
-	if !errors.Is(err, wire.ErrEvicted) {
-		t.Fatalf("re-attach of an evicted orphan: %v, want ErrEvicted", err)
+	for _, tc := range []struct {
+		name  string
+		grace time.Duration
+		path  bool // evicted with its path still attached
+	}{
+		{"orphan", 50 * time.Millisecond, false},
+		{"with a path", 250 * time.Millisecond, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := leaseHub(t, Config{ReattachGrace: tc.grace, Policy: Evict})
+			sd := h.shards[0]
+			c := newLeaseConn()
+			if !tc.path {
+				c.failAt = 1
+			}
+			tok := attach(t, h, c)
+			publish(t, h, 0, 1)
+			if tc.path {
+				waitFor(t, "the path to take its frame", func() bool { return c.frames.Load() == 1 })
+			} else {
+				waitFor(t, "the subscriber orphaned", func() bool {
+					sd.mu.Lock()
+					defer sd.mu.Unlock()
+					return len(sd.orphans) == 1
+				})
+			}
+			sd.mu.Lock()
+			sd.evictLocked(sd.subs[tok])
+			sd.mu.Unlock()
+			waitFor(t, "the evicted path to retire", func() bool { return h.ConnCount() == 0 })
+			err := h.AttachJoined(newLeaseConn(), wire.Join{StreamID: h.cfg.StreamID, Token: tok})
+			if !errors.Is(err, wire.ErrEvicted) {
+				t.Fatalf("re-attach of an evicted subscription: %v, want ErrEvicted", err)
+			}
+			waitFor(t, "the evicted subscription removed at its grace end", func() bool { return h.SubscriberCount() == 0 })
+		})
 	}
-	waitFor(t, "the evicted orphan removed at its grace end", func() bool { return h.SubscriberCount() == 0 })
 }
 
 // TestDeathAfterSealRedialDrainsBatch: the last path of a subscription

@@ -29,7 +29,8 @@ type subscriber struct {
 	deadPaths int32   // guarded by mu; abnormal deaths not yet matched by a re-attach
 	sent      int64   // guarded by mu
 	dropped   int64   // guarded by mu
-	evicted   bool    // guarded by mu
+	evicted   bool    // guarded by mu; cut off by the lag policy or the governor (verdict's evict)
+	armed     bool    // guarded by mu; its re-attach grace is counting down (verdict's arm)
 	links     []*path // guarded by mu; attached paths, in attach order
 	window    int     // guarded by mu; effective lag window, shrunk by the governor
 	sheds     int64   // guarded by mu; degradation-ladder steps applied
@@ -48,7 +49,7 @@ type subscriber struct {
 	resend   []int64     // guarded by mu; sorted ascending, deduplicated
 	deaths   int64       // guarded by mu
 	graceGen int64       // guarded by mu
-	grace    *time.Timer // guarded by mu; armed by graceLocked, nil before the first
+	grace    *time.Timer // guarded by mu; armed by a verdict (actArm), nil before the first
 	orphan   int         // guarded by mu; place in the shard's orphans plus one, 0 while not an orphan
 }
 
@@ -68,6 +69,7 @@ type path struct {
 	next, prev *path // guarded by mu (the shard's); links of the list the path is on
 	held       bool  // guarded by mu; on the shard's held list: a worker has it
 	removed    bool  // guarded by mu; RemovePath asked it to end: its end marker is next
+	started    bool  // stream header written (or being written); owned by its holder, like the record below, but here the entry stays 96 B
 	// owe is, under Keep, the oldest sequence the path may still hand back
 	// for resending — its batch in hand and its resend record — or
 	// math.MaxInt64; its holder sets it at every step (stepLocked).
@@ -75,18 +77,39 @@ type path struct {
 
 	// Owned by whichever worker holds the path; the shard mutex orders one
 	// holder's accesses before the next one's.
-	started bool // stream header written (or being written)
-	// The resend record: the last ResendWindow sequences written, as the
+	//
+	// The resend record: the last ResendWindow new packets written, as the
 	// 32-bit number that went on the wire, uint32(seq − sub.first). A
 	// caught-up path writes consecutive numbers, kept as runs inline; writes
-	// that fragment past them (striped paths, served resends, repeated lag
-	// skips) spill the record to a ring the path keeps for life.
-	runs [2]run      // oldest first; unused runs are empty; ignored once spilled
-	ring *resendRing // nil until the record spills
+	// that fragment past them (striped paths, repeated lag skips) spill the
+	// record to a ring the path keeps for life. Served resends are kept
+	// apart until ResendWindow new packets have followed them: a burst of a
+	// dead sibling's record must not push the path's own latest writes out.
+	runs   [2]run      // oldest first; unused runs are empty; ignored once spilled
+	ring   *resendRing // nil until the record spills
+	served *served     // nil until the path serves a resend
 }
 
 // run is the consecutive wire numbers from, from+1, …, from+n−1 (mod 2³²).
 type run struct{ from, n uint32 }
+
+// served is the resends a path served, oldest first, and the count of new
+// packets it has written since served was made (mod 2³²).
+type served struct {
+	seqs []servedSeq
+	news uint32
+}
+
+// servedSeq is a served resend's wire number and served.news when it went out.
+type servedSeq struct{ w, at uint32 }
+
+// list returns s's resends; nil for a nil s.
+func (s *served) list() []servedSeq {
+	if s == nil {
+		return nil
+	}
+	return s.seqs
+}
 
 // resendRing is a spilled resend record: one slot per wire number.
 type resendRing struct {
@@ -94,13 +117,25 @@ type resendRing struct {
 	wrote int // numbers ever recorded; slots[wrote%len] is next to overwrite
 }
 
-// remember records a written batch in the resend record, keeping the last win.
-func (p *path) remember(seqs []int64, win int) {
+// remember records a written batch, whose first resends entries were
+// served resends, in the resend record under window win.
+func (p *path) remember(seqs []int64, resends, win int) {
 	if win == 0 {
 		return
 	}
-	for _, seq := range seqs {
+	if resends > 0 && p.served == nil {
+		p.served = new(served)
+	}
+	s := p.served
+	for i, seq := range seqs {
 		w := uint32(seq - p.sub.first)
+		if i < resends {
+			s.seqs = append(s.seqs, servedSeq{w, s.news})
+			continue
+		}
+		if s != nil {
+			s.news++
+		}
 		if p.ring == nil && !p.extendRuns(w, win) {
 			p.spill(win)
 		}
@@ -108,6 +143,13 @@ func (p *path) remember(seqs []int64, win int) {
 			r.slots[r.wrote%win] = w
 			r.wrote++
 		}
+	}
+	if s != nil {
+		n := 0
+		for n < len(s.seqs) && int(s.news-s.seqs[n].at) >= win {
+			n++
+		}
+		s.seqs = s.seqs[:copy(s.seqs, s.seqs[n:])]
 	}
 }
 
@@ -144,31 +186,31 @@ func (p *path) spill(win int) {
 	p.ring = r
 }
 
-// lastWritten returns the absolute sequences in the resend record, oldest
-// first, with room for a batch to be appended; nil if the path never wrote.
+// lastWritten returns the absolute sequences in the resend record — the
+// new packets oldest first, then the served resends — with room for a
+// batch to be appended; nil if the record is empty.
 func (p *path) lastWritten() []int64 {
-	if p.ring == nil {
-		n := p.runs[0].n + p.runs[1].n
-		if n == 0 {
-			return nil
+	news, resent := int(p.runs[0].n+p.runs[1].n), p.served.list()
+	if r := p.ring; r != nil {
+		news = min(r.wrote, len(r.slots))
+	}
+	if news+len(resent) == 0 {
+		return nil
+	}
+	out := make([]int64, 0, news+len(resent)+writeBatchFrames)
+	if r := p.ring; r != nil {
+		for i := range news { // from the oldest entry once the ring has wrapped, 0 before
+			out = append(out, p.sub.first+int64(r.slots[(r.wrote-news+i)%news]))
 		}
-		out := make([]int64, 0, int(n)+writeBatchFrames)
+	} else {
 		for _, r := range p.runs {
 			for i := uint32(0); i < r.n; i++ {
 				out = append(out, p.sub.first+int64(r.from+i))
 			}
 		}
-		return out
 	}
-	r := p.ring
-	n := min(r.wrote, len(r.slots))
-	out := make([]int64, 0, n+writeBatchFrames)
-	at := r.wrote % n // the oldest entry once the ring has wrapped, 0 before
-	for i := 0; i < n; i++ {
-		out = append(out, p.sub.first+int64(r.slots[at]))
-		if at++; at == n {
-			at = 0
-		}
+	for _, r := range resent {
+		out = append(out, p.sub.first+int64(r.w))
 	}
 	return out
 }
@@ -177,6 +219,9 @@ func (p *path) lastWritten() []int64 {
 // math.MaxInt64 if it is empty. Only the path's holder calls it.
 func (p *path) oldestWritten() int64 {
 	oldest := int64(math.MaxInt64)
+	for _, r := range p.served.list() {
+		oldest = min(oldest, p.sub.first+int64(r.w))
+	}
 	if r := p.ring; r != nil {
 		for _, w := range r.slots[:min(r.wrote, len(r.slots))] {
 			oldest = min(oldest, p.sub.first+int64(w))
@@ -282,12 +327,17 @@ type shard struct {
 	free    *batch // guarded by mu; LIFO list through batch.next
 	nfree   int    // guarded by mu; length of the free list
 	freeLow int    // guarded by mu; smallest nfree since the last trim — batches nothing needed
+
+	// walk holds the ready paths wake's lag walk has yet to visit, empty
+	// outside it. Last: placed above, it moved the hot fields' cache lines.
+	walk pathList // guarded by mu
 }
 
 // stallGrace is how long queued paths wait for a write out on the shard
-// to come back before a worker is added for them. A write into a socket
-// with room in its send buffer returns in microseconds, so a write that
-// has not returned in a millisecond is blocked on its sink.
+// to come back before a worker is added for them (Hub.stallGrace, which
+// tests change). A write into a socket with room in its send buffer returns
+// in microseconds, so a write that has not returned in a millisecond is
+// blocked on its sink.
 const stallGrace = time.Millisecond
 
 // freeTrimWakes is how many generator wakes pass between trims of a
@@ -304,6 +354,7 @@ func newShard(h *Hub) *shard {
 	sd.woken.init()
 	sd.ready.init()
 	sd.held.init()
+	sd.walk.init()
 	return sd
 }
 
@@ -339,7 +390,11 @@ func (sd *shard) wakeLocked(head int64) (backlog bool) {
 		sd.walked++
 		sd.enforceLagLocked(p.sub, head)
 	}
-	for p := sd.ready.front(); p != nil; p = sd.ready.after(p) {
+	// Through walk, as an eviction queues its subscriber's paths at the
+	// back of ready.
+	sd.walk.take(&sd.ready)
+	for p := sd.walk.pop(); p != nil; p = sd.walk.pop() {
+		sd.ready.push(p)
 		sd.walked++
 		sd.enforceLagLocked(p.sub, head)
 	}
@@ -405,14 +460,6 @@ func (sd *shard) parkLocked(p *path) {
 	}
 }
 
-// readyAllLocked queues every parked path of the shard, whether or not its
-// subscriber has frames: the stream is sealed (Stop) and each path has an
-// end marker to write or a teardown to go through. Caller holds sd.mu.
-func (sd *shard) readyAllLocked() {
-	sd.woken.take(&sd.parked)
-	sd.kickLocked(false)
-}
-
 // kickLocked keeps the worker invariant after a path may have been queued:
 // if paths are queued, some worker must be on its way to them. Usually one
 // is — running, or idle and signalled here. Only when every worker is out
@@ -458,16 +505,17 @@ func (sd *shard) handOffLocked() {
 	}
 }
 
-// armStallLocked sets the stall timer to fire stallGrace from now. Caller
-// holds sd.mu.
+// armStallLocked sets the stall timer to fire Hub.stallGrace from now.
+// Caller holds sd.mu.
 func (sd *shard) armStallLocked() {
 	sd.stallArmed, sd.returned = true, false
-	sd.stallAt = time.Now().Add(stallGrace)
+	d := sd.h.stallGrace
+	sd.stallAt = time.Now().Add(d)
 	if sd.stall == nil {
-		sd.stall = time.AfterFunc(stallGrace, sd.stalled)
+		sd.stall = time.AfterFunc(d, sd.stalled)
 		return
 	}
-	sd.stall.Reset(stallGrace)
+	sd.stall.Reset(d)
 }
 
 // disarmStallLocked stops the stall timer: nothing is queued, or nothing
@@ -686,7 +734,7 @@ func (sd *shard) work() {
 			p = nil
 			continue
 		}
-		p.remember(b.seqs[:b.n], h.cfg.ResendWindow)
+		p.remember(b.seqs[:b.n], int(b.resends), h.cfg.ResendWindow)
 	}
 }
 
@@ -741,7 +789,7 @@ func (sd *shard) trimFreeLocked() {
 	}
 	sd.freeLow = sd.nfree
 	for b := sd.free; b != nil; b = b.next {
-		if len(b.bufs) > 1 && 2*b.peak <= len(b.bufs) {
+		if len(b.bufs) > 1 && 2*int(b.peak) <= len(b.bufs) {
 			b.shrink()
 		}
 		b.peak = 0
@@ -805,9 +853,8 @@ func (sd *shard) shiftResendLocked(sub *subscriber) {
 // enforceLagLocked applies the slow-subscriber policy to sub if its
 // cursor has fallen behind its effective window — the configured
 // LagWindow, or less once the resource governor has shrunk it. Under Evict
-// the subscriber is condemned: queueing the paths it has parked for their
-// teardown is left to the caller, which knows where they are. Caller holds
-// sd.mu.
+// the subscriber is evicted (evictLocked), which queues its parked paths
+// for their teardown. Caller holds sd.mu.
 func (sd *shard) enforceLagLocked(sub *subscriber, head int64) {
 	win := int64(sub.window)
 	if ringSize := sd.h.ring.size(); win > ringSize {
@@ -824,7 +871,7 @@ func (sd *shard) enforceLagLocked(sub *subscriber, head int64) {
 		sd.h.totalDropped.Add(skipped)
 		sd.advanceLocked(sub, oldest)
 	case Evict:
-		sd.condemnLocked(sub)
+		sd.evictLocked(sub)
 	}
 }
 
@@ -988,31 +1035,9 @@ func (sd *shard) clipLocked(sub *subscriber, win, head int64) int64 {
 	return freed
 }
 
-// condemnLocked disconnects sub and marks it evicted: its connections
-// are closed (a path out on a write sees that), it stops counting towards
-// the byte accounting, and a later re-attach of its token is refused with a
-// typed reject. It reports whether this call did the evicting. Caller holds
-// sd.mu.
-func (sd *shard) condemnLocked(sub *subscriber) bool {
-	if sub.evicted {
-		return false
-	}
-	sd.uncountLocked(sub)
-	sub.evicted = true
-	sd.h.evictedCount.Add(1)
-	for _, p := range sub.links {
-		_ = p.conn.Close()
-	}
-	return true
-}
-
-// evictLocked condemns sub and queues its parked paths for teardown.
-// Caller holds sd.mu.
+// evictLocked cuts sub off (verdict's evict). Caller holds sd.mu.
 func (sd *shard) evictLocked(sub *subscriber) {
-	if sd.condemnLocked(sub) {
-		sd.readyLocked(sub)
-		sd.kickLocked(false)
-	}
+	sd.judgeLocked(sub, event{kind: evEvict})
 }
 
 // popBatchLocked returns a leased batch filled with the subscriber's next
@@ -1040,8 +1065,6 @@ func (sd *shard) popBatchLocked(sub *subscriber) *batch {
 		// external source — what it is sent starts inside its window.
 		sd.enforceLagLocked(sub, head)
 		if sub.evicted {
-			sd.readyLocked(sub)
-			sd.kickLocked(false)
 			return nil
 		}
 		b := sd.leaseLocked()
@@ -1051,7 +1074,7 @@ func (sd *shard) popBatchLocked(sub *subscriber) *batch {
 			b.grow(min(1<<bits.Len(uint(ready-1)), sd.h.batchFrames))
 		}
 		sd.fillLocked(sub, b)
-		b.peak = max(b.peak, b.n)
+		b.peak = max(b.peak, int32(b.n))
 		if b.n > 0 {
 			return b
 		}
@@ -1083,6 +1106,7 @@ func (sd *shard) fillLocked(sub *subscriber, b *batch) {
 		h.totalSent.Add(1)
 		h.totalResent.Add(1)
 	}
+	b.resends = int32(b.n)
 	if sub.cur < h.ring.headSeq() && b.n < len(b.bufs) {
 		pinned, skipped := h.ring.pinBatch(sub.cur, len(b.bufs)-b.n, b)
 		if skipped > 0 {
@@ -1099,16 +1123,9 @@ func (sd *shard) fillLocked(sub *subscriber, b *batch) {
 }
 
 // finishPath retires one path, called by the worker that holds it with no
-// lock held. A path that drained normally just goes away, and the
-// subscriber disappears with its last path. A path that died abnormally
-// instead queues its recent writes for retransmission, before or after
-// the seal, and if it was the subscriber's last path starts the re-attach
-// grace countdown while the stream runs or while the subscription is still
-// owed packets (owedLocked): the subscription stays in the shard so a
-// redialing client's token still resolves, and is reaped only if the
-// window expires with no path back. A removed path (RemovePath) that was
-// the last starts the same countdown on the same terms, with nothing to
-// resend.
+// lock held: a failed path is a death, whose recent writes the verdict may
+// queue for resending, any other an end; what becomes of the subscription
+// is verdict's.
 func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	_ = p.conn.Close()
 	h, sub := sd.h, p.sub
@@ -1123,6 +1140,11 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 		defer h.govMu.Unlock()
 	}
 	sd.mu.Lock()
+	ev := event{kind: evEnd}
+	if err != nil {
+		ev = event{kind: evDeath, recent: recent}
+	}
+	sd.judgeLocked(sub, ev) // p still among the links, held: no verdict action touches it
 	h.pathConns.Add(-1)
 	p.unlink()
 	p.held = false
@@ -1143,74 +1165,33 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 			sd.signalLocked()
 		}
 	}
-	abnormal := err != nil && !sub.evicted && !h.closed.Load()
-	if abnormal {
-		h.pathErrors.Add(1)
-		sub.deaths++
-		sub.deadPaths++
-		if len(recent) > 0 {
-			sd.resendSum -= int64(len(sub.resend))
-			sub.resend = mergeSeqs(sub.resend, recent)
-			sd.resendSum += int64(len(sub.resend))
-		}
-	}
-	switch {
-	case len(sub.links) > 0:
-		if abnormal && len(sub.resend) > 0 {
-			// Surviving paths serve the resends, the parked ones from now.
-			sd.readyLocked(sub)
-			sd.kickLocked(false)
-		}
-	case h.cfg.ReattachGrace > 0 && (abnormal || p.removed && !sub.evicted) &&
-		(h.end.Load() < 0 || sd.owedLocked(sub)):
-		// A death, or a removal, that leaves the subscription no path keeps
-		// it for the next one, cursor and all, while there is more to send.
-		sd.graceLocked(sub)
-	default:
-		sd.removeLocked(sub)
-	}
 	sd.mu.Unlock()
 	if govern {
 		h.governLocked(h.ring.headSeq())
 	}
 }
 
-// graceLocked lists sub, left with no path while the stream runs or owes it
-// packets, among the orphans and arms its re-attach countdown: a timer, not
-// a goroutine, which a re-attach or the removal of sub stops. An eviction
-// leaves it running: the token is refused until the grace ends. Caller
-// holds sd.mu.
-func (sd *shard) graceLocked(sub *subscriber) {
-	sd.orphanLocked(sub)
-	sub.graceGen++
-	gen := sub.graceGen
-	sub.grace = time.AfterFunc(sd.h.cfg.ReattachGrace, func() { sd.graceExpired(sub, gen) })
-}
-
-// graceExpired ends the re-attach grace countdown gen of sub: the
-// subscriber is removed unless a re-attach (a path is back) or a newer
-// death's countdown (graceGen moved on) has superseded this one — a
-// firing its timer's Stop came too late for.
+// graceExpired ends the re-attach grace countdown gen of sub, unless a
+// newer countdown (graceGen moved on) superseded this one: a firing its
+// timer's Stop came too late for.
 func (sd *shard) graceExpired(sub *subscriber, gen int64) {
 	sd.mu.Lock()
-	if len(sub.links) == 0 && sub.graceGen == gen {
-		sd.removeLocked(sub)
+	if sub.graceGen == gen {
+		sd.judgeLocked(sub, event{kind: evGrace})
 	}
 	sd.mu.Unlock()
 }
 
-// removeLocked deletes sub from the shard if it is still the one
-// registered under its token, releasing its admission slot and stopping
-// its grace timer. Caller holds sd.mu.
+// removeLocked deletes sub from the shard, releasing its admission slot
+// and stopping its grace timer; only a verdict calls it, once. Caller
+// holds sd.mu.
 func (sd *shard) removeLocked(sub *subscriber) {
-	if sd.subs[sub.token] == sub {
-		delete(sd.subs, sub.token)
-		sd.h.subCount.Add(-1)
-		if sub.grace != nil {
-			sub.grace.Stop()
-		}
-		if !sub.evicted {
-			sd.uncountLocked(sub)
-		}
+	delete(sd.subs, sub.token)
+	sd.h.subCount.Add(-1)
+	if sub.grace != nil {
+		sub.grace.Stop()
+	}
+	if !sub.evicted {
+		sd.uncountLocked(sub)
 	}
 }
