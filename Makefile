@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint layers lockrank allocs fuzz examples soak bench-smoke bench-tick bench-receiver bench-deliver bench-fanout bench-forwarder bench-pair sim-tables
+.PHONY: all build test race lint layers lockrank allocs fuzz examples soak bench-smoke bench-tick bench-receiver bench-deliver bench-fanout bench-forwarder bench-pair sim-tables model-tables model-tables-check
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -156,27 +156,52 @@ bench-forwarder:
 # sides are built with `go test -c` and run N times each in alternating
 # order, and every metric gets each side's median and quartiles, the pairs
 # the change read lower in, and a sign-test verdict — "no difference"
-# unless one side wins 9 pairs of 10 or better. BENCHTIME, when set, is
-# passed to every run as -benchtime.
+# unless one side wins 9 pairs of 10 or better. BENCHTIME is passed to
+# every run as -benchtime (empty: go test's default). The defaults, 30
+# pairs of 300 ms, found a seeded 7 % slowdown at p < 0.001 where 10
+# pairs of 1 s did not.
 PARENT ?= HEAD
 PKG ?= ./internal/hub
 BENCH ?= .
-N ?= 10
-BENCHTIME ?=
+N ?= 30
+BENCHTIME ?= 300ms
 bench-pair:
 	$(GO) run ./cmd/dmppair -parent '$(PARENT)' -pkg '$(PKG)' -bench '$(BENCH)' -n $(N) $(if $(BENCHTIME),-benchtime $(BENCHTIME))
 
-# sim-tables prints the quick, seed-1 tables of every packet-simulator
-# experiment with dmpbench's "# ... finished in" timing lines stripped, so
+# tables prints the quick, seed-1 tables of the experiments $(1) with
+# dmpbench's "# ... finished in" timing lines stripped.
+tables = for e in $(1); do \
+		out=$$($(GO) run ./cmd/dmpbench -exp $$e -fidelity quick -seed 1) || exit 1; \
+		printf '%s\n\n' "$$out" | sed '/^\# .* finished in /d'; \
+	done
+
+# sim-tables prints the tables of every packet-simulator experiment, so
 # two commits' outputs compare with one diff: `make sim-tables > a.txt` on
 # each, then `diff a.txt b.txt`. About 75 s on a 2-vCPU machine.
 SIM_EXPS = fig4a fig4b fig5a fig5b correlated table2 table3 \
 	ablation-sndbuf ablation-red ablation-flavor extq1 toy73sim
 sim-tables:
-	@for e in $(SIM_EXPS); do \
-		out=$$($(GO) run ./cmd/dmpbench -exp $$e -fidelity quick -seed 1) || exit 1; \
-		printf '%s\n\n' "$$out" | sed '/^# .* finished in /d'; \
-	done
+	@$(call tables,$(SIM_EXPS))
+
+# model-tables does the same for every experiment that runs the paper's
+# analytical model (internal/dmpmodel) alone. About 36 s.
+MODEL_EXPS = fig8 fig9a fig9b fig10 fig11 extk extstored ablation-td
+model-tables:
+	@$(call tables,$(MODEL_EXPS))
+
+# model-tables-check diffs the tables of every experiment that runs the
+# model — MODEL_EXPS, and fig4b, fig5b and correlated, which set it beside
+# the packet simulator — against their blocks in quick_results.txt, timing
+# lines stripped like the tables'. Any difference fails: a change to the
+# model's sampling that moves a committed number shows here. About 60 s.
+CHECKED_EXPS = fig4b fig5b correlated $(MODEL_EXPS)
+model-tables-check: SHELL := /bin/bash
+model-tables-check:
+	@diff -u --label quick_results.txt --label 'this tree' \
+		<(for e in $(CHECKED_EXPS); do \
+			sed -n "/^# running $$e (/,/^# $$e finished in /p" quick_results.txt | sed '/^# .* finished in /d'; echo; \
+		done) \
+		<($(call tables,$(CHECKED_EXPS)))
 
 # examples runs the examples that stream through the root package's Server
 # and Client end to end (about a minute in all: quickstart 5 s, hot-add 13 s,

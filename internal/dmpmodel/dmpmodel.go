@@ -11,10 +11,12 @@
 // packet; f = P(late | consumption).
 //
 // The paper solved this chain numerically with TANGRAM-II. Here the large
-// parameter sweeps use an exact-dynamics Monte-Carlo estimator over the
-// embedded jump chain (no discretization error; batch-means confidence
-// intervals), and small truncated instances are solved exactly through
-// markov.Stationary to cross-validate the estimator. See DESIGN.md §2.
+// parameter sweeps use exact-dynamics Monte-Carlo over the embedded jump
+// chain (no discretization error; batch-means confidence intervals): the
+// chain type is the one jump, and FractionLate (stationary) and
+// TransientFractionLate (finite videos) both drive it. Small truncated
+// instances are solved exactly through markov.Stationary and
+// markov.TransientSolver to cross-validate them. See DESIGN.md §2.
 package dmpmodel
 
 import (
@@ -182,6 +184,100 @@ func (m *Model) nmaxFor(tau float64) int64 {
 	return n
 }
 
+// chain is the composed chain (X_1, ..., X_K, N) and its one jump, which
+// both Monte-Carlo estimators drive: rate sums the enabled events' rates,
+// the caller draws u uniform on [0, rate), and apply carries out the event
+// u selects. Each flow's total rate is kept in rates and refreshed only
+// when that flow jumps.
+type chain struct {
+	mu        float64
+	nmax      int64 // the cap on N: µτ live, math.MaxInt64 for stored video
+	tables    []*flowTable
+	cur       []int32   // each flow's state id
+	rates     []float64 // each flow's row total at cur
+	delivered []int64   // packets each flow has added to N
+	n         int64
+	consume   bool // consumption enabled, as rate last set it
+}
+
+// The events apply reports besides a flow's index.
+const (
+	evConsume = -1 // a packet was consumed
+	evNone    = -2 // float rounding carried u past the last rate
+)
+
+func newChain(m *Model, nmax int64) *chain {
+	k := len(m.Paths)
+	c := &chain{mu: m.Mu, nmax: nmax, tables: make([]*flowTable, k),
+		cur: make([]int32, k), rates: make([]float64, k), delivered: make([]int64, k)}
+	for i, p := range m.Paths {
+		c.tables[i] = newFlowTable(p)
+	}
+	return c
+}
+
+// reset puts every flow in its initial state and N at n.
+func (c *chain) reset(n int64) {
+	for i, ft := range c.tables {
+		c.cur[i] = ft.id(tcpmodel.Initial(ft.par))
+		c.rates[i] = ft.row(c.cur[i]).total
+	}
+	c.n = n
+}
+
+// rate returns the total rate of the events enabled now: consumption if
+// consume, and every flow while N is below the cap.
+func (c *chain) rate(consume bool) float64 {
+	c.consume = consume
+	total := 0.0
+	if consume {
+		total = c.mu
+	}
+	if c.n < c.nmax {
+		for _, r := range c.rates {
+			total += r
+		}
+	}
+	return total
+}
+
+// apply carries out the event u selects: a consumption, which decrements
+// N, or flow i's sampled transition, whose packets raise N up to the cap.
+// It returns evConsume, i or evNone.
+func (c *chain) apply(u float64) int {
+	if c.consume {
+		if u < c.mu {
+			c.n--
+			return evConsume
+		}
+		u -= c.mu
+	}
+	if c.n >= c.nmax {
+		return evNone // the flows are frozen at the cap
+	}
+	for i, rate := range c.rates {
+		if u >= rate {
+			u -= rate
+			continue
+		}
+		ft := c.tables[i]
+		r := ft.row(c.cur[i])
+		j := sampleCum(r.cum, u)
+		got := int64(r.s[j])
+		// Compared as n+got: nmax-n overflows on the stored case's cap
+		// while N is negative.
+		if c.n+got > c.nmax {
+			got = c.nmax - c.n // the cap froze part of the round
+		}
+		c.n += got
+		c.delivered[i] += got
+		c.cur[i] = r.next[j]
+		c.rates[i] = ft.row(c.cur[i]).total
+		return i
+	}
+	return evNone
+}
+
 // FractionLate estimates f for startup delay tau (seconds) by sampling the
 // embedded jump chain of the composed CTMC.
 func (m *Model) FractionLate(tau float64, o Options) (Result, error) {
@@ -205,80 +301,34 @@ func (m *Model) fractionLate(tau float64, o Options, thresh float64) (Result, er
 	nmax := m.nmaxFor(tau)
 	o = o.withDefaults(nmax)
 
-	k := len(m.Paths)
-	tables := make([]*flowTable, k)
-	cur := make([]int32, k)
-	for i, p := range m.Paths {
-		tables[i] = newFlowTable(p)
-		cur[i] = tables[i].id(tcpmodel.Initial(p))
-	}
+	c := newChain(m, nmax)
+	c.reset(nmax) // start with a full buffer, the post-startup condition
 	rng := rand.New(rand.NewSource(o.Seed))
-
-	n := nmax // start with a full buffer, the post-startup condition
 	var consumed, late int64
-	delivered := make([]int64, k)
 	bm := stats.NewBatchMeans(o.BatchSize)
-
-	rates := make([]float64, k)
 	budget := o.Warmup + o.MaxConsumptions
 	const checkEvery = 10 // batches between sequential checks
 
 	for consumed < budget {
-		total := m.Mu
-		consumptionOn := o.FloorN == nil || n != *o.FloorN
-		if !consumptionOn {
-			total = 0
-		}
-		if n < nmax {
-			for i := 0; i < k; i++ {
-				r := tables[i].row(cur[i])
-				rates[i] = r.total
-				total += r.total
-			}
-		} else {
-			for i := range rates {
-				rates[i] = 0
-			}
-		}
+		total := c.rate(o.FloorN == nil || c.n != *o.FloorN)
 		if total == 0 {
-			return Result{}, fmt.Errorf("dmpmodel: deadlocked state (N=%d, floor active)", n)
+			return Result{}, fmt.Errorf("dmpmodel: deadlocked state (N=%d, floor active)", c.n)
 		}
-		u := rng.Float64() * total
-		if consumptionOn && u < m.Mu {
-			consumed++
-			if consumed > o.Warmup {
-				x := 0.0
-				if n <= 0 {
-					late++
-					x = 1
-				}
-				bm.Add(x)
-				if thresh > 0 && bm.Batches()%checkEvery == 0 && bm.Batches() > 0 &&
-					(consumed-o.Warmup)%o.BatchSize == 0 && bm.Separated(thresh) {
-					break
-				}
-			}
-			n--
+		if c.apply(rng.Float64()*total) != evConsume {
 			continue
 		}
-		if consumptionOn {
-			u -= m.Mu
-		}
-		for i := 0; i < k; i++ {
-			if u < rates[i] {
-				r := tables[i].row(cur[i])
-				j := sampleCum(r.cum, u)
-				room := nmax - n
-				got := int64(r.s[j])
-				if got > room {
-					got = room // the cap froze part of the round
-				}
-				n += got
-				delivered[i] += got
-				cur[i] = r.next[j]
+		consumed++
+		if consumed > o.Warmup {
+			x := 0.0
+			if c.n < 0 { // N ≤ 0 when the packet was due
+				late++
+				x = 1
+			}
+			bm.Add(x)
+			if thresh > 0 && bm.Batches()%checkEvery == 0 && bm.Batches() > 0 &&
+				(consumed-o.Warmup)%o.BatchSize == 0 && bm.Separated(thresh) {
 				break
 			}
-			u -= rates[i]
 		}
 	}
 
@@ -290,12 +340,12 @@ func (m *Model) fractionLate(tau float64, o Options, thresh float64) (Result, er
 	res.F = float64(late) / float64(counted)
 	_, res.CI95 = bm.Estimate()
 	var totalDelivered int64
-	for _, d := range delivered {
+	for _, d := range c.delivered {
 		totalDelivered += d
 	}
 	if totalDelivered > 0 {
-		res.PathShares = make([]float64, k)
-		for i, d := range delivered {
+		res.PathShares = make([]float64, len(c.delivered))
+		for i, d := range c.delivered {
 			res.PathShares[i] = float64(d) / float64(totalDelivered)
 		}
 	}
@@ -453,40 +503,18 @@ func (m *Model) TransientFractionLate(tau, videoSeconds float64, stored bool, o 
 		reps = 500
 	}
 
-	k := len(m.Paths)
-	tables := make([]*flowTable, k)
-	for i, p := range m.Paths {
-		tables[i] = newFlowTable(p)
+	if stored {
+		nmax = math.MaxInt64 // no live cap
 	}
+	c := newChain(m, nmax)
 	rng := rand.New(rand.NewSource(o.Seed))
-	rates := make([]float64, k)
 	fs := make([]float64, 0, reps)
-
 	for rep := 0; rep < reps; rep++ {
-		cur := make([]int32, k)
-		for i, p := range m.Paths {
-			cur[i] = tables[i].id(tcpmodel.Initial(p))
-		}
-		var n, late, consumed int64
+		c.reset(0)
+		var late, consumed int64
 		t := 0.0
 		for consumed < perRep {
-			total := 0.0
-			consuming := t >= tau
-			if consuming {
-				total += m.Mu
-			}
-			sending := stored || n < nmax
-			if sending {
-				for i := 0; i < k; i++ {
-					r := tables[i].row(cur[i])
-					rates[i] = r.total
-					total += r.total
-				}
-			} else {
-				for i := range rates {
-					rates[i] = 0
-				}
-			}
+			total := c.rate(t >= tau)
 			if total == 0 {
 				// Buffer full before playback started: nothing can happen
 				// until the startup delay elapses.
@@ -494,30 +522,11 @@ func (m *Model) TransientFractionLate(tau, videoSeconds float64, stored bool, o 
 				continue
 			}
 			t += rng.ExpFloat64() / total
-			u := rng.Float64() * total
-			if consuming && u < m.Mu {
+			if c.apply(rng.Float64()*total) == evConsume {
 				consumed++
-				if n <= 0 {
+				if c.n < 0 {
 					late++
 				}
-				n--
-				continue
-			}
-			if consuming {
-				u -= m.Mu
-			}
-			for i := 0; i < k; i++ {
-				if u < rates[i] {
-					r := tables[i].row(cur[i])
-					j := sampleCum(r.cum, u)
-					n += int64(r.s[j])
-					if !stored && n > nmax {
-						n = nmax
-					}
-					cur[i] = r.next[j]
-					break
-				}
-				u -= rates[i]
 			}
 		}
 		fs = append(fs, float64(late)/float64(perRep))
@@ -543,8 +552,7 @@ type Composite struct {
 // fill the buffer toward the cap, as markov.TransientSolver needs for the
 // exact distribution at playback start (t = τ).
 func ExactGenerator(p1, p2 tcpmodel.Params, mu float64, nmax, floorN int32) markov.Generator[Composite] {
-	g1 := tcpmodel.Generator(p1)
-	g2 := tcpmodel.Generator(p2)
+	gens := [2]markov.Generator[tcpmodel.State]{tcpmodel.Generator(p1), tcpmodel.Generator(p2)}
 	return func(c Composite) []markov.Transition[Composite] {
 		var out []markov.Transition[Composite]
 		if c.N > floorN {
@@ -554,25 +562,17 @@ func ExactGenerator(p1, p2 tcpmodel.Params, mu float64, nmax, floorN int32) mark
 			})
 		}
 		if c.N < nmax {
-			for _, tr := range g1(c.F1) {
-				n := c.N + tr.Tag
-				if n > nmax {
-					n = nmax
+			for k, g := range gens {
+				from := [2]tcpmodel.State{c.F1, c.F2}[k]
+				for _, tr := range g(from) {
+					next := Composite{F1: c.F1, F2: c.F2, N: min(c.N+tr.Tag, nmax)}
+					if k == 0 {
+						next.F1 = tr.Next
+					} else {
+						next.F2 = tr.Next
+					}
+					out = append(out, markov.Transition[Composite]{Rate: tr.Rate, Tag: tr.Tag, Next: next})
 				}
-				out = append(out, markov.Transition[Composite]{
-					Rate: tr.Rate, Tag: tr.Tag,
-					Next: Composite{F1: tr.Next, F2: c.F2, N: n},
-				})
-			}
-			for _, tr := range g2(c.F2) {
-				n := c.N + tr.Tag
-				if n > nmax {
-					n = nmax
-				}
-				out = append(out, markov.Transition[Composite]{
-					Rate: tr.Rate, Tag: tr.Tag,
-					Next: Composite{F1: c.F1, F2: tr.Next, N: n},
-				})
 			}
 		}
 		return out

@@ -857,7 +857,10 @@ func (h *Hub) Attach(conn net.Conn) error { return h.acc.Attach(conn) }
 // conn is closed on any error, refusals answer with the typed reject
 // frame, and on success the path is on its shard's ready list, stream
 // header first, and is served until the stream ends. Who is admitted is
-// verdict's rule (join and re-attach).
+// verdict's rule (join and re-attach). A conn that has a
+// StreamEndedRefused method (a registry's) hears of a stream-ended
+// refusal before its reject frame is written, so whoever counts it has
+// counted it by the time the client can read it.
 func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 	if j.StreamID != h.cfg.StreamID {
 		return fmt.Errorf("hub: join for stream %q (serving %q): %w",
@@ -880,6 +883,9 @@ func (h *Hub) AttachJoined(conn net.Conn, j wire.Join) error {
 	case 0:
 		return nil
 	case wire.RejectStreamEnded:
+		if c, ok := conn.(interface{ StreamEndedRefused() }); ok {
+			c.StreamEndedRefused()
+		}
 		_ = h.acc.Reject(conn, code) // the verdict is the same whether or not the frame lands
 		return ErrStreamEnded
 	}

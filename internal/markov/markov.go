@@ -1,20 +1,21 @@
 // Package markov provides generic continuous-time Markov chain machinery:
-// an exact stationary-distribution solver and an exact-dynamics trajectory
-// sampler, both driven by a user-supplied transition generator.
+// an exact stationary-distribution solver and an exact transient solver
+// (uniformization, transient.go), both driven by a user-supplied
+// transition generator.
 //
 // This is the reproduction's stand-in for the TANGRAM-II modeling tool the
-// paper used to solve its DMP-streaming chain. The exact solver enumerates
-// the reachable state space and applies Gauss-Seidel to the global balance
-// equations; it is used directly for per-flow TCP chains (a few thousand
-// states) and, on truncated instances, to cross-validate the Monte-Carlo
-// estimator that handles the paper's large parameter sweeps.
+// paper used to solve its DMP-streaming chain. The stationary solver
+// enumerates the reachable state space and applies Gauss-Seidel to the
+// global balance equations; it is used directly for per-flow TCP chains (a
+// few thousand states) and, on truncated instances, to cross-validate the
+// Monte-Carlo estimators that handle the paper's large parameter sweeps.
+// Those sample the composed chain's jumps in dmpmodel, not here.
 package markov
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -156,49 +157,4 @@ func sortedSum(terms []float64) float64 {
 		total += v
 	}
 	return total
-}
-
-// Simulate samples the embedded jump chain for `steps` transitions starting
-// from init, reporting each jump to observe (which may be nil). Holding times
-// are reported as their expectation 1/totalRate rather than sampled: every
-// time-average computed from them is unbiased, and the estimator variance is
-// strictly smaller. Transition tables are memoized per state.
-func Simulate[S comparable](g Generator[S], init S, seed int64, steps int64, observe func(from S, hold float64, tr Transition[S])) {
-	type row struct {
-		cum   []float64
-		total float64
-		trs   []Transition[S]
-	}
-	rows := make(map[S]*row)
-	get := func(s S) *row {
-		r, ok := rows[s]
-		if !ok {
-			trs := g(s)
-			r = &row{trs: trs, cum: make([]float64, len(trs))}
-			for i, tr := range trs {
-				r.total += tr.Rate
-				r.cum[i] = r.total
-			}
-			rows[s] = r
-		}
-		return r
-	}
-	rng := rand.New(rand.NewSource(seed))
-	cur := init
-	for i := int64(0); i < steps; i++ {
-		r := get(cur)
-		if r.total == 0 {
-			return // absorbing
-		}
-		u := rng.Float64() * r.total
-		k := 0
-		for k < len(r.cum)-1 && r.cum[k] < u {
-			k++
-		}
-		tr := r.trs[k]
-		if observe != nil {
-			observe(cur, 1/r.total, tr)
-		}
-		cur = tr.Next
-	}
 }

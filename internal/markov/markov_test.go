@@ -129,43 +129,6 @@ func TestSelfLoopsIgnored(t *testing.T) {
 	}
 }
 
-func TestSimulateMatchesStationary(t *testing.T) {
-	lambda, mu := 1.0, 1.5
-	const capN = 8
-	g := mm1(lambda, mu, capN)
-	pi, err := Stationary(g, 0, 100, 1e-13, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Time-weighted occupancy from the sampler.
-	occ := make(map[int]float64)
-	var total float64
-	Simulate(g, 0, 42, 400000, func(from int, hold float64, _ Transition[int]) {
-		occ[from] += hold
-		total += hold
-	})
-	for s, want := range pi {
-		got := occ[s] / total
-		if math.Abs(got-want) > 0.01 {
-			t.Fatalf("state %d: simulated %v, exact %v", s, got, want)
-		}
-	}
-}
-
-func TestSimulateStopsAtAbsorbing(t *testing.T) {
-	g := func(s int) []Transition[int] {
-		if s == 0 {
-			return []Transition[int]{{Rate: 1, Next: 1}}
-		}
-		return nil
-	}
-	n := 0
-	Simulate(g, 0, 1, 1000, func(int, float64, Transition[int]) { n++ })
-	if n != 1 {
-		t.Fatalf("took %d jumps from absorbing-bound chain", n)
-	}
-}
-
 // Property: for random birth-death chains, the solver satisfies detailed
 // balance (birth-death chains are reversible): π_i λ_i = π_{i+1} μ_{i+1}.
 func TestPropertyDetailedBalance(t *testing.T) {
@@ -240,10 +203,4 @@ func BenchmarkStationaryMM1(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkSimulateJumps(b *testing.B) {
-	g := mm1(1, 1.2, 50)
-	b.ResetTimer()
-	Simulate(g, 0, 1, int64(b.N), nil)
 }

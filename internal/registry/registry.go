@@ -159,6 +159,14 @@ func (c *countedConn) Close() error {
 	return err
 }
 
+// StreamEndedRefused counts the stream-ended refusal an ended stream's hub
+// is about to write on c: counted before the frame goes out, it is in
+// Stats by the time the client reads it.
+func (c *countedConn) StreamEndedRefused() {
+	c.r.streamEnded.Add(1)
+	c.r.hubEnded.Add(1)
+}
+
 // WriteBuffers forwards a vectored write to the wrapped connection, so the
 // hub's zero-copy batch path survives the counting wrapper: net.Buffers'
 // writev fast path type-asserts the concrete conn and would otherwise
@@ -418,9 +426,7 @@ func (r *Registry) Route(conn net.Conn, j wire.Join) error {
 	r.connCount.Add(1)
 	r.mu.Unlock()
 	err := h.AttachJoined(&countedConn{Conn: conn, r: r}, j)
-	if errors.Is(err, hub.ErrStreamEnded) {
-		r.streamEnded.Add(1)
-		r.hubEnded.Add(1)
+	if errors.Is(err, hub.ErrStreamEnded) { // counted by StreamEndedRefused
 		return fmt.Errorf("%w: %s", ErrStreamEnded, j.StreamID)
 	}
 	return err
