@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint layers lockrank allocs fuzz examples soak bench-smoke bench-tick bench-receiver bench-deliver bench-fanout bench-forwarder bench-pair sim-tables model-tables model-tables-check
+.PHONY: all build test race lint layers lockrank allocs fuzz examples soak bench-smoke bench-tick bench-receiver bench-deliver bench-fanout bench-forwarder bench-pair sim-tables model-tables model-tables-check emu-tables
 
 SOAKSEED ?= 1
 SOAKTIME ?= 30s
@@ -188,6 +188,15 @@ sim-tables:
 MODEL_EXPS = fig8 fig9a fig9b fig10 fig11 extk extstored ablation-td
 model-tables:
 	@$(call tables,$(MODEL_EXPS))
+
+# emu-tables does the same for the experiments that stream the real
+# implementation through emunet relays (Fig 7): its output is the fig7a
+# and fig7b blocks of quick_results.txt, less their timing lines. The runs
+# are wall-clock, so two outputs differ in the rows near saturation. About
+# 4 min; not a CI step.
+EMU_EXPS = fig7a fig7b
+emu-tables:
+	@$(call tables,$(EMU_EXPS))
 
 # model-tables-check diffs the tables of every experiment that runs the
 # model — MODEL_EXPS, and fig4b, fig5b and correlated, which set it beside

@@ -1,7 +1,8 @@
 // Command dmprelay runs a WAN-emulation TCP relay: it forwards connections
-// to a backend through a token-bucket rate limit, a propagation delay, and
-// optional random congestion episodes. Use it to test DMP-streaming (or any
-// TCP application) over controlled path conditions.
+// to a backend through a link serialized at a configured rate, a
+// propagation delay, and optional random congestion episodes. Use it to
+// test DMP-streaming (or any TCP application) over controlled path
+// conditions.
 //
 // Naming note: despite the name, dmprelay is a network *impairment* relay
 // (an emunet path emulator), not a stream distribution relay. The edge

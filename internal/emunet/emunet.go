@@ -1,22 +1,26 @@
 // Package emunet emulates wide-area network paths for real TCP connections.
 //
 // It is the reproduction's stand-in for the paper's PlanetLab testbed
-// (Section 6): a TCP relay that forwards bytes through a token-bucket rate
-// limiter, a propagation-delay line, and an on/off congestion-episode
-// process that temporarily collapses the available rate. Streaming the real
-// DMP implementation (internal/core) through two relays with different
-// configurations reproduces the role of the paper's Internet experiments —
-// validating the model against an implementation outside the simulator,
-// with real kernel sockets providing the send-buffer backpressure.
+// (Section 6): a TCP relay that serializes bytes at a configured rate,
+// holds them for a propagation delay, and follows an on/off
+// congestion-episode process that temporarily collapses the rate.
+// Streaming the real DMP implementation (internal/core) through two relays
+// with different configurations reproduces the role of the paper's
+// Internet experiments — validating the model against an implementation
+// outside the simulator, with real kernel sockets providing the send-buffer
+// backpressure.
 //
-// A path costs what it carries. A Relay runs one accept goroutine, and each
-// relayed connection runs three: the handler, which also reads the return
-// direction, and the impaired direction's reader and paced writer. The
-// return direction's writer, with its queue, starts on the first byte that
-// direction reads, so a connection whose return direction stays idle never
-// has one. Congestion episodes are a schedule, not a process: whether one
-// is in progress is a function of the time since the schedule was made,
-// and no goroutine or timer drives it.
+// Both directions of a relayed connection run one forwarder: a reader that
+// is the link — it serializes each chunk at the rate in force — and a
+// writer that delivers each chunk once its delay has passed. The return
+// direction is the same forwarder unpaced, without episodes. A path costs
+// what it carries. A Relay runs one accept goroutine, and each relayed
+// connection runs the handler, which also reads the return direction, the
+// impaired direction's reader, and one writer for each direction that has
+// carried a byte: a connection whose return direction stays idle runs
+// three. Congestion episodes are a schedule, not a process: whether one is
+// in progress is a function of the time since the schedule was made, and no
+// goroutine or timer drives it.
 package emunet
 
 import (
@@ -204,7 +208,7 @@ type Relay struct {
 	stallCh chan struct{}         // guarded by mu; non-nil while blackholed (see faults.go)
 	done    chan struct{}         // closed by Close; never written
 
-	// Both byte counters are written by pump goroutines and read by tests
+	// Both byte counters are written by the writers and read by tests
 	// and tools while the relay runs, so every access goes through
 	// sync/atomic — never plain reads.
 	BytesForwarded atomic.Int64 // impaired direction
@@ -235,7 +239,7 @@ func Listen(addr, backend string, cfg PathConfig) (*Relay, error) {
 func (r *Relay) Addr() string { return r.ln.Addr().String() }
 
 // Close stops accepting, closes every in-flight connection, and joins the
-// pump goroutines before returning — no relay goroutine survives Close.
+// forwarding goroutines before returning — no relay goroutine survives Close.
 func (r *Relay) Close() error {
 	r.mu.Lock()
 	already := r.closed
@@ -329,11 +333,12 @@ func (r *Relay) handle(client net.Conn) {
 	impaired := make(chan struct{})
 	go func() {
 		defer close(impaired)
-		r.pump(in, out, eps)
+		r.forward(in, out, r.cfg.RateBps, eps, r.lineDepth(), &r.BytesForwarded)
 		tcpHalfClose(out)
 	}()
-	// The return direction (delay only) runs on this goroutine.
-	r.delayPump(out, in)
+	// The return direction (delay only; 256 reads may wait out the delay
+	// before reads stop) runs on this goroutine.
+	r.forward(out, in, 0, nil, 256, &r.BytesReturned)
 	tcpHalfClose(in)
 	<-impaired
 	_ = client.Close()
@@ -347,132 +352,99 @@ func tcpHalfClose(c net.Conn) {
 	}
 }
 
-// chunk is a unit of forwarded data with a scheduled release time.
+// chunkSize is the most the link reads, and serializes, at once.
+const chunkSize = 2048
+
+// epoch is the forwarders' clock: times on a line are durations since it,
+// 8 bytes in every slot of every line where a time.Time takes 24.
+var epoch = time.Now()
+
+// chunk is a unit of forwarded data with the time its last byte leaves the
+// delay line.
 type chunk struct {
 	data    []byte
-	release time.Time
+	release time.Duration // since epoch
 }
 
-// pump forwards the impaired direction src→dst with pacing, episodes (eps,
-// nil for none) and delay, counting bytes into BytesForwarded. The bounded
-// channel between the reader and the writer is the relay's buffer: when it
-// fills, reads stop and TCP backpressure reaches the sender — which is
-// exactly the signal the DMP sender goroutines rely on.
-//
-// Pacing is charged on the writer side, at serve time: a real link transmits
-// queued bytes at whatever the line rate is NOW, so bytes buffered during a
-// congestion episode must not keep the episode's slow rate once it ends.
-func (r *Relay) pump(src io.Reader, dst io.Writer, eps *Episodes) {
-	const chunkSize = 2048
-	depth := r.cfg.BufferKiB * 1024 / chunkSize
-	if depth < 2 {
-		depth = 2
-	}
-	ch := make(chan []byte, depth)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // writer: pace at the current rate, then apply the delay
-		defer wg.Done()
-		var pace time.Time
-		for data := range ch {
-			if !r.waitOpen() {
-				for range ch { // relay closed mid-stall: drain and exit
-				}
-				return
-			}
-			now := time.Now()
-			if pace.Before(now) {
-				pace = now
-			}
-			rate := r.cfg.RateBps
-			if eps != nil && eps.Active() {
-				rate *= r.cfg.EpisodeFactor
-			}
-			if rate > 0 {
-				pace = pace.Add(time.Duration(float64(len(data)) / rate * float64(time.Second)))
-			}
-			// Serialization finishes at `pace`; the head arrives Delay later.
-			// pace is monotone, so FIFO order and inter-chunk gaps survive.
-			if d := time.Until(pace.Add(r.cfg.Delay)); d > 0 {
-				time.Sleep(d)
-			}
-			if _, err := dst.Write(data); err != nil {
-				// Drain the channel so the reader can observe src close.
-				for range ch {
-				}
-				return
-			}
-			r.BytesForwarded.Add(int64(len(data)))
-		}
-	}()
-
-	buf := make([]byte, chunkSize)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			data := make([]byte, n)
-			copy(data, buf[:n])
-			ch <- data
-		}
-		if err != nil {
-			break
-		}
-	}
-	close(ch)
-	wg.Wait()
+// lineDepth is the impaired direction's line, in chunks: the relay's buffer
+// plus what RateBps keeps in flight over Delay, so that the link is never
+// held up by the line, and a Stall holds at most BufferKiB + RateBps·Delay
+// before reads stop and TCP backpressure reaches the sender — which is
+// exactly the signal the DMP sender goroutines rely on. The in-flight share
+// is capped at 2^16 chunks (128 MiB) so no path allocates without bound.
+func (r *Relay) lineDepth() int {
+	inFlight := min(r.cfg.RateBps*r.cfg.Delay.Seconds()/chunkSize, 1<<16)
+	return max(2, r.cfg.BufferKiB*1024/chunkSize) + int(inFlight) + 1
 }
 
-// delayPump forwards the return direction src→dst with the delay and no
-// rate limit, counting bytes into BytesReturned. The writer, its queue and
-// a full-size read buffer start on the first byte read, which is forwarded
-// alone: a direction that never carries one costs only this goroutine.
-func (r *Relay) delayPump(src io.Reader, dst io.Writer) {
+// forward carries one direction src→dst and counts what it writes into
+// sent. This goroutine is the link: it takes each chunk it reads at the
+// rate in force when it takes it — rate, times EpisodeFactor while eps is
+// active, unpaced at 0 — and sleeps out its serialization, so bytes queued
+// in the socket buffers during an episode do not keep the episode's rate
+// once it ends. A chunk is released Delay after its serialization ends and
+// queued on a line of depth chunks; a writer, started with the line on the
+// first byte read, delivers each at its release time. Until that byte the
+// read buffer is one byte, so a direction that never carries one costs only
+// this goroutine.
+func (r *Relay) forward(src io.Reader, dst io.Writer, rate float64, eps *Episodes, depth int, sent *atomic.Int64) {
 	var (
 		buf  = make([]byte, 1)
-		ch   chan chunk    // nil until the first byte
+		line chan chunk    // nil until the first byte
 		done chan struct{} // closed when the writer exits
+		pace time.Duration // since epoch: when the link finishes serializing
 	)
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
 			data := make([]byte, n)
 			copy(data, buf[:n])
-			if ch == nil {
-				// 256 reads may wait out the delay before reads stop.
-				ch, done = make(chan chunk, 256), make(chan struct{})
-				go r.writeDelayed(ch, done, dst)
-				buf = make([]byte, 4096)
+			if line == nil {
+				line, done = make(chan chunk, depth), make(chan struct{})
+				go r.deliver(line, done, dst, sent)
+				buf = make([]byte, chunkSize)
 			}
-			ch <- chunk{data: data, release: time.Now().Add(r.cfg.Delay)}
+			pace = max(pace, time.Since(epoch))
+			bps := rate
+			if eps != nil && eps.Active() {
+				bps *= r.cfg.EpisodeFactor
+			}
+			if bps > 0 {
+				pace += time.Duration(float64(n) / bps * float64(time.Second))
+			}
+			line <- chunk{data: data, release: pace + r.cfg.Delay}
+			if d := pace - time.Since(epoch); d > 0 {
+				time.Sleep(d)
+			}
 		}
 		if err != nil {
 			break
 		}
 	}
-	if ch != nil {
-		close(ch)
+	if line != nil {
+		close(line)
 		<-done
 	}
 }
 
-// writeDelayed writes each chunk at its release time, parked while the
-// relay is stalled (see faults.go), and closes done when ch is drained.
-func (r *Relay) writeDelayed(ch <-chan chunk, done chan<- struct{}, dst io.Writer) {
+// deliver writes each chunk of line at its release time, parked while the
+// relay is stalled (see faults.go), and closes done once line is closed and
+// drained. After a failed write or a Close mid-stall it discards the rest,
+// so the reader can still observe src close.
+func (r *Relay) deliver(line <-chan chunk, done chan<- struct{}, dst io.Writer, sent *atomic.Int64) {
 	defer close(done)
-	for c := range ch {
-		if !r.waitOpen() {
-			for range ch { // relay closed mid-stall: drain and exit
-			}
-			return
-		}
-		if d := time.Until(c.release); d > 0 {
+	for c := range line {
+		if d := c.release - time.Since(epoch); d > 0 {
 			time.Sleep(d)
 		}
-		if _, err := dst.Write(c.data); err != nil {
-			for range ch {
-			}
-			return
+		if !r.waitOpen() {
+			break
 		}
-		r.BytesReturned.Add(int64(len(c.data)))
+		if _, err := dst.Write(c.data); err != nil {
+			break
+		}
+		sent.Add(int64(len(c.data)))
+	}
+	for range line {
 	}
 }

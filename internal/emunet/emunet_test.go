@@ -2,11 +2,13 @@ package emunet
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -115,6 +117,87 @@ func TestRelayRateLimit(t *testing.T) {
 	if elapsed > 3*time.Second {
 		t.Fatalf("transfer took %v; pacing far too slow", elapsed)
 	}
+}
+
+// TestRelayCapacity: a path carries its configured rate whatever its delay.
+// One second's worth of bytes at RateBps arrives within a quarter over one
+// second plus the delay.
+func TestRelayCapacity(t *testing.T) {
+	for _, p := range []struct {
+		rate  float64
+		delay time.Duration
+	}{
+		{200e3, 50 * time.Millisecond},
+		{48e3, 120 * time.Millisecond},
+		{197e3, 8 * time.Millisecond},
+	} {
+		t.Run(fmt.Sprintf("%.0fBps-%v", p.rate, p.delay), func(t *testing.T) {
+			t.Parallel()
+			b := newSinkBackend(t)
+			r, err := Listen("127.0.0.1:0", b.ln.Addr().String(), PathConfig{RateBps: p.rate, Delay: p.delay})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			elapsed := dialAndSend(t, r.Addr(), make([]byte, int(p.rate)))
+			<-b.done
+			limit := time.Duration(1.25 * float64(time.Second+p.delay))
+			t.Logf("%.0f B in %v: %.0f B/s", p.rate, elapsed, p.rate/elapsed.Seconds())
+			if elapsed > limit {
+				t.Errorf("one second's worth of bytes took %v, want at most %v", elapsed, limit)
+			}
+		})
+	}
+}
+
+// endless is a source that never runs dry until closed, and counts what
+// is read from it.
+type endless struct {
+	read   atomic.Int64
+	closed atomic.Bool
+}
+
+func (e *endless) Read(p []byte) (int, error) {
+	if e.closed.Load() {
+		return 0, io.EOF
+	}
+	e.read.Add(int64(len(p)))
+	return len(p), nil
+}
+
+// TestStallHoldsBoundedLine: a stalled relay's impaired direction takes in
+// no more than its buffer plus what its rate keeps in flight over the delay
+// (and a chunk in each goroutine's hand), however long the Stall lasts, and
+// at least that much, so the line never holds up the link. Unstall lets the
+// held bytes through.
+func TestStallHoldsBoundedLine(t *testing.T) {
+	cfg := PathConfig{RateBps: 10e6, Delay: 50 * time.Millisecond, BufferKiB: 16}
+	r, err := Listen("127.0.0.1:0", "127.0.0.1:1", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.Stall()
+	src := &endless{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.forward(src, io.Discard, cfg.RateBps, nil, r.lineDepth(), &r.BytesForwarded)
+	}()
+	line := int64(cfg.BufferKiB*1024) + int64(cfg.RateBps*cfg.Delay.Seconds())
+	for _, wait := range []time.Duration{300 * time.Millisecond, 600 * time.Millisecond} {
+		time.Sleep(wait)
+		if n := src.read.Load(); n < line || n > line+3*chunkSize {
+			t.Fatalf("%v into a stall the relay took in %d B, want %d to %d", wait, n, line, line+3*chunkSize)
+		}
+	}
+	if n := r.BytesForwarded.Load(); n != 0 {
+		t.Fatalf("%d B crossed a stalled relay", n)
+	}
+	r.Unstall()
+	eventually(t, "held bytes delivered after Unstall", func() bool { return r.BytesForwarded.Load() >= line })
+	src.closed.Store(true)
+	<-done
 }
 
 func TestRelayDelay(t *testing.T) {

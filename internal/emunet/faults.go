@@ -84,8 +84,8 @@ func (r *Relay) Sever() {
 	}
 }
 
-// Stall blackholes the relay: both pump directions park before their next
-// write and no byte moves until Unstall. Connections stay open — the peers
+// Stall blackholes the relay: both directions' writers park before their
+// next write and no byte moves until Unstall. Connections stay open — the peers
 // see silence, not an error, which is exactly what write-stall timeouts and
 // health state machines exist to detect. Stall is idempotent.
 func (r *Relay) Stall() {
@@ -96,7 +96,7 @@ func (r *Relay) Stall() {
 	r.mu.Unlock()
 }
 
-// Unstall lifts a Stall; parked pumps resume immediately. Unstalling a relay
+// Unstall lifts a Stall; parked writers resume immediately. Unstalling a relay
 // that is not stalled is a no-op.
 func (r *Relay) Unstall() {
 	r.mu.Lock()
