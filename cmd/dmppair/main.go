@@ -12,6 +12,9 @@
 // that differ: "change lower" or "change higher" at p < 0.05, otherwise
 // "no difference". With N = 10 a verdict needs 9 pairs of 10 one way; with
 // N < 6 no verdict is possible and the run only smoke-tests the tool.
+// Beside the sign test's p it prints the exact two-sided p of a Wilcoxon
+// signed-rank test on the pairs' log ratios, which also weighs how far
+// each pair moved; the verdict stays the sign test's.
 //
 // Usage:
 //
@@ -252,8 +255,8 @@ func report(w io.Writer, par, chg map[metric][]float64, n int) error {
 		}
 		return ms[i].unit < ms[j].unit
 	})
-	fmt.Fprintf(w, "%-40s %-12s %30s %30s %7s %8s %8s  %s\n",
-		"benchmark", "unit", "parent median [q1 q3]", "change median [q1 q3]", "Δ", "lower", "p", "verdict")
+	fmt.Fprintf(w, "%-40s %-12s %30s %30s %7s %8s %8s %8s  %s\n",
+		"benchmark", "unit", "parent median [q1 q3]", "change median [q1 q3]", "Δ", "lower", "sign p", "rank p", "verdict")
 	for _, m := range ms {
 		p, c := par[m], chg[m]
 		pq, cq := quartiles(p), quartiles(c)
@@ -271,10 +274,10 @@ func report(w io.Writer, par, chg map[metric][]float64, n int) error {
 		if pq[1] != 0 {
 			delta = fmt.Sprintf("%+.1f%%", 100*(cq[1]-pq[1])/pq[1])
 		}
-		fmt.Fprintf(w, "%-40s %-12s %30s %30s %7s %8s %8.3f  %s\n", m.bench, m.unit,
+		fmt.Fprintf(w, "%-40s %-12s %30s %30s %7s %8s %8.3f %8.3f  %s\n", m.bench, m.unit,
 			fmt.Sprintf("%.4g [%.4g %.4g]", pq[1], pq[0], pq[2]),
 			fmt.Sprintf("%.4g [%.4g %.4g]", cq[1], cq[0], cq[2]),
-			delta, fmt.Sprintf("%d/%d", lower, n), pv, verdict(lower, higher, pv))
+			delta, fmt.Sprintf("%d/%d", lower, n), pv, signedRank(p, c), verdict(lower, higher, pv))
 	}
 	return nil
 }
@@ -309,6 +312,60 @@ func signTest(lower, higher int) float64 {
 		term *= float64(n-i) / float64(i+1)
 	}
 	return min(1, 2*tail)
+}
+
+// signedRank is the two-sided Wilcoxon signed-rank test's p-value on the
+// per-pair log ratios change/parent, equal pairs left out: the exact
+// chance, over the 2^n equally likely signs of the n ranked ratios, of a
+// positive rank sum at least this far out. Tied magnitudes share their
+// mean rank. A pair with one side at 0 (allocs/op leaving 0) ranks as the
+// largest move.
+func signedRank(par, chg []float64) float64 {
+	var d []float64
+	for i := range par {
+		switch p, c := par[i], chg[i]; {
+		case c == p:
+		case p > 0 && c > 0:
+			d = append(d, math.Log(c/p))
+		case c > p:
+			d = append(d, math.Inf(1))
+		default:
+			d = append(d, math.Inf(-1))
+		}
+	}
+	sort.Slice(d, func(i, j int) bool { return math.Abs(d[i]) < math.Abs(d[j]) })
+	// Ranks doubled, so a tie's mean rank stays an integer; count[s] is
+	// how many of the sign assignments put s on the positive side.
+	w, total := 0, 0
+	count := []float64{1}
+	for i := 0; i < len(d); {
+		j := i
+		for j < len(d) && math.Abs(d[j]) == math.Abs(d[i]) {
+			j++
+		}
+		for k := i; k < j; k++ {
+			r := i + j + 1 // twice the mean of ranks i+1..j
+			if d[k] > 0 {
+				w += r
+			}
+			total += r
+			count = append(count, make([]float64, r)...)
+			for s := total; s >= r; s-- {
+				count[s] += count[s-r]
+			}
+		}
+		i = j
+	}
+	lo, hi := 0.0, 0.0
+	for s, c := range count {
+		if s <= w {
+			lo += c
+		}
+		if s >= w {
+			hi += c
+		}
+	}
+	return min(1, 2*min(lo, hi)/math.Pow(2, float64(len(d))))
 }
 
 // verdict names the sign test's reading at the 5 % level.

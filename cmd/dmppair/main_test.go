@@ -29,6 +29,30 @@ func TestSignTest(t *testing.T) {
 	}
 }
 
+// TestSignedRank checks the signed-rank p against counts made by hand.
+// Ratios 2, 4, 1/2, 8, 16: |log| ranks 1.5, 1.5, 3, 4, 5, the negative one
+// 1.5, so 3 of the 32 sign assignments put at most 1.5 on the negative
+// side: p = 2·3/32. Six pairs all higher: 1 of 64 on each side, p = 2/64.
+// Equal pairs drop out, and a move off 0 ranks above any ratio.
+func TestSignedRank(t *testing.T) {
+	ones := []float64{1, 1, 1, 1, 1, 1}
+	for _, c := range []struct {
+		par, chg []float64
+		p        float64
+	}{
+		{ones[:5], []float64{2, 4, 0.5, 8, 16}, 6.0 / 32},
+		{ones, []float64{1.1, 1.2, 1.3, 1.4, 1.5, 1.6}, 2.0 / 64},
+		{[]float64{1, 1, 1, 2, 1, 1, 1}, []float64{1.1, 1.2, 1.3, 2, 1.4, 1.5, 1.6}, 2.0 / 64},
+		{ones[:3], []float64{0.5, 2, 0.5}, 1},
+		{[]float64{0, 1, 1}, []float64{1, 0.5, 1.5}, 6.0 / 8},
+		{ones[:3], ones[:3], 1},
+	} {
+		if p := signedRank(c.par, c.chg); math.Abs(p-c.p) > 1e-12 {
+			t.Errorf("signedRank(%v, %v) = %v, want %v", c.par, c.chg, p, c.p)
+		}
+	}
+}
+
 func TestQuartiles(t *testing.T) {
 	if q := quartiles([]float64{4, 1, 3, 2, 5}); q != [3]float64{2, 3, 4} {
 		t.Errorf("quartiles of 1..5 = %v", q)

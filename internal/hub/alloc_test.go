@@ -25,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"dmpstream/internal/clock"
 	"dmpstream/internal/wire"
 )
 
@@ -44,7 +45,7 @@ func quietHub(t *testing.T, lagWindow int) *Hub {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Close)
-	<-h.stopCh // sealed at Count
+	h.Wait() // sealed at Count, and the seal has judged every subscription
 	return h
 }
 
@@ -359,9 +360,9 @@ func TestShardWorkAllocFree(t *testing.T) {
 	}
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
-	if sd.stall == nil || sd.stallArmed || sd.workers != 0 || sd.queuedLocked() {
-		t.Errorf("stall timer %v (armed %v), %d workers, paths queued %v: want one made and disarmed, none, none",
-			sd.stall != nil, sd.stallArmed, sd.workers, sd.queuedLocked())
+	if made := sd.stall != (clock.Countdown[*shard]{}); !made || sd.stall.Armed() || sd.workers != 0 || sd.queuedLocked() {
+		t.Errorf("stall countdown made %v (armed %v), %d workers, paths queued %v: want one made and disarmed, none, none",
+			made, sd.stall.Armed(), sd.workers, sd.queuedLocked())
 	}
 }
 

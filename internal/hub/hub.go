@@ -79,11 +79,13 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dmpstream/internal/clock"
 	"dmpstream/internal/lockrank"
 	"dmpstream/internal/wire"
 )
@@ -396,10 +398,9 @@ type Hub struct {
 	writevs       atomic.Int64
 	framesBatched atomic.Int64
 
-	// stallGrace is how long the shards wait for a stalled write before
-	// adding a worker: the stallGrace constant, unless a test set it after
-	// New. Last, like shard.walk, so the fields above keep their cache lines.
-	stallGrace time.Duration
+	// clock runs the shards' countdowns: clock.Wall unless a test set its
+	// own after New. Last, like shard.walk, to keep the cache lines above.
+	clock clock.Clock
 }
 
 // New validates cfg, starts the live generator and returns the hub.
@@ -419,7 +420,7 @@ func New(cfg Config) (*Hub, error) {
 	h := &Hub{
 		cfg:         cfg,
 		batchFrames: writeBatchFrames,
-		stallGrace:  stallGrace,
+		clock:       clock.Wall{},
 		pool:        pool,
 		ring:        newRing(cfg.LagWindow, slots, pool, cfg.Stream.Fill),
 		start:       time.Now(),
@@ -933,9 +934,6 @@ func (h *Hub) admitLocked(sd *shard, conn net.Conn, j wire.Join) wire.RejectCode
 	p := &path{sub: sub, conn: conn, idx: sub.nextPath, numPaths: int32(len(sub.links) + 1), owe: math.MaxInt64}
 	sub.nextPath++
 	sd.unorphanLocked(sub) // its grace, if it was in one, is over
-	if sub.grace != nil {
-		sub.grace.Stop()
-	}
 	sub.links = append(sub.links, p)
 	if sub.deadPaths > 0 {
 		// This join revives a slot an abnormal death left open: the token
@@ -984,18 +982,9 @@ func (h *Hub) RemovePath(tok wire.Token, conn net.Conn) bool {
 // mergeSeqs folds newly dead sequences into a sorted, deduplicated resend
 // queue so retransmits go out oldest first and at most once.
 func mergeSeqs(have, add []int64) []int64 {
-	out := make([]int64, 0, len(have)+len(add))
-	out = append(out, have...)
-	out = append(out, add...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	n := 0
-	for i, s := range out {
-		if i == 0 || s != out[n-1] {
-			out[n] = s
-			n++
-		}
-	}
-	return out[:n]
+	out := slices.Concat(have, add)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Serve accepts connections on ln and attaches each as a subscriber path

@@ -1,14 +1,11 @@
 package hub
 
-import (
-	"time"
-
-	"dmpstream/internal/wire"
-)
+import "dmpstream/internal/wire"
 
 // life is what the subscription lifecycle's rule, verdict, reads of one
 // subscription. Only evicted and armed carry over from one event to the
-// next, kept on the subscriber; judgeLocked reads the rest afresh for each.
+// next, kept on the subscriber (armed as its grace countdown); judgeLocked
+// reads the rest afresh for each.
 type life struct {
 	paths   int32 // live paths
 	evicted bool  // cut off by the lag policy or the governor: its token is refused
@@ -48,7 +45,6 @@ const (
 	actCut                       // close its connections and take it out of the accounting
 	actMerge                     // count an abnormal death and queue its record for resending
 	actReady                     // queue the paths no worker holds: resends to serve, a teardown to go through
-	actArm                       // arm the re-attach grace
 	actRemove                    // delete the subscription, stopping its grace
 )
 
@@ -97,7 +93,7 @@ func verdict(s life, ev event) (life, action, wire.RejectCode) {
 		// evicted orphan's does; the sealed stream owes it nothing.
 		if s.waits && !s.closed && (!s.sealed || s.owed) {
 			s.armed = true
-			return s, act | actArm, 0
+			return s, act, 0
 		}
 		return gone(s, act)
 	case evGrace:
@@ -134,8 +130,9 @@ func gone(s life, act action) (life, action, wire.RejectCode) {
 
 // judgeLocked takes sub's verdict on ev, reading its standing now (a nil
 // sub is a token no subscription holds), keeps what of the standing it
-// leaves carries over (evicted, armed) and carries out all of it but the
-// admission, which is admitLocked's. Caller holds sd.mu.
+// leaves carries over (evicted, and armed by arming or stopping the grace:
+// no other code does) and carries out all of it but the admission, which
+// is admitLocked's. Caller holds sd.mu.
 func (sd *shard) judgeLocked(sub *subscriber, ev event) (action, wire.RejectCode) {
 	h := sd.h
 	s := life{
@@ -145,13 +142,13 @@ func (sd *shard) judgeLocked(sub *subscriber, ev event) (action, wire.RejectCode
 		waits:  h.cfg.ReattachGrace > 0,
 	}
 	if sub != nil {
-		s.paths, s.evicted, s.armed = int32(len(sub.links)), sub.evicted, sub.armed
+		s.paths, s.evicted, s.armed = int32(len(sub.links)), sub.evicted, sub.grace.Armed()
 	}
 	next, act, code := verdict(s, ev)
 	if sub == nil {
 		return act, code
 	}
-	sub.evicted, sub.armed = next.evicted, next.armed
+	sub.evicted = next.evicted
 	if act&actCut != 0 {
 		sd.uncountLocked(sub)
 		h.evictedCount.Add(1)
@@ -173,13 +170,10 @@ func (sd *shard) judgeLocked(sub *subscriber, ev event) (action, wire.RejectCode
 		sd.readyLocked(sub)
 		sd.kickLocked(false)
 	}
-	if act&actArm != 0 {
-		if !sub.evicted { // an evicted one holds nothing, and is uncounted
-			sd.orphanLocked(sub)
-		}
-		sub.graceGen++
-		gen := sub.graceGen
-		sub.grace = time.AfterFunc(h.cfg.ReattachGrace, func() { sd.graceExpired(sub, gen) })
+	if !next.armed {
+		sub.grace.Stop()
+	} else if sub.grace.Arm(h.clock, h.cfg.ReattachGrace, (*subscriber).graceExpired, sub) && !sub.evicted {
+		sd.orphanLocked(sub) // an evicted one holds nothing, and is uncounted
 	}
 	if act&actRemove != 0 {
 		sd.removeLocked(sub)

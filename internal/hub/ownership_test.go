@@ -189,8 +189,12 @@ func ownershipHub(t *testing.T, count int64, payloadSize, lagWindow int) *Hub {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Close)
+	// Wait, not stopCh: the seal closes stopCh before it judges the
+	// subscriptions, and would remove one a test adds in between.
+	done := make(chan struct{})
+	go func() { h.Wait(); close(done) }()
 	select {
-	case <-h.stopCh: // sealed at Count
+	case <-done: // sealed at Count, and the generator gone
 	case <-time.After(5 * time.Second):
 		t.Fatal("generator did not finish")
 	}

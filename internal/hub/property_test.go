@@ -88,8 +88,9 @@ type propSub struct {
 }
 
 type propWorld struct {
-	t *testing.T
-	h *Hub
+	t    *testing.T
+	h    *Hub
+	hand *handClock // the hub's clock: the stall passes in settle, the grace in its own step
 	// gen makes the ticks the generator's (publishTick: no source gaps, and
 	// the ring releases what nobody needs) instead of an upstream's
 	// (PublishAt).
@@ -108,7 +109,9 @@ type propWorld struct {
 }
 
 // settle waits until nothing moves: no path queued, and every path a
-// worker holds is one whose write the test has stalled.
+// worker holds is one whose write the test has stalled. Until then the
+// hand clock passes stallGrace at each look, as the wall clock would, so
+// paths queued behind a stalled write get their worker.
 func (w *propWorld) settle() {
 	w.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -130,6 +133,7 @@ func (w *propWorld) settle() {
 		if time.Now().After(deadline) {
 			w.t.Fatalf("hub did not settle: %d paths queued, %d held, %d writers stalled", queued, held, waiting)
 		}
+		w.hand.advance(stallGrace)
 		time.Sleep(100 * time.Microsecond)
 	}
 }
@@ -297,19 +301,6 @@ func (w *propWorld) kick() {
 	}
 }
 
-// live returns the test's subscriptions the hub still has, pruning the
-// rest (evicted and retired, or expired in grace).
-func (w *propWorld) live() []*propSub {
-	kept := w.subs[:0]
-	for _, s := range w.subs {
-		if w.h.HasSubscriber(s.tok) {
-			kept = append(kept, s)
-		}
-	}
-	w.subs = kept
-	return kept
-}
-
 // lookup returns the hub's record of s, nil if gone. Caller holds no lock.
 func (w *propWorld) lookup(s *propSub) (*shard, *subscriber) {
 	sd := w.h.shardFor(s.tok)
@@ -318,21 +309,26 @@ func (w *propWorld) lookup(s *propSub) (*shard, *subscriber) {
 	return sd, sd.subs[s.tok]
 }
 
+// attach joins a path under s's token: a re-attach, or a fresh
+// subscription if the token's has gone. A refusal (evicted token) is a
+// legitimate outcome, not a failure; the refused conn is kept with the
+// rest all the same, so that what the hub decided, which can turn on how
+// far its workers got, never changes what the seed draws next.
 func (w *propWorld) attach(s *propSub) {
 	c := newPropConn()
 	_, sub := w.lookup(s)
-	if refused := sub != nil && sub.evicted; !refused && w.rng.Intn(8) == 0 {
+	if stalled := w.rng.Intn(8) == 0; stalled && (sub == nil || !sub.evicted) {
 		c.set(true, false) // stalled from the start: even its stream header blocks
 	}
-	// A refusal (evicted token) is a legitimate outcome, not a failure.
-	if err := w.h.AttachJoined(c, wire.Join{StreamID: w.h.cfg.StreamID, Token: s.tok}); err == nil {
-		s.conns = append(s.conns, c)
-	}
+	_ = w.h.AttachJoined(c, wire.Join{StreamID: w.h.cfg.StreamID, Token: s.tok})
+	s.conns = append(s.conns, c)
 }
 
 func (w *propWorld) step() string {
 	h, rng := w.h, w.rng
-	subs := w.live()
+	// The 12 newest subscriptions, gone ones too: the draws below read
+	// nothing the hub decided.
+	subs := w.subs[max(len(w.subs)-12, 0):]
 	pick := func() *propSub { return subs[rng.Intn(len(subs))] }
 	payload := make([]byte, h.cfg.Stream.PayloadSize)
 	switch r := rng.Intn(100); {
@@ -368,15 +364,17 @@ func (w *propWorld) step() string {
 		w.kick()
 		return "publish burst"
 	case r < 38 || len(subs) == 0:
-		if len(subs) >= 12 {
-			return "attach (full)"
+		if len(subs) == 12 {
+			for _, c := range subs[0].conns {
+				c.Close() // the oldest client goes away as a new one comes
+			}
 		}
 		s := &propSub{tok: newToken(w.t)}
 		w.subs = append(w.subs, s)
 		w.attach(s)
 		return "attach subscriber"
 	case r < 46:
-		w.attach(pick()) // a second path, or a re-attach within the grace
+		w.attach(pick()) // a second path, a re-attach within the grace, or a join under a gone token
 		return "attach path"
 	case r < 58:
 		s := pick()
@@ -392,19 +390,12 @@ func (w *propWorld) step() string {
 		s.conns[rng.Intn(len(s.conns))].Close()
 		return "path death"
 	case r < 84:
-		// Let a re-attach grace run out.
-		for _, s := range subs {
-			sd := h.shardFor(s.tok)
-			sd.mu.Lock()
-			sub := sd.subs[s.tok]
-			orphan := sub != nil && len(sub.links) == 0 && !sub.evicted
-			sd.mu.Unlock()
-			if orphan {
-				waitFor(w.t, "the orphan's grace to expire", func() bool { return !h.HasSubscriber(s.tok) })
-				return "grace expiry"
-			}
-		}
-		return "grace expiry (no orphan)"
+		// A seeded share of the re-attach grace passes, in quarters: the
+		// graces armed a whole grace ago or more run out. settle's stall
+		// steps add far less than a quarter between two of these, so they
+		// never decide which graces that is.
+		w.hand.advance(time.Duration(1+rng.Intn(4)) * h.cfg.ReattachGrace / 4)
+		return "grace passes"
 	case r < 90:
 		// One governor step by hand on whoever holds something.
 		s := pick()
@@ -456,12 +447,12 @@ func TestMaintainedStateMatchesScan(t *testing.T) {
 				LagWindow:     64,
 				Policy:        tc.policy,
 				ResendWindow:  8,
-				ReattachGrace: 60 * time.Millisecond,
+				ReattachGrace: time.Hour,
 				MaxBytes:      3000, // the ring's 64 payloads are 2048: a few subscribers far behind cross it
 				PoisonPool:    true,
 			})
 			defer h.Close()
-			w := &propWorld{t: t, h: h, gen: tc.gen, rng: rand.New(rand.NewSource(tc.seed)), steps: map[string]int{}}
+			w := &propWorld{t: t, h: h, hand: handHub(h), gen: tc.gen, rng: rand.New(rand.NewSource(tc.seed)), steps: map[string]int{}}
 			w.manual = &subscriber{token: newToken(t), window: h.cfg.LagWindow}
 			w.manual.shard = h.shardFor(w.manual.token)
 			addSub(w.manual.shard, w.manual)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -49,42 +50,68 @@ func TestFinishPathDropsClosedConn(t *testing.T) {
 	}
 }
 
-// TestGraceExpired runs the re-attach grace countdown's verdict directly,
-// with no timer: a countdown a newer death has superseded (stale gen) is a
-// no-op, a subscriber whose client re-attached survives its countdown, and
+// TestGraceExpired runs the re-attach grace on a hand clock: a
+// subscriber whose client re-attached survives its grace's end, a firing
+// of an earlier countdown that came too late to be stopped is dropped, and
 // only a subscriber still without a path at its current countdown's end is
 // removed.
 func TestGraceExpired(t *testing.T) {
-	h := leaseHub(t, Config{})
+	const grace = time.Minute
+	h := leaseHub(t, Config{ReattachGrace: grace})
+	hand := handHub(h)
 	sd := h.shards[0]
-	orphan := func() *subscriber {
-		sub := &subscriber{token: newToken(t), shard: sd, window: h.cfg.LagWindow}
-		addSub(sd, sub)
+	lookup := func(tok wire.Token) *subscriber {
+		t.Helper()
 		sd.mu.Lock()
-		sub.graceGen = 2 // a second death restarted the countdown
-		sub.armed = true
-		sd.mu.Unlock()
-		return sub
+		defer sd.mu.Unlock()
+		if sd.subs[tok] == nil {
+			t.Fatal("a subscription was removed before its current countdown ran out")
+		}
+		return sd.subs[tok]
+	}
+	redial := func(tok wire.Token) *leaseConn {
+		c := newLeaseConn()
+		if err := h.AttachJoined(c, wire.Join{StreamID: h.cfg.StreamID, Token: tok}); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// orphan removes path c, the last of tok's subscription, and waits for
+	// it to retire, which arms the grace.
+	orphan := func(tok wire.Token, c *leaseConn) {
+		t.Helper()
+		h.RemovePath(tok, c)
+		waitFor(t, "the removed path to retire", func() bool {
+			sd.mu.Lock()
+			defer sd.mu.Unlock()
+			return sd.subs[tok].grace.Armed()
+		})
 	}
 
-	stale := orphan()
-	sd.graceExpired(stale, 1)
-	if !h.HasSubscriber(stale.token) {
-		t.Fatal("a superseded countdown removed the subscriber")
-	}
+	c := newLeaseConn()
+	stale := attach(t, h, c)
+	orphan(stale, c) // its first countdown, due at grace
+	hand.advance(grace / 2)
+	orphan(stale, redial(stale)) // back and gone again: due at 3·grace/2
+	c = newLeaseConn()
+	back := attach(t, h, c)
+	orphan(back, c) // due at 3·grace/2
+	redial(back)
 
-	back := orphan()
-	conn := newLeaseConn()
-	if err := h.AttachJoined(conn, wire.Join{StreamID: h.cfg.StreamID, Token: back.token}); err != nil {
-		t.Fatal(err)
+	hand.advance(grace / 2)
+	lookup(stale).graceExpired() // the first countdown's firing, too late for its Stop
+	if !h.HasSubscriber(stale) {
+		t.Fatal("a superseded countdown's firing removed the subscriber")
 	}
-	sd.graceExpired(back, 2)
-	if !h.HasSubscriber(back.token) {
+	hand.advance(grace / 2)
+	if !h.HasSubscriber(back) {
 		t.Fatal("a re-attached subscriber was removed when its countdown ran out")
 	}
-
-	sd.graceExpired(stale, 2)
-	if h.HasSubscriber(stale.token) {
+	lookup(back).graceExpired() // its countdown's firing, too late for the re-attach's Stop
+	if !h.HasSubscriber(back) {
+		t.Fatal("a late firing of a re-attached subscriber's countdown removed it")
+	}
+	if h.HasSubscriber(stale) {
 		t.Fatal("a subscriber with no path outlived its current countdown")
 	}
 	if n := h.SubscriberCount(); n != 1 {
@@ -102,10 +129,12 @@ func TestGraceExpired(t *testing.T) {
 // through its re-attach grace by a timer, not a goroutine, so a thousand
 // orphans cost the hub no goroutines. Each still owes the frame its path
 // died writing, so all of them outlive the seal and Wait in their grace;
-// Close removes them, and no grace timer is left pending.
+// Close removes them, and leaves no grace countdown armed and no timer
+// of the hub's clock pending.
 func TestOrphansStartNoGoroutines(t *testing.T) {
 	const n = 1000
 	h := leaseHub(t, Config{ReattachGrace: time.Minute})
+	hand := handHub(h)
 	sd := h.shards[0]
 	for i := 0; i < n; i++ {
 		c := newLeaseConn()
@@ -130,11 +159,8 @@ func TestOrphansStartNoGoroutines(t *testing.T) {
 		t.Fatalf("%d goroutines with %d orphans, %d before their paths died", got, n, before)
 	}
 
-	var timers []*time.Timer
 	sd.mu.Lock()
-	for _, o := range sd.orphans {
-		timers = append(timers, o.grace)
-	}
+	orphans := slices.Clone(sd.orphans)
 	sd.mu.Unlock()
 	h.Stop()
 	h.Wait()
@@ -145,14 +171,16 @@ func TestOrphansStartNoGoroutines(t *testing.T) {
 	if got := h.SubscriberCount(); got != 0 {
 		t.Fatalf("%d subscribers left after Close, want 0", got)
 	}
-	pending := 0
-	for _, tm := range timers {
-		if tm == nil || tm.Stop() {
-			pending++
+	armed := 0
+	sd.mu.Lock()
+	for _, o := range orphans {
+		if o.grace.Armed() {
+			armed++
 		}
 	}
-	if pending > 0 {
-		t.Fatalf("%d of %d grace timers missing or still pending after Close", pending, n)
+	sd.mu.Unlock()
+	if pending := hand.pending(); armed > 0 || pending > 0 {
+		t.Fatalf("after Close: %d of %d grace countdowns armed, %d timers pending; want none", armed, n, pending)
 	}
 }
 
@@ -178,16 +206,14 @@ func owedOrphans(h *Hub) int {
 // A subscription evicted with a path gets the same grace once that path
 // has retired, rather than leaving its token free to join afresh.
 func TestEvictedOrphanLeavesAtGraceEnd(t *testing.T) {
+	const grace = time.Minute
 	for _, tc := range []struct {
-		name  string
-		grace time.Duration
-		path  bool // evicted with its path still attached
-	}{
-		{"orphan", 50 * time.Millisecond, false},
-		{"with a path", 250 * time.Millisecond, true},
-	} {
+		name string
+		path bool // evicted with its path still attached
+	}{{"orphan", false}, {"with a path", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := leaseHub(t, Config{ReattachGrace: tc.grace, Policy: Evict})
+			h := leaseHub(t, Config{ReattachGrace: grace, Policy: Evict})
+			hand := handHub(h)
 			sd := h.shards[0]
 			c := newLeaseConn()
 			if !tc.path {
@@ -208,11 +234,15 @@ func TestEvictedOrphanLeavesAtGraceEnd(t *testing.T) {
 			sd.evictLocked(sd.subs[tok])
 			sd.mu.Unlock()
 			waitFor(t, "the evicted path to retire", func() bool { return h.ConnCount() == 0 })
+			hand.advance(grace / 2)
 			err := h.AttachJoined(newLeaseConn(), wire.Join{StreamID: h.cfg.StreamID, Token: tok})
 			if !errors.Is(err, wire.ErrEvicted) {
 				t.Fatalf("re-attach of an evicted subscription: %v, want ErrEvicted", err)
 			}
-			waitFor(t, "the evicted subscription removed at its grace end", func() bool { return h.SubscriberCount() == 0 })
+			hand.advance(grace / 2)
+			if n := h.SubscriberCount(); n != 0 {
+				t.Fatalf("%d subscriptions registered at the evicted one's grace end, want 0", n)
+			}
 		})
 	}
 }
@@ -246,9 +276,10 @@ func TestDeathAfterSealRedialDrainsBatch(t *testing.T) {
 
 // TestSealRemovesOrphanOwedNothing: an orphan the sealed stream owes
 // nothing — its removed path had taken every packet — leaves at the seal,
-// with its grace timer stopped.
+// with its grace countdown stopped and no timer of the hub's clock pending.
 func TestSealRemovesOrphanOwedNothing(t *testing.T) {
 	h := leaseHub(t, Config{ReattachGrace: time.Minute})
+	hand := handHub(h)
 	sd := h.shards[0]
 	c := newLeaseConn()
 	tok := attach(t, h, c)
@@ -256,17 +287,22 @@ func TestSealRemovesOrphanOwedNothing(t *testing.T) {
 	waitFor(t, "the path to take every frame", func() bool { return c.frames.Load() == 3 })
 	h.RemovePath(tok, c)
 	waitFor(t, "the removed path to retire", func() bool { return h.ConnCount() == 0 })
+	armed := func(sub *subscriber) bool {
+		sd.mu.Lock()
+		defer sd.mu.Unlock()
+		return sub.grace.Armed()
+	}
 	sd.mu.Lock()
-	grace := sd.subs[tok].grace
+	sub := sd.subs[tok]
 	sd.mu.Unlock()
-	if grace == nil {
+	if !armed(sub) || hand.pending() == 0 {
 		t.Fatal("removing the last path mid-stream started no grace")
 	}
 	h.Stop()
 	if h.HasSubscriber(tok) {
 		t.Fatal("the seal kept an orphan it owes nothing")
 	}
-	if grace.Stop() {
-		t.Fatal("the removed orphan's grace timer is still pending")
+	if pending := hand.pending(); armed(sub) || pending > 0 {
+		t.Fatalf("after the seal: the removed orphan's grace armed %v, %d timers pending; want neither", armed(sub), pending)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"time"
 
+	"dmpstream/internal/clock"
 	"dmpstream/internal/lockrank"
 	"dmpstream/internal/wire"
 )
@@ -30,7 +31,6 @@ type subscriber struct {
 	sent      int64   // guarded by mu
 	dropped   int64   // guarded by mu
 	evicted   bool    // guarded by mu; cut off by the lag policy or the governor (verdict's evict)
-	armed     bool    // guarded by mu; its re-attach grace is counting down (verdict's arm)
 	links     []*path // guarded by mu; attached paths, in attach order
 	window    int     // guarded by mu; effective lag window, shrunk by the governor
 	sheds     int64   // guarded by mu; degradation-ladder steps applied
@@ -43,14 +43,11 @@ type subscriber struct {
 
 	// Path-death bookkeeping. resend holds absolute sequences a dead path
 	// may not have delivered, served (oldest first) before the cursor by any
-	// of the subscriber's paths. deaths counts abnormal path deaths. grace is
-	// the last re-attach countdown, versioned by graceGen so that a firing
-	// Stop came too late for cannot delete a revived subscriber.
-	resend   []int64     // guarded by mu; sorted ascending, deduplicated
-	deaths   int64       // guarded by mu
-	graceGen int64       // guarded by mu
-	grace    *time.Timer // guarded by mu; armed by a verdict (actArm), nil before the first
-	orphan   int         // guarded by mu; place in the shard's orphans plus one, 0 while not an orphan
+	// of the subscriber's paths. deaths counts abnormal path deaths.
+	resend []int64                      // guarded by mu; sorted ascending, deduplicated
+	deaths int64                        // guarded by mu
+	grace  clock.Countdown[*subscriber] // guarded by mu; the re-attach grace, armed while the verdict's life.armed
+	orphan int                          // guarded by mu; place in the shard's orphans plus one, 0 while not an orphan
 }
 
 // path is one attached path connection: what a worker needs to resume it —
@@ -272,8 +269,8 @@ func (p *path) oldestWritten() int64 {
 // coming back within the last stallGrace. Whoever queues a path signals
 // the idle worker or, if every worker is out on a write, starts one; a
 // worker about to leave on a write with paths still queued signals the
-// idle worker too, but with every worker out it only arms the stall timer,
-// which starts one if no write has come back by the time it fires; and a
+// idle worker too, but with every worker out it only arms the stall
+// countdown, which starts one if no write has come back when it fires; a
 // worker that finds nothing queued while another is already idle exits.
 // Healthy sinks therefore share a worker or two, while each sink blocked
 // in Write holds exactly one — the write in flight that it is.
@@ -310,14 +307,10 @@ type shard struct {
 	kick   chan struct{}
 	starts int64 // guarded by mu; workers ever started (Stats.WorkerStarts)
 
-	// The stall timer, armed by a worker leaving on a write while paths are
-	// queued and every worker is out (handOffLocked). It fires stallGrace
-	// later into stalled, which adds a worker only if none of the shard's
-	// writes has come back meanwhile.
-	stall      *time.Timer // guarded by mu; nil until first armed
-	stallArmed bool        // guarded by mu; stall is set to fire and nobody has disarmed it
-	stallAt    time.Time   // guarded by mu; when the armed firing is due
-	returned   bool        // guarded by mu; a write has come back since the timer was armed
+	// The stall countdown (handOffLocked arms it; stalled is its firing),
+	// and whether a write on the shard has come back since it was armed.
+	stall    clock.Countdown[*shard] // guarded by mu
+	returned bool                    // guarded by mu
 
 	// The shard's stock of idle batch workspaces, leased to workers for
 	// the span of one write (see batch). It grows on a miss,
@@ -334,10 +327,9 @@ type shard struct {
 }
 
 // stallGrace is how long queued paths wait for a write out on the shard
-// to come back before a worker is added for them (Hub.stallGrace, which
-// tests change). A write into a socket with room in its send buffer returns
-// in microseconds, so a write that has not returned in a millisecond is
-// blocked on its sink.
+// to come back before a worker is added for them. A write into a socket
+// with room in its send buffer returns in microseconds, so a write that
+// has not returned in a millisecond is blocked on its sink.
 const stallGrace = time.Millisecond
 
 // freeTrimWakes is how many generator wakes pass between trims of a
@@ -486,10 +478,10 @@ func (sd *shard) kickLocked(backlog bool) {
 
 // handOffLocked is kickLocked for a worker about to leave on a write with
 // paths still queued: a free worker is left to take them (signalled if it
-// idles), and with every worker out the stall timer is armed instead of a
-// worker started — the writes out are most likely coming back within
-// microseconds, and the first to come back takes the next queued path.
-// Caller holds sd.mu.
+// idles), and with every worker out the stall countdown is armed, if it is
+// not counting already, instead of a worker started — the writes out are
+// most likely coming back within microseconds, and the first to come back
+// takes the next queued path. Caller holds sd.mu.
 func (sd *shard) handOffLocked() {
 	if !sd.queuedLocked() {
 		return
@@ -500,52 +492,26 @@ func (sd *shard) handOffLocked() {
 		}
 		return
 	}
-	if !sd.stallArmed {
-		sd.armStallLocked()
+	if sd.stall.Arm(sd.h.clock, stallGrace, (*shard).stalled, sd) {
+		sd.returned = false
 	}
 }
 
-// armStallLocked sets the stall timer to fire Hub.stallGrace from now.
-// Caller holds sd.mu.
-func (sd *shard) armStallLocked() {
-	sd.stallArmed, sd.returned = true, false
-	d := sd.h.stallGrace
-	sd.stallAt = time.Now().Add(d)
-	if sd.stall == nil {
-		sd.stall = time.AfterFunc(d, sd.stalled)
-		return
-	}
-	sd.stall.Reset(d)
-}
-
-// disarmStallLocked stops the stall timer: nothing is queued, or nothing
-// is left on the shard that could be. Caller holds sd.mu.
-func (sd *shard) disarmStallLocked() {
-	if sd.stallArmed {
-		sd.stallArmed = false
-		sd.stall.Stop()
-	}
-}
-
-// stalled is the stall timer's callback. It adds exactly one worker if
-// paths are still queued, every worker is still out and none of the
-// shard's writes has come back since the timer was armed: one of those
-// writes is blocked on its sink, and the queue must not wait for it. If a
-// write has come back the queue is moving, and the timer is armed again.
-// A firing that finds the timer disarmed, or re-armed for later (it was
-// stopped too late to keep this call from starting), does nothing.
+// stalled is the stall countdown's firing, acted on only while it is Due.
+// If paths are still queued, every worker is still out and no write on the
+// shard has come back since the countdown was armed, one of those writes
+// is blocked on its sink: it adds exactly one worker. Otherwise the queue
+// is moving, and it hands off as a leaving worker does, which arms the
+// countdown again if paths still wait.
 func (sd *shard) stalled() {
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
-	if !sd.stallArmed || time.Now().Before(sd.stallAt) {
+	if !sd.stall.Due(sd.h.clock) {
 		return
 	}
-	sd.stallArmed = false
-	if !sd.queuedLocked() || sd.workers > sd.busy {
-		return
-	}
-	if sd.returned {
-		sd.armStallLocked()
+	sd.stall.Stop()
+	if sd.returned || !sd.queuedLocked() || sd.workers > sd.busy {
+		sd.handOffLocked()
 		return
 	}
 	sd.startWorkerLocked()
@@ -635,14 +601,14 @@ func (sd *shard) stepLocked(p *path) (pathStep, *batch) {
 // write takes, exactly the in-flight write it is — and come back for the
 // same path's next step until it parks or retires. Leaving on a write with
 // paths still queued, it hands them off (handOffLocked): to a free worker,
-// or, with every worker out, to the stall timer, so the pool grows only
-// for a write that does not come back. A worker that finds nothing queued
-// disarms the timer. The lease of a batch write goes back to the shard
-// under the next lock hold, so neither a parked path nor an idle worker
-// holds a workspace. On a failed write the path retires with the absolute
-// sequences it wrote most recently (oldest first, the in-hand batch last):
-// TCP may have buffered but never delivered them, so finishPath queues
-// them for the subscriber's other paths.
+// or, with every worker out, to the stall countdown, so the pool grows
+// only for a write that does not come back. A worker that finds nothing
+// queued stops the countdown. The lease of a batch write goes back to the
+// shard under the next lock hold, so neither a parked path nor an idle
+// worker holds a workspace. On a failed write the path retires with the
+// absolute sequences it wrote most recently (oldest first, the in-hand
+// batch last): TCP may have buffered but never delivered them, so
+// finishPath queues them for the subscriber's other paths.
 func (sd *shard) work() {
 	h := sd.h
 	defer h.wg.Done()
@@ -678,7 +644,7 @@ func (sd *shard) work() {
 			}
 		}
 		if p == nil {
-			sd.disarmStallLocked()
+			sd.stall.Stop()
 			if sd.idle || sd.live == 0 {
 				// Another worker is already waiting for a path to be queued,
 				// or no path is left that could be.
@@ -1160,7 +1126,7 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	if sd.live--; sd.live == 0 {
 		// Nothing left that could be queued: no stall to wait for, and the
 		// idle worker can go.
-		sd.disarmStallLocked()
+		sd.stall.Stop()
 		if sd.idle {
 			sd.signalLocked()
 		}
@@ -1171,26 +1137,23 @@ func (sd *shard) finishPath(p *path, recent []int64, err error) {
 	}
 }
 
-// graceExpired ends the re-attach grace countdown gen of sub, unless a
-// newer countdown (graceGen moved on) superseded this one: a firing its
-// timer's Stop came too late for.
-func (sd *shard) graceExpired(sub *subscriber, gen int64) {
+// graceExpired is the re-attach grace's firing. While the grace is Due —
+// not stopped by a re-attach or the subscription's removal, nor re-armed by
+// a later death — it is the verdict's evGrace.
+func (sub *subscriber) graceExpired() {
+	sd := sub.shard
 	sd.mu.Lock()
-	if sub.graceGen == gen {
+	if sub.grace.Due(sd.h.clock) {
 		sd.judgeLocked(sub, event{kind: evGrace})
 	}
 	sd.mu.Unlock()
 }
 
-// removeLocked deletes sub from the shard, releasing its admission slot
-// and stopping its grace timer; only a verdict calls it, once. Caller
-// holds sd.mu.
+// removeLocked deletes sub from the shard, releasing its admission slot;
+// only a verdict calls it, once. Caller holds sd.mu.
 func (sd *shard) removeLocked(sub *subscriber) {
 	delete(sd.subs, sub.token)
 	sd.h.subCount.Add(-1)
-	if sub.grace != nil {
-		sub.grace.Stop()
-	}
 	if !sub.evicted {
 		sd.uncountLocked(sub)
 	}

@@ -28,7 +28,7 @@ func workerCount(sd *shard) (workers, busy int) {
 // checkWorkersGone waits for the shard's workers to notice that its last
 // path has retired, then checks nothing is left behind: no path counted
 // live, none queued, no worker alive, busy or marked idle, and no stall
-// timer armed.
+// countdown armed.
 func checkWorkersGone(t *testing.T, sd *shard) {
 	t.Helper()
 	waitFor(t, "the shard's workers to exit", func() bool {
@@ -37,9 +37,9 @@ func checkWorkersGone(t *testing.T, sd *shard) {
 	})
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
-	if sd.live != 0 || sd.queuedLocked() || !sd.parked.empty() || !sd.held.empty() || sd.busy != 0 || sd.idle || sd.stallArmed {
-		t.Fatalf("shard not quiesced: live %d, queued %v, parked %v, held %v, busy %d, idle %v, stall timer armed %v",
-			sd.live, sd.queuedLocked(), !sd.parked.empty(), !sd.held.empty(), sd.busy, sd.idle, sd.stallArmed)
+	if sd.live != 0 || sd.queuedLocked() || !sd.parked.empty() || !sd.held.empty() || sd.busy != 0 || sd.idle || sd.stall.Armed() {
+		t.Fatalf("shard not quiesced: live %d, queued %v, parked %v, held %v, busy %d, idle %v, stall countdown armed %v",
+			sd.live, sd.queuedLocked(), !sd.parked.empty(), !sd.held.empty(), sd.busy, sd.idle, sd.stall.Armed())
 	}
 	for _, sub := range sd.subs {
 		if len(sub.links) != 0 {
@@ -419,29 +419,19 @@ func TestBlockedWritersHoldOneWorkerEach(t *testing.T) {
 	checkQuiesced(t, h, blocked+healthy)
 }
 
-// fireStall runs the stall timer's callback as if its grace had passed:
-// the tests below set the hub's stall grace beyond their runs and fire the
-// stall by hand, where the real timer's firing would otherwise race the
-// scheduler.
-func fireStall(sd *shard) {
-	sd.mu.Lock()
-	sd.stallAt = time.Time{}
-	sd.mu.Unlock()
-	sd.stalled()
-}
-
 // TestPaceStartsNoWorkers: a shard whose writes never block keeps the
 // workers it has. At pace the idle worker takes the tick's paths one after
 // another; as it leaves on each write the rest are still queued with every
-// worker out, and that arms the stall timer — it does not start a worker,
-// because the writes come back in microseconds. The stall is fired by hand
-// once per tick, after half the paths have taken their packet, so a write
-// has come back since it was armed. The first publishes may grow the stock
-// while it settles; after them it stays put.
+// worker out, and that arms the stall countdown — it does not start a
+// worker, because the writes come back in microseconds. The hand clock
+// passes stallGrace once per tick, after half the paths have taken their
+// packet, so a write has come back since the countdown was armed. The
+// first publishes may grow the stock while it settles; after them it stays
+// put.
 func TestPaceStartsNoWorkers(t *testing.T) {
 	const paths, publishes, settle, slack = 64, 300, 20, 3
 	h := leaseHub(t, Config{})
-	h.stallGrace = time.Hour
+	hand := handHub(h)
 	sd := h.shards[0]
 	conns := make([]*leaseConn, paths)
 	for i := range conns {
@@ -465,7 +455,7 @@ func TestPaceStartsNoWorkers(t *testing.T) {
 			}
 			return n >= paths/2
 		})
-		fireStall(sd)
+		hand.advance(stallGrace)
 		for _, c := range conns {
 			c := c
 			waitFor(t, "a path's delivery", func() bool { return c.frames.Load() == seq+1 })
@@ -483,13 +473,13 @@ func TestPaceStartsNoWorkers(t *testing.T) {
 
 // TestStalledWriteStartsOneWorker: a write that blocks mid-stream adds one
 // worker, and only one, for the paths queued behind it — once the stall
-// fires with no write on the shard come back since it was armed. The stall
-// is fired by hand, as the timer would fire every grace, until a worker is
-// added; from then on the healthy paths share that worker.
+// fires with no write on the shard come back since it was armed. The hand
+// clock passes stallGrace again and again, as the wall clock would, until
+// a worker is added; from then on the healthy paths share that worker.
 func TestStalledWriteStartsOneWorker(t *testing.T) {
 	const healthy, publishes = 8, 50
 	h := leaseHub(t, Config{LagWindow: 256})
-	h.stallGrace = time.Hour
+	hand := handHub(h)
 	sd := h.shards[0]
 	slow := newLeaseConn()
 	slow.gate = make(chan struct{})
@@ -524,7 +514,7 @@ func TestStalledWriteStartsOneWorker(t *testing.T) {
 				if workers, _ := workerCount(sd); workers > 1 || delivered(seq) {
 					return true
 				}
-				fireStall(sd)
+				hand.advance(stallGrace)
 				return false
 			})
 		}

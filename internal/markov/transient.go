@@ -24,6 +24,7 @@ type TransientSolver[S comparable] struct {
 	lambda   float64
 	dist     []float64
 	scratch  []float64
+	out      []float64 // Advance's Poisson-weighted sum
 }
 
 // NewTransientSolver enumerates the reachable space and builds the
@@ -40,6 +41,7 @@ func NewTransientSolver[S comparable](g Generator[S], init S, maxStates int) (*T
 		rowStart: make([]int32, n+1),
 		dist:     make([]float64, n),
 		scratch:  make([]float64, n),
+		out:      make([]float64, n),
 	}
 
 	// Find Λ.
@@ -108,16 +110,12 @@ func (ts *TransientSolver[S]) Advance(dt float64) {
 	}
 	a := ts.lambda * dt
 	// Poisson(a) weights over matrix powers, truncated at 1e-12 tail mass.
-	out := make([]float64, len(ts.dist))
+	out := ts.out
 	weight := math.Exp(-a)
 	cum := weight
-	cur := make([]float64, len(ts.dist))
-	copy(cur, ts.dist)
-	for i, v := range cur {
-		out[i] += weight * v
+	for i, v := range ts.dist {
+		out[i] = weight * v
 	}
-	// Keep the power iteration inside ts.dist/ts.scratch.
-	copy(ts.dist, cur)
 	for k := 1; cum < 1-1e-12; k++ {
 		ts.step()
 		weight *= a / float64(k)

@@ -4,81 +4,97 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"dmpstream/internal/clock"
 )
 
-// countdownRelay is a one-path relay with nothing upstream, whose orphan
-// countdown is driven by hand: pathUp, pathDown and Close as the redial
-// engine and the owner call them, and orphanFire, the timer's firing,
-// called with the time it would fire at. The grace is an hour, so the real
-// timer never fires during a test.
-func countdownRelay(t *testing.T) *Relay {
-	r := testRelay(Config{Upstreams: []string{"127.0.0.1:1"}, Paths: 1, OrphanGrace: time.Hour})
+// countdownGrace is countdownRelay's orphan grace.
+const countdownGrace = time.Minute
+
+// handClock is a clock.Clock for the relay's one timer, the orphan
+// countdown: its time moves, and the timer fires, only in advance, on the
+// test's goroutine.
+type handClock struct {
+	now, at time.Time // at: when the timer fires, zero while stopped or fired
+	f       func()
+}
+
+func (c *handClock) Now() time.Time { return c.now }
+func (c *handClock) AfterFunc(d time.Duration, f func()) clock.Timer {
+	c.f = f
+	c.Reset(d)
+	return c
+}
+func (c *handClock) Reset(d time.Duration) bool { c.at = c.now.Add(d); return true }
+func (c *handClock) Stop() bool                 { c.at = time.Time{}; return true }
+
+// advance moves the clock d on, firing the timer if it falls due.
+func (c *handClock) advance(d time.Duration) {
+	if c.now = c.now.Add(d); !c.at.IsZero() && !c.at.After(c.now) {
+		c.at = time.Time{}
+		c.f()
+	}
+}
+
+// countdownRelay is a one-path relay with nothing upstream, on a hand
+// clock: pathUp, pathDown and Close are called as the redial engine and
+// the owner call them, and the orphan countdown fires only when the test
+// advances the clock.
+func countdownRelay() (*Relay, *handClock) {
+	hand := &handClock{now: time.Unix(1, 0)}
+	r := testRelay(Config{Upstreams: []string{"127.0.0.1:1"}, Paths: 1, OrphanGrace: countdownGrace})
+	r.clock = hand
 	r.up, r.cand = make([]bool, 1), make([]int, 1)
 	r.fwd = newForwarder(r, 0)
-	r.orphan = time.AfterFunc(time.Hour, func() { r.orphanFire(time.Now()) })
-	r.orphan.Stop()
-	t.Cleanup(func() {
-		r.mu.Lock()
-		r.disarmOrphanLocked()
-		r.mu.Unlock()
-	})
-	return r
+	return r, hand
 }
 
-// countdown returns r's fate and when its armed countdown is due (zero
-// while disarmed).
-func countdown(r *Relay) (fate, time.Time) {
+// countdown returns r's fate and whether its orphan countdown is armed.
+func countdown(r *Relay) (fate, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.fate, r.orphanAt
+	return r.fate, r.orphan.Armed()
 }
 
-// TestOrphanCountdown runs the relay's orphan countdown rule without a
-// timer: a firing is acted on only while its countdown is armed and due,
-// and the fate it decides is decided once.
+// TestOrphanCountdown runs the relay's orphan countdown on a hand clock: a
+// firing is acted on only while its countdown is armed and due, and the
+// fate it decides is decided once.
 func TestOrphanCountdown(t *testing.T) {
 	down := errors.New("connection reset")
 
 	t.Run("stale firing", func(t *testing.T) {
-		// The first countdown's firing, stopped too late, lands after the
-		// path came back and died again: the second countdown decides.
-		r := countdownRelay(t)
+		// The path comes back within the grace and dies again. A firing of
+		// the first countdown that Stop came too late to cancel lands at its
+		// deadline, and is dropped; the second countdown decides.
+		r, hand := countdownRelay()
 		r.pathUp(0, 0)
 		r.pathDown(0, down)
-		_, first := countdown(r)
-		time.Sleep(time.Millisecond)
+		hand.advance(countdownGrace / 2)
 		r.pathUp(0, 1)
 		r.pathDown(0, down)
-		_, second := countdown(r)
-		if !second.After(first) {
-			t.Fatalf("the second death armed %v, not after the first's %v", second, first)
-		}
-		r.orphanFire(first)
+		hand.advance(countdownGrace / 2)
+		r.orphanFire()
 		if f, _ := countdown(r); f != fateOpen {
 			t.Fatalf("a superseded firing decided fate %d", f)
 		}
-		r.orphanFire(second)
-		if f, _ := countdown(r); f != fateOrphaned {
-			t.Fatalf("the armed countdown's firing left fate %d, want orphaned", f)
+		hand.advance(countdownGrace / 2)
+		if f, armed := countdown(r); f != fateOrphaned || armed {
+			t.Fatalf("at the second countdown's end: fate %d, armed %v; want orphaned and disarmed", f, armed)
 		}
 	})
 
 	t.Run("failed redials", func(t *testing.T) {
 		// Every failed redial reports another pathDown; none of them pushes
 		// the verdict past the first deadline.
-		r := countdownRelay(t)
+		r, hand := countdownRelay()
 		r.pathDown(0, down)
-		_, due := countdown(r)
 		for i := 0; i < 3; i++ {
-			time.Sleep(time.Millisecond)
+			hand.advance(countdownGrace / 4)
 			r.pathDown(0, down)
 		}
-		if _, at := countdown(r); !at.Equal(due) {
-			t.Fatalf("failed redials moved the verdict from %v to %v", due, at)
-		}
-		r.orphanFire(due)
+		hand.advance(countdownGrace / 4)
 		if f, _ := countdown(r); f != fateOrphaned {
-			t.Fatalf("the firing at the first deadline left fate %d, want orphaned", f)
+			t.Fatalf("at the first deadline: fate %d, want orphaned", f)
 		}
 		select {
 		case <-r.failCh:
@@ -88,13 +104,16 @@ func TestOrphanCountdown(t *testing.T) {
 	})
 
 	t.Run("close first", func(t *testing.T) {
-		r := countdownRelay(t)
+		r, hand := countdownRelay()
 		r.pathDown(0, down)
-		_, due := countdown(r)
 		r.Close()
-		r.orphanFire(due)
-		if f, at := countdown(r); f != fateCancelled || !at.IsZero() {
-			t.Fatalf("after Close and a late firing: fate %d, countdown due %v; want cancelled and disarmed", f, at)
+		if !hand.at.IsZero() {
+			t.Fatal("the timer is still pending after Close")
+		}
+		r.orphanFire() // a firing Close came too late to cancel
+		hand.advance(countdownGrace)
+		if f, armed := countdown(r); f != fateCancelled || armed {
+			t.Fatalf("after Close and the grace: fate %d, countdown armed %v; want cancelled and disarmed", f, armed)
 		}
 	})
 }

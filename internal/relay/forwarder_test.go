@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dmpstream/internal/clock"
 	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
 	"dmpstream/internal/lockrank"
@@ -26,6 +27,7 @@ func testRelay(cfg Config) *Relay {
 		failCh:       make(chan struct{}),
 		stopCh:       make(chan struct{}),
 		upstreamDone: make(chan struct{}),
+		clock:        clock.Wall{},
 	}
 	r.mu.Init(lockrank.Relay)
 	return r

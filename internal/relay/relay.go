@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmpstream/internal/clock"
 	"dmpstream/internal/core"
 	"dmpstream/internal/hub"
 	"dmpstream/internal/lockrank"
@@ -248,9 +249,9 @@ type Relay struct {
 	fate      fate   // guarded by mu; decided once (decideLocked)
 
 	// The orphan countdown, armed from New and when the last path goes
-	// down, disarmed when one comes back or the fate is decided.
-	orphan   *time.Timer // guarded by mu
-	orphanAt time.Time   // guarded by mu; when the armed verdict is due, zero while disarmed
+	// down, stopped when one comes back or the fate is decided.
+	orphan clock.Countdown[*Relay] // guarded by mu
+	clock  clock.Clock             // New's clock.Wall, or a test's through newOn
 }
 
 // fate is how upstream consumption ends: open until the upstream is lost
@@ -273,7 +274,7 @@ func (r *Relay) decideLocked(f fate) bool {
 		return false
 	}
 	r.fate = f
-	r.disarmOrphanLocked()
+	r.orphan.Stop()
 	r.signalStop()
 	if r.local.Load() == nil {
 		r.signalFail()
@@ -286,7 +287,10 @@ func (r *Relay) decideLocked(f fate) bool {
 // stream header fixes the feed's rate and payload size, and served once it
 // holds its first packet; Serve blocks on that. Shut down with Drain
 // (graceful) or Close.
-func New(cfg Config) (*Relay, error) {
+func New(cfg Config) (*Relay, error) { return newOn(clock.Wall{}, cfg) }
+
+// newOn is New with its orphan countdown on clock c.
+func newOn(c clock.Clock, cfg Config) (*Relay, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -312,7 +316,7 @@ func New(cfg Config) (*Relay, error) {
 		upstreamDone: make(chan struct{}),
 		up:           make([]bool, cfg.Paths),
 		cand:         cand,
-		orphanAt:     time.Now().Add(cfg.OrphanGrace),
+		clock:        c,
 	}
 	r.mu.Init(lockrank.Relay)
 	r.fwd = newForwarder(r, core.DefaultEndGrace)
@@ -327,7 +331,7 @@ func New(cfg Config) (*Relay, error) {
 	// The initial orphan countdown: a relay that never reaches any
 	// candidate must not sit Connecting forever.
 	r.mu.Lock()
-	r.orphan = time.AfterFunc(cfg.OrphanGrace, func() { r.orphanFire(time.Now()) })
+	r.orphan.Arm(r.clock, cfg.OrphanGrace, (*Relay).orphanFire, r)
 	r.mu.Unlock()
 	r.wg.Add(1)
 	go func() {
@@ -394,7 +398,7 @@ func (r *Relay) pathUp(k, attempt int) {
 	if !r.up[k] {
 		r.up[k] = true
 		r.live++
-		r.disarmOrphanLocked()
+		r.orphan.Stop()
 	}
 	live, paths := r.live, r.cfg.Paths
 	r.mu.Unlock()
@@ -402,7 +406,9 @@ func (r *Relay) pathUp(k, attempt int) {
 }
 
 // pathDown marks path k dead, rotates it to the next upstream candidate,
-// and — when it was the last live path — starts the orphan countdown.
+// and — when it was the last live path — starts the orphan countdown,
+// unless it is counting already: every failed redial reports another
+// pathDown, and re-arming per retry would push the verdict out forever.
 // Called from the path's goroutine on dial failures and connection
 // deaths alike.
 func (r *Relay) pathDown(k int, err error) {
@@ -420,39 +426,20 @@ func (r *Relay) pathDown(k int, err error) {
 		r.failovers++
 	}
 	if r.live == 0 {
-		r.armOrphanLocked()
+		r.orphan.Arm(r.clock, r.cfg.OrphanGrace, (*Relay).orphanFire, r)
 	}
 	live, next := r.live, r.cand[k]
 	r.mu.Unlock()
 	r.logf("relay: path %d down (%v), %d live, next candidate %d", k, err, live, next)
 }
 
-// armOrphanLocked starts the orphan countdown unless it is already armed —
-// every failed redial reports another pathDown, and re-arming per retry
-// would push the verdict out forever. Caller holds r.mu.
-func (r *Relay) armOrphanLocked() {
-	if r.orphanAt.IsZero() {
-		r.orphanAt = time.Now().Add(r.cfg.OrphanGrace)
-		r.orphan.Reset(r.cfg.OrphanGrace)
-	}
-}
-
-// disarmOrphanLocked stops the orphan countdown. Caller holds r.mu.
-func (r *Relay) disarmOrphanLocked() {
-	if !r.orphanAt.IsZero() {
-		r.orphanAt = time.Time{}
-		r.orphan.Stop()
-	}
-}
-
-// orphanFire is the orphan countdown's firing at time now. Unless the
-// countdown was disarmed or re-armed for later (a firing Stop came too
-// late for), or the stream ended, it delivers the verdict: the relay
-// detaches from the upstream for good and the local hub (if any) Fails
-// with RejectUpstreamLost.
-func (r *Relay) orphanFire(now time.Time) {
+// orphanFire is the orphan countdown's firing. While the countdown is Due
+// — no path came back and the fate is open — and the stream has not ended,
+// it delivers the verdict: the relay detaches from the upstream for good
+// and the local hub (if any) Fails with RejectUpstreamLost.
+func (r *Relay) orphanFire() {
 	r.mu.Lock()
-	if r.orphanAt.IsZero() || now.Before(r.orphanAt) || r.upstreamEnded() || !r.decideLocked(fateOrphaned) {
+	if !r.orphan.Due(r.clock) || r.upstreamEnded() || !r.decideLocked(fateOrphaned) {
 		r.mu.Unlock()
 		return
 	}

@@ -334,6 +334,8 @@ func TestRelayDrainOneBudget(t *testing.T) {
 
 // TestRelayOrphanNoUpstream: a relay whose every candidate is unreachable
 // must give up after the orphan grace instead of hanging Serve forever.
+// The countdown New arms runs on a hand clock, which the test moves past
+// the grace.
 func TestRelayOrphanNoUpstream(t *testing.T) {
 	// A port that was just listening and no longer is: dials get refused.
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
@@ -343,10 +345,11 @@ func TestRelayOrphanNoUpstream(t *testing.T) {
 	addr := dead.Addr().String()
 	dead.Close()
 
-	r, err := New(Config{
+	hand := &handClock{now: time.Unix(1, 0)}
+	r, err := newOn(hand, Config{
 		Upstreams:   []string{addr},
 		StreamID:    "lost",
-		OrphanGrace: 200 * time.Millisecond,
+		OrphanGrace: time.Minute,
 		Redial:      core.RedialPolicy{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond, Seed: 3},
 	})
 	if err != nil {
@@ -361,6 +364,7 @@ func TestRelayOrphanNoUpstream(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() { done <- r.Serve(ln) }()
+	hand.advance(time.Minute)
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrNoUpstream) {

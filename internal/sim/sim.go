@@ -98,7 +98,6 @@ type Simulator struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
-	nRun    uint64
 }
 
 // New returns a simulator with its clock at zero and a deterministic RNG
@@ -112,10 +111,6 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Rand returns the simulation's deterministic random source.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// EventsRun returns the number of events executed so far (for tests and
-// instrumentation).
-func (s *Simulator) EventsRun() uint64 { return s.nRun }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a logic error in a protocol implementation.
@@ -156,7 +151,6 @@ func (s *Simulator) Run(until Time) {
 			continue
 		}
 		s.now = next.at
-		s.nRun++
 		next.fn()
 	}
 	if len(s.events) == 0 && s.now < until {
@@ -173,7 +167,6 @@ func (s *Simulator) RunAll() {
 			continue
 		}
 		s.now = next.at
-		s.nRun++
 		next.fn()
 	}
 }

@@ -555,9 +555,6 @@ func (r *Receiver) sendAck() {
 	})
 }
 
-// RcvNxt returns the next expected sequence number.
-func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
-
 func max2(a, b float64) float64 {
 	if a > b {
 		return a
